@@ -87,7 +87,9 @@ class ExperimentConfig:
             raise ConfigError(f"trace_scheme must be geometric or uniform, got {self.trace_scheme!r}")
         if self.format not in ("json", "csv", "both"):
             raise ConfigError(f"format must be json, csv or both, got {self.format!r}")
-        _parse_couplings(self.coupling_scheme, 1)
+        couplings = _parse_couplings(self.coupling_scheme, self.m_max // 2)
+        if any(abs(b) > abs(c) for b, c in zip(couplings, couplings[1:])):
+            raise ConfigError(f"coupling_scheme norms must be nondecreasing, got {self.coupling_scheme!r}")
         _parse_weight_scheme(self.weight_scheme)
 
     def tolerance(self) -> Tolerance:

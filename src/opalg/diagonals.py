@@ -5,11 +5,15 @@ module builds the telescoping diagonals of a chain, their unitized
 companions, certifies the multiplier-bounded approximate-diagonal
 conditions, and realizes the expectation x -> sum u_i x v_i induced by a
 finite exact diagonal.
+
+Every zero test, value comparison and norm bound on tensor elements goes
+through one reduced form over linearly independent left legs; the
+Kronecker flattening is formed only for the lower bound of a nonzero
+element.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -110,15 +114,9 @@ class TensorElem:
         return self + (-other)
 
     def same_element(self, other: "TensorElem") -> bool:
-        """Value equality: two sums represent the same element exactly
-        when their flattenings agree (exact on exact backends)."""
-        if self.dim != other.dim:
-            return False
-        diff = (self - other).flatten()
-        if diff.is_exact:
-            return diff.is_zero()
-        scale = max(1.0, self.flatten().max_abs(), other.flatten().max_abs())
-        return diff.max_abs() <= 1e-12 * scale
+        """Value equality: the difference reduces to the empty form
+        (exactly on exact backends, up to roundoff on float ones)."""
+        return self.dim == other.dim and not _reduce((self - other).terms)
 
     def pi(self) -> Matrix:
         """Linearized multiplication: sum of u @ v."""
@@ -169,83 +167,78 @@ def build_delta(chain: Chain, n: int) -> TensorElem:
     return TensorElem.of(terms, dim=chain.truncation_dim)
 
 
-def _pair_div(a, b):
-    """Complex rational division a / b for (re, im) pairs."""
-    p, q = a
-    r, s = b
-    den = Fraction(r * r + s * s)
-    if den == 0:
-        raise ZeroDivisionError("division by a zero entry")
-    return (Fraction(p * r + q * s) / den, Fraction(q * r - p * s) / den)
+def _reduce(terms) -> list[tuple[Matrix, Matrix]]:
+    """Rewrite sum u_i (x) v_i over linearly independent left legs.
 
+    The element is the matrix sum vec(u_i) vec(v_i)^T (Van Loan-Pitsianis),
+    so Gaussian elimination on the left legs keeps its value.  In order,
+    each left leg, divided by its content, is reduced against one row per
+    leg kept so far.  A leg with a remainder is kept as it is; one without
+    is sum_b k_b B_b, and each kept B_b collects k_b v, so no independent
+    leg is split, which would inflate sum ||B|| ||V||.  Kept legs whose
+    right leg vanished are dropped: the element is zero exactly when the
+    result is empty.  A float term p (x) q counts as zero when max|p| max|q|
+    is below 1e-12 max_i(max|u_i| max|v_i|, 1).
+    """
+    terms = list(terms)
+    exact = all(u.is_exact and v.is_exact for u, v in terms)
+    if exact:
+        zero = (0, 0)
+    else:
+        terms = [(u.to_float(), v.to_float()) for u, v in terms]
+        zero = 0
+        tiny = 1e-12 * max([1.0] + [u.max_abs() * v.max_abs() for u, v in terms])
 
-def _proportionality(a: Matrix, b: Matrix):
-    """Scalar c with a == c * b, or None.  Exact on exact backends,
-    within roundoff otherwise."""
-    if a.shape != b.shape:
-        return None
-    if a.is_exact and b.is_exact:
-        ij = b.first_nonzero()
-        if ij is None:
-            return None
-        c = _pair_div(a.entry(*ij), b.entry(*ij))
-        return c if (b * c).equals(a) else None
-    af, bf = a.numpy(), b.numpy()
-    mags = np.abs(bf)
-    if mags.size == 0 or mags.max() == 0:
-        return None
-    idx = np.unravel_index(np.argmax(mags), bf.shape)
-    c = af[idx] / bf[idx]
-    scale = max(float(np.abs(af).max()), float(np.abs(c * bf).max()), 1.0)
-    if float(np.abs(af - c * bf).max()) <= 1e-12 * scale:
-        return complex(c)
-    return None
+    def negligible(p, q):
+        return (p.is_zero() or q.is_zero()) if exact else p.max_abs() * q.max_abs() <= tiny
 
-
-def _merge_left(terms):
-    groups: list[list[Matrix]] = []
+    kept, rows = [], []  # kept: [B, V]; rows: (pivot index, E, coordinates of E over kept B)
     for u, v in terms:
-        for g in groups:
-            c = _proportionality(u, g[0])
-            if c is not None:
-                g[1] = g[1] + v * c
-                break
+        g = u.content()
+        if g not in (0, 1):
+            u, v = u / g, v * g
+        r, coords = u, Matrix.zeros(1, len(terms), backend="exact" if exact else "float")
+        for ij, e, e_coords in rows:
+            c = r.entry(*ij)
+            if c != zero:
+                r = r - e * c
+                coords = coords + e_coords * c
+        if negligible(r, v):
+            for b, pair in enumerate(kept):
+                k = coords.entry(0, b)
+                if k != zero:
+                    pair[1] = pair[1] + v * k
         else:
-            groups.append([u, v])
-    return [(u, v) for u, v in groups if not v.is_zero()]
+            unit = Matrix.exact([[int(j == len(kept)) for j in range(len(terms))]])
+            kept.append([u, v])
+            ij = r.pivot()
+            p = r.entry(*ij)
+            rows.append((ij, r / p, (unit - coords) / p))
+    return [(b, v) for b, v in kept if not negligible(b, v)]
 
 
-def _merge_right(terms):
-    groups: list[list[Matrix]] = []
-    for u, v in terms:
-        for g in groups:
-            c = _proportionality(v, g[1])
-            if c is not None:
-                g[0] = g[0] + u * c
-                break
-        else:
-            groups.append([u, v])
-    return [(u, v) for u, v in groups if not u.is_zero()]
+def _upper(reduced) -> float:
+    """sum ||B|| ||V|| once dependent right legs are merged as well."""
+    return float(sum(op_norm(b) * op_norm(v) for v, b in _reduce((v, b) for b, v in reduced)))
 
 
 def tensor_norm_upper(t: TensorElem) -> float:
-    """Projective-norm upper bound: sum of norm products after one greedy
-    regrouping pass per leg (proportional legs are merged)."""
-    terms = [(u, v) for u, v in t.terms if not u.is_zero() and not v.is_zero()]
-    terms = _merge_left(terms)
-    terms = _merge_right(terms)
-    return float(sum(op_norm(u) * op_norm(v) for u, v in terms))
+    """Projective-norm upper bound: sum ||B|| ||V|| over the reduced form,
+    reduced once more on the right legs."""
+    return _upper(_reduce(t.terms))
 
 
 def tensor_norm_bounds(t: TensorElem) -> tuple[float, float]:
     """Certified (lower, upper) bracket for the projective tensor norm.
 
-    The lower bound is the operator norm of the flattening, which is
-    contractive for the projective norm; the upper bound comes from the
-    representation after greedy regrouping.
+    The lower bound is the operator norm of the reduced form's flattening
+    (contractive for the projective norm), the upper one that of
+    ``tensor_norm_upper``; a zero element gets (0, 0) without flattening.
     """
-    lower = op_norm(t.flatten())
-    return lower, tensor_norm_upper(t)
+    reduced = _reduce(t.terms)
+    if not reduced:
+        return 0.0, 0.0
+    return op_norm(TensorElem(terms=tuple(reduced), dim=t.dim).flatten()), _upper(reduced)
 
 
 def unitize_diagonal(delta: TensorElem, u: Matrix, one: Matrix) -> TensorElem:
@@ -295,11 +288,8 @@ class FiniteDiagonal:
                     raise ValueError(f"pi(diag) does not act as identity on basis element {k}")
             elif max(left.max_abs_diff(a), right.max_abs_diff(a)) > tol.abs_tol:
                 raise ValueError(f"pi(diag) does not act as identity on basis element {k}")
-            comm = bimodule_commutator(a, self.diag).flatten()
-            if exact:
-                if not comm.is_zero():
-                    raise ValueError(f"diag does not commute with basis element {k}")
-            elif comm.max_abs() > tol.abs_tol:
+            comm = _reduce(bimodule_commutator(a, self.diag).terms)
+            if comm and (exact or _upper(comm) > tol.abs_tol):
                 raise ValueError(f"diag does not commute with basis element {k}")
 
 
@@ -444,7 +434,7 @@ def certify_mbad(
     basis_stack = np.stack(basis_cols, axis=1)
     unitized = [unitize_diagonal(d, p, ident) for d, p in zip(deltas, pis)]
 
-    prelim = []
+    records, adjoined_norms = [], []
     c_const = 0.0
     for a, label in zip(sample, labels):
         y = a.numpy().ravel()
@@ -478,13 +468,8 @@ def certify_mbad(
         else:
             identity_ok = True
 
-        delta_comms, uppers, lowers = [], [], []
-        for d in deltas:
-            comm = bimodule_commutator(a, d)
-            delta_comms.append(comm)
-            lo, up = tensor_norm_bounds(comm)
-            lowers.append(lo)
-            uppers.append(up)
+        delta_comms = [bimodule_commutator(a, d) for d in deltas]
+        lowers, uppers = zip(*(tensor_norm_bounds(comm) for comm in delta_comms))
         comm_upper, comm_lower = max(uppers), max(lowers)
         if in_span:
             commutator_ok = comm_upper == 0.0 if exact_element else comm_upper <= tol.abs_tol
@@ -498,8 +483,8 @@ def certify_mbad(
 
         # the unitized commutator rewrites (for a commuting with u) as
         # 2(a.D - D.a) - u.(a.D - D.a) + w (x) (1-u) - (1-u) (x) w
-        # with w = a_alg - a_alg u; certify the rewriting by flattening,
-        # then read the multiplier estimate off that representation
+        # with w = a_alg - a_alg u; certify the rewriting by reducing the
+        # difference, then read the multiplier estimate off that representation
         unit_uppers = []
         refined_ok = True
         rewrite_ok = True
@@ -509,43 +494,15 @@ def certify_mbad(
             regrouped = d_comm.scale(2) + (-d_comm.left(p))
             regrouped = regrouped + TensorElem.of([(w, rest), (-rest, w)], dim=dim)
             if in_span:
-                direct = bimodule_commutator(a, m_elem).flatten()
-                gap = regrouped.flatten() - direct
-                if exact_element:
-                    rewrite_ok = rewrite_ok and gap.is_zero()
-                else:
-                    rewrite_ok = rewrite_ok and gap.max_abs() <= max(tol.abs_tol, 1e-9 * scale)
+                gap = _reduce((regrouped - bimodule_commutator(a, m_elem)).terms)
+                if gap and (exact_element or _upper(gap) > max(tol.abs_tol, 1e-9 * scale)):
+                    rewrite_ok = False
             up_u = tensor_norm_upper(regrouped)
             unit_uppers.append(up_u)
             shrink = op_norm(w) if not w.is_zero() else 0.0
             refined = (2.0 + k_const) * up_d + 2.0 * (1.0 + k_const) * shrink
             if up_u > refined + max(tol.abs_tol, 1e-9 * max(1.0, refined)):
                 refined_ok = False
-        prelim.append(
-            (
-                label,
-                in_span,
-                id_coeff,
-                top,
-                final_gap,
-                identity_ok,
-                comm_upper,
-                comm_lower,
-                commutator_ok,
-                element_constant,
-                max(unit_uppers),
-                refined_ok and rewrite_ok,
-                alg_norm,
-            )
-        )
-
-    unitized_constant = (2.0 + k_const) * c_const + 2.0 * (1.0 + k_const) ** 2
-    records = []
-    for (label, in_span, id_coeff, top, final_gap, identity_ok, comm_upper, comm_lower,
-         commutator_ok, element_constant, unit_upper, refined_ok, alg_norm) in prelim:
-        adjoined_norm = alg_norm + abs(id_coeff)
-        global_ok = unit_upper <= unitized_constant * adjoined_norm + max(tol.abs_tol, 1e-9 * (1.0 + adjoined_norm))
-        unitized_ok = (refined_ok and global_ok) if in_span else True
         records.append(
             MbadElementRecord(
                 label=label,
@@ -558,10 +515,21 @@ def certify_mbad(
                 commutator_lower=comm_lower,
                 commutator_ok=commutator_ok,
                 element_constant=element_constant,
-                unitized_upper=unit_upper,
-                unitized_ok=unitized_ok,
+                unitized_upper=max(unit_uppers),
+                # the global multiplier estimate is checked below, once C is known
+                unitized_ok=(refined_ok and rewrite_ok) or not in_span,
             )
         )
+        adjoined_norms.append(alg_norm + abs(id_coeff))
+
+    unitized_constant = (2.0 + k_const) * c_const + 2.0 * (1.0 + k_const) ** 2
+    records = [
+        replace(r, unitized_ok=r.unitized_ok and (
+            not r.in_span
+            or r.unitized_upper <= unitized_constant * n + max(tol.abs_tol, 1e-9 * (1.0 + n))
+        ))
+        for r, n in zip(records, adjoined_norms)
+    ]
     verdict = all(r.identity_ok and r.commutator_ok and r.unitized_ok for r in records)
     return MbadReport(
         records=tuple(records),

@@ -411,7 +411,7 @@ def best_subset_sum(a: Sequence, cross_check: bool | None = None) -> tuple[tuple
     two_pi = 2.0 * math.pi
     critical = set()
     for _, z in support:
-        arg = cmath.phase(z)
+        arg = math.atan2(z.imag, z.real)
         critical.add((arg + math.pi / 2.0) % two_pi)
         critical.add((arg - math.pi / 2.0) % two_pi)
     angles = sorted(critical)

@@ -362,17 +362,27 @@ class Matrix:
     def max_abs_diff(self, other):
         return (self - other).max_abs()
 
-    def first_nonzero(self):
-        """Index (i, j) of the first nonzero entry in row-major order, or None."""
-        if self.is_exact:
-            re, im = self._re, self._im
-            for i in range(self.rows):
-                for j in range(self.cols):
-                    if re[i, j] != 0 or (im is not None and im[i, j] != 0):
-                        return (i, j)
+    def content(self):
+        """Exact: the gcd g (up to sign) of all real and imaginary parts, so
+        self / g has integer entries; 0 for the zero matrix.  Float: 1."""
+        if not self.is_exact:
+            return 1
+        parts = [self._re.ravel()] + ([] if self._im is None else [self._im.ravel()])
+        return np.gcd.reduce(np.concatenate(parts))
+
+    def pivot(self):
+        """Index (i, j) of an elimination pivot, None for a zero matrix: the
+        nonzero entry of least modulus when exact (a unit entry keeps
+        integer rows integer), of largest modulus when float."""
+        mags = np.abs(self.to_float()._arr)
+        if not self.is_exact:
+            return np.unravel_index(int(np.argmax(mags)), self.shape) if mags.any() else None
+        nonzero = self._re != 0
+        if self._im is not None:
+            nonzero |= self._im != 0
+        if not nonzero.any():
             return None
-        nz = np.argwhere(self._arr != 0)
-        return None if nz.size == 0 else (int(nz[0][0]), int(nz[0][1]))
+        return np.unravel_index(int(np.argmin(np.where(nonzero, mags, np.inf))), self.shape)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -413,6 +423,20 @@ class Matrix:
         return Matrix._wrap_exact(new_re, new_im)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        """Division by a nonzero scalar; exact entries that are integer
+        multiples of a real divisor give integer entries."""
+        kind, val = _classify_scalar(scalar)
+        if kind == "float" or not self.is_exact:
+            z = val if kind == "float" else complex(float(val[0]), float(val[1]))
+            return self * (1 / z)
+        p, q = val
+        parts = (self._re,) if self._im is None else (self._re, self._im)
+        if q == 0 and not any((x % p != 0).any() for x in parts):
+            return Matrix._wrap_exact(self._re // p, None if self._im is None else self._im // p)
+        den = Fraction(p * p + q * q)
+        return self * (p / den, -q / den)
 
     def __matmul__(self, other):
         if self.cols != other.rows:

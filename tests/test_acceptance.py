@@ -181,11 +181,17 @@ def embedding_report():
 
 
 @criterion(10, "reproducibility: identical config and seed give byte-identical payloads; exit code tracks verdict")
-def test_criterion_10_reproducibility(tmp_path):
+def test_criterion_10_reproducibility(tmp_path, monkeypatch):
     kwargs = dict(subcommand="all", m_max=6, n_max=6, f_cap=32, s_max=3, trials=10, r_max=10, seed=17)
     first = payload_json(run_experiment(ExperimentConfig(**kwargs)))
     second = payload_json(run_experiment(ExperimentConfig(**kwargs)))
     assert first.encode() == second.encode()
     out = str(tmp_path)
     assert main(["chain", "--m-max", "6", "--out", out]) == 0
-    assert main(["chain", "--m-max", "4", "--coupling-scheme", "list:9,1", "--out", out]) == 1
+    assert main(["chain", "--m-max", "4", "--coupling-scheme", "list:9,1", "--out", out]) == 2
+
+    def failing_build_chain(spec):
+        raise ValueError("chain construction failed")
+
+    monkeypatch.setattr("opalg.cli.build_chain", failing_build_chain)
+    assert main(["chain", "--m-max", "6", "--out", out]) == 1

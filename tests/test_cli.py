@@ -106,25 +106,31 @@ def test_check_records_carry_anchors():
             assert check.observed
 
 
-def test_stage_failure_recorded_not_raised():
-    # decreasing coupling norms violate the chain contract; the run
-    # completes with the failure on record
-    cfg = small_cfg(subcommand="chain", m_max=4, coupling_scheme="list:2,1")
-    report = run_experiment(cfg)
+def _failing_build_chain(spec):
+    raise ValueError("chain construction failed")
+
+
+def test_stage_failure_recorded_not_raised(monkeypatch):
+    # a stage that raises leaves a failed check; the run completes
+    monkeypatch.setattr("opalg.cli.build_chain", _failing_build_chain)
+    report = run_experiment(small_cfg(subcommand="chain", m_max=4))
     assert not report.overall
     checks = report.stages[0].checks
     assert len(checks) == 1 and not checks[0].passed
-    assert "nondecreasing" in checks[0].observed
+    assert "chain construction failed" in checks[0].observed
 
 
-def test_main_exit_codes(tmp_path, capsys):
+def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     argv = ["chain", "--m-max", "4", "--out", str(tmp_path)]
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert "overall: pass" in out
-    bad = ["chain", "--m-max", "4", "--coupling-scheme", "list:9,1", "--out", str(tmp_path)]
-    assert main(bad) == 1
     assert main(["chain", "--m-max", "-2"]) == 2
+    # too few or decreasing couplings are config errors, not stage failures
+    for m_max, scheme in (("4", "list:9,1"), ("6", "list:1"), ("6", "list:3,2,1")):
+        assert main(["chain", "--m-max", m_max, "--coupling-scheme", scheme, "--out", str(tmp_path)]) == 2
+    monkeypatch.setattr("opalg.cli.build_chain", _failing_build_chain)
+    assert main(argv) == 1
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):

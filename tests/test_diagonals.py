@@ -24,8 +24,10 @@ from opalg import (
     pi_map,
     skew_idempotent_diagonal,
     tensor_norm_bounds,
+    tensor_norm_upper,
     unitize_diagonal,
 )
+from opalg.diagonals import _reduce
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +146,17 @@ def test_norm_bounds_bracket_orthogonal_projections():
     assert upper == pytest.approx(2.0, abs=1e-9)
 
 
+def test_norm_upper_does_not_split_independent_legs():
+    # eliminating r against w would give legs w and r - w, with ||r - w|| = 5
+    w = Matrix.diag([1, 2])
+    r = Matrix.diag([1, -3])
+    t = TensorElem.of([(w, r), (-r, w)])
+    assert tensor_norm_upper(t) == pytest.approx(2 * 2.0 * 3.0, abs=1e-9)
+    # proportional right legs still merge: p1 (x) p1 + p2 (x) p1 = 1 (x) p1
+    p1, p2 = Matrix.diag([1, 0]), Matrix.diag([0, 1])
+    assert tensor_norm_upper(TensorElem.of([(p1, p1), (p2, p1)])) == pytest.approx(1.0, abs=1e-9)
+
+
 @given(st.integers(1, 4), st.data())
 @settings(max_examples=30, deadline=None)
 def test_norm_bounds_ordered(n_terms, data):
@@ -154,6 +167,55 @@ def test_norm_bounds_ordered(n_terms, data):
     ]
     lower, upper = tensor_norm_bounds(TensorElem.of(terms))
     assert lower <= upper + 1e-9
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def tensor_elements(draw):
+    """Small exact rational (possibly complex) or float elements, some
+    with left legs combined from two shared legs, and differences of
+    elements with themselves."""
+    dim = draw(st.integers(1, 3))
+    n_terms = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+        def leg():
+            return Matrix.from_float(rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim)))
+    else:
+        entry = st.one_of(st.just(0), small_rationals, st.tuples(small_rationals, small_rationals))
+        row = st.lists(entry, min_size=dim, max_size=dim)
+
+        def leg():
+            return Matrix.exact(draw(st.lists(row, min_size=dim, max_size=dim)))
+    pool = (leg(), leg())
+
+    def left():
+        if draw(st.booleans()):
+            return pool[0] * draw(small_rationals) + pool[1] * draw(small_rationals)
+        return leg()
+    t = TensorElem.of([(left(), leg()) for _ in range(n_terms)], dim=dim)
+    return t - t if draw(st.booleans()) else t
+
+
+@given(tensor_elements())
+@settings(max_examples=150, deadline=None)
+def test_reduced_form_matches_kron_oracle(t):
+    reduced = _reduce(t.terms)
+    picture = TensorElem(terms=tuple(reduced), dim=t.dim).flatten()
+    oracle = t.flatten()
+    if t.backend == "exact":
+        assert picture.equals(oracle)
+        assert (not reduced) == oracle.is_zero()
+    else:
+        # float sums are zero up to roundoff: t - t flattens to ~1e-16
+        roundoff = 1e-12 * max([1.0] + [u.max_abs() * v.max_abs() for u, v in t.terms])
+        assert picture.max_abs_diff(oracle) <= roundoff
+        assert (not reduced) == (oracle.max_abs() <= roundoff)
+    lower, upper = tensor_norm_bounds(t)
+    assert lower <= upper * (1 + 1e-12) + 1e-15
 
 
 def test_unitize_smallest_chain():
@@ -241,6 +303,15 @@ def test_certify_mbad_unitized_bound_tracks_tail(chain6):
     assert rec.commutator_upper == 0.0
     assert rec.unitized_upper > 0.0
     assert rec.unitized_ok
+
+
+def test_certify_mbad_truncated_sequence(chain6):
+    # elements above the last diagonal leave w (x) (1-u) - (1-u) (x) w;
+    # its upper bound must stay within the multiplier estimate
+    deltas = [build_delta(chain6, n) for n in range(1, 4)]
+    report = certify_mbad(deltas, chain6, list(chain6.idempotents))
+    assert report.verdict
+    assert all(rec.unitized_ok for rec in report.records)
 
 
 def test_expectation_on_full_matrix_algebra():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from opalg import (
     Matrix,
@@ -208,6 +208,7 @@ def test_sweep_matches_brute_force(a):
 
 @given(st.lists(complex_entry, min_size=1, max_size=8), st.floats(0, 2 * math.pi), st.floats(0.1, 4))
 @settings(max_examples=60, deadline=None)
+@example(a=[2 + 5e-324j], angle=0.0, scalep=1.0)
 def test_sweep_value_phase_invariant_and_homogeneous(a, angle, scalep):
     if all(z == 0 for z in a):
         a = a + [1.0]

@@ -116,6 +116,35 @@ def test_rational_string_round_trip():
     assert again.equals(a)
 
 
+def test_exact_division_keeps_integers_integer():
+    a = Matrix.exact([[2, -4], [0, 6]])
+    half = a / 2
+    assert half.equals(Matrix.exact([[1, -2], [0, 3]]))
+    assert type(half.entry(1, 1)[0]) is int
+    assert (a / 4).entry(0, 0) == (Fraction(1, 2), 0)
+    assert (a / (0, 2)).equals(Matrix.exact([[(0, -1), (0, 2)], [0, (0, -3)]]))
+    assert (a.to_float() / 2).max_abs_diff(half.to_float()) == 0.0
+
+
+def test_content_divides_to_integers():
+    a = Matrix.exact([[2, (0, -4)], [Fraction(6, 5), 0]])
+    g = a.content()
+    assert g == Fraction(2, 5)
+    primitive = a / g
+    assert primitive.equals(Matrix.exact([[5, (0, -10)], [3, 0]]))
+    assert all(type(x) is int for pair in (primitive.entry(0, 1), primitive.entry(1, 0)) for x in pair)
+    assert Matrix.zeros(2).content() == 0
+    assert a.to_float().content() == 1
+
+
+def test_pivot_choice_per_backend():
+    a = Matrix.exact([[0, 3], [(0, -1), 2]])
+    assert a.pivot() == (1, 0)
+    assert a.to_float().pivot() == (0, 1)
+    assert Matrix.zeros(2).pivot() is None
+    assert Matrix.zeros(2, backend="float").pivot() is None
+
+
 def test_padded_preserves_block():
     a = Matrix.exact([[1, 2], [3, 4]])
     p = a.padded(4)
