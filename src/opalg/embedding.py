@@ -143,26 +143,11 @@ def certify_E_family(
     rng = np.random.default_rng(seed)
     witness_exact = True
     witness_dominated = True
-    int_mats = [np.array([[int(m.entry(i, j)[0]) for j in range(dim)] for i in range(dim)], dtype=object)
-                for m in mats]
     for _ in range(trials):
         re = rng.uniform(-1.0, 1.0, fam.n_max)
         im = rng.uniform(-1.0, 1.0, fam.n_max)
         coeffs = [(Fraction(float(p)), Fraction(float(q))) for p, q in zip(re, im)]
-        # float denominators are powers of two; accumulate integer
-        # numerators over the common one and divide once
-        denom = 1
-        for p, q in coeffs:
-            denom = max(denom, p.denominator, q.denominator)
-        acc_re = np.zeros((dim, dim), dtype=object)
-        acc_im = np.zeros((dim, dim), dtype=object)
-        for (p, q), mi in zip(coeffs, int_mats):
-            acc_re = acc_re + mi * (p.numerator * (denom // p.denominator))
-            acc_im = acc_im + mi * (q.numerator * (denom // q.denominator))
-        acc = Matrix.exact(
-            [[(Fraction(acc_re[i, j], denom), Fraction(acc_im[i, j], denom)) for j in range(dim)]
-             for i in range(dim)]
-        )
+        acc = sum((m * c for m, c in zip(mats, coeffs)), Matrix.zeros(dim))
         total = (sum(c[0] for c in coeffs), sum(c[1] for c in coeffs))
         if acc.entry(_OMEGA, _OMEGA) != total:
             witness_exact = False
@@ -298,73 +283,23 @@ def _check_support(a, n_max):
             raise ValueError(f"support index {j} outside 1..{n_max}")
 
 
-def _exact_blocks(pairs, family):
-    dim_full = family.n_max + 2
-    xs, ys = [], []
-    for n in range(1, family.n_max + 1):
-        x, y = _xy_components(n, dim_full)
-        xs.append(x)
-        ys.append(y)
-    denom = 1
-    for re, im in pairs:
-        denom = denom * re.denominator // math.gcd(denom, re.denominator)
-        denom = denom * im.denominator // math.gcd(denom, im.denominator)
-    scaled = [
-        (int(re * denom), int(im * denom))
-        for re, im in pairs
-    ]
-    blocks = []
-    for subset in family.subsets:
-        pos = [_ALPHA, _OMEGA] + [_coordinate(j) for j in subset]
-        size = len(pos)
-        g_re = [[0] * size for _ in range(size)]
-        g_im = [[0] * size for _ in range(size)]
-        for j in subset:
-            if j > len(scaled):
-                continue
-            p, q = scaled[j - 1]
-            if p == 0 and q == 0:
-                continue
-            y, x = ys[j - 1], xs[j - 1]
-            for r, pr in enumerate(pos):
-                yv = y[pr]
-                if yv == 0:
-                    continue
-                for c, pc in enumerate(pos):
-                    w = yv * x[pc]
-                    if w:
-                        g_re[r][c] += p * w
-                        g_im[r][c] += q * w
-        if denom == 1:
-            grid = [[(g_re[r][c], g_im[r][c]) for c in range(size)] for r in range(size)]
-        else:
-            grid = [
-                [(Fraction(g_re[r][c], denom), Fraction(g_im[r][c], denom)) for c in range(size)]
-                for r in range(size)
-            ]
-        blocks.append(Matrix.exact(grid))
-    return blocks
-
-
-def _float_blocks(values, family):
-    dim_full = family.n_max + 2
-    n = family.n_max
-    xmat = np.zeros((dim_full, n))
-    ymat = np.zeros((dim_full, n))
-    for k in range(1, n + 1):
-        x, y = _xy_components(k, dim_full)
-        xmat[:, k - 1] = x
-        ymat[:, k - 1] = y
-    a = np.zeros(n, dtype=complex)
-    head = min(len(values), n)
-    a[:head] = values[:head]
+def _blocks(coeffs, family, backend):
+    """block_F = Y_F diag(a_F) X_F^* for every F in the family, where the
+    columns of X and Y are the vectors x_n and y_n, and _F keeps the rows
+    F u {alpha, omega} and the columns F; missing coefficients are zero."""
+    n_max = family.n_max
+    vectors = [_xy_components(n, n_max + 2) for n in range(1, n_max + 1)]
+    xs = Matrix.exact(zip(*(x for x, _ in vectors)))
+    ys = Matrix.exact(zip(*(y for _, y in vectors)))
+    if backend == "float":
+        xs, ys = xs.to_float(), ys.to_float()
+    a = list(coeffs[:n_max]) + [0] * (n_max - len(coeffs))
     blocks = []
     for subset in family.subsets:
         pos = [_ALPHA, _OMEGA] + [_coordinate(j) for j in subset]
         cols = [j - 1 for j in subset]
-        yr = ymat[np.ix_(pos, cols)]
-        xr = xmat[np.ix_(pos, cols)]
-        blocks.append(Matrix.from_float((yr * a[cols]) @ xr.conj().T))
+        d = Matrix.diag([a[k] for k in cols], backend)
+        blocks.append(ys.submatrix(pos, cols) @ d @ xs.submatrix(pos, cols).adjoint())
     return blocks
 
 
@@ -376,9 +311,9 @@ def phi(a: Sequence, subsets: SubsetFamily) -> EmbeddedElement:
     _check_support(a, subsets.n_max)
     pairs = _exact_coeff_pairs(a)
     if pairs is not None:
-        blocks = _exact_blocks(pairs, subsets)
+        blocks = _blocks(pairs, subsets, "exact")
     else:
-        blocks = _float_blocks([complex(v) for v in a], subsets)
+        blocks = _blocks([complex(v) for v in a], subsets, "float")
     return EmbeddedElement(coeffs=tuple(a), family=subsets, blocks=tuple(blocks))
 
 
@@ -470,10 +405,10 @@ def unit_circle_sweep_ratios(sizes: Sequence[int]) -> list[tuple[int, float, flo
 
 @dataclass(frozen=True)
 class TraceWeights:
-    """Strictly positive weights over a subset family, summing to one."""
+    """Strictly positive exact weights over a subset family, summing to one."""
 
     family: SubsetFamily
-    weights: tuple[float, ...]
+    weights: tuple[Fraction, ...]
     scheme: str
 
     def __post_init__(self):
@@ -481,19 +416,19 @@ class TraceWeights:
             raise ValueError("one weight per subset required")
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be strictly positive")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
+        if sum(self.weights) != 1:
             raise ValueError("weights must sum to 1")
 
 
 def make_trace(subsets: SubsetFamily, scheme: str = "geometric") -> TraceWeights:
     """Geometric weights 2^-k over the canonical order, or uniform ones;
-    both exactly normalized before conversion to float."""
+    both exact and exactly normalized, so no weight underflows."""
     count = len(subsets.subsets)
     if scheme == "geometric":
         total = 1 - Fraction(1, 2**count)
-        weights = tuple(float(Fraction(1, 2**k) / total) for k in range(1, count + 1))
+        weights = tuple(Fraction(1, 2**k) / total for k in range(1, count + 1))
     elif scheme == "uniform":
-        weights = tuple(float(Fraction(1, count)) for _ in range(count))
+        weights = (Fraction(1, count),) * count
     else:
         raise ValueError(f"unknown trace scheme {scheme!r}")
     return TraceWeights(family=subsets, weights=weights, scheme=scheme)
@@ -501,12 +436,12 @@ def make_trace(subsets: SubsetFamily, scheme: str = "geometric") -> TraceWeights
 
 def l1_trace_norm(e: EmbeddedElement, w: TraceWeights) -> float:
     """Trace-weighted norm: sum over F of weight / (|F| + 2) times the
-    Schatten-1 norm of the block."""
+    Schatten-1 norm of the block, with each weight rounded to float."""
     if w.family.subsets != e.family.subsets:
         raise ValueError("trace weights were built for a different subset family")
     total = 0.0
     for subset, weight, block in zip(e.family.subsets, w.weights, e.blocks):
-        total += weight / (len(subset) + 2) * schatten1_norm(block)
+        total += float(weight) / (len(subset) + 2) * schatten1_norm(block)
     return total
 
 

@@ -1,17 +1,21 @@
 """Dense complex matrices with an exact rational backend and a float backend.
 
-Exact matrices keep each entry as a pair of rationals (real part,
-imaginary part), so algebraic identities can be certified with zero
-tolerance.  Float matrices are complex128 arrays and carry all metric
-quantities (operator norm, Schatten-1 norm).  Every operation returns a
-new value; matrices are immutable and safe to share across threads.
+Exact matrices are fraction-free (as in Bareiss, Math. Comp. 1968):
+integer numerator arrays for the real and imaginary parts over one
+shared positive denominator, kept in lowest terms, so equal matrices
+have equal representations and algebraic identities can be certified
+with zero tolerance.  Products multiply numerators and denominators and
+normalize once.  Float matrices are complex128 arrays and carry all
+metric quantities (operator norm, Schatten-1 norm).  Every operation
+returns a new value; matrices are immutable and safe to share across
+threads.
 """
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -84,74 +88,33 @@ def _freeze(arr):
     return arr
 
 
-def _common_denominator(obj_arr):
-    d = 1
-    for x in obj_arr.flat:
-        if isinstance(x, Fraction):
-            q = x.denominator
-            d = d * q // gcd(d, q)
-    return d
+def _rational(num, den):
+    """num / den as an int when it is one, else as a reduced Fraction."""
+    if den == 1:
+        return num
+    q = Fraction(num, den)
+    return q.numerator if q.denominator == 1 else q
 
 
-def _scale_to_ints(obj_arr):
-    """Return (integer array, denominator) with obj_arr == ints / denominator."""
-    d = _common_denominator(obj_arr)
-    if d == 1:
-        return obj_arr, 1
-    out = np.empty(obj_arr.shape, dtype=object)
-    flat_in = obj_arr.ravel()
-    flat_out = out.ravel()
-    for k, x in enumerate(flat_in):
-        if isinstance(x, Fraction):
-            flat_out[k] = x.numerator * (d // x.denominator)
-        else:
-            flat_out[k] = x * d
-    return out, d
+def _cell(re, im):
+    return str(re) if im == 0 else f"{re},{im}"
 
 
-def _unscale(int_arr, denom):
-    if denom == 1:
-        return int_arr
-    out = np.empty(int_arr.shape, dtype=object)
-    flat_in = int_arr.ravel()
-    flat_out = out.ravel()
-    for k, x in enumerate(flat_in):
-        flat_out[k] = Fraction(x, denom)
-    return out
-
-
-def _exact_dot(a, b):
-    """Object-array matrix product with a single normalization pass.
-
-    Pulling the denominators out first keeps the inner products in pure
-    integer arithmetic, which avoids a gcd per intermediate term."""
-    ai, da = _scale_to_ints(a)
-    bi, db = _scale_to_ints(b)
-    return _unscale(np.dot(ai, bi), da * db)
-
-
-def _exact_kron(a, b):
-    ai, da = _scale_to_ints(a)
-    bi, db = _scale_to_ints(b)
-    return _unscale(np.kron(ai, bi), da * db)
-
-
-def _obj_to_float(obj_arr):
-    try:
-        return obj_arr.astype(float)
-    except (TypeError, ValueError):
-        data = [[float(x) for x in row] for row in obj_arr.tolist()]
-        return np.array(data, dtype=float).reshape(obj_arr.shape)
-
-
-def _is_zero_obj(obj_arr):
-    return obj_arr.size == 0 or bool((obj_arr == 0).all())
+def _sum_parts(x, sx, y, sy):
+    """x * sx + y * sy for numerator arrays, where None stands for zero."""
+    if x is None:
+        return None if y is None else y * sy
+    return x * sx if y is None else x * sx + y * sy
 
 
 class Matrix:
-    """Immutable dense complex matrix with ``exact`` or ``float`` backend."""
+    """Immutable dense complex matrix with ``exact`` or ``float`` backend.
 
-    __slots__ = ("_backend", "_re", "_im", "_arr")
+    An exact matrix is (re + i im) / den: integer numerator arrays ``re``
+    and ``im`` (``im`` is None when zero) over one positive denominator,
+    in lowest terms, so equal matrices have equal representations."""
+
+    __slots__ = ("_backend", "_re", "_im", "_den", "_arr")
 
     def __init__(self):
         raise TypeError("use Matrix.exact / Matrix.from_float / Matrix.zeros")
@@ -159,13 +122,21 @@ class Matrix:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def _wrap_exact(cls, re, im):
+    def _wrap_exact(cls, re, im, den):
+        """Exact matrix (re + i im) / den, brought to lowest terms."""
+        re = np.asarray(re, dtype=object)
+        im = None if im is None else np.asarray(im, dtype=object)
+        g = gcd(den, *re.flat, *(() if im is None else im.flat))
+        if g != 1:
+            re, den = re // g, den // g
+            im = None if im is None else im // g
+        if im is not None and not any(im.flat):
+            im = None
         self = object.__new__(cls)
         self._backend = "exact"
-        if im is not None and _is_zero_obj(im):
-            im = None
-        self._re = _freeze(np.asarray(re, dtype=object))
-        self._im = None if im is None else _freeze(np.asarray(im, dtype=object))
+        self._re = _freeze(re)
+        self._im = None if im is None else _freeze(im)
+        self._den = den
         self._arr = None
         return self
 
@@ -173,8 +144,7 @@ class Matrix:
     def _wrap_float(cls, arr):
         self = object.__new__(cls)
         self._backend = "float"
-        self._re = None
-        self._im = None
+        self._re = self._im = self._den = None
         self._arr = _freeze(np.asarray(arr, dtype=complex))
         return self
 
@@ -188,17 +158,14 @@ class Matrix:
         nc = len(rows[0]) if nr else 0
         if any(len(r) != nc for r in rows):
             raise DimensionError("ragged rows")
-        re = np.empty((nr, nc), dtype=object)
-        im = np.empty((nr, nc), dtype=object)
-        has_im = False
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                p, q = _entry_pair(v)
-                re[i, j] = p
-                im[i, j] = q
-                if q != 0:
-                    has_im = True
-        return cls._wrap_exact(re, im if has_im else None)
+        pairs = [_entry_pair(v) for row in rows for v in row]
+        den = lcm(*(x.denominator for pair in pairs for x in pair))
+        parts = []
+        for k in (0, 1):
+            arr = np.empty(len(pairs), dtype=object)
+            arr[:] = [pair[k].numerator * (den // pair[k].denominator) for pair in pairs]
+            parts.append(arr.reshape(nr, nc))
+        return cls._wrap_exact(parts[0], parts[1], den)
 
     @classmethod
     def from_float(cls, data):
@@ -212,16 +179,13 @@ class Matrix:
     def zeros(cls, rows, cols=None, backend="exact"):
         cols = rows if cols is None else cols
         if backend == "exact":
-            return cls._wrap_exact(np.zeros((rows, cols), dtype=object), None)
+            return cls._wrap_exact(np.zeros((rows, cols), dtype=object), None, 1)
         return cls._wrap_float(np.zeros((rows, cols), dtype=complex))
 
     @classmethod
     def identity(cls, n, backend="exact"):
         if backend == "exact":
-            re = np.zeros((n, n), dtype=object)
-            for i in range(n):
-                re[i, i] = 1
-            return cls._wrap_exact(re, None)
+            return cls.diag([1] * n)
         return cls._wrap_float(np.eye(n, dtype=complex))
 
     @classmethod
@@ -229,11 +193,7 @@ class Matrix:
         values = list(values)
         n = len(values)
         if backend == "exact":
-            re = np.zeros((n, n), dtype=object)
-            im = np.zeros((n, n), dtype=object)
-            for i, v in enumerate(values):
-                re[i, i], im[i, i] = _entry_pair(v)
-            return cls._wrap_exact(re, im)
+            return cls.exact([[v if i == j else 0 for j in range(n)] for i, v in enumerate(values)])
         arr = np.zeros((n, n), dtype=complex)
         for i, v in enumerate(values):
             arr[i, i] = complex(v)
@@ -267,11 +227,11 @@ class Matrix:
 
     @property
     def rows(self):
-        return (self._re if self.is_exact else self._arr).shape[0]
+        return self.shape[0]
 
     @property
     def cols(self):
-        return (self._re if self.is_exact else self._arr).shape[1]
+        return self.shape[1]
 
     @property
     def shape(self):
@@ -286,9 +246,11 @@ class Matrix:
     def to_float(self):
         if not self.is_exact:
             return self
-        arr = _obj_to_float(self._re).astype(complex)
+        # int / int rounds correctly however large the numerator
+        arr = np.zeros(self.shape, dtype=complex)
+        arr.real = self._re / self._den
         if self._im is not None:
-            arr = arr + 1j * _obj_to_float(self._im)
+            arr.imag = self._im / self._den
         return Matrix._wrap_float(arr)
 
     def numpy(self):
@@ -296,40 +258,25 @@ class Matrix:
         return self.to_float()._arr.copy()
 
     def entry(self, i, j):
-        """Single entry: (re, im) rationals on the exact backend, complex
-        on the float backend."""
+        """Single entry: (re, im), each an int or a reduced Fraction, on the
+        exact backend; complex on the float backend."""
         if self.is_exact:
-            im = 0 if self._im is None else self._im[i, j]
-            return (self._re[i, j], im)
+            im = 0 if self._im is None else _rational(self._im[i, j], self._den)
+            return (_rational(self._re[i, j], self._den), im)
         return complex(self._arr[i, j])
 
     def to_rational_strings(self):
         """Entries as strings, "re" or "re,im"; exact for both backends
         (floats are binary rationals)."""
         if self.is_exact:
-            re, im = self._re, self._im
-            out = []
-            for i in range(self.rows):
-                row = []
-                for j in range(self.cols):
-                    q = 0 if im is None else im[i, j]
-                    row.append(str(re[i, j]) if q == 0 else f"{re[i, j]},{q}")
-                out.append(row)
-            return out
-        out = []
-        for row in self._arr:
-            cells = []
-            for z in row:
-                rs = str(Fraction(z.real))
-                cells.append(rs if z.imag == 0 else f"{rs},{Fraction(z.imag)}")
-            out.append(cells)
-        return out
+            return [[_cell(*self.entry(i, j)) for j in range(self.cols)] for i in range(self.rows)]
+        return [[_cell(Fraction(z.real), Fraction(z.imag)) for z in row] for row in self._arr]
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self):
         if self.is_exact:
-            return _is_zero_obj(self._re) and (self._im is None or _is_zero_obj(self._im))
+            return self._im is None and not any(self._re.flat)
         return self._arr.size == 0 or bool((self._arr == 0).all())
 
     def equals(self, other):
@@ -338,16 +285,13 @@ class Matrix:
         if self.shape != other.shape:
             return False
         if self.is_exact and other.is_exact:
-            if not (self._re == other._re).all():
-                return False
             a, b = self._im, other._im
-            if a is None and b is None:
-                return True
-            if a is None:
-                return _is_zero_obj(b)
-            if b is None:
-                return _is_zero_obj(a)
-            return bool((a == b).all())
+            return (
+                self._den == other._den
+                and np.array_equal(self._re, other._re)
+                and (a is None) == (b is None)
+                and (a is None or np.array_equal(a, b))
+            )
         return bool(np.array_equal(self.to_float()._arr, other.to_float()._arr))
 
     __eq__ = equals
@@ -363,12 +307,12 @@ class Matrix:
         return (self - other).max_abs()
 
     def content(self):
-        """Exact: the gcd g (up to sign) of all real and imaginary parts, so
-        self / g has integer entries; 0 for the zero matrix.  Float: 1."""
+        """Exact: the gcd g of all real and imaginary parts, a Fraction, so
+        self / g has coprime integer entries; 0 for the zero matrix.
+        Float: 1."""
         if not self.is_exact:
             return 1
-        parts = [self._re.ravel()] + ([] if self._im is None else [self._im.ravel()])
-        return np.gcd.reduce(np.concatenate(parts))
+        return Fraction(gcd(*self._re.flat, *(() if self._im is None else self._im.flat)), self._den)
 
     def pivot(self):
         """Index (i, j) of an elimination pivot, None for a zero matrix: the
@@ -391,15 +335,30 @@ class Matrix:
             raise TypeError(f"expected Matrix, got {type(other).__name__}")
         return "exact" if (self.is_exact and other.is_exact) else "float"
 
+    def _product(self, bre, bim, bden, op):
+        """Exact ``op`` (np.dot, np.kron or np.multiply) of self and
+        b = (bre + i bim) / bden, with bim None when zero: numerators
+        combine as complex numbers, denominators multiply, and the result
+        is normalized once."""
+        are, aim = self._re, self._im
+        re = op(are, bre)
+        if aim is not None and bim is not None:
+            re = re - op(aim, bim)
+        im = _sum_parts(
+            None if bim is None else op(are, bim), 1,
+            None if aim is None else op(aim, bre), 1,
+        )
+        return Matrix._wrap_exact(re, im, self._den * bden)
+
     def __add__(self, other):
         if self.shape != other.shape:
             raise DimensionError(f"shape mismatch {self.shape} vs {other.shape}")
         if self._binary_backend(other) == "float":
             return Matrix._wrap_float(self.to_float()._arr + other.to_float()._arr)
-        re = self._re + other._re
-        a, b = self._im, other._im
-        im = a if b is None else (b if a is None else a + b)
-        return Matrix._wrap_exact(re, im)
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        re = self._re * sa + other._re * sb
+        return Matrix._wrap_exact(re, _sum_parts(self._im, sa, other._im, sb), den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -407,7 +366,7 @@ class Matrix:
     def __neg__(self):
         if not self.is_exact:
             return Matrix._wrap_float(-self._arr)
-        return Matrix._wrap_exact(-self._re, None if self._im is None else -self._im)
+        return Matrix._wrap_exact(-self._re, None if self._im is None else -self._im, self._den)
 
     def __mul__(self, scalar):
         kind, val = _classify_scalar(scalar)
@@ -415,26 +374,19 @@ class Matrix:
             z = complex(val) if kind == "float" else complex(float(val[0]), float(val[1]))
             return Matrix._wrap_float(self.to_float()._arr * z)
         p, q = val
-        re, im = self._re, self._im
-        if q == 0:
-            return Matrix._wrap_exact(re * p, None if im is None else im * p)
-        new_re = re * p if im is None else re * p - im * q
-        new_im = re * q if im is None else re * q + im * p
-        return Matrix._wrap_exact(new_re, new_im)
+        den = lcm(p.denominator, q.denominator)
+        q_num = q.numerator * (den // q.denominator)
+        return self._product(p.numerator * (den // p.denominator), q_num if q_num else None, den, np.multiply)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        """Division by a nonzero scalar; exact entries that are integer
-        multiples of a real divisor give integer entries."""
+        """Division by a nonzero scalar."""
         kind, val = _classify_scalar(scalar)
         if kind == "float" or not self.is_exact:
             z = val if kind == "float" else complex(float(val[0]), float(val[1]))
             return self * (1 / z)
         p, q = val
-        parts = (self._re,) if self._im is None else (self._re, self._im)
-        if q == 0 and not any((x % p != 0).any() for x in parts):
-            return Matrix._wrap_exact(self._re // p, None if self._im is None else self._im // p)
         den = Fraction(p * p + q * q)
         return self * (p / den, -q / den)
 
@@ -443,73 +395,44 @@ class Matrix:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
         if self._binary_backend(other) == "float":
             return Matrix._wrap_float(np.dot(self.to_float()._arr, other.to_float()._arr))
-        are, aim = self._re, self._im
-        bre, bim = other._re, other._im
-        re = _exact_dot(are, bre)
-        if aim is not None and bim is not None:
-            re = re - _exact_dot(aim, bim)
-        parts = []
-        if bim is not None:
-            parts.append(_exact_dot(are, bim))
-        if aim is not None:
-            parts.append(_exact_dot(aim, bre))
-        im = None
-        if parts:
-            im = parts[0] if len(parts) == 1 else parts[0] + parts[1]
-        return Matrix._wrap_exact(re, im)
+        return self._product(other._re, other._im, other._den, np.dot)
 
     def adjoint(self):
         """Conjugate transpose."""
         if not self.is_exact:
             return Matrix._wrap_float(self._arr.conj().T.copy())
-        re = self._re.T.copy()
         im = None if self._im is None else (-self._im).T.copy()
-        return Matrix._wrap_exact(re, im)
+        return Matrix._wrap_exact(self._re.T.copy(), im, self._den)
 
     def kron(self, other):
         """Kronecker product; exactness is preserved on exact inputs."""
         if self._binary_backend(other) == "float":
             return Matrix._wrap_float(np.kron(self.to_float()._arr, other.to_float()._arr))
-        are, aim = self._re, self._im
-        bre, bim = other._re, other._im
-        re = _exact_kron(are, bre)
-        if aim is not None and bim is not None:
-            re = re - _exact_kron(aim, bim)
-        parts = []
-        if bim is not None:
-            parts.append(_exact_kron(are, bim))
-        if aim is not None:
-            parts.append(_exact_kron(aim, bre))
-        im = None
-        if parts:
-            im = parts[0] if len(parts) == 1 else parts[0] + parts[1]
-        return Matrix._wrap_exact(re, im)
+        return self._product(other._re, other._im, other._den, np.kron)
 
     def submatrix(self, row_idx, col_idx=None):
         """Restriction to the given (ordered) row and column indices."""
         col_idx = row_idx if col_idx is None else col_idx
         sel = np.ix_(list(row_idx), list(col_idx))
         if self.is_exact:
-            re = self._re[sel]
-            im = None if self._im is None else self._im[sel]
-            return Matrix._wrap_exact(re, im)
+            return Matrix._wrap_exact(self._re[sel], None if self._im is None else self._im[sel], self._den)
         return Matrix._wrap_float(self._arr[sel])
 
     def padded(self, dim):
         """Embed into the top-left corner of a dim x dim zero matrix."""
         if dim < max(self.rows, self.cols):
             raise DimensionError(f"cannot pad shape {self.shape} into {dim}x{dim}")
-        if self.is_exact:
-            re = np.zeros((dim, dim), dtype=object)
-            re[: self.rows, : self.cols] = self._re
-            im = None
-            if self._im is not None:
-                im = np.zeros((dim, dim), dtype=object)
-                im[: self.rows, : self.cols] = self._im
-            return Matrix._wrap_exact(re, im)
-        arr = np.zeros((dim, dim), dtype=complex)
-        arr[: self.rows, : self.cols] = self._arr
-        return Matrix._wrap_float(arr)
+        if not self.is_exact:
+            arr = np.zeros((dim, dim), dtype=complex)
+            arr[: self.rows, : self.cols] = self._arr
+            return Matrix._wrap_float(arr)
+
+        def pad(part):
+            out = np.zeros((dim, dim), dtype=object)
+            out[: self.rows, : self.cols] = part
+            return out
+
+        return Matrix._wrap_exact(pad(self._re), None if self._im is None else pad(self._im), self._den)
 
     def __repr__(self):
         return f"<Matrix {self.rows}x{self.cols} {self._backend}>"

@@ -1,6 +1,7 @@
 """Config handling, staged runs, report emission, and reproducibility."""
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -151,3 +152,25 @@ def test_trace_scheme_controls_csv_column():
     col_geo = [row[4] for row in geo.series["embedding_ratios"][1:]]
     col_uni = [row[4] for row in uni.series["embedding_ratios"][1:]]
     assert col_geo != col_uni
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("golden_all_small", ["all", "--m-max", "4", "--n-max", "4", "--f-cap", "8", "--s-max", "2",
+                              "--trials", "2", "--r-max", "4"]),
+        ("golden_generate_m8", ["generate", "--m-max", "8"]),
+    ],
+)
+def test_report_payload_matches_golden(tmp_path, capsys, name, argv):
+    # the golden files pin every float digit of the report; a change that
+    # moves one updates the file and says so in CHANGES.md
+    assert main(argv + ["--format", "json", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "report.json").read_text())["report"]
+    del report["config"]["out_dir"]
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert text == (GOLDEN / f"{name}.json").read_text()

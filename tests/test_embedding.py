@@ -239,6 +239,17 @@ def test_trace_weights_normalized():
         assert sum(make_trace(fam, scheme).weights) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_geometric_weights_past_float_underflow():
+    # 2^-1100 is below the smallest subnormal; exact weights stay positive
+    fam = SubsetFamily.enumerate(20, f_cap=1100, s_max=4)
+    w = make_trace(fam, "geometric")
+    assert len(w.weights) == 1100 and min(w.weights) > 0 and sum(w.weights) == 1
+    assert float(w.weights[-1]) == 0.0
+    a = list(np.random.default_rng(4).uniform(-1, 1, 20) + 0.5j)
+    tn = l1_trace_norm(phi(a, fam), w)
+    assert math.isfinite(tn) and 0 < tn <= 3 * max(abs(z) for z in a)
+
+
 def test_l1_trace_norm_single_rank_one():
     fam = SubsetFamily(n_max=1, s_max=1, f_cap=1, subsets=((1,),))
     emb = phi([1], fam)

@@ -204,3 +204,146 @@ def test_exact_kron_preserves_exactness():
     assert k.is_exact
     assert k.entry(0, 0) == (1, 0)
     assert k.entry(1, 1) == (0, Fraction(1, 2))
+
+
+# -- oracle: nested lists of (re, im) Fractions, one entry at a time ----------
+
+def _cmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _cadd(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def ref_matmul(a, b):
+    def dot(i, j):
+        acc = (Fraction(0), Fraction(0))
+        for k in range(len(b)):
+            acc = _cadd(acc, _cmul(a[i][k], b[k][j]))
+        return acc
+
+    return [[dot(i, j) for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def ref_kron(a, b):
+    return [[_cmul(x, y) for x in ra for y in rb] for ra in a for rb in b]
+
+
+def ref_add(a, b, sign=1):
+    return [[_cadd(x, (sign * y[0], sign * y[1])) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def ref_scale(a, z):
+    return [[_cmul(x, z) for x in row] for row in a]
+
+
+def ref_div(a, z):
+    norm = z[0] * z[0] + z[1] * z[1]
+    return ref_scale(a, (z[0] / norm, -z[1] / norm))
+
+
+def ref_adjoint(a):
+    return [[(a[i][j][0], -a[i][j][1]) for i in range(len(a))] for j in range(len(a[0]))]
+
+
+def as_ref(m):
+    return [[tuple(Fraction(x) for x in m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
+
+
+def ref_strings(a):
+    return [[str(re) if im == 0 else f"{re},{im}" for re, im in row] for row in a]
+
+
+def ref_float_bytes(a):
+    return np.array([[complex(float(re), float(im)) for re, im in row] for row in a]).tobytes()
+
+
+# large coprime denominators (Mersenne primes) and entries whose numerator
+# and denominator both exceed 2^1100
+MERSENNE = (2**61 - 1, 2**89 - 1, 2**127 - 1, 2**1279 - 1, 2**2203 - 1)
+small_q = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+coprime_q = st.builds(Fraction, st.integers(-2**130, 2**130), st.sampled_from(MERSENNE))
+huge_q = st.builds(
+    lambda sign, n, d: Fraction(sign * n, d),
+    st.sampled_from((1, -1)), st.integers(2**1100 + 1, 2**1279 - 2), st.sampled_from((2**1279 - 1, 2**2203 - 1)),
+)
+wide_q = st.builds(
+    lambda n, d: Fraction(n, d), st.integers(-2**1103, 2**1103), st.integers(2**1101, 2**1103)
+)
+rational = st.one_of(st.just(Fraction(0)), small_q, coprime_q, huge_q, wide_q)
+complex_q = st.tuples(rational, st.one_of(st.just(Fraction(0)), rational))
+
+
+@st.composite
+def ref_matrices(draw, rows=None, cols=None, real=None):
+    rows = draw(st.integers(1, 3)) if rows is None else rows
+    cols = draw(st.integers(1, 3)) if cols is None else cols
+    real = draw(st.booleans()) if real is None else real
+    entry = st.tuples(rational, st.just(Fraction(0))) if real else complex_q
+    return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+
+def check_matches(m, ref):
+    assert m.is_exact and m.shape == (len(ref), len(ref[0]))
+    assert as_ref(m) == ref
+    assert m.equals(Matrix.exact(ref))
+    for i in range(m.rows):
+        for j in range(m.cols):
+            for part in m.entry(i, j):
+                assert type(part) is int or (type(part) is Fraction and part.denominator > 1)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_exact_products_match_oracle(data):
+    n, k, p = (data.draw(st.integers(1, 3)) for _ in range(3))
+    a = data.draw(ref_matrices(n, k))
+    b = data.draw(ref_matrices(k, p))
+    ma, mb = Matrix.exact(a), Matrix.exact(b)
+    check_matches(ma, a)
+    check_matches(ma @ mb, ref_matmul(a, b))
+    check_matches(ma.kron(mb), ref_kron(a, b))
+    check_matches(ma.adjoint(), ref_adjoint(a))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_exact_sums_and_scalars_match_oracle(data):
+    a = data.draw(ref_matrices())
+    b = data.draw(ref_matrices(len(a), len(a[0])))
+    z = data.draw(complex_q)
+    ma, mb = Matrix.exact(a), Matrix.exact(b)
+    check_matches(ma + mb, ref_add(a, b))
+    check_matches(ma - mb, ref_add(a, b, -1))
+    check_matches(ma * z, ref_scale(a, z))
+    check_matches(ma * z[0], ref_scale(a, (z[0], Fraction(0))))
+    if z != (0, 0):
+        check_matches(ma / z, ref_div(a, z))
+    if z[0] != 0:
+        check_matches(ma / z[0], ref_div(a, (z[0], Fraction(0))))
+    # lowest terms make equality structural: a + b - b is a again
+    assert (ma + mb - mb).equals(ma)
+    assert ma.equals(mb) == (a == b)
+    assert (ma - ma).is_zero()
+    assert ma.is_zero() == all(x == (0, 0) for row in a for x in row)
+
+
+@given(ref_matrices())
+@settings(max_examples=80, deadline=None)
+def test_exact_readouts_match_oracle(a):
+    m = Matrix.exact(a)
+    assert m.to_rational_strings() == ref_strings(a)
+    assert Matrix.from_rational_strings(m.to_rational_strings()).equals(m)
+    assert m.to_float().numpy().tobytes() == ref_float_bytes(a)
+    g = m.content()
+    parts = [x for row in a for pair in row for x in pair]
+    if all(x == 0 for x in parts):
+        assert g == 0
+    else:
+        quotients = [x / g for x in parts]
+        assert g > 0 and all(q.denominator == 1 for q in quotients)
+        assert math.gcd(*(q.numerator for q in quotients)) == 1
+    mags = [abs(complex(float(re), float(im))) if (re, im) != (0, 0) else math.inf for row in a for re, im in row]
+    expected = None if min(mags) == math.inf else divmod(mags.index(min(mags)), len(a[0]))
+    assert (None if m.pivot() is None else tuple(int(x) for x in m.pivot())) == expected
