@@ -66,20 +66,20 @@ from .generation import (
 )
 from .matrices import (
     DEFAULT_TOL,
-    EXACT,
     CertificationError,
     DimensionError,
     Matrix,
-    Tolerance,
+    agree,
     is_idempotent,
     op_norm,
     schatten1_norm,
     singular_values,
+    vanishes,
 )
 
 __all__ = [
     "__version__",
-    "Matrix", "Tolerance", "EXACT", "DEFAULT_TOL",
+    "Matrix", "DEFAULT_TOL", "agree", "vanishes",
     "op_norm", "schatten1_norm", "singular_values", "is_idempotent",
     "DimensionError", "CertificationError", "TruncationError",
     "ChainSpec", "Chain", "build_chain", "verify_semilattice", "norm_profile",

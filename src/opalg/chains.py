@@ -19,7 +19,7 @@ from .matrices import (
     DEFAULT_TOL,
     CertificationError,
     Matrix,
-    Tolerance,
+    agree,
     is_idempotent,
     op_norm,
 )
@@ -189,10 +189,8 @@ def _build_idempotent(spec: ChainSpec, n: int) -> Matrix:
 def build_chain(spec: ChainSpec) -> Chain:
     """Realize the chain on its truncation and check idempotency."""
     mats = tuple(_build_idempotent(spec, n) for n in range(1, spec.m_max + 1))
-    exact = spec.backend == "exact"
     for n, m in enumerate(mats, start=1):
-        ok = is_idempotent(m, Tolerance.exact() if exact else DEFAULT_TOL)
-        if not ok:
+        if not is_idempotent(m):
             raise CertificationError(f"constructed e_{n} failed its idempotency check")
     return Chain(spec=spec, idempotents=mats, truncation_dim=spec.truncation_dim)
 
@@ -206,7 +204,7 @@ class SemilatticeReport:
     passed: bool
 
 
-def verify_semilattice(chain: Chain, tol: Tolerance = DEFAULT_TOL) -> SemilatticeReport:
+def verify_semilattice(chain: Chain, tol: float = DEFAULT_TOL) -> SemilatticeReport:
     """Check e_m @ e_n == e_min(m, n) over every ordered pair.
 
     Exact chains are checked entrywise with zero tolerance; float chains
@@ -215,22 +213,17 @@ def verify_semilattice(chain: Chain, tol: Tolerance = DEFAULT_TOL) -> Semilattic
     mats = chain.idempotents
     m = chain.m_max
     exact = chain.backend == "exact"
-    all_exact = exact
+    passed = True
     max_dev = 0.0
     for i in range(m):
         for j in range(m):
             prod = mats[i] @ mats[j]
             target = mats[min(i, j)]
-            if exact:
-                if not prod.equals(target):
-                    all_exact = False
-                    max_dev = max(max_dev, prod.max_abs_diff(target))
-            else:
-                max_dev = max(max_dev, prod.max_abs_diff(target))
-    passed = all_exact if exact else max_dev <= tol.abs_tol
+            passed = agree(prod, target, tol) and passed
+            max_dev = max(max_dev, prod.max_abs_diff(target))
     return SemilatticeReport(
         pairs_checked=m * m,
-        all_exact=all_exact,
+        all_exact=exact and passed,
         mode="exact" if exact else "approx",
         max_abs_deviation=max_dev,
         passed=passed,
@@ -246,7 +239,7 @@ class NormEntry:
     ok: bool
 
 
-def norm_profile(chain: Chain, tol: Tolerance = DEFAULT_TOL) -> tuple[NormEntry, ...]:
+def norm_profile(chain: Chain, tol: float = DEFAULT_TOL) -> tuple[NormEntry, ...]:
     """Operator norm of each idempotent.
 
     Odd entries must have norm 1 (within tol); even entries are bounded
@@ -258,11 +251,11 @@ def norm_profile(chain: Chain, tol: Tolerance = DEFAULT_TOL) -> tuple[NormEntry,
         norm = op_norm(m)
         if n % 2 == 1:
             lower, predicted = 1.0, 1.0
-            ok = abs(norm - 1.0) <= tol.abs_tol
+            ok = abs(norm - 1.0) <= tol
         else:
             bnorm = op_norm(chain.spec.couplings[n // 2 - 1])
             lower, predicted = bnorm, math.sqrt(1.0 + bnorm * bnorm)
-            ok = norm >= bnorm - tol.abs_tol
+            ok = norm >= bnorm - tol
         out.append(NormEntry(index=n, norm=norm, lower=lower, predicted=predicted, ok=ok))
     return tuple(out)
 

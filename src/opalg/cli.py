@@ -41,7 +41,7 @@ from .embedding import (
     unit_circle_sweep_ratios,
 )
 from .generation import WeightSeq, certify_generation, orthogonal_generators, same_span
-from .matrices import Matrix, Tolerance
+from .matrices import DEFAULT_TOL, Matrix
 
 __all__ = ["ExperimentConfig", "CheckRecord", "StageResult", "RunReport",
            "run_experiment", "emit_report", "payload_json", "main", "console_main"]
@@ -66,7 +66,7 @@ class ExperimentConfig:
     weight_scheme: str = "norm-adaptive"
     trace_scheme: str = "geometric"
     seed: int = 0
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
     out_dir: str = "."
     format: str = "json"
 
@@ -75,14 +75,15 @@ class ExperimentConfig:
             raise ConfigError(f"subcommand must be one of {SUBCOMMANDS}, got {self.subcommand!r}")
         for name in ("m_max", "n_max", "f_cap", "s_max", "r_max", "trials"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if self.r_max < 2:
             raise ConfigError(f"r_max must be at least 2, got {self.r_max}")
-        if not isinstance(self.seed, int):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not (isinstance(self.tol, (int, float)) and self.tol >= 0):
-            raise ConfigError(f"tol must be a nonnegative real, got {self.tol!r}")
+        tol = self.tol
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol <= sys.float_info.max:
+            raise ConfigError(f"tol must be a finite nonnegative real, got {tol!r}")
         if self.trace_scheme not in ("geometric", "uniform"):
             raise ConfigError(f"trace_scheme must be geometric or uniform, got {self.trace_scheme!r}")
         if self.format not in ("json", "csv", "both"):
@@ -91,9 +92,6 @@ class ExperimentConfig:
         if any(abs(b) > abs(c) for b, c in zip(couplings, couplings[1:])):
             raise ConfigError(f"coupling_scheme norms must be nondecreasing, got {self.coupling_scheme!r}")
         _parse_weight_scheme(self.weight_scheme)
-
-    def tolerance(self) -> Tolerance:
-        return Tolerance.exact() if self.tol == 0 else Tolerance.approx(self.tol)
 
 
 def _parse_couplings(descriptor: str, count: int):
@@ -198,11 +196,14 @@ def payload_json(report: RunReport) -> str:
 # -- stages -------------------------------------------------------------
 
 
+def _chain(cfg: ExperimentConfig):
+    couplings = _parse_couplings(cfg.coupling_scheme, cfg.m_max // 2)
+    return build_chain(ChainSpec.default(cfg.m_max, couplings=couplings))
+
+
 def _stage_chain(cfg: ExperimentConfig) -> tuple[StageResult, dict]:
     stage = StageResult("chain")
-    tol = cfg.tolerance()
-    couplings = _parse_couplings(cfg.coupling_scheme, cfg.m_max // 2)
-    chain = build_chain(ChainSpec.default(cfg.m_max, couplings=couplings))
+    chain = _chain(cfg)
     stage.add(
         "chain-idempotency",
         "every chain element squares to itself",
@@ -210,15 +211,15 @@ def _stage_chain(cfg: ExperimentConfig) -> tuple[StageResult, dict]:
         f"{chain.m_max} idempotents on dimension {chain.truncation_dim}",
         True,
     )
-    sem = verify_semilattice(chain, tol)
+    sem = verify_semilattice(chain, cfg.tol)
     stage.add(
         "semilattice-product-table",
         "product of the m-th and n-th idempotents is the min(m, n)-th",
-        "all pairs exact" if sem.mode == "exact" else f"deviation <= {tol.abs_tol}",
+        "all pairs exact" if sem.mode == "exact" else f"deviation <= {cfg.tol}",
         f"{sem.pairs_checked} pairs, max deviation {sem.max_abs_deviation}",
         sem.passed,
     )
-    profile = norm_profile(chain, tol)
+    profile = norm_profile(chain, cfg.tol)
     stage.add(
         "norm-profile",
         "odd norms are 1; even norms dominate the coupling norm",
@@ -244,9 +245,7 @@ def _stage_chain(cfg: ExperimentConfig) -> tuple[StageResult, dict]:
 
 def _stage_generate(cfg: ExperimentConfig) -> tuple[StageResult, dict]:
     stage = StageResult("generate")
-    tol = cfg.tolerance()
-    couplings = _parse_couplings(cfg.coupling_scheme, cfg.m_max // 2)
-    chain = build_chain(ChainSpec.default(cfg.m_max, couplings=couplings))
+    chain = _chain(cfg)
     gens = orthogonal_generators(chain)
     stage.add(
         "generator-orthogonality",
@@ -256,7 +255,7 @@ def _stage_generate(cfg: ExperimentConfig) -> tuple[StageResult, dict]:
         True,
     )
     weights = _weights_for(gens, cfg.weight_scheme)
-    cert = certify_generation(chain, weights, cfg.r_max, tol)
+    cert = certify_generation(chain, weights, cfg.r_max, cfg.tol)
     worst = max((r.residual - r.bound for r in cert.records), default=0.0)
     stage.add(
         "generation-geometric-bound",
@@ -273,7 +272,7 @@ def _stage_generate(cfg: ExperimentConfig) -> tuple[StageResult, dict]:
         same_span(gens, chain.idempotents),
         bound=1e-8,
     )
-    rescaled_cert = certify_generation(chain, weights.scaled(3), cfg.r_max, tol)
+    rescaled_cert = certify_generation(chain, weights.scaled(3), cfg.r_max, cfg.tol)
     invariant = all(
         a.residual == b.residual for a, b in zip(cert.records, rescaled_cert.records)
     )
@@ -290,9 +289,7 @@ def _stage_generate(cfg: ExperimentConfig) -> tuple[StageResult, dict]:
 
 def _stage_diagonal(cfg: ExperimentConfig) -> tuple[StageResult, dict]:
     stage = StageResult("diagonal")
-    tol = cfg.tolerance()
-    couplings = _parse_couplings(cfg.coupling_scheme, cfg.m_max // 2)
-    chain = build_chain(ChainSpec.default(cfg.m_max, couplings=couplings))
+    chain = _chain(cfg)
     deltas = [build_delta(chain, n) for n in range(1, chain.m_max + 1)]
     image_exact = all(pi_map(d).equals(chain.e(n)) for n, d in enumerate(deltas, start=1))
     stage.add(
@@ -313,7 +310,7 @@ def _stage_diagonal(cfg: ExperimentConfig) -> tuple[StageResult, dict]:
         f"{len(deltas)} unitized diagonals",
         unit_exact,
     )
-    report = certify_mbad(deltas, chain, list(chain.idempotents), tol)
+    report = certify_mbad(deltas, chain, list(chain.idempotents), cfg.tol)
     stage.add(
         "multiplier-bound-certificate",
         "commutators vanish and the multiplier constant is zero",
@@ -342,7 +339,7 @@ def _stage_diagonal(cfg: ExperimentConfig) -> tuple[StageResult, dict]:
     expected = Matrix.identity(2).to_float() * complex(x.numpy()[0, 0])
     scalar_ok = ex.max_abs_diff(expected) <= 1e-12
     exp_report = certify_expectation(
-        d2, [x], [Matrix.identity(2), Matrix.identity(2) * Fraction(3, 2)], tol
+        d2, [x], [Matrix.identity(2), Matrix.identity(2) * Fraction(3, 2)], cfg.tol
     )
     stage.add(
         "expectation-commutant-projection",
@@ -356,9 +353,8 @@ def _stage_diagonal(cfg: ExperimentConfig) -> tuple[StageResult, dict]:
 
 def _stage_embed(cfg: ExperimentConfig) -> tuple[StageResult, dict]:
     stage = StageResult("embed")
-    tol = cfg.tolerance()
     fam = RankOneFamily.build(cfg.n_max)
-    fam_report = certify_E_family(fam, trials=cfg.trials, seed=_stage_seed(cfg.seed, "family"), tol=tol)
+    fam_report = certify_E_family(fam, trials=cfg.trials, seed=_stage_seed(cfg.seed, "family"), tol=cfg.tol)
     stage.add(
         "rank-one-family",
         "idempotents of norm 3, pairwise-zero products, contained ranges, exact coefficient-sum witness",
@@ -403,7 +399,7 @@ def _stage_embed(cfg: ExperimentConfig) -> tuple[StageResult, dict]:
         s_max=cfg.s_max,
         trials=cfg.trials,
         seed=_stage_seed(cfg.seed, "embed"),
-        tol=tol,
+        tol=cfg.tol,
         csv_scheme=cfg.trace_scheme,
     )
     stage.add(

@@ -24,7 +24,7 @@ from .matrices import (
     CertificationError,
     DimensionError,
     Matrix,
-    Tolerance,
+    agree,
     op_norm,
 )
 
@@ -222,6 +222,13 @@ def _upper(reduced) -> float:
     return float(sum(op_norm(b) * op_norm(v) for v, b in _reduce((v, b) for b, v in reduced)))
 
 
+def _vanishes(terms, tol: float) -> bool:
+    """Whether sum u_i (x) v_i is zero: its reduced form is empty when
+    every leg is exact, and its upper bound is at most tol otherwise."""
+    reduced = _reduce(terms)  # float legs unless every input leg is exact
+    return not reduced or (not reduced[0][0].is_exact and _upper(reduced) <= tol)
+
+
 def tensor_norm_upper(t: TensorElem) -> float:
     """Projective-norm upper bound: sum ||B|| ||V|| over the reduced form,
     reduced once more on the right legs."""
@@ -244,23 +251,14 @@ def tensor_norm_bounds(t: TensorElem) -> tuple[float, float]:
 def unitize_diagonal(delta: TensorElem, u: Matrix, one: Matrix) -> TensorElem:
     """2*delta - u.delta + (1-u) (x) (1-u), with u the image of delta
     under the multiplication map; its own image is the identity, exactly."""
-    pi_d = delta.pi()
-    if pi_d.is_exact and u.is_exact:
-        if not pi_d.equals(u):
-            raise ValueError("u must equal pi_map(delta)")
-    elif pi_d.max_abs_diff(u) > 1e-12 * max(1.0, u.max_abs()):
+    if not agree(delta.pi(), u, 1e-12 * max(1.0, u.max_abs())):
         raise ValueError("u must equal pi_map(delta)")
     terms = [(ui * 2, vi) for ui, vi in delta.terms]
     terms += [(-(u @ ui), vi) for ui, vi in delta.terms]
     rest = one - u
     terms.append((rest, rest))
     unitized = TensorElem.of(terms, dim=delta.dim)
-    image = unitized.pi()
-    if image.is_exact and one.is_exact:
-        ok = image.equals(one)
-    else:
-        ok = image.max_abs_diff(one) <= 1e-9
-    if not ok:
+    if not agree(unitized.pi(), one, 1e-9):
         raise CertificationError("unitized diagonal does not map to the identity")
     return unitized
 
@@ -278,18 +276,12 @@ class FiniteDiagonal:
         object.__setattr__(self, "algebra_basis", tuple(self.algebra_basis))
         self.validate()
 
-    def validate(self, tol: Tolerance = DEFAULT_TOL):
+    def validate(self, tol: float = DEFAULT_TOL):
         unit = self.diag.pi()
-        exact = self.diag.backend == "exact" and all(a.is_exact for a in self.algebra_basis)
         for k, a in enumerate(self.algebra_basis):
-            left, right = unit @ a, a @ unit
-            if exact:
-                if not (left.equals(a) and right.equals(a)):
-                    raise ValueError(f"pi(diag) does not act as identity on basis element {k}")
-            elif max(left.max_abs_diff(a), right.max_abs_diff(a)) > tol.abs_tol:
+            if not (agree(unit @ a, a, tol) and agree(a @ unit, a, tol)):
                 raise ValueError(f"pi(diag) does not act as identity on basis element {k}")
-            comm = _reduce(bimodule_commutator(a, self.diag).terms)
-            if comm and (exact or _upper(comm) > tol.abs_tol):
+            if not _vanishes(bimodule_commutator(a, self.diag).terms, tol):
                 raise ValueError(f"diag does not commute with basis element {k}")
 
 
@@ -317,7 +309,7 @@ def certify_expectation(
     d: FiniteDiagonal,
     xs: Sequence[Matrix],
     commutant_sample: Sequence[Matrix],
-    tol: Tolerance = DEFAULT_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> ExpectationReport:
     """Check the three expectation properties on concrete samples:
     values land in the commutant, commutant elements are fixed, and
@@ -329,28 +321,22 @@ def certify_expectation(
         and all(m.is_exact for m in xs)
         and all(m.is_exact for m in comm)
     )
-    dev_i = 0.0
-    for x in xs:
-        ex = expectation_from_diagonal(d, x)
-        for a in d.algebra_basis:
-            dev_i = max(dev_i, (ex @ a - a @ ex).max_abs())
-    dev_ii = 0.0
-    for u in comm:
-        dev_ii = max(dev_ii, expectation_from_diagonal(d, u).max_abs_diff(u))
-    dev_iii = 0.0
-    for u in comm:
-        for v in comm:
-            for x in xs:
-                lhs = expectation_from_diagonal(d, u @ x @ v)
-                rhs = u @ expectation_from_diagonal(d, x) @ v
-                dev_iii = max(dev_iii, lhs.max_abs_diff(rhs))
-    worst = max(dev_i, dev_ii, dev_iii)
-    passed = worst == 0.0 if all_exact else worst <= tol.abs_tol
+    images = [expectation_from_diagonal(d, x) for x in xs]
+    checks = (
+        [(ex @ a, a @ ex) for ex in images for a in d.algebra_basis],
+        [(expectation_from_diagonal(d, u), u) for u in comm],
+        [
+            (expectation_from_diagonal(d, u @ x @ v), u @ ex @ v)
+            for u in comm for v in comm for x, ex in zip(xs, images)
+        ],
+    )
+    devs = [max((p.max_abs_diff(q) for p, q in pairs), default=0.0) for pairs in checks]
+    passed = all(agree(p, q, tol) for pairs in checks for p, q in pairs)
     return ExpectationReport(
-        commutes_with_algebra_dev=dev_i,
-        fixes_commutant_dev=dev_ii,
-        bimodule_dev=dev_iii,
-        exact=all_exact and worst == 0.0,
+        commutes_with_algebra_dev=devs[0],
+        fixes_commutant_dev=devs[1],
+        bimodule_dev=devs[2],
+        exact=all_exact and passed,
         passed=passed,
     )
 
@@ -370,17 +356,6 @@ class MbadElementRecord:
     unitized_upper: float
     unitized_ok: bool
 
-    def to_json_dict(self, global_k: float) -> dict:
-        return {
-            "a_label": self.label,
-            "in_span": self.in_span,
-            "commutator_upper": self.commutator_upper,
-            "commutator_lower": self.commutator_lower,
-            "C": self.element_constant,
-            "K": global_k,
-            "pass": self.identity_ok and self.commutator_ok and self.unitized_ok,
-        }
-
 
 @dataclass(frozen=True)
 class MbadReport:
@@ -390,22 +365,12 @@ class MbadReport:
     unitized_constant: float
     verdict: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "opalg.mbad/1",
-            "C": self.multiplier_constant,
-            "K": self.projection_sup,
-            "unitized_constant": self.unitized_constant,
-            "verdict": self.verdict,
-            "elements": [r.to_json_dict(self.projection_sup) for r in self.records],
-        }
-
 
 def certify_mbad(
     deltas: Sequence[TensorElem],
     chain: Chain,
     sample: Sequence[Matrix],
-    tol: Tolerance = DEFAULT_TOL,
+    tol: float = DEFAULT_TOL,
     labels: Sequence[str] | None = None,
 ) -> MbadReport:
     """Certify the approximate-diagonal conditions on a sample.
@@ -441,7 +406,7 @@ def certify_mbad(
         coef, *_ = np.linalg.lstsq(basis_stack, y, rcond=None)
         scale = max(1.0, float(np.abs(y).max()))
         resid = float(np.abs(basis_stack @ coef - y).max())
-        in_span = resid <= max(tol.abs_tol, 1e-12) * scale
+        in_span = resid <= max(tol, 1e-12) * scale
         top = 0
         for j, c in enumerate(coef[:-1]):
             if abs(c) > 1e-9 * scale:
@@ -456,25 +421,18 @@ def certify_mbad(
             has_id = corner != 0
             id_coeff = corner
         a_alg = a - ident * (corner if a.is_exact else id_coeff) if has_id else a
-        exact_element = a.is_exact and chain.backend == "exact"
 
-        final_diff = a @ pis[-1] - a
-        final_gap = final_diff.max_abs()
-        if in_span and not has_id and top <= len(deltas):
-            if exact_element:
-                identity_ok = final_diff.is_zero()
-            else:
-                identity_ok = final_gap <= max(tol.abs_tol, 1e-12 * scale)
-        else:
-            identity_ok = True
+        final_image = a @ pis[-1]
+        final_gap = final_image.max_abs_diff(a)
+        identity_ok = (
+            not in_span or has_id or top > len(deltas)
+            or agree(final_image, a, max(tol, 1e-12 * scale))
+        )
 
         delta_comms = [bimodule_commutator(a, d) for d in deltas]
         lowers, uppers = zip(*(tensor_norm_bounds(comm) for comm in delta_comms))
         comm_upper, comm_lower = max(uppers), max(lowers)
-        if in_span:
-            commutator_ok = comm_upper == 0.0 if exact_element else comm_upper <= tol.abs_tol
-        else:
-            commutator_ok = True
+        commutator_ok = not in_span or all(_vanishes(comm.terms, tol) for comm in delta_comms)
 
         alg_norm = op_norm(a_alg) if not a_alg.is_zero() else 0.0
         element_constant = comm_upper / alg_norm if alg_norm > 1e-12 else 0.0
@@ -494,14 +452,13 @@ def certify_mbad(
             regrouped = d_comm.scale(2) + (-d_comm.left(p))
             regrouped = regrouped + TensorElem.of([(w, rest), (-rest, w)], dim=dim)
             if in_span:
-                gap = _reduce((regrouped - bimodule_commutator(a, m_elem)).terms)
-                if gap and (exact_element or _upper(gap) > max(tol.abs_tol, 1e-9 * scale)):
-                    rewrite_ok = False
+                gap = regrouped - bimodule_commutator(a, m_elem)
+                rewrite_ok = _vanishes(gap.terms, max(tol, 1e-9 * scale)) and rewrite_ok
             up_u = tensor_norm_upper(regrouped)
             unit_uppers.append(up_u)
             shrink = op_norm(w) if not w.is_zero() else 0.0
             refined = (2.0 + k_const) * up_d + 2.0 * (1.0 + k_const) * shrink
-            if up_u > refined + max(tol.abs_tol, 1e-9 * max(1.0, refined)):
+            if up_u > refined + max(tol, 1e-9 * max(1.0, refined)):
                 refined_ok = False
         records.append(
             MbadElementRecord(
@@ -526,7 +483,7 @@ def certify_mbad(
     records = [
         replace(r, unitized_ok=r.unitized_ok and (
             not r.in_span
-            or r.unitized_upper <= unitized_constant * n + max(tol.abs_tol, 1e-9 * (1.0 + n))
+            or r.unitized_upper <= unitized_constant * n + max(tol, 1e-9 * (1.0 + n))
         ))
         for r, n in zip(records, adjoined_norms)
     ]

@@ -25,7 +25,6 @@ from .matrices import (
     DEFAULT_TOL,
     CertificationError,
     Matrix,
-    Tolerance,
     op_norm,
     schatten1_norm,
 )
@@ -118,7 +117,7 @@ def certify_E_family(
     fam: RankOneFamily,
     trials: int = 100,
     seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> EFamilyReport:
     """Certify the family: each norm equals 3, squares and cross products
     are exact, ranges stay inside span(e_alpha, e_omega, e_n), and the
@@ -127,7 +126,7 @@ def certify_E_family(
     mats = fam.idempotents
     dim = fam.ambient_dim
     max_norm_error = max(abs(op_norm(m) - 3.0) for m in mats)
-    norms_ok = max_norm_error <= tol.abs_tol
+    norms_ok = max_norm_error <= tol
     idem = all((m @ m).equals(m) for m in mats)
     pairwise = all(
         (mats[i] @ mats[j]).is_zero() for i in range(len(mats)) for j in range(len(mats)) if i != j
@@ -152,7 +151,7 @@ def certify_E_family(
         if acc.entry(_OMEGA, _OMEGA) != total:
             witness_exact = False
         magnitude = abs(complex(float(total[0]), float(total[1])))
-        if magnitude > op_norm(acc) + tol.abs_tol:
+        if magnitude > op_norm(acc) + tol:
             witness_dominated = False
     passed = norms_ok and idem and pairwise and contained and witness_exact and witness_dominated
     return EFamilyReport(
@@ -220,15 +219,6 @@ class SubsetFamily:
         return iter(self.subsets)
 
 
-def _coeff_string(v) -> str:
-    if isinstance(v, (tuple, list)):
-        re, im = Fraction(v[0]), Fraction(v[1])
-    else:
-        z = complex(v)
-        re, im = Fraction(z.real), Fraction(z.imag)
-    return str(re) if im == 0 else f"{re},{im}"
-
-
 @dataclass(frozen=True)
 class EmbeddedElement:
     """Coefficients plus one block per enumerated subset: the block for F
@@ -241,18 +231,6 @@ class EmbeddedElement:
     def block(self, subset: Sequence[int]) -> Matrix:
         key = tuple(sorted(set(subset)))
         return self.blocks[self.family.subsets.index(key)]
-
-    def to_json_dict(self) -> dict:
-        """JSON document; entries are exact rational strings on both
-        backends (floats are binary rationals)."""
-        return {
-            "schema": "opalg.embedded/1",
-            "n_max": self.family.n_max,
-            "backend": self.blocks[0].backend if self.blocks else "exact",
-            "subsets": [list(f) for f in self.family.subsets],
-            "coeffs": [_coeff_string(v) for v in self.coeffs],
-            "blocks": [b.to_rational_strings() for b in self.blocks],
-        }
 
 
 def _rational_like(v):
@@ -488,7 +466,7 @@ def certify_embedding_bounds(
     s_max: int = 8,
     trials: int = 100,
     seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
+    tol: float = DEFAULT_TOL,
     mult_trials: int = 10,
     csv_scheme: str = "geometric",
 ) -> EmbeddingReport:
@@ -543,9 +521,9 @@ def certify_embedding_bounds(
             if scheme == csv_scheme:
                 trace_row = tn
             max_trace_to_inf = max(max_trace_to_inf, tn / linf)
-            if tn > 3.0 * linf + tol.abs_tol:
+            if tn > 3.0 * linf + tol:
                 trace_ok = False
-            if tn > sup + tol.abs_tol:
+            if tn > sup + tol:
                 trace_le_sup_ok = False
         if label in named:
             named_ratio[label] = ratio

@@ -21,9 +21,9 @@ from .matrices import (
     DEFAULT_TOL,
     CertificationError,
     Matrix,
-    Tolerance,
     is_idempotent,
     op_norm,
+    vanishes,
 )
 
 __all__ = [
@@ -93,23 +93,17 @@ def orthogonal_generators(chain: Chain) -> tuple[Matrix, ...]:
     """
     mats = chain.idempotents
     gens = [mats[0]] + [mats[j] - mats[j - 1] for j in range(1, len(mats))]
-    _check_orthogonal_family(gens, exact=chain.backend == "exact")
+    _check_orthogonal_family(gens)
     return tuple(gens)
 
 
-def _check_orthogonal_family(gens, exact, tol=DEFAULT_TOL):
+def _check_orthogonal_family(gens):
     for i, g in enumerate(gens):
-        if not is_idempotent(g, Tolerance.exact() if exact else tol):
+        if not is_idempotent(g):
             raise CertificationError(f"generator {i + 1} is not idempotent")
     for i in range(len(gens)):
         for j in range(len(gens)):
-            if i == j:
-                continue
-            prod = gens[i] @ gens[j]
-            if exact:
-                if not prod.is_zero():
-                    raise CertificationError(f"generators {i + 1} and {j + 1} are not orthogonal")
-            elif prod.max_abs() > tol.abs_tol:
+            if i != j and not vanishes(gens[i] @ gens[j], DEFAULT_TOL):
                 raise CertificationError(f"generators {i + 1} and {j + 1} are not orthogonal")
 
 
@@ -119,8 +113,7 @@ def _resolve_generators(source: GeneratorSource) -> tuple[Matrix, ...]:
     gens = tuple(source)
     if not gens:
         raise ValueError("no generators supplied")
-    exact = all(g.is_exact for g in gens)
-    _check_orthogonal_family(gens, exact=exact)
+    _check_orthogonal_family(gens)
     return gens
 
 
@@ -150,17 +143,6 @@ class GenerationCertificate:
     per_index: dict[int, bool]
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "opalg.generation/1",
-            "passed": self.passed,
-            "per_index": {str(k): v for k, v in self.per_index.items()},
-            "records": [
-                {"m": r.index, "r": r.power, "residual": r.residual, "bound": r.bound, "passed": r.passed}
-                for r in self.records
-            ],
-        }
-
     def csv_rows(self) -> list[list]:
         rows = [["m", "r", "residual", "bound", "passed"]]
         rows += [[r.index, r.power, r.residual, r.bound, int(r.passed)] for r in self.records]
@@ -171,7 +153,7 @@ def certify_generation(
     source: GeneratorSource,
     weights: WeightSeq,
     r_max: int,
-    tol: Tolerance = DEFAULT_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> GenerationCertificate:
     """Check the geometric recovery bound for every generator.
 
@@ -208,7 +190,7 @@ def certify_generation(
         for r in range(1, r_max + 1):
             residual = op_norm(gens[m - 1] - power)
             bound = (ratio ** (r - 1)) * tail_sum / float(lam_m) if m < count else 0.0
-            passed = residual <= bound + tol.abs_tol
+            passed = residual <= bound + tol
             ok_bounds = ok_bounds and passed
             residuals.append(residual)
             records.append(GenerationRecord(index=m, power=r, residual=residual, bound=bound, passed=passed))

@@ -9,11 +9,15 @@ normalize once.  Float matrices are complex128 arrays and carry all
 metric quantities (operator norm, Schatten-1 norm).  Every operation
 returns a new value; matrices are immutable and safe to share across
 threads.
+
+The comparison policy lives here: :func:`agree` and :func:`vanishes`
+compare exact operands with zero tolerance whatever slack they are
+given, and float or mixed operands within a plain float tolerance
+(``DEFAULT_TOL``; 0.0 means no slack).
 """
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -23,9 +27,9 @@ __all__ = [
     "CertificationError",
     "DimensionError",
     "Matrix",
-    "Tolerance",
-    "EXACT",
     "DEFAULT_TOL",
+    "agree",
+    "vanishes",
     "is_idempotent",
     "op_norm",
     "schatten1_norm",
@@ -418,52 +422,25 @@ class Matrix:
             return Matrix._wrap_exact(self._re[sel], None if self._im is None else self._im[sel], self._den)
         return Matrix._wrap_float(self._arr[sel])
 
-    def padded(self, dim):
-        """Embed into the top-left corner of a dim x dim zero matrix."""
-        if dim < max(self.rows, self.cols):
-            raise DimensionError(f"cannot pad shape {self.shape} into {dim}x{dim}")
-        if not self.is_exact:
-            arr = np.zeros((dim, dim), dtype=complex)
-            arr[: self.rows, : self.cols] = self._arr
-            return Matrix._wrap_float(arr)
-
-        def pad(part):
-            out = np.zeros((dim, dim), dtype=object)
-            out[: self.rows, : self.cols] = part
-            return out
-
-        return Matrix._wrap_exact(pad(self._re), None if self._im is None else pad(self._im), self._den)
-
     def __repr__(self):
         return f"<Matrix {self.rows}x{self.cols} {self._backend}>"
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Comparison tolerance; ``abs_tol == 0`` exactly when mode is exact."""
-
-    abs_tol: float = 1e-9
-    mode: str = "approx"
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "approx"):
-            raise ValueError(f"unknown tolerance mode {self.mode!r}")
-        if self.abs_tol < 0:
-            raise ValueError("abs_tol must be nonnegative")
-        if (self.abs_tol == 0) != (self.mode == "exact"):
-            raise ValueError("abs_tol must be zero exactly in exact mode")
-
-    @classmethod
-    def exact(cls):
-        return cls(0.0, "exact")
-
-    @classmethod
-    def approx(cls, abs_tol=1e-9):
-        return cls(abs_tol, "approx")
+DEFAULT_TOL = 1e-9
 
 
-EXACT = Tolerance.exact()
-DEFAULT_TOL = Tolerance()
+def agree(a: Matrix, b: Matrix, tol: float) -> bool:
+    """Whether a and b are equal: exactly when both are exact, whatever
+    ``tol`` is, and within ``tol`` per entry otherwise."""
+    if a.is_exact and b.is_exact:
+        return a.equals(b)
+    return a.max_abs_diff(b) <= tol
+
+
+def vanishes(m: Matrix, tol: float) -> bool:
+    """Whether m is zero: exactly when m is exact, and within ``tol`` per
+    entry otherwise."""
+    return m.is_zero() if m.is_exact else m.max_abs() <= tol
 
 
 def _require_nonempty(m):
@@ -487,12 +464,9 @@ def schatten1_norm(m: Matrix) -> float:
     return float(singular_values(m).sum())
 
 
-def is_idempotent(m: Matrix, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether m @ m equals m, exactly or within tol.abs_tol per entry."""
+def is_idempotent(m: Matrix, tol: float = DEFAULT_TOL) -> bool:
+    """Whether m @ m equals m, in the sense of :func:`agree`."""
     if not m.is_square:
         raise DimensionError(f"idempotency needs a square matrix, got {m.shape}")
     _require_nonempty(m)
-    sq = m @ m
-    if tol.mode == "exact":
-        return sq.equals(m)
-    return sq.max_abs_diff(m) <= tol.abs_tol
+    return agree(m @ m, m, tol)

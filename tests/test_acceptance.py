@@ -30,7 +30,6 @@ from opalg import (
     unit_circle_sweep_ratios,
     unitize_diagonal,
     verify_semilattice,
-    Tolerance,
     RankOneFamily,
 )
 from opalg.cli import ExperimentConfig, main, payload_json, run_experiment
@@ -131,7 +130,7 @@ def test_criterion_6_rank_one_family():
         for k in range(1, 13):
             if j != k:
                 assert (ej @ fam.E(k)).is_zero()
-    report = certify_E_family(fam, trials=100, seed=2026, tol=Tolerance.approx(1e-9))
+    report = certify_E_family(fam, trials=100, seed=2026, tol=1e-9)
     assert report.max_norm_error <= 1e-9
     assert report.witness_trials == 100
     assert report.witness_exact

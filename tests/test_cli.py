@@ -130,6 +130,13 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     # too few or decreasing couplings are config errors, not stage failures
     for m_max, scheme in (("4", "list:9,1"), ("6", "list:1"), ("6", "list:3,2,1")):
         assert main(["chain", "--m-max", m_max, "--coupling-scheme", scheme, "--out", str(tmp_path)]) == 2
+    # booleans are not counts, seeds or tolerances, and tol must be finite
+    for argv_bad in (["chain", "--tol", "inf"], ["chain", "--tol", "nan"]):
+        assert main(argv_bad + ["--out", str(tmp_path)]) == 2
+    cfg_file = tmp_path / "cfg.json"
+    for bad in ('{"m_max": true}', '{"trials": false}', '{"tol": true}', '{"seed": false}', '{"tol": 1e400}'):
+        cfg_file.write_text(bad)
+        assert main(["chain", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
     monkeypatch.setattr("opalg.cli.build_chain", _failing_build_chain)
     assert main(argv) == 1
 

@@ -351,6 +351,11 @@ def test_certify_expectation_properties():
     assert report.commutes_with_algebra_dev == 0.0
     assert report.fixes_commutant_dev == 0.0
     assert report.bimodule_dev == 0.0
+    # E(u) = I misses u by 2**-1100, which rounds to 0.0 but fails exactly
+    off = Matrix.diag([1, 1 + Fraction(1, 2**1100)])
+    report = certify_expectation(full_matrix_diagonal(2), [one], [off])
+    assert report.fixes_commutant_dev == 0.0
+    assert not report.passed and not report.exact
 
 
 def test_finite_diagonal_validates_invariants():
@@ -370,12 +375,22 @@ def test_expectation_dimension_mismatch():
 def test_mbad_report_serializes(chain6):
     deltas = [build_delta(chain6, n) for n in range(1, 4)]
     report = certify_mbad(deltas, chain6, [chain6.e(1), chain6.e(2)], labels=["one", "two"])
-    doc = report.to_json_dict()
-    assert doc["C"] == 0.0 and doc["verdict"] is True
-    assert [e["a_label"] for e in doc["elements"]] == ["one", "two"]
-    for element in doc["elements"]:
-        assert set(element) >= {"a_label", "commutator_upper", "commutator_lower", "C", "K", "pass"}
-        assert element["pass"] is True
+    assert report.multiplier_constant == 0.0 and report.verdict is True
+    assert [r.label for r in report.records] == ["one", "two"]
+    for r in report.records:
+        assert r.identity_ok and r.commutator_ok and r.unitized_ok
+
+
+def test_certify_mbad_exact_commutator_below_float_range(chain6):
+    # a = e_1 + 2**-1100 E_01 reads as e_1 in floats, so its commutator
+    # bounds round to 0.0; the exact commutators do not vanish
+    dim = chain6.truncation_dim
+    unit = Matrix.exact([[int((i, j) == (0, 1)) for j in range(dim)] for i in range(dim)])
+    a = chain6.e(1) + unit * Fraction(1, 2**1100)
+    deltas = [build_delta(chain6, n) for n in range(1, 7)]
+    rec = certify_mbad(deltas, chain6, [a]).records[0]
+    assert rec.in_span and rec.commutator_upper == 0.0
+    assert not rec.commutator_ok
 
 
 def test_tensor_value_equality_is_representation_free():

@@ -300,17 +300,6 @@ def test_certify_embedding_rejects_bad_trials():
         certify_embedding_bounds(trials=0)
 
 
-def test_embedded_element_serializes():
-    fam = SubsetFamily.enumerate(3, f_cap=5, s_max=2)
-    doc = phi([(Fraction(1, 2), 1), 2, 0], fam).to_json_dict()
-    assert doc["schema"] == "opalg.embedded/1"
-    assert doc["coeffs"][0] == "1/2,1"
-    assert len(doc["blocks"]) == len(fam)
-    roundtrip = [Matrix.from_rational_strings(b) for b in doc["blocks"]]
-    for a, b in zip(phi([(Fraction(1, 2), 1), 2, 0], fam).blocks, roundtrip):
-        assert a.equals(b)
-
-
 def test_phi_accepts_trailing_zeros_beyond_range():
     fam = SubsetFamily.enumerate(2, f_cap=4, s_max=2)
     emb_float = phi([0.5, 0.25, 0.0, 0.0], fam)

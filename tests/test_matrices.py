@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from opalg import (
     DEFAULT_TOL,
-    EXACT,
     DimensionError,
     Matrix,
-    Tolerance,
+    agree,
     is_idempotent,
     op_norm,
     schatten1_norm,
+    vanishes,
 )
 
 
@@ -51,25 +51,49 @@ def test_norms_reject_empty():
 
 def test_is_idempotent_examples():
     e2 = Matrix.exact([[1, 0, 0], [0, 1, 1], [0, 0, 0]])
-    assert is_idempotent(e2, EXACT)
-    assert not is_idempotent(Matrix.identity(2) * 2, EXACT)
-    assert is_idempotent(Matrix.zeros(3), EXACT)
+    assert is_idempotent(e2, 0.0)
+    assert not is_idempotent(Matrix.identity(2) * 2, 0.0)
+    assert is_idempotent(Matrix.zeros(3), 0.0)
+    # an exact square that misses by 1e-12 is not idempotent within any slack;
+    # its float image is, within the default one
+    near = Matrix.exact([[1, Fraction(1, 10**12)], [0, 1]])
+    assert (near @ near - near).equals(Matrix.exact([[0, Fraction(1, 10**12)], [0, 0]]))
+    assert (near @ near).max_abs_diff(near) <= DEFAULT_TOL
+    assert not is_idempotent(near)
+    assert is_idempotent(near.to_float())
+
+
+def test_exact_operands_never_agree_within_tolerance():
+    a = Matrix.exact([[1, Fraction(1, 2**1100)], [0, 1]])
+    b = Matrix.identity(2)
+    assert not agree(a, b, 1.0)
+    assert not vanishes(a - b, 1.0)
+    assert agree(a, a + b - b, 0.0)
+    assert vanishes(a - a, 0.0)
+    # the float image rounds the gap away
+    assert agree(a.to_float(), b, 0.0)
+
+
+@given(
+    st.lists(st.floats(-4, 4), min_size=3, max_size=3),
+    st.lists(st.floats(-4, 4), min_size=3, max_size=3),
+    st.sampled_from([0.0, 1e-12, 1e-9, 0.5, 2.0]),
+    st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_float_and_mixed_operands_agree_within_tol(x, y, tol, exact_left):
+    a = Matrix.exact([x]) if exact_left else Matrix.from_float([x])
+    b = Matrix.from_float([y])
+    dev = max(abs(p - q) for p, q in zip(x, y))
+    assert agree(a, b, tol) == agree(b, a, tol) == (dev <= tol)
+    assert vanishes(b, tol) == (max(abs(q) for q in y) <= tol)
+    if tol == 0.0:
+        assert agree(a, b, tol) == (x == y)
 
 
 def test_is_idempotent_needs_square():
     with pytest.raises(DimensionError):
         is_idempotent(Matrix.zeros(2, 3))
-
-
-def test_tolerance_invariant():
-    assert Tolerance.exact().abs_tol == 0.0
-    assert DEFAULT_TOL.mode == "approx"
-    with pytest.raises(ValueError):
-        Tolerance(0.0, "approx")
-    with pytest.raises(ValueError):
-        Tolerance(1e-9, "exact")
-    with pytest.raises(ValueError):
-        Tolerance(-1.0, "approx")
 
 
 def test_exact_arithmetic_is_exact():
@@ -143,14 +167,6 @@ def test_pivot_choice_per_backend():
     assert a.to_float().pivot() == (0, 1)
     assert Matrix.zeros(2).pivot() is None
     assert Matrix.zeros(2, backend="float").pivot() is None
-
-
-def test_padded_preserves_block():
-    a = Matrix.exact([[1, 2], [3, 4]])
-    p = a.padded(4)
-    assert p.shape == (4, 4)
-    assert p.submatrix([0, 1]).equals(a)
-    assert p.entry(3, 3) == (0, 0)
 
 
 def test_mixed_backend_coerces_to_float():
