@@ -11,9 +11,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from fractions import Fraction
-
-import numpy as np
 
 from .matrices import (
     DEFAULT_TOL,
@@ -48,26 +45,15 @@ def required_ladder_length(m_max: int) -> int:
     return n if n % 2 == 1 else n + 1
 
 
-def _rectangular_identity_times(scalar, rows, cols):
-    grid = [[0] * cols for _ in range(rows)]
-    for i in range(min(rows, cols)):
-        grid[i][i] = 1
-    m = Matrix.exact(grid)
-    if isinstance(scalar, float):
-        return m.to_float() * scalar
-    return m * scalar
-
-
 def _as_coupling(raw, rows, cols, index):
     """Normalize a coupling to a rows x cols Matrix block."""
     if isinstance(raw, Matrix):
         block = raw
     elif isinstance(raw, (list, tuple)) and raw and isinstance(raw[0], (list, tuple)):
         block = Matrix.exact(raw)
-    elif isinstance(raw, (int, Fraction)) or isinstance(raw, numbers.Integral):
-        block = _rectangular_identity_times(raw, rows, cols)
-    elif isinstance(raw, float):
-        block = _rectangular_identity_times(raw, rows, cols)
+    elif isinstance(raw, numbers.Real):
+        # scalar times the rectangular identity, on the backend Matrix * raw reads
+        block = Matrix.identity(max(rows, cols)).submatrix(range(rows), range(cols)) * raw
     else:
         raise TypeError(f"coupling b_{2 * index} must be a scalar or a matrix, got {type(raw).__name__}")
     if block.shape != (rows, cols):
@@ -159,31 +145,19 @@ class Chain:
 
 
 def _build_idempotent(spec: ChainSpec, n: int) -> Matrix:
+    """The projection onto H_n, plus for even n the coupling b_n in the rows
+    of the gap below H_n and the columns of the gap above it, placed by the
+    selector product rows @ b_n @ cols (submatrices of the identity)."""
     dim = spec.truncation_dim
-    exact = spec.backend == "exact"
-    if n % 2 == 1:
-        rank = spec.dims[n - 1]
-        values = [1] * rank + [0] * (dim - rank)
-        return Matrix.diag(values, backend="exact" if exact else "float")
-    k = n // 2
-    block = spec.couplings[k - 1]
     rank = spec.dims[n - 1]
-    row_lo, row_hi = spec.dims[n - 2], spec.dims[n - 1]
-    col_lo = spec.dims[n - 1]
-    if exact:
-        grid = [[(0, 0)] * dim for _ in range(dim)]
-        for i in range(rank):
-            grid[i][i] = (1, 0)
-        for i in range(row_hi - row_lo):
-            for j in range(block.cols):
-                grid[row_lo + i][col_lo + j] = block.entry(i, j)
-        return Matrix.exact(grid)
-    arr = block.numpy()
-    full = np.zeros((dim, dim), dtype=complex)
-    for i in range(rank):
-        full[i, i] = 1.0
-    full[row_lo:row_hi, col_lo : col_lo + block.cols] = arr
-    return Matrix.from_float(full)
+    projection = Matrix.diag([1] * rank + [0] * (dim - rank), spec.backend)
+    if n % 2 == 1:
+        return projection
+    block = spec.couplings[n // 2 - 1]
+    ident = Matrix.identity(dim, spec.backend)
+    rows = ident.submatrix(range(dim), range(spec.dims[n - 2], rank))
+    cols = ident.submatrix(range(rank, rank + block.cols), range(dim))
+    return projection + rows @ block @ cols
 
 
 def build_chain(spec: ChainSpec) -> Chain:

@@ -84,6 +84,8 @@ class ExperimentConfig:
         tol = self.tol
         if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol <= sys.float_info.max:
             raise ConfigError(f"tol must be a finite nonnegative real, got {tol!r}")
+        # a config file may give an int; the echo in the report is a float either way
+        self.tol = float(tol)
         if self.trace_scheme not in ("geometric", "uniform"):
             raise ConfigError(f"trace_scheme must be geometric or uniform, got {self.trace_scheme!r}")
         if self.format not in ("json", "csv", "both"):

@@ -413,14 +413,12 @@ def certify_mbad(
                 top = j + 1
         # every chain idempotent has zero diagonal beyond its ladder rank,
         # so the last diagonal entry reads off the identity coefficient
+        # (an exact (re, im) pair or a complex); the nonzero test is exact
+        # for exact elements
         corner = a.entry(dim - 1, dim - 1)
-        if a.is_exact:
-            has_id = corner != (0, 0)
-            id_coeff = complex(float(corner[0]), float(corner[1]))
-        else:
-            has_id = corner != 0
-            id_coeff = corner
-        a_alg = a - ident * (corner if a.is_exact else id_coeff) if has_id else a
+        has_id = any(corner) if a.is_exact else corner != 0
+        id_coeff = complex(float(corner[0]), float(corner[1])) if a.is_exact else corner
+        a_alg = a - ident * corner if has_id else a
 
         final_image = a @ pis[-1]
         final_gap = final_image.max_abs_diff(a)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -26,6 +25,7 @@ from .matrices import (
     CertificationError,
     Matrix,
     op_norm,
+    read_scalar,
     schatten1_norm,
 )
 
@@ -233,30 +233,11 @@ class EmbeddedElement:
         return self.blocks[self.family.subsets.index(key)]
 
 
-def _rational_like(v):
-    if isinstance(v, (int, Fraction)):
-        return Fraction(v)
-    if isinstance(v, numbers.Integral):
-        return Fraction(int(v))
-    return None
-
-
-def _exact_coeff_pairs(a):
-    pairs = []
-    for v in a:
-        if isinstance(v, (tuple, list)) and len(v) == 2:
-            re, im = _rational_like(v[0]), _rational_like(v[1])
-        else:
-            re, im = _rational_like(v), Fraction(0)
-        if re is None or im is None:
-            return None
-        pairs.append((re, im))
-    return pairs
-
-
-def _check_support(a, n_max):
-    for j, v in enumerate(a, start=1):
-        nonzero = v != 0 if not isinstance(v, (tuple, list)) else (v[0] != 0 or v[1] != 0)
+def _check_support(read, n_max):
+    """``read`` holds (kind, value) pairs from :func:`read_scalar`; exact
+    values are tested for zero exactly."""
+    for j, (kind, val) in enumerate(read, start=1):
+        nonzero = any(val) if kind == "exact" else val != 0
         if nonzero and j > n_max:
             raise ValueError(f"support index {j} outside 1..{n_max}")
 
@@ -282,16 +263,15 @@ def _blocks(coeffs, family, backend):
 
 
 def phi(a: Sequence, subsets: SubsetFamily) -> EmbeddedElement:
-    """Embed the sequence a as its per-subset blocks.  Rational inputs
-    (ints, Fractions, (re, im) pairs) produce exact blocks; float or
-    complex coefficients produce float blocks."""
+    """Embed the sequence a as its per-subset blocks.  Each coefficient is
+    read by :func:`opalg.matrices.read_scalar`: when every one is exact
+    (ints, Fractions, (re, im) pairs) the blocks are exact; one float or
+    complex coefficient makes them all float."""
     a = list(a)
-    _check_support(a, subsets.n_max)
-    pairs = _exact_coeff_pairs(a)
-    if pairs is not None:
-        blocks = _blocks(pairs, subsets, "exact")
-    else:
-        blocks = _blocks([complex(v) for v in a], subsets, "float")
+    read = [read_scalar(v) for v in a]
+    _check_support(read, subsets.n_max)
+    backend = "exact" if all(kind == "exact" for kind, _ in read) else "float"
+    blocks = _blocks([val for _, val in read], subsets, backend)
     return EmbeddedElement(coeffs=tuple(a), family=subsets, blocks=tuple(blocks))
 
 
@@ -304,8 +284,8 @@ def phi_sup_norm(e: EmbeddedElement) -> float:
 
 def _support(a):
     out = []
-    for j, v in enumerate(a, start=1):
-        z = complex(float(v[0]), float(v[1])) if isinstance(v, (tuple, list)) else complex(v)
+    for j, (kind, val) in enumerate(map(read_scalar, a), start=1):
+        z = val if kind == "float" else complex(float(val[0]), float(val[1]))
         if z != 0:
             out.append((j, z))
     return out
@@ -376,7 +356,7 @@ def unit_circle_sweep_ratios(sizes: Sequence[int]) -> list[tuple[int, float, flo
     out = []
     for n in sizes:
         a = [cmath.exp(2j * math.pi * j / n) for j in range(n)]
-        _, val = best_subset_sum(a, cross_check=n <= 16)
+        _, val = best_subset_sum(a)
         out.append((n, val, val / n))
     return out
 

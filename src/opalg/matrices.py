@@ -10,7 +10,13 @@ metric quantities (operator norm, Schatten-1 norm).  Every operation
 returns a new value; matrices are immutable and safe to share across
 threads.
 
-The comparison policy lives here: :func:`agree` and :func:`vanishes`
+The scalar policy lives here, in :func:`read_scalar`: ints, Fractions
+and (re, im) pairs of them are exact; floats and complex numbers are
+float.  Scalar multiplication reads its scalar through it, and so do
+``chains`` (couplings) and ``embedding`` (coefficients), so a scalar has
+the same backend wherever it enters.
+
+The comparison policy lives here too: :func:`agree` and :func:`vanishes`
 compare exact operands with zero tolerance whatever slack they are
 given, and float or mixed operands within a plain float tolerance
 (``DEFAULT_TOL``; 0.0 means no slack).
@@ -28,6 +34,7 @@ __all__ = [
     "DimensionError",
     "Matrix",
     "DEFAULT_TOL",
+    "read_scalar",
     "agree",
     "vanishes",
     "is_idempotent",
@@ -72,8 +79,11 @@ def _entry_pair(value):
     return _as_rational(value), 0
 
 
-def _classify_scalar(scalar):
-    """Return ("exact", (re, im)) or ("float", complex)."""
+def read_scalar(scalar):
+    """The scalar policy: ("exact", (re, im)) with int or Fraction parts for
+    ints, Fractions and (re, im) pairs (pair parts are read like matrix
+    entries, so a float part is taken at its exact binary value);
+    ("float", complex) for floats and complex numbers."""
     if isinstance(scalar, (tuple, list)) and len(scalar) == 2:
         return "exact", (_as_rational(scalar[0]), _as_rational(scalar[1]))
     if isinstance(scalar, bool) or isinstance(scalar, numbers.Integral):
@@ -85,6 +95,11 @@ def _classify_scalar(scalar):
     if isinstance(scalar, numbers.Complex):
         return "float", complex(scalar)
     raise TypeError(f"unsupported scalar {scalar!r}")
+
+
+def _as_complex(kind, val):
+    """A value returned by :func:`read_scalar` as a Python complex."""
+    return val if kind == "float" else complex(float(val[0]), float(val[1]))
 
 
 def _freeze(arr):
@@ -188,20 +203,21 @@ class Matrix:
 
     @classmethod
     def identity(cls, n, backend="exact"):
-        if backend == "exact":
-            return cls.diag([1] * n)
-        return cls._wrap_float(np.eye(n, dtype=complex))
+        return cls.diag([1] * n, backend)
 
     @classmethod
     def diag(cls, values, backend="exact"):
+        """Square matrix with ``values`` on the diagonal.  Exact: the values
+        are parsed once as one row (entries as in :meth:`exact`), whose
+        numerators go on the diagonal over the row's denominator.  Float:
+        each value is read by :func:`read_scalar`."""
         values = list(values)
-        n = len(values)
         if backend == "exact":
-            return cls.exact([[v if i == j else 0 for j in range(n)] for i, v in enumerate(values)])
-        arr = np.zeros((n, n), dtype=complex)
-        for i, v in enumerate(values):
-            arr[i, i] = complex(v)
-        return cls._wrap_float(arr)
+            row = cls.exact([values])
+            im = None if row._im is None else np.diag(row._im[0])
+            return cls._wrap_exact(np.diag(row._re[0]), im, row._den)
+        row = np.array([_as_complex(*read_scalar(v)) for v in values], dtype=complex)
+        return cls._wrap_float(np.diag(row))
 
     @classmethod
     def from_rational_strings(cls, rows, backend="exact"):
@@ -373,10 +389,9 @@ class Matrix:
         return Matrix._wrap_exact(-self._re, None if self._im is None else -self._im, self._den)
 
     def __mul__(self, scalar):
-        kind, val = _classify_scalar(scalar)
+        kind, val = read_scalar(scalar)
         if not self.is_exact or kind == "float":
-            z = complex(val) if kind == "float" else complex(float(val[0]), float(val[1]))
-            return Matrix._wrap_float(self.to_float()._arr * z)
+            return Matrix._wrap_float(self.to_float()._arr * _as_complex(kind, val))
         p, q = val
         den = lcm(p.denominator, q.denominator)
         q_num = q.numerator * (den // q.denominator)
@@ -386,10 +401,9 @@ class Matrix:
 
     def __truediv__(self, scalar):
         """Division by a nonzero scalar."""
-        kind, val = _classify_scalar(scalar)
+        kind, val = read_scalar(scalar)
         if kind == "float" or not self.is_exact:
-            z = val if kind == "float" else complex(float(val[0]), float(val[1]))
-            return self * (1 / z)
+            return self * (1 / _as_complex(kind, val))
         p, q = val
         den = Fraction(p * p + q * q)
         return self * (p / den, -q / den)

@@ -2,6 +2,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -105,6 +106,11 @@ def test_operator_valued_coupling():
     profile = norm_profile(chain)
     assert profile[1].norm >= op_norm(block) - 1e-9
     assert profile[1].norm == pytest.approx(math.sqrt(1 + op_norm(block) ** 2), abs=1e-8)
+    # the same block on the float backend gives the exact chain's float image
+    float_chain = build_chain(ChainSpec(m_max=2, dims=(1, 3, 5), couplings=(block.to_float(),)))
+    assert float_chain.backend == "float"
+    for e_float, e_exact in zip(float_chain.idempotents, chain.idempotents):
+        assert np.array_equal(e_float.numpy(), e_exact.to_float().numpy())
 
 
 def test_scalar_coupling_on_wide_gaps_uses_rectangular_identity():
@@ -115,6 +121,10 @@ def test_scalar_coupling_on_wide_gaps_uses_rectangular_identity():
     assert e2.entry(3, 5) == (3, 0)
     assert e2.entry(2, 5) == (0, 0)
     assert verify_semilattice(chain).all_exact
+    float_chain = build_chain(ChainSpec(m_max=2, dims=(2, 4, 7), couplings=(3.0,)))
+    assert float_chain.backend == "float"
+    for e_float, e_exact in zip(float_chain.idempotents, chain.idempotents):
+        assert np.array_equal(e_float.numpy(), e_exact.to_float().numpy())
 
 
 def test_float_chain_flagged_approx():

@@ -153,6 +153,15 @@ def test_config_file_defaults_and_flag_override(tmp_path):
         build_config(["chain", "--config", str(cfg_file)])
 
 
+def test_config_file_and_flags_write_the_same_payload(tmp_path):
+    # an int tol from a config file is echoed as the float the flag gives
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"tol": 0, "m_max": 4}))
+    from_file = build_config(["chain", "--config", str(cfg_file)])
+    from_flags = build_config(["chain", "--tol", "0", "--m-max", "4"])
+    assert payload_json(run_experiment(from_file)) == payload_json(run_experiment(from_flags))
+
+
 def test_trace_scheme_controls_csv_column():
     geo = run_experiment(small_cfg(subcommand="embed", trials=5, trace_scheme="geometric"))
     uni = run_experiment(small_cfg(subcommand="embed", trials=5, trace_scheme="uniform"))
@@ -170,6 +179,8 @@ GOLDEN = Path(__file__).parent / "data"
         ("golden_all_small", ["all", "--m-max", "4", "--n-max", "4", "--f-cap", "8", "--s-max", "2",
                               "--trials", "2", "--r-max", "4"]),
         ("golden_generate_m8", ["generate", "--m-max", "8"]),
+        ("golden_all_couplings", ["all", "--m-max", "6", "--coupling-scheme", "list:1/3,1/2,5/4", "--n-max", "4",
+                                  "--f-cap", "8", "--s-max", "2", "--trials", "2", "--r-max", "4"]),
     ],
 )
 def test_report_payload_matches_golden(tmp_path, capsys, name, argv):

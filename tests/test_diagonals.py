@@ -293,6 +293,10 @@ def test_certify_mbad_handles_identity_component(chain6):
     assert abs(rec.identity_coeff - 2.0) <= 1e-9
     assert rec.commutator_upper == 0.0
     assert rec.unitized_ok
+    # an identity coefficient below float range is still one: the test is exact
+    for corner in (Fraction(1, 2**1100), (0, Fraction(-1, 2**1100))):
+        rec = certify_mbad(deltas[:2], chain6, [ident * corner]).records[0]
+        assert rec.identity_coeff == 0 and rec.identity_ok
 
 
 def test_certify_mbad_unitized_bound_tracks_tail(chain6):

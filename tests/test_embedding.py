@@ -156,6 +156,22 @@ def test_omega_entry_of_blocks_is_subset_sum():
         assert block.entry(1, 1) == (expected_re, expected_im)
 
 
+def test_phi_reads_coefficients_like_matrix_scalars():
+    # a pair is exact even with float parts (taken at their binary value);
+    # one float coefficient makes every block float
+    fam = SubsetFamily.enumerate(3, f_cap=7, s_max=3)
+    exact = phi([(0.5, 0.25)], fam)
+    assert all(block.is_exact for block in exact.blocks)
+    for subset, block in zip(fam.subsets, exact.blocks):
+        expected = (Fraction(1, 2), Fraction(1, 4)) if 1 in subset else (0, 0)
+        assert block.entry(1, 1) == expected
+    mixed = phi([(1, 2), 0.5], fam)
+    assert not any(block.is_exact for block in mixed.blocks)
+    for subset, block in zip(fam.subsets, mixed.blocks):
+        expected = sum(((1 + 2j), 0.5, 0)[j - 1] for j in subset)
+        assert block.entry(1, 1) == expected
+
+
 def test_best_subset_sum_all_positive():
     subset, value = best_subset_sum([1, 1, 1])
     assert subset == (1, 2, 3)

@@ -271,8 +271,22 @@ def ref_strings(a):
     return [[str(re) if im == 0 else f"{re},{im}" for re, im in row] for row in a]
 
 
-def ref_float_bytes(a):
-    return np.array([[complex(float(re), float(im)) for re, im in row] for row in a]).tobytes()
+def ref_float(a):
+    return np.array([[complex(float(re), float(im)) for re, im in row] for row in a])
+
+
+def ref_entry(v):
+    """An int, Fraction, (re, im) pair or complex as a (re, im) Fraction pair."""
+    if isinstance(v, tuple):
+        return (Fraction(v[0]), Fraction(v[1]))
+    if isinstance(v, complex):
+        return (Fraction(v.real), Fraction(v.imag))
+    return (Fraction(v), Fraction(0))
+
+
+def ref_diag(values):
+    zero = (Fraction(0), Fraction(0))
+    return [[ref_entry(v) if i == j else zero for j in range(len(values))] for i, v in enumerate(values)]
 
 
 # large coprime denominators (Mersenne primes) and entries whose numerator
@@ -351,7 +365,7 @@ def test_exact_readouts_match_oracle(a):
     m = Matrix.exact(a)
     assert m.to_rational_strings() == ref_strings(a)
     assert Matrix.from_rational_strings(m.to_rational_strings()).equals(m)
-    assert m.to_float().numpy().tobytes() == ref_float_bytes(a)
+    assert m.to_float().numpy().tobytes() == ref_float(a).tobytes()
     g = m.content()
     parts = [x for row in a for pair in row for x in pair]
     if all(x == 0 for x in parts):
@@ -363,3 +377,33 @@ def test_exact_readouts_match_oracle(a):
     mags = [abs(complex(float(re), float(im))) if (re, im) != (0, 0) else math.inf for row in a for re, im in row]
     expected = None if min(mags) == math.inf else divmod(mags.index(min(mags)), len(a[0]))
     assert (None if m.pivot() is None else tuple(int(x) for x in m.pivot())) == expected
+
+
+diag_value = st.one_of(
+    st.integers(-2**70, 2**70),
+    rational,
+    complex_q,
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(st.lists(diag_value, min_size=1, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_diag_matches_oracle(values):
+    # exact: complex values are taken at their binary value; float: the same
+    # values rounded once, as matrix scalars are
+    ref = ref_diag(values)
+    check_matches(Matrix.diag(values), ref)
+    m = Matrix.diag(values, "float")
+    assert not m.is_exact and np.array_equal(m.numpy(), ref_float(ref))
+
+
+def test_identity_and_empty_diag_match_reference():
+    for n in (1, 2, 5):
+        check_matches(Matrix.identity(n), ref_diag([1] * n))
+        m = Matrix.identity(n, "float")
+        assert not m.is_exact and m.numpy().tobytes() == ref_float(ref_diag([1] * n)).tobytes()
+    for backend in ("exact", "float"):
+        for empty in (Matrix.diag([], backend), Matrix.identity(0, backend)):
+            assert empty.backend == backend and empty.shape == (0, 0)
+            assert empty.equals(Matrix.zeros(0, backend=backend))
