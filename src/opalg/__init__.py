@@ -60,6 +60,7 @@ from .generation import (
     GenerationCertificate,
     WeightSeq,
     certify_generation,
+    is_orthogonal_family,
     orthogonal_generators,
     same_span,
     single_generator,
@@ -84,7 +85,7 @@ __all__ = [
     "DimensionError", "CertificationError", "TruncationError",
     "ChainSpec", "Chain", "build_chain", "verify_semilattice", "norm_profile",
     "SemilatticeReport", "NormEntry", "chain_to_json", "chain_from_json",
-    "WeightSeq", "GenerationCertificate", "orthogonal_generators",
+    "WeightSeq", "GenerationCertificate", "orthogonal_generators", "is_orthogonal_family",
     "single_generator", "certify_generation", "same_span",
     "TensorElem", "build_delta", "pi_map", "flatten", "bimodule_commutator",
     "tensor_norm_bounds", "tensor_norm_upper", "unitize_diagonal",

@@ -40,8 +40,8 @@ from .embedding import (
     certify_embedding_bounds,
     unit_circle_sweep_ratios,
 )
-from .generation import WeightSeq, certify_generation, orthogonal_generators, same_span
-from .matrices import DEFAULT_TOL, Matrix
+from .generation import WeightSeq, certify_generation, is_orthogonal_family, orthogonal_generators, same_span
+from .matrices import DEFAULT_TOL, Matrix, is_idempotent
 
 __all__ = ["ExperimentConfig", "CheckRecord", "StageResult", "RunReport",
            "run_experiment", "emit_report", "payload_json", "main", "console_main"]
@@ -211,7 +211,7 @@ def _stage_chain(cfg: ExperimentConfig) -> tuple[StageResult, dict]:
         "every chain element squares to itself",
         "exact",
         f"{chain.m_max} idempotents on dimension {chain.truncation_dim}",
-        True,
+        all(is_idempotent(e, cfg.tol) for e in chain.idempotents),
     )
     sem = verify_semilattice(chain, cfg.tol)
     stage.add(
@@ -254,7 +254,7 @@ def _stage_generate(cfg: ExperimentConfig) -> tuple[StageResult, dict]:
         "telescoping differences are pairwise-orthogonal idempotents",
         "exact",
         f"{len(gens)} generators",
-        True,
+        is_orthogonal_family(gens),
     )
     weights = _weights_for(gens, cfg.weight_scheme)
     cert = certify_generation(chain, weights, cfg.r_max, cfg.tol)

@@ -13,7 +13,9 @@ element.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -217,9 +219,29 @@ def _reduce(terms) -> list[tuple[Matrix, Matrix]]:
     return [(b, v) for b, v in kept if not negligible(b, v)]
 
 
+# exact legs whose entries lie within 2**(+-_SAFE_EXPONENT) of 1 convert to
+# float without overflow or underflow, and so does the product of two norms
+_SAFE_EXPONENT = 256
+
+
+def _leg_norm(m: Matrix) -> tuple[float, int]:
+    """(x, k) with ||m|| = x 2**k.  A leg with entries far from 1 is read as
+    op_norm(2**-k m), k = ``m.exponent()``, whose float conversion can
+    neither overflow nor underflow."""
+    k = m.exponent()
+    if abs(k) <= _SAFE_EXPONENT:
+        return op_norm(m), 0
+    return op_norm(m * (Fraction(1, 2**k) if k > 0 else 2**-k)), k
+
+
 def _upper(reduced) -> float:
-    """sum ||B|| ||V|| once dependent right legs are merged as well."""
-    return float(sum(op_norm(b) * op_norm(v) for v, b in _reduce((v, b) for b, v in reduced)))
+    """sum ||B|| ||V|| once dependent right legs are merged as well; each
+    product of leg norms is formed from their scaled readouts."""
+    total = 0.0
+    for v, b in _reduce((v, b) for b, v in reduced):
+        (x, i), (y, j) = _leg_norm(b), _leg_norm(v)
+        total += math.ldexp(x * y, i + j)
+    return total
 
 
 def _vanishes(terms, tol: float) -> bool:

@@ -7,14 +7,18 @@ of norm 3, with E_j E_k = 0 for j != k.  A finitely supported sequence a
 embeds as the family of blocks sum_{j in F} a_j E_j over finite index
 sets F, and the block sup norm is pinned between ||a||_1 / pi and
 3 ||a||_1; the lower bound rests on maximizing |sum_{j in F} a_j| over
-subsets, solved exactly by a half-plane sweep.
+subsets, solved exactly by a half-plane sweep.  Blocks are filled from
+their closed form (see ``_blocks``), and the blocks of one size share
+one array and one stacked SVD.
 """
 from __future__ import annotations
 
 import cmath
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -24,9 +28,10 @@ from .matrices import (
     DEFAULT_TOL,
     CertificationError,
     Matrix,
+    _as_complex,
     op_norm,
     read_scalar,
-    schatten1_norm,
+    singular_values,
 )
 
 __all__ = [
@@ -232,6 +237,13 @@ class EmbeddedElement:
         key = tuple(sorted(set(subset)))
         return self.blocks[self.family.subsets.index(key)]
 
+    @cached_property
+    def _spectra(self) -> list[np.ndarray]:
+        """Singular values of every block, in block order, from one stacked
+        SVD per block shape; computed once per element."""
+        blocks = self.blocks
+        return _grouped([b.shape for b in blocks], lambda pos: singular_values([blocks[p] for p in pos]))
+
 
 def _check_support(read, n_max):
     """``read`` holds (kind, value) pairs from :func:`read_scalar`; exact
@@ -242,24 +254,62 @@ def _check_support(read, n_max):
             raise ValueError(f"support index {j} outside 1..{n_max}")
 
 
-def _blocks(coeffs, family, backend):
-    """block_F = Y_F diag(a_F) X_F^* for every F in the family, where the
-    columns of X and Y are the vectors x_n and y_n, and _F keeps the rows
-    F u {alpha, omega} and the columns F; missing coefficients are zero."""
-    n_max = family.n_max
-    vectors = [_xy_components(n, n_max + 2) for n in range(1, n_max + 1)]
-    xs = Matrix.exact(zip(*(x for x, _ in vectors)))
-    ys = Matrix.exact(zip(*(y for _, y in vectors)))
-    if backend == "float":
-        xs, ys = xs.to_float(), ys.to_float()
-    a = list(coeffs[:n_max]) + [0] * (n_max - len(coeffs))
-    blocks = []
-    for subset in family.subsets:
-        pos = [_ALPHA, _OMEGA] + [_coordinate(j) for j in subset]
-        cols = [j - 1 for j in subset]
-        d = Matrix.diag([a[k] for k in cols], backend)
-        blocks.append(ys.submatrix(pos, cols) @ d @ xs.submatrix(pos, cols).adjoint())
-    return blocks
+def _grouped(keys, batch):
+    """Call ``batch(positions)`` once per distinct key, on the positions
+    that hold it, and return its results in position order."""
+    groups = defaultdict(list)
+    for pos, key in enumerate(keys):
+        groups[key].append(pos)
+    out = [None] * len(keys)
+    for positions in groups.values():
+        for pos, result in zip(positions, batch(positions)):
+            out[pos] = result
+    return out
+
+
+def _fill(values, idx):
+    """The closed-form blocks for the subsets in ``idx`` (one row of
+    0-based coefficient indices per subset, all of one size k), as one
+    (m, k + 2, k + 2) array over the dtype of ``values``."""
+    a = values[idx]
+    s = np.cumsum(a, axis=1)[:, -1:]  # s_F, summed in index order
+    m, k = idx.shape
+    out = np.zeros((m, k + 2, k + 2), dtype=values.dtype)
+    out[:, _ALPHA, :2], out[:, _ALPHA, 2:] = -s, -a
+    out[:, _OMEGA, :2], out[:, _OMEGA, 2:] = s, a
+    rows = np.arange(2, k + 2)
+    out[:, rows, _ALPHA] = out[:, rows, _OMEGA] = out[:, rows, rows] = a
+    return out
+
+
+def _blocks(read, family, backend):
+    """block_F = sum_{j in F} a_j E_j on the coordinates (alpha, omega, F)
+    for every F in the family, from its closed form: with s_F the sum of
+    a_j over F, row alpha is (-s_F, -s_F, -a_F), row omega is
+    (s_F, s_F, a_F), and the row of j in F holds a_j in the columns alpha,
+    omega and j; missing coefficients are zero.  The coefficients, as
+    :func:`read_scalar` returns them, are parsed once: integer numerators
+    over one shared denominator when exact, one complex vector when
+    float."""
+    subsets = family.subsets
+    read = read[: family.n_max]
+    pad = [0] * (family.n_max - len(read))
+    if backend == "exact":
+        den = math.lcm(*(x.denominator for _, pair in read for x in pair))
+        re, im = (
+            np.array([pair[k].numerator * (den // pair[k].denominator) for _, pair in read] + pad, dtype=object)
+            for k in (0, 1)
+        )
+
+        def make(idx):
+            return [Matrix.from_numerators(r, i, den) for r, i in zip(_fill(re, idx), _fill(im, idx))]
+    else:
+        values = np.array([_as_complex(*r) for r in read] + pad, dtype=complex)
+
+        def make(idx):
+            return [Matrix.from_float(b) for b in _fill(values, idx)]
+
+    return _grouped([len(f) for f in subsets], lambda pos: make(np.array([subsets[p] for p in pos]) - 1))
 
 
 def phi(a: Sequence, subsets: SubsetFamily) -> EmbeddedElement:
@@ -271,7 +321,7 @@ def phi(a: Sequence, subsets: SubsetFamily) -> EmbeddedElement:
     read = [read_scalar(v) for v in a]
     _check_support(read, subsets.n_max)
     backend = "exact" if all(kind == "exact" for kind, _ in read) else "float"
-    blocks = _blocks([val for _, val in read], subsets, backend)
+    blocks = _blocks(read, subsets, backend)
     return EmbeddedElement(coeffs=tuple(a), family=subsets, blocks=tuple(blocks))
 
 
@@ -279,13 +329,13 @@ def phi_sup_norm(e: EmbeddedElement) -> float:
     """Largest operator norm over the enumerated blocks."""
     if not e.blocks:
         raise ValueError("embedded element has no blocks")
-    return max(op_norm(b) for b in e.blocks)
+    return max(float(s[0]) for s in e._spectra)
 
 
 def _support(a):
     out = []
     for j, (kind, val) in enumerate(map(read_scalar, a), start=1):
-        z = val if kind == "float" else complex(float(val[0]), float(val[1]))
+        z = _as_complex(kind, val)
         if z != 0:
             out.append((j, z))
     return out
@@ -398,8 +448,8 @@ def l1_trace_norm(e: EmbeddedElement, w: TraceWeights) -> float:
     if w.family.subsets != e.family.subsets:
         raise ValueError("trace weights were built for a different subset family")
     total = 0.0
-    for subset, weight, block in zip(e.family.subsets, w.weights, e.blocks):
-        total += float(weight) / (len(subset) + 2) * schatten1_norm(block)
+    for subset, weight, s in zip(e.family.subsets, w.weights, e._spectra):
+        total += float(weight) / (len(subset) + 2) * float(s.sum())
     return total
 
 
@@ -479,6 +529,7 @@ def certify_embedding_bounds(
     lower_ok = upper_ok = trace_ok = trace_le_sup_ok = True
     min_ratio, max_ratio = math.inf, -math.inf
     max_trace_to_inf = 0.0
+    traces = {}  # (subsets, scheme) -> TraceWeights, built once per family
     named_ratio = {}
     rows = []
     items = list(named.items()) + [(str(i), a) for i, a in enumerate(random_trials)]
@@ -497,7 +548,10 @@ def certify_embedding_bounds(
         min_ratio, max_ratio = min(min_ratio, ratio), max(max_ratio, ratio)
         trace_row = 0.0
         for scheme in ("geometric", "uniform"):
-            tn = l1_trace_norm(emb, make_trace(fam, scheme))
+            key = (fam.subsets, scheme)
+            if key not in traces:
+                traces[key] = make_trace(fam, scheme)
+            tn = l1_trace_norm(emb, traces[key])
             if scheme == csv_scheme:
                 trace_row = tn
             max_trace_to_inf = max(max_trace_to_inf, tn / linf)

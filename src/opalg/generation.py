@@ -31,6 +31,7 @@ __all__ = [
     "GenerationRecord",
     "GenerationCertificate",
     "orthogonal_generators",
+    "is_orthogonal_family",
     "single_generator",
     "certify_generation",
     "same_span",
@@ -89,31 +90,27 @@ def orthogonal_generators(chain: Chain) -> tuple[Matrix, ...]:
     """Telescoping differences of the chain: g_1 = e_1, g_j = e_j - e_{j-1}.
 
     These are pairwise-orthogonal idempotents spanning the same algebra;
-    orthogonality is verified exactly on exact chains.
+    :func:`is_orthogonal_family` measures that, and every consumer in this
+    module checks it before use.
     """
     mats = chain.idempotents
-    gens = [mats[0]] + [mats[j] - mats[j - 1] for j in range(1, len(mats))]
-    _check_orthogonal_family(gens)
-    return tuple(gens)
+    return tuple([mats[0]] + [mats[j] - mats[j - 1] for j in range(1, len(mats))])
 
 
-def _check_orthogonal_family(gens):
-    for i, g in enumerate(gens):
-        if not is_idempotent(g):
-            raise CertificationError(f"generator {i + 1} is not idempotent")
-    for i in range(len(gens)):
-        for j in range(len(gens)):
-            if i != j and not vanishes(gens[i] @ gens[j], DEFAULT_TOL):
-                raise CertificationError(f"generators {i + 1} and {j + 1} are not orthogonal")
+def is_orthogonal_family(gens: Sequence[Matrix]) -> bool:
+    """Whether every g is idempotent and g_i g_j vanishes for i != j, in
+    the sense of :func:`opalg.matrices.agree` (exactly on exact input)."""
+    return all(is_idempotent(g) for g in gens) and all(
+        vanishes(gens[i] @ gens[j], DEFAULT_TOL) for i in range(len(gens)) for j in range(len(gens)) if i != j
+    )
 
 
 def _resolve_generators(source: GeneratorSource) -> tuple[Matrix, ...]:
-    if isinstance(source, Chain):
-        return orthogonal_generators(source)
-    gens = tuple(source)
+    gens = orthogonal_generators(source) if isinstance(source, Chain) else tuple(source)
     if not gens:
         raise ValueError("no generators supplied")
-    _check_orthogonal_family(gens)
+    if not is_orthogonal_family(gens):
+        raise CertificationError("generators are not pairwise-orthogonal idempotents")
     return gens
 
 

@@ -187,6 +187,17 @@ class Matrix:
         return cls._wrap_exact(parts[0], parts[1], den)
 
     @classmethod
+    def from_numerators(cls, re, im, den):
+        """Exact matrix (re + i im) / den from 2-d integer arrays ``re`` and
+        ``im`` (``im`` None when zero), copied, and a positive integer
+        ``den``, brought to lowest terms."""
+        if den < 1:
+            raise ValueError(f"denominator must be positive, got {den}")
+        if np.ndim(re) != 2 or (im is not None and np.shape(im) != np.shape(re)):
+            raise DimensionError("numerators must be 2-d arrays of one shape")
+        return cls._wrap_exact(np.array(re, dtype=object), None if im is None else np.array(im, dtype=object), den)
+
+    @classmethod
     def from_float(cls, data):
         """Float matrix from an array-like of real/complex numbers."""
         arr = np.array(data, dtype=complex)
@@ -326,6 +337,15 @@ class Matrix:
     def max_abs_diff(self, other):
         return (self - other).max_abs()
 
+    def exponent(self):
+        """Exact: k = (bit length of the largest numerator) - (bit length of
+        the denominator), so the largest entry modulus of 2**-k self lies
+        between 1/2 and 3; 0 for the zero matrix.  Float: 0."""
+        if not self.is_exact:
+            return 0
+        big = max(np.abs(part).max(initial=0) for part in (self._re, self._im) if part is not None)
+        return int(big).bit_length() - self._den.bit_length() if big else 0
+
     def content(self):
         """Exact: the gcd g of all real and imaginary parts, a Fraction, so
         self / g has coprime integer entries; 0 for the zero matrix.
@@ -337,16 +357,19 @@ class Matrix:
     def pivot(self):
         """Index (i, j) of an elimination pivot, None for a zero matrix: the
         nonzero entry of least modulus when exact (a unit entry keeps
-        integer rows integer), of largest modulus when float."""
-        mags = np.abs(self.to_float()._arr)
+        integer rows integer), compared exactly as re^2 + im^2 of the
+        numerators over the shared denominator; of largest modulus when
+        float."""
         if not self.is_exact:
+            mags = np.abs(self._arr)
             return np.unravel_index(int(np.argmax(mags)), self.shape) if mags.any() else None
-        nonzero = self._re != 0
+        mags = self._re * self._re
         if self._im is not None:
-            nonzero |= self._im != 0
-        if not nonzero.any():
+            mags = mags + self._im * self._im
+        nonzero = np.flatnonzero(mags)
+        if not nonzero.size:
             return None
-        return np.unravel_index(int(np.argmin(np.where(nonzero, mags, np.inf))), self.shape)
+        return np.unravel_index(int(nonzero[np.argmin(mags.flat[nonzero])]), self.shape)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -462,10 +485,16 @@ def _require_nonempty(m):
         raise DimensionError("matrix is empty")
 
 
-def singular_values(m: Matrix) -> np.ndarray:
-    """Singular values in decreasing order."""
-    _require_nonempty(m)
-    return np.linalg.svd(m.to_float()._arr, compute_uv=False)
+def singular_values(m: Matrix | list[Matrix]) -> np.ndarray:
+    """Singular values in decreasing order.  A list of matrices of one
+    shape gets one stacked SVD, with row i holding the values of the i-th;
+    each row equals what the matrix alone gives."""
+    if isinstance(m, Matrix):
+        _require_nonempty(m)
+        return np.linalg.svd(m.to_float()._arr, compute_uv=False)
+    for b in m:
+        _require_nonempty(b)
+    return np.linalg.svd(np.stack([b.to_float()._arr for b in m]), compute_uv=False)
 
 
 def op_norm(m: Matrix) -> float:

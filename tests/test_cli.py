@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from opalg.chains import Chain, build_chain
 from opalg.cli import (
     ConfigError,
     ExperimentConfig,
@@ -119,6 +120,25 @@ def test_stage_failure_recorded_not_raised(monkeypatch):
     checks = report.stages[0].checks
     assert len(checks) == 1 and not checks[0].passed
     assert "chain construction failed" in checks[0].observed
+
+
+def test_measured_checks_fail_on_bad_input(monkeypatch):
+    # chain-idempotency and generator-orthogonality are measured: bad input
+    # fails the check itself while every other check of the stage still runs
+    def doubled_first(spec):
+        chain = build_chain(spec)
+        return Chain(spec, (chain.idempotents[0] * 2,) + chain.idempotents[1:], chain.truncation_dim)
+
+    monkeypatch.setattr("opalg.cli.build_chain", doubled_first)
+    checks = {c.name: c for c in run_experiment(small_cfg(subcommand="chain", m_max=4)).stages[0].checks}
+    assert len(checks) == 4 and not checks["chain-idempotency"].passed
+    assert checks["chain-idempotency"].observed == "4 idempotents on dimension 5"
+    monkeypatch.undo()
+
+    monkeypatch.setattr("opalg.cli.orthogonal_generators", lambda chain: chain.idempotents)
+    checks = {c.name: c for c in run_experiment(small_cfg(subcommand="generate", m_max=4)).stages[0].checks}
+    assert len(checks) == 4 and not checks["generator-orthogonality"].passed
+    assert checks["generation-geometric-bound"].passed
 
 
 def test_main_exit_codes(tmp_path, capsys, monkeypatch):

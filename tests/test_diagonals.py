@@ -433,3 +433,18 @@ def test_diagonal_identities_on_random_rational_chains(m_max, data):
         assert pi_map(delta).equals(chain.e(n))
         for m in range(1, m_max + 1):
             assert bimodule_commutator(chain.e(m), delta).flatten().is_zero()
+
+
+def test_certify_mbad_mixed_scale_exact_element(chain6):
+    # i 2**-1100 1 + e_5: dividing a leg by its content leaves entries near
+    # 2**1100, past float range; pivots and leg norms must not go through
+    # a float conversion of them
+    dim = chain6.truncation_dim
+    x = Matrix.identity(dim) * (0, Fraction(1, 2**1100)) + chain6.e(5)
+    report = certify_mbad([build_delta(chain6, n) for n in (1, 2)], chain6, [x])
+    rec = report.records[0]
+    assert rec.in_span and rec.commutator_upper == 0.0
+    assert math.isfinite(rec.unitized_upper) and rec.unitized_ok
+    assert tensor_norm_bounds(TensorElem.of([(x, x)], dim=dim)) == pytest.approx((1.0, 1.0), rel=1e-12)
+    wide = chain6.e(5) * 2**900 + Matrix.identity(dim) * Fraction(1, 2**1100)
+    assert tensor_norm_upper(TensorElem.of([(wide, chain6.e(1))], dim=dim)) == pytest.approx(2.0**900, rel=1e-12)

@@ -24,6 +24,7 @@ from opalg import (
     schatten1_norm,
     unit_circle_sweep_ratios,
 )
+from opalg.matrices import read_scalar
 
 INV_PI = 1.0 / math.pi
 
@@ -322,3 +323,74 @@ def test_phi_accepts_trailing_zeros_beyond_range():
     emb_exact = phi([Fraction(1, 2), Fraction(1, 4), 0, 0], fam)
     for a, b in zip(emb_float.blocks, emb_exact.blocks):
         assert a.max_abs_diff(b) <= 1e-15
+
+
+def product_form_blocks(a, family):
+    """Reference blocks Y_F diag(a_F) X_F^*: the columns of X and Y are the
+    vectors x_n = e_alpha + e_omega + e_n and y_n = -e_alpha + e_omega + e_n,
+    and _F keeps the rows (alpha, omega, F) and the columns F."""
+    n_max = family.n_max
+    read = [read_scalar(v) for v in a]
+    backend = "exact" if all(kind == "exact" for kind, _ in read) else "float"
+    xs = Matrix.exact([[1] * n_max, [1] * n_max] + [[int(i == j) for j in range(n_max)] for i in range(n_max)])
+    ys = Matrix.exact([[-1] * n_max, [1] * n_max] + [[int(i == j) for j in range(n_max)] for i in range(n_max)])
+    vals = [val for _, val in read][:n_max] + [0] * (n_max - len(read))
+    blocks = []
+    for subset in family.subsets:
+        pos, cols = [0, 1] + [j + 1 for j in subset], [j - 1 for j in subset]
+        d = Matrix.diag([vals[k] for k in cols], backend)
+        blocks.append(ys.submatrix(pos, cols) @ d @ xs.submatrix(pos, cols).adjoint())
+    return blocks
+
+
+@st.composite
+def families(draw, max_n=6):
+    n_max = draw(st.integers(1, max_n))
+    subsets = draw(st.lists(st.frozensets(st.integers(1, n_max), min_size=1), min_size=1, max_size=12, unique=True))
+    return SubsetFamily(n_max=n_max, s_max=n_max, f_cap=len(subsets), subsets=tuple(tuple(f) for f in subsets))
+
+
+small_fraction = st.fractions(min_value=-8, max_value=8, max_denominator=1000)
+exact_coeff = st.one_of(st.integers(-50, 50), small_fraction, st.tuples(small_fraction, small_fraction))
+float_coeff = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@given(families(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_exact_blocks_match_product_form(family, data):
+    a = data.draw(st.lists(exact_coeff, max_size=family.n_max))
+    emb = phi(a, family)
+    for block, ref in zip(emb.blocks, product_form_blocks(a, family), strict=True):
+        assert block.is_exact and block.equals(ref)
+
+
+@given(families(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_float_blocks_match_product_form(family, data):
+    # at least one float or complex coefficient, mixed with exact ones
+    a = data.draw(st.lists(st.one_of(exact_coeff, float_coeff), max_size=family.n_max - 1))
+    a.insert(data.draw(st.integers(0, len(a))), data.draw(float_coeff))
+    emb = phi(a, family)
+    for block, ref in zip(emb.blocks, product_form_blocks(a, family), strict=True):
+        assert not block.is_exact
+        assert block.max_abs_diff(ref) <= 1e-15 * ref.max_abs()
+
+
+def test_stacked_spectra_match_per_block_norms():
+    fam = SubsetFamily.enumerate(10, 512, 8).augmented([tuple(range(1, 11))])
+    rng = np.random.default_rng(11)
+    for a in (
+        list(rng.uniform(-1, 1, 10) + 1j * rng.uniform(-1, 1, 10)),
+        [(Fraction(int(p), 16), Fraction(int(q), 16)) for p, q in rng.integers(-32, 33, (10, 2))],
+    ):
+        emb = phi(a, fam)
+        assert phi_sup_norm(emb) == max(op_norm(b) for b in emb.blocks)
+        for scheme in ("geometric", "uniform"):
+            w = make_trace(fam, scheme)
+            expected = 0.0
+            for subset, weight, block in zip(fam.subsets, w.weights, emb.blocks):
+                expected += float(weight) / (len(subset) + 2) * schatten1_norm(block)
+            assert l1_trace_norm(emb, w) == expected

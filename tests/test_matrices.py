@@ -374,9 +374,27 @@ def test_exact_readouts_match_oracle(a):
         quotients = [x / g for x in parts]
         assert g > 0 and all(q.denominator == 1 for q in quotients)
         assert math.gcd(*(q.numerator for q in quotients)) == 1
-    mags = [abs(complex(float(re), float(im))) if (re, im) != (0, 0) else math.inf for row in a for re, im in row]
-    expected = None if min(mags) == math.inf else divmod(mags.index(min(mags)), len(a[0]))
+    # the pivot is the first nonzero entry of least exact modulus, even where
+    # moduli underflow or overflow as floats
+    mags = [Fraction(re) ** 2 + Fraction(im) ** 2 for row in a for re, im in row]
+    nonzero = [k for k, mag in enumerate(mags) if mag]
+    expected = divmod(min(nonzero, key=mags.__getitem__), len(a[0])) if nonzero else None
     assert (None if m.pivot() is None else tuple(int(x) for x in m.pivot())) == expected
+    top = max(max(abs(Fraction(re)), abs(Fraction(im))) for row in a for re, im in row)
+    k = m.exponent()
+    assert k == 0 if top == 0 else Fraction(2) ** (k - 1) < top < Fraction(2) ** (k + 1)
+
+
+def test_from_numerators_reduces_to_lowest_terms():
+    re = np.array([[2, 4], [6, 0]], dtype=object)
+    im = np.array([[0, 2], [0, 0]], dtype=object)
+    m = Matrix.from_numerators(re, im, 4)
+    assert m.equals(Matrix.exact([[Fraction(1, 2), (1, Fraction(1, 2))], [Fraction(3, 2), 0]]))
+    assert Matrix.from_numerators(re, np.zeros((2, 2), dtype=object), 2).equals(Matrix.exact([[1, 2], [3, 0]]))
+    with pytest.raises(ValueError, match="positive"):
+        Matrix.from_numerators(re, None, 0)
+    with pytest.raises(DimensionError):
+        Matrix.from_numerators(re, im[0], 4)
 
 
 diag_value = st.one_of(
