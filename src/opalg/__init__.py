@@ -17,8 +17,6 @@ from .chains import (
     SemilatticeReport,
     TruncationError,
     build_chain,
-    chain_from_json,
-    chain_to_json,
     norm_profile,
     verify_semilattice,
 )
@@ -84,7 +82,7 @@ __all__ = [
     "op_norm", "schatten1_norm", "singular_values", "is_idempotent",
     "DimensionError", "CertificationError", "TruncationError",
     "ChainSpec", "Chain", "build_chain", "verify_semilattice", "norm_profile",
-    "SemilatticeReport", "NormEntry", "chain_to_json", "chain_from_json",
+    "SemilatticeReport", "NormEntry",
     "WeightSeq", "GenerationCertificate", "orthogonal_generators", "is_orthogonal_family",
     "single_generator", "certify_generation", "same_span",
     "TensorElem", "build_delta", "pi_map", "flatten", "bimodule_commutator",

@@ -30,8 +30,6 @@ __all__ = [
     "SemilatticeReport",
     "norm_profile",
     "NormEntry",
-    "chain_to_json",
-    "chain_from_json",
 ]
 
 
@@ -233,30 +231,3 @@ def norm_profile(chain: Chain, tol: float = DEFAULT_TOL) -> tuple[NormEntry, ...
         out.append(NormEntry(index=n, norm=norm, lower=lower, predicted=predicted, ok=ok))
     return tuple(out)
 
-
-def chain_to_json(chain: Chain) -> dict:
-    """JSON document with dense entries as rational strings."""
-    return {
-        "schema": "opalg.chain/1",
-        "m_max": chain.m_max,
-        "dims": list(chain.spec.dims),
-        "backend": chain.backend,
-        "truncation_dim": chain.truncation_dim,
-        "couplings": [b.to_rational_strings() for b in chain.spec.couplings],
-        "idempotents": [m.to_rational_strings() for m in chain.idempotents],
-    }
-
-
-def chain_from_json(doc: dict) -> Chain:
-    """Rebuild a chain from :func:`chain_to_json` output and re-verify it."""
-    if doc.get("schema") != "opalg.chain/1":
-        raise ValueError(f"unrecognized chain document schema {doc.get('schema')!r}")
-    backend = doc["backend"]
-    couplings = tuple(Matrix.from_rational_strings(b, backend=backend) for b in doc["couplings"])
-    spec = ChainSpec(m_max=doc["m_max"], dims=tuple(doc["dims"]), couplings=couplings)
-    chain = build_chain(spec)
-    stored = [Matrix.from_rational_strings(m, backend=backend) for m in doc["idempotents"]]
-    for built, loaded in zip(chain.idempotents, stored):
-        if not built.equals(loaded):
-            raise CertificationError("stored idempotents disagree with the rebuilt chain")
-    return chain

@@ -18,8 +18,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .chains import Chain
 from .matrices import (
     DEFAULT_TOL,
@@ -27,6 +25,7 @@ from .matrices import (
     DimensionError,
     Matrix,
     agree,
+    eliminate,
     op_norm,
 )
 
@@ -173,50 +172,40 @@ def _reduce(terms) -> list[tuple[Matrix, Matrix]]:
     """Rewrite sum u_i (x) v_i over linearly independent left legs.
 
     The element is the matrix sum vec(u_i) vec(v_i)^T (Van Loan-Pitsianis),
-    so Gaussian elimination on the left legs keeps its value.  In order,
-    each left leg, divided by its content, is reduced against one row per
-    leg kept so far.  A leg with a remainder is kept as it is; one without
-    is sum_b k_b B_b, and each kept B_b collects k_b v, so no independent
-    leg is split, which would inflate sum ||B|| ||V||.  Kept legs whose
-    right leg vanished are dropped: the element is zero exactly when the
-    result is empty.  A float term p (x) q counts as zero when max|p| max|q|
-    is below 1e-12 max_i(max|u_i| max|v_i|, 1).
+    so Gaussian elimination (:func:`eliminate`) on the left legs, each
+    divided by its content, keeps its value.  An independent leg is kept as
+    it is; a dependent one is sum_b k_b B_b, and each kept B_b collects
+    k_b v, so no independent leg is split, which would inflate
+    sum ||B|| ||V||.  Kept legs whose right leg vanished are dropped: the
+    element is zero exactly when the result is empty.  A float term
+    p (x) q counts as zero when max|p| max|q| is below
+    1e-12 max_i(max|u_i| max|v_i|, 1), an exact one when p or q is zero.
     """
     terms = list(terms)
     exact = all(u.is_exact and v.is_exact for u, v in terms)
     if exact:
-        zero = (0, 0)
+        terms = [(u, v) for u, v in terms if not v.is_zero()]
     else:
         terms = [(u.to_float(), v.to_float()) for u, v in terms]
-        zero = 0
         tiny = 1e-12 * max([1.0] + [u.max_abs() * v.max_abs() for u, v in terms])
 
     def negligible(p, q):
         return (p.is_zero() or q.is_zero()) if exact else p.max_abs() * q.max_abs() <= tiny
 
-    kept, rows = [], []  # kept: [B, V]; rows: (pivot index, E, coordinates of E over kept B)
-    for u, v in terms:
+    for i, (u, v) in enumerate(terms):
         g = u.content()
         if g not in (0, 1):
-            u, v = u / g, v * g
-        r, coords = u, Matrix.zeros(1, len(terms), backend="exact" if exact else "float")
-        for ij, e, e_coords in rows:
-            c = r.entry(*ij)
-            if c != zero:
-                r = r - e * c
-                coords = coords + e_coords * c
-        if negligible(r, v):
-            for b, pair in enumerate(kept):
-                k = coords.entry(0, b)
-                if k != zero:
-                    pair[1] = pair[1] + v * k
-        else:
-            unit = Matrix.exact([[int(j == len(kept)) for j in range(len(terms))]])
-            kept.append([u, v])
-            ij = r.pivot()
-            p = r.entry(*ij)
-            rows.append((ij, r / p, (unit - coords) / p))
-    return [(b, v) for b, v in kept if not negligible(b, v)]
+            terms[i] = (u / g, v * g)
+    kept, coords = eliminate([u for u, _ in terms], lambda k, r: negligible(r, terms[k][1]))
+    pairs = [list(terms[k]) for k in kept]
+    for (_, v), x in zip(terms, coords):
+        if x is None:
+            continue
+        for b, pair in enumerate(pairs):
+            k = x.entry(0, b)
+            if any(k) if exact else k != 0:
+                pair[1] = pair[1] + v * k
+    return [(b, v) for b, v in pairs if not negligible(b, v)]
 
 
 # exact legs whose entries lie within 2**(+-_SAFE_EXPONENT) of 1 convert to
@@ -257,6 +246,17 @@ def tensor_norm_upper(t: TensorElem) -> float:
     return _upper(_reduce(t.terms))
 
 
+def _bounds(terms, dim: int, tol: float) -> tuple[float, float, bool]:
+    """(lower, upper, zero) for sum u_i (x) v_i off one reduced form: the
+    bracket of :func:`tensor_norm_bounds` and the verdict of :func:`_vanishes`."""
+    reduced = _reduce(terms)
+    if not reduced:
+        return 0.0, 0.0, True
+    upper = _upper(reduced)
+    lower = op_norm(TensorElem(terms=tuple(reduced), dim=dim).flatten())
+    return lower, upper, not reduced[0][0].is_exact and upper <= tol
+
+
 def tensor_norm_bounds(t: TensorElem) -> tuple[float, float]:
     """Certified (lower, upper) bracket for the projective tensor norm.
 
@@ -264,10 +264,7 @@ def tensor_norm_bounds(t: TensorElem) -> tuple[float, float]:
     (contractive for the projective norm), the upper one that of
     ``tensor_norm_upper``; a zero element gets (0, 0) without flattening.
     """
-    reduced = _reduce(t.terms)
-    if not reduced:
-        return 0.0, 0.0
-    return op_norm(TensorElem(terms=tuple(reduced), dim=t.dim).flatten()), _upper(reduced)
+    return _bounds(t.terms, t.dim, 0.0)[:2]
 
 
 def unitize_diagonal(delta: TensorElem, u: Matrix, one: Matrix) -> TensorElem:
@@ -386,6 +383,8 @@ class MbadReport:
     projection_sup: float
     unitized_constant: float
     verdict: bool
+    images: tuple[Matrix, ...]
+    unitized: tuple[TensorElem, ...]
 
 
 def certify_mbad(
@@ -403,7 +402,9 @@ def certify_mbad(
     index), commutators with every diagonal vanish, and the unitized
     diagonals obey the multiplier estimate
     (2 + K) C + 2 (1 + K)^2 over the adjoined-unit norm.
-    Elements outside span(chain + identity) are flagged, not fatal.
+    Elements outside span(chain + identity), read off one elimination of
+    e_1..e_m, 1 (exact for exact elements), are flagged, not fatal.  The
+    report carries the multiplication images and unitized diagonals.
     """
     deltas = list(deltas)
     if not deltas:
@@ -416,30 +417,28 @@ def certify_mbad(
     ident = Matrix.identity(dim, backend=chain.backend)
     pis = [d.pi() for d in deltas]
     k_const = max(op_norm(p) for p in pis)
-
-    basis_cols = [b.numpy().ravel() for b in chain.idempotents] + [ident.numpy().ravel()]
-    basis_stack = np.stack(basis_cols, axis=1)
     unitized = [unitize_diagonal(d, p, ident) for d, p in zip(deltas, pis)]
+
+    # e_1..e_m, 1 are eliminated once; a float remainder of a sample a
+    # counts as zero below max(tol, 1e-12) max(1, max|a|)
+    basis = list(chain.idempotents) + [ident]
+    scales = [max(1.0, m.max_abs()) for m in basis + sample]
+    kept, coords = eliminate(
+        basis + sample, lambda k, r: r.max_abs() <= max(tol, 1e-12) * scales[k], rows=len(basis)
+    )
 
     records, adjoined_norms = [], []
     c_const = 0.0
-    for a, label in zip(sample, labels):
-        y = a.numpy().ravel()
-        coef, *_ = np.linalg.lstsq(basis_stack, y, rcond=None)
-        scale = max(1.0, float(np.abs(y).max()))
-        resid = float(np.abs(basis_stack @ coef - y).max())
-        in_span = resid <= max(tol, 1e-12) * scale
-        top = 0
-        for j, c in enumerate(coef[:-1]):
-            if abs(c) > 1e-9 * scale:
-                top = j + 1
-        # every chain idempotent has zero diagonal beyond its ladder rank,
-        # so the last diagonal entry reads off the identity coefficient
-        # (an exact (re, im) pair or a complex); the nonzero test is exact
-        # for exact elements
-        corner = a.entry(dim - 1, dim - 1)
-        has_id = any(corner) if a.is_exact else corner != 0
-        id_coeff = complex(float(corner[0]), float(corner[1])) if a.is_exact else corner
+    for a, label, x, scale in zip(sample, labels, coords[len(basis):], scales[len(basis):]):
+        in_span = x is not None
+        # coordinates over e_1..e_m, 1 as exact (re, im) pairs or complex
+        # numbers; an element outside the span has none
+        coef = {k: x.entry(0, b) for b, k in enumerate(kept)} if in_span else {}
+        corner = coef.pop(len(basis) - 1, (0, 0))
+        top = max((k + 1 for k, c in coef.items()
+                   if (any(c) if isinstance(c, tuple) else abs(c) > 1e-9 * scale)), default=0)
+        has_id = any(corner) if isinstance(corner, tuple) else corner != 0
+        id_coeff = complex(float(corner[0]), float(corner[1])) if isinstance(corner, tuple) else corner
         a_alg = a - ident * corner if has_id else a
 
         final_image = a @ pis[-1]
@@ -450,9 +449,9 @@ def certify_mbad(
         )
 
         delta_comms = [bimodule_commutator(a, d) for d in deltas]
-        lowers, uppers = zip(*(tensor_norm_bounds(comm) for comm in delta_comms))
+        lowers, uppers, zeros = zip(*(_bounds(comm.terms, dim, tol) for comm in delta_comms))
         comm_upper, comm_lower = max(uppers), max(lowers)
-        commutator_ok = not in_span or all(_vanishes(comm.terms, tol) for comm in delta_comms)
+        commutator_ok = not in_span or all(zeros)
 
         alg_norm = op_norm(a_alg) if not a_alg.is_zero() else 0.0
         element_constant = comm_upper / alg_norm if alg_norm > 1e-12 else 0.0
@@ -514,6 +513,8 @@ def certify_mbad(
         projection_sup=k_const,
         unitized_constant=unitized_constant,
         verdict=verdict,
+        images=tuple(pis),
+        unitized=tuple(unitized),
     )
 
 

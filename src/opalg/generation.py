@@ -10,17 +10,17 @@ differences, which are pairwise orthogonal and span the same algebra.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
-
-import numpy as np
 
 from .chains import Chain
 from .matrices import (
     DEFAULT_TOL,
     CertificationError,
     Matrix,
+    eliminate,
     is_idempotent,
     op_norm,
     vanishes,
@@ -125,6 +125,16 @@ def single_generator(source: GeneratorSource, weights: WeightSeq) -> Matrix:
     return acc
 
 
+def _bound_holds(residual: float, bound: float, dim: int, power: int, tol: float) -> bool:
+    """residual <= bound + budget + tol.  The budget covers rounding: by
+    Weyl's bound and a backward-stable SVD, a norm of a float dim x dim
+    matrix is off by at most 2 dim eps of itself; the bound sums such norms
+    and raises a rounded ratio to power - 1; each of these 4 dim + power
+    roundings may also lose the smallest subnormal."""
+    budget = (4 * dim + power) * (sys.float_info.epsilon * (residual + bound) + math.ulp(0.0))
+    return residual <= bound + budget + tol
+
+
 @dataclass(frozen=True)
 class GenerationRecord:
     index: int
@@ -187,7 +197,7 @@ def certify_generation(
         for r in range(1, r_max + 1):
             residual = op_norm(gens[m - 1] - power)
             bound = (ratio ** (r - 1)) * tail_sum / float(lam_m) if m < count else 0.0
-            passed = residual <= bound + tol
+            passed = _bound_holds(residual, bound, gens[m - 1].rows, r, tol)
             ok_bounds = ok_bounds and passed
             residuals.append(residual)
             records.append(GenerationRecord(index=m, power=r, residual=residual, bound=bound, passed=passed))
@@ -204,10 +214,13 @@ def certify_generation(
 
 
 def same_span(first: Sequence[Matrix], second: Sequence[Matrix], tol: float = 1e-8) -> bool:
-    """Whether two families of matrices have equal linear span."""
-    a = np.stack([m.numpy().ravel() for m in first])
-    b = np.stack([m.numpy().ravel() for m in second])
-    ra = np.linalg.matrix_rank(a, tol=tol)
-    rb = np.linalg.matrix_rank(b, tol=tol)
-    rab = np.linalg.matrix_rank(np.vstack([a, b]), tol=tol)
-    return bool(ra == rb == rab)
+    """Whether two families of matrices have equal linear span: the ranks
+    of each and of both together agree.  Ranks come from
+    :func:`opalg.matrices.eliminate`, exactly on exact families; a float
+    remainder counts as zero when no entry exceeds ``tol``."""
+    first, second = list(first), list(second)
+
+    def rank(mats):
+        return len(eliminate(mats, lambda k, r: r.max_abs() <= tol, coordinates=False)[0])
+
+    return rank(first) == rank(second) == rank(first + second)

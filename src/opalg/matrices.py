@@ -37,6 +37,7 @@ __all__ = [
     "read_scalar",
     "agree",
     "vanishes",
+    "eliminate",
     "is_idempotent",
     "op_norm",
     "schatten1_norm",
@@ -113,10 +114,6 @@ def _rational(num, den):
         return num
     q = Fraction(num, den)
     return q.numerator if q.denominator == 1 else q
-
-
-def _cell(re, im):
-    return str(re) if im == 0 else f"{re},{im}"
 
 
 def _sum_parts(x, sx, y, sy):
@@ -230,22 +227,6 @@ class Matrix:
         row = np.array([_as_complex(*read_scalar(v)) for v in values], dtype=complex)
         return cls._wrap_float(np.diag(row))
 
-    @classmethod
-    def from_rational_strings(cls, rows, backend="exact"):
-        """Inverse of :meth:`to_rational_strings`."""
-        parsed = []
-        for row in rows:
-            out = []
-            for cell in row:
-                if "," in cell:
-                    re_s, im_s = cell.split(",")
-                    out.append((Fraction(re_s), Fraction(im_s)))
-                else:
-                    out.append(Fraction(cell))
-            parsed.append(out)
-        m = cls.exact(parsed)
-        return m if backend == "exact" else m.to_float()
-
     # -- shape ---------------------------------------------------------
 
     @property
@@ -295,13 +276,6 @@ class Matrix:
             im = 0 if self._im is None else _rational(self._im[i, j], self._den)
             return (_rational(self._re[i, j], self._den), im)
         return complex(self._arr[i, j])
-
-    def to_rational_strings(self):
-        """Entries as strings, "re" or "re,im"; exact for both backends
-        (floats are binary rationals)."""
-        if self.is_exact:
-            return [[_cell(*self.entry(i, j)) for j in range(self.cols)] for i in range(self.rows)]
-        return [[_cell(Fraction(z.real), Fraction(z.imag)) for z in row] for row in self._arr]
 
     # -- predicates ----------------------------------------------------
 
@@ -393,18 +367,23 @@ class Matrix:
         )
         return Matrix._wrap_exact(re, im, self._den * bden)
 
-    def __add__(self, other):
+    def _sum(self, other, sign):
+        """self + sign * other for sign 1 or -1, normalized once."""
         if self.shape != other.shape:
             raise DimensionError(f"shape mismatch {self.shape} vs {other.shape}")
         if self._binary_backend(other) == "float":
-            return Matrix._wrap_float(self.to_float()._arr + other.to_float()._arr)
+            a, b = self.to_float()._arr, other.to_float()._arr
+            return Matrix._wrap_float(a + b if sign == 1 else a - b)
         den = lcm(self._den, other._den)
-        sa, sb = den // self._den, den // other._den
+        sa, sb = den // self._den, sign * (den // other._den)
         re = self._re * sa + other._re * sb
         return Matrix._wrap_exact(re, _sum_parts(self._im, sa, other._im, sb), den)
 
+    def __add__(self, other):
+        return self._sum(other, 1)
+
     def __sub__(self, other):
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __neg__(self):
         if not self.is_exact:
@@ -478,6 +457,44 @@ def vanishes(m: Matrix, tol: float) -> bool:
     """Whether m is zero: exactly when m is exact, and within ``tol`` per
     entry otherwise."""
     return m.is_zero() if m.is_exact else m.max_abs() <= tol
+
+
+def eliminate(mats, negligible=None, rows=None, coordinates=True):
+    """Gaussian elimination on same-shape matrices, in order.
+
+    Each matrix is reduced against one pivot row (:meth:`Matrix.pivot`) per
+    kept matrix before it, and is kept when its remainder r is nonzero and
+    it is among the first ``rows`` (default: all).  A float r also counts
+    as zero when ``negligible(k, r)`` holds for the k-th matrix.  Returns
+    ``(kept, coords)``: the kept indices, and per matrix None when it is
+    outside the span of the kept ones before it, else its coordinates over
+    them, a 1 x len(mats) matrix whose entry (0, b) multiplies
+    ``mats[kept[b]]``.  With ``coordinates=False`` coords is None.
+    """
+    mats = list(mats)
+    n = len(mats)
+    kept, coords, pivots = [], [], []  # pivots: (pivot index, E, coordinates of E over the kept matrices)
+    for k, m in enumerate(mats):
+        r, x = m, Matrix.zeros(1, n, backend=m.backend) if coordinates else None
+        for ij, e, e_coords in pivots:
+            c = r.entry(*ij)
+            if any(c) if r.is_exact else c != 0:
+                r = r - e * c
+                if coordinates:
+                    x = x + e_coords * c
+        if r.is_zero() or not r.is_exact and negligible is not None and negligible(k, r):
+            coords.append(x)
+            continue
+        coords.append(None)
+        if rows is None or k < rows:
+            ij = r.pivot()
+            p = r.entry(*ij)
+            if coordinates:
+                unit = Matrix.exact([[int(j == len(kept)) for j in range(n)]])
+                x = (unit - x) / p
+            pivots.append((ij, r / p, x))
+            kept.append(k)
+    return kept, coords if coordinates else None
 
 
 def _require_nonempty(m):

@@ -11,8 +11,6 @@ from opalg import (
     Matrix,
     TruncationError,
     build_chain,
-    chain_from_json,
-    chain_to_json,
     norm_profile,
     op_norm,
     verify_semilattice,
@@ -136,15 +134,6 @@ def test_float_chain_flagged_approx():
     assert not report.all_exact
     assert report.passed
     assert report.max_abs_deviation <= 1e-12
-
-
-def test_json_round_trip():
-    chain = build_chain(ChainSpec.default(5, couplings=(Fraction(1, 2), Fraction(7, 3))))
-    doc = chain_to_json(chain)
-    again = chain_from_json(doc)
-    assert again.truncation_dim == chain.truncation_dim
-    for a, b in zip(chain.idempotents, again.idempotents):
-        assert a.equals(b)
 
 
 rational = st.fractions(min_value=0, max_value=100, max_denominator=20)

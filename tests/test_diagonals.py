@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opalg import (
+    DEFAULT_TOL,
     ChainSpec,
     FiniteDiagonal,
     Matrix,
@@ -27,7 +28,7 @@ from opalg import (
     tensor_norm_upper,
     unitize_diagonal,
 )
-from opalg.diagonals import _reduce
+from opalg.diagonals import _reduce, _vanishes
 
 
 @pytest.fixture(scope="module")
@@ -385,16 +386,45 @@ def test_mbad_report_serializes(chain6):
         assert r.identity_ok and r.commutator_ok and r.unitized_ok
 
 
+def unit01(dim):
+    return Matrix.exact([[int((i, j) == (0, 1)) for j in range(dim)] for i in range(dim)])
+
+
 def test_certify_mbad_exact_commutator_below_float_range(chain6):
     # a = e_1 + 2**-1100 E_01 reads as e_1 in floats, so its commutator
-    # bounds round to 0.0; the exact commutators do not vanish
-    dim = chain6.truncation_dim
-    unit = Matrix.exact([[int((i, j) == (0, 1)) for j in range(dim)] for i in range(dim)])
-    a = chain6.e(1) + unit * Fraction(1, 2**1100)
+    # bounds round to 0.0; the exact span test flags it as outside the
+    # algebra, which does not fail the verdict, and its exact commutators
+    # do not vanish
+    a = chain6.e(1) + unit01(chain6.truncation_dim) * Fraction(1, 2**1100)
     deltas = [build_delta(chain6, n) for n in range(1, 7)]
-    rec = certify_mbad(deltas, chain6, [a]).records[0]
-    assert rec.in_span and rec.commutator_upper == 0.0
-    assert not rec.commutator_ok
+    report = certify_mbad(deltas, chain6, [a])
+    rec = report.records[0]
+    assert not rec.in_span and rec.commutator_upper == 0.0
+    assert report.verdict
+    assert not all(_vanishes(bimodule_commutator(a, d).terms, DEFAULT_TOL) for d in deltas)
+
+
+def test_certify_mbad_top_index_is_exact(chain6):
+    # the e_3 coordinate 2**-40 is below any float threshold, but it is
+    # there: the top index is 3, past the last diagonal
+    deltas = [build_delta(chain6, n) for n in range(1, 3)]
+    report = certify_mbad(deltas, chain6, [chain6.e(2) + chain6.e(3) * Fraction(1, 2**40)])
+    rec = report.records[0]
+    assert rec.in_span and rec.top_index == 3
+    assert rec.identity_ok and report.verdict
+
+
+def test_certify_mbad_reads_coordinates_over_the_chain(chain6):
+    ident = Matrix.identity(chain6.truncation_dim)
+    deltas = [build_delta(chain6, n) for n in range(1, 4)]
+    elem = chain6.e(2) * Fraction(-3, 7) + chain6.e(5) + ident * (Fraction(1, 3), 2)
+    report = certify_mbad(deltas, chain6, [elem, chain6.e(4) - chain6.e(4)])
+    rec, zero = report.records
+    assert rec.in_span and rec.top_index == 5 and rec.identity_coeff == complex(1 / 3, 2)
+    assert zero.in_span and zero.top_index == 0 and zero.identity_coeff == 0
+    # the report carries the images and unitized diagonals it used
+    assert all(p.equals(chain6.e(n)) for n, p in enumerate(report.images, start=1))
+    assert all(pi_map(m).equals(ident) for m in report.unitized)
 
 
 def test_tensor_value_equality_is_representation_free():

@@ -1,4 +1,5 @@
 """Single-generator recovery at the geometric rate."""
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from opalg import (
     same_span,
     single_generator,
 )
+from opalg.generation import _bound_holds
 
 
 def two_projections():
@@ -98,6 +100,42 @@ def test_recovered_span_matches_chain_span():
     gens = orthogonal_generators(chain)
     assert same_span(gens, chain.idempotents)
     assert not same_span(gens[:3], chain.idempotents)
+
+
+def test_same_span_is_exact_on_exact_families():
+    # e_6 + 2**-1100 E_01 reads as e_6 in floats, but it leaves the span
+    chain = build_chain(ChainSpec.default(6))
+    dim = chain.truncation_dim
+    unit = Matrix.exact([[int((i, j) == (0, 1)) for j in range(dim)] for i in range(dim)])
+    moved = list(chain.idempotents[:-1]) + [chain.e(6) + unit * Fraction(1, 2**1100)]
+    assert not same_span(chain.idempotents, moved)
+    assert same_span(moved, moved[::-1])
+    # float families keep their tolerance
+    floats = [m.to_float() for m in chain.idempotents]
+    assert same_span(floats, [m.to_float() for m in orthogonal_generators(chain)])
+    assert same_span(floats, [m.to_float() for m in moved])
+
+
+def test_bound_comparison_allows_only_the_rounding_budget():
+    # dim 11 and power 2 give a budget of 46 eps (residual + bound)
+    eps, bound = sys.float_info.epsilon, 0.25
+    assert _bound_holds(bound * (1 + 20 * eps), bound, 11, 2, 0.0)
+    assert not _bound_holds(bound * (1 + 200 * eps), bound, 11, 2, 0.0)
+    assert _bound_holds(bound * (1 + 200 * eps), bound, 11, 2, 200 * eps)
+    assert not _bound_holds(2 * bound, bound, 11, 2, 0.0)
+    # subnormal values: each rounding may lose the smallest subnormal
+    assert _bound_holds(3e-323, 1e-323, 3, 500, 0.0)
+    assert not _bound_holds(1e-300, 1e-323, 3, 500, 0.0)
+
+
+def test_default_certificate_passes_without_tolerance():
+    # the second-to-last generator meets its bound with equality at every
+    # power, so only the rounding budget separates the two float readings
+    chain = build_chain(ChainSpec.default(10))
+    w = WeightSeq.norm_adaptive(orthogonal_generators(chain))
+    cert = certify_generation(chain, w, r_max=40, tol=0.0)
+    assert cert.passed
+    assert max(r.residual - r.bound for r in cert.records) > 0.0
 
 
 def test_weight_validation():

@@ -16,6 +16,7 @@ from opalg import (
     schatten1_norm,
     vanishes,
 )
+from opalg.matrices import eliminate
 
 
 def test_op_norm_identity_is_one():
@@ -107,9 +108,7 @@ def test_exact_arithmetic_is_exact():
 def test_exact_products_are_reproducible():
     a = Matrix.exact([[1, Fraction(5, 3)], [2, 7]])
     b = Matrix.exact([[Fraction(-2, 9), 4], [1, 0]])
-    first = (a @ b).to_rational_strings()
-    second = (a @ b).to_rational_strings()
-    assert first == second
+    assert (a @ b).equals(a @ b)
 
 
 def test_complex_exact_matmul():
@@ -132,12 +131,6 @@ def test_dyadic_exact_to_float_is_lossless():
     a = Matrix.exact([[Fraction(3, 8), 1], [Fraction(-5, 4), 0]])
     arr = a.numpy()
     assert arr[0, 0] == 0.375 and arr[1, 0] == -1.25
-
-
-def test_rational_string_round_trip():
-    a = Matrix.exact([[(Fraction(1, 3), Fraction(-2, 5)), 4], [0, Fraction(9, 7)]])
-    again = Matrix.from_rational_strings(a.to_rational_strings())
-    assert again.equals(a)
 
 
 def test_exact_division_keeps_integers_integer():
@@ -267,10 +260,6 @@ def as_ref(m):
     return [[tuple(Fraction(x) for x in m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
 
 
-def ref_strings(a):
-    return [[str(re) if im == 0 else f"{re},{im}" for re, im in row] for row in a]
-
-
 def ref_float(a):
     return np.array([[complex(float(re), float(im)) for re, im in row] for row in a])
 
@@ -363,8 +352,6 @@ def test_exact_sums_and_scalars_match_oracle(data):
 @settings(max_examples=80, deadline=None)
 def test_exact_readouts_match_oracle(a):
     m = Matrix.exact(a)
-    assert m.to_rational_strings() == ref_strings(a)
-    assert Matrix.from_rational_strings(m.to_rational_strings()).equals(m)
     assert m.to_float().numpy().tobytes() == ref_float(a).tobytes()
     g = m.content()
     parts = [x for row in a for pair in row for x in pair]
@@ -425,3 +412,74 @@ def test_identity_and_empty_diag_match_reference():
         for empty in (Matrix.diag([], backend), Matrix.identity(0, backend)):
             assert empty.backend == backend and empty.shape == (0, 0)
             assert empty.equals(Matrix.zeros(0, backend=backend))
+
+
+def ref_rank(vectors):
+    """Rank of real Fraction vectors by Gaussian elimination on lists."""
+    rows, rank = [list(v) for v in vectors], 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def ref_complex_rank(mats):
+    """Complex rank of matrices in (re, im) form: as real vectors, m and
+    i m span the complex line of m, so the real rank is twice the complex."""
+    vecs = []
+    for m in mats:
+        entries = [x for row in m for x in row]
+        vecs.append([re for re, _ in entries] + [im for _, im in entries])
+        vecs.append([-im for _, im in entries] + [re for re, _ in entries])
+    return ref_rank(vecs) // 2
+
+
+@st.composite
+def ref_families(draw):
+    """Up to five small rational matrices of one shape, some of them
+    combinations of earlier ones."""
+    rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    real = draw(st.booleans())
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    entry = st.tuples(small, st.just(Fraction(0)) if real else small)
+    grid = st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    family = []
+    for _ in range(draw(st.integers(1, 5))):
+        if family and draw(st.booleans()):
+            acc = [[(Fraction(0), Fraction(0))] * cols for _ in range(rows)]
+            for m in family:
+                acc = ref_add(acc, ref_scale(m, draw(entry)))
+            family.append(acc)
+        else:
+            family.append(draw(grid))
+    return family
+
+
+@given(ref_families(), st.integers(0, 5))
+@settings(max_examples=100, deadline=None)
+def test_eliminate_matches_fraction_oracle(family, rows):
+    mats = [Matrix.exact(m) for m in family]
+    kept, coords = eliminate(mats)
+    for k, x in enumerate(coords):
+        # independent exactly when the rank grows, as the oracle computes it
+        assert (x is None) == (ref_complex_rank(family[:k + 1]) > ref_complex_rank(family[:k]))
+        if x is not None:
+            acc = Matrix.zeros(*mats[0].shape)
+            for b, j in enumerate(kept):
+                acc = acc + mats[j] * x.entry(0, b)
+            assert acc.equals(mats[k])
+            assert all(x.entry(0, b) == (0, 0) for b in range(len(kept), len(mats)))
+    assert kept == [k for k, x in enumerate(coords) if x is None]
+    assert len(eliminate(mats, coordinates=False)[0]) == ref_complex_rank(family)
+    # only the first ``rows`` are kept; a later one is tested against them
+    limited, coords = eliminate(mats, rows=rows)
+    assert limited == [k for k in kept if k < rows]
+    for k in range(rows, len(mats)):
+        head = [family[j] for j in limited]
+        assert (coords[k] is None) == (ref_complex_rank(head + [family[k]]) > len(head))
