@@ -92,19 +92,29 @@ class ExperimentConfig:
         couplings = _parse_couplings(self.coupling_scheme, self.m_max // 2)
         if any(abs(b) > abs(c) for b, c in zip(couplings, couplings[1:])):
             raise ConfigError(f"coupling_scheme norms must be nondecreasing, got {self.coupling_scheme!r}")
+        # the chain metrics scale like |b|^2, a finite float up to |b| = 2**500
+        if any(abs(b) > 2**500 for b in couplings):
+            raise ConfigError(f"coupling_scheme values must be at most 2**500 in size, got {self.coupling_scheme!r}")
         _parse_weight_scheme(self.weight_scheme)
+
+
+def _rational(text: str, name: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{name} value {text!r} is not a rational number") from None
 
 
 def _parse_couplings(descriptor: str, count: int):
     """Coupling descriptors: linear (b_{2k} = k), constant:<rational>,
-    or list:<comma-separated rationals>."""
+    or list:<comma-separated rationals>; anything else is a ConfigError."""
+    kind, _, arg = str(descriptor).partition(":")
     if descriptor == "linear":
         return tuple(range(1, count + 1))
-    if descriptor.startswith("constant:"):
-        value = Fraction(descriptor.split(":", 1)[1])
-        return tuple([value] * count)
-    if descriptor.startswith("list:"):
-        values = tuple(Fraction(x) for x in descriptor.split(":", 1)[1].split(","))
+    if kind == "constant":
+        return (_rational(arg, "coupling_scheme"),) * count
+    if kind == "list":
+        values = tuple(_rational(x, "coupling_scheme") for x in arg.split(","))
         if len(values) < count:
             raise ConfigError(f"coupling_scheme lists {len(values)} values but {count} are needed")
         return values[:count]
@@ -112,10 +122,11 @@ def _parse_couplings(descriptor: str, count: int):
 
 
 def _parse_weight_scheme(descriptor: str):
+    kind, _, arg = str(descriptor).partition(":")
     if descriptor == "norm-adaptive":
         return None
-    if descriptor.startswith("geometric:"):
-        ratio = Fraction(descriptor.split(":", 1)[1])
+    if kind == "geometric":
+        ratio = _rational(arg, "weight_scheme")
         if not 0 < ratio < 1:
             raise ConfigError("weight_scheme geometric ratio must be in (0, 1)")
         return ratio
@@ -517,7 +528,12 @@ def build_config(argv) -> ExperimentConfig:
     args = _build_parser().parse_args(argv)
     cfg = ExperimentConfig(subcommand=args.subcommand)
     if args.config_file:
-        loaded = json.loads(Path(args.config_file).read_text())
+        try:
+            loaded = json.loads(Path(args.config_file).read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config file {args.config_file!r}: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file must hold a JSON object, got {loaded!r}")
         known = {f.name for f in fields(ExperimentConfig)}
         for key, value in loaded.items():
             if key not in known:

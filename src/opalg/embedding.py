@@ -413,15 +413,13 @@ def unit_circle_sweep_ratios(sizes: Sequence[int]) -> list[tuple[int, float, flo
 
 @dataclass(frozen=True)
 class TraceWeights:
-    """Strictly positive exact weights over a subset family, summing to one."""
+    """Strictly positive exact weights, one per subset of a family in its
+    order, summing to one; they depend only on the family's size."""
 
-    family: SubsetFamily
     weights: tuple[Fraction, ...]
     scheme: str
 
     def __post_init__(self):
-        if len(self.weights) != len(self.family.subsets):
-            raise ValueError("one weight per subset required")
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be strictly positive")
         if sum(self.weights) != 1:
@@ -439,14 +437,14 @@ def make_trace(subsets: SubsetFamily, scheme: str = "geometric") -> TraceWeights
         weights = (Fraction(1, count),) * count
     else:
         raise ValueError(f"unknown trace scheme {scheme!r}")
-    return TraceWeights(family=subsets, weights=weights, scheme=scheme)
+    return TraceWeights(weights=weights, scheme=scheme)
 
 
 def l1_trace_norm(e: EmbeddedElement, w: TraceWeights) -> float:
     """Trace-weighted norm: sum over F of weight / (|F| + 2) times the
     Schatten-1 norm of the block, with each weight rounded to float."""
-    if w.family.subsets != e.family.subsets:
-        raise ValueError("trace weights were built for a different subset family")
+    if len(w.weights) != len(e.family):
+        raise ValueError(f"{len(w.weights)} trace weights for a subset family of {len(e.family)} blocks")
     total = 0.0
     for subset, weight, s in zip(e.family.subsets, w.weights, e._spectra):
         total += float(weight) / (len(subset) + 2) * float(s.sum())
@@ -529,7 +527,7 @@ def certify_embedding_bounds(
     lower_ok = upper_ok = trace_ok = trace_le_sup_ok = True
     min_ratio, max_ratio = math.inf, -math.inf
     max_trace_to_inf = 0.0
-    traces = {}  # (subsets, scheme) -> TraceWeights, built once per family
+    traces = {}  # (family size, scheme) -> TraceWeights
     named_ratio = {}
     rows = []
     items = list(named.items()) + [(str(i), a) for i, a in enumerate(random_trials)]
@@ -548,7 +546,7 @@ def certify_embedding_bounds(
         min_ratio, max_ratio = min(min_ratio, ratio), max(max_ratio, ratio)
         trace_row = 0.0
         for scheme in ("geometric", "uniform"):
-            key = (fam.subsets, scheme)
+            key = (len(fam), scheme)
             if key not in traces:
                 traces[key] = make_trace(fam, scheme)
             tn = l1_trace_norm(emb, traces[key])

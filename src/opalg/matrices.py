@@ -62,9 +62,7 @@ def _as_rational(value):
         return value
     if isinstance(value, numbers.Integral):
         return int(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (float, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational scalar")
 

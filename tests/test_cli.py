@@ -153,8 +153,23 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     # booleans are not counts, seeds or tolerances, and tol must be finite
     for argv_bad in (["chain", "--tol", "inf"], ["chain", "--tol", "nan"]):
         assert main(argv_bad + ["--out", str(tmp_path)]) == 2
+    # unreadable rationals or config files, and couplings above 2**500
+    for argv_bad in (
+        ["chain", "--coupling-scheme", "constant:abc"],
+        ["chain", "--coupling-scheme", "constant:1/0"],
+        ["chain", "--coupling-scheme", "list:1,,2"],
+        ["generate", "--weight-scheme", "geometric:x"],
+        ["generate", "--weight-scheme", "geometric:1/0"],
+        ["all", "--m-max", "4", "--coupling-scheme", "constant:1e200", "--trials", "1"],
+        ["all", "--m-max", "4", "--coupling-scheme", "constant:1e400", "--trials", "1"],
+        ["chain", "--m-max", "4", "--coupling-scheme", f"constant:{2**500 + 1}"],
+        ["chain", "--config", str(tmp_path / "missing.json")],
+    ):
+        assert main(argv_bad + ["--out", str(tmp_path)]) == 2
+    assert build_config(["chain", "--m-max", "4", "--coupling-scheme", f"constant:{2**500}"]).m_max == 4
     cfg_file = tmp_path / "cfg.json"
-    for bad in ('{"m_max": true}', '{"trials": false}', '{"tol": true}', '{"seed": false}', '{"tol": 1e400}'):
+    for bad in ('{"m_max": true}', '{"trials": false}', '{"tol": true}', '{"seed": false}', '{"tol": 1e400}',
+                '{"coupling_scheme": 5}', '{"weight_scheme": null}', 'nope{', '[1]'):
         cfg_file.write_text(bad)
         assert main(["chain", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
     monkeypatch.setattr("opalg.cli.build_chain", _failing_build_chain)

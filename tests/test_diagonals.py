@@ -28,7 +28,7 @@ from opalg import (
     tensor_norm_upper,
     unitize_diagonal,
 )
-from opalg.diagonals import _reduce, _vanishes
+from opalg.diagonals import _bounds, _reduce
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +219,50 @@ def test_reduced_form_matches_kron_oracle(t):
     assert lower <= upper * (1 + 1e-12) + 1e-15
 
 
+@st.composite
+def exact_matrices(draw, dim):
+    entry = st.one_of(st.just(0), small_rationals, st.tuples(small_rationals, small_rationals))
+    return Matrix.exact(draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim)))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_unitized_rewrite_gap_identity(data):
+    # certify_mbad reads the unitized commutator [a, M] off the regrouped
+    # R = 2[a,D] - p.[a,D] + w (x) rest - rest (x) w; the oracle forms
+    # R - [a, M] in full, and it must equal [a,p].D + rest (x) [a,p]
+    dim = data.draw(st.integers(2, 4))
+    one = Matrix.identity(dim)
+    legs = exact_matrices(dim)
+    terms = [(data.draw(legs), data.draw(legs)) for _ in range(data.draw(st.integers(1, 3)))]
+    delta = TensorElem.of(terms, dim=dim)
+    p = delta.pi() if data.draw(st.booleans()) else data.draw(legs)
+    a_alg = data.draw(legs)
+    a = a_alg + one * data.draw(st.tuples(small_rationals, small_rationals))
+    rest = one - p
+    w = a_alg @ rest
+    m = TensorElem.of([(u * 2, v) for u, v in terms] + [(-(p @ u), v) for u, v in terms] + [(rest, rest)], dim=dim)
+    d_comm = bimodule_commutator(a, delta)
+    regrouped = d_comm.scale(2) + (-d_comm.left(p)) + TensorElem.of([(w, rest), (-rest, w)], dim=dim)
+    gap = regrouped - bimodule_commutator(a, m)
+    ap = a @ p - p @ a
+    assert _reduce((gap - (delta.left(ap) + TensorElem.of([(rest, ap)], dim=dim))).terms) == []
+
+
+def test_certify_mbad_unitized_needs_commuting_images():
+    # the middle "diagonal" E_01 (x) 1 + e_1 (x) e_1 has the image E_01 + e_1,
+    # which e_1 and e_2 do not commute with
+    chain = build_chain(ChainSpec.default(4))
+    dim = chain.truncation_dim
+    one = Matrix.identity(dim)
+    odd = TensorElem.of([(unit01(dim), one), (chain.e(1), chain.e(1))], dim=dim)
+    deltas = [build_delta(chain, 1), odd, build_delta(chain, 3)]
+    sample = [chain.e(1), chain.e(2), chain.e(4), one * Fraction(3, 2) + chain.e(3)]
+    report = certify_mbad(deltas, chain, sample)
+    assert [r.unitized_ok for r in report.records] == [False, False, True, True]
+    assert not report.verdict
+
+
 def test_unitize_smallest_chain():
     chain = build_chain(ChainSpec.default(1))
     one = Matrix.identity(chain.truncation_dim)
@@ -401,7 +445,8 @@ def test_certify_mbad_exact_commutator_below_float_range(chain6):
     rec = report.records[0]
     assert not rec.in_span and rec.commutator_upper == 0.0
     assert report.verdict
-    assert not all(_vanishes(bimodule_commutator(a, d).terms, DEFAULT_TOL) for d in deltas)
+    dim = chain6.truncation_dim
+    assert not all(_bounds(bimodule_commutator(a, d).terms, dim, DEFAULT_TOL)[2] for d in deltas)
 
 
 def test_certify_mbad_top_index_is_exact(chain6):
