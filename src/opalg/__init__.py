@@ -71,7 +71,6 @@ from .matrices import (
     agree,
     is_idempotent,
     op_norm,
-    schatten1_norm,
     singular_values,
     vanishes,
 )
@@ -79,7 +78,7 @@ from .matrices import (
 __all__ = [
     "__version__",
     "Matrix", "DEFAULT_TOL", "agree", "vanishes",
-    "op_norm", "schatten1_norm", "singular_values", "is_idempotent",
+    "op_norm", "singular_values", "is_idempotent",
     "DimensionError", "CertificationError", "TruncationError",
     "ChainSpec", "Chain", "build_chain", "verify_semilattice", "norm_profile",
     "SemilatticeReport", "NormEntry",

@@ -237,17 +237,17 @@ def tensor_norm_upper(t: TensorElem) -> float:
     return _upper(_reduce(t.terms))
 
 
-def _bounds(terms, dim: int, tol: float) -> tuple[float, float, bool]:
-    """(lower, upper, zero) for sum u_i (x) v_i off one reduced form: the
-    bracket of :func:`tensor_norm_bounds`, and whether the element is zero:
-    its reduced form is empty when every leg is exact, and its upper bound
-    is at most tol otherwise."""
-    reduced = _reduce(terms)
-    if not reduced:
-        return 0.0, 0.0, True
-    upper = _upper(reduced)
-    lower = op_norm(TensorElem(terms=tuple(reduced), dim=dim).flatten())
-    return lower, upper, not reduced[0][0].is_exact and upper <= tol
+def _bounds(terms, dim: int, tol: float) -> tuple[float, float, bool, TensorElem]:
+    """(lower, upper, zero, reduced) for sum u_i (x) v_i off one reduced
+    form: the bracket of :func:`tensor_norm_bounds`, whether the element is
+    zero (its reduced form is empty when every leg is exact, and its upper
+    bound is at most tol otherwise), and the reduced form itself."""
+    reduced = TensorElem(terms=tuple(_reduce(terms)), dim=dim)
+    if not reduced.terms:
+        return 0.0, 0.0, True, reduced
+    upper = _upper(reduced.terms)
+    lower = op_norm(reduced.flatten())
+    return lower, upper, not reduced.terms[0][0].is_exact and upper <= tol, reduced
 
 
 def tensor_norm_bounds(t: TensorElem) -> tuple[float, float]:
@@ -438,8 +438,8 @@ def certify_mbad(
             or agree(final_image, a, max(tol, 1e-12 * scale))
         )
 
-        delta_comms = [bimodule_commutator(a, d) for d in deltas]
-        lowers, uppers, zeros = zip(*(_bounds(comm.terms, dim, tol) for comm in delta_comms))
+        bounds = [_bounds(bimodule_commutator(a, d).terms, dim, tol) for d in deltas]
+        lowers, uppers, zeros, comms = zip(*bounds)
         comm_upper, comm_lower = max(uppers), max(lowers)
         commutator_ok = not in_span or all(zeros)
 
@@ -453,11 +453,11 @@ def certify_mbad(
         # R = 2[a,D] - p.[a,D] + w (x) rest - rest (x) w obeys
         # R - [a,M] = [a,p].D + rest (x) [a,p], where x.D = sum (x u_i) (x) v_i;
         # so R equals [a,M] whenever a p = p a, which is checked, and the
-        # multiplier estimate is read off R
+        # multiplier estimate is read off R, built on the reduced [a,D]
         rewrite_ok = all(agree(a @ p, p @ a, max(tol, 1e-9 * scale)) for p in pis)
         unit_uppers = []
         refined_ok = True
-        for d_comm, up_d, p in zip(delta_comms, uppers, pis):
+        for d_comm, up_d, p in zip(comms, uppers, pis):
             rest = ident - p
             w = a_alg - a_alg @ p
             regrouped = d_comm.scale(2) + (-d_comm.left(p)) + TensorElem.of([(w, rest), (-rest, w)], dim=dim)

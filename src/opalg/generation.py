@@ -33,6 +33,7 @@ __all__ = [
     "orthogonal_generators",
     "is_orthogonal_family",
     "single_generator",
+    "rescaled_generators",
     "certify_generation",
     "same_span",
 ]
@@ -125,6 +126,22 @@ def single_generator(source: GeneratorSource, weights: WeightSeq) -> Matrix:
     return acc
 
 
+def rescaled_generators(gens: Sequence[Matrix], weights: WeightSeq) -> tuple[Matrix, ...]:
+    """The rescaled residual generators (1/l_m) b_m, m = 1, 2, ..., with
+    b_m = sum_{j>=m} l_j g_j; exact when the inputs are exact.  Every
+    residual of :func:`certify_generation` is read off their powers, so
+    equal generators give equal residual series."""
+    if len(weights) != len(gens):
+        raise ValueError(f"got {len(weights)} weights for {len(gens)} generators")
+    out = []
+    for m, lam_m in enumerate(weights.lambdas):
+        residual_gen = gens[m] * lam_m
+        for j in range(m + 1, len(gens)):
+            residual_gen = residual_gen + gens[j] * weights[j]
+        out.append(residual_gen * (1 / lam_m))
+    return tuple(out)
+
+
 def _bound_holds(residual: float, bound: float, dim: int, power: int, tol: float) -> bool:
     """residual <= bound + budget + tol.  The budget covers rounding: by
     Weyl's bound and a backward-stable SVD, a norm of a float dim x dim
@@ -173,30 +190,22 @@ def certify_generation(
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
     gens = _resolve_generators(source)
-    if len(weights) != len(gens):
-        raise ValueError(f"got {len(weights)} weights for {len(gens)} generators")
     count = len(gens)
     norms = [op_norm(g) for g in gens]
     records: list[GenerationRecord] = []
     per_index: dict[int, bool] = {}
     tail_len = math.ceil(r_max / 2)
-    for m in range(1, count + 1):
+    for m, rescaled in enumerate(rescaled_generators(gens, weights), start=1):
         lam_m = weights[m - 1]
-        residual_gen = gens[m - 1] * lam_m
-        for j in range(m, count):
-            residual_gen = residual_gen + gens[j] * weights[j]
-        rescaled = residual_gen * (1 / lam_m)
-        if m < count:
-            ratio = float(weights[m] / lam_m)
-            tail_sum = sum(float(weights[j]) * norms[j] for j in range(m, count))
-        else:
-            ratio, tail_sum = 0.0, 0.0
+        # the last generator has an empty tail, so its bound is 0.0
+        ratio = float(weights[m] / lam_m) if m < count else 0.0
+        tail_sum = sum(float(weights[j]) * norms[j] for j in range(m, count))
         power = rescaled
         residuals = []
         ok_bounds = True
         for r in range(1, r_max + 1):
             residual = op_norm(gens[m - 1] - power)
-            bound = (ratio ** (r - 1)) * tail_sum / float(lam_m) if m < count else 0.0
+            bound = (ratio ** (r - 1)) * tail_sum / float(lam_m)
             passed = _bound_holds(residual, bound, gens[m - 1].rows, r, tol)
             ok_bounds = ok_bounds and passed
             residuals.append(residual)

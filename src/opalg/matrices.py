@@ -40,7 +40,6 @@ __all__ = [
     "eliminate",
     "is_idempotent",
     "op_norm",
-    "schatten1_norm",
     "singular_values",
 ]
 
@@ -415,13 +414,6 @@ class Matrix:
             return Matrix._wrap_float(np.dot(self.to_float()._arr, other.to_float()._arr))
         return self._product(other._re, other._im, other._den, np.dot)
 
-    def adjoint(self):
-        """Conjugate transpose."""
-        if not self.is_exact:
-            return Matrix._wrap_float(self._arr.conj().T.copy())
-        im = None if self._im is None else (-self._im).T.copy()
-        return Matrix._wrap_exact(self._re.T.copy(), im, self._den)
-
     def kron(self, other):
         """Kronecker product; exactness is preserved on exact inputs."""
         if self._binary_backend(other) == "float":
@@ -515,11 +507,6 @@ def singular_values(m: Matrix | list[Matrix]) -> np.ndarray:
 def op_norm(m: Matrix) -> float:
     """Operator norm (largest singular value)."""
     return float(singular_values(m)[0])
-
-
-def schatten1_norm(m: Matrix) -> float:
-    """Unnormalized Schatten-1 norm (sum of singular values)."""
-    return float(singular_values(m).sum())
 
 
 def is_idempotent(m: Matrix, tol: float = DEFAULT_TOL) -> bool:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from opalg.chains import Chain, build_chain
+from opalg.generation import WeightSeq
 from opalg.cli import (
     ConfigError,
     ExperimentConfig,
@@ -139,6 +140,20 @@ def test_measured_checks_fail_on_bad_input(monkeypatch):
     checks = {c.name: c for c in run_experiment(small_cfg(subcommand="generate", m_max=4)).stages[0].checks}
     assert len(checks) == 4 and not checks["generator-orthogonality"].passed
     assert checks["generation-geometric-bound"].passed
+    monkeypatch.undo()
+
+    # weight-scale-invariance compares the rescaled generators of the weights
+    # and of the weights scaled by 3: one scaled weight off breaks only it
+    scaled = WeightSeq.scaled
+
+    def last_one_off(weights, factor):
+        lams = scaled(weights, factor).lambdas
+        return WeightSeq(lams[:-1] + (lams[-1] / 2,))
+
+    monkeypatch.setattr(WeightSeq, "scaled", last_one_off)
+    checks = {c.name: c for c in run_experiment(small_cfg(subcommand="generate", m_max=4)).stages[0].checks}
+    assert not checks["weight-scale-invariance"].passed
+    assert checks["generation-geometric-bound"].passed
 
 
 def test_main_exit_codes(tmp_path, capsys, monkeypatch):
@@ -172,6 +187,9 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
                 '{"coupling_scheme": 5}', '{"weight_scheme": null}', 'nope{', '[1]'):
         cfg_file.write_text(bad)
         assert main(["chain", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    # with no --out flag, a config file's out_dir must be a string
+    cfg_file.write_text('{"out_dir": 5}')
+    assert main(["chain", "--config", str(cfg_file)]) == 2
     monkeypatch.setattr("opalg.cli.build_chain", _failing_build_chain)
     assert main(argv) == 1
 

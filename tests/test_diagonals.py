@@ -12,6 +12,7 @@ from opalg import (
     FiniteDiagonal,
     Matrix,
     TensorElem,
+    agree,
     bimodule_commutator,
     build_chain,
     build_delta,
@@ -247,6 +248,53 @@ def test_unitized_rewrite_gap_identity(data):
     gap = regrouped - bimodule_commutator(a, m)
     ap = a @ p - p @ a
     assert _reduce((gap - (delta.left(ap) + TensorElem.of([(rest, ap)], dim=dim))).terms) == []
+
+
+def unitized_from_raw_commutator(deltas, chain, a, a_alg, rec, report, tol=DEFAULT_TOL):
+    """(unitized_upper, unitized_ok) of one sample element, with
+    R = 2[a,D] - p.[a,D] + w (x) rest - rest (x) w built on the raw terms of
+    bimodule_commutator(a, D) and every bound as certify_mbad states it."""
+    dim = chain.truncation_dim
+    one = Matrix.identity(dim, backend=chain.backend)
+    k = report.projection_sup
+    scale = max(1.0, a.max_abs())
+    uppers, refined_ok = [], True
+    for d, p in zip(deltas, report.images):
+        comm = bimodule_commutator(a, d)
+        rest = one - p
+        w = a_alg - a_alg @ p
+        up = tensor_norm_upper(comm.scale(2) + (-comm.left(p)) + TensorElem.of([(w, rest), (-rest, w)], dim=dim))
+        uppers.append(up)
+        refined = (2.0 + k) * tensor_norm_upper(comm) + 2.0 * (1.0 + k) * (0.0 if w.is_zero() else op_norm(w))
+        refined_ok = refined_ok and up <= refined + max(tol, 1e-9 * max(1.0, refined))
+    rewrite_ok = all(agree(a @ p, p @ a, max(tol, 1e-9 * scale)) for p in report.images)
+    n = (0.0 if a_alg.is_zero() else op_norm(a_alg)) + abs(rec.identity_coeff)
+    ok = not rec.in_span or (
+        refined_ok and rewrite_ok and max(uppers) <= report.unitized_constant * n + max(tol, 1e-9 * (1.0 + n))
+    )
+    return max(uppers), ok
+
+
+def test_certify_mbad_unitized_matches_raw_commutator_reference(chain6):
+    # certify_mbad builds R on the reduced commutator, which is empty
+    # whenever a commutes with D; R built on the raw commutator terms has
+    # the same value, and must give the same bound and verdict
+    dim = chain6.truncation_dim
+    one = Matrix.identity(dim)
+    deltas = [build_delta(chain6, n) for n in range(1, 7)]
+    # exact commuting, exact non-commuting and float elements, each as its
+    # part without the identity and its identity coefficient
+    parts = [(e, 0) for e in chain6.idempotents]
+    parts += [(chain6.e(1) + unit01(dim), 0), (chain6.e(2) + unit01(dim) * Fraction(1, 3), 0), (chain6.e(3), 2)]
+    sample = [a_alg + one * c for a_alg, c in parts] + [chain6.e(5).to_float() * 0.3 + one * 0.5]
+    report = certify_mbad(deltas, chain6, sample)
+    assert [r.in_span for r in report.records] == [True] * 6 + [False, False, True, True]
+    # a float element's identity part is the one certify_mbad reads off its coordinates
+    algs = [a_alg for a_alg, _ in parts] + [sample[-1] - one * report.records[-1].identity_coeff]
+    for a, a_alg, rec in zip(sample, algs, report.records, strict=True):
+        assert (rec.unitized_upper, rec.unitized_ok) == unitized_from_raw_commutator(
+            deltas, chain6, a, a_alg, rec, report
+        )
 
 
 def test_certify_mbad_unitized_needs_commuting_images():

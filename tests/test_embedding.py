@@ -21,7 +21,7 @@ from opalg import (
     op_norm,
     phi,
     phi_sup_norm,
-    schatten1_norm,
+    singular_values,
     unit_circle_sweep_ratios,
 )
 from opalg.matrices import read_scalar
@@ -43,7 +43,7 @@ def test_omega_diagonal_entry_is_one():
 def test_E_is_idempotent_and_rank_one():
     e = build_E(4, 6)
     assert (e @ e).equals(e)
-    assert schatten1_norm(e) == pytest.approx(3.0, abs=1e-9)
+    assert float(singular_values(e).sum()) == pytest.approx(3.0, abs=1e-9)
 
 
 def test_E_norm_is_three():
@@ -332,14 +332,15 @@ def product_form_blocks(a, family):
     n_max = family.n_max
     read = [read_scalar(v) for v in a]
     backend = "exact" if all(kind == "exact" for kind, _ in read) else "float"
-    xs = Matrix.exact([[1] * n_max, [1] * n_max] + [[int(i == j) for j in range(n_max)] for i in range(n_max)])
+    # X is real, so X^* is its transpose
+    xt = Matrix.exact([[1, 1] + [int(i == j) for j in range(n_max)] for i in range(n_max)])
     ys = Matrix.exact([[-1] * n_max, [1] * n_max] + [[int(i == j) for j in range(n_max)] for i in range(n_max)])
     vals = [val for _, val in read][:n_max] + [0] * (n_max - len(read))
     blocks = []
     for subset in family.subsets:
         pos, cols = [0, 1] + [j + 1 for j in subset], [j - 1 for j in subset]
         d = Matrix.diag([vals[k] for k in cols], backend)
-        blocks.append(ys.submatrix(pos, cols) @ d @ xs.submatrix(pos, cols).adjoint())
+        blocks.append(ys.submatrix(pos, cols) @ d @ xt.submatrix(cols, pos))
     return blocks
 
 
@@ -392,5 +393,5 @@ def test_stacked_spectra_match_per_block_norms():
             w = make_trace(fam, scheme)
             expected = 0.0
             for subset, weight, block in zip(fam.subsets, w.weights, emb.blocks):
-                expected += float(weight) / (len(subset) + 2) * schatten1_norm(block)
+                expected += float(weight) / (len(subset) + 2) * float(singular_values(block).sum())
             assert l1_trace_norm(emb, w) == expected
