@@ -7,16 +7,21 @@ of norm 3, with E_j E_k = 0 for j != k.  A finitely supported sequence a
 embeds as the family of blocks sum_{j in F} a_j E_j over finite index
 sets F, and the block sup norm is pinned between ||a||_1 / pi and
 3 ||a||_1; the lower bound rests on maximizing |sum_{j in F} a_j| over
-subsets, solved exactly by a half-plane sweep.  Blocks are filled from
-their closed form (see ``_blocks``), and the blocks of one size share
-one array and one stacked SVD.
+subsets, solved exactly by a half-plane sweep.
+
+Blocks are filled from their closed form (see ``_stacks``) and kept
+stacked, one (m, k + 2, k + 2) array per subset size k: integer
+numerators over one shared denominator when exact, complex when float.
+Norms read one stacked SVD per size, exact multiplicativity is one
+batched integer product per size, and a block is wrapped as a
+:class:`Matrix` only when ``EmbeddedElement.blocks`` is asked for.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -226,23 +231,60 @@ class SubsetFamily:
 
 @dataclass(frozen=True)
 class EmbeddedElement:
-    """Coefficients plus one block per enumerated subset: the block for F
-    is sum_{j in F} a_j E_j restricted to the coordinates F u {alpha, omega}."""
+    """Coefficients plus, per subset size k, the blocks of every subset of
+    that size as one (m, k + 2, k + 2) stack: the block for F is
+    sum_{j in F} a_j E_j restricted to the coordinates (alpha, omega, F).
+
+    ``stacks`` holds one (positions, re, im) triple per size, where
+    positions are the indices of the stacked subsets in the family.  Exact
+    stacks hold integer numerators ``re`` and ``im`` over the shared
+    denominator ``den``; a float stack holds one complex array in ``re``,
+    with ``im`` and ``den`` None.  ``blocks`` wraps them as one
+    :class:`Matrix` per subset on first use."""
 
     coeffs: tuple
     family: SubsetFamily
-    blocks: tuple[Matrix, ...]
+    stacks: tuple = field(repr=False, compare=False)
+    den: int | None = field(repr=False, compare=False)
+
+    @property
+    def is_exact(self) -> bool:
+        return self.den is not None
+
+    def _per_block(self, batch):
+        """``batch(re, im)`` for every stack, its results in family order."""
+        out = [None] * len(self.family)
+        for positions, re, im in self.stacks:
+            for pos, result in zip(positions, batch(re, im)):
+                out[pos] = result
+        return out
+
+    @cached_property
+    def blocks(self) -> tuple[Matrix, ...]:
+        """One Matrix per subset, in family order (exact ones in lowest
+        terms)."""
+        if not self.is_exact:
+            return tuple(self._per_block(lambda re, _: [Matrix.from_float(b) for b in re]))
+        return tuple(self._per_block(lambda re, im: [Matrix.from_numerators(r, i, self.den) for r, i in zip(re, im)]))
 
     def block(self, subset: Sequence[int]) -> Matrix:
         key = tuple(sorted(set(subset)))
         return self.blocks[self.family.subsets.index(key)]
 
+    def _float_stack(self, re, im):
+        if not self.is_exact:
+            return re
+        # int / int rounds correctly, so this equals Matrix.to_float of each
+        # block in lowest terms
+        arr = np.zeros(re.shape, dtype=complex)
+        arr.real, arr.imag = re / self.den, im / self.den
+        return arr
+
     @cached_property
     def _spectra(self) -> list[np.ndarray]:
         """Singular values of every block, in block order, from one stacked
-        SVD per block shape; computed once per element."""
-        blocks = self.blocks
-        return _grouped([b.shape for b in blocks], lambda pos: singular_values([blocks[p] for p in pos]))
+        SVD per block size; computed once per element."""
+        return self._per_block(lambda re, im: singular_values(self._float_stack(re, im)))
 
 
 def _check_support(read, n_max):
@@ -252,19 +294,6 @@ def _check_support(read, n_max):
         nonzero = any(val) if kind == "exact" else val != 0
         if nonzero and j > n_max:
             raise ValueError(f"support index {j} outside 1..{n_max}")
-
-
-def _grouped(keys, batch):
-    """Call ``batch(positions)`` once per distinct key, on the positions
-    that hold it, and return its results in position order."""
-    groups = defaultdict(list)
-    for pos, key in enumerate(keys):
-        groups[key].append(pos)
-    out = [None] * len(keys)
-    for positions in groups.values():
-        for pos, result in zip(positions, batch(positions)):
-            out[pos] = result
-    return out
 
 
 def _fill(values, idx):
@@ -279,10 +308,11 @@ def _fill(values, idx):
     out[:, _OMEGA, :2], out[:, _OMEGA, 2:] = s, a
     rows = np.arange(2, k + 2)
     out[:, rows, _ALPHA] = out[:, rows, _OMEGA] = out[:, rows, rows] = a
+    out.flags.writeable = False
     return out
 
 
-def _blocks(read, family, backend):
+def _stacks(read, family, exact):
     """block_F = sum_{j in F} a_j E_j on the coordinates (alpha, omega, F)
     for every F in the family, from its closed form: with s_F the sum of
     a_j over F, row alpha is (-s_F, -s_F, -a_F), row omega is
@@ -290,26 +320,27 @@ def _blocks(read, family, backend):
     omega and j; missing coefficients are zero.  The coefficients, as
     :func:`read_scalar` returns them, are parsed once: integer numerators
     over one shared denominator when exact, one complex vector when
-    float."""
+    float.  Returns the stacks of :class:`EmbeddedElement` and the
+    denominator (None when float)."""
     subsets = family.subsets
     read = read[: family.n_max]
     pad = [0] * (family.n_max - len(read))
-    if backend == "exact":
+    if exact:
         den = math.lcm(*(x.denominator for _, pair in read for x in pair))
         re, im = (
             np.array([pair[k].numerator * (den // pair[k].denominator) for _, pair in read] + pad, dtype=object)
             for k in (0, 1)
         )
-
-        def make(idx):
-            return [Matrix.from_numerators(r, i, den) for r, i in zip(_fill(re, idx), _fill(im, idx))]
     else:
-        values = np.array([_as_complex(*r) for r in read] + pad, dtype=complex)
-
-        def make(idx):
-            return [Matrix.from_float(b) for b in _fill(values, idx)]
-
-    return _grouped([len(f) for f in subsets], lambda pos: make(np.array([subsets[p] for p in pos]) - 1))
+        den, re, im = None, np.array([_as_complex(*r) for r in read] + pad, dtype=complex), None
+    by_size = defaultdict(list)
+    for pos, f in enumerate(subsets):
+        by_size[len(f)].append(pos)
+    stacks = []
+    for positions in by_size.values():
+        idx = np.array([subsets[p] for p in positions]) - 1
+        stacks.append((tuple(positions), _fill(re, idx), None if im is None else _fill(im, idx)))
+    return tuple(stacks), den
 
 
 def phi(a: Sequence, subsets: SubsetFamily) -> EmbeddedElement:
@@ -320,14 +351,13 @@ def phi(a: Sequence, subsets: SubsetFamily) -> EmbeddedElement:
     a = list(a)
     read = [read_scalar(v) for v in a]
     _check_support(read, subsets.n_max)
-    backend = "exact" if all(kind == "exact" for kind, _ in read) else "float"
-    blocks = _blocks(read, subsets, backend)
-    return EmbeddedElement(coeffs=tuple(a), family=subsets, blocks=tuple(blocks))
+    stacks, den = _stacks(read, subsets, all(kind == "exact" for kind, _ in read))
+    return EmbeddedElement(coeffs=tuple(a), family=subsets, stacks=stacks, den=den)
 
 
 def phi_sup_norm(e: EmbeddedElement) -> float:
     """Largest operator norm over the enumerated blocks."""
-    if not e.blocks:
+    if not e.stacks:
         raise ValueError("embedded element has no blocks")
     return max(float(s[0]) for s in e._spectra)
 
@@ -425,6 +455,11 @@ class TraceWeights:
         if sum(self.weights) != 1:
             raise ValueError("weights must sum to 1")
 
+    @cached_property
+    def floats(self) -> tuple[float, ...]:
+        """Each weight rounded to float, converted once."""
+        return tuple(map(float, self.weights))
+
 
 def make_trace(subsets: SubsetFamily, scheme: str = "geometric") -> TraceWeights:
     """Geometric weights 2^-k over the canonical order, or uniform ones;
@@ -446,8 +481,8 @@ def l1_trace_norm(e: EmbeddedElement, w: TraceWeights) -> float:
     if len(w.weights) != len(e.family):
         raise ValueError(f"{len(w.weights)} trace weights for a subset family of {len(e.family)} blocks")
     total = 0.0
-    for subset, weight, s in zip(e.family.subsets, w.weights, e._spectra):
-        total += float(weight) / (len(subset) + 2) * float(s.sum())
+    for subset, weight, s in zip(e.family.subsets, w.floats, e._spectra):
+        total += weight / (len(subset) + 2) * float(s.sum())
     return total
 
 
@@ -486,6 +521,35 @@ def _random_rational_pairs(rng, n, denom=16):
 
 def _pair_mul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _product_dtype(n, big, da, db, dp):
+    """int64 when exact integer bounds rule out overflow in
+    :func:`_is_product` for stacks of n x n numerators of modulus at most
+    ``big`` over the denominators da, db and dp, else object.  Each entry
+    of ``re`` or ``im`` is a sum of 2n products, so |re dp| <= 2 n big^2 dp,
+    and |P da db| <= big da db."""
+    big = max(big, 1)  # so the bounds also cover the scalars dp and da db
+    return np.int64 if 2 * n * big * big * dp < 2**63 and big * da * db < 2**63 else object
+
+
+def _is_product(ea: EmbeddedElement, eb: EmbeddedElement, ep: EmbeddedElement) -> bool:
+    """Whether every block of ep equals the product of the blocks of ea and
+    eb, exactly: exact elements on one family, compared with one batched
+    product per block size.  With re = Ar Br - Ai Bi and im = Ar Bi + Ai Br
+    on the numerator stacks, the blocks agree when re dp == Pr da db and
+    im dp == Pi da db."""
+    da, db, dp = ea.den, eb.den, ep.den
+    for (_, ar, ai), (_, br, bi), (_, pr, pi) in zip(ea.stacks, eb.stacks, ep.stacks):
+        parts = (ar, ai, br, bi, pr, pi)
+        dtype = _product_dtype(ar.shape[-1], max(int(np.abs(x).max()) for x in parts), da, db, dp)
+        ar, ai, br, bi, pr, pi = (x.astype(dtype) for x in parts)
+        if not (
+            np.array_equal((ar @ br - ai @ bi) * dp, pr * (da * db))
+            and np.array_equal((ar @ bi + ai @ br) * dp, pi * (da * db))
+        ):
+            return False
+    return True
 
 
 def certify_embedding_bounds(
@@ -567,10 +631,8 @@ def certify_embedding_bounds(
         a = _random_rational_pairs(rng, n_max)
         b = _random_rational_pairs(rng, n_max)
         prod = [_pair_mul(x, y) for x, y in zip(a, b)]
-        ea, eb, ep = phi(a, base), phi(b, base), phi(prod, base)
-        for ba, bb, bp in zip(ea.blocks, eb.blocks, ep.blocks):
-            if not (ba @ bb).equals(bp):
-                mult_exact = False
+        if not _is_product(phi(a, base), phi(b, base), phi(prod, base)):
+            mult_exact = False
     passed = lower_ok and upper_ok and trace_ok and trace_le_sup_ok and mult_exact
     return EmbeddingReport(
         n_max=n_max,

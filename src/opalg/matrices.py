@@ -492,16 +492,16 @@ def _require_nonempty(m):
         raise DimensionError("matrix is empty")
 
 
-def singular_values(m: Matrix | list[Matrix]) -> np.ndarray:
-    """Singular values in decreasing order.  A list of matrices of one
-    shape gets one stacked SVD, with row i holding the values of the i-th;
-    each row equals what the matrix alone gives."""
+def singular_values(m: Matrix | np.ndarray) -> np.ndarray:
+    """Singular values in decreasing order.  A (count, rows, cols) array of
+    matrices gets one stacked SVD, with row i holding the values of the
+    i-th matrix; each row equals what the matrix alone gives."""
     if isinstance(m, Matrix):
         _require_nonempty(m)
         return np.linalg.svd(m.to_float()._arr, compute_uv=False)
-    for b in m:
-        _require_nonempty(b)
-    return np.linalg.svd(np.stack([b.to_float()._arr for b in m]), compute_uv=False)
+    if m.ndim != 3 or 0 in m.shape[1:]:
+        raise DimensionError(f"expected a stack of nonempty matrices, got shape {m.shape}")
+    return np.linalg.svd(m, compute_uv=False)
 
 
 def op_norm(m: Matrix) -> float:

@@ -1,10 +1,12 @@
 """Config handling, staged runs, report emission, and reproducibility."""
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from opalg import embedding
 from opalg.chains import Chain, build_chain
 from opalg.generation import WeightSeq
 from opalg.cli import (
@@ -154,6 +156,21 @@ def test_measured_checks_fail_on_bad_input(monkeypatch):
     checks = {c.name: c for c in run_experiment(small_cfg(subcommand="generate", m_max=4)).stages[0].checks}
     assert not checks["weight-scale-invariance"].passed
     assert checks["generation-geometric-bound"].passed
+    monkeypatch.undo()
+
+    # embedding-multiplicativity multiplies the blocks of the rational trials:
+    # one pointwise product coefficient off breaks only it
+    pair_mul, calls = embedding._pair_mul, []
+
+    def first_off(x, y):
+        calls.append((x, y))
+        re, im = pair_mul(x, y)
+        return (re + Fraction(1, 2**20), im) if len(calls) == 1 else (re, im)
+
+    monkeypatch.setattr(embedding, "_pair_mul", first_off)
+    checks = {c.name: c for c in run_experiment(build_config(["embed", "--trials", "1"])).stages[0].checks}
+    assert len(calls) == 100 and not checks["embedding-multiplicativity"].passed
+    assert checks["embedding-norm-bounds"].passed
 
 
 def test_main_exit_codes(tmp_path, capsys, monkeypatch):

@@ -24,6 +24,7 @@ from opalg import (
     singular_values,
     unit_circle_sweep_ratios,
 )
+from opalg import embedding
 from opalg.matrices import read_scalar
 
 INV_PI = 1.0 / math.pi
@@ -383,15 +384,91 @@ def test_float_blocks_match_product_form(family, data):
 def test_stacked_spectra_match_per_block_norms():
     fam = SubsetFamily.enumerate(10, 512, 8).augmented([tuple(range(1, 11))])
     rng = np.random.default_rng(11)
+    # every block of multiples of 3/16 shares a factor with the element's
+    # denominator, 48, unless it holds the first coefficient
+    multiples = [Fraction(1, 48)] + [
+        (Fraction(3 * int(p), 16), Fraction(3 * int(q), 16)) for p, q in rng.integers(-10, 11, (9, 2))
+    ]
+    emb = phi(multiples, fam)
+    reduced = [b for f, b in zip(fam.subsets, emb.blocks) if 1 not in f and not b.is_zero()]
+    assert reduced and all(b.content().denominator < 48 for b in reduced)
     for a in (
         list(rng.uniform(-1, 1, 10) + 1j * rng.uniform(-1, 1, 10)),
         [(Fraction(int(p), 16), Fraction(int(q), 16)) for p, q in rng.integers(-32, 33, (10, 2))],
+        multiples,
+        # numerators past 2**53, where converting before dividing rounds twice
+        [(Fraction(int(p) * 2**40 + 1, 21), Fraction(int(q), 7)) for p, q in rng.integers(-2**20, 2**20, (10, 2))],
     ):
         emb = phi(a, fam)
         assert phi_sup_norm(emb) == max(op_norm(b) for b in emb.blocks)
+        for spectrum, block in zip(emb._spectra, emb.blocks, strict=True):
+            assert np.array_equal(spectrum, singular_values(block))
         for scheme in ("geometric", "uniform"):
             w = make_trace(fam, scheme)
             expected = 0.0
             for subset, weight, block in zip(fam.subsets, w.weights, emb.blocks):
                 expected += float(weight) / (len(subset) + 2) * float(singular_values(block).sum())
             assert l1_trace_norm(emb, w) == expected
+
+
+def test_norms_do_not_wrap_blocks():
+    fam = SubsetFamily.enumerate(5, f_cap=20, s_max=3)
+    for a in ([0.5, 1j, 0, -2], [(Fraction(1, 3), 1), 2]):
+        emb = phi(a, fam)
+        phi_sup_norm(emb)
+        l1_trace_norm(emb, make_trace(fam))
+        assert "blocks" not in vars(emb)
+        assert len(emb.blocks) == len(fam) and "blocks" in vars(emb)
+
+
+def test_product_dtype_bound():
+    # int64 only when 2 n big^2 dp and big da db both stay below 2**63
+    assert embedding._product_dtype(3, 2**30, 1, 1, 1) is np.int64
+    assert embedding._product_dtype(4, 2**30, 1, 1, 1) is object
+    assert embedding._product_dtype(3, 2**30, 1, 1, 2) is object
+    assert embedding._product_dtype(3, 1, 2**31, 2**31 - 1, 1) is np.int64
+    assert embedding._product_dtype(3, 1, 2**31, 2**32, 1) is object
+    # zero numerators still need the scalars themselves to fit
+    assert embedding._product_dtype(3, 0, 2**40, 2**40, 1) is object
+
+
+def blockwise_product(ea, eb, ep):
+    """The per-block oracle for embedding._is_product."""
+    return all((ba @ bb).equals(bp) for ba, bb, bp in zip(ea.blocks, eb.blocks, ep.blocks, strict=True))
+
+
+dyadic = st.builds(Fraction, st.integers(-64, 64), st.sampled_from([1, 2, 4, 8, 16]))
+dyadic_pair = st.tuples(dyadic, dyadic)
+# an odd numerator over a power of two stays at least 2**41 in lowest terms
+wide_part = st.builds(
+    lambda sign, k, den: Fraction(sign * (2 * k + 1), den),
+    st.sampled_from([-1, 1]), st.integers(2**40, 2**90), st.sampled_from([1, 2, 4, 8, 16]),
+)
+
+
+@given(families(), st.data(), st.sampled_from(["true", "perturbed"]), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_batched_multiplicativity_matches_blockwise_products(family, data, kind, wide):
+    n = family.n_max
+    a = data.draw(st.lists(dyadic_pair, min_size=n, max_size=n))
+    b = data.draw(st.lists(dyadic_pair, min_size=n, max_size=n))
+    used = sorted(set().union(*family.subsets))
+    if wide:
+        # a numerator of at least 2**41 in some block fails the int64 bound
+        j = data.draw(st.sampled_from(used)) - 1
+        a[j] = (data.draw(wide_part), data.draw(st.one_of(st.just(Fraction(0)), wide_part)))
+    p = [embedding._pair_mul(x, y) for x, y in zip(a, b)]
+    if kind == "perturbed":
+        j = data.draw(st.sampled_from(used)) - 1
+        eps = Fraction(1, 2 ** data.draw(st.integers(0, 200)))
+        p[j] = (p[j][0] + eps, p[j][1]) if data.draw(st.booleans()) else (p[j][0], p[j][1] - eps)
+    ea, eb, ep = phi(a, family), phi(b, family), phi(p, family)
+    seen = []
+    choose = embedding._product_dtype
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embedding, "_product_dtype", lambda *args: seen.append(choose(*args)) or seen[-1])
+        verdict = embedding._is_product(ea, eb, ep)
+    assert verdict == blockwise_product(ea, eb, ep) == (kind == "true")
+    # dyadic products stay far inside int64; a fine perturbation may not
+    if kind == "true":
+        assert (object in seen) if wide else all(d is np.int64 for d in seen)

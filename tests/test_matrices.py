@@ -53,6 +53,15 @@ def test_norms_reject_empty():
         op_norm(Matrix.zeros(0, 3))
     with pytest.raises(DimensionError):
         singular_values(Matrix.zeros(2, 0))
+    with pytest.raises(DimensionError):
+        singular_values(np.zeros((2, 3, 0), dtype=complex))
+
+
+def test_singular_values_of_a_stack_match_each_matrix():
+    mats = [Matrix.exact([[1, (2, 1)], [Fraction(1, 3), 0]]), Matrix.from_float([[0.5, -1j], [2, 1e-300]])]
+    stacked = singular_values(np.stack([m.numpy() for m in mats]))
+    for row, m in zip(stacked, mats, strict=True):
+        assert np.array_equal(row, singular_values(m))
 
 
 def test_is_idempotent_examples():
