@@ -29,7 +29,6 @@ from .diagonals import (
     expectation_from_diagonal,
     expectation_norm_demo,
     full_matrix_diagonal,
-    pi_map,
 )
 from .embedding import (
     RankOneFamily,
@@ -319,7 +318,7 @@ def _stage_diagonal(cfg: ExperimentConfig) -> tuple[StageResult, dict]:
         "unitized diagonals map to the identity",
         "exact for all n",
         f"{len(deltas)} unitized diagonals",
-        all(pi_map(m).equals(ident) for m in report.unitized),
+        all(image.equals(ident) for image in report.unitized_images),
     )
     stage.add(
         "multiplier-bound-certificate",

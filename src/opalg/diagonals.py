@@ -21,7 +21,6 @@ from typing import Sequence
 from .chains import Chain
 from .matrices import (
     DEFAULT_TOL,
-    CertificationError,
     DimensionError,
     Matrix,
     agree,
@@ -260,16 +259,18 @@ def tensor_norm_bounds(t: TensorElem) -> tuple[float, float]:
     return _bounds(t.terms, t.dim, 0.0)[:2]
 
 
-def unitize_diagonal(delta: TensorElem, u: Matrix, one: Matrix) -> TensorElem:
-    """2*delta - u.delta + (1-u) (x) (1-u), with u the image of delta
-    under the multiplication map; its own image is the identity, exactly."""
-    if not agree(delta.pi(), u, 1e-12 * max(1.0, u.max_abs())):
-        raise ValueError("u must equal pi_map(delta)")
+def unitize_diagonal(delta: TensorElem, u: Matrix, one: Matrix) -> tuple[TensorElem, Matrix]:
+    """(M, pi(M)) for M = 2*delta - u.delta + (1-u) (x) (1-u), with u the
+    image of delta under the multiplication map, so that pi(M) is the
+    identity, exactly.  Since pi(M) - 1 = (2 - u)(pi(delta) - u), the
+    image is checked instead of re-forming pi(delta): a ValueError says
+    that u is not pi(delta)."""
     rest = one - u
     unitized = delta.scale(2) + (-delta.left(u)) + TensorElem.of([(rest, rest)], dim=delta.dim)
-    if not agree(unitized.pi(), one, 1e-9):
-        raise CertificationError("unitized diagonal does not map to the identity")
-    return unitized
+    image = unitized.pi()
+    if not agree(image, one, 1e-9):
+        raise ValueError("u must equal pi_map(delta): the unitized diagonal does not map to the identity")
+    return unitized, image
 
 
 @dataclass(frozen=True)
@@ -375,6 +376,36 @@ class MbadReport:
     verdict: bool
     images: tuple[Matrix, ...]
     unitized: tuple[TensorElem, ...]
+    unitized_images: tuple[Matrix, ...]
+
+
+def _increments(deltas: Sequence[TensorElem]) -> list[TensorElem]:
+    """Per diagonal, what it adds to the one before (the first to zero):
+    its terms after the longest prefix it shares with the previous one,
+    minus the previous one's terms after that prefix.  Legs are compared
+    by :meth:`Matrix.equals`, so a telescoping sequence built term by term
+    gives one term per increment, and any sequence gives increments that
+    sum to each diagonal."""
+    out, prev = [], ()
+    for d in deltas:
+        k = 0
+        while k < min(len(prev), len(d.terms)) and all(x.equals(y) for x, y in zip(prev[k], d.terms[k])):
+            k += 1
+        out.append(TensorElem(terms=d.terms[k:] + tuple((-u, v) for u, v in prev[k:]), dim=d.dim))
+        prev = d.terms
+    return out
+
+
+def _commutator_bounds(a: Matrix, increments: Sequence[TensorElem], dim: int, tol: float) -> list[tuple]:
+    """:func:`_bounds` of [a, D_n] for every n, where D_n is the sum of the
+    first n increments: the reduced form of [a, D_{n-1}] is reduced
+    together with the terms of [a, I_n], so each step makes the 2 products
+    per term of I_n and no more."""
+    out, comm = [], TensorElem.zero(dim)
+    for inc in increments:
+        out.append(_bounds(comm.terms + bimodule_commutator(a, inc).terms, dim, tol))
+        comm = out[-1][3]
+    return out
 
 
 def certify_mbad(
@@ -394,7 +425,17 @@ def certify_mbad(
     (2 + K) C + 2 (1 + K)^2 over the adjoined-unit norm.
     Elements outside span(chain + identity), read off one elimination of
     e_1..e_m, 1 (exact for exact elements), are flagged, not fatal.  The
-    report carries the multiplication images and unitized diagonals.
+    report carries the multiplication images and the unitized diagonals
+    with their images.
+
+    Commutators are built from the increments of the sequence: with
+    D_n = D_{n-1} + I_n, [a, D_n] = [a, D_{n-1}] + [a, I_n], so the
+    reduced form of [a, D_n] is that of [a, D_{n-1}] reduced together
+    with the terms of [a, I_n].  For the telescoping diagonals I_n is the
+    one term f_n (x) f_n, and a sample costs 2 m products rather than
+    m (m + 1).  The reduced form has the value of [a, D_n], but not its
+    leg order, so a nonzero commutator's upper bound may differ in its
+    last digits from that of the reduced raw commutator.
     """
     deltas = list(deltas)
     if not deltas:
@@ -407,7 +448,8 @@ def certify_mbad(
     ident = Matrix.identity(dim, backend=chain.backend)
     pis = [d.pi() for d in deltas]
     k_const = max(op_norm(p) for p in pis)
-    unitized = [unitize_diagonal(d, p, ident) for d, p in zip(deltas, pis)]
+    unitized, unitized_images = zip(*(unitize_diagonal(d, p, ident) for d, p in zip(deltas, pis)))
+    increments = _increments(deltas)
 
     # e_1..e_m, 1 are eliminated once; a float remainder of a sample a
     # counts as zero below max(tol, 1e-12) max(1, max|a|)
@@ -438,8 +480,7 @@ def certify_mbad(
             or agree(final_image, a, max(tol, 1e-12 * scale))
         )
 
-        bounds = [_bounds(bimodule_commutator(a, d).terms, dim, tol) for d in deltas]
-        lowers, uppers, zeros, comms = zip(*bounds)
+        lowers, uppers, zeros, comms = zip(*_commutator_bounds(a, increments, dim, tol))
         comm_upper, comm_lower = max(uppers), max(lowers)
         commutator_ok = not in_span or all(zeros)
 
@@ -501,7 +542,8 @@ def certify_mbad(
         unitized_constant=unitized_constant,
         verdict=verdict,
         images=tuple(pis),
-        unitized=tuple(unitized),
+        unitized=unitized,
+        unitized_images=unitized_images,
     )
 
 

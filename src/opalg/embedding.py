@@ -11,10 +11,11 @@ subsets, solved exactly by a half-plane sweep.
 
 Blocks are filled from their closed form (see ``_stacks``) and kept
 stacked, one (m, k + 2, k + 2) array per subset size k: integer
-numerators over one shared denominator when exact, complex when float.
-Norms read one stacked SVD per size, exact multiplicativity is one
-batched integer product per size, and a block is wrapped as a
-:class:`Matrix` only when ``EmbeddedElement.blocks`` is asked for.
+numerators over one shared denominator when exact (int64 when a bound
+allows, see ``_stacks``), complex when float.  Norms read one stacked
+SVD per size, exact multiplicativity is one batched integer product per
+size, and a block is wrapped as a :class:`Matrix` only when
+``EmbeddedElement.blocks`` is asked for.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ from .matrices import (
     CertificationError,
     Matrix,
     _as_complex,
+    kernel_dtype,
     op_norm,
     read_scalar,
     singular_values,
@@ -251,11 +253,11 @@ class EmbeddedElement:
     def is_exact(self) -> bool:
         return self.den is not None
 
-    def _per_block(self, batch):
-        """``batch(re, im)`` for every stack, its results in family order."""
+    def _in_family_order(self, per_stack):
+        """Results given stack by stack, in family order."""
         out = [None] * len(self.family)
-        for positions, re, im in self.stacks:
-            for pos, result in zip(positions, batch(re, im)):
+        for (positions, _, _), results in zip(self.stacks, per_stack):
+            for pos, result in zip(positions, results):
                 out[pos] = result
         return out
 
@@ -264,8 +266,10 @@ class EmbeddedElement:
         """One Matrix per subset, in family order (exact ones in lowest
         terms)."""
         if not self.is_exact:
-            return tuple(self._per_block(lambda re, _: [Matrix.from_float(b) for b in re]))
-        return tuple(self._per_block(lambda re, im: [Matrix.from_numerators(r, i, self.den) for r, i in zip(re, im)]))
+            wrapped = [[Matrix.from_float(b) for b in re] for _, re, _ in self.stacks]
+        else:
+            wrapped = [[Matrix.from_numerators(r, i, self.den) for r, i in zip(re, im)] for _, re, im in self.stacks]
+        return tuple(self._in_family_order(wrapped))
 
     def block(self, subset: Sequence[int]) -> Matrix:
         key = tuple(sorted(set(subset)))
@@ -274,17 +278,30 @@ class EmbeddedElement:
     def _float_stack(self, re, im):
         if not self.is_exact:
             return re
-        # int / int rounds correctly, so this equals Matrix.to_float of each
-        # block in lowest terms
+        # int / int rounds correctly, and so does an int64 stack, whose
+        # numerators and denominator _stacks keeps within 2**53 so that
+        # they convert to float exactly; this equals Matrix.to_float of
+        # each block in lowest terms
         arr = np.zeros(re.shape, dtype=complex)
         arr.real, arr.imag = re / self.den, im / self.den
         return arr
 
     @cached_property
+    def _stacked_spectra(self) -> list[np.ndarray]:
+        """Singular values of the blocks, one (m, k + 2) array per stack,
+        from one stacked SVD each; computed once per element."""
+        return [singular_values(self._float_stack(re, im)) for _, re, im in self.stacks]
+
+    @cached_property
     def _spectra(self) -> list[np.ndarray]:
-        """Singular values of every block, in block order, from one stacked
-        SVD per block size; computed once per element."""
-        return self._per_block(lambda re, im: singular_values(self._float_stack(re, im)))
+        """Singular values of every block, in block order."""
+        return self._in_family_order(self._stacked_spectra)
+
+    @cached_property
+    def _schatten1(self) -> list[float]:
+        """Schatten-1 norm of every block, in block order, from one row sum
+        per stack (bit-identical to summing each block's values alone)."""
+        return self._in_family_order([s.sum(axis=1).tolist() for s in self._stacked_spectra])
 
 
 def _check_support(read, n_max):
@@ -320,17 +337,20 @@ def _stacks(read, family, exact):
     omega and j; missing coefficients are zero.  The coefficients, as
     :func:`read_scalar` returns them, are parsed once: integer numerators
     over one shared denominator when exact, one complex vector when
-    float.  Returns the stacks of :class:`EmbeddedElement` and the
-    denominator (None when float)."""
+    float.  Exact stacks are int64 when no numerator times n_max (which
+    bounds every s_F) and not the denominator exceeds 2**53, so every
+    entry and the denominator convert to float exactly, and Python
+    integers otherwise.  Returns the stacks of :class:`EmbeddedElement`
+    and the denominator (None when float)."""
     subsets = family.subsets
     read = read[: family.n_max]
     pad = [0] * (family.n_max - len(read))
     if exact:
         den = math.lcm(*(x.denominator for _, pair in read for x in pair))
-        re, im = (
-            np.array([pair[k].numerator * (den // pair[k].denominator) for _, pair in read] + pad, dtype=object)
-            for k in (0, 1)
-        )
+        re, im = ([pair[k].numerator * (den // pair[k].denominator) for _, pair in read] + pad for k in (0, 1))
+        big = max(map(abs, re + im))
+        dtype = kernel_dtype(big * family.n_max, den, limit=2**53)
+        re, im = np.array(re, dtype=dtype), np.array(im, dtype=dtype)
     else:
         den, re, im = None, np.array([_as_complex(*r) for r in read] + pad, dtype=complex), None
     by_size = defaultdict(list)
@@ -481,8 +501,8 @@ def l1_trace_norm(e: EmbeddedElement, w: TraceWeights) -> float:
     if len(w.weights) != len(e.family):
         raise ValueError(f"{len(w.weights)} trace weights for a subset family of {len(e.family)} blocks")
     total = 0.0
-    for subset, weight, s in zip(e.family.subsets, w.floats, e._spectra):
-        total += weight / (len(subset) + 2) * float(s.sum())
+    for subset, weight, norm in zip(e.family.subsets, w.floats, e._schatten1):
+        total += weight / (len(subset) + 2) * norm
     return total
 
 
@@ -523,27 +543,21 @@ def _pair_mul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def _product_dtype(n, big, da, db, dp):
-    """int64 when exact integer bounds rule out overflow in
-    :func:`_is_product` for stacks of n x n numerators of modulus at most
-    ``big`` over the denominators da, db and dp, else object.  Each entry
-    of ``re`` or ``im`` is a sum of 2n products, so |re dp| <= 2 n big^2 dp,
-    and |P da db| <= big da db."""
-    big = max(big, 1)  # so the bounds also cover the scalars dp and da db
-    return np.int64 if 2 * n * big * big * dp < 2**63 and big * da * db < 2**63 else object
-
-
 def _is_product(ea: EmbeddedElement, eb: EmbeddedElement, ep: EmbeddedElement) -> bool:
     """Whether every block of ep equals the product of the blocks of ea and
     eb, exactly: exact elements on one family, compared with one batched
     product per block size.  With re = Ar Br - Ai Bi and im = Ar Bi + Ai Br
     on the numerator stacks, the blocks agree when re dp == Pr da db and
-    im dp == Pi da db."""
+    im dp == Pi da db.  For k x k blocks with numerators of modulus at
+    most big (taken at least 1, so the bounds cover the scalars too),
+    |re dp| <= 2 k big^2 dp and |P da db| <= big da db, which pick the
+    dtype by :func:`kernel_dtype`."""
     da, db, dp = ea.den, eb.den, ep.den
     for (_, ar, ai), (_, br, bi), (_, pr, pi) in zip(ea.stacks, eb.stacks, ep.stacks):
         parts = (ar, ai, br, bi, pr, pi)
-        dtype = _product_dtype(ar.shape[-1], max(int(np.abs(x).max()) for x in parts), da, db, dp)
-        ar, ai, br, bi, pr, pi = (x.astype(dtype) for x in parts)
+        big = max(1, *(int(np.abs(x).max()) for x in parts))
+        dtype = kernel_dtype(2 * ar.shape[-1] * big * big * dp, big * da * db)
+        ar, ai, br, bi, pr, pi = (x.astype(dtype, copy=False) for x in parts)
         if not (
             np.array_equal((ar @ br - ai @ bi) * dp, pr * (da * db))
             and np.array_equal((ar @ bi + ai @ br) * dp, pi * (da * db))

@@ -5,7 +5,10 @@ integer numerator arrays for the real and imaginary parts over one
 shared positive denominator, kept in lowest terms, so equal matrices
 have equal representations and algebraic identities can be certified
 with zero tolerance.  Products multiply numerators and denominators and
-normalize once.  Float matrices are complex128 arrays and carry all
+normalize once.  Numerators are stored as Python integers; a product
+runs on int64 when :func:`kernel_dtype` finds that an exact bound rules
+out overflow, and on Python integers otherwise, with the same integers
+either way.  Float matrices are complex128 arrays and carry all
 metric quantities (operator norm, Schatten-1 norm).  Every operation
 returns a new value; matrices are immutable and safe to share across
 threads.
@@ -35,6 +38,7 @@ __all__ = [
     "Matrix",
     "DEFAULT_TOL",
     "read_scalar",
+    "kernel_dtype",
     "agree",
     "vanishes",
     "eliminate",
@@ -100,6 +104,15 @@ def _as_complex(kind, val):
     return val if kind == "float" else complex(float(val[0]), float(val[1]))
 
 
+def kernel_dtype(*bounds, limit=2**63 - 1):
+    """The dtype of an exact integer kernel: np.int64 when every integer in
+    ``bounds`` is at most ``limit`` (by default the largest int64), object
+    otherwise.  Callers pass bounds on the modulus of every value their
+    kernel forms, so on int64 it forms the same integers as on Python
+    integers."""
+    return np.int64 if max(bounds) <= limit else object
+
+
 def _freeze(arr):
     arr.flags.writeable = False
     return arr
@@ -127,7 +140,7 @@ class Matrix:
     and ``im`` (``im`` is None when zero) over one positive denominator,
     in lowest terms, so equal matrices have equal representations."""
 
-    __slots__ = ("_backend", "_re", "_im", "_den", "_arr")
+    __slots__ = ("_backend", "_re", "_im", "_den", "_arr", "_big")
 
     def __init__(self):
         raise TypeError("use Matrix.exact / Matrix.from_float / Matrix.zeros")
@@ -135,14 +148,20 @@ class Matrix:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def _wrap_exact(cls, re, im, den):
-        """Exact matrix (re + i im) / den, brought to lowest terms."""
-        re = np.asarray(re, dtype=object)
-        im = None if im is None else np.asarray(im, dtype=object)
+    def _wrap_exact(cls, re, im, den, big=None):
+        """Exact matrix (re + i im) / den, brought to lowest terms, where no
+        numerator exceeds ``big`` in modulus (None: not known).  For int64
+        numerators, from an int64 kernel, the largest modulus is read off
+        instead.  Numerators are stored as Python integers."""
+        if re.dtype == np.int64:
+            big = max(int(np.abs(p).max(initial=0)) for p in (re, im) if p is not None)
+        re = re.astype(object, copy=False)
+        im = None if im is None else im.astype(object, copy=False)
         g = gcd(den, *re.flat, *(() if im is None else im.flat))
         if g != 1:
             re, den = re // g, den // g
             im = None if im is None else im // g
+            big = None if big is None else big // g
         if im is not None and not any(im.flat):
             im = None
         self = object.__new__(cls)
@@ -151,13 +170,14 @@ class Matrix:
         self._im = None if im is None else _freeze(im)
         self._den = den
         self._arr = None
+        self._big = big
         return self
 
     @classmethod
     def _wrap_float(cls, arr):
         self = object.__new__(cls)
         self._backend = "float"
-        self._re = self._im = self._den = None
+        self._re = self._im = self._den = self._big = None
         self._arr = _freeze(np.asarray(arr, dtype=complex))
         return self
 
@@ -317,6 +337,14 @@ class Matrix:
         big = max(np.abs(part).max(initial=0) for part in (self._re, self._im) if part is not None)
         return int(big).bit_length() - self._den.bit_length() if big else 0
 
+    def _numerator_bound(self):
+        """Exact: a bound on the modulus of every real and imaginary
+        numerator, kept from the operation that made the matrix, or else
+        found once as the largest modulus."""
+        if self._big is None:
+            self._big = max(int(np.abs(p).max(initial=0)) for p in (self._re, self._im) if p is not None)
+        return self._big
+
     def content(self):
         """Exact: the gcd g of all real and imaginary parts, a Fraction, so
         self / g has coprime integer entries; 0 for the zero matrix.
@@ -349,12 +377,24 @@ class Matrix:
             raise TypeError(f"expected Matrix, got {type(other).__name__}")
         return "exact" if (self.is_exact and other.is_exact) else "float"
 
-    def _product(self, bre, bim, bden, op):
+    def _product(self, bre, bim, bden, bbig, op):
         """Exact ``op`` (np.dot, np.kron or np.multiply) of self and
-        b = (bre + i bim) / bden, with bim None when zero: numerators
-        combine as complex numbers, denominators multiply, and the result
-        is normalized once."""
-        are, aim = self._re, self._im
+        b = (bre + i bim) / bden, with bim None when zero and no numerator
+        of b above ``bbig`` in modulus: numerators combine as complex
+        numbers, denominators multiply, and the result is normalized once.
+        Each result numerator is a sum of at most 2 inner products of
+        numerators, so it is at most 2 inner max|a| max|b|; np.dot and
+        np.kron run on the dtype :func:`kernel_dtype` picks for that bound
+        (with each maximum taken at least 1, so it also bounds the
+        operands).  A scalar product stays on Python integers: it makes one
+        multiplication per numerator, which is what converting them to
+        int64 alone would cost."""
+        inner = self.cols if op is np.dot else 1
+        big = 2 * inner * max(self._numerator_bound(), 1) * max(bbig, 1)
+        dtype = object if op is np.multiply else kernel_dtype(big)
+        are, aim, bre, bim = (
+            x.astype(dtype, copy=False) if isinstance(x, np.ndarray) else x for x in (self._re, self._im, bre, bim)
+        )
         re = op(are, bre)
         if aim is not None and bim is not None:
             re = re - op(aim, bim)
@@ -362,7 +402,7 @@ class Matrix:
             None if bim is None else op(are, bim), 1,
             None if aim is None else op(aim, bre), 1,
         )
-        return Matrix._wrap_exact(re, im, self._den * bden)
+        return Matrix._wrap_exact(re, im, self._den * bden, big)
 
     def _sum(self, other, sign):
         """self + sign * other for sign 1 or -1, normalized once."""
@@ -374,7 +414,8 @@ class Matrix:
         den = lcm(self._den, other._den)
         sa, sb = den // self._den, sign * (den // other._den)
         re = self._re * sa + other._re * sb
-        return Matrix._wrap_exact(re, _sum_parts(self._im, sa, other._im, sb), den)
+        big = None if None in (self._big, other._big) else self._big * abs(sa) + other._big * abs(sb)
+        return Matrix._wrap_exact(re, _sum_parts(self._im, sa, other._im, sb), den, big)
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -385,7 +426,7 @@ class Matrix:
     def __neg__(self):
         if not self.is_exact:
             return Matrix._wrap_float(-self._arr)
-        return Matrix._wrap_exact(-self._re, None if self._im is None else -self._im, self._den)
+        return Matrix._wrap_exact(-self._re, None if self._im is None else -self._im, self._den, self._big)
 
     def __mul__(self, scalar):
         kind, val = read_scalar(scalar)
@@ -393,8 +434,8 @@ class Matrix:
             return Matrix._wrap_float(self.to_float()._arr * _as_complex(kind, val))
         p, q = val
         den = lcm(p.denominator, q.denominator)
-        q_num = q.numerator * (den // q.denominator)
-        return self._product(p.numerator * (den // p.denominator), q_num if q_num else None, den, np.multiply)
+        p_num, q_num = p.numerator * (den // p.denominator), q.numerator * (den // q.denominator)
+        return self._product(p_num, q_num if q_num else None, den, max(abs(p_num), abs(q_num)), np.multiply)
 
     __rmul__ = __mul__
 
@@ -412,20 +453,20 @@ class Matrix:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
         if self._binary_backend(other) == "float":
             return Matrix._wrap_float(np.dot(self.to_float()._arr, other.to_float()._arr))
-        return self._product(other._re, other._im, other._den, np.dot)
+        return self._product(other._re, other._im, other._den, other._numerator_bound(), np.dot)
 
     def kron(self, other):
         """Kronecker product; exactness is preserved on exact inputs."""
         if self._binary_backend(other) == "float":
             return Matrix._wrap_float(np.kron(self.to_float()._arr, other.to_float()._arr))
-        return self._product(other._re, other._im, other._den, np.kron)
+        return self._product(other._re, other._im, other._den, other._numerator_bound(), np.kron)
 
     def submatrix(self, row_idx, col_idx=None):
         """Restriction to the given (ordered) row and column indices."""
         col_idx = row_idx if col_idx is None else col_idx
         sel = np.ix_(list(row_idx), list(col_idx))
         if self.is_exact:
-            return Matrix._wrap_exact(self._re[sel], None if self._im is None else self._im[sel], self._den)
+            return Matrix._wrap_exact(self._re[sel], None if self._im is None else self._im[sel], self._den, self._big)
         return Matrix._wrap_float(self._arr[sel])
 
     def __repr__(self):

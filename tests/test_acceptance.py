@@ -105,7 +105,8 @@ def test_criterion_4_diagonal_identities():
             assert bimodule_commutator(chain.e(m), delta).flatten().is_zero()
     ident = Matrix.identity(chain.truncation_dim)
     for delta in deltas:
-        assert pi_map(unitize_diagonal(delta, pi_map(delta), ident)).equals(ident)
+        m, image = unitize_diagonal(delta, pi_map(delta), ident)
+        assert pi_map(m).equals(ident) and image.equals(ident)
     report = certify_mbad(deltas, chain, list(chain.idempotents))
     assert report.verdict
     assert report.multiplier_constant == 0.0

@@ -29,7 +29,7 @@ from opalg import (
     tensor_norm_upper,
     unitize_diagonal,
 )
-from opalg.diagonals import _bounds, _reduce
+from opalg.diagonals import _bounds, _commutator_bounds, _increments, _reduce
 
 
 @pytest.fixture(scope="module")
@@ -315,8 +315,8 @@ def test_unitize_smallest_chain():
     chain = build_chain(ChainSpec.default(1))
     one = Matrix.identity(chain.truncation_dim)
     delta = build_delta(chain, 1)
-    m = unitize_diagonal(delta, pi_map(delta), one)
-    assert pi_map(m).equals(one)
+    m, image = unitize_diagonal(delta, pi_map(delta), one)
+    assert pi_map(m).equals(one) and image.equals(one)
     e1 = chain.e(1)
     expected = TensorElem.of([(e1, e1), (one - e1, one - e1)])
     assert (m - expected).flatten().is_zero()
@@ -326,13 +326,14 @@ def test_unitize_all_defaults(chain6):
     one = Matrix.identity(chain6.truncation_dim)
     for n in range(1, 7):
         d = build_delta(chain6, n)
-        assert pi_map(unitize_diagonal(d, pi_map(d), one)).equals(one)
+        m, image = unitize_diagonal(d, pi_map(d), one)
+        assert pi_map(m).equals(one) and image.equals(one)
 
 
 def test_unitize_collapses_on_identity_diagonal():
     one = Matrix.identity(3)
     delta = TensorElem.of([(one, one)])
-    m = unitize_diagonal(delta, one, one)
+    m, _ = unitize_diagonal(delta, one, one)
     assert (m - delta).flatten().is_zero()
 
 
@@ -518,6 +519,7 @@ def test_certify_mbad_reads_coordinates_over_the_chain(chain6):
     # the report carries the images and unitized diagonals it used
     assert all(p.equals(chain6.e(n)) for n, p in enumerate(report.images, start=1))
     assert all(pi_map(m).equals(ident) for m in report.unitized)
+    assert all(image.equals(ident) for image in report.unitized_images)
 
 
 def test_tensor_value_equality_is_representation_free():
@@ -571,3 +573,62 @@ def test_certify_mbad_mixed_scale_exact_element(chain6):
     assert tensor_norm_bounds(TensorElem.of([(x, x)], dim=dim)) == pytest.approx((1.0, 1.0), rel=1e-12)
     wide = chain6.e(5) * 2**900 + Matrix.identity(dim) * Fraction(1, 2**1100)
     assert tensor_norm_upper(TensorElem.of([(wide, chain6.e(1))], dim=dim)) == pytest.approx(2.0**900, rel=1e-12)
+
+
+@st.composite
+def diagonal_sequences(draw):
+    """(chain, deltas, sample): a random exact rational chain, either its
+    telescoping diagonals or random exact tensor elements (which share no
+    prefix, or share one by extension), and samples that mostly do not
+    commute with them."""
+    m_max = draw(st.integers(1, 4))
+    rationals = st.fractions(min_value=0, max_value=20, max_denominator=6)
+    couplings = tuple(sorted(draw(st.lists(rationals, min_size=m_max // 2, max_size=m_max // 2))))
+    chain = build_chain(ChainSpec.default(m_max, couplings=couplings))
+    dim = chain.truncation_dim
+    # small integer legs, some scaled to complex or non-integer entries
+    legs = st.builds(
+        lambda flat, z: Matrix.exact(np.array(flat, dtype=object).reshape(dim, dim).tolist()) * z,
+        st.lists(st.integers(-2, 2), min_size=dim * dim, max_size=dim * dim),
+        st.sampled_from([1, Fraction(1, 3), (1, 1), (0, Fraction(-1, 2))]),
+    )
+    kind = draw(st.sampled_from(["telescoping", "unrelated", "extended"]))
+    if kind == "telescoping":
+        deltas = [build_delta(chain, n) for n in range(1, m_max + 1)]
+    else:
+        deltas, terms = [], []
+        for _ in range(draw(st.integers(1, 3))):
+            new = [(draw(legs), draw(legs)) for _ in range(draw(st.integers(1, 2)))]
+            # an extended sequence rebuilds the earlier terms as new matrices
+            terms = [(u + u - u, v) for u, v in terms] + new if kind == "extended" else new
+            deltas.append(TensorElem.of(terms, dim=dim))
+    sample = [draw(legs), chain.e(draw(st.integers(1, m_max)))]
+    return chain, deltas, sample
+
+
+@given(diagonal_sequences())
+@settings(max_examples=40, deadline=None)
+def test_incremental_commutators_match_commutators_from_scratch(case):
+    chain, deltas, sample = case
+    dim = chain.truncation_dim
+    increments = _increments(deltas)
+    for d, total in zip(deltas, (sum(increments[: n + 1], TensorElem.zero(dim)) for n in range(len(deltas)))):
+        assert total.same_element(d)
+    for a in sample:
+        for d, (lower, upper, zero, reduced) in zip(deltas, _commutator_bounds(a, increments, dim, 0.0), strict=True):
+            scratch = _reduce(bimodule_commutator(a, d).terms)
+            scratch_elem = TensorElem(terms=tuple(scratch), dim=dim)
+            assert reduced.same_element(scratch_elem)
+            assert zero == (not scratch) == (not reduced.terms)
+            # the flattenings are one exact matrix, so the lower bounds agree
+            assert lower == (0.0 if zero else op_norm(scratch_elem.flatten()))
+            assert lower <= upper * (1 + 1e-12)
+
+
+def test_increments_of_telescoping_diagonals_are_single_terms(chain6):
+    deltas = [build_delta(chain6, n) for n in range(1, 7)]
+    increments = _increments(deltas)
+    assert [len(i.terms) for i in increments] == [1] * 6
+    # a sequence that shares no prefix adds all its terms and drops all the previous ones
+    shuffled = [deltas[2], TensorElem.of(deltas[3].terms[::-1], dim=deltas[3].dim)]
+    assert [len(i.terms) for i in _increments(shuffled)] == [3, 7]

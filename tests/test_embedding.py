@@ -25,7 +25,7 @@ from opalg import (
     unit_circle_sweep_ratios,
 )
 from opalg import embedding
-from opalg.matrices import read_scalar
+from opalg.matrices import kernel_dtype, read_scalar
 
 INV_PI = 1.0 / math.pi
 
@@ -422,14 +422,20 @@ def test_norms_do_not_wrap_blocks():
 
 
 def test_product_dtype_bound():
-    # int64 only when 2 n big^2 dp and big da db both stay below 2**63
-    assert embedding._product_dtype(3, 2**30, 1, 1, 1) is np.int64
-    assert embedding._product_dtype(4, 2**30, 1, 1, 1) is object
-    assert embedding._product_dtype(3, 2**30, 1, 1, 2) is object
-    assert embedding._product_dtype(3, 1, 2**31, 2**31 - 1, 1) is np.int64
-    assert embedding._product_dtype(3, 1, 2**31, 2**32, 1) is object
-    # zero numerators still need the scalars themselves to fit
-    assert embedding._product_dtype(3, 0, 2**40, 2**40, 1) is object
+    # int64 only when every bound is at most the largest int64, or the limit given
+    assert kernel_dtype(2**63 - 1) is np.int64
+    assert kernel_dtype(2**63) is object
+    assert kernel_dtype(0, 2**63) is object
+    assert kernel_dtype(2**53, 1, limit=2**53) is np.int64
+    assert kernel_dtype(2**53 + 1, 1, limit=2**53) is object
+    # _is_product's bounds 2 k big^2 dp and big da db, at their edges
+    for bounds, dtype in [
+        ((2 * 3 * (2**30) ** 2 * 1, 2**30), np.int64),
+        ((2 * 4 * (2**30) ** 2 * 1, 2**30), object),
+        ((2 * 3 * 1 * 1, 2**31 * (2**31 - 1)), np.int64),
+        ((2 * 3, 2**31 * 2**32), object),
+    ]:
+        assert kernel_dtype(*bounds) is dtype
 
 
 def blockwise_product(ea, eb, ep):
@@ -464,11 +470,49 @@ def test_batched_multiplicativity_matches_blockwise_products(family, data, kind,
         p[j] = (p[j][0] + eps, p[j][1]) if data.draw(st.booleans()) else (p[j][0], p[j][1] - eps)
     ea, eb, ep = phi(a, family), phi(b, family), phi(p, family)
     seen = []
-    choose = embedding._product_dtype
+    choose = embedding.kernel_dtype
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(embedding, "_product_dtype", lambda *args: seen.append(choose(*args)) or seen[-1])
+        mp.setattr(embedding, "kernel_dtype", lambda *args: seen.append(choose(*args)) or seen[-1])
         verdict = embedding._is_product(ea, eb, ep)
     assert verdict == blockwise_product(ea, eb, ep) == (kind == "true")
     # dyadic products stay far inside int64; a fine perturbation may not
     if kind == "true":
         assert (object in seen) if wide else all(d is np.int64 for d in seen)
+
+
+@st.composite
+def edge_coefficients(draw):
+    """A family and exact coefficients whose shared-denominator numerators
+    reach big n_max near 2**53, or whose denominator sits at 2**53, from
+    either side."""
+    family = draw(families(max_n=4))
+    n = family.n_max
+    if draw(st.booleans()):
+        den = 1
+        big = 2**53 // n + draw(st.integers(-2, 2))
+    else:
+        den = 2**53 + draw(st.sampled_from([-1, 0, 1]))
+        big = draw(st.integers(1, 2**53 // n))
+    nums = draw(st.lists(st.tuples(st.integers(-big, big), st.integers(-big, big)), min_size=n, max_size=n))
+    # one numerator reaches big, and 1 / den keeps den as the shared denominator
+    j = draw(st.integers(0, n - 1))
+    nums[j] = (big * draw(st.sampled_from([1, -1])), 1)
+    return family, [(Fraction(p, den), Fraction(q, den)) for p, q in nums]
+
+
+@given(edge_coefficients())
+@settings(max_examples=100, deadline=None)
+def test_int64_stacks_convert_like_each_block(case):
+    family, coeffs = case
+    emb = phi(coeffs, family)
+    nums = [x * emb.den for pair in coeffs for x in pair]
+    assert all(x.denominator == 1 for x in nums)
+    big = max(abs(int(x)) for x in nums)
+    int64 = big * family.n_max <= 2**53 and emb.den <= 2**53
+    for positions, re, im in emb.stacks:
+        assert re.dtype == im.dtype == (np.int64 if int64 else object)
+        floats = emb._float_stack(re, im)
+        for pos, arr in zip(positions, floats, strict=True):
+            assert arr.tobytes() == emb.blocks[pos].to_float().numpy().tobytes()
+    # the int64 stacks also give the exact product check its answer
+    assert embedding._is_product(emb, phi([1] * family.n_max, family), emb)

@@ -16,7 +16,8 @@ from opalg import (
     singular_values,
     vanishes,
 )
-from opalg.matrices import eliminate
+from opalg import matrices
+from opalg.matrices import eliminate, kernel_dtype
 
 
 def test_op_norm_identity_is_one():
@@ -484,3 +485,92 @@ def test_eliminate_matches_fraction_oracle(family, rows):
     for k in range(rows, len(mats)):
         head = [family[j] for j in limited]
         assert (coords[k] is None) == (ref_complex_rank(head + [family[k]]) > len(head))
+
+
+# -- int64 kernels against the same products on Python integers --------------
+
+def on_python_ints(compute):
+    """compute() with every exact product forced onto object numerators."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrices, "kernel_dtype", lambda *bounds, **kw: object)
+        return compute()
+
+
+def chosen_dtypes(compute):
+    """(compute(), the dtypes kernel_dtype picked meanwhile)."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrices, "kernel_dtype", lambda *b, **kw: seen.append(kernel_dtype(*b, **kw)) or seen[-1])
+        return compute(), seen
+
+
+def same_representation(x, y):
+    return x.equals(y) and x._den == y._den and all(
+        type(part) in (int, Fraction) for i in range(x.rows) for j in range(x.cols) for part in x.entry(i, j)
+    )
+
+
+@st.composite
+def edge_operands(draw):
+    """(op, product): an exact product (dot, kron or scalar) whose numerators
+    reach near the int64 bound 2 inner max|a| max|b| <= 2**63 - 1 from
+    either side."""
+    op = draw(st.sampled_from(["dot", "kron", "scalar"]))
+    n, k, p = (draw(st.integers(1, 3)) for _ in range(3))
+    inner = k if op == "dot" else 1
+    # max|a| near 2**e and max|b| near the largest value the bound allows
+    e = draw(st.integers(0, 61))
+    big_a = 2**e + draw(st.integers(-1, 1)) if e else 1
+    big_b = max(1, _INT64 // (2 * inner * big_a) + draw(st.integers(-2, 2)))
+    den = st.sampled_from([1, 2, 3, 2**61 - 1])
+
+    def numerators(rows, cols, big):
+        arr = np.array(draw(st.lists(st.integers(-big, big), min_size=rows * cols, max_size=rows * cols)),
+                       dtype=object).reshape(rows, cols)
+        arr.flat[draw(st.integers(0, rows * cols - 1))] = big * draw(st.sampled_from([1, -1]))
+        im = None if draw(st.booleans()) else arr[::-1, ::-1] * draw(st.sampled_from([1, -1]))
+        return arr, im
+
+    a = Matrix.from_numerators(*numerators(n, k, big_a), draw(den))
+    if op == "scalar":
+        z = (Fraction(big_b, draw(den)), Fraction(draw(st.integers(-big_b, big_b)), draw(den)))
+        return op, lambda: a * z
+    b = Matrix.from_numerators(*numerators(k if op == "dot" else p, p, big_b), draw(den))
+    return op, (lambda: a @ b) if op == "dot" else (lambda: a.kron(b))
+
+
+_INT64 = 2**63 - 1
+
+
+@given(edge_operands())
+@settings(max_examples=150, deadline=None)
+def test_int64_products_match_python_int_products(case):
+    op, product = case
+    result, dtypes = chosen_dtypes(product)
+    assert same_representation(result, on_python_ints(product))
+    # a scalar product makes one multiplication per numerator and stays on Python integers
+    assert len(dtypes) == (0 if op == "scalar" else 1)
+
+
+@pytest.mark.parametrize("op", ["dot", "kron", "scalar"])
+def test_product_dtype_at_the_int64_edge(op):
+    # a = A (1 + i) and b = B (1 - i) give re = 2 A B exactly, so the bound
+    # 2 max|a| max|b| <= 2**63 - 1 is tight: at A B = 2**62 - 1 the product
+    # runs on int64, at A B = 2**62 it would overflow and runs on objects
+    for big_a, big_b, dtype in [(2**31 - 1, 2**31 + 1, np.int64), (2**31, 2**31, object)]:
+        a = Matrix.exact([[(big_a, big_a)]])
+        if op == "scalar":
+            product = lambda: a * (big_b, -big_b)  # noqa: E731
+        else:
+            b = Matrix.exact([[(big_b, -big_b)]])
+            product = (lambda: a @ b) if op == "dot" else (lambda: a.kron(b))  # noqa: E731
+        result, dtypes = chosen_dtypes(product)
+        assert dtypes == ([] if op == "scalar" else [dtype])
+        assert result.entry(0, 0) == (2 * big_a * big_b, 0)
+        assert same_representation(result, on_python_ints(product))
+    # the inner dimension counts: three terms of 2 A B each
+    a = Matrix.exact([[(2**30, 2**30)] * 3])
+    for scale, dtype in [(1, np.int64), (2, object)]:
+        b = Matrix.exact([[(2**30 * scale, -2**30 * scale)]] * 3)
+        result, dtypes = chosen_dtypes(lambda: a @ b)
+        assert dtypes == [dtype] and result.entry(0, 0) == (6 * 2**60 * scale, 0)
