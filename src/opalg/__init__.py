@@ -30,7 +30,6 @@ from .diagonals import (
     certify_mbad,
     expectation_from_diagonal,
     expectation_norm_demo,
-    flatten,
     full_matrix_diagonal,
     pi_map,
     skew_idempotent_diagonal,
@@ -45,7 +44,6 @@ from .embedding import (
     TraceWeights,
     best_subset_sum,
     brute_force_best_subset,
-    build_E,
     certify_E_family,
     certify_embedding_bounds,
     l1_trace_norm,
@@ -84,12 +82,12 @@ __all__ = [
     "SemilatticeReport", "NormEntry",
     "WeightSeq", "GenerationCertificate", "orthogonal_generators", "is_orthogonal_family",
     "single_generator", "certify_generation", "same_span",
-    "TensorElem", "build_delta", "pi_map", "flatten", "bimodule_commutator",
+    "TensorElem", "build_delta", "pi_map", "bimodule_commutator",
     "tensor_norm_bounds", "tensor_norm_upper", "unitize_diagonal",
     "FiniteDiagonal", "MbadReport", "certify_mbad",
     "expectation_from_diagonal", "certify_expectation",
     "full_matrix_diagonal", "skew_idempotent_diagonal", "expectation_norm_demo",
-    "RankOneFamily", "build_E", "certify_E_family",
+    "RankOneFamily", "certify_E_family",
     "SubsetFamily", "EmbeddedElement", "phi", "phi_sup_norm",
     "best_subset_sum", "brute_force_best_subset", "unit_circle_sweep_ratios",
     "TraceWeights", "make_trace", "l1_trace_norm", "certify_embedding_bounds",

@@ -32,7 +32,6 @@ __all__ = [
     "TensorElem",
     "build_delta",
     "pi_map",
-    "flatten",
     "bimodule_commutator",
     "tensor_norm_bounds",
     "tensor_norm_upper",
@@ -140,11 +139,6 @@ class TensorElem:
 def pi_map(t: TensorElem) -> Matrix:
     """sum u_i @ v_i for the element sum u_i (x) v_i."""
     return t.pi()
-
-
-def flatten(t: TensorElem) -> Matrix:
-    """Kronecker-sum representation; zero exactly when the element is zero."""
-    return t.flatten()
 
 
 def bimodule_commutator(a: Matrix, t: TensorElem) -> TensorElem:
@@ -260,17 +254,13 @@ def tensor_norm_bounds(t: TensorElem) -> tuple[float, float]:
 
 
 def unitize_diagonal(delta: TensorElem, u: Matrix, one: Matrix) -> tuple[TensorElem, Matrix]:
-    """(M, pi(M)) for M = 2*delta - u.delta + (1-u) (x) (1-u), with u the
-    image of delta under the multiplication map, so that pi(M) is the
-    identity, exactly.  Since pi(M) - 1 = (2 - u)(pi(delta) - u), the
-    image is checked instead of re-forming pi(delta): a ValueError says
-    that u is not pi(delta)."""
+    """(M, pi(M)) for M = 2*delta - u.delta + (1-u) (x) (1-u).  When u is
+    the image of delta under the multiplication map, pi(M) is the
+    identity, exactly: pi(M) - 1 = (2 - u)(pi(delta) - u).  The image is
+    returned for the caller to check, not checked here."""
     rest = one - u
     unitized = delta.scale(2) + (-delta.left(u)) + TensorElem.of([(rest, rest)], dim=delta.dim)
-    image = unitized.pi()
-    if not agree(image, one, 1e-9):
-        raise ValueError("u must equal pi_map(delta): the unitized diagonal does not map to the identity")
-    return unitized, image
+    return unitized, unitized.pi()
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,6 @@ from .matrices import (
 
 __all__ = [
     "RankOneFamily",
-    "build_E",
     "certify_E_family",
     "EFamilyReport",
     "SubsetFamily",
@@ -64,51 +63,33 @@ _ALPHA = 0
 _OMEGA = 1
 
 
-def _coordinate(j: int) -> int:
-    """Ambient coordinate of sequence index j under the order
-    (alpha, omega, 1, 2, ...)."""
-    return j + 1
-
-
-def _xy_components(n: int, dim: int):
-    x = [0] * dim
-    y = [0] * dim
-    x[_ALPHA], x[_OMEGA], x[_coordinate(n)] = 1, 1, 1
-    y[_ALPHA], y[_OMEGA], y[_coordinate(n)] = -1, 1, 1
-    return x, y
-
-
-def build_E(n: int, n_max: int) -> Matrix:
-    """The rank-one idempotent y_n x_n* on the (n_max + 2)-dimensional
-    ambient space, as an exact integer matrix."""
-    if not 1 <= n <= n_max:
-        raise IndexError(f"index {n} out of range 1..{n_max}")
-    dim = n_max + 2
-    x, y = _xy_components(n, dim)
-    return Matrix.exact([[y[i] * x[j] for j in range(dim)] for i in range(dim)])
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankOneFamily:
-    """The idempotents E_1..E_n_max on their shared ambient space."""
+    """The idempotents E_n = y_n x_n* for n = 1..n_max on l2 of the
+    (n_max + 2) coordinates (alpha, omega, 1, ..., n_max), kept as their
+    integer factors: column n - 1 of ``x`` and of ``y``, arrays of shape
+    (n_max + 2, n_max), holds x_n and y_n."""
 
     n_max: int
-    idempotents: tuple[Matrix, ...]
+    x: np.ndarray = field(repr=False)
+    y: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, n_max: int) -> "RankOneFamily":
         if n_max < 1:
             raise ValueError("n_max must be at least 1")
-        return cls(n_max=n_max, idempotents=tuple(build_E(n, n_max) for n in range(1, n_max + 1)))
+        ones, eye = np.ones((2, n_max), dtype=np.int64), np.eye(n_max, dtype=np.int64)
+        return cls(n_max, np.vstack([ones, eye]), np.vstack([-ones[:1], ones[:1], eye]))
 
     @property
     def ambient_dim(self) -> int:
         return self.n_max + 2
 
     def E(self, n: int) -> Matrix:
+        """The dense E_n, as an exact matrix."""
         if not 1 <= n <= self.n_max:
             raise IndexError(f"index {n} out of range 1..{self.n_max}")
-        return self.idempotents[n - 1]
+        return Matrix.from_numerators(np.outer(self.y[:, n - 1], self.x[:, n - 1]), None, 1)
 
 
 @dataclass(frozen=True)
@@ -131,52 +112,48 @@ def certify_E_family(
     seed: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> EFamilyReport:
-    """Certify the family: each norm equals 3, squares and cross products
-    are exact, ranges stay inside span(e_alpha, e_omega, e_n), and the
-    omega diagonal entry of any combination equals the coefficient sum
-    (exactly, via seeded trials), which the operator norm dominates."""
-    mats = fam.idempotents
-    dim = fam.ambient_dim
-    max_norm_error = max(abs(op_norm(m) - 3.0) for m in mats)
-    norms_ok = max_norm_error <= tol
-    idem = all((m @ m).equals(m) for m in mats)
-    pairwise = all(
-        (mats[i] @ mats[j]).is_zero() for i in range(len(mats)) for j in range(len(mats)) if i != j
-    )
-    contained = True
-    for n, m in enumerate(mats, start=1):
-        allowed = {_ALPHA, _OMEGA, _coordinate(n)}
-        for i in range(dim):
-            for j in range(dim):
-                re, im = m.entry(i, j)
-                if (re != 0 or im != 0) and (i not in allowed or j not in allowed):
-                    contained = False
+    """Certify the family from its factors: each norm ||x_n|| ||y_n||
+    equals 3, from ||x_n||^2 ||y_n||^2 = 9 in integers; since
+    E_i E_j = (x_i* y_j) y_i x_j*, squares and cross products are exact
+    when X* Y is the identity; ranges stay inside
+    span(e_alpha, e_omega, e_n) when the factor columns are supported
+    there; and the omega diagonal entry of any combination
+    sum c_n E_n = Y diag(c) X* equals the coefficient sum (exactly, via
+    seeded trials), which the operator norm dominates.  Factor columns
+    are taken nonzero: a zero column fails idempotency and the norm."""
+    n, dim = fam.n_max, fam.ambient_dim
+    big = max(1, int(np.abs(fam.x).max()), int(np.abs(fam.y).max()))
+    dtype = kernel_dtype((dim * big * big) ** 2)  # bounds every entry of X* Y and every norm product
+    x, y = fam.x.astype(dtype), fam.y.astype(dtype)
+    squares = (x * x).sum(axis=0) * (y * y).sum(axis=0)
+    max_norm_error = float(np.abs(np.sqrt(squares.astype(float)) - 3.0).max())
+    gram = x.T @ y
+    allowed = np.vstack([np.ones((2, n), dtype=bool), np.eye(n, dtype=bool)])  # rows alpha, omega, 1..n_max
+    x_star, y_mat = Matrix.from_numerators(x.T, None, 1), Matrix.from_numerators(y, None, 1)
     rng = np.random.default_rng(seed)
     witness_exact = True
     witness_dominated = True
     for _ in range(trials):
-        re = rng.uniform(-1.0, 1.0, fam.n_max)
-        im = rng.uniform(-1.0, 1.0, fam.n_max)
+        re = rng.uniform(-1.0, 1.0, n)
+        im = rng.uniform(-1.0, 1.0, n)
         coeffs = [(Fraction(float(p)), Fraction(float(q))) for p, q in zip(re, im)]
-        acc = sum((m * c for m, c in zip(mats, coeffs)), Matrix.zeros(dim))
+        acc = y_mat @ Matrix.diag(coeffs) @ x_star
         total = (sum(c[0] for c in coeffs), sum(c[1] for c in coeffs))
         if acc.entry(_OMEGA, _OMEGA) != total:
             witness_exact = False
         magnitude = abs(complex(float(total[0]), float(total[1])))
         if magnitude > op_norm(acc) + tol:
             witness_dominated = False
-    passed = norms_ok and idem and pairwise and contained and witness_exact and witness_dominated
-    return EFamilyReport(
-        n_max=fam.n_max,
-        max_norm_error=max_norm_error,
-        norms_ok=norms_ok,
-        idempotent=idem,
-        pairwise_zero=pairwise,
-        range_contained=contained,
-        witness_trials=trials,
+    checks = dict(
+        norms_ok=bool((squares == 9).all()),
+        idempotent=bool((gram.diagonal() == 1).all()),
+        pairwise_zero=not gram[~np.eye(n, dtype=bool)].any(),
+        range_contained=not (((x != 0) | (y != 0)) & ~allowed).any(),
         witness_exact=witness_exact,
         witness_dominated=witness_dominated,
-        passed=passed,
+    )
+    return EFamilyReport(
+        n_max=n, max_norm_error=max_norm_error, witness_trials=trials, passed=all(checks.values()), **checks
     )
 
 

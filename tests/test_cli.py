@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from opalg import embedding
+from opalg import diagonals, embedding
 from opalg.chains import Chain, build_chain
 from opalg.generation import WeightSeq
 from opalg.cli import (
@@ -156,6 +156,14 @@ def test_measured_checks_fail_on_bad_input(monkeypatch):
     checks = {c.name: c for c in run_experiment(small_cfg(subcommand="generate", m_max=4)).stages[0].checks}
     assert not checks["weight-scale-invariance"].passed
     assert checks["generation-geometric-bound"].passed
+    monkeypatch.undo()
+
+    # unitized-diagonal-image checks the images that unitize_diagonal returns:
+    # unitizing with the identity in place of pi(D) breaks only it
+    unitize = diagonals.unitize_diagonal
+    monkeypatch.setattr(diagonals, "unitize_diagonal", lambda delta, u, one: unitize(delta, one, one))
+    checks = {c.name: c for c in run_experiment(small_cfg(subcommand="diagonal", m_max=4)).stages[0].checks}
+    assert [name for name, c in checks.items() if not c.passed] == ["unitized-diagonal-image"]
     monkeypatch.undo()
 
     # embedding-multiplicativity multiplies the blocks of the rational trials:

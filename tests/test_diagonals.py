@@ -20,7 +20,6 @@ from opalg import (
     certify_mbad,
     expectation_from_diagonal,
     expectation_norm_demo,
-    flatten,
     full_matrix_diagonal,
     op_norm,
     pi_map,
@@ -104,11 +103,11 @@ def test_flatten_additive_and_kron():
     u = Matrix.exact([[0, 1], [1, 0]])
     v = Matrix.exact([[2, 0], [0, 3]])
     t = TensorElem.of([(u, v)])
-    assert flatten(t).equals(u.kron(v))
+    assert t.flatten().equals(u.kron(v))
     one = Matrix.identity(2)
-    assert flatten(TensorElem.of([(one, one)])).equals(Matrix.identity(4))
+    assert TensorElem.of([(one, one)]).flatten().equals(Matrix.identity(4))
     d = TensorElem.of([(u, v), (one, one)])
-    assert flatten(d - d).is_zero()
+    assert (d - d).flatten().is_zero()
 
 
 def test_flatten_intertwines_module_actions():
@@ -118,10 +117,10 @@ def test_flatten_intertwines_module_actions():
         a, u, v = mats
         t = TensorElem.of([(u, v)])
         one = Matrix.identity(3).to_float()
-        left = flatten(t.left(a))
-        right = flatten(t.right(a))
-        assert left.max_abs_diff(a.kron(one) @ flatten(t)) <= 1e-12
-        assert right.max_abs_diff(flatten(t) @ one.kron(a)) <= 1e-12
+        left = t.left(a).flatten()
+        right = t.right(a).flatten()
+        assert left.max_abs_diff(a.kron(one) @ t.flatten()) <= 1e-12
+        assert right.max_abs_diff(t.flatten() @ one.kron(a)) <= 1e-12
 
 
 def test_norm_bounds_single_term_tight():
@@ -340,8 +339,9 @@ def test_unitize_collapses_on_identity_diagonal():
 def test_unitize_rejects_wrong_unit(chain6):
     one = Matrix.identity(chain6.truncation_dim)
     d = build_delta(chain6, 2)
-    with pytest.raises(ValueError):
-        unitize_diagonal(d, chain6.e(1), one)
+    # the image is returned for the caller's check, not re-checked inside
+    m, image = unitize_diagonal(d, chain6.e(1), one)
+    assert image.equals(m.pi()) and not image.equals(one)
 
 
 def test_certify_mbad_default_sample(chain6):

@@ -13,7 +13,6 @@ from opalg import (
     SubsetFamily,
     best_subset_sum,
     brute_force_best_subset,
-    build_E,
     certify_E_family,
     certify_embedding_bounds,
     l1_trace_norm,
@@ -30,19 +29,20 @@ from opalg.matrices import kernel_dtype, read_scalar
 INV_PI = 1.0 / math.pi
 
 
-def test_build_E_smallest_case_outer_product():
+def test_E_smallest_case_outer_product():
     # order (alpha, omega, 1): x = (1,1,1), y = (-1,1,1)
-    e1 = build_E(1, 1)
+    e1 = RankOneFamily.build(1).E(1)
     assert e1.equals(Matrix.exact([[-1, -1, -1], [1, 1, 1], [1, 1, 1]]))
 
 
 def test_omega_diagonal_entry_is_one():
+    fam = RankOneFamily.build(8)
     for n in (1, 3, 7):
-        assert build_E(n, 8).entry(1, 1) == (1, 0)
+        assert fam.E(n).entry(1, 1) == (1, 0)
 
 
 def test_E_is_idempotent_and_rank_one():
-    e = build_E(4, 6)
+    e = RankOneFamily.build(6).E(4)
     assert (e @ e).equals(e)
     assert float(singular_values(e).sum()) == pytest.approx(3.0, abs=1e-9)
 
@@ -73,10 +73,102 @@ def test_certify_E_family_passes():
 
 
 def test_index_out_of_range():
-    with pytest.raises(IndexError):
-        build_E(0, 4)
-    with pytest.raises(IndexError):
-        RankOneFamily.build(4).E(5)
+    fam = RankOneFamily.build(4)
+    for n in (0, 5):
+        with pytest.raises(IndexError):
+            fam.E(n)
+
+
+def dense_certify_E_family(fam, trials, seed, tol):
+    """Reference certificate on the dense E_n: every pairwise product,
+    every entry read for the range test, and each witness summed term by
+    term."""
+    mats = [fam.E(n) for n in range(1, fam.n_max + 1)]
+    dim = fam.ambient_dim
+    max_norm_error = max(abs(op_norm(m) - 3.0) for m in mats)
+    norms_ok = max_norm_error <= tol
+    idem = all((m @ m).equals(m) for m in mats)
+    pairwise = all(
+        (mats[i] @ mats[j]).is_zero() for i in range(len(mats)) for j in range(len(mats)) if i != j
+    )
+    contained = True
+    for n, m in enumerate(mats, start=1):
+        allowed = {0, 1, n + 1}
+        for i in range(dim):
+            for j in range(dim):
+                re, im = m.entry(i, j)
+                if (re != 0 or im != 0) and (i not in allowed or j not in allowed):
+                    contained = False
+    rng = np.random.default_rng(seed)
+    witness_exact = True
+    witness_dominated = True
+    for _ in range(trials):
+        re = rng.uniform(-1.0, 1.0, fam.n_max)
+        im = rng.uniform(-1.0, 1.0, fam.n_max)
+        coeffs = [(Fraction(float(p)), Fraction(float(q))) for p, q in zip(re, im)]
+        acc = sum((m * c for m, c in zip(mats, coeffs)), Matrix.zeros(dim))
+        total = (sum(c[0] for c in coeffs), sum(c[1] for c in coeffs))
+        if acc.entry(1, 1) != total:
+            witness_exact = False
+        magnitude = abs(complex(float(total[0]), float(total[1])))
+        if magnitude > op_norm(acc) + tol:
+            witness_dominated = False
+    passed = norms_ok and idem and pairwise and contained and witness_exact and witness_dominated
+    return embedding.EFamilyReport(
+        fam.n_max, max_norm_error, norms_ok, idem, pairwise, contained, trials, witness_exact, witness_dominated,
+        passed,
+    )
+
+
+def _broken(n_max, edit):
+    fam = RankOneFamily.build(n_max)
+    x, y = fam.x.copy(), fam.y.copy()
+    edit(x, y)
+    return RankOneFamily(n_max, x, y)
+
+
+def _flip_y(x, y):
+    y[:, -1] *= -1
+
+
+def _stray_x(x, y):
+    x[2, -1] = 1  # x_n also on coordinate 1
+
+
+def _stray_y(x, y):
+    y[0, 0] = 2  # y_1 off its alpha coefficient, still inside the allowed span
+
+
+def _outside_y(x, y):
+    y[-1, 0] = 5  # y_1 on coordinate n_max
+
+
+@pytest.mark.parametrize("n_max, edit", [
+    (n, edit) for n in range(1, 13) for edit in (None, _flip_y, _stray_x, _stray_y, _outside_y)
+    if n > 1 or edit in (None, _flip_y, _stray_y)  # the others need a second sequence index
+])
+def test_certify_E_family_matches_dense_oracle(n_max, edit):
+    fam = RankOneFamily.build(n_max) if edit is None else _broken(n_max, edit)
+    got = certify_E_family(fam, trials=4, seed=n_max)
+    want = dense_certify_E_family(fam, trials=4, seed=n_max, tol=1e-9)
+    # the norm deviation is read off the factors here and off an SVD there,
+    # so only it is compared within rounding; it is 0.0 for the built family
+    assert got.max_norm_error == pytest.approx(want.max_norm_error, abs=1e-12)
+    assert got.passed == (edit is None)
+    assert got == embedding.EFamilyReport(**{**vars(want), "max_norm_error": got.max_norm_error})
+
+
+def test_certify_E_family_witness_is_two_products(monkeypatch):
+    calls = []
+    product = Matrix._product
+
+    def counted(self, *args):
+        calls.append(args[-1])
+        return product(self, *args)
+
+    monkeypatch.setattr(Matrix, "_product", counted)
+    assert certify_E_family(RankOneFamily.build(20), trials=7).passed
+    assert calls == [np.dot] * 14
 
 
 def test_subset_family_canonical_order():
@@ -107,7 +199,7 @@ def test_phi_block_restricts_rank_one():
     emb = phi([1, 0], fam)
     block = emb.block((1, 2))
     assert block.shape == (4, 4)
-    big = build_E(1, 2)
+    big = RankOneFamily.build(2).E(1)
     assert block.equals(big.submatrix([0, 1, 2, 3]))
     for k in range(4):
         assert block.entry(3, k) == (0, 0)
