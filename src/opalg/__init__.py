@@ -56,8 +56,8 @@ from .generation import (
     GenerationCertificate,
     WeightSeq,
     certify_generation,
-    is_orthogonal_family,
     orthogonal_generators,
+    orthogonality_table,
     same_span,
     single_generator,
 )
@@ -80,7 +80,7 @@ __all__ = [
     "DimensionError", "CertificationError", "TruncationError",
     "ChainSpec", "Chain", "build_chain", "verify_semilattice", "norm_profile",
     "SemilatticeReport", "NormEntry",
-    "WeightSeq", "GenerationCertificate", "orthogonal_generators", "is_orthogonal_family",
+    "WeightSeq", "GenerationCertificate", "orthogonal_generators", "orthogonality_table",
     "single_generator", "certify_generation", "same_span",
     "TensorElem", "build_delta", "pi_map", "bimodule_commutator",
     "tensor_norm_bounds", "tensor_norm_upper", "unitize_diagonal",

@@ -9,6 +9,7 @@ and timestamps live in a separate metadata block.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -38,8 +39,7 @@ from .embedding import (
     certify_embedding_bounds,
     unit_circle_sweep_ratios,
 )
-from .generation import (WeightSeq, certify_generation, is_orthogonal_family, orthogonal_generators,
-                         rescaled_generators, same_span)
+from .generation import WeightSeq, certify_generation, orthogonal_generators, rescaled_generators, same_span
 from .matrices import DEFAULT_TOL, Matrix, is_idempotent
 
 __all__ = ["ExperimentConfig", "CheckRecord", "StageResult", "RunReport",
@@ -215,9 +215,9 @@ def _chain(cfg: ExperimentConfig):
     return build_chain(ChainSpec.default(cfg.m_max, couplings=couplings))
 
 
-def _stage_chain(cfg: ExperimentConfig) -> tuple[StageResult, dict]:
+def _stage_chain(cfg: ExperimentConfig, get_chain) -> tuple[StageResult, dict]:
     stage = StageResult("chain")
-    chain = _chain(cfg)
+    chain = get_chain()
     stage.add(
         "chain-idempotency",
         "every chain element squares to itself",
@@ -257,19 +257,21 @@ def _stage_chain(cfg: ExperimentConfig) -> tuple[StageResult, dict]:
     return stage, series
 
 
-def _stage_generate(cfg: ExperimentConfig) -> tuple[StageResult, dict]:
+def _stage_generate(cfg: ExperimentConfig, get_chain) -> tuple[StageResult, dict]:
     stage = StageResult("generate")
-    chain = _chain(cfg)
+    chain = get_chain()
     gens = orthogonal_generators(chain)
+    weights = _weights_for(gens, cfg.weight_scheme)
+    # certify_generation checks its generators' orthogonality table once and
+    # raises if it fails; this stage's generators must be the ones it certified
+    cert = certify_generation(chain, weights, cfg.r_max, cfg.tol)
     stage.add(
         "generator-orthogonality",
         "telescoping differences are pairwise-orthogonal idempotents",
         "exact",
         f"{len(gens)} generators",
-        is_orthogonal_family(gens),
+        len(gens) == len(cert.generators) and all(map(Matrix.equals, gens, cert.generators)),
     )
-    weights = _weights_for(gens, cfg.weight_scheme)
-    cert = certify_generation(chain, weights, cfg.r_max, cfg.tol)
     worst = max((r.residual - r.bound for r in cert.records), default=0.0)
     stage.add(
         "generation-geometric-bound",
@@ -300,9 +302,9 @@ def _stage_generate(cfg: ExperimentConfig) -> tuple[StageResult, dict]:
     return stage, series
 
 
-def _stage_diagonal(cfg: ExperimentConfig) -> tuple[StageResult, dict]:
+def _stage_diagonal(cfg: ExperimentConfig, get_chain) -> tuple[StageResult, dict]:
     stage = StageResult("diagonal")
-    chain = _chain(cfg)
+    chain = get_chain()
     deltas = [build_delta(chain, n) for n in range(1, chain.m_max + 1)]
     report = certify_mbad(deltas, chain, list(chain.idempotents), cfg.tol)
     stage.add(
@@ -360,7 +362,7 @@ def _stage_diagonal(cfg: ExperimentConfig) -> tuple[StageResult, dict]:
     return stage, {}
 
 
-def _stage_embed(cfg: ExperimentConfig) -> tuple[StageResult, dict]:
+def _stage_embed(cfg: ExperimentConfig, get_chain) -> tuple[StageResult, dict]:
     stage = StageResult("embed")
     fam = RankOneFamily.build(cfg.n_max)
     fam_report = certify_E_family(fam, trials=cfg.trials, seed=_stage_seed(cfg.seed, "family"), tol=cfg.tol)
@@ -437,6 +439,7 @@ def _stage_embed(cfg: ExperimentConfig) -> tuple[StageResult, dict]:
     return stage, series
 
 
+# each stage takes the config and a function that returns the run's chain
 _STAGES = {
     "chain": _stage_chain,
     "generate": _stage_generate,
@@ -447,8 +450,11 @@ _STAGES = {
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Run the selected certification stages; failures are recorded and
-    the run continues to completion."""
+    the run continues to completion.  The chain is built once, by the first
+    stage that asks for it; a build that raises is retried by each later
+    stage, so each of them records its own stage error."""
     cfg.validate()
+    get_chain = functools.cache(lambda: _chain(cfg))
     names = list(_STAGES) if cfg.subcommand == "all" else [cfg.subcommand]
     stages: list[StageResult] = []
     series: dict = {}
@@ -456,7 +462,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     for name in names:
         start = time.perf_counter()
         try:
-            stage, stage_series = _STAGES[name](cfg)
+            stage, stage_series = _STAGES[name](cfg, get_chain)
             series.update(stage_series)
         except Exception as exc:  # noqa: BLE001 - recorded, run continues
             stage = StageResult(name)

@@ -437,6 +437,7 @@ def certify_mbad(
     dim = chain.truncation_dim
     ident = Matrix.identity(dim, backend=chain.backend)
     pis = [d.pi() for d in deltas]
+    rests = [ident - p for p in pis]
     k_const = max(op_norm(p) for p in pis)
     unitized, unitized_images = zip(*(unitize_diagonal(d, p, ident) for d, p in zip(deltas, pis)))
     increments = _increments(deltas)
@@ -488,8 +489,7 @@ def certify_mbad(
         rewrite_ok = all(agree(a @ p, p @ a, max(tol, 1e-9 * scale)) for p in pis)
         unit_uppers = []
         refined_ok = True
-        for d_comm, up_d, p in zip(comms, uppers, pis):
-            rest = ident - p
+        for d_comm, up_d, p, rest in zip(comms, uppers, pis, rests):
             w = a_alg - a_alg @ p
             regrouped = d_comm.scale(2) + (-d_comm.left(p)) + TensorElem.of([(w, rest), (-rest, w)], dim=dim)
             up_u = tensor_norm_upper(regrouped)

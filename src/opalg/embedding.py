@@ -35,6 +35,7 @@ from .matrices import (
     CertificationError,
     Matrix,
     _as_complex,
+    float_stack,
     kernel_dtype,
     op_norm,
     read_scalar,
@@ -255,13 +256,9 @@ class EmbeddedElement:
     def _float_stack(self, re, im):
         if not self.is_exact:
             return re
-        # int / int rounds correctly, and so does an int64 stack, whose
-        # numerators and denominator _stacks keeps within 2**53 so that
-        # they convert to float exactly; this equals Matrix.to_float of
-        # each block in lowest terms
-        arr = np.zeros(re.shape, dtype=complex)
-        arr.real, arr.imag = re / self.den, im / self.den
-        return arr
+        # an int64 stack rounds correctly too: _stacks keeps its numerators
+        # and denominator within 2**53, so they convert to float exactly
+        return float_stack(re, im, self.den)
 
     @cached_property
     def _stacked_spectra(self) -> list[np.ndarray]:
@@ -447,9 +444,12 @@ class TraceWeights:
     scheme: str
 
     def __post_init__(self):
-        if any(w <= 0 for w in self.weights):
+        # rational denominators are positive, so numerators carry the sign,
+        # and the sum is taken over one common denominator, in integers
+        if any(w.numerator <= 0 for w in self.weights):
             raise ValueError("weights must be strictly positive")
-        if sum(self.weights) != 1:
+        den = math.lcm(*(w.denominator for w in self.weights))
+        if sum(w.numerator * (den // w.denominator) for w in self.weights) != den:
             raise ValueError("weights must sum to 1")
 
     @cached_property
@@ -459,12 +459,12 @@ class TraceWeights:
 
 
 def make_trace(subsets: SubsetFamily, scheme: str = "geometric") -> TraceWeights:
-    """Geometric weights 2^-k over the canonical order, or uniform ones;
-    both exact and exactly normalized, so no weight underflows."""
+    """Geometric weights 2^-k over the canonical order, normalized to
+    2^(N-k) / (2^N - 1) for N subsets, or uniform ones; both exact, so no
+    weight underflows."""
     count = len(subsets.subsets)
     if scheme == "geometric":
-        total = 1 - Fraction(1, 2**count)
-        weights = tuple(Fraction(1, 2**k) / total for k in range(1, count + 1))
+        weights = tuple(Fraction(2 ** (count - k), 2**count - 1) for k in range(1, count + 1))
     elif scheme == "uniform":
         weights = (Fraction(1, count),) * count
     else:

@@ -15,15 +15,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
+import numpy as np
+
 from .chains import Chain
 from .matrices import (
     DEFAULT_TOL,
     CertificationError,
     Matrix,
     eliminate,
-    is_idempotent,
+    float_stack,
+    kernel_dtype,
     op_norm,
-    vanishes,
+    singular_values,
+    stack,
 )
 
 __all__ = [
@@ -31,7 +35,7 @@ __all__ = [
     "GenerationRecord",
     "GenerationCertificate",
     "orthogonal_generators",
-    "is_orthogonal_family",
+    "orthogonality_table",
     "single_generator",
     "rescaled_generators",
     "certify_generation",
@@ -91,33 +95,71 @@ def orthogonal_generators(chain: Chain) -> tuple[Matrix, ...]:
     """Telescoping differences of the chain: g_1 = e_1, g_j = e_j - e_{j-1}.
 
     These are pairwise-orthogonal idempotents spanning the same algebra;
-    :func:`is_orthogonal_family` measures that, and every consumer in this
+    :func:`orthogonality_table` measures that, and every consumer in this
     module checks it before use.
     """
     mats = chain.idempotents
     return tuple([mats[0]] + [mats[j] - mats[j - 1] for j in range(1, len(mats))])
 
 
-def is_orthogonal_family(gens: Sequence[Matrix]) -> bool:
-    """Whether every g is idempotent and g_i g_j vanishes for i != j, in
-    the sense of :func:`opalg.matrices.agree` (exactly on exact input)."""
-    return all(is_idempotent(g) for g in gens) and all(
-        vanishes(gens[i] @ gens[j], DEFAULT_TOL) for i in range(len(gens)) for j in range(len(gens)) if i != j
-    )
+# the largest number of entries of one row block of the orthogonality product
+_BLOCK_ENTRIES = 2**20
 
 
-def _resolve_generators(source: GeneratorSource) -> tuple[Matrix, ...]:
+def orthogonality_table(gens: Sequence[Matrix]) -> np.ndarray:
+    """The (count, count) table whose entry (i, j) says whether g_i g_j
+    equals g_i for i == j and vanishes for i != j, in the sense of
+    :func:`opalg.matrices.agree`: exactly when every generator is exact,
+    and within ``DEFAULT_TOL`` per entry when one is float.
+
+    The products come from one batched product of the generator stack
+    (:func:`opalg.matrices.stack`), split into row blocks of at most
+    ``_BLOCK_ENTRIES`` entries: G_i [G_1 ... G_n] = L [0 ... G_i ... 0] for
+    the integer numerators G_i over their common denominator L.  The exact
+    product runs on the dtype :func:`opalg.matrices.kernel_dtype` picks."""
+    return _table(stack(gens)) if gens else np.ones((0, 0), dtype=bool)
+
+
+def _table(family) -> np.ndarray:
+    """:func:`orthogonality_table` of a family given as its stack."""
+    mats, im, den = family
+    count = len(mats)
+    if im is not None:
+        # A + iB as the real block matrix [[A, -B], [B, A]], which multiplies alike
+        mats = np.block([[mats, -im], [im, mats]])
+    dim = mats.shape[1]
+    if den is not None:
+        big = max(1, int(np.abs(mats).max()))
+        mats = mats.astype(kernel_dtype(2 * dim * big * big, den * big))
+    # [G_1 ... G_n] side by side: a row block of G_i times it holds G_i G_j for every j
+    side = mats.transpose(1, 0, 2).reshape(dim, count * dim)
+    table = np.empty((count, count), dtype=bool)
+    step = max(1, _BLOCK_ENTRIES // (count * dim * dim))
+    for lo in range(0, count, step):
+        rows = range(lo, min(lo + step, count))
+        prod = np.matmul(mats[rows], side).reshape(len(rows), dim, count, dim).transpose(0, 2, 1, 3)
+        prod[range(len(rows)), rows] -= mats[rows] if den is None else den * mats[rows]
+        if den is None:
+            table[rows] = np.abs(prod).max(axis=(2, 3)) <= DEFAULT_TOL
+        else:
+            table[rows] = ~(prod != 0).any(axis=(2, 3))
+    return table
+
+
+def _resolve_generators(source: GeneratorSource) -> tuple[tuple[Matrix, ...], tuple]:
+    """The generators and their stack, once their orthogonality table holds."""
     gens = orthogonal_generators(source) if isinstance(source, Chain) else tuple(source)
     if not gens:
         raise ValueError("no generators supplied")
-    if not is_orthogonal_family(gens):
+    family = stack(gens)
+    if not _table(family).all():
         raise CertificationError("generators are not pairwise-orthogonal idempotents")
-    return gens
+    return gens, family
 
 
 def single_generator(source: GeneratorSource, weights: WeightSeq) -> Matrix:
     """b = sum_j l_j g_j; exact when the inputs are exact."""
-    gens = _resolve_generators(source)
+    gens, _ = _resolve_generators(source)
     if len(weights) != len(gens):
         raise ValueError(f"got {len(weights)} weights for {len(gens)} generators")
     acc = gens[0] * weights[0]
@@ -128,18 +170,54 @@ def single_generator(source: GeneratorSource, weights: WeightSeq) -> Matrix:
 
 def rescaled_generators(gens: Sequence[Matrix], weights: WeightSeq) -> tuple[Matrix, ...]:
     """The rescaled residual generators (1/l_m) b_m, m = 1, 2, ..., with
-    b_m = sum_{j>=m} l_j g_j; exact when the inputs are exact.  Every
-    residual of :func:`certify_generation` is read off their powers, so
+    b_m = sum_{j>=m} l_j g_j built from the suffix sums
+    b_m = b_{m+1} + l_m g_m; exact when the inputs are exact.  The
+    residuals of :func:`certify_generation` are those of their powers, so
     equal generators give equal residual series."""
     if len(weights) != len(gens):
         raise ValueError(f"got {len(weights)} weights for {len(gens)} generators")
-    out = []
-    for m, lam_m in enumerate(weights.lambdas):
-        residual_gen = gens[m] * lam_m
-        for j in range(m + 1, len(gens)):
-            residual_gen = residual_gen + gens[j] * weights[j]
-        out.append(residual_gen * (1 / lam_m))
-    return tuple(out)
+    out, suffix = [], None
+    for g, lam in zip(reversed(gens), reversed(weights.lambdas)):
+        suffix = g * lam if suffix is None else suffix + g * lam
+        out.append(suffix * (1 / lam))
+    return tuple(reversed(out))
+
+
+def _residual_stack(family, weights: WeightSeq, m: int, r_max: int) -> np.ndarray | None:
+    """g_m - B_m^r for r = 1..r_max as one complex (r_max, d, d) array, for
+    the rescaled residual generator B_m of the 0-based index m, or None
+    when the tail is empty and every residual is zero.
+
+    For pairwise-orthogonal idempotents, B_m^r = g_m + sum_{j>m} rho_j^r g_j
+    with rho_j = l_j / l_m, so g_m - B_m^r = -sum_{j>m} rho_j^r g_j exactly.
+    Exact families (numerators G_j over L, from :func:`opalg.matrices.stack`)
+    write rho_j = P_j / Q, take the rows P_j^r of an integer table by
+    multiplication, and form every residual numerator with one product of
+    the table with the tail numerators, on the entries where some tail
+    generator is nonzero; each entry is then divided by Q^r L, which
+    rounds it as :meth:`Matrix.to_float` rounds the same rational."""
+    mats, im, den = family
+    if m + 1 == len(mats):
+        return None
+    tail = slice(m + 1, None)
+    rho = [lam / weights[m] for lam in weights.lambdas[tail]]
+    if den is None:
+        powers = np.array([float(x) for x in rho]) ** np.arange(1, r_max + 1)[:, None]
+        return -np.tensordot(powers, mats[tail], axes=1)
+    q = math.lcm(*(x.denominator for x in rho))
+    p = np.array([x.numerator * (q // x.denominator) for x in rho], dtype=object)
+    parts = [mats[tail].reshape(len(p), -1)] + ([] if im is None else [im[tail].reshape(len(p), -1)])
+    cols = np.flatnonzero(np.any([part != 0 for part in parts], axis=(0, 1)))
+    table = np.empty((r_max, len(p)), dtype=object)
+    dens = np.empty((r_max, 1), dtype=object)
+    row, scale = p, q * den
+    for r in range(r_max):
+        table[r], dens[r] = row, scale
+        row, scale = row * p, scale * q
+    nums = [-(table @ part[:, cols]) for part in parts]
+    out = np.zeros((r_max, mats[0].size), dtype=complex)
+    out[:, cols] = float_stack(nums[0], nums[1] if len(nums) == 2 else None, dens)
+    return out.reshape(r_max, *mats.shape[1:])
 
 
 def _bound_holds(residual: float, bound: float, dim: int, power: int, tol: float) -> bool:
@@ -163,6 +241,7 @@ class GenerationRecord:
 
 @dataclass(frozen=True)
 class GenerationCertificate:
+    generators: tuple[Matrix, ...]
     records: tuple[GenerationRecord, ...]
     per_index: dict[int, bool]
     passed: bool
@@ -186,36 +265,46 @@ def certify_generation(
     sum_{j>m} l_j norm(g_j) for r = 1..r_max; the last generator must be
     recovered exactly (empty tail sum).  The per-index verdict also
     requires a monotone residual tail, to catch stagnation.
+
+    The generators must pass :func:`orthogonality_table`, checked once;
+    otherwise CertificationError is raised.  Given that, the residuals are
+    read off the spectral closed form g_m - B_m^r = -sum_{j>m} rho_j^r g_j,
+    rho_j = l_j / l_m: on exact families this is the exact rational matrix
+    the powers give, rounded entry by entry as :meth:`Matrix.to_float`
+    rounds it, so the residuals are those of the exact powers, bit for
+    bit.  Each generator's r_max residual norms come from one stacked SVD,
+    and the generators' norms from one more.  The certificate keeps the
+    generators it certified.
     """
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
-    gens = _resolve_generators(source)
+    gens, family = _resolve_generators(source)
     count = len(gens)
-    norms = [op_norm(g) for g in gens]
+    if len(weights) != count:
+        raise ValueError(f"got {len(weights)} weights for {count} generators")
+    mats, im, den = family
+    norms = singular_values(mats if den is None else float_stack(mats, im, den))[:, 0].tolist()
     records: list[GenerationRecord] = []
     per_index: dict[int, bool] = {}
     tail_len = math.ceil(r_max / 2)
-    for m, rescaled in enumerate(rescaled_generators(gens, weights), start=1):
+    for m in range(1, count + 1):
         lam_m = weights[m - 1]
         # the last generator has an empty tail, so its bound is 0.0
         ratio = float(weights[m] / lam_m) if m < count else 0.0
         tail_sum = sum(float(weights[j]) * norms[j] for j in range(m, count))
-        power = rescaled
-        residuals = []
+        residual_stack = _residual_stack(family, weights, m - 1, r_max)
+        residuals = [0.0] * r_max if residual_stack is None else singular_values(residual_stack)[:, 0].tolist()
         ok_bounds = True
-        for r in range(1, r_max + 1):
-            residual = op_norm(gens[m - 1] - power)
+        for r, residual in enumerate(residuals, start=1):
             bound = (ratio ** (r - 1)) * tail_sum / float(lam_m)
             passed = _bound_holds(residual, bound, gens[m - 1].rows, r, tol)
             ok_bounds = ok_bounds and passed
-            residuals.append(residual)
             records.append(GenerationRecord(index=m, power=r, residual=residual, bound=bound, passed=passed))
-            if r < r_max:
-                power = power @ rescaled
         tail = residuals[-tail_len:]
         monotone = all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
         per_index[m] = ok_bounds and monotone
     return GenerationCertificate(
+        generators=gens,
         records=tuple(records),
         per_index=per_index,
         passed=all(per_index.values()),

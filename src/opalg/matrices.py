@@ -39,6 +39,8 @@ __all__ = [
     "DEFAULT_TOL",
     "read_scalar",
     "kernel_dtype",
+    "stack",
+    "float_stack",
     "agree",
     "vanishes",
     "eliminate",
@@ -275,12 +277,7 @@ class Matrix:
     def to_float(self):
         if not self.is_exact:
             return self
-        # int / int rounds correctly however large the numerator
-        arr = np.zeros(self.shape, dtype=complex)
-        arr.real = self._re / self._den
-        if self._im is not None:
-            arr.imag = self._im / self._den
-        return Matrix._wrap_float(arr)
+        return Matrix._wrap_float(float_stack(self._re, self._im, self._den))
 
     def numpy(self):
         """Complex ndarray copy of the matrix."""
@@ -471,6 +468,40 @@ class Matrix:
 
     def __repr__(self):
         return f"<Matrix {self.rows}x{self.cols} {self._backend}>"
+
+
+def float_stack(re, im, den):
+    """The complex array (re + i im) / den of integer numerator arrays ``re``
+    and ``im`` (None when zero), where ``den`` is a positive integer or an
+    integer array that broadcasts against ``re``.  Each entry is rounded
+    once: int / int rounds correctly however large the numerator, so an
+    entry equals what :meth:`Matrix.to_float` gives for the same rational,
+    in whatever terms it is written."""
+    arr = np.zeros(re.shape, dtype=complex)
+    arr.real = re / den
+    if im is not None:
+        arr.imag = im / den
+    return arr
+
+
+def stack(mats):
+    """Square matrices of one shape as one (count, n, n) stack ``(re, im,
+    den)``.  When every matrix is exact: object arrays of integer
+    numerators over the least common denominator ``den``, with ``im`` None
+    when every matrix is real.  Otherwise ``re`` is the complex array of
+    the matrices' float values and ``im`` and ``den`` are None."""
+    mats = list(mats)
+    shapes = {m.shape for m in mats}
+    if len(shapes) != 1 or any(rows != cols or not rows for rows, cols in shapes):
+        raise DimensionError(f"expected nonempty square matrices of one shape, got shapes {sorted(shapes)}")
+    if not all(m.is_exact for m in mats):
+        return np.stack([m.to_float()._arr for m in mats]), None, None
+    den = lcm(*(m._den for m in mats))
+    re = np.stack([m._re * (den // m._den) for m in mats])
+    if all(m._im is None for m in mats):
+        return re, None, den
+    zero = np.zeros(re.shape[1:], dtype=object)
+    return re, np.stack([(zero if m._im is None else m._im) * (den // m._den) for m in mats]), den
 
 
 DEFAULT_TOL = 1e-9

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from opalg import diagonals, embedding
+from opalg import diagonals, embedding, generation
 from opalg.chains import Chain, build_chain
 from opalg.generation import WeightSeq
 from opalg.cli import (
@@ -179,6 +179,39 @@ def test_measured_checks_fail_on_bad_input(monkeypatch):
     checks = {c.name: c for c in run_experiment(build_config(["embed", "--trials", "1"])).stages[0].checks}
     assert len(calls) == 100 and not checks["embedding-multiplicativity"].passed
     assert checks["embedding-norm-bounds"].passed
+
+
+def test_non_orthogonal_generators_fail_generate(tmp_path, capsys, monkeypatch):
+    # the stage's own family, or the one certify_generation certifies, being
+    # the non-orthogonal chain idempotents makes opalg generate fail
+    argv = ["generate", "--m-max", "6", "--r-max", "6", "--out", str(tmp_path)]
+    monkeypatch.setattr("opalg.cli.orthogonal_generators", lambda chain: chain.idempotents)
+    assert main(argv) == 1
+    assert "FAIL generator-orthogonality" in capsys.readouterr().out
+    monkeypatch.undo()
+    monkeypatch.setattr(generation, "orthogonal_generators", lambda chain: chain.idempotents)
+    assert main(argv) == 1
+    assert "FAIL generate-stage-error: CertificationError" in capsys.readouterr().out
+    monkeypatch.undo()
+    assert main(argv) == 0
+
+
+def test_all_builds_the_chain_once(monkeypatch):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return build_chain(spec)
+
+    monkeypatch.setattr("opalg.cli.build_chain", counted)
+    assert run_experiment(small_cfg(subcommand="all", m_max=4, trials=2, r_max=4)).overall
+    assert len(calls) == 1
+    # a build that raises gives each stage that needs the chain its own error
+    monkeypatch.setattr("opalg.cli.build_chain", _failing_build_chain)
+    report = run_experiment(small_cfg(subcommand="all", m_max=4, trials=2, r_max=4))
+    failed = {s.name: [c.name for c in s.checks] for s in report.stages if not s.passed}
+    assert failed == {name: [f"{name}-stage-error"] for name in ("chain", "generate", "diagonal")}
+    assert [s.passed for s in report.stages if s.name == "embed"] == [True]
 
 
 def test_main_exit_codes(tmp_path, capsys, monkeypatch):

@@ -11,6 +11,7 @@ from opalg import (
     Matrix,
     RankOneFamily,
     SubsetFamily,
+    TraceWeights,
     best_subset_sum,
     brute_force_best_subset,
     certify_E_family,
@@ -341,6 +342,19 @@ def test_make_trace_geometric():
     fam = SubsetFamily(n_max=2, s_max=1, f_cap=2, subsets=((1,), (2,)))
     w = make_trace(fam, "geometric")
     assert w.weights == pytest.approx((2 / 3, 1 / 3))
+
+
+def test_geometric_weights_are_normalized_powers_of_two():
+    # 2^(N-k) / (2^N - 1) is 2^-k / (1 - 2^-N), in lowest terms
+    for count in (1, 2, 7, 513):
+        fam = SubsetFamily(n_max=count, s_max=1, f_cap=count, subsets=tuple((j,) for j in range(1, count + 1)))
+        total = 1 - Fraction(1, 2**count)
+        assert make_trace(fam, "geometric").weights == tuple(Fraction(1, 2**k) / total for k in range(1, count + 1))
+    with pytest.raises(ValueError, match="sum to 1"):
+        TraceWeights((Fraction(1, 2), Fraction(1, 3)), "geometric")
+    with pytest.raises(ValueError, match="positive"):
+        TraceWeights((Fraction(3, 2), Fraction(-1, 2)), "geometric")
+    assert TraceWeights((Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)), "uniform").floats == (1 / 6, 1 / 3, 1 / 2)
 
 
 def test_trace_weights_normalized():

@@ -2,20 +2,27 @@
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opalg import (
+    CertificationError,
     ChainSpec,
     Matrix,
     WeightSeq,
     build_chain,
     certify_generation,
+    is_idempotent,
     op_norm,
     orthogonal_generators,
+    orthogonality_table,
     same_span,
     single_generator,
 )
-from opalg.generation import _bound_holds
+from opalg import generation, matrices
+from opalg.generation import _bound_holds, rescaled_generators
+from opalg.matrices import DEFAULT_TOL, vanishes
 
 
 def two_projections():
@@ -178,3 +185,156 @@ def test_certificate_serializes_to_json():
     assert cert.passed is True
     assert cert.per_index == {1: True, 2: True}
     assert len(cert.records) == 8
+
+
+def product_loop_residuals(gens, weights, r_max):
+    """The residuals as the powers give them: each rescaled residual
+    generator (1/l_m) sum_{j>=m} l_j g_j raised power by power with exact
+    products, and each norm(g_m - power) read by its own SVD."""
+    out = []
+    for m in range(len(gens)):
+        rescaled = gens[m] * weights[m]
+        for j in range(m + 1, len(gens)):
+            rescaled = rescaled + gens[j] * weights[j]
+        rescaled = rescaled * (1 / weights[m])
+        power = rescaled
+        for r in range(1, r_max + 1):
+            out.append((m + 1, r, op_norm(gens[m] - power)))
+            power = power @ rescaled
+    return out
+
+
+def conjugated_family(scale=1):
+    """Exact complex orthogonal idempotents S E_kk S^-1, k = 1, 2, 3, for
+    S = 1 + N with N strictly upper triangular, so S^-1 = 1 - N + N^2; the
+    entries grow with ``scale``."""
+    n = Matrix.exact([[0, (1, scale), 0], [0, 0, (Fraction(2, 3), 1)], [0, 0, 0]])
+    one = Matrix.identity(3)
+    s, inv = one + n, one - n + n @ n
+    assert (s @ inv).equals(one)
+    return [s @ Matrix.diag([int(i == k) for i in range(3)]) @ inv for k in range(3)]
+
+
+couplings = st.lists(
+    st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=12).filter(lambda x: x != 0),
+    min_size=4,
+    max_size=4,
+)
+
+
+@given(
+    st.integers(1, 8),
+    couplings,
+    st.one_of(st.none(), st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20), max_denominator=20)),
+    st.integers(2, 9),
+)
+@settings(max_examples=40, deadline=None)
+def test_closed_form_residuals_match_product_loop(m_max, values, ratio, r_max):
+    # the residuals read off -sum_{j>m} rho_j^r g_j are those of the exact
+    # powers, bit for bit, for random rational couplings and both weight schemes
+    values = sorted(values, key=abs)[: m_max // 2]
+    chain = build_chain(ChainSpec.default(m_max, couplings=values))
+    gens = orthogonal_generators(chain)
+    if ratio is None:
+        weights = WeightSeq.norm_adaptive(gens)
+    else:
+        weights = WeightSeq(tuple(ratio**j for j in range(1, m_max + 1)))
+    cert = certify_generation(chain, weights, r_max=r_max, tol=0.0)
+    assert [(r.index, r.power, r.residual) for r in cert.records] == product_loop_residuals(gens, weights, r_max)
+
+
+def test_closed_form_matches_product_loop_on_complex_families():
+    # exact complex generators, on int64 and on object kernels
+    for scale in (1, 2**40):
+        gens = conjugated_family(scale)
+        weights = WeightSeq((Fraction(1, 2), Fraction(1, 5), Fraction(1, 7)))
+        cert = certify_generation(gens, weights, r_max=6, tol=1e-9)
+        assert [(r.index, r.power, r.residual) for r in cert.records] == product_loop_residuals(gens, weights, 6)
+    # float families take the same closed form in floats, up to rounding
+    floats = [g.to_float() for g in conjugated_family()]
+    cert = certify_generation(floats, weights, r_max=6)
+    for rec, (_, _, loop) in zip(cert.records, product_loop_residuals(floats, weights, 6)):
+        assert rec.residual == pytest.approx(loop, rel=1e-12, abs=1e-15)
+
+
+def pairwise_table(gens):
+    n = len(gens)
+    return np.array([
+        [is_idempotent(gens[i]) if i == j else vanishes(gens[i] @ gens[j], DEFAULT_TOL) for j in range(n)]
+        for i in range(n)
+    ])
+
+
+def table_families():
+    chain = build_chain(ChainSpec.default(6))
+    gens = list(orthogonal_generators(chain))
+    dim = chain.truncation_dim
+    # e_1 + E_{0,1} is idempotent, but it no longer kills g_2 from the left
+    unit = Matrix.exact([[int((i, j) == (0, 1)) for j in range(dim)] for i in range(dim)])
+    yield "telescoping", gens
+    yield "chain idempotents", list(chain.idempotents)
+    yield "one non-idempotent", gens[:2] + [gens[2] * 2] + gens[3:]
+    yield "one non-orthogonal pair", [gens[0] + unit] + gens[1:]
+    yield "complex", conjugated_family()
+    yield "complex, object kernel", conjugated_family(2**40)
+    yield "complex, one non-idempotent", conjugated_family()[:2] + [conjugated_family()[2] * (1, 1)]
+    yield "float", [g.to_float() for g in gens]
+    yield "float, one off", [g.to_float() for g in gens[:-1]] + [gens[-1].to_float() * 1.001]
+
+
+@pytest.mark.parametrize("name, gens", list(table_families()))
+def test_orthogonality_table_matches_pairwise_verdicts(name, gens, monkeypatch):
+    expected = pairwise_table(gens)
+    assert (orthogonality_table(gens) == expected).all()
+    # row blocks of one generator at a time give the same table
+    monkeypatch.setattr(generation, "_BLOCK_ENTRIES", 1)
+    assert (orthogonality_table(gens) == expected).all()
+
+
+def test_orthogonality_table_names_the_broken_entries():
+    families = dict(table_families())
+    table = orthogonality_table(families["one non-idempotent"])
+    assert not table[2, 2] and table.sum() == 36 - 1
+    table = orthogonality_table(families["one non-orthogonal pair"])
+    assert table.diagonal().all() and not table[0, 1]
+    assert orthogonality_table([]).shape == (0, 0)
+    with pytest.raises(CertificationError, match="orthogonal"):
+        certify_generation(families["one non-orthogonal pair"], WeightSeq.norm_adaptive(families["telescoping"]), 4)
+
+
+def test_rescaled_generators_equal_their_defining_sums():
+    chain = build_chain(ChainSpec.default(8, couplings=[Fraction(1, 3), 1, Fraction(5, 2), 4]))
+    gens = orthogonal_generators(chain)
+    weights = WeightSeq.norm_adaptive(gens)
+    for m, rescaled in enumerate(rescaled_generators(gens, weights)):
+        direct = gens[m]
+        for j in range(m + 1, len(gens)):
+            direct = direct + gens[j] * (weights[j] / weights[m])
+        assert rescaled.equals(direct)
+    with pytest.raises(ValueError, match="weights"):
+        rescaled_generators(gens, WeightSeq(weights.lambdas[:-1]))
+
+
+def test_certificate_makes_no_exact_products_and_one_svd_per_generator(monkeypatch):
+    chain = build_chain(ChainSpec.default(12))
+    gens = orthogonal_generators(chain)
+    weights = WeightSeq.norm_adaptive(gens)
+    counts = {"matmul": 0, "svd": 0}
+    matmul, svd = Matrix.__matmul__, matrices.singular_values
+
+    def counted_matmul(a, b):
+        counts["matmul"] += 1
+        return matmul(a, b)
+
+    def counted_svd(m):
+        counts["svd"] += 1
+        return svd(m)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
+    monkeypatch.setattr(generation, "singular_values", counted_svd)
+    assert orthogonality_table(gens).all()
+    cert = certify_generation(chain, weights, r_max=40, tol=0.0)
+    assert cert.passed
+    # one stacked SVD for the generators' norms, one per generator with a
+    # nonempty tail for its residuals
+    assert counts == {"matmul": 0, "svd": len(gens)}
