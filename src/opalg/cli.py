@@ -40,7 +40,7 @@ from .embedding import (
     unit_circle_sweep_ratios,
 )
 from .generation import WeightSeq, certify_generation, orthogonal_generators, rescaled_generators, same_span
-from .matrices import DEFAULT_TOL, Matrix, is_idempotent
+from .matrices import DEFAULT_TOL, Matrix
 
 __all__ = ["ExperimentConfig", "CheckRecord", "StageResult", "RunReport",
            "run_experiment", "emit_report", "payload_json", "main", "console_main"]
@@ -218,14 +218,14 @@ def _chain(cfg: ExperimentConfig):
 def _stage_chain(cfg: ExperimentConfig, get_chain) -> tuple[StageResult, dict]:
     stage = StageResult("chain")
     chain = get_chain()
+    sem = verify_semilattice(chain, cfg.tol)
     stage.add(
         "chain-idempotency",
         "every chain element squares to itself",
         "exact",
         f"{chain.m_max} idempotents on dimension {chain.truncation_dim}",
-        all(is_idempotent(e, cfg.tol) for e in chain.idempotents),
+        sem.idempotent,
     )
-    sem = verify_semilattice(chain, cfg.tol)
     stage.add(
         "semilattice-product-table",
         "product of the m-th and n-th idempotents is the min(m, n)-th",

@@ -13,9 +13,9 @@ Blocks are filled from their closed form (see ``_stacks``) and kept
 stacked, one (m, k + 2, k + 2) array per subset size k: integer
 numerators over one shared denominator when exact (int64 when a bound
 allows, see ``_stacks``), complex when float.  Norms read one stacked
-SVD per size, exact multiplicativity is one batched integer product per
-size, and a block is wrapped as a :class:`Matrix` only when
-``EmbeddedElement.blocks`` is asked for.
+SVD per size, and exact multiplicativity is one batched product check
+(:func:`opalg.matrices.products_agree`) per size; no block is wrapped as
+a :class:`Matrix`.
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ from .matrices import (
     float_stack,
     kernel_dtype,
     op_norm,
+    products_agree,
     read_scalar,
     singular_values,
 )
@@ -219,8 +220,7 @@ class EmbeddedElement:
     positions are the indices of the stacked subsets in the family.  Exact
     stacks hold integer numerators ``re`` and ``im`` over the shared
     denominator ``den``; a float stack holds one complex array in ``re``,
-    with ``im`` and ``den`` None.  ``blocks`` wraps them as one
-    :class:`Matrix` per subset on first use."""
+    with ``im`` and ``den`` None."""
 
     coeffs: tuple
     family: SubsetFamily
@@ -238,20 +238,6 @@ class EmbeddedElement:
             for pos, result in zip(positions, results):
                 out[pos] = result
         return out
-
-    @cached_property
-    def blocks(self) -> tuple[Matrix, ...]:
-        """One Matrix per subset, in family order (exact ones in lowest
-        terms)."""
-        if not self.is_exact:
-            wrapped = [[Matrix.from_float(b) for b in re] for _, re, _ in self.stacks]
-        else:
-            wrapped = [[Matrix.from_numerators(r, i, self.den) for r, i in zip(re, im)] for _, re, im in self.stacks]
-        return tuple(self._in_family_order(wrapped))
-
-    def block(self, subset: Sequence[int]) -> Matrix:
-        key = tuple(sorted(set(subset)))
-        return self.blocks[self.family.subsets.index(key)]
 
     def _float_stack(self, re, im):
         if not self.is_exact:
@@ -522,25 +508,12 @@ def _pair_mul(a, b):
 
 def _is_product(ea: EmbeddedElement, eb: EmbeddedElement, ep: EmbeddedElement) -> bool:
     """Whether every block of ep equals the product of the blocks of ea and
-    eb, exactly: exact elements on one family, compared with one batched
-    product per block size.  With re = Ar Br - Ai Bi and im = Ar Bi + Ai Br
-    on the numerator stacks, the blocks agree when re dp == Pr da db and
-    im dp == Pi da db.  For k x k blocks with numerators of modulus at
-    most big (taken at least 1, so the bounds cover the scalars too),
-    |re dp| <= 2 k big^2 dp and |P da db| <= big da db, which pick the
-    dtype by :func:`kernel_dtype`."""
-    da, db, dp = ea.den, eb.den, ep.den
-    for (_, ar, ai), (_, br, bi), (_, pr, pi) in zip(ea.stacks, eb.stacks, ep.stacks):
-        parts = (ar, ai, br, bi, pr, pi)
-        big = max(1, *(int(np.abs(x).max()) for x in parts))
-        dtype = kernel_dtype(2 * ar.shape[-1] * big * big * dp, big * da * db)
-        ar, ai, br, bi, pr, pi = (x.astype(dtype, copy=False) for x in parts)
-        if not (
-            np.array_equal((ar @ br - ai @ bi) * dp, pr * (da * db))
-            and np.array_equal((ar @ bi + ai @ br) * dp, pi * (da * db))
-        ):
-            return False
-    return True
+    eb, exactly: exact elements on one family, compared with one call of
+    :func:`opalg.matrices.products_agree` per block size."""
+    return all(
+        products_agree((ar, ai, ea.den), (br, bi, eb.den), (pr, pi, ep.den), 0.0)[0].all()
+        for (_, ar, ai), (_, br, bi), (_, pr, pi) in zip(ea.stacks, eb.stacks, ep.stacks)
+    )
 
 
 def certify_embedding_bounds(

@@ -24,8 +24,8 @@ from .matrices import (
     Matrix,
     eliminate,
     float_stack,
-    kernel_dtype,
     op_norm,
+    product_table,
     singular_values,
     stack,
 )
@@ -102,48 +102,13 @@ def orthogonal_generators(chain: Chain) -> tuple[Matrix, ...]:
     return tuple([mats[0]] + [mats[j] - mats[j - 1] for j in range(1, len(mats))])
 
 
-# the largest number of entries of one row block of the orthogonality product
-_BLOCK_ENTRIES = 2**20
-
-
 def orthogonality_table(gens: Sequence[Matrix]) -> np.ndarray:
-    """The (count, count) table whose entry (i, j) says whether g_i g_j
-    equals g_i for i == j and vanishes for i != j, in the sense of
-    :func:`opalg.matrices.agree`: exactly when every generator is exact,
-    and within ``DEFAULT_TOL`` per entry when one is float.
-
-    The products come from one batched product of the generator stack
-    (:func:`opalg.matrices.stack`), split into row blocks of at most
-    ``_BLOCK_ENTRIES`` entries: G_i [G_1 ... G_n] = L [0 ... G_i ... 0] for
-    the integer numerators G_i over their common denominator L.  The exact
-    product runs on the dtype :func:`opalg.matrices.kernel_dtype` picks."""
-    return _table(stack(gens)) if gens else np.ones((0, 0), dtype=bool)
-
-
-def _table(family) -> np.ndarray:
-    """:func:`orthogonality_table` of a family given as its stack."""
-    mats, im, den = family
-    count = len(mats)
-    if im is not None:
-        # A + iB as the real block matrix [[A, -B], [B, A]], which multiplies alike
-        mats = np.block([[mats, -im], [im, mats]])
-    dim = mats.shape[1]
-    if den is not None:
-        big = max(1, int(np.abs(mats).max()))
-        mats = mats.astype(kernel_dtype(2 * dim * big * big, den * big))
-    # [G_1 ... G_n] side by side: a row block of G_i times it holds G_i G_j for every j
-    side = mats.transpose(1, 0, 2).reshape(dim, count * dim)
-    table = np.empty((count, count), dtype=bool)
-    step = max(1, _BLOCK_ENTRIES // (count * dim * dim))
-    for lo in range(0, count, step):
-        rows = range(lo, min(lo + step, count))
-        prod = np.matmul(mats[rows], side).reshape(len(rows), dim, count, dim).transpose(0, 2, 1, 3)
-        prod[range(len(rows)), rows] -= mats[rows] if den is None else den * mats[rows]
-        if den is None:
-            table[rows] = np.abs(prod).max(axis=(2, 3)) <= DEFAULT_TOL
-        else:
-            table[rows] = ~(prod != 0).any(axis=(2, 3))
-    return table
+    """The (count, count) product table (:func:`opalg.matrices.product_table`)
+    saying whether g_i g_j equals g_i for i == j and vanishes for i != j:
+    exactly when every generator is exact, else within ``DEFAULT_TOL``."""
+    if not gens:
+        return np.ones((0, 0), dtype=bool)
+    return product_table(stack(gens), np.diag(np.arange(1, len(gens) + 1)) - 1, DEFAULT_TOL)[0]
 
 
 def _resolve_generators(source: GeneratorSource) -> tuple[tuple[Matrix, ...], tuple]:
@@ -151,10 +116,9 @@ def _resolve_generators(source: GeneratorSource) -> tuple[tuple[Matrix, ...], tu
     gens = orthogonal_generators(source) if isinstance(source, Chain) else tuple(source)
     if not gens:
         raise ValueError("no generators supplied")
-    family = stack(gens)
-    if not _table(family).all():
+    if not orthogonality_table(gens).all():
         raise CertificationError("generators are not pairwise-orthogonal idempotents")
-    return gens, family
+    return gens, stack(gens)
 
 
 def single_generator(source: GeneratorSource, weights: WeightSeq) -> Matrix:
@@ -312,13 +276,15 @@ def certify_generation(
 
 
 def same_span(first: Sequence[Matrix], second: Sequence[Matrix], tol: float = 1e-8) -> bool:
-    """Whether two families of matrices have equal linear span: the ranks
-    of each and of both together agree.  Ranks come from
-    :func:`opalg.matrices.eliminate`, exactly on exact families; a float
-    remainder counts as zero when no entry exceeds ``tol``."""
+    """Whether two families of matrices have equal linear span: both together
+    have the rank of each, from :func:`opalg.matrices.eliminate` (exactly on
+    exact families; a float remainder is zero when no entry exceeds ``tol``).
+    Elimination runs in order, so the rank of ``first`` is the number of its
+    matrices kept when ``first + second`` is eliminated."""
     first, second = list(first), list(second)
 
-    def rank(mats):
-        return len(eliminate(mats, lambda k, r: r.max_abs() <= tol, coordinates=False)[0])
+    def kept(mats):
+        return eliminate(mats, lambda k, r: r.max_abs() <= tol, coordinates=False)[0]
 
-    return rank(first) == rank(second) == rank(first + second)
+    both = kept(first + second)
+    return sum(k < len(first) for k in both) == len(kept(second)) == len(both)

@@ -22,8 +22,11 @@ the same backend wherever it enters.
 The comparison policy lives here too: :func:`agree` and :func:`vanishes`
 compare exact operands with zero tolerance whatever slack they are
 given, and float or mixed operands within a plain float tolerance
-(``DEFAULT_TOL``; 0.0 means no slack).
-"""
+(``DEFAULT_TOL``; 0.0 means no slack).  Under the same policy, one
+batched kernel, :func:`products_agree` (or :func:`product_table` over
+every pair of a family), checks each product identity A_k B_k = T_k: the
+chain's min rule and idempotency, generator orthogonality and blockwise
+multiplicativity."""
 from __future__ import annotations
 
 import numbers
@@ -43,6 +46,8 @@ __all__ = [
     "float_stack",
     "agree",
     "vanishes",
+    "products_agree",
+    "product_table",
     "eliminate",
     "is_idempotent",
     "op_norm",
@@ -128,6 +133,30 @@ def _rational(num, den):
     return q.numerator if q.denominator == 1 else q
 
 
+def _numerator_max(re, im):
+    """The largest modulus of the numerators re and im (None when zero)."""
+    return max(int(np.abs(p).max(initial=0)) for p in (re, im) if p is not None)
+
+
+def _complex_product(op, a, b, inner, dtype=None):
+    """The numerators re = Ar Br - Ai Bi and im = Ar Bi + Ai Br of the
+    ``op`` product of a = (Ar, Ai, max|A|) and b = (Br, Bi, max|B|), None
+    standing for zero, and big = 2 inner max|A| max|B| (maxima at least 1),
+    which bounds those sums of 2 inner products and the operands.  Arrays
+    run on ``dtype``, by default :func:`kernel_dtype` of big."""
+    big = 2 * inner * max(a[2], 1) * max(b[2], 1)
+    dtype = kernel_dtype(big) if dtype is None else dtype
+    are, aim, bre, bim = (x.astype(dtype, copy=False) if isinstance(x, np.ndarray) else x for x in (*a[:2], *b[:2]))
+    re = op(are, bre)
+    if aim is not None and bim is not None:
+        re = re - op(aim, bim)
+    im = _sum_parts(
+        None if bim is None else op(are, bim), 1,
+        None if aim is None else op(aim, bre), 1,
+    )
+    return re, im, big
+
+
 def _sum_parts(x, sx, y, sy):
     """x * sx + y * sy for numerator arrays, where None stands for zero."""
     if x is None:
@@ -156,7 +185,7 @@ class Matrix:
         numerators, from an int64 kernel, the largest modulus is read off
         instead.  Numerators are stored as Python integers."""
         if re.dtype == np.int64:
-            big = max(int(np.abs(p).max(initial=0)) for p in (re, im) if p is not None)
+            big = _numerator_max(re, im)
         re = re.astype(object, copy=False)
         im = None if im is None else im.astype(object, copy=False)
         g = gcd(den, *re.flat, *(() if im is None else im.flat))
@@ -268,10 +297,6 @@ class Matrix:
     def shape(self):
         return (self._re if self.is_exact else self._arr).shape
 
-    @property
-    def is_square(self):
-        return self.rows == self.cols
-
     # -- conversion ----------------------------------------------------
 
     def to_float(self):
@@ -331,16 +356,16 @@ class Matrix:
         between 1/2 and 3; 0 for the zero matrix.  Float: 0."""
         if not self.is_exact:
             return 0
-        big = max(np.abs(part).max(initial=0) for part in (self._re, self._im) if part is not None)
-        return int(big).bit_length() - self._den.bit_length() if big else 0
+        big = _numerator_max(self._re, self._im)
+        return big.bit_length() - self._den.bit_length() if big else 0
 
-    def _numerator_bound(self):
-        """Exact: a bound on the modulus of every real and imaginary
-        numerator, kept from the operation that made the matrix, or else
-        found once as the largest modulus."""
+    def _operand(self):
+        """Exact: (re, im, bound) for :func:`_complex_product`, with a bound
+        on every numerator's modulus kept from the operation that made the
+        matrix, or else found once as the largest modulus."""
         if self._big is None:
-            self._big = max(int(np.abs(p).max(initial=0)) for p in (self._re, self._im) if p is not None)
-        return self._big
+            self._big = _numerator_max(self._re, self._im)
+        return self._re, self._im, self._big
 
     def content(self):
         """Exact: the gcd g of all real and imaginary parts, a Fraction, so
@@ -374,33 +399,6 @@ class Matrix:
             raise TypeError(f"expected Matrix, got {type(other).__name__}")
         return "exact" if (self.is_exact and other.is_exact) else "float"
 
-    def _product(self, bre, bim, bden, bbig, op):
-        """Exact ``op`` (np.dot, np.kron or np.multiply) of self and
-        b = (bre + i bim) / bden, with bim None when zero and no numerator
-        of b above ``bbig`` in modulus: numerators combine as complex
-        numbers, denominators multiply, and the result is normalized once.
-        Each result numerator is a sum of at most 2 inner products of
-        numerators, so it is at most 2 inner max|a| max|b|; np.dot and
-        np.kron run on the dtype :func:`kernel_dtype` picks for that bound
-        (with each maximum taken at least 1, so it also bounds the
-        operands).  A scalar product stays on Python integers: it makes one
-        multiplication per numerator, which is what converting them to
-        int64 alone would cost."""
-        inner = self.cols if op is np.dot else 1
-        big = 2 * inner * max(self._numerator_bound(), 1) * max(bbig, 1)
-        dtype = object if op is np.multiply else kernel_dtype(big)
-        are, aim, bre, bim = (
-            x.astype(dtype, copy=False) if isinstance(x, np.ndarray) else x for x in (self._re, self._im, bre, bim)
-        )
-        re = op(are, bre)
-        if aim is not None and bim is not None:
-            re = re - op(aim, bim)
-        im = _sum_parts(
-            None if bim is None else op(are, bim), 1,
-            None if aim is None else op(aim, bre), 1,
-        )
-        return Matrix._wrap_exact(re, im, self._den * bden, big)
-
     def _sum(self, other, sign):
         """self + sign * other for sign 1 or -1, normalized once."""
         if self.shape != other.shape:
@@ -432,7 +430,11 @@ class Matrix:
         p, q = val
         den = lcm(p.denominator, q.denominator)
         p_num, q_num = p.numerator * (den // p.denominator), q.numerator * (den // q.denominator)
-        return self._product(p_num, q_num if q_num else None, den, max(abs(p_num), abs(q_num)), np.multiply)
+        # a scalar product stays on Python integers: it makes one
+        # multiplication per numerator, as many as converting them to int64
+        scalar = (p_num, q_num if q_num else None, max(abs(p_num), abs(q_num)))
+        re, im, big = _complex_product(np.multiply, self._operand(), scalar, 1, object)
+        return Matrix._wrap_exact(re, im, self._den * den, big)
 
     __rmul__ = __mul__
 
@@ -450,13 +452,15 @@ class Matrix:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
         if self._binary_backend(other) == "float":
             return Matrix._wrap_float(np.dot(self.to_float()._arr, other.to_float()._arr))
-        return self._product(other._re, other._im, other._den, other._numerator_bound(), np.dot)
+        re, im, big = _complex_product(np.dot, self._operand(), other._operand(), self.cols)
+        return Matrix._wrap_exact(re, im, self._den * other._den, big)
 
     def kron(self, other):
         """Kronecker product; exactness is preserved on exact inputs."""
         if self._binary_backend(other) == "float":
             return Matrix._wrap_float(np.kron(self.to_float()._arr, other.to_float()._arr))
-        return self._product(other._re, other._im, other._den, other._numerator_bound(), np.kron)
+        re, im, big = _complex_product(np.kron, self._operand(), other._operand(), 1)
+        return Matrix._wrap_exact(re, im, self._den * other._den, big)
 
     def submatrix(self, row_idx, col_idx=None):
         """Restriction to the given (ordered) row and column indices."""
@@ -521,6 +525,60 @@ def vanishes(m: Matrix, tol: float) -> bool:
     return m.is_zero() if m.is_exact else m.max_abs() <= tol
 
 
+def products_agree(a, b, t, tol: float):
+    """Whether A_k B_k equals T_k, in the sense of :func:`agree`, and the
+    deviation as :meth:`Matrix.max_abs_diff` reads it, as two arrays over
+    the leading axes k (which broadcast), for stacks ``(re, im, den)`` as
+    :func:`stack` gives them (exact numerators on int64 or Python integers;
+    with one float stack, all are read as float).  Exact stacks compare
+    (A_k B_k) (d_t / g) with T_k (d_a d_b / g), g = gcd(d_t, d_a d_b), on
+    the dtype :func:`kernel_dtype` picks for both sides."""
+    (ar, ai, da), (br, bi, db), (tr, ti, dt) = a, b, t
+    if None in (da, db, dt):
+        fa, fb, ft = (x[0] if x[2] is None else float_stack(*x) for x in (a, b, t))
+        dev = np.abs(np.matmul(fa, fb) - ft).max(axis=(-2, -1))
+        return dev <= tol, dev
+    g = gcd(dt, da * db)
+    sp, st = dt // g, da * db // g
+    a, b = (ar, ai, _numerator_max(ar, ai)), (br, bi, _numerator_max(br, bi))
+    re, im, big = _complex_product(np.matmul, a, b, ar.shape[-1])
+    dtype = kernel_dtype(big * sp, max(_numerator_max(tr, ti), 1) * st)
+    # (A B) sp and T st; a failing index reads its deviation off their difference
+    sides = [
+        [0 if x is None else x.astype(dtype, copy=False) * s for x, s in ((p, sp), (q, st))]
+        for p, q in ((re, tr), (im, ti)) if p is not None or q is not None
+    ]
+    ok = np.logical_and.reduce([np.equal(lhs, rhs).all(axis=(-2, -1)) for lhs, rhs in sides])
+    dev = np.zeros(ok.shape)
+    if not ok.all():
+        diff = [np.subtract(lhs, rhs, dtype=object)[~ok] for lhs, rhs in sides] + [None]
+        dev[~ok] = np.abs(float_stack(diff[0], diff[1], dt * st)).max(axis=(-2, -1))
+    return ok, dev
+
+
+# the largest number of entries of one row block of a product_table
+_BLOCK_ENTRIES = 2**20
+
+
+def product_table(family, targets, tol: float):
+    """:func:`products_agree` for F_i F_j = F_t, t = targets[i, j] (-1 for
+    zero), over every pair of a family stack, as two (count, count) arrays;
+    row blocks of at most ``_BLOCK_ENTRIES`` entries broadcast against it."""
+    re, im, den = family
+    count, targets = len(re), np.asarray(targets)
+    # exact numerators on int64 once when they fit; target -1 picks a zero matrix
+    dtype = re.dtype if den is None else kernel_dtype(_numerator_max(re, im))
+    parts = [None if x is None else np.concatenate([x, np.zeros_like(x[:1])]).astype(dtype) for x in (re, im)]
+    ok, dev = np.empty((count, count), dtype=bool), np.empty((count, count))
+    step = max(1, _BLOCK_ENTRIES // (count * re[0].size))
+    for lo in range(0, count, step):
+        rows = slice(lo, min(lo + step, count))
+        picks = ((rows, None), (None, slice(count)), targets[rows])
+        a, b, t = ((*(None if x is None else x[idx] for x in parts), den) for idx in picks)
+        ok[rows], dev[rows] = products_agree(a, b, t, tol)
+    return ok, dev
+
+
 def eliminate(mats, negligible=None, rows=None, coordinates=True):
     """Gaussian elimination on same-shape matrices, in order.
 
@@ -559,17 +617,13 @@ def eliminate(mats, negligible=None, rows=None, coordinates=True):
     return kept, coords if coordinates else None
 
 
-def _require_nonempty(m):
-    if m.rows == 0 or m.cols == 0:
-        raise DimensionError("matrix is empty")
-
-
 def singular_values(m: Matrix | np.ndarray) -> np.ndarray:
     """Singular values in decreasing order.  A (count, rows, cols) array of
     matrices gets one stacked SVD, with row i holding the values of the
     i-th matrix; each row equals what the matrix alone gives."""
     if isinstance(m, Matrix):
-        _require_nonempty(m)
+        if m.rows == 0 or m.cols == 0:
+            raise DimensionError("matrix is empty")
         return np.linalg.svd(m.to_float()._arr, compute_uv=False)
     if m.ndim != 3 or 0 in m.shape[1:]:
         raise DimensionError(f"expected a stack of nonempty matrices, got shape {m.shape}")
@@ -583,7 +637,5 @@ def op_norm(m: Matrix) -> float:
 
 def is_idempotent(m: Matrix, tol: float = DEFAULT_TOL) -> bool:
     """Whether m @ m equals m, in the sense of :func:`agree`."""
-    if not m.is_square:
-        raise DimensionError(f"idempotency needs a square matrix, got {m.shape}")
-    _require_nonempty(m)
-    return agree(m @ m, m, tol)
+    family = stack([m])
+    return bool(products_agree(family, family, family, tol)[0][0])

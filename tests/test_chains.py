@@ -7,14 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opalg import (
+    CertificationError,
     ChainSpec,
     Matrix,
     TruncationError,
+    agree,
     build_chain,
     norm_profile,
     op_norm,
     verify_semilattice,
 )
+from opalg import chains, matrices
+from opalg.chains import Chain
+from opalg.cli import ExperimentConfig, run_experiment
 
 
 def test_single_idempotent_is_padded_projection():
@@ -154,3 +159,74 @@ def test_even_norm_squared_identity():
         if entry.index % 2 == 0:
             k = entry.index // 2
             assert abs(entry.norm**2 - 1 - k * k) <= 1e-8
+
+
+def pairwise_min_rule(mats, tol):
+    """The per-pair oracle of the min-rule table: for every ordered pair,
+    whether e_i @ e_j agrees with e_min(i, j), and their deviation."""
+    n = len(mats)
+    ok = np.array([[agree(mats[i] @ mats[j], mats[min(i, j)], tol) for j in range(n)] for i in range(n)])
+    dev = np.array([[(mats[i] @ mats[j]).max_abs_diff(mats[min(i, j)]) for j in range(n)] for i in range(n)])
+    return ok, dev
+
+
+@given(
+    st.integers(1, 8),
+    st.data(),
+    st.one_of(st.none(), st.fractions(min_value=-2, max_value=2, max_denominator=2**70).filter(lambda x: x != 0)),
+)
+@settings(max_examples=40, deadline=None)
+def test_min_rule_table_matches_pairwise_products(m_max, data, eps):
+    # verdicts and deviations equal the per-pair loop bit for bit, on the
+    # chain and on a copy with one entry of one element moved by eps
+    values = sorted(data.draw(st.lists(rational, min_size=m_max // 2, max_size=m_max // 2)))
+    chain = build_chain(ChainSpec.default(m_max, couplings=tuple(values)))
+    mats = list(chain.idempotents)
+    if eps is not None:
+        dim = chain.truncation_dim
+        k = data.draw(st.integers(0, m_max - 1))
+        i, j = data.draw(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)))
+        unit = Matrix.exact([[int((r, c) == (i, j)) for c in range(dim)] for r in range(dim)])
+        mats[k] = mats[k] + unit * eps
+    expected_ok, expected_dev = pairwise_min_rule(mats, 0.0)
+    index = np.arange(m_max)
+    for entries in (matrices._BLOCK_ENTRIES, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matrices, "_BLOCK_ENTRIES", entries)
+            ok, dev = matrices.product_table(matrices.stack(mats), np.minimum.outer(index, index), 0.0)
+            report = verify_semilattice(Chain(chain.spec, tuple(mats), chain.truncation_dim), 1.0)
+        assert np.array_equal(ok, expected_ok) and np.array_equal(dev, expected_dev)
+        assert report.passed == ok.all() and report.idempotent == ok.diagonal().all()
+        assert report.max_abs_deviation == dev.max()
+    assert ok.all() or eps is not None
+
+
+def test_chain_checks_make_no_exact_products(monkeypatch):
+    # construction, the min-rule table and the chain stage are batched
+    calls = []
+    matmul = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: calls.append((a, b)) or matmul(a, b))
+    report = verify_semilattice(build_chain(ChainSpec.default(10)))
+    assert report.passed and report.idempotent
+    assert run_experiment(ExperimentConfig(subcommand="chain", m_max=10)).overall
+    assert calls == []
+
+
+def test_build_chain_names_a_non_idempotent_element(monkeypatch):
+    build = chains._build_idempotent
+    monkeypatch.setattr(chains, "_build_idempotent", lambda spec, n: build(spec, n) * (2 if n == 3 else 1))
+    with pytest.raises(CertificationError, match="e_3 failed"):
+        build_chain(ChainSpec.default(6))
+    with pytest.raises(CertificationError, match="e_3 failed"):
+        build_chain(ChainSpec.default(6, couplings=(1.5, 2.5, 3.5)))
+
+
+def test_min_rule_table_stays_on_int64(monkeypatch):
+    # a family checked against itself compares A B with d T, not d A B with
+    # d^2 T, so a denominator near 2**24 keeps every kernel on int64
+    chain = build_chain(ChainSpec.default(10, couplings=[Fraction(k, 2**24 - 3) for k in range(1, 6)]))
+    seen = []
+    choose = matrices.kernel_dtype
+    monkeypatch.setattr(matrices, "kernel_dtype", lambda *bounds: seen.append(choose(*bounds)) or seen[-1])
+    assert verify_semilattice(chain).passed
+    assert seen and all(dtype is np.int64 for dtype in seen)

@@ -24,7 +24,7 @@ from opalg import (
     singular_values,
     unit_circle_sweep_ratios,
 )
-from opalg import embedding
+from opalg import embedding, matrices
 from opalg.matrices import kernel_dtype, read_scalar
 
 INV_PI = 1.0 / math.pi
@@ -161,13 +161,13 @@ def test_certify_E_family_matches_dense_oracle(n_max, edit):
 
 def test_certify_E_family_witness_is_two_products(monkeypatch):
     calls = []
-    product = Matrix._product
+    product = matrices._complex_product
 
-    def counted(self, *args):
-        calls.append(args[-1])
-        return product(self, *args)
+    def counted(op, *args):
+        calls.append(op)
+        return product(op, *args)
 
-    monkeypatch.setattr(Matrix, "_product", counted)
+    monkeypatch.setattr(matrices, "_complex_product", counted)
     assert certify_E_family(RankOneFamily.build(20), trials=7).passed
     assert calls == [np.dot] * 14
 
@@ -191,14 +191,14 @@ def test_subset_family_caps():
 def test_phi_block_outside_support_is_zero():
     fam = SubsetFamily(n_max=2, s_max=2, f_cap=4, subsets=((2,),))
     emb = phi([1, 0], fam)
-    assert emb.block((2,)).is_zero()
-    assert emb.block((2,)).shape == (3, 3)
+    assert block_of(emb, (2,)).is_zero()
+    assert block_of(emb, (2,)).shape == (3, 3)
 
 
 def test_phi_block_restricts_rank_one():
     fam = SubsetFamily(n_max=2, s_max=2, f_cap=4, subsets=((1, 2),))
     emb = phi([1, 0], fam)
-    block = emb.block((1, 2))
+    block = block_of(emb, (1, 2))
     assert block.shape == (4, 4)
     big = RankOneFamily.build(2).E(1)
     assert block.equals(big.submatrix([0, 1, 2, 3]))
@@ -211,7 +211,7 @@ def test_phi_orthogonality_of_disjoint_indices():
     fam = SubsetFamily.enumerate(3, f_cap=10, s_max=2)
     e1 = phi([1, 0, 0], fam)
     e2 = phi([0, 1, 0], fam)
-    for b1, b2 in zip(e1.blocks, e2.blocks):
+    for b1, b2 in zip(blocks_of(e1), blocks_of(e2)):
         assert (b1 @ b2).is_zero()
 
 
@@ -225,7 +225,7 @@ def test_phi_multiplicative_on_rational_inputs():
         yr, yi = y if isinstance(y, tuple) else (y, 0)
         prod.append((Fraction(xr) * yr - Fraction(xi) * yi, Fraction(xr) * yi + Fraction(xi) * yr))
     ea, eb, ep = phi(a, fam), phi(b, fam), phi(prod, fam)
-    for ba, bb, bp in zip(ea.blocks, eb.blocks, ep.blocks):
+    for ba, bb, bp in zip(blocks_of(ea), blocks_of(eb), blocks_of(ep)):
         assert (ba @ bb).equals(bp)
 
 
@@ -245,7 +245,7 @@ def test_omega_entry_of_blocks_is_subset_sum():
     fam = SubsetFamily.enumerate(5, f_cap=40, s_max=4)
     coeffs = [(Fraction(1, 3), Fraction(-1, 7)), (2, 0), (Fraction(5, 9), 1), (0, 0), (1, Fraction(1, 2))]
     emb = phi(coeffs, fam)
-    for subset, block in zip(fam.subsets, emb.blocks):
+    for subset, block in zip(fam.subsets, blocks_of(emb)):
         expected_re = sum(Fraction(coeffs[j - 1][0]) for j in subset)
         expected_im = sum(Fraction(coeffs[j - 1][1]) for j in subset)
         assert block.entry(1, 1) == (expected_re, expected_im)
@@ -256,13 +256,13 @@ def test_phi_reads_coefficients_like_matrix_scalars():
     # one float coefficient makes every block float
     fam = SubsetFamily.enumerate(3, f_cap=7, s_max=3)
     exact = phi([(0.5, 0.25)], fam)
-    assert all(block.is_exact for block in exact.blocks)
-    for subset, block in zip(fam.subsets, exact.blocks):
+    assert all(block.is_exact for block in blocks_of(exact))
+    for subset, block in zip(fam.subsets, blocks_of(exact)):
         expected = (Fraction(1, 2), Fraction(1, 4)) if 1 in subset else (0, 0)
         assert block.entry(1, 1) == expected
     mixed = phi([(1, 2), 0.5], fam)
-    assert not any(block.is_exact for block in mixed.blocks)
-    for subset, block in zip(fam.subsets, mixed.blocks):
+    assert not any(block.is_exact for block in blocks_of(mixed))
+    for subset, block in zip(fam.subsets, blocks_of(mixed)):
         expected = sum(((1 + 2j), 0.5, 0)[j - 1] for j in subset)
         assert block.entry(1, 1) == expected
 
@@ -428,8 +428,22 @@ def test_phi_accepts_trailing_zeros_beyond_range():
     fam = SubsetFamily.enumerate(2, f_cap=4, s_max=2)
     emb_float = phi([0.5, 0.25, 0.0, 0.0], fam)
     emb_exact = phi([Fraction(1, 2), Fraction(1, 4), 0, 0], fam)
-    for a, b in zip(emb_float.blocks, emb_exact.blocks):
+    for a, b in zip(blocks_of(emb_float), blocks_of(emb_exact)):
         assert a.max_abs_diff(b) <= 1e-15
+
+
+def blocks_of(e):
+    """One Matrix per subset of an embedded element, in family order (exact
+    ones in lowest terms): the per-block view of its stacks."""
+    if not e.is_exact:
+        wrapped = [[Matrix.from_float(b) for b in re] for _, re, _ in e.stacks]
+    else:
+        wrapped = [[Matrix.from_numerators(r, i, e.den) for r, i in zip(re, im)] for _, re, im in e.stacks]
+    return tuple(e._in_family_order(wrapped))
+
+
+def block_of(e, subset):
+    return blocks_of(e)[e.family.subsets.index(tuple(sorted(set(subset))))]
 
 
 def product_form_blocks(a, family):
@@ -471,7 +485,7 @@ float_coeff = st.one_of(
 def test_exact_blocks_match_product_form(family, data):
     a = data.draw(st.lists(exact_coeff, max_size=family.n_max))
     emb = phi(a, family)
-    for block, ref in zip(emb.blocks, product_form_blocks(a, family), strict=True):
+    for block, ref in zip(blocks_of(emb), product_form_blocks(a, family), strict=True):
         assert block.is_exact and block.equals(ref)
 
 
@@ -482,7 +496,7 @@ def test_float_blocks_match_product_form(family, data):
     a = data.draw(st.lists(st.one_of(exact_coeff, float_coeff), max_size=family.n_max - 1))
     a.insert(data.draw(st.integers(0, len(a))), data.draw(float_coeff))
     emb = phi(a, family)
-    for block, ref in zip(emb.blocks, product_form_blocks(a, family), strict=True):
+    for block, ref in zip(blocks_of(emb), product_form_blocks(a, family), strict=True):
         assert not block.is_exact
         assert block.max_abs_diff(ref) <= 1e-15 * ref.max_abs()
 
@@ -496,7 +510,7 @@ def test_stacked_spectra_match_per_block_norms():
         (Fraction(3 * int(p), 16), Fraction(3 * int(q), 16)) for p, q in rng.integers(-10, 11, (9, 2))
     ]
     emb = phi(multiples, fam)
-    reduced = [b for f, b in zip(fam.subsets, emb.blocks) if 1 not in f and not b.is_zero()]
+    reduced = [b for f, b in zip(fam.subsets, blocks_of(emb)) if 1 not in f and not b.is_zero()]
     assert reduced and all(b.content().denominator < 48 for b in reduced)
     for a in (
         list(rng.uniform(-1, 1, 10) + 1j * rng.uniform(-1, 1, 10)),
@@ -506,25 +520,28 @@ def test_stacked_spectra_match_per_block_norms():
         [(Fraction(int(p) * 2**40 + 1, 21), Fraction(int(q), 7)) for p, q in rng.integers(-2**20, 2**20, (10, 2))],
     ):
         emb = phi(a, fam)
-        assert phi_sup_norm(emb) == max(op_norm(b) for b in emb.blocks)
-        for spectrum, block in zip(emb._spectra, emb.blocks, strict=True):
+        blocks = blocks_of(emb)
+        assert phi_sup_norm(emb) == max(op_norm(b) for b in blocks)
+        for spectrum, block in zip(emb._spectra, blocks, strict=True):
             assert np.array_equal(spectrum, singular_values(block))
         for scheme in ("geometric", "uniform"):
             w = make_trace(fam, scheme)
             expected = 0.0
-            for subset, weight, block in zip(fam.subsets, w.weights, emb.blocks):
+            for subset, weight, block in zip(fam.subsets, w.weights, blocks):
                 expected += float(weight) / (len(subset) + 2) * float(singular_values(block).sum())
             assert l1_trace_norm(emb, w) == expected
 
 
-def test_norms_do_not_wrap_blocks():
+def test_norms_do_not_wrap_blocks(monkeypatch):
     fam = SubsetFamily.enumerate(5, f_cap=20, s_max=3)
     for a in ([0.5, 1j, 0, -2], [(Fraction(1, 3), 1), 2]):
         emb = phi(a, fam)
-        phi_sup_norm(emb)
-        l1_trace_norm(emb, make_trace(fam))
-        assert "blocks" not in vars(emb)
-        assert len(emb.blocks) == len(fam) and "blocks" in vars(emb)
+        with monkeypatch.context() as mp:
+            for name in ("_wrap_exact", "_wrap_float"):
+                mp.setattr(Matrix, name, lambda *args: pytest.fail("a norm wrapped a block"))
+            phi_sup_norm(emb)
+            l1_trace_norm(emb, make_trace(fam))
+        assert len(blocks_of(emb)) == len(fam)
 
 
 def test_product_dtype_bound():
@@ -534,7 +551,8 @@ def test_product_dtype_bound():
     assert kernel_dtype(0, 2**63) is object
     assert kernel_dtype(2**53, 1, limit=2**53) is np.int64
     assert kernel_dtype(2**53 + 1, 1, limit=2**53) is object
-    # _is_product's bounds 2 k big^2 dp and big da db, at their edges
+    # products_agree's bounds 2 k max|a| max|b| (dt / g) and max|t| (da db / g),
+    # with g = gcd(dt, da db), at their edges
     for bounds, dtype in [
         ((2 * 3 * (2**30) ** 2 * 1, 2**30), np.int64),
         ((2 * 4 * (2**30) ** 2 * 1, 2**30), object),
@@ -546,7 +564,7 @@ def test_product_dtype_bound():
 
 def blockwise_product(ea, eb, ep):
     """The per-block oracle for embedding._is_product."""
-    return all((ba @ bb).equals(bp) for ba, bb, bp in zip(ea.blocks, eb.blocks, ep.blocks, strict=True))
+    return all((ba @ bb).equals(bp) for ba, bb, bp in zip(blocks_of(ea), blocks_of(eb), blocks_of(ep), strict=True))
 
 
 dyadic = st.builds(Fraction, st.integers(-64, 64), st.sampled_from([1, 2, 4, 8, 16]))
@@ -566,9 +584,11 @@ def test_batched_multiplicativity_matches_blockwise_products(family, data, kind,
     b = data.draw(st.lists(dyadic_pair, min_size=n, max_size=n))
     used = sorted(set().union(*family.subsets))
     if wide:
-        # a numerator of at least 2**41 in some block fails the int64 bound
+        # numerators of at least 2**41 in one block of a and of b fail the
+        # int64 bound on their product
         j = data.draw(st.sampled_from(used)) - 1
-        a[j] = (data.draw(wide_part), data.draw(st.one_of(st.just(Fraction(0)), wide_part)))
+        for x in (a, b):
+            x[j] = (data.draw(wide_part), data.draw(st.one_of(st.just(Fraction(0)), wide_part)))
     p = [embedding._pair_mul(x, y) for x, y in zip(a, b)]
     if kind == "perturbed":
         j = data.draw(st.sampled_from(used)) - 1
@@ -576,9 +596,8 @@ def test_batched_multiplicativity_matches_blockwise_products(family, data, kind,
         p[j] = (p[j][0] + eps, p[j][1]) if data.draw(st.booleans()) else (p[j][0], p[j][1] - eps)
     ea, eb, ep = phi(a, family), phi(b, family), phi(p, family)
     seen = []
-    choose = embedding.kernel_dtype
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(embedding, "kernel_dtype", lambda *args: seen.append(choose(*args)) or seen[-1])
+        mp.setattr(matrices, "kernel_dtype", lambda *args: seen.append(kernel_dtype(*args)) or seen[-1])
         verdict = embedding._is_product(ea, eb, ep)
     assert verdict == blockwise_product(ea, eb, ep) == (kind == "true")
     # dyadic products stay far inside int64; a fine perturbation may not
@@ -615,10 +634,11 @@ def test_int64_stacks_convert_like_each_block(case):
     assert all(x.denominator == 1 for x in nums)
     big = max(abs(int(x)) for x in nums)
     int64 = big * family.n_max <= 2**53 and emb.den <= 2**53
+    blocks = blocks_of(emb)
     for positions, re, im in emb.stacks:
         assert re.dtype == im.dtype == (np.int64 if int64 else object)
         floats = emb._float_stack(re, im)
         for pos, arr in zip(positions, floats, strict=True):
-            assert arr.tobytes() == emb.blocks[pos].to_float().numpy().tobytes()
+            assert arr.tobytes() == blocks[pos].to_float().numpy().tobytes()
     # the int64 stacks also give the exact product check its answer
     assert embedding._is_product(emb, phi([1] * family.n_max, family), emb)

@@ -22,7 +22,7 @@ from opalg import (
 )
 from opalg import generation, matrices
 from opalg.generation import _bound_holds, rescaled_generators
-from opalg.matrices import DEFAULT_TOL, vanishes
+from opalg.matrices import DEFAULT_TOL, eliminate, vanishes
 
 
 def two_projections():
@@ -121,6 +121,39 @@ def test_same_span_is_exact_on_exact_families():
     floats = [m.to_float() for m in chain.idempotents]
     assert same_span(floats, [m.to_float() for m in orthogonal_generators(chain)])
     assert same_span(floats, [m.to_float() for m in moved])
+
+
+def three_rank_same_span(first, second, tol=1e-8):
+    """The span oracle: the ranks of each family and of both together agree,
+    from three separate eliminations."""
+    def rank(mats):
+        return len(eliminate(list(mats), lambda k, r: r.max_abs() <= tol, coordinates=False)[0])
+
+    return rank(first) == rank(second) == rank(list(first) + list(second))
+
+
+def span_families():
+    chain = build_chain(ChainSpec.default(6))
+    gens = list(orthogonal_generators(chain))
+    dim = chain.truncation_dim
+    unit = Matrix.exact([[int((i, j) == (0, 1)) for j in range(dim)] for i in range(dim)])
+    moved = list(chain.idempotents[:-1]) + [chain.e(6) + unit * Fraction(1, 2**1100)]
+    exact = [list(chain.idempotents), gens, gens[:3], moved, moved[::-1], gens[3:] + [unit]]
+    floats = [[m.to_float() for m in family] for family in exact]
+    # a float family whose last element leaves the span by more than the tolerance
+    floats.append(floats[0][:-1] + [floats[0][-1] + unit.to_float() * 1e-6])
+    return exact, floats
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_two_elimination_span_matches_three_rank_oracle(backend):
+    families = dict(zip(["exact", "float"], span_families()))[backend]
+    verdicts = []
+    for first in families:
+        for second in families:
+            verdicts.append(same_span(first, second))
+            assert verdicts[-1] == three_rank_same_span(first, second)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_bound_comparison_allows_only_the_rounding_budget():
@@ -287,7 +320,7 @@ def test_orthogonality_table_matches_pairwise_verdicts(name, gens, monkeypatch):
     expected = pairwise_table(gens)
     assert (orthogonality_table(gens) == expected).all()
     # row blocks of one generator at a time give the same table
-    monkeypatch.setattr(generation, "_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(matrices, "_BLOCK_ENTRIES", 1)
     assert (orthogonality_table(gens) == expected).all()
 
 

@@ -328,6 +328,30 @@ def test_exact_products_match_oracle(data):
     check_matches(ma.kron(mb), ref_kron(a, b))
 
 
+@given(st.data(), st.sampled_from([0.0, 1e-9, 1.0]), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_products_agree_matches_pairwise_oracle(data, tol, float_target):
+    # per index, agree's verdict and max_abs_diff's deviation, bit for bit:
+    # exact stacks ignore tol; with a float stack every operand reads as float
+    n, count = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    a, b = ([Matrix.exact(data.draw(ref_matrices(n, n))) for _ in range(count)] for _ in range(2))
+    # the product, the product moved by i in one entry, or a random matrix
+    moved = Matrix.diag([(0, 1)] + [0] * (n - 1))
+    kinds = [data.draw(st.sampled_from(["product", "moved", "random"])) for _ in range(count)]
+    t = [
+        Matrix.exact(data.draw(ref_matrices(n, n))) if kind == "random" else x @ y + moved * int(kind == "moved")
+        for kind, x, y in zip(kinds, a, b)
+    ]
+    if float_target:
+        t = [z.to_float() for z in t]
+        a = [x.to_float() if data.draw(st.booleans()) else x for x in a]
+    ok, dev = matrices.products_agree(*(matrices.stack(f) for f in (a, b, t)), tol)
+    if float_target:
+        a, b = ([x.to_float() for x in f] for f in (a, b))
+    assert ok.tolist() == [agree(x @ y, z, tol) for x, y, z in zip(a, b, t)]
+    assert dev.tolist() == [(x @ y).max_abs_diff(z) for x, y, z in zip(a, b, t)]
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_exact_sums_and_scalars_match_oracle(data):
