@@ -506,6 +506,7 @@ def emit_report(report: RunReport, fmt: str, out_dir) -> list[Path]:
     return written
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opalg",

@@ -6,26 +6,37 @@ companions, certifies the multiplier-bounded approximate-diagonal
 conditions, and realizes the expectation x -> sum u_i x v_i induced by a
 finite exact diagonal.
 
-Every zero test, value comparison and norm bound on tensor elements goes
-through one reduced form over linearly independent left legs; the
-Kronecker flattening is formed only for the lower bound of a nonzero
-element.
+An element holds its legs as two stacks, so each of its operations is
+one array operation.  Every zero test, value comparison and norm bound
+goes through one reduced form over linearly independent left legs, found
+for a batch of elements by one stacked elimination; the Kronecker
+flattening is formed only for the lower bound of a nonzero element.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .chains import Chain
 from .matrices import (
     DEFAULT_TOL,
     DimensionError,
     Matrix,
+    _numerator_max,
     agree,
     eliminate,
+    float_stack,
+    kernel_dtype,
     op_norm,
+    products_agree,
+    read_scalar,
+    singular_values,
+    stack,
+    stack_concat,
+    stack_product,
 )
 
 __all__ = [
@@ -49,23 +60,90 @@ __all__ = [
     "ExpectationDemo",
 ]
 
+# leg stacks: (re, im, den) as matrices.stack gives them, terms on axis -3, batch axes first
 
-@dataclass(frozen=True)
+
+def _legs(mats, dim: int) -> tuple:
+    """dim x dim matrices as one leg stack, exact numerators on int64 if they fit."""
+    if any(m.shape != (dim, dim) for m in mats):
+        raise DimensionError(f"legs and actors must be {dim}x{dim}, got {sorted({m.shape for m in mats})}")
+    if not mats:
+        return np.zeros((0, dim, dim), dtype=np.int64), None, 1
+    re, im, den = stack(mats)
+    if den is not None and kernel_dtype(_numerator_max(re, im)) is np.int64:
+        re, im = (None if x is None else x.astype(np.int64) for x in (re, im))
+    return re, im, den
+
+
+def _apply(legs, f) -> tuple:
+    """The stack with ``f`` applied to its numerator (or float) arrays."""
+    re, im, den = legs
+    return f(re), None if im is None else f(im), den
+
+
+def _take(legs, idx) -> tuple:
+    return _apply(legs, lambda x: x[idx])
+
+
+def _matrix(legs) -> Matrix:
+    re, im, den = legs
+    return Matrix.from_float(re) if den is None else Matrix.from_numerators(re, im, den)
+
+
+def _nonzero(legs) -> np.ndarray:
+    """Per leg, whether it has a nonzero entry."""
+    return np.any([x != 0 for x in legs[:2] if x is not None], axis=(0, -2, -1))
+
+
+def _times(legs, k: int) -> tuple:
+    return stack_product(np.multiply, legs, (np.array(k, dtype=object), None, 1))
+
+
+def _commutator(a, left, right) -> tuple[tuple, tuple]:
+    """The legs of a . t - t . a for t = (left, right) and an actor stack a:
+    the terms (a u, v), then the terms (u, -(v a))."""
+    n = left[0].shape[-1]
+    au, va = stack_product(np.matmul, a, left, n), stack_product(np.matmul, right, a, n)
+    u, v = (_apply(x, lambda y: np.broadcast_to(y, au[0].shape)) for x in (left, right))
+    return stack_concat([au, u], axis=-3), stack_concat([v, _apply(va, np.negative)], axis=-3)
+
+
+def _pi(left, right) -> tuple:
+    """sum_i u_i v_i per element, as one product [u_1 ... u_c] [v_1; ...; v_c]."""
+    *lead, c, n, _ = left[0].shape
+    wide = _apply(left, lambda x: np.swapaxes(x, -3, -2).reshape(*lead, n, c * n))
+    return stack_product(np.matmul, wide, _apply(right, lambda x: x.reshape(*lead, c * n, n)), c * n)
+
+
+def _flatten(left, right) -> tuple:
+    """sum_i kron(u_i, v_i) per element, one product of the legs' vec arrays
+    whose entry ((a, c), (b, d)) is sum_i u_i[a, c] v_i[b, d]."""
+    *lead, c, n, _ = left[0].shape
+    vecs = stack_product(np.matmul, _apply(left, lambda x: np.swapaxes(x.reshape(*lead, c, n * n), -1, -2)),
+                         _apply(right, lambda x: x.reshape(*lead, c, n * n)), c)
+    return _apply(vecs, lambda x: x.reshape(*lead, n, n, n, n).swapaxes(-3, -2).reshape(*lead, n * n, n * n))
+
+
 class TensorElem:
-    """Finite formal sum of pairs (u, v), all square of one dimension."""
+    """Finite formal sum of pairs (u, v), all square of one dimension, held as
+    a left and a right leg stack (:func:`opalg.matrices.stack`: integers over
+    one denominator if the side is exact, else complex); ``terms`` views it
+    as Matrix pairs.  A batch pads shorter elements with zero terms."""
 
-    terms: tuple[tuple[Matrix, Matrix], ...]
-    dim: int
+    __slots__ = ("dim", "_left", "_right", "_terms")
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple((u, v) for u, v in self.terms))
-        if self.dim < 1:
+    def __init__(self, terms: Sequence[tuple[Matrix, Matrix]], dim: int):
+        terms = tuple((u, v) for u, v in terms)
+        if dim < 1:
             raise DimensionError("tensor dimension must be positive")
-        for u, v in self.terms:
-            if u.shape != (self.dim, self.dim) or v.shape != (self.dim, self.dim):
-                raise DimensionError(
-                    f"all legs must be {self.dim}x{self.dim}; got {u.shape} and {v.shape}"
-                )
+        self.dim, self._terms = dim, terms
+        self._left, self._right = (_legs(side, dim) for side in (list(zip(*terms)) or [(), ()]))
+
+    @classmethod
+    def _of_legs(cls, left, right, dim: int) -> "TensorElem":
+        self = object.__new__(cls)
+        self.dim, self._left, self._right, self._terms = dim, left, right, None
+        return self
 
     @classmethod
     def of(cls, pairs: Sequence[tuple[Matrix, Matrix]], dim: int | None = None) -> "TensorElem":
@@ -81,33 +159,41 @@ class TensorElem:
         return cls(terms=(), dim=dim)
 
     @property
+    def terms(self) -> tuple[tuple[Matrix, Matrix], ...]:
+        if self._terms is None:
+            self._terms = tuple((_matrix(_take(self._left, i)), _matrix(_take(self._right, i)))
+                                for i in range(len(self._left[0])))
+        return self._terms
+
+    @property
     def backend(self) -> str:
-        return "exact" if all(u.is_exact and v.is_exact for u, v in self.terms) else "float"
+        return "float" if self._left[2] is None or self._right[2] is None else "exact"
 
     def left(self, a: Matrix) -> "TensorElem":
         """Left module action: a . (u (x) v) = (a u) (x) v."""
-        self._check_actor(a)
-        return TensorElem(terms=tuple((a @ u, v) for u, v in self.terms), dim=self.dim)
+        left = stack_product(np.matmul, self._actor(a), self._left, self.dim)
+        return TensorElem._of_legs(left, self._right, self.dim)
 
     def right(self, a: Matrix) -> "TensorElem":
         """Right module action: (u (x) v) . a = u (x) (v a)."""
-        self._check_actor(a)
-        return TensorElem(terms=tuple((u, v @ a) for u, v in self.terms), dim=self.dim)
+        right = stack_product(np.matmul, self._right, self._actor(a), self.dim)
+        return TensorElem._of_legs(self._left, right, self.dim)
 
-    def _check_actor(self, a: Matrix):
-        if a.shape != (self.dim, self.dim):
-            raise DimensionError(f"actor must be {self.dim}x{self.dim}, got {a.shape}")
+    def _actor(self, a: Matrix) -> tuple:
+        return _take(_legs([a], self.dim), 0)
 
     def scale(self, scalar) -> "TensorElem":
-        return TensorElem(terms=tuple((u * scalar, v) for u, v in self.terms), dim=self.dim)
+        factor = _take(stack([Matrix.diag([scalar], read_scalar(scalar)[0])]), 0)
+        return TensorElem._of_legs(stack_product(np.multiply, self._left, factor), self._right, self.dim)
 
     def __add__(self, other: "TensorElem") -> "TensorElem":
         if self.dim != other.dim:
             raise DimensionError("tensor dimensions differ")
-        return TensorElem(terms=self.terms + other.terms, dim=self.dim)
+        sides = ([self._left, other._left], [self._right, other._right])
+        return TensorElem._of_legs(*(stack_concat(x) for x in sides), self.dim)
 
     def __neg__(self) -> "TensorElem":
-        return self.scale(-1)
+        return TensorElem._of_legs(_apply(self._left, np.negative), self._right, self.dim)
 
     def __sub__(self, other: "TensorElem") -> "TensorElem":
         return self + (-other)
@@ -115,25 +201,17 @@ class TensorElem:
     def same_element(self, other: "TensorElem") -> bool:
         """Value equality: the difference reduces to the empty form
         (exactly on exact backends, up to roundoff on float ones)."""
-        return self.dim == other.dim and not _reduce((self - other).terms)
+        return self.dim == other.dim and not _nonzero(_reduce(*_batch(self - other))[0]).any()
 
     def pi(self) -> Matrix:
         """Linearized multiplication: sum of u @ v."""
-        if not self.terms:
-            return Matrix.zeros(self.dim, backend="exact")
-        acc = self.terms[0][0] @ self.terms[0][1]
-        for u, v in self.terms[1:]:
-            acc = acc + u @ v
-        return acc
+        empty = not len(self._left[0])
+        return Matrix.zeros(self.dim, backend="exact") if empty else _matrix(_pi(self._left, self._right))
 
     def flatten(self) -> Matrix:
         """Faithful matrix picture: sum of Kronecker products of the legs."""
-        if not self.terms:
-            return Matrix.zeros(self.dim * self.dim, backend="exact")
-        acc = self.terms[0][0].kron(self.terms[0][1])
-        for u, v in self.terms[1:]:
-            acc = acc + u.kron(v)
-        return acc
+        empty = not len(self._left[0])
+        return Matrix.zeros(self.dim**2, backend="exact") if empty else _matrix(_flatten(self._left, self._right))
 
 
 def pi_map(t: TensorElem) -> Matrix:
@@ -142,8 +220,9 @@ def pi_map(t: TensorElem) -> Matrix:
 
 
 def bimodule_commutator(a: Matrix, t: TensorElem) -> TensorElem:
-    """a . t - t . a, as a tensor element with twice the terms of t."""
-    return t.left(a) + TensorElem(terms=tuple((u, -(v @ a)) for u, v in t.terms), dim=t.dim)
+    """a . t - t . a, as a tensor element with twice the terms of t: the
+    terms (a u, v), then the terms (u, -(v a))."""
+    return TensorElem._of_legs(*_commutator(t._actor(a), t._left, t._right), t.dim)
 
 
 def build_delta(chain: Chain, n: int) -> TensorElem:
@@ -159,44 +238,47 @@ def build_delta(chain: Chain, n: int) -> TensorElem:
     return TensorElem.of(terms, dim=chain.truncation_dim)
 
 
-def _reduce(terms) -> list[tuple[Matrix, Matrix]]:
-    """Rewrite sum u_i (x) v_i over linearly independent left legs.
+def _batch(t: TensorElem) -> tuple[tuple, tuple]:
+    return _take(t._left, None), _take(t._right, None)
 
-    The element is the matrix sum vec(u_i) vec(v_i)^T (Van Loan-Pitsianis),
-    so Gaussian elimination (:func:`eliminate`) on the left legs, each
-    divided by its content, keeps its value.  An independent leg is kept as
-    it is; a dependent one is sum_b k_b B_b, and each kept B_b collects
-    k_b v, so no independent leg is split, which would inflate
-    sum ||B|| ||V||.  Kept legs whose right leg vanished are dropped: the
-    element is zero exactly when the result is empty.  A float term
-    p (x) q counts as zero when max|p| max|q| is below
-    1e-12 max_i(max|u_i| max|v_i|, 1), an exact one when p or q is zero.
-    """
-    terms = list(terms)
-    exact = all(u.is_exact and v.is_exact for u, v in terms)
+
+def _reduce(left, right) -> tuple[tuple, tuple]:
+    """Reduced forms of a batch of elements sum u_i (x) v_i, given and
+    returned as (batch, terms, n, n) leg stacks, kept terms in order.
+    An element is the matrix sum vec(u_i) vec(v_i)^T (Van Loan-Pitsianis),
+    so eliminating (:func:`eliminate`) the left legs, each divided by its
+    content, keeps its value: each kept leg B_b collects V_b = sum_i C_ib v_i
+    for the coordinates C, one product of C^T with the right legs, and no
+    independent leg is split, which would inflate sum ||B|| ||V||.  Terms
+    whose V_b vanished are dropped, so an element is zero exactly when no
+    term is left; a float term p (x) q counts as zero when max|p| max|q| is
+    below 1e-12 max_i(max|u_i| max|v_i|, 1)."""
+    batch, count, dim = left[0].shape[:3]
+    if not count:
+        return left, right
+    exact = left[2] is not None and right[2] is not None
     if exact:
-        terms = [(u, v) for u, v in terms if not v.is_zero()]
+        # u / g and v g for the content g / den of u, g the gcd of its numerators
+        flat = np.concatenate([x.reshape(batch, count, -1) for x in left[:2] if x is not None], axis=2)
+        g = np.gcd.reduce(flat, axis=2, initial=0)
+        g = np.where(_nonzero(right), g, 0)[..., None, None]
+        right = stack_product(np.multiply, right, (g, None, left[2]))
+        left = _apply(left, lambda x: np.where(g != 0, x // np.maximum(g, 1), 0) if (g > 1).any() else x * (g != 0))
+        left, limit = (*left[:2], 1), 0.0
     else:
-        terms = [(u.to_float(), v.to_float()) for u, v in terms]
-        tiny = 1e-12 * max([1.0] + [u.max_abs() * v.max_abs() for u, v in terms])
-
-    def negligible(p, q):
-        return (p.is_zero() or q.is_zero()) if exact else p.max_abs() * q.max_abs() <= tiny
-
-    for i, (u, v) in enumerate(terms):
-        g = u.content()
-        if g not in (0, 1):
-            terms[i] = (u / g, v * g)
-    kept, coords = eliminate([u for u, _ in terms], lambda k, r: negligible(r, terms[k][1]))
-    pairs = [list(terms[k]) for k in kept]
-    for (_, v), x in zip(terms, coords):
-        if x is None:
-            continue
-        for b, pair in enumerate(pairs):
-            k = x.entry(0, b)
-            if any(k) if exact else k != 0:
-                pair[1] = pair[1] + v * k
-    return [(b, v) for b, v in pairs if not negligible(b, v)]
+        left, right = ((float_stack(*x), None, None) for x in (left, right))
+        sizes = [np.abs(x[0]).max(axis=(2, 3)) for x in (left, right)]
+        tiny = 1e-12 * np.maximum(1.0, (sizes[0] * sizes[1]).max(axis=1))[:, None]
+        with np.errstate(divide="ignore"):
+            limit = tiny / sizes[1]
+    kept, _, coords = eliminate(left, zero_below=limit)
+    flat = _apply(right, lambda x: x.reshape(batch, count, dim * dim))
+    folded = _apply(stack_product(np.matmul, _apply(coords, lambda x: x.transpose(0, 2, 1)), flat, count),
+                    lambda x: x.reshape(batch, count, dim, dim))
+    size = _nonzero(folded) if exact else sizes[0] * np.abs(folded[0]).max(axis=(2, 3)) > tiny
+    keep = kept & size
+    slots, mask = np.flatnonzero(keep.any(axis=0)), keep[:, keep.any(axis=0), None, None]
+    return tuple(_apply(x, lambda y: np.where(mask, y[:, slots], 0)) for x in (left, folded))
 
 
 # exact legs whose entries lie within 2**(+-_SAFE_EXPONENT) of 1 convert to
@@ -204,43 +286,53 @@ def _reduce(terms) -> list[tuple[Matrix, Matrix]]:
 _SAFE_EXPONENT = 256
 
 
-def _leg_norm(m: Matrix) -> tuple[float, int]:
-    """(x, k) with ||m|| = x 2**k.  A leg with entries far from 1 is read as
-    op_norm(2**-k m), k = ``m.exponent()``, whose float conversion can
-    neither overflow nor underflow."""
-    k = m.exponent()
-    if abs(k) <= _SAFE_EXPONENT:
-        return op_norm(m), 0
-    return op_norm(m * (Fraction(1, 2**k) if k > 0 else 2**-k)), k
+def _scaled_floats(legs) -> tuple[np.ndarray, np.ndarray]:
+    """(F, k), F_i = 2**-k_i m_i for the legs m_i, k_i = m_i.exponent() for
+    a leg far from 1 (so F_i neither overflows nor underflows), else 0."""
+    shifts = np.zeros(len(legs[0]), dtype=int)
+    if legs[2] is None or not max(_numerator_max(*legs[:2]), legs[2]) >> _SAFE_EXPONENT:
+        return float_stack(*legs), shifts
+    mats = [_matrix(_take(legs, i)) for i in range(len(shifts))]
+    shifts[:] = [k if abs(k) > _SAFE_EXPONENT else 0 for k in (m.exponent() for m in mats)]
+    scaled = [m * (Fraction(1, 2**k) if k > 0 else 2**-k) for m, k in zip(mats, shifts.tolist())]
+    return np.stack([m.numpy() for m in scaled]), shifts
 
 
-def _upper(reduced) -> float:
-    """sum ||B|| ||V|| once dependent right legs are merged as well; each
-    product of leg norms is formed from their scaled readouts."""
-    total = 0.0
-    for v, b in _reduce((v, b) for b, v in reduced):
-        (x, i), (y, j) = _leg_norm(b), _leg_norm(v)
-        total += math.ldexp(x * y, i + j)
-    return total
+def _upper(left, right) -> np.ndarray:
+    """Per element of a reduced batch, sum ||B|| ||V|| once dependent right
+    legs are merged as well: all leg norms from one stacked SVD of the
+    scaled readouts, each product scaled back once, added in term order."""
+    v, b = _reduce(right, left)
+    live = _nonzero(b)
+    totals = np.zeros(len(live))
+    if live.any():
+        (fb, kb), (fv, kv) = (_scaled_floats(_take(x, live)) for x in (b, v))
+        norms = singular_values(np.concatenate([fb, fv]))[:, 0]
+        x, y, k = np.zeros(live.shape), np.zeros(live.shape), np.zeros(live.shape, dtype=int)
+        x[live], y[live], k[live] = norms[:len(fb)], norms[len(fb):], kb + kv
+        with np.errstate(over="ignore"):  # a bound past float range reads inf
+            for c in range(live.shape[1]):
+                totals += np.where(live[:, c], np.ldexp(x[:, c] * y[:, c], k[:, c]), 0.0)
+    return totals
 
 
 def tensor_norm_upper(t: TensorElem) -> float:
     """Projective-norm upper bound: sum ||B|| ||V|| over the reduced form,
     reduced once more on the right legs."""
-    return _upper(_reduce(t.terms))
+    return float(_upper(*_reduce(*_batch(t)))[0])
 
 
-def _bounds(terms, dim: int, tol: float) -> tuple[float, float, bool, TensorElem]:
-    """(lower, upper, zero, reduced) for sum u_i (x) v_i off one reduced
-    form: the bracket of :func:`tensor_norm_bounds`, whether the element is
-    zero (its reduced form is empty when every leg is exact, and its upper
-    bound is at most tol otherwise), and the reduced form itself."""
-    reduced = TensorElem(terms=tuple(_reduce(terms)), dim=dim)
-    if not reduced.terms:
-        return 0.0, 0.0, True, reduced
-    upper = _upper(reduced.terms)
-    lower = op_norm(reduced.flatten())
-    return lower, upper, not reduced.terms[0][0].is_exact and upper <= tol, reduced
+def _bounds(left, right, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """(lower, upper, zero, reduced) per element of a batch off its reduced
+    form: the bracket of :func:`tensor_norm_bounds`, whether it is zero (its
+    form is empty if exact, its upper bound at most tol if float), the form."""
+    reduced = _reduce(left, right)
+    nonzero = _nonzero(reduced[0]).any(axis=1)
+    lower, upper = np.zeros(len(nonzero)), np.zeros(len(nonzero))
+    if nonzero.any():
+        upper = _upper(*reduced)
+        lower[nonzero] = singular_values(float_stack(*_flatten(*(_take(x, nonzero) for x in reduced))))[:, 0]
+    return lower, upper, ~nonzero | ((reduced[0][2] is None) & (upper <= tol)), reduced
 
 
 def tensor_norm_bounds(t: TensorElem) -> tuple[float, float]:
@@ -250,7 +342,7 @@ def tensor_norm_bounds(t: TensorElem) -> tuple[float, float]:
     (contractive for the projective norm), the upper one that of
     ``tensor_norm_upper``; a zero element gets (0, 0) without flattening.
     """
-    return _bounds(t.terms, t.dim, 0.0)[:2]
+    return tuple(float(x[0]) for x in _bounds(*_batch(t), 0.0)[:2])
 
 
 def unitize_diagonal(delta: TensorElem, u: Matrix, one: Matrix) -> tuple[TensorElem, Matrix]:
@@ -258,8 +350,9 @@ def unitize_diagonal(delta: TensorElem, u: Matrix, one: Matrix) -> tuple[TensorE
     the image of delta under the multiplication map, pi(M) is the
     identity, exactly: pi(M) - 1 = (2 - u)(pi(delta) - u).  The image is
     returned for the caller to check, not checked here."""
-    rest = one - u
-    unitized = delta.scale(2) + (-delta.left(u)) + TensorElem.of([(rest, rest)], dim=delta.dim)
+    uu, rest = stack_product(np.matmul, delta._actor(u), delta._left, delta.dim), _legs([one - u], delta.dim)
+    left = stack_concat([_times(delta._left, 2), _apply(uu, np.negative), rest])
+    unitized = TensorElem._of_legs(left, stack_concat([delta._right, delta._right, rest]), delta.dim)
     return unitized, unitized.pi()
 
 
@@ -277,11 +370,15 @@ class FiniteDiagonal:
         self.validate()
 
     def validate(self, tol: float = DEFAULT_TOL):
-        unit = self.diag.pi()
-        for k, a in enumerate(self.algebra_basis):
+        unit, basis, d = self.diag.pi(), self.algebra_basis, self.diag
+        commutes = np.ones(len(basis), dtype=bool)
+        for group in filter(None, [[k for k, a in enumerate(basis) if a.is_exact == e] for e in (True, False)]):
+            actors = _apply(_legs([basis[k] for k in group], d.dim), lambda x: x[:, None])
+            commutes[group] = _bounds(*_commutator(actors, d._left, d._right), tol)[2]
+        for k, a in enumerate(basis):
             if not (agree(unit @ a, a, tol) and agree(a @ unit, a, tol)):
                 raise ValueError(f"pi(diag) does not act as identity on basis element {k}")
-            if not _bounds(bimodule_commutator(a, self.diag).terms, self.diag.dim, tol)[2]:
+            if not commutes[k]:
                 raise ValueError(f"diag does not commute with basis element {k}")
 
 
@@ -376,25 +473,64 @@ def _increments(deltas: Sequence[TensorElem]) -> list[TensorElem]:
     by :meth:`Matrix.equals`, so a telescoping sequence built term by term
     gives one term per increment, and any sequence gives increments that
     sum to each diagonal."""
-    out, prev = [], ()
+    out, prev = [], TensorElem.zero(deltas[0].dim)
     for d in deltas:
         k = 0
-        while k < min(len(prev), len(d.terms)) and all(x.equals(y) for x, y in zip(prev[k], d.terms[k])):
+        while k < min(len(prev.terms), len(d.terms)) and all(map(Matrix.equals, prev.terms[k], d.terms[k])):
             k += 1
-        out.append(TensorElem(terms=d.terms[k:] + tuple((-u, v) for u, v in prev[k:]), dim=d.dim))
-        prev = d.terms
+        (dl, dr), (pl, pr) = ((_take(x._left, slice(k, None)), _take(x._right, slice(k, None))) for x in (d, prev))
+        out.append(TensorElem._of_legs(stack_concat([dl, _apply(pl, np.negative)]), stack_concat([dr, pr]), d.dim))
+        prev = d
     return out
 
 
-def _commutator_bounds(a: Matrix, increments: Sequence[TensorElem], dim: int, tol: float) -> list[tuple]:
-    """:func:`_bounds` of [a, D_n] for every n, where D_n is the sum of the
-    first n increments: the reduced form of [a, D_{n-1}] is reduced
-    together with the terms of [a, I_n], so each step makes the 2 products
-    per term of I_n and no more."""
-    out, comm = [], TensorElem.zero(dim)
+def _commutator_bounds(samples, increments: Sequence[TensorElem], tol: float) -> list[tuple]:
+    """:func:`_bounds` of [a, D_n], D_n the sum of the first n increments, for
+    each n and each a of the stack ``samples``: the reduced [a, D_{n-1}] are
+    reduced with the terms of [a, I_n], 2 products per term of I_n."""
+    out, actors = [], _apply(samples, lambda x: x[:, None])
     for inc in increments:
-        out.append(_bounds(comm.terms + bimodule_commutator(a, inc).terms, dim, tol))
-        comm = out[-1][3]
+        left, right = _commutator(actors, inc._left, inc._right)
+        if out:
+            left, right = (stack_concat([x, y], axis=-3) for x, y in zip(out[-1][3], (left, right)))
+        out.append(_bounds(left, right, tol))
+    return out
+
+
+def _span_coordinates(basis: list[Matrix], group: list[Matrix], tol: float) -> list[dict | None]:
+    """Per matrix of ``group``, None outside the span of ``basis``, else its
+    nonzero coordinates over it by basis index (exact (re, im) pairs or
+    complex), off one elimination; a float remainder of m is zero below
+    max(tol, 1e-12) max(1, max|m|)."""
+    mats = basis + group
+    limit = max(tol, 1e-12) * np.array([max(1.0, m.max_abs()) for m in mats])
+    _, spanned, (re, im, den) = eliminate(_take(_legs(mats, mats[0].rows), None), rows=len(basis), zero_below=limit)
+    out = []
+    for row in range(len(basis), len(mats)):
+        x, y = re[0, row], 0 * re[0, row] if im is None else im[0, row]
+        out.append(None if not spanned[0, row] else {
+            k: complex(x[k]) if den is None else (Fraction(int(x[k]), den), Fraction(int(y[k]), den))
+            for k in np.flatnonzero((x != 0) | (y != 0)).tolist()})
+    return out
+
+
+def _regrouped_uppers(comms, w, images, rests) -> list[list[float]]:
+    """tensor_norm_upper of R = 2[a,D] - p.[a,D] + w (x) rest - rest (x) w
+    for each D_n and sample a, as an (n, a) list, from the reduced [a, D_n]
+    (padded to one length), w = a_alg (1 - p) and rest = 1 - p for
+    p = pi(D_n), in batches of at most 2**18 leg entries."""
+    slots = max(c[0][0].shape[1] for c in comms)
+    pad = lambda x: np.concatenate([x, np.zeros((x.shape[0], slots - x.shape[1], *x.shape[2:]), x.dtype)], 1)[None]
+    cl, cr = (stack_concat([_apply(c[side], pad) for c in comms]) for side in (0, 1))
+    wn = _apply(w, lambda x: np.swapaxes(x, 0, 1)[..., None, :, :])
+    rest = _apply(rests, lambda x: np.broadcast_to(x[:, None, None], wn[0].shape))
+    step, out = max(1, 2**18 // (wn[0][0].size * (2 * slots + 2))), []
+    for lo in range(0, len(comms), step):
+        l, r, ws, rs = (_take(x, slice(lo, lo + step)) for x in (cl, cr, wn, rest))
+        pl = stack_product(np.matmul, _take(images, (slice(lo, lo + step), None, None)), l, l[0].shape[-1])
+        left = stack_concat([_times(l, 2), _apply(pl, np.negative), ws, _apply(rs, np.negative)], axis=-3)
+        flat = (_apply(x, lambda y: y.reshape(-1, *y.shape[2:])) for x in (left, stack_concat([r, r, rs, ws], -3)))
+        out += _upper(*_reduce(*flat)).reshape(-1, len(wn[0][0])).tolist()
     return out
 
 
@@ -408,24 +544,22 @@ def certify_mbad(
     """Certify the approximate-diagonal conditions on a sample.
 
     ``deltas`` is read as the increasing diagonal sequence of the chain.
-    Per element: the multiplication images eventually act as the
-    identity (exactly, once the index passes the element's top chain
-    index), commutators with every diagonal vanish, and the unitized
-    diagonals obey the multiplier estimate
-    (2 + K) C + 2 (1 + K)^2 over the adjoined-unit norm.
-    Elements outside span(chain + identity), read off one elimination of
-    e_1..e_m, 1 (exact for exact elements), are flagged, not fatal.  The
-    report carries the multiplication images and the unitized diagonals
-    with their images.
+    Per element: the multiplication images eventually act as the identity
+    (exactly, once the index passes the element's top chain index),
+    commutators with every diagonal vanish, and the unitized diagonals obey
+    the multiplier estimate (2 + K) C + 2 (1 + K)^2 over the adjoined-unit
+    norm.  Elements outside span(chain + identity), read off one
+    elimination of e_1..e_m, 1 and the sample (exact for exact elements),
+    are flagged, not fatal.  The report carries the multiplication images
+    and the unitized diagonals with their images.
 
-    Commutators are built from the increments of the sequence: with
-    D_n = D_{n-1} + I_n, [a, D_n] = [a, D_{n-1}] + [a, I_n], so the
-    reduced form of [a, D_n] is that of [a, D_{n-1}] reduced together
-    with the terms of [a, I_n].  For the telescoping diagonals I_n is the
-    one term f_n (x) f_n, and a sample costs 2 m products rather than
-    m (m + 1).  The reduced form has the value of [a, D_n], but not its
-    leg order, so a nonzero commutator's upper bound may differ in its
-    last digits from that of the reduced raw commutator.
+    With D_n = D_{n-1} + I_n for the increments I_n, [a, D_n] is reduced as
+    the reduced [a, D_{n-1}] with the terms of [a, I_n]: for telescoping
+    diagonals a sample costs 2 m products, not m (m + 1).  That form has the
+    value of [a, D_n] but not its leg order, so a nonzero commutator's upper
+    bound may differ in its last digits from that of the reduced raw one.
+    The images pi(D_n) are prefix sums of the increments' images, and the
+    samples of one backend go through each reduction and product as a batch.
     """
     deltas = list(deltas)
     if not deltas:
@@ -436,85 +570,72 @@ def certify_mbad(
         raise ValueError("labels and sample lengths differ")
     dim = chain.truncation_dim
     ident = Matrix.identity(dim, backend=chain.backend)
-    pis = [d.pi() for d in deltas]
-    rests = [ident - p for p in pis]
-    k_const = max(op_norm(p) for p in pis)
-    unitized, unitized_images = zip(*(unitize_diagonal(d, p, ident) for d, p in zip(deltas, pis)))
     increments = _increments(deltas)
-
-    # e_1..e_m, 1 are eliminated once; a float remainder of a sample a
-    # counts as zero below max(tol, 1e-12) max(1, max|a|)
+    # pi(D_n) as prefix sums of the products u_i v_i over the increments' terms,
+    # from one product whose numerator bound covers every prefix sum
+    left, right = (stack_concat([getattr(inc, side) for inc in increments]) for side in ("_left", "_right"))
+    sums = _apply(stack_product(np.matmul, left, right, dim * max(1, len(left[0]))), lambda x: np.cumsum(x, axis=0))
+    ends = np.cumsum([len(inc._left[0]) for inc in increments]).tolist()
+    pis = [_matrix(_take(sums, end - 1)) if end else Matrix.zeros(dim) for end in ends]
+    images, rests = _legs(pis, dim), _legs([ident - p for p in pis], dim)
+    k_const = float(singular_values(float_stack(*images))[:, 0].max())
+    unitized, unitized_images = zip(*(unitize_diagonal(d, p, ident) for d, p in zip(deltas, pis)))
     basis = list(chain.idempotents) + [ident]
-    scales = [max(1.0, m.max_abs()) for m in basis + sample]
-    kept, coords = eliminate(
-        basis + sample, lambda k, r: r.max_abs() <= max(tol, 1e-12) * scales[k], rows=len(basis)
-    )
-
-    records, adjoined_norms = [], []
-    c_const = 0.0
-    for a, label, x, scale in zip(sample, labels, coords[len(basis):], scales[len(basis):]):
-        in_span = x is not None
-        # coordinates over e_1..e_m, 1 as exact (re, im) pairs or complex
-        # numbers; an element outside the span has none
-        coef = {k: x.entry(0, b) for b, k in enumerate(kept)} if in_span else {}
-        corner = coef.pop(len(basis) - 1, (0, 0))
-        top = max((k + 1 for k, c in coef.items()
-                   if (any(c) if isinstance(c, tuple) else abs(c) > 1e-9 * scale)), default=0)
-        has_id = any(corner) if isinstance(corner, tuple) else corner != 0
-        id_coeff = complex(float(corner[0]), float(corner[1])) if isinstance(corner, tuple) else corner
-        a_alg = a - ident * corner if has_id else a
-
-        final_image = a @ pis[-1]
-        final_gap = final_image.max_abs_diff(a)
-        identity_ok = (
-            not in_span or has_id or top > len(deltas)
-            or agree(final_image, a, max(tol, 1e-12 * scale))
-        )
-
-        lowers, uppers, zeros, comms = zip(*_commutator_bounds(a, increments, dim, tol))
-        comm_upper, comm_lower = max(uppers), max(lowers)
-        commutator_ok = not in_span or all(zeros)
-
-        alg_norm = op_norm(a_alg) if not a_alg.is_zero() else 0.0
-        element_constant = comm_upper / alg_norm if alg_norm > 1e-12 else 0.0
-        if in_span:
-            c_const = max(c_const, element_constant)
-
+    records, adjoined_norms, c_const = [None] * len(sample), [0.0] * len(sample), 0.0
+    # batches of samples of one backend, so exact samples stay exact, with at
+    # most 2**18 entries in one (sample, diagonal) array
+    size = max(1, 2**18 // (len(deltas) * dim * dim))
+    by_backend = [[i for i, a in enumerate(sample) if a.is_exact == e] for e in (True, False)]
+    for group in (ids[lo:lo + size] for ids in by_backend for lo in range(0, len(ids), size)):
+        samples = _legs([sample[i] for i in group], dim)
+        bounds = _commutator_bounds(samples, increments, tol)
+        # a p = p a for every (a, p), and w = a_alg (1 - p) with its norm
+        at = _apply(samples, lambda x: x[:, None])
+        ok, dev = products_agree(at, images, stack_product(np.matmul, images, at, dim), 0.0)
+        exact = at[2] is not None and images[2] is not None
+        coords = _span_coordinates(basis, [sample[i] for i in group], tol)
+        corners = [(0, 0) if x is None else x.pop(len(basis) - 1, (0, 0)) for x in coords]
+        has_id = [any(c) if isinstance(c, tuple) else c != 0 for c in corners]
+        algs = [sample[i] - ident * c if h else sample[i] for i, c, h in zip(group, corners, has_id)]
+        alg_legs = _legs(algs, dim)
+        w = stack_product(np.matmul, _apply(alg_legs, lambda x: x[:, None]), rests, dim)
+        shrinks = singular_values(float_stack(*w).reshape(-1, dim, dim))[:, 0].reshape(len(group), -1).tolist()
+        alg_norms = singular_values(float_stack(*alg_legs))[:, 0].tolist()
         # for the unitized M = 2D - p.D + rest (x) rest, with p = pi(D),
         # rest = 1 - p and w = a_alg rest, the regrouped
         # R = 2[a,D] - p.[a,D] + w (x) rest - rest (x) w obeys
         # R - [a,M] = [a,p].D + rest (x) [a,p], where x.D = sum (x u_i) (x) v_i;
         # so R equals [a,M] whenever a p = p a, which is checked, and the
         # multiplier estimate is read off R, built on the reduced [a,D]
-        rewrite_ok = all(agree(a @ p, p @ a, max(tol, 1e-9 * scale)) for p in pis)
-        unit_uppers = []
-        refined_ok = True
-        for d_comm, up_d, p, rest in zip(comms, uppers, pis, rests):
-            w = a_alg - a_alg @ p
-            regrouped = d_comm.scale(2) + (-d_comm.left(p)) + TensorElem.of([(w, rest), (-rest, w)], dim=dim)
-            up_u = tensor_norm_upper(regrouped)
-            unit_uppers.append(up_u)
-            shrink = op_norm(w) if not w.is_zero() else 0.0
-            refined = (2.0 + k_const) * up_d + 2.0 * (1.0 + k_const) * shrink
-            refined_ok = up_u <= refined + max(tol, 1e-9 * max(1.0, refined)) and refined_ok
-        records.append(
-            MbadElementRecord(
-                label=label,
-                in_span=in_span,
-                identity_coeff=id_coeff,
-                top_index=top,
-                final_identity_gap=final_gap,
-                identity_ok=identity_ok,
-                commutator_upper=comm_upper,
-                commutator_lower=comm_lower,
-                commutator_ok=commutator_ok,
-                element_constant=element_constant,
-                unitized_upper=max(unit_uppers),
+        unit_uppers = _regrouped_uppers([b[3] for b in bounds], w, images, rests)
+        for s, i in enumerate(group):
+            a, coef, corner, in_span = sample[i], coords[s], corners[s], coords[s] is not None
+            scale = max(1.0, a.max_abs())
+            top = max((k + 1 for k, c in (coef or {}).items()
+                       if (any(c) if isinstance(c, tuple) else abs(c) > 1e-9 * scale)), default=0)
+            id_coeff = complex(float(corner[0]), float(corner[1])) if isinstance(corner, tuple) else corner
+            final_image = a @ pis[-1]
+            identity_ok = (not in_span or has_id[s] or top > len(deltas)
+                           or agree(final_image, a, max(tol, 1e-12 * scale)))
+            uppers = [float(b[1][s]) for b in bounds]
+            alg_norm = alg_norms[s] if not algs[s].is_zero() else 0.0
+            element_constant = max(uppers) / alg_norm if alg_norm > 1e-12 else 0.0
+            c_const = max(c_const, element_constant) if in_span else c_const
+            rewrite_ok = bool(ok[s].all() if exact else (dev[s] <= max(tol, 1e-9 * scale)).all())
+            refined_ok = True
+            for up_u, up_d, shrink in zip((u[s] for u in unit_uppers), uppers, shrinks[s]):
+                refined = (2.0 + k_const) * up_d + 2.0 * (1.0 + k_const) * shrink
+                refined_ok = up_u <= refined + max(tol, 1e-9 * max(1.0, refined)) and refined_ok
+            records[i] = MbadElementRecord(
+                label=labels[i], in_span=in_span, identity_coeff=id_coeff, top_index=top,
+                final_identity_gap=final_image.max_abs_diff(a), identity_ok=identity_ok,
+                commutator_upper=max(uppers), commutator_lower=float(max(b[0][s] for b in bounds)),
+                commutator_ok=not in_span or all(b[2][s] for b in bounds), element_constant=element_constant,
+                unitized_upper=max(u[s] for u in unit_uppers),
                 # the global multiplier estimate is checked below, once C is known
                 unitized_ok=(refined_ok and rewrite_ok) or not in_span,
             )
-        )
-        adjoined_norms.append(alg_norm + abs(id_coeff))
+            adjoined_norms[i] = alg_norm + abs(id_coeff)
 
     unitized_constant = (2.0 + k_const) * c_const + 2.0 * (1.0 + k_const) ** 2
     records = [

@@ -402,12 +402,16 @@ def brute_force_best_subset(a: Sequence) -> tuple[tuple[int, ...], float]:
     if n > 22:
         raise ValueError(f"support of size {n} is too large to enumerate")
     z = np.array([v for _, v in support])
-    masks = np.arange(1, 1 << n, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
-    values = np.abs(bits @ z)
-    k = int(np.argmax(values))
-    chosen = tuple(support[i][0] for i in range(n) if (int(masks[k]) >> i) & 1)
-    return chosen, float(values[k])
+    best, mask = -1.0, 0
+    # masks in blocks of 2**12; a strict > keeps the first maximum, as one
+    # argmax over all masks would
+    for lo in range(1, 1 << n, 2**12):
+        masks = np.arange(lo, min(lo + 2**12, 1 << n), dtype=np.int64)
+        values = np.abs(((masks[:, None] >> np.arange(n)) & 1).astype(float) @ z)
+        k = int(np.argmax(values))
+        if values[k] > best:
+            best, mask = float(values[k]), int(masks[k])
+    return tuple(support[i][0] for i in range(n) if (mask >> i) & 1), best
 
 
 def unit_circle_sweep_ratios(sizes: Sequence[int]) -> list[tuple[int, float, float]]:

@@ -277,14 +277,15 @@ def certify_generation(
 
 def same_span(first: Sequence[Matrix], second: Sequence[Matrix], tol: float = 1e-8) -> bool:
     """Whether two families of matrices have equal linear span: both together
-    have the rank of each, from :func:`opalg.matrices.eliminate` (exactly on
-    exact families; a float remainder is zero when no entry exceeds ``tol``).
-    Elimination runs in order, so the rank of ``first`` is the number of its
-    matrices kept when ``first + second`` is eliminated."""
+    have the rank of each, from :func:`opalg.matrices.eliminate` (exact on exact
+    families; one with a float member runs wholly in floats, a remainder being
+    zero when no entry exceeds ``tol``), which keeps as many of ``first`` as
+    its rank when it eliminates ``first + second`` in order."""
     first, second = list(first), list(second)
 
     def kept(mats):
-        return eliminate(mats, lambda k, r: r.max_abs() <= tol, coordinates=False)[0]
+        re, im, den = stack(mats)
+        return eliminate((re[None], None if im is None else im[None], den), zero_below=tol, coordinates=False)[0][0]
 
-    both = kept(first + second)
-    return sum(k < len(first) for k in both) == len(kept(second)) == len(both)
+    both = kept(first + second) if first + second else np.zeros(0, dtype=bool)
+    return bool(both[:len(first)].sum() == (kept(second).sum() if second else 0) == both.sum())

@@ -13,6 +13,10 @@ metric quantities (operator norm, Schatten-1 norm).  Every operation
 returns a new value; matrices are immutable and safe to share across
 threads.
 
+Families of matrices travel as stacks ``(re, im, den)`` (:func:`stack`),
+combined by :func:`stack_product` and :func:`stack_concat` and eliminated,
+many families at once, by :func:`eliminate`.
+
 The scalar policy lives here, in :func:`read_scalar`: ints, Fractions
 and (re, im) pairs of them are exact; floats and complex numbers are
 float.  Scalar multiplication reads its scalar through it, and so do
@@ -43,6 +47,8 @@ __all__ = [
     "read_scalar",
     "kernel_dtype",
     "stack",
+    "stack_product",
+    "stack_concat",
     "float_stack",
     "agree",
     "vanishes",
@@ -133,9 +139,9 @@ def _rational(num, den):
     return q.numerator if q.denominator == 1 else q
 
 
-def _numerator_max(re, im):
-    """The largest modulus of the numerators re and im (None when zero)."""
-    return max(int(np.abs(p).max(initial=0)) for p in (re, im) if p is not None)
+def _numerator_max(*parts):
+    """The largest modulus of the numerator arrays ``parts`` (None when zero)."""
+    return max([max(int(p.max()), -int(p.min())) for p in parts if p is not None and p.size] + [0])
 
 
 def _complex_product(op, a, b, inner, dtype=None):
@@ -367,31 +373,6 @@ class Matrix:
             self._big = _numerator_max(self._re, self._im)
         return self._re, self._im, self._big
 
-    def content(self):
-        """Exact: the gcd g of all real and imaginary parts, a Fraction, so
-        self / g has coprime integer entries; 0 for the zero matrix.
-        Float: 1."""
-        if not self.is_exact:
-            return 1
-        return Fraction(gcd(*self._re.flat, *(() if self._im is None else self._im.flat)), self._den)
-
-    def pivot(self):
-        """Index (i, j) of an elimination pivot, None for a zero matrix: the
-        nonzero entry of least modulus when exact (a unit entry keeps
-        integer rows integer), compared exactly as re^2 + im^2 of the
-        numerators over the shared denominator; of largest modulus when
-        float."""
-        if not self.is_exact:
-            mags = np.abs(self._arr)
-            return np.unravel_index(int(np.argmax(mags)), self.shape) if mags.any() else None
-        mags = self._re * self._re
-        if self._im is not None:
-            mags = mags + self._im * self._im
-        nonzero = np.flatnonzero(mags)
-        if not nonzero.size:
-            return None
-        return np.unravel_index(int(nonzero[np.argmin(mags.flat[nonzero])]), self.shape)
-
     # -- arithmetic ------------------------------------------------------
 
     def _binary_backend(self, other):
@@ -481,6 +462,11 @@ def float_stack(re, im, den):
     once: int / int rounds correctly however large the numerator, so an
     entry equals what :meth:`Matrix.to_float` gives for the same rational,
     in whatever terms it is written."""
+    if den is None:
+        return re
+    if re.dtype != object and max(_numerator_max(re, im), int(np.max(den))) > 2**53:
+        # numpy rounds int64 to float64 before dividing; Python integers do not
+        re, im = re.astype(object), None if im is None else im.astype(object)
     arr = np.zeros(re.shape, dtype=complex)
     arr.real = re / den
     if im is not None:
@@ -506,6 +492,33 @@ def stack(mats):
         return re, None, den
     zero = np.zeros(re.shape[1:], dtype=object)
     return re, np.stack([(zero if m._im is None else m._im) * (den // m._den) for m in mats]), den
+
+
+def stack_product(op, a, b, inner=1):
+    """``op`` (np.matmul, np.multiply, ...) of two stacks ``(re, im, den)``:
+    over den_a den_b when both are exact, with numerators on the dtype
+    :func:`kernel_dtype` picks for sums of ``inner`` products, else of the
+    float values.  Matrix products whose sums stay below 2**53 run exactly
+    on float64, where they have BLAS."""
+    if a[2] is None or b[2] is None:
+        return op(float_stack(*a), float_stack(*b)), None, None
+    ops = [(x[0], x[1], _numerator_max(x[0], x[1])) for x in (a, b)]
+    fast = op is np.matmul and 2 * inner * max(ops[0][2], 1) * max(ops[1][2], 1) < 2**53
+    re, im, _ = _complex_product(op, *ops, inner, np.float64 if fast else None)
+    return *(x.astype(np.int64) if fast and x is not None else x for x in (re, im)), a[2] * b[2]
+
+
+def stack_concat(stacks, axis=0):
+    """Stacks ``(re, im, den)`` joined along ``axis``: over the least common
+    denominator when every nonempty one is exact, else as floats."""
+    stacks = [x for x in stacks if x[0].shape[axis]] or list(stacks)[:1]
+    if any(x[2] is None for x in stacks):
+        return np.concatenate([float_stack(*x) for x in stacks], axis=axis), None, None
+    den = lcm(*(x[2] for x in stacks))
+    parts = [x if x[2] == den else stack_product(np.multiply, x, (np.array(den // x[2], dtype=object), None, 1))
+             for x in stacks]
+    ims = None if all(x[1] is None for x in parts) else [np.zeros_like(x[0]) if x[1] is None else x[1] for x in parts]
+    return np.concatenate([x[0] for x in parts], axis=axis), ims and np.concatenate(ims, axis=axis), den
 
 
 DEFAULT_TOL = 1e-9
@@ -535,7 +548,7 @@ def products_agree(a, b, t, tol: float):
     the dtype :func:`kernel_dtype` picks for both sides."""
     (ar, ai, da), (br, bi, db), (tr, ti, dt) = a, b, t
     if None in (da, db, dt):
-        fa, fb, ft = (x[0] if x[2] is None else float_stack(*x) for x in (a, b, t))
+        fa, fb, ft = (float_stack(*x) for x in (a, b, t))
         dev = np.abs(np.matmul(fa, fb) - ft).max(axis=(-2, -1))
         return dev <= tol, dev
     g = gcd(dt, da * db)
@@ -579,42 +592,84 @@ def product_table(family, targets, tol: float):
     return ok, dev
 
 
-def eliminate(mats, negligible=None, rows=None, coordinates=True):
-    """Gaussian elimination on same-shape matrices, in order.
-
-    Each matrix is reduced against one pivot row (:meth:`Matrix.pivot`) per
-    kept matrix before it, and is kept when its remainder r is nonzero and
-    it is among the first ``rows`` (default: all).  A float r also counts
-    as zero when ``negligible(k, r)`` holds for the k-th matrix.  Returns
-    ``(kept, coords)``: the kept indices, and per matrix None when it is
-    outside the span of the kept ones before it, else its coordinates over
-    them, a 1 x len(mats) matrix whose entry (0, b) multiplies
-    ``mats[kept[b]]``.  With ``coordinates=False`` coords is None.
-    """
-    mats = list(mats)
-    n = len(mats)
-    kept, coords, pivots = [], [], []  # pivots: (pivot index, E, coordinates of E over the kept matrices)
-    for k, m in enumerate(mats):
-        r, x = m, Matrix.zeros(1, n, backend=m.backend) if coordinates else None
-        for ij, e, e_coords in pivots:
-            c = r.entry(*ij)
-            if any(c) if r.is_exact else c != 0:
-                r = r - e * c
-                if coordinates:
-                    x = x + e_coords * c
-        if r.is_zero() or not r.is_exact and negligible is not None and negligible(k, r):
-            coords.append(x)
+def eliminate(family, rows=None, zero_below=0.0, coordinates=True):
+    """Gaussian elimination of a batch of families of matrices, a stack
+    ``(re, im, den)`` of shape (batch, count, ...), every family in its own
+    order and each matrix read as one row.  A row is reduced against one
+    pivot per kept row before it and kept when its remainder is nonzero and
+    it is among the first ``rows``; a float remainder is also zero when no
+    entry exceeds ``zero_below`` (broadcast against (batch, count)).  The
+    pivot is the first nonzero entry of least modulus when exact, of largest
+    when float.  Exact rows are fraction-free (Bareiss: p R - c P over the
+    previous pivot, an exact division), on int64 while :func:`kernel_dtype`
+    allows it, with the coordinates as augmented identity columns.  Returns
+    (batch, count) masks ``kept`` and ``spanned`` (in the span of the kept
+    rows before it) and ``coords`` (None if not ``coordinates``), a stack
+    whose entry (b, k, l) is matrix k's coordinate over kept matrix l."""
+    re, im, den = family
+    (batch, count), exact, aug = re.shape[:2], den is not None, re.shape[1] if coordinates else 0
+    dtype = kernel_dtype(_numerator_max(re, im)) if exact else complex
+    unit = np.broadcast_to(np.eye(count, aug, dtype=dtype), (batch, count, aug))
+    parts = [np.concatenate([x.reshape(batch, count, -1).astype(dtype), unit if x is re else 0 * unit], axis=2)
+             for x in (re, im) if x is not None]
+    width, limit = parts[0].shape[2] - aug, np.broadcast_to(zero_below, (batch, count))
+    kept, spanned = np.zeros((batch, count), dtype=bool), np.zeros((batch, count), dtype=bool)
+    prev = [np.ones(batch, dtype=dtype)] + [np.zeros(batch, dtype=dtype)] * (len(parts) - 1)
+    for k in range(count):
+        head = [x[:, k, :width] for x in parts]
+        if exact:
+            nonzero = (head[0] if len(head) == 1 else head[0] | head[1]) != 0
+        else:
+            nonzero = np.abs(head[0]) > limit[:, k, None]
+        spanned[:, k] = ~nonzero.any(axis=1)
+        kept[:, k] = ~spanned[:, k] & (rows is None or k < rows)
+        fam, pick = np.flatnonzero(kept[:, k]), np.arange(kept[:, k].sum())
+        if not fam.size or k + 1 == count:
             continue
-        coords.append(None)
-        if rows is None or k < rows:
-            ij = r.pivot()
-            p = r.entry(*ij)
-            if coordinates:
-                unit = Matrix.exact([[int(j == len(kept)) for j in range(n)]])
-                x = (unit - x) / p
-            pivots.append((ij, r / p, x))
-            kept.append(k)
-    return kept, coords if coordinates else None
+        if not exact:
+            top, low = parts[0][fam, k], parts[0][fam, k + 1:]
+            j = np.argmax(np.abs(top[:, :width]), axis=1)
+            parts[0][fam, k + 1:] = low - low[pick, :, j][..., None] * (top * (1 / top[pick, j])[:, None])[:, None]
+            continue
+        # Bareiss: p R - c P is divisible by the family's previous pivot q
+        top, low, q = [x[fam, k] for x in parts], [x[fam, k + 1:] for x in parts], [x[fam] for x in prev]
+        big = _numerator_max(*top, *low, *q)
+        if dtype != object and kernel_dtype(2 * big**2 if len(parts) == 1 else 8 * big**3) is object:
+            parts, prev, dtype = [x.astype(object) for x in parts], [x.astype(object) for x in prev], object
+            top, low, q = ([x.astype(object) for x in y] for y in (top, low, q))
+        vals = [x[:, :width].astype(object if big >= 2**30 else dtype) for x in top]
+        mags = sum(x * x for x in vals)
+        j = np.argmin(np.where(nonzero[fam], mags, mags.max() + 1), axis=1)
+        p, c = [x[pick, j][:, None, None] for x in top], [x[pick, :, j][..., None] for x in low]
+        top, q = [x[:, None] for x in top], [x[:, None, None] for x in q]
+        if len(parts) == 1:
+            new = [(p[0] * low[0] - c[0] * top[0]) // q[0]]
+        else:
+            x = p[0] * low[0] - p[1] * low[1] - c[0] * top[0] + c[1] * top[1]
+            y = p[0] * low[1] + p[1] * low[0] - c[0] * top[1] - c[1] * top[0]
+            new = [(x * q[0] + y * q[1]) // (q[0] ** 2 + q[1] ** 2), (y * q[0] - x * q[1]) // (q[0] ** 2 + q[1] ** 2)]
+        for x, y, r, z in zip(parts, new, prev, p):
+            x[fam, k + 1:], r[fam] = y, z[:, 0, 0]
+    if not coordinates:
+        return kept, spanned, None
+    # a row r of the span has a_r m_r + sum_l a_l m_l = 0 with a_r != 0, so
+    # its coordinates are -a_l / a_r = -a_l conj(a_r) / |a_r|^2, in lowest terms
+    a = [x[:, :, width:].astype(object if exact else complex) for x in parts]
+    ar = [np.diagonal(x, axis1=1, axis2=2)[..., None] for x in a]
+    if len(a) == 1:
+        norm, nums = ar[0] * ar[0], [-a[0] * ar[0]]
+    else:
+        norm, nums = ar[0] ** 2 + ar[1] ** 2, [-(a[0] * ar[0] + a[1] * ar[1]), a[0] * ar[1] - a[1] * ar[0]]
+    den = 1
+    if exact:
+        g = np.gcd.reduce(np.concatenate([*nums, norm], axis=2), axis=2, initial=0)[..., None]
+        norm, nums = norm // g, [x // g for x in nums]
+        den = lcm(*norm[spanned].flat)
+    fam, pivots = np.nonzero(kept)
+    scale = den // norm if exact else 1 / norm
+    coords = [np.where(spanned[:, :, None] & kept[:, None, :], x * scale, 0) for x in nums]
+    coords[0][fam, pivots, pivots] = den
+    return kept, spanned, (coords[0], coords[1] if len(coords) == 2 else None, den if exact else None)
 
 
 def singular_values(m: Matrix | np.ndarray) -> np.ndarray:

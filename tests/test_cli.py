@@ -252,6 +252,19 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(argv) == 1
 
 
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    from opalg import cli
+
+    assert cli._build_parser() is cli._build_parser()
+    # a flag given on one call does not leak into the next
+    assert build_config(["chain", "--m-max", "4", "--seed", "9"]).seed == 9
+    assert build_config(["chain", "--m-max", "4"]).seed == ExperimentConfig().seed
+    # argparse errors still exit 2 with the usage message
+    with pytest.raises(SystemExit) as exc:
+        build_config(["chain", "--m-max", "x"])
+    assert exc.value.code == 2 and "invalid int value: 'x'" in capsys.readouterr().err
+
+
 def test_config_file_defaults_and_flag_override(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"m_max": 4, "seed": 99, "trials": 5}))

@@ -28,7 +28,15 @@ from opalg import (
     tensor_norm_upper,
     unitize_diagonal,
 )
-from opalg.diagonals import _bounds, _commutator_bounds, _increments, _reduce
+from opalg.diagonals import _batch, _bounds, _commutator_bounds, _increments, _legs, _nonzero, _reduce, _take
+
+import pairwise
+
+
+def reduced_form(t):
+    """The reduced form of t, as a tensor element."""
+    left, right = _reduce(*_batch(t))
+    return TensorElem._of_legs(_take(left, 0), _take(right, 0), t.dim)
 
 
 @pytest.fixture(scope="module")
@@ -204,8 +212,8 @@ def tensor_elements(draw):
 @given(tensor_elements())
 @settings(max_examples=150, deadline=None)
 def test_reduced_form_matches_kron_oracle(t):
-    reduced = _reduce(t.terms)
-    picture = TensorElem(terms=tuple(reduced), dim=t.dim).flatten()
+    reduced = reduced_form(t).terms
+    picture = TensorElem(terms=reduced, dim=t.dim).flatten()
     oracle = t.flatten()
     if t.backend == "exact":
         assert picture.equals(oracle)
@@ -217,6 +225,68 @@ def test_reduced_form_matches_kron_oracle(t):
         assert (not reduced) == (oracle.max_abs() <= roundoff)
     lower, upper = tensor_norm_bounds(t)
     assert lower <= upper * (1 + 1e-12) + 1e-15
+
+
+@given(tensor_elements(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_stacked_algebra_matches_pairwise_oracle(t, data):
+    # pi, flatten, both module actions and the commutator on the stacked legs
+    # against the same operations made term by term on Matrix pairs
+    pairs = pairwise.PairTensor(t.terms, t.dim)
+    entry = st.one_of(st.just(0), small_rationals, st.tuples(small_rationals, small_rationals))
+    row = st.lists(entry, min_size=t.dim, max_size=t.dim)
+    a = Matrix.exact(data.draw(st.lists(row, min_size=t.dim, max_size=t.dim)))
+    if t.backend == "float" and data.draw(st.booleans()):
+        a = a.to_float()
+    cases = [
+        (t.pi(), pairs.pi()), (t.flatten(), pairs.flatten()),
+        (t.left(a).flatten(), pairs.left(a).flatten()), (t.right(a).flatten(), pairs.right(a).flatten()),
+        (bimodule_commutator(a, t).flatten(), pairwise.commutator(a, pairs).flatten()),
+        (t.scale((1, Fraction(-1, 3))).flatten(), pairs.scale((1, Fraction(-1, 3))).flatten()),
+    ]
+    for got, want in cases:
+        if t.backend == "exact" and a.is_exact:
+            assert got.equals(want)
+        else:
+            assert got.max_abs_diff(want) <= 1e-12 * max(1.0, want.max_abs())
+    # term by term, the commutator is (a u, v) then (u, -(v a))
+    comm = bimodule_commutator(a, t).terms
+    assert len(comm) == 2 * len(t.terms)
+    if t.backend == "exact" and a.is_exact:
+        assert all(x.equals(y) for p, q in zip(comm, pairwise.commutator(a, pairs).terms) for x, y in zip(p, q))
+
+
+@st.composite
+def scaled_exact_elements(draw):
+    """Exact elements whose legs are small rational (possibly complex)
+    matrices, some scaled by 2**900 or 2**-900, some combinations of two
+    shared legs, and differences of an element with itself."""
+    dim = draw(st.integers(1, 3))
+    entry = st.one_of(st.just(0), small_rationals, st.tuples(small_rationals, small_rationals))
+
+    def leg():
+        m = Matrix.exact(draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim)))
+        return m * draw(st.sampled_from([1, 1, 2**900, Fraction(1, 2**900)]))
+    pool = (leg(), leg())
+    terms = [(pool[0] * draw(small_rationals) + pool[1] if draw(st.booleans()) else leg(), leg())
+             for _ in range(draw(st.integers(0, 4)))]
+    t = TensorElem.of(terms, dim=dim)
+    return t - t if draw(st.booleans()) else t
+
+
+@given(scaled_exact_elements())
+@settings(max_examples=100, deadline=None)
+def test_norm_bounds_match_pairwise_oracle_bit_for_bit(t):
+    # the stacked reduction keeps the legs the pairwise one keeps, so every
+    # norm bound on exact input is the same float, even past float range
+    try:
+        upper = pairwise.upper(pairwise.reduce(t.terms))
+    except OverflowError:
+        # a norm product past float range stops the reference; the bound is inf
+        assert tensor_norm_upper(t) == math.inf
+        return
+    assert tensor_norm_upper(t) == upper
+    assert tensor_norm_bounds(t) == pairwise.bounds(t.terms)
 
 
 @st.composite
@@ -246,7 +316,7 @@ def test_unitized_rewrite_gap_identity(data):
     regrouped = d_comm.scale(2) + (-d_comm.left(p)) + TensorElem.of([(w, rest), (-rest, w)], dim=dim)
     gap = regrouped - bimodule_commutator(a, m)
     ap = a @ p - p @ a
-    assert _reduce((gap - (delta.left(ap) + TensorElem.of([(rest, ap)], dim=dim))).terms) == []
+    assert reduced_form(gap - (delta.left(ap) + TensorElem.of([(rest, ap)], dim=dim))).terms == ()
 
 
 def unitized_from_raw_commutator(deltas, chain, a, a_alg, rec, report, tol=DEFAULT_TOL):
@@ -495,7 +565,7 @@ def test_certify_mbad_exact_commutator_below_float_range(chain6):
     assert not rec.in_span and rec.commutator_upper == 0.0
     assert report.verdict
     dim = chain6.truncation_dim
-    assert not all(_bounds(bimodule_commutator(a, d).terms, dim, DEFAULT_TOL)[2] for d in deltas)
+    assert not all(_bounds(*_batch(bimodule_commutator(a, d)), DEFAULT_TOL)[2][0] for d in deltas)
 
 
 def test_certify_mbad_top_index_is_exact(chain6):
@@ -614,15 +684,17 @@ def test_incremental_commutators_match_commutators_from_scratch(case):
     increments = _increments(deltas)
     for d, total in zip(deltas, (sum(increments[: n + 1], TensorElem.zero(dim)) for n in range(len(deltas)))):
         assert total.same_element(d)
-    for a in sample:
-        for d, (lower, upper, zero, reduced) in zip(deltas, _commutator_bounds(a, increments, dim, 0.0), strict=True):
-            scratch = _reduce(bimodule_commutator(a, d).terms)
-            scratch_elem = TensorElem(terms=tuple(scratch), dim=dim)
-            assert reduced.same_element(scratch_elem)
-            assert zero == (not scratch) == (not reduced.terms)
+    # all samples at once, as certify_mbad batches them
+    bounds = _commutator_bounds(_legs(sample, dim), increments, 0.0)
+    for s, a in enumerate(sample):
+        for d, (lower, upper, zero, (left, right)) in zip(deltas, bounds, strict=True):
+            scratch = reduced_form(bimodule_commutator(a, d))
+            reduced = TensorElem._of_legs(_take(left, s), _take(right, s), dim)
+            assert reduced.same_element(scratch)
+            assert zero[s] == (not scratch.terms) == (not _nonzero(reduced._left).any())
             # the flattenings are one exact matrix, so the lower bounds agree
-            assert lower == (0.0 if zero else op_norm(scratch_elem.flatten()))
-            assert lower <= upper * (1 + 1e-12)
+            assert lower[s] == (0.0 if zero[s] else op_norm(scratch.flatten()))
+            assert lower[s] <= upper[s] * (1 + 1e-12)
 
 
 def test_increments_of_telescoping_diagonals_are_single_terms(chain6):

@@ -25,6 +25,7 @@ from opalg import (
     unit_circle_sweep_ratios,
 )
 from opalg import embedding, matrices
+import pairwise
 from opalg.matrices import kernel_dtype, read_scalar
 
 INV_PI = 1.0 / math.pi
@@ -317,6 +318,27 @@ def test_sweep_matches_brute_force(a):
     assert sweep >= l1 * INV_PI * (1 - 1e-12)
 
 
+def one_block_brute_force(a):
+    """The brute force as one product over every nonempty subset mask."""
+    support = embedding._support(a)
+    n, z = len(support), np.array([v for _, v in support])
+    masks = np.arange(1, 1 << n, dtype=np.int64)
+    values = np.abs(((masks[:, None] >> np.arange(n)) & 1).astype(float) @ z)
+    k = int(np.argmax(values))
+    return tuple(support[i][0] for i in range(n) if (int(masks[k]) >> i) & 1), float(values[k])
+
+
+def test_blocked_brute_force_matches_one_block():
+    # past 2**12 masks the subsets are enumerated in blocks; the winner and
+    # its value are those of one product over all masks, ties included
+    rng = np.random.default_rng(3)
+    for n in range(1, 17):
+        roots = [cmath.exp(2j * math.pi * j / n) for j in range(n)]
+        noisy = list(rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+        for a in (roots, noisy):
+            assert brute_force_best_subset(a) == one_block_brute_force(a)
+
+
 @given(st.lists(complex_entry, min_size=1, max_size=8), st.floats(0, 2 * math.pi), st.floats(0.1, 4))
 @settings(max_examples=60, deadline=None)
 @example(a=[2 + 5e-324j], angle=0.0, scalep=1.0)
@@ -511,7 +533,7 @@ def test_stacked_spectra_match_per_block_norms():
     ]
     emb = phi(multiples, fam)
     reduced = [b for f, b in zip(fam.subsets, blocks_of(emb)) if 1 not in f and not b.is_zero()]
-    assert reduced and all(b.content().denominator < 48 for b in reduced)
+    assert reduced and all(pairwise.content(b).denominator < 48 for b in reduced)
     for a in (
         list(rng.uniform(-1, 1, 10) + 1j * rng.uniform(-1, 1, 10)),
         [(Fraction(int(p), 16), Fraction(int(q), 16)) for p, q in rng.integers(-32, 33, (10, 2))],

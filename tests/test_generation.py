@@ -22,7 +22,8 @@ from opalg import (
 )
 from opalg import generation, matrices
 from opalg.generation import _bound_holds, rescaled_generators
-from opalg.matrices import DEFAULT_TOL, eliminate, vanishes
+from opalg.matrices import DEFAULT_TOL, vanishes
+import pairwise
 
 
 def two_projections():
@@ -123,11 +124,27 @@ def test_same_span_is_exact_on_exact_families():
     assert same_span(floats, [m.to_float() for m in moved])
 
 
+def test_same_span_mixed_families_run_in_floats():
+    # an exact family whose last member carries 2**-1100 E_01 against float
+    # images moved by 1e-6 E_01: the pair is eliminated wholly in floats, as
+    # the float images of both, instead of dividing an exact remainder by
+    # its 2**-1100 pivot and overflowing when that row meets a float one
+    chain = build_chain(ChainSpec.default(6))
+    dim = chain.truncation_dim
+    unit = Matrix.exact([[int((i, j) == (0, 1)) for j in range(dim)] for i in range(dim)])
+    moved = list(chain.idempotents[:-1]) + [chain.e(6) + unit * Fraction(1, 2**1100)]
+    floats = [m.to_float() for m in chain.idempotents[:-1]] + [chain.e(6).to_float() + unit.to_float() * 1e-6]
+    as_floats = [m.to_float() for m in moved]
+    assert same_span(moved, floats) is same_span(as_floats, floats) is False
+    assert same_span(floats, moved) is same_span(floats, as_floats) is False
+    assert same_span(moved, as_floats)
+
+
 def three_rank_same_span(first, second, tol=1e-8):
     """The span oracle: the ranks of each family and of both together agree,
     from three separate eliminations."""
     def rank(mats):
-        return len(eliminate(list(mats), lambda k, r: r.max_abs() <= tol, coordinates=False)[0])
+        return len(pairwise.eliminate(list(mats), lambda k, r: r.max_abs() <= tol, coordinates=False)[0])
 
     return rank(first) == rank(second) == rank(list(first) + list(second))
 

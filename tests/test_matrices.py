@@ -17,6 +17,7 @@ from opalg import (
     vanishes,
 )
 from opalg import matrices
+import pairwise
 from opalg.matrices import eliminate, kernel_dtype
 
 
@@ -152,21 +153,22 @@ def test_exact_division_keeps_integers_integer():
 
 def test_content_divides_to_integers():
     a = Matrix.exact([[2, (0, -4)], [Fraction(6, 5), 0]])
-    g = a.content()
+    g = pairwise.content(a)
     assert g == Fraction(2, 5)
     primitive = a / g
     assert primitive.equals(Matrix.exact([[5, (0, -10)], [3, 0]]))
     assert all(type(x) is int for pair in (primitive.entry(0, 1), primitive.entry(1, 0)) for x in pair)
-    assert Matrix.zeros(2).content() == 0
-    assert a.to_float().content() == 1
+    assert pairwise.content(Matrix.zeros(2)) == 0
+    assert pairwise.content(a.to_float()) == 1
 
 
 def test_pivot_choice_per_backend():
+    # the elimination's pivot rule, kept by the reference elimination
     a = Matrix.exact([[0, 3], [(0, -1), 2]])
-    assert a.pivot() == (1, 0)
-    assert a.to_float().pivot() == (0, 1)
-    assert Matrix.zeros(2).pivot() is None
-    assert Matrix.zeros(2, backend="float").pivot() is None
+    assert pairwise.pivot(a) == (1, 0)
+    assert pairwise.pivot(a.to_float()) == (0, 1)
+    assert pairwise.pivot(Matrix.zeros(2)) is None
+    assert pairwise.pivot(Matrix.zeros(2, backend="float")) is None
 
 
 def test_mixed_backend_coerces_to_float():
@@ -379,7 +381,7 @@ def test_exact_sums_and_scalars_match_oracle(data):
 def test_exact_readouts_match_oracle(a):
     m = Matrix.exact(a)
     assert m.to_float().numpy().tobytes() == ref_float(a).tobytes()
-    g = m.content()
+    g = pairwise.content(m)
     parts = [x for row in a for pair in row for x in pair]
     if all(x == 0 for x in parts):
         assert g == 0
@@ -387,12 +389,6 @@ def test_exact_readouts_match_oracle(a):
         quotients = [x / g for x in parts]
         assert g > 0 and all(q.denominator == 1 for q in quotients)
         assert math.gcd(*(q.numerator for q in quotients)) == 1
-    # the pivot is the first nonzero entry of least exact modulus, even where
-    # moduli underflow or overflow as floats
-    mags = [Fraction(re) ** 2 + Fraction(im) ** 2 for row in a for re, im in row]
-    nonzero = [k for k, mag in enumerate(mags) if mag]
-    expected = divmod(min(nonzero, key=mags.__getitem__), len(a[0])) if nonzero else None
-    assert (None if m.pivot() is None else tuple(int(x) for x in m.pivot())) == expected
     top = max(max(abs(Fraction(re)), abs(Fraction(im))) for row in a for re, im in row)
     k = m.exponent()
     assert k == 0 if top == 0 else Fraction(2) ** (k - 1) < top < Fraction(2) ** (k + 1)
@@ -487,28 +483,101 @@ def ref_families(draw):
     return family
 
 
+def family_batch(mats):
+    """Same-shape matrices as a batch of one family stack (re, im, den):
+    exact numerators over the least common denominator when every matrix
+    is exact, else one complex array."""
+    if not all(m.is_exact for m in mats):
+        return np.stack([m.numpy() for m in mats])[None], None, None
+    den = math.lcm(*(m._den for m in mats))
+    re = np.stack([m._re * (den // m._den) for m in mats])
+    im = np.stack([(np.zeros_like(m._re) if m._im is None else m._im) * (den // m._den) for m in mats])
+    return re[None], im[None], den
+
+
+def coordinate(coords, k, j):
+    """Entry (k, j) of the first family's coordinates: an exact (re, im)
+    pair, or a complex number."""
+    re, im, den = coords
+    if den is None:
+        return complex(re[0, k, j])
+    return Fraction(int(re[0, k, j]), den), Fraction(0 if im is None else int(im[0, k, j]), den)
+
+
 @given(ref_families(), st.integers(0, 5))
 @settings(max_examples=100, deadline=None)
 def test_eliminate_matches_fraction_oracle(family, rows):
     mats = [Matrix.exact(m) for m in family]
-    kept, coords = eliminate(mats)
-    for k, x in enumerate(coords):
+    kept, spanned, coords = eliminate(family_batch(mats))
+    kept, spanned = np.flatnonzero(kept[0]).tolist(), spanned[0]
+    for k in range(len(mats)):
         # independent exactly when the rank grows, as the oracle computes it
-        assert (x is None) == (ref_complex_rank(family[:k + 1]) > ref_complex_rank(family[:k]))
-        if x is not None:
-            acc = Matrix.zeros(*mats[0].shape)
-            for b, j in enumerate(kept):
-                acc = acc + mats[j] * x.entry(0, b)
-            assert acc.equals(mats[k])
-            assert all(x.entry(0, b) == (0, 0) for b in range(len(kept), len(mats)))
-    assert kept == [k for k, x in enumerate(coords) if x is None]
-    assert len(eliminate(mats, coordinates=False)[0]) == ref_complex_rank(family)
+        assert (not spanned[k]) == (ref_complex_rank(family[:k + 1]) > ref_complex_rank(family[:k]))
+        acc = Matrix.zeros(*mats[0].shape)
+        for j in kept:
+            acc = acc + mats[j] * coordinate(coords, k, j)
+        assert acc.equals(mats[k])
+        assert all(coordinate(coords, k, j) == (0, 0) for j in range(len(mats)) if j not in kept)
+    assert kept == [k for k in range(len(mats)) if not spanned[k]]
+    assert eliminate(family_batch(mats), coordinates=False)[0].sum() == ref_complex_rank(family)
     # only the first ``rows`` are kept; a later one is tested against them
-    limited, coords = eliminate(mats, rows=rows)
+    limited, spanned, coords = eliminate(family_batch(mats), rows=rows)
+    limited = np.flatnonzero(limited[0]).tolist()
     assert limited == [k for k in kept if k < rows]
     for k in range(rows, len(mats)):
         head = [family[j] for j in limited]
-        assert (coords[k] is None) == (ref_complex_rank(head + [family[k]]) > len(head))
+        assert (not spanned[0, k]) == (ref_complex_rank(head + [family[k]]) > len(head))
+        assert all(coordinate(coords, k, j) == (0, 0) for j in range(len(mats)) if not spanned[0, k])
+
+
+@st.composite
+def elimination_families(draw):
+    """Up to five square matrices of one size: exact real or complex ones,
+    float ones, or a mix, with zero members and members that combine
+    earlier ones."""
+    dim, kind = draw(st.integers(1, 3)), draw(st.sampled_from(["real", "complex", "float", "mixed"]))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    entry = small if kind == "real" else st.tuples(small, small)
+    family = []
+    for _ in range(draw(st.integers(1, 5))):
+        choice = draw(st.sampled_from(["new", "zero", "combination"] if family else ["new", "zero"]))
+        if choice == "new":
+            m = Matrix.exact(draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim)))
+        elif choice == "zero":
+            m = Matrix.zeros(dim)
+        else:
+            m = Matrix.zeros(dim)
+            for x in family:
+                m = m + x * draw(entry)
+        as_float = kind == "float" or (kind == "mixed" and draw(st.booleans()))
+        family.append(m.to_float() if as_float else m)
+    return family
+
+
+@given(elimination_families())
+@settings(max_examples=150, deadline=None)
+def test_stacked_eliminate_matches_pairwise_reference(family):
+    # the stacked elimination keeps what the one-matrix-at-a-time reference
+    # keeps, with the same coordinates: exactly on exact families, within
+    # roundoff on float ones (a family with a float member runs in floats)
+    tol = 1e-9
+    exact = all(m.is_exact for m in family)
+    ref_kept, ref_coords = pairwise.eliminate(
+        [m if exact else m.to_float() for m in family], lambda k, r: r.max_abs() <= tol
+    )
+    kept, spanned, coords = eliminate(family_batch(family), zero_below=tol)
+    assert np.flatnonzero(kept[0]).tolist() == ref_kept
+    for k, x in enumerate(ref_coords):
+        assert spanned[0, k] == (x is not None)
+        for b, j in enumerate(ref_kept):
+            got = coordinate(coords, k, j)
+            want = (0, 0) if x is None and k not in ref_kept else (1, 0) if x is None else x.entry(0, b)
+            if k in ref_kept:
+                want = (int(k == j), 0)
+            if exact:
+                assert got == want
+            else:
+                assert abs(got - (want if isinstance(want, complex) else complex(*want))) <= 1e-9
 
 
 # -- int64 kernels against the same products on Python integers --------------
