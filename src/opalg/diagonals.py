@@ -205,13 +205,11 @@ class TensorElem:
 
     def pi(self) -> Matrix:
         """Linearized multiplication: sum of u @ v."""
-        empty = not len(self._left[0])
-        return Matrix.zeros(self.dim, backend="exact") if empty else _matrix(_pi(self._left, self._right))
+        return _matrix(_pi(self._left, self._right))
 
     def flatten(self) -> Matrix:
         """Faithful matrix picture: sum of Kronecker products of the legs."""
-        empty = not len(self._left[0])
-        return Matrix.zeros(self.dim**2, backend="exact") if empty else _matrix(_flatten(self._left, self._right))
+        return _matrix(_flatten(self._left, self._right))
 
 
 def pi_map(t: TensorElem) -> Matrix:
@@ -497,23 +495,6 @@ def _commutator_bounds(samples, increments: Sequence[TensorElem], tol: float) ->
     return out
 
 
-def _span_coordinates(basis: list[Matrix], group: list[Matrix], tol: float) -> list[dict | None]:
-    """Per matrix of ``group``, None outside the span of ``basis``, else its
-    nonzero coordinates over it by basis index (exact (re, im) pairs or
-    complex), off one elimination; a float remainder of m is zero below
-    max(tol, 1e-12) max(1, max|m|)."""
-    mats = basis + group
-    limit = max(tol, 1e-12) * np.array([max(1.0, m.max_abs()) for m in mats])
-    _, spanned, (re, im, den) = eliminate(_take(_legs(mats, mats[0].rows), None), rows=len(basis), zero_below=limit)
-    out = []
-    for row in range(len(basis), len(mats)):
-        x, y = re[0, row], 0 * re[0, row] if im is None else im[0, row]
-        out.append(None if not spanned[0, row] else {
-            k: complex(x[k]) if den is None else (Fraction(int(x[k]), den), Fraction(int(y[k]), den))
-            for k in np.flatnonzero((x != 0) | (y != 0)).tolist()})
-    return out
-
-
 def _regrouped_uppers(comms, w, images, rests) -> list[list[float]]:
     """tensor_norm_upper of R = 2[a,D] - p.[a,D] + w (x) rest - rest (x) w
     for each D_n and sample a, as an (n, a) list, from the reduced [a, D_n]
@@ -593,8 +574,15 @@ def certify_mbad(
         at = _apply(samples, lambda x: x[:, None])
         ok, dev = products_agree(at, images, stack_product(np.matmul, images, at, dim), 0.0)
         exact = at[2] is not None and images[2] is not None
-        coords = _span_coordinates(basis, [sample[i] for i in group], tol)
-        corners = [(0, 0) if x is None else x.pop(len(basis) - 1, (0, 0)) for x in coords]
+        # coordinates over e_1..e_m, 1 off one elimination: in the span when
+        # spanned, the last one is the identity's; a float remainder of m is
+        # zero below max(tol, 1e-12) max(1, max|m|)
+        mats = basis + [sample[i] for i in group]
+        limit = max(tol, 1e-12) * np.array([max(1.0, m.max_abs()) for m in mats])
+        _, spanned, (cr, ci, cden) = eliminate(_take(_legs(mats, dim), None), rows=len(basis), zero_below=limit)
+        cr, ci = (x[0, len(basis):, :len(basis)] for x in (cr, 0 * cr if ci is None else ci))
+        corners = [complex(x) if cden is None else (Fraction(int(x), cden), Fraction(int(y), cden))
+                   for x, y in zip(cr[:, -1], ci[:, -1])]
         has_id = [any(c) if isinstance(c, tuple) else c != 0 for c in corners]
         algs = [sample[i] - ident * c if h else sample[i] for i, c, h in zip(group, corners, has_id)]
         alg_legs = _legs(algs, dim)
@@ -609,10 +597,10 @@ def certify_mbad(
         # multiplier estimate is read off R, built on the reduced [a,D]
         unit_uppers = _regrouped_uppers([b[3] for b in bounds], w, images, rests)
         for s, i in enumerate(group):
-            a, coef, corner, in_span = sample[i], coords[s], corners[s], coords[s] is not None
+            a, corner, in_span = sample[i], corners[s], bool(spanned[0, len(basis) + s])
             scale = max(1.0, a.max_abs())
-            top = max((k + 1 for k, c in (coef or {}).items()
-                       if (any(c) if isinstance(c, tuple) else abs(c) > 1e-9 * scale)), default=0)
+            live = (cr[s, :-1] != 0) | (ci[s, :-1] != 0) if cden else np.abs(cr[s, :-1]) > 1e-9 * scale
+            top = int(np.flatnonzero(live)[-1]) + 1 if live.any() else 0
             id_coeff = complex(float(corner[0]), float(corner[1])) if isinstance(corner, tuple) else corner
             final_image = a @ pis[-1]
             identity_ok = (not in_span or has_id[s] or top > len(deltas)

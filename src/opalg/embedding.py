@@ -239,18 +239,13 @@ class EmbeddedElement:
                 out[pos] = result
         return out
 
-    def _float_stack(self, re, im):
-        if not self.is_exact:
-            return re
-        # an int64 stack rounds correctly too: _stacks keeps its numerators
-        # and denominator within 2**53, so they convert to float exactly
-        return float_stack(re, im, self.den)
-
     @cached_property
     def _stacked_spectra(self) -> list[np.ndarray]:
         """Singular values of the blocks, one (m, k + 2) array per stack,
         from one stacked SVD each; computed once per element."""
-        return [singular_values(self._float_stack(re, im)) for _, re, im in self.stacks]
+        # an int64 stack rounds correctly too: _stacks keeps its numerators
+        # and denominator within 2**53, so they convert to float exactly
+        return [singular_values(float_stack(re, im, self.den)) for _, re, im in self.stacks]
 
     @cached_property
     def _spectra(self) -> list[np.ndarray]:

@@ -5,10 +5,12 @@ integer numerator arrays for the real and imaginary parts over one
 shared positive denominator, kept in lowest terms, so equal matrices
 have equal representations and algebraic identities can be certified
 with zero tolerance.  Products multiply numerators and denominators and
-normalize once.  Numerators are stored as Python integers; a product
-runs on int64 when :func:`kernel_dtype` finds that an exact bound rules
-out overflow, and on Python integers otherwise, with the same integers
-either way.  Float matrices are complex128 arrays and carry all
+normalize once.  Numerators are stored as Python integers; every exact
+product (:func:`stack_product`, under Matrix ``@``, ``kron`` and scalar
+``*`` too) runs on int64 when :func:`kernel_dtype` finds that an exact
+bound rules out overflow, on float64 BLAS when a matrix product's sums
+stay below 2**53, and on Python integers otherwise, with the same
+integers either way.  Float matrices are complex128 arrays and carry all
 metric quantities (operator norm, Schatten-1 norm).  Every operation
 returns a new value; matrices are immutable and safe to share across
 threads.
@@ -365,26 +367,32 @@ class Matrix:
         big = _numerator_max(self._re, self._im)
         return big.bit_length() - self._den.bit_length() if big else 0
 
-    def _operand(self):
-        """Exact: (re, im, bound) for :func:`_complex_product`, with a bound
-        on every numerator's modulus kept from the operation that made the
-        matrix, or else found once as the largest modulus."""
+    def _stack(self):
+        """(stack, bound): the matrix as one unstacked ``(re, im, den)`` and,
+        when exact, a bound on its numerators' moduli, kept from the
+        operation that made it or else found once as the largest one."""
+        if not self.is_exact:
+            return (self._arr, None, None), None
         if self._big is None:
             self._big = _numerator_max(self._re, self._im)
-        return self._re, self._im, self._big
+        return (self._re, self._im, self._den), self._big
+
+    def _product(self, op, other, inner):
+        """``op`` of self and ``other`` (a Matrix, or a (stack, bound) pair as
+        :meth:`_stack` gives) by :func:`stack_product`."""
+        (a, bound_a), (b, bound_b) = self._stack(), other._stack() if isinstance(other, Matrix) else other
+        re, im, den = stack_product(op, a, b, inner, (bound_a, bound_b))
+        return Matrix._wrap_float(re) if den is None else Matrix._wrap_exact(re, im, den)
 
     # -- arithmetic ------------------------------------------------------
 
-    def _binary_backend(self, other):
-        if not isinstance(other, Matrix):
-            raise TypeError(f"expected Matrix, got {type(other).__name__}")
-        return "exact" if (self.is_exact and other.is_exact) else "float"
-
     def _sum(self, other, sign):
         """self + sign * other for sign 1 or -1, normalized once."""
+        if not isinstance(other, Matrix):
+            raise TypeError(f"expected Matrix, got {type(other).__name__}")
         if self.shape != other.shape:
             raise DimensionError(f"shape mismatch {self.shape} vs {other.shape}")
-        if self._binary_backend(other) == "float":
+        if not (self.is_exact and other.is_exact):
             a, b = self.to_float()._arr, other.to_float()._arr
             return Matrix._wrap_float(a + b if sign == 1 else a - b)
         den = lcm(self._den, other._den)
@@ -406,16 +414,12 @@ class Matrix:
 
     def __mul__(self, scalar):
         kind, val = read_scalar(scalar)
-        if not self.is_exact or kind == "float":
-            return Matrix._wrap_float(self.to_float()._arr * _as_complex(kind, val))
-        p, q = val
-        den = lcm(p.denominator, q.denominator)
-        p_num, q_num = p.numerator * (den // p.denominator), q.numerator * (den // q.denominator)
-        # a scalar product stays on Python integers: it makes one
-        # multiplication per numerator, as many as converting them to int64
-        scalar = (p_num, q_num if q_num else None, max(abs(p_num), abs(q_num)))
-        re, im, big = _complex_product(np.multiply, self._operand(), scalar, 1, object)
-        return Matrix._wrap_exact(re, im, self._den * den, big)
+        if kind == "float":
+            return self._product(np.multiply, ((np.array(val), None, None), None), 1)
+        den = lcm(val[0].denominator, val[1].denominator)
+        p, q = (x.numerator * (den // x.denominator) for x in val)
+        return self._product(np.multiply, ((np.array(p, dtype=object), np.array(q, dtype=object) if q else None, den),
+                                           max(abs(p), abs(q))), 1)
 
     __rmul__ = __mul__
 
@@ -431,17 +435,11 @@ class Matrix:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
-        if self._binary_backend(other) == "float":
-            return Matrix._wrap_float(np.dot(self.to_float()._arr, other.to_float()._arr))
-        re, im, big = _complex_product(np.dot, self._operand(), other._operand(), self.cols)
-        return Matrix._wrap_exact(re, im, self._den * other._den, big)
+        return self._product(np.dot, other, self.cols)
 
     def kron(self, other):
         """Kronecker product; exactness is preserved on exact inputs."""
-        if self._binary_backend(other) == "float":
-            return Matrix._wrap_float(np.kron(self.to_float()._arr, other.to_float()._arr))
-        re, im, big = _complex_product(np.kron, self._operand(), other._operand(), 1)
-        return Matrix._wrap_exact(re, im, self._den * other._den, big)
+        return self._product(np.kron, other, 1)
 
     def submatrix(self, row_idx, col_idx=None):
         """Restriction to the given (ordered) row and column indices."""
@@ -494,16 +492,17 @@ def stack(mats):
     return re, np.stack([(zero if m._im is None else m._im) * (den // m._den) for m in mats]), den
 
 
-def stack_product(op, a, b, inner=1):
-    """``op`` (np.matmul, np.multiply, ...) of two stacks ``(re, im, den)``:
-    over den_a den_b when both are exact, with numerators on the dtype
-    :func:`kernel_dtype` picks for sums of ``inner`` products, else of the
-    float values.  Matrix products whose sums stay below 2**53 run exactly
-    on float64, where they have BLAS."""
+def stack_product(op, a, b, inner=1, bounds=(None, None)):
+    """``op`` (np.dot, np.matmul, np.multiply, np.kron, ...) of two stacks
+    ``(re, im, den)``: over den_a den_b when both are exact, else of the
+    float values.  Exact numerators run on the dtype :func:`kernel_dtype`
+    picks for sums of ``inner`` products of operands whose numerators are
+    bounded by ``bounds`` (each found when None); matrix products whose
+    sums stay below 2**53 run exactly on float64, where they have BLAS."""
     if a[2] is None or b[2] is None:
         return op(float_stack(*a), float_stack(*b)), None, None
-    ops = [(x[0], x[1], _numerator_max(x[0], x[1])) for x in (a, b)]
-    fast = op is np.matmul and 2 * inner * max(ops[0][2], 1) * max(ops[1][2], 1) < 2**53
+    ops = [(x[0], x[1], _numerator_max(x[0], x[1]) if k is None else k) for x, k in zip((a, b), bounds)]
+    fast = op in (np.matmul, np.dot) and 2 * inner * max(ops[0][2], 1) * max(ops[1][2], 1) < 2**53
     re, im, _ = _complex_product(op, *ops, inner, np.float64 if fast else None)
     return *(x.astype(np.int64) if fast and x is not None else x for x in (re, im)), a[2] * b[2]
 
@@ -592,6 +591,18 @@ def product_table(family, targets, tol: float):
     return ok, dev
 
 
+def _pivots(head, exact):
+    """Per row of ``head``, flattened nonzero matrices (numerator parts when
+    exact, one complex array when float), the column of its elimination
+    pivot: the first nonzero entry of least modulus when exact, compared
+    as re^2 + im^2 in integers, and of largest modulus when float."""
+    if not exact:
+        return np.argmax(np.abs(head[0]), axis=1)
+    wide = _numerator_max(*head) >= 2**30  # squares past int64 go on Python integers
+    mags = sum(x * x for x in (y.astype(object) if wide else y for y in head))
+    return np.argmin(np.where(mags != 0, mags, mags.max() + 1), axis=1)
+
+
 def eliminate(family, rows=None, zero_below=0.0, coordinates=True):
     """Gaussian elimination of a batch of families of matrices, a stack
     ``(re, im, den)`` of shape (batch, count, ...), every family in its own
@@ -628,7 +639,7 @@ def eliminate(family, rows=None, zero_below=0.0, coordinates=True):
             continue
         if not exact:
             top, low = parts[0][fam, k], parts[0][fam, k + 1:]
-            j = np.argmax(np.abs(top[:, :width]), axis=1)
+            j = _pivots([top[:, :width]], exact)
             parts[0][fam, k + 1:] = low - low[pick, :, j][..., None] * (top * (1 / top[pick, j])[:, None])[:, None]
             continue
         # Bareiss: p R - c P is divisible by the family's previous pivot q
@@ -637,9 +648,7 @@ def eliminate(family, rows=None, zero_below=0.0, coordinates=True):
         if dtype != object and kernel_dtype(2 * big**2 if len(parts) == 1 else 8 * big**3) is object:
             parts, prev, dtype = [x.astype(object) for x in parts], [x.astype(object) for x in prev], object
             top, low, q = ([x.astype(object) for x in y] for y in (top, low, q))
-        vals = [x[:, :width].astype(object if big >= 2**30 else dtype) for x in top]
-        mags = sum(x * x for x in vals)
-        j = np.argmin(np.where(nonzero[fam], mags, mags.max() + 1), axis=1)
+        j = _pivots([x[:, :width] for x in top], exact)
         p, c = [x[pick, j][:, None, None] for x in top], [x[pick, :, j][..., None] for x in low]
         top, q = [x[:, None] for x in top], [x[:, None, None] for x in q]
         if len(parts) == 1:

@@ -659,7 +659,7 @@ def test_int64_stacks_convert_like_each_block(case):
     blocks = blocks_of(emb)
     for positions, re, im in emb.stacks:
         assert re.dtype == im.dtype == (np.int64 if int64 else object)
-        floats = emb._float_stack(re, im)
+        floats = matrices.float_stack(re, im, emb.den)
         for pos, arr in zip(positions, floats, strict=True):
             assert arr.tobytes() == blocks[pos].to_float().numpy().tobytes()
     # the int64 stacks also give the exact product check its answer

@@ -389,6 +389,21 @@ def test_exact_readouts_match_oracle(a):
         quotients = [x / g for x in parts]
         assert g > 0 and all(q.denominator == 1 for q in quotients)
         assert math.gcd(*(q.numerator for q in quotients)) == 1
+    # the pivot is the first nonzero entry of least exact modulus, even where
+    # moduli underflow or overflow as floats, in the reference elimination and
+    # in the rule the stacked one applies (its kept rows and coordinates do not
+    # show the choice: exact arithmetic fixes them whatever the pivot)
+    mags = [Fraction(re) ** 2 + Fraction(im) ** 2 for row in a for re, im in row]
+    nonzero = [k for k, mag in enumerate(mags) if mag]
+    expected = divmod(min(nonzero, key=mags.__getitem__), len(a[0])) if nonzero else None
+    assert (None if pairwise.pivot(m) is None else tuple(int(x) for x in pairwise.pivot(m))) == expected
+    if nonzero:
+        head = [x.reshape(1, -1) for x in (m._re, m._im) if x is not None]
+        assert divmod(int(matrices._pivots(head, True)[0]), len(a[0])) == expected
+    # float: the first entry of largest modulus, in both
+    floats = m.to_float().numpy().reshape(1, -1)
+    if np.abs(floats).any():
+        assert divmod(int(matrices._pivots([floats], False)[0]), len(a[0])) == pairwise.pivot(m.to_float())
     top = max(max(abs(Fraction(re)), abs(Fraction(im))) for row in a for re, im in row)
     k = m.exponent()
     assert k == 0 if top == 0 else Fraction(2) ** (k - 1) < top < Fraction(2) ** (k + 1)
@@ -641,8 +656,8 @@ def test_int64_products_match_python_int_products(case):
     op, product = case
     result, dtypes = chosen_dtypes(product)
     assert same_representation(result, on_python_ints(product))
-    # a scalar product makes one multiplication per numerator and stays on Python integers
-    assert len(dtypes) == (0 if op == "scalar" else 1)
+    # scalar products go through the same kernel and dtype rule as @ and kron
+    assert len(dtypes) == 1
 
 
 @pytest.mark.parametrize("op", ["dot", "kron", "scalar"])
@@ -658,7 +673,7 @@ def test_product_dtype_at_the_int64_edge(op):
             b = Matrix.exact([[(big_b, -big_b)]])
             product = (lambda: a @ b) if op == "dot" else (lambda: a.kron(b))  # noqa: E731
         result, dtypes = chosen_dtypes(product)
-        assert dtypes == ([] if op == "scalar" else [dtype])
+        assert dtypes == [dtype]
         assert result.entry(0, 0) == (2 * big_a * big_b, 0)
         assert same_representation(result, on_python_ints(product))
     # the inner dimension counts: three terms of 2 A B each
