@@ -9,13 +9,16 @@ sets F, and the block sup norm is pinned between ||a||_1 / pi and
 3 ||a||_1; the lower bound rests on maximizing |sum_{j in F} a_j| over
 subsets, solved exactly by a half-plane sweep.
 
-Blocks are filled from their closed form (see ``_stacks``) and kept
-stacked, one (m, k + 2, k + 2) array per subset size k: integer
-numerators over one shared denominator when exact (int64 when a bound
-allows, see ``_stacks``), complex when float.  Norms read one stacked
-SVD per size, and exact multiplicativity is one batched product check
-(:func:`opalg.matrices.products_agree`) per size; no block is wrapped as
-a :class:`Matrix`.
+Blocks are filled from their closed form by one constructor from
+integer numerators over one shared denominator (int64 when a bound
+allows) or one complex vector, through index arrays each
+:class:`SubsetFamily` builds once, and kept stacked, one (m, k + 2, k + 2)
+array per subset size k.  Norms read one stacked SVD per size, and exact
+multiplicativity is one batched product check
+(:func:`opalg.matrices.products_agree`) per size on integer-numerator
+trials; no block is wrapped as a :class:`Matrix`.  Trace weights are
+integer numerators over one denominator, and the brute-force subset
+search unpacks its masks' bits with ``np.unpackbits``.
 """
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ from .matrices import (
     CertificationError,
     Matrix,
     _as_complex,
+    _numerator_max,
     float_stack,
     kernel_dtype,
     op_norm,
@@ -174,13 +178,16 @@ class SubsetFamily:
         if len(set(subsets)) != len(subsets):
             raise ValueError("duplicate subsets")
         for f in subsets:
-            if not f:
-                raise ValueError("subsets must be nonempty")
-            if f[0] < 1 or f[-1] > self.n_max:
-                raise ValueError(f"subset {f} escapes 1..{self.n_max}")
+            self._check(f)
         if not subsets:
             raise ValueError("family must contain at least one subset")
         object.__setattr__(self, "subsets", subsets)
+
+    def _check(self, f):
+        if not f:
+            raise ValueError("subsets must be nonempty")
+        if f[0] < 1 or f[-1] > self.n_max:
+            raise ValueError(f"subset {f} escapes 1..{self.n_max}")
 
     @classmethod
     def enumerate(cls, n_max: int, f_cap: int = 512, s_max: int = 8) -> "SubsetFamily":
@@ -193,15 +200,28 @@ class SubsetFamily:
         return cls(n_max=n_max, s_max=s_max, f_cap=f_cap, subsets=tuple(subsets))
 
     def augmented(self, extras: Sequence[Sequence[int]]) -> "SubsetFamily":
-        """Append any new subsets at the end, preserving order."""
+        """Append any new subsets at the end, preserving order; only they
+        are validated, and the family itself comes back when there are
+        none."""
         known = set(self.subsets)
-        out = list(self.subsets)
-        for f in extras:
-            f = tuple(sorted(set(f)))
-            if f and f not in known:
-                out.append(f)
-                known.add(f)
-        return SubsetFamily(n_max=self.n_max, s_max=self.s_max, f_cap=self.f_cap, subsets=tuple(out))
+        new = [f for f in dict.fromkeys(tuple(sorted(set(f))) for f in extras) if f not in known]
+        for f in new:
+            self._check(f)
+        if not new:
+            return self
+        out = object.__new__(type(self))  # the old subsets are valid already
+        out.__dict__.update(n_max=self.n_max, s_max=self.s_max, f_cap=self.f_cap, subsets=self.subsets + tuple(new))
+        return out
+
+    @cached_property
+    def _by_size(self) -> tuple:
+        """Per subset size, in order of first appearance: the positions of
+        the subsets of that size and their 0-based indices as one
+        (m, size) array; built once per family."""
+        by_size = defaultdict(list)
+        for pos, f in enumerate(self.subsets):
+            by_size[len(f)].append(pos)
+        return tuple((tuple(p), np.array([self.subsets[i] for i in p]) - 1) for p in by_size.values())
 
     def __len__(self):
         return len(self.subsets)
@@ -210,11 +230,11 @@ class SubsetFamily:
         return iter(self.subsets)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddedElement:
-    """Coefficients plus, per subset size k, the blocks of every subset of
-    that size as one (m, k + 2, k + 2) stack: the block for F is
-    sum_{j in F} a_j E_j restricted to the coordinates (alpha, omega, F).
+    """Per subset size k, the blocks of every subset of that size as one
+    (m, k + 2, k + 2) stack: the block for F is sum_{j in F} a_j E_j
+    restricted to the coordinates (alpha, omega, F).
 
     ``stacks`` holds one (positions, re, im) triple per size, where
     positions are the indices of the stacked subsets in the family.  Exact
@@ -222,10 +242,9 @@ class EmbeddedElement:
     denominator ``den``; a float stack holds one complex array in ``re``,
     with ``im`` and ``den`` None."""
 
-    coeffs: tuple
     family: SubsetFamily
-    stacks: tuple = field(repr=False, compare=False)
-    den: int | None = field(repr=False, compare=False)
+    stacks: tuple = field(repr=False)
+    den: int | None = field(repr=False)
 
     @property
     def is_exact(self) -> bool:
@@ -284,50 +303,43 @@ def _fill(values, idx):
     return out
 
 
-def _stacks(read, family, exact):
-    """block_F = sum_{j in F} a_j E_j on the coordinates (alpha, omega, F)
-    for every F in the family, from its closed form: with s_F the sum of
-    a_j over F, row alpha is (-s_F, -s_F, -a_F), row omega is
-    (s_F, s_F, a_F), and the row of j in F holds a_j in the columns alpha,
-    omega and j; missing coefficients are zero.  The coefficients, as
-    :func:`read_scalar` returns them, are parsed once: integer numerators
-    over one shared denominator when exact, one complex vector when
-    float.  Exact stacks are int64 when no numerator times n_max (which
-    bounds every s_F) and not the denominator exceeds 2**53, so every
-    entry and the denominator convert to float exactly, and Python
-    integers otherwise.  Returns the stacks of :class:`EmbeddedElement`
-    and the denominator (None when float)."""
-    subsets = family.subsets
-    read = read[: family.n_max]
-    pad = [0] * (family.n_max - len(read))
-    if exact:
-        den = math.lcm(*(x.denominator for _, pair in read for x in pair))
-        re, im = ([pair[k].numerator * (den // pair[k].denominator) for _, pair in read] + pad for k in (0, 1))
-        big = max(map(abs, re + im))
-        dtype = kernel_dtype(big * family.n_max, den, limit=2**53)
-        re, im = np.array(re, dtype=dtype), np.array(im, dtype=dtype)
+def _embedded(family, re, im=None, den=None) -> EmbeddedElement:
+    """The element with coefficients (re + i im) / den, for integer
+    numerators ``re`` and ``im`` over the positive ``den``, or with the
+    complex coefficients ``re`` when ``den`` is None; at most n_max of
+    each, missing ones zero.  Every block comes from its closed form: with
+    s_F the sum of a_j over F, row alpha is (-s_F, -s_F, -a_F), row omega
+    is (s_F, s_F, a_F), and the row of j in F holds a_j in the columns
+    alpha, omega and j.  Exact stacks are int64 when no numerator times
+    n_max (which bounds every s_F) and not the denominator exceeds 2**53,
+    so every entry and the denominator convert to float exactly, and
+    Python integers otherwise."""
+    n = family.n_max
+    if den is None:
+        re = np.pad(np.array(re, dtype=complex), (0, n - len(re)))
     else:
-        den, re, im = None, np.array([_as_complex(*r) for r in read] + pad, dtype=complex), None
-    by_size = defaultdict(list)
-    for pos, f in enumerate(subsets):
-        by_size[len(f)].append(pos)
-    stacks = []
-    for positions in by_size.values():
-        idx = np.array([subsets[p] for p in positions]) - 1
-        stacks.append((tuple(positions), _fill(re, idx), None if im is None else _fill(im, idx)))
-    return tuple(stacks), den
+        re, im = (np.pad(np.array(x, dtype=object), (0, n - len(x))) for x in (re, im))
+        dtype = kernel_dtype(_numerator_max(re, im) * n, den, limit=2**53)
+        re, im = re.astype(dtype), im.astype(dtype)
+    stacks = tuple((pos, _fill(re, idx), None if im is None else _fill(im, idx)) for pos, idx in family._by_size)
+    return EmbeddedElement(family=family, stacks=stacks, den=den)
 
 
 def phi(a: Sequence, subsets: SubsetFamily) -> EmbeddedElement:
     """Embed the sequence a as its per-subset blocks.  Each coefficient is
     read by :func:`opalg.matrices.read_scalar`: when every one is exact
-    (ints, Fractions, (re, im) pairs) the blocks are exact; one float or
-    complex coefficient makes them all float."""
-    a = list(a)
+    (ints, Fractions, (re, im) pairs) the blocks are exact, with integer
+    numerators over the least common denominator; one float or complex
+    coefficient makes them all float."""
     read = [read_scalar(v) for v in a]
     _check_support(read, subsets.n_max)
-    stacks, den = _stacks(read, subsets, all(kind == "exact" for kind, _ in read))
-    return EmbeddedElement(coeffs=tuple(a), family=subsets, stacks=stacks, den=den)
+    exact = all(kind == "exact" for kind, _ in read)
+    read = read[: subsets.n_max]
+    if not exact:
+        return _embedded(subsets, [_as_complex(*r) for r in read])
+    den = math.lcm(*(x.denominator for _, pair in read for x in pair))
+    re, im = ([pair[k].numerator * (den // pair[k].denominator) for _, pair in read] for k in (0, 1))
+    return _embedded(subsets, re, im, den)
 
 
 def phi_sup_norm(e: EmbeddedElement) -> float:
@@ -338,12 +350,8 @@ def phi_sup_norm(e: EmbeddedElement) -> float:
 
 
 def _support(a):
-    out = []
-    for j, (kind, val) in enumerate(map(read_scalar, a), start=1):
-        z = _as_complex(kind, val)
-        if z != 0:
-            out.append((j, z))
-    return out
+    """The nonzero coefficients of a as (index, complex) pairs."""
+    return [(j, z) for j, z in enumerate((_as_complex(*read_scalar(v)) for v in a), start=1) if z != 0]
 
 
 def best_subset_sum(a: Sequence, cross_check: bool | None = None) -> tuple[tuple[int, ...], float]:
@@ -357,26 +365,25 @@ def best_subset_sum(a: Sequence, cross_check: bool | None = None) -> tuple[tuple
     if not support:
         raise ValueError("sequence has empty support")
     two_pi = 2.0 * math.pi
-    critical = set()
-    for _, z in support:
-        arg = math.atan2(z.imag, z.real)
-        critical.add((arg + math.pi / 2.0) % two_pi)
-        critical.add((arg - math.pi / 2.0) % two_pi)
-    angles = sorted(critical)
-    midpoints = []
-    for lo, hi in zip(angles, angles[1:] + [angles[0] + two_pi]):
-        midpoints.append(((lo + hi) / 2.0) % two_pi)
+    args = [math.atan2(z.imag, z.real) for _, z in support]
+    angles = sorted({(arg + turn) % two_pi for arg in args for turn in (math.pi / 2.0, -math.pi / 2.0)})
+    midpoints = [((lo + hi) / 2.0) % two_pi for lo, hi in zip(angles, angles[1:] + [angles[0] + two_pi])]
+    z = np.array([v for _, v in support])
     best_set: tuple[int, ...] = ()
     best_val = -1.0
-    for theta in midpoints:
-        c, s = math.cos(theta), math.sin(theta)
-        members = [(j, z) for j, z in support if z.real * c + z.imag * s > 0.0]
-        if not members:
-            continue
-        val = abs(sum(z for _, z in members))
-        if val > best_val:
-            best_val = val
-            best_set = tuple(j for j, _ in members)
+    # midpoints in blocks of about 2**16 memberships; each member sum is
+    # one sequential cumsum in index order, its modulus np.hypot (which
+    # rounds as abs() does; np.abs of a complex array need not), and a
+    # strict > keeps the first maximum, as a loop over the midpoints would
+    step = max(1, 2**16 // len(support))
+    for lo in range(0, len(midpoints), step):
+        cos_sin = np.array([(math.cos(t), math.sin(t)) for t in midpoints[lo : lo + step]])
+        inside = z.real * cos_sin[:, :1] + z.imag * cos_sin[:, 1:] > 0.0
+        sums = np.cumsum(np.where(inside, z, 0), axis=1)[:, -1]
+        values = np.where(inside.any(axis=1), np.hypot(sums.real, sums.imag), -1.0)
+        k = int(np.argmax(values))
+        if values[k] > best_val:
+            best_val, best_set = float(values[k]), tuple(j for (j, _), m in zip(support, inside[k]) if m)
     if cross_check is None:
         cross_check = len(support) <= 16
     if cross_check:
@@ -401,8 +408,9 @@ def brute_force_best_subset(a: Sequence) -> tuple[tuple[int, ...], float]:
     # masks in blocks of 2**12; a strict > keeps the first maximum, as one
     # argmax over all masks would
     for lo in range(1, 1 << n, 2**12):
-        masks = np.arange(lo, min(lo + 2**12, 1 << n), dtype=np.int64)
-        values = np.abs(((masks[:, None] >> np.arange(n)) & 1).astype(float) @ z)
+        masks = np.arange(lo, min(lo + 2**12, 1 << n), dtype="<u4")  # n <= 22 bits, little-endian bytes
+        bits = np.unpackbits(masks.view(np.uint8).reshape(-1, 4), axis=1, count=n, bitorder="little")
+        values = np.abs(bits.astype(float) @ z)
         k = int(np.argmax(values))
         if values[k] > best:
             best, mask = float(values[k]), int(masks[k])
@@ -412,35 +420,31 @@ def brute_force_best_subset(a: Sequence) -> tuple[tuple[int, ...], float]:
 def unit_circle_sweep_ratios(sizes: Sequence[int]) -> list[tuple[int, float, float]]:
     """For a = the n-th roots of unity, the sweep value and its ratio to
     ||a||_1 = n; the ratio decreases toward 1/pi."""
-    out = []
-    for n in sizes:
-        a = [cmath.exp(2j * math.pi * j / n) for j in range(n)]
-        _, val = best_subset_sum(a)
-        out.append((n, val, val / n))
-    return out
+    values = [(n, best_subset_sum([cmath.exp(2j * math.pi * j / n) for j in range(n)])[1]) for n in sizes]
+    return [(n, val, val / n) for n, val in values]
 
 
 @dataclass(frozen=True)
 class TraceWeights:
-    """Strictly positive exact weights, one per subset of a family in its
-    order, summing to one; they depend only on the family's size."""
+    """Strictly positive exact weights numerators[i] / den, one per subset
+    of a family in its order, summing to one; they depend only on the
+    family's size."""
 
-    weights: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    den: int
     scheme: str
 
     def __post_init__(self):
-        # rational denominators are positive, so numerators carry the sign,
-        # and the sum is taken over one common denominator, in integers
-        if any(w.numerator <= 0 for w in self.weights):
+        if self.den <= 0 or any(n <= 0 for n in self.numerators):
             raise ValueError("weights must be strictly positive")
-        den = math.lcm(*(w.denominator for w in self.weights))
-        if sum(w.numerator * (den // w.denominator) for w in self.weights) != den:
+        if sum(self.numerators) != self.den:
             raise ValueError("weights must sum to 1")
 
     @cached_property
     def floats(self) -> tuple[float, ...]:
-        """Each weight rounded to float, converted once."""
-        return tuple(map(float, self.weights))
+        """Each weight rounded to float, converted once: int / int rounds
+        correctly, as float(Fraction) does, in whatever terms it is written."""
+        return tuple(n / self.den for n in self.numerators)
 
 
 def make_trace(subsets: SubsetFamily, scheme: str = "geometric") -> TraceWeights:
@@ -449,19 +453,17 @@ def make_trace(subsets: SubsetFamily, scheme: str = "geometric") -> TraceWeights
     weight underflows."""
     count = len(subsets.subsets)
     if scheme == "geometric":
-        weights = tuple(Fraction(2 ** (count - k), 2**count - 1) for k in range(1, count + 1))
-    elif scheme == "uniform":
-        weights = (Fraction(1, count),) * count
-    else:
-        raise ValueError(f"unknown trace scheme {scheme!r}")
-    return TraceWeights(weights=weights, scheme=scheme)
+        return TraceWeights(tuple(1 << (count - k) for k in range(1, count + 1)), (1 << count) - 1, scheme)
+    if scheme == "uniform":
+        return TraceWeights((1,) * count, count, scheme)
+    raise ValueError(f"unknown trace scheme {scheme!r}")
 
 
 def l1_trace_norm(e: EmbeddedElement, w: TraceWeights) -> float:
     """Trace-weighted norm: sum over F of weight / (|F| + 2) times the
     Schatten-1 norm of the block, with each weight rounded to float."""
-    if len(w.weights) != len(e.family):
-        raise ValueError(f"{len(w.weights)} trace weights for a subset family of {len(e.family)} blocks")
+    if len(w.numerators) != len(e.family):
+        raise ValueError(f"{len(w.numerators)} trace weights for a subset family of {len(e.family)} blocks")
     total = 0.0
     for subset, weight, norm in zip(e.family.subsets, w.floats, e._schatten1):
         total += weight / (len(subset) + 2) * norm
@@ -495,14 +497,12 @@ class EmbeddingReport:
         return out
 
 
-def _random_rational_pairs(rng, n, denom=16):
-    nums_re = rng.integers(-2 * denom, 2 * denom + 1, n)
-    nums_im = rng.integers(-2 * denom, 2 * denom + 1, n)
-    return [(Fraction(int(p), denom), Fraction(int(q), denom)) for p, q in zip(nums_re, nums_im)]
-
-
-def _pair_mul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+def _rational_trial(rng, n):
+    """Two seeded rational sequences a and b, as numerators over 16 drawn
+    from [-32, 32], and their pointwise product, over 16**2: three
+    (re, im, den) triples."""
+    ar, ai, br, bi = (rng.integers(-32, 33, n) for _ in range(4))
+    return (ar, ai, 16), (br, bi, 16), (ar * br - ai * bi, ar * bi + ai * br, 16**2)
 
 
 def _is_product(ea: EmbeddedElement, eb: EmbeddedElement, ep: EmbeddedElement) -> bool:
@@ -591,10 +591,7 @@ def certify_embedding_bounds(
 
     mult_exact = True
     for _ in range(mult_trials):
-        a = _random_rational_pairs(rng, n_max)
-        b = _random_rational_pairs(rng, n_max)
-        prod = [_pair_mul(x, y) for x, y in zip(a, b)]
-        if not _is_product(phi(a, base), phi(b, base), phi(prod, base)):
+        if not _is_product(*(_embedded(base, *x) for x in _rational_trial(rng, n_max))):
             mult_exact = False
     passed = lower_ok and upper_ok and trace_ok and trace_le_sup_ok and mult_exact
     return EmbeddingReport(

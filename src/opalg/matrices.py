@@ -542,9 +542,10 @@ def products_agree(a, b, t, tol: float):
     deviation as :meth:`Matrix.max_abs_diff` reads it, as two arrays over
     the leading axes k (which broadcast), for stacks ``(re, im, den)`` as
     :func:`stack` gives them (exact numerators on int64 or Python integers;
-    with one float stack, all are read as float).  Exact stacks compare
-    (A_k B_k) (d_t / g) with T_k (d_a d_b / g), g = gcd(d_t, d_a d_b), on
-    the dtype :func:`kernel_dtype` picks for both sides."""
+    with one float stack, all are read as float).  Exact stacks form
+    A_k B_k by :func:`stack_product` and compare (A_k B_k) (d_t / g) with
+    T_k (d_a d_b / g), g = gcd(d_t, d_a d_b), on the dtype
+    :func:`kernel_dtype` picks for both sides."""
     (ar, ai, da), (br, bi, db), (tr, ti, dt) = a, b, t
     if None in (da, db, dt):
         fa, fb, ft = (float_stack(*x) for x in (a, b, t))
@@ -552,8 +553,9 @@ def products_agree(a, b, t, tol: float):
         return dev <= tol, dev
     g = gcd(dt, da * db)
     sp, st = dt // g, da * db // g
-    a, b = (ar, ai, _numerator_max(ar, ai)), (br, bi, _numerator_max(br, bi))
-    re, im, big = _complex_product(np.matmul, a, b, ar.shape[-1])
+    bounds = (_numerator_max(ar, ai), _numerator_max(br, bi))
+    re, im, _ = stack_product(np.matmul, a, b, ar.shape[-1], bounds)
+    big = 2 * ar.shape[-1] * max(bounds[0], 1) * max(bounds[1], 1)
     dtype = kernel_dtype(big * sp, max(_numerator_max(tr, ti), 1) * st)
     # (A B) sp and T st; a failing index reads its deviation off their difference
     sides = [

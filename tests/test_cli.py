@@ -1,9 +1,9 @@
 """Config handling, staged runs, report emission, and reproducibility."""
 import json
 import math
-from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from opalg import diagonals, embedding, generation
@@ -167,18 +167,20 @@ def test_measured_checks_fail_on_bad_input(monkeypatch):
     monkeypatch.undo()
 
     # embedding-multiplicativity multiplies the blocks of the rational trials:
-    # one pointwise product coefficient off breaks only it
-    pair_mul, calls = embedding._pair_mul, []
+    # one product numerator off in one trial breaks only it
+    trial, calls = embedding._rational_trial, []
 
-    def first_off(x, y):
-        calls.append((x, y))
-        re, im = pair_mul(x, y)
-        return (re + Fraction(1, 2**20), im) if len(calls) == 1 else (re, im)
+    def first_off(rng, n):
+        a, b, (re, im, den) = trial(rng, n)
+        calls.append(den)
+        if len(calls) == 1:
+            re = re + (np.arange(n) == 0)
+        return a, b, (re, im, den)
 
-    monkeypatch.setattr(embedding, "_pair_mul", first_off)
+    monkeypatch.setattr(embedding, "_rational_trial", first_off)
     checks = {c.name: c for c in run_experiment(build_config(["embed", "--trials", "1"])).stages[0].checks}
-    assert len(calls) == 100 and not checks["embedding-multiplicativity"].passed
-    assert checks["embedding-norm-bounds"].passed
+    assert len(calls) == 10
+    assert [name for name, c in checks.items() if not c.passed] == ["embedding-multiplicativity"]
 
 
 def test_non_orthogonal_generators_fail_generate(tmp_path, capsys, monkeypatch):

@@ -189,6 +189,31 @@ def test_subset_family_caps():
     assert len(fam.augmented([(1,)])) == 512
 
 
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_augmented_family_equals_the_joined_family(data):
+    fam = data.draw(families())
+    n = fam.n_max
+    subset = st.lists(st.integers(1, n), min_size=1, max_size=n)
+    extras = data.draw(st.lists(st.one_of(subset, st.sampled_from(fam.subsets)), max_size=4))
+    new = tuple(f for f in dict.fromkeys(tuple(sorted(set(f))) for f in extras) if f not in fam.subsets)
+    aug = fam.augmented(extras)
+    if not new:
+        assert aug is fam
+        return
+    joined = SubsetFamily(n_max=n, s_max=fam.s_max, f_cap=fam.f_cap, subsets=fam.subsets + new)
+    assert aug == joined and aug.subsets[: len(fam)] == fam.subsets
+    assert [(pos, idx.tolist()) for pos, idx in aug._by_size] == [(pos, idx.tolist()) for pos, idx in joined._by_size]
+
+
+def test_augmented_family_rejects_bad_extras():
+    fam = SubsetFamily.enumerate(4, f_cap=6, s_max=2)
+    assert fam.augmented([]) is fam and fam.augmented([(2, 1, 1), (3,)]) is fam
+    for extras in ([()], [(1, 2), []], [(0, 1)], [(5,)], [(1, 2, 3), (2, 5)]):
+        with pytest.raises(ValueError):
+            fam.augmented(extras)
+
+
 def test_phi_block_outside_support_is_zero():
     fam = SubsetFamily(n_max=2, s_max=2, f_cap=4, subsets=((2,),))
     emb = phi([1, 0], fam)
@@ -318,6 +343,58 @@ def test_sweep_matches_brute_force(a):
     assert sweep >= l1 * INV_PI * (1 - 1e-12)
 
 
+def loop_best_subset_sum(a):
+    """The half-plane sweep as one loop over the midpoints, each member sum
+    a Python sum: the oracle for best_subset_sum without its cross-check."""
+    support = embedding._support(a)
+    two_pi = 2.0 * math.pi
+    critical = set()
+    for _, z in support:
+        arg = math.atan2(z.imag, z.real)
+        critical.add((arg + math.pi / 2.0) % two_pi)
+        critical.add((arg - math.pi / 2.0) % two_pi)
+    angles = sorted(critical)
+    best_set, best_val = (), -1.0
+    for lo, hi in zip(angles, angles[1:] + [angles[0] + two_pi]):
+        theta = ((lo + hi) / 2.0) % two_pi
+        c, s = math.cos(theta), math.sin(theta)
+        members = [(j, z) for j, z in support if z.real * c + z.imag * s > 0.0]
+        if not members:
+            continue
+        val = abs(sum(z for _, z in members))
+        if val > best_val:
+            best_val, best_set = val, tuple(j for j, _ in members)
+    return best_set, best_val
+
+
+# parts on a coarse grid, signed zeros included, so that member sums and
+# midpoint values tie
+grid_part = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 0.25]), st.floats(-4, 4))
+grid_entry = st.builds(complex, grid_part, grid_part)
+
+
+@given(st.lists(st.one_of(grid_entry, complex_entry), min_size=1, max_size=24))
+@settings(max_examples=200, deadline=None)
+@example(a=[complex(-0.0, 1.0), complex(1.0, -0.0), -1.0, complex(-0.0, -1.0)])
+@example(a=[1.0, -1.0, 1j, -1j, 1.0])
+def test_sweep_matches_loop_oracle(a):
+    # the same set and the bit-identical value, ties and signed zeros included
+    if not any(z != 0 for z in a):
+        a = a + [complex(-0.0, 1.0)]
+    assert best_subset_sum(a, cross_check=False) == loop_best_subset_sum(a)
+
+
+def test_sweep_matches_loop_oracle_past_one_block():
+    # supports past 181 split the midpoints into several blocks; the first
+    # maximum still wins across them
+    rng = np.random.default_rng(5)
+    for n in (182, 256, 300):
+        roots = [cmath.exp(2j * math.pi * j / n) for j in range(n)]
+        noisy = list(rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+        for a in (roots, noisy):
+            assert best_subset_sum(a, cross_check=False) == loop_best_subset_sum(a)
+
+
 def one_block_brute_force(a):
     """The brute force as one product over every nonempty subset mask."""
     support = embedding._support(a)
@@ -354,16 +431,21 @@ def test_sweep_value_phase_invariant_and_homogeneous(a, angle, scalep):
     assert scaled_val == pytest.approx(base * scalep, abs=1e-9 * (1 + base * scalep))
 
 
+def weights(w):
+    """Trace weights as Fractions."""
+    return tuple(Fraction(n, w.den) for n in w.numerators)
+
+
 def test_make_trace_uniform():
     fam = SubsetFamily.enumerate(3, f_cap=3, s_max=1)
     w = make_trace(fam, "uniform")
-    assert w.weights == pytest.approx((1 / 3, 1 / 3, 1 / 3))
+    assert weights(w) == pytest.approx((1 / 3, 1 / 3, 1 / 3))
 
 
 def test_make_trace_geometric():
     fam = SubsetFamily(n_max=2, s_max=1, f_cap=2, subsets=((1,), (2,)))
     w = make_trace(fam, "geometric")
-    assert w.weights == pytest.approx((2 / 3, 1 / 3))
+    assert weights(w) == pytest.approx((2 / 3, 1 / 3))
 
 
 def test_geometric_weights_are_normalized_powers_of_two():
@@ -371,26 +453,31 @@ def test_geometric_weights_are_normalized_powers_of_two():
     for count in (1, 2, 7, 513):
         fam = SubsetFamily(n_max=count, s_max=1, f_cap=count, subsets=tuple((j,) for j in range(1, count + 1)))
         total = 1 - Fraction(1, 2**count)
-        assert make_trace(fam, "geometric").weights == tuple(Fraction(1, 2**k) / total for k in range(1, count + 1))
+        for scheme in ("geometric", "uniform"):
+            # int / int rounds each weight as float(Fraction) does
+            w = make_trace(fam, scheme)
+            assert w.floats == tuple(map(float, weights(w)))
+        assert weights(make_trace(fam, "geometric")) == tuple(Fraction(1, 2**k) / total for k in range(1, count + 1))
+    # 1/2 + 1/3, and 3/2 - 1/2, over the denominator 6 and 2
     with pytest.raises(ValueError, match="sum to 1"):
-        TraceWeights((Fraction(1, 2), Fraction(1, 3)), "geometric")
+        TraceWeights((3, 2), 6, "geometric")
     with pytest.raises(ValueError, match="positive"):
-        TraceWeights((Fraction(3, 2), Fraction(-1, 2)), "geometric")
-    assert TraceWeights((Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)), "uniform").floats == (1 / 6, 1 / 3, 1 / 2)
+        TraceWeights((3, -1), 2, "geometric")
+    assert TraceWeights((1, 2, 3), 6, "uniform").floats == (1 / 6, 1 / 3, 1 / 2)
 
 
 def test_trace_weights_normalized():
     fam = SubsetFamily.enumerate(8, f_cap=200, s_max=4)
     for scheme in ("geometric", "uniform"):
-        assert sum(make_trace(fam, scheme).weights) == pytest.approx(1.0, abs=1e-12)
+        assert sum(weights(make_trace(fam, scheme))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_geometric_weights_past_float_underflow():
     # 2^-1100 is below the smallest subnormal; exact weights stay positive
     fam = SubsetFamily.enumerate(20, f_cap=1100, s_max=4)
     w = make_trace(fam, "geometric")
-    assert len(w.weights) == 1100 and min(w.weights) > 0 and sum(w.weights) == 1
-    assert float(w.weights[-1]) == 0.0
+    assert len(weights(w)) == 1100 and min(weights(w)) > 0 and sum(weights(w)) == 1
+    assert w.floats == tuple(map(float, weights(w))) and w.floats[-1] == 0.0
     a = list(np.random.default_rng(4).uniform(-1, 1, 20) + 0.5j)
     tn = l1_trace_norm(phi(a, fam), w)
     assert math.isfinite(tn) and 0 < tn <= 3 * max(abs(z) for z in a)
@@ -549,7 +636,7 @@ def test_stacked_spectra_match_per_block_norms():
         for scheme in ("geometric", "uniform"):
             w = make_trace(fam, scheme)
             expected = 0.0
-            for subset, weight, block in zip(fam.subsets, w.weights, blocks):
+            for subset, weight, block in zip(fam.subsets, weights(w), blocks):
                 expected += float(weight) / (len(subset) + 2) * float(singular_values(block).sum())
             assert l1_trace_norm(emb, w) == expected
 
@@ -584,6 +671,11 @@ def test_product_dtype_bound():
         assert kernel_dtype(*bounds) is dtype
 
 
+def pair_mul(x, y):
+    """The product of two (re, im) pairs."""
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
 def blockwise_product(ea, eb, ep):
     """The per-block oracle for embedding._is_product."""
     return all((ba @ bb).equals(bp) for ba, bb, bp in zip(blocks_of(ea), blocks_of(eb), blocks_of(ep), strict=True))
@@ -611,7 +703,7 @@ def test_batched_multiplicativity_matches_blockwise_products(family, data, kind,
         j = data.draw(st.sampled_from(used)) - 1
         for x in (a, b):
             x[j] = (data.draw(wide_part), data.draw(st.one_of(st.just(Fraction(0)), wide_part)))
-    p = [embedding._pair_mul(x, y) for x, y in zip(a, b)]
+    p = [pair_mul(x, y) for x, y in zip(a, b)]
     if kind == "perturbed":
         j = data.draw(st.sampled_from(used)) - 1
         eps = Fraction(1, 2 ** data.draw(st.integers(0, 200)))
@@ -625,6 +717,40 @@ def test_batched_multiplicativity_matches_blockwise_products(family, data, kind,
     # dyadic products stay far inside int64; a fine perturbation may not
     if kind == "true":
         assert (object in seen) if wide else all(d is np.int64 for d in seen)
+
+
+def random_rational_pairs(rng, n, denom=16):
+    """Seeded rational coefficients as (re, im) Fraction pairs, numerators
+    over ``denom`` drawn from [-2 denom, 2 denom]."""
+    nums_re = rng.integers(-2 * denom, 2 * denom + 1, n)
+    nums_im = rng.integers(-2 * denom, 2 * denom + 1, n)
+    return [(Fraction(int(p), denom), Fraction(int(q), denom)) for p, q in zip(nums_re, nums_im)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n_max, f_cap, s_max", [(10, 512, 8), (4, 15, 4), (12, 100, 3)])
+def test_integer_trials_match_fraction_trials(seed, n_max, f_cap, s_max):
+    # the oracle: Fraction coefficients drawn from the same rng calls, their
+    # pointwise product in Fractions, phi, and the same product check; one
+    # product coefficient moved by 1/256 fails both
+    base = SubsetFamily.enumerate(n_max, f_cap=f_cap, s_max=s_max)
+    ints, fracs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for trial in range(3):
+        triples = embedding._rational_trial(ints, n_max)
+        a, b = random_rational_pairs(fracs, n_max), random_rational_pairs(fracs, n_max)
+        p = [pair_mul(x, y) for x, y in zip(a, b)]
+        if trial == 1:
+            j = seed % n_max
+            pr, pi, den = triples[2]
+            triples = triples[:2] + ((pr + (np.arange(n_max) == j), pi, den),)
+            p[j] = (p[j][0] + Fraction(1, 256), p[j][1])
+        got = [embedding._embedded(base, *x) for x in triples]
+        want = [phi(x, base) for x in (a, b, p)]
+        for g, w in zip(got, want):
+            assert blocks_of(g) == blocks_of(w)
+        verdict = embedding._is_product(*got)
+        assert verdict == embedding._is_product(*want) == (trial != 1)
+        assert verdict == blockwise_product(*want)
 
 
 @st.composite

@@ -354,6 +354,65 @@ def test_products_agree_matches_pairwise_oracle(data, tol, float_target):
     assert dev.tolist() == [(x @ y).max_abs_diff(z) for x, y, z in zip(a, b, t)]
 
 
+def fraction_products_agree(a, b, t):
+    """The Fraction oracle for products_agree on exact stacks: per index,
+    whether A_k B_k = T_k, and the largest modulus of an entry of their
+    difference, each part rounded once."""
+    (ar, ai, da), (br, bi, db), (tr, ti, dt) = a, b, t
+    ok, dev = [], []
+    for k in range(len(ar)):
+        ra, ia, rb, ib = (x[k].tolist() for x in (ar, ai, br, bi))
+        n = len(ra)
+        diff = [
+            (
+                Fraction(sum(ra[i][m] * rb[m][j] - ia[i][m] * ib[m][j] for m in range(n)), da * db)
+                - Fraction(int(tr[k, i, j]), dt),
+                Fraction(sum(ra[i][m] * ib[m][j] + ia[i][m] * rb[m][j] for m in range(n)), da * db)
+                - Fraction(int(ti[k, i, j]), dt),
+            )
+            for i in range(n)
+            for j in range(n)
+        ]
+        ok.append(not any(re or im for re, im in diff))
+        dev.append(float(np.abs(np.array([complex(float(re), float(im)) for re, im in diff])).max()))
+    return ok, dev
+
+
+@given(st.data(), st.sampled_from([-2, -1, 0, 1, 2, 3]))
+@settings(max_examples=80, deadline=None)
+def test_products_agree_near_the_float64_bound(data, step):
+    # int64 stacks whose bound 2 n max|A| max|B| sits just under 2**53 (the
+    # product runs exactly on float64 BLAS) or just over it (on int64); the
+    # first row of A and column of B make one product entry the bound less
+    # the odd max|A|, past 2**53 from step 2, where float64 would round it
+    n, count = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    amax = data.draw(st.integers(1, 2**26)) | 1
+    bmax = (2**53 - 1) // (2 * n * amax) + step
+    assert (2 * n * amax * bmax < 2**53) == (step <= 0)
+    parts = []
+    for big in (amax, amax, bmax, bmax):
+        x = np.array(data.draw(st.lists(st.integers(-big, big), min_size=count * n * n, max_size=count * n * n)))
+        parts.append(x.reshape(count, n, n).astype(np.int64))
+    ar, ai, br, bi = parts
+    ar[:, 0, :] = ai[:, 0, :] = amax
+    br[:, :, 0], bi[:, :, 0] = bmax, -bmax
+    bi[:, 0, 0] += 1
+    da, db = data.draw(st.sampled_from([1, 3])), data.draw(st.sampled_from([1, 5]))
+    # the product over da db, or over 2 da db, moved by an odd amount in one entry or not
+    re = np.matmul(ar.astype(object), br) - np.matmul(ai.astype(object), bi)
+    im = np.matmul(ar.astype(object), bi) + np.matmul(ai.astype(object), br)
+    scale = data.draw(st.sampled_from([1, 2]))
+    tr, ti = re * scale, im * scale
+    for k in range(count):
+        if data.draw(st.booleans()):
+            tr[k, data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))] += data.draw(st.sampled_from([-3, 1]))
+    a, b, t = (ar, ai, da), (br, bi, db), (tr, ti, da * db * scale)
+    top = 2 * n * amax * bmax - amax
+    assert max(abs(int(x)) for x in re.flat) == top and (top > 2**53 or step < 2)
+    ok, dev = matrices.products_agree(a, b, t, 0.0)
+    assert (ok.tolist(), dev.tolist()) == fraction_products_agree(a, b, t)
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_exact_sums_and_scalars_match_oracle(data):
