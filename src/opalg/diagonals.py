@@ -10,7 +10,10 @@ An element holds its legs as two stacks, so each of its operations is
 one array operation.  Every zero test, value comparison and norm bound
 goes through one reduced form over linearly independent left legs, found
 for a batch of elements by one stacked elimination; the Kronecker
-flattening is formed only for the lower bound of a nonzero element.
+flattening is formed only for the lower bound of a nonzero element.  The
+commutators of a batch of samples with every increment of a diagonal
+sequence share one such elimination, and the unitized bound of an exact
+sample that commutes with a diagonal has a closed form.
 """
 from __future__ import annotations
 
@@ -484,34 +487,53 @@ def _increments(deltas: Sequence[TensorElem]) -> list[TensorElem]:
 
 def _commutator_bounds(samples, increments: Sequence[TensorElem], tol: float) -> list[tuple]:
     """:func:`_bounds` of [a, D_n], D_n the sum of the first n increments, for
-    each n and each a of the stack ``samples``: the reduced [a, D_{n-1}] are
-    reduced with the terms of [a, I_n], 2 products per term of I_n."""
-    out, actors = [], _apply(samples, lambda x: x[:, None])
-    for inc in increments:
-        left, right = _commutator(actors, inc._left, inc._right)
-        if out:
-            left, right = (stack_concat([x, y], axis=-3) for x, y in zip(out[-1][3], (left, right)))
-        out.append(_bounds(left, right, tol))
+    each n and each a of the stack ``samples``.  The [a, I_n] of all
+    increments, padded with zero terms, share one reduction: they are the
+    [a, D_n] up to the first nonzero one.  Past it, the reduced [a, D_{n-1}]
+    are reduced with the terms of [a, I_n], 2 products per term of I_n."""
+    count, width = len(samples[0]), max(len(inc._left[0]) for inc in increments)
+    pad = lambda x: np.concatenate([x, np.zeros((width - len(x), *x.shape[1:]), x.dtype)])[None, None]
+    legs = [stack_concat([_apply(getattr(inc, side), pad) for inc in increments]) for side in ("_left", "_right")]
+    comms = _commutator(_apply(samples, lambda x: x[None, :, None]), *legs)
+    lower, upper, zero, reduced = _bounds(*(_apply(x, lambda y: y.reshape(-1, *y.shape[2:])) for x in comms), tol)
+    out = []
+    for n, used in enumerate(_nonzero(reduced[0]).reshape(len(increments), count, -1)):
+        at = slice(n * count, (n + 1) * count)
+        out.append((lower[at], upper[at], zero[at], tuple(_take(x, (at, used.any(axis=0))) for x in reduced)))
+        if used.any():
+            break
+    for inc in increments[len(out):]:
+        left, right = _commutator(_apply(samples, lambda x: x[:, None]), inc._left, inc._right)
+        out.append(_bounds(*(stack_concat([x, y], axis=-3) for x, y in zip(out[-1][3], (left, right))), tol))
     return out
 
 
-def _regrouped_uppers(comms, w, images, rests) -> list[list[float]]:
+def _regrouped_uppers(comms, w, shrinks, images, rests) -> np.ndarray:
     """tensor_norm_upper of R = 2[a,D] - p.[a,D] + w (x) rest - rest (x) w
-    for each D_n and sample a, as an (n, a) list, from the reduced [a, D_n]
-    (padded to one length), w = a_alg (1 - p) and rest = 1 - p for
-    p = pi(D_n), in batches of at most 2**18 leg entries."""
-    slots = max(c[0][0].shape[1] for c in comms)
-    pad = lambda x: np.concatenate([x, np.zeros((x.shape[0], slots - x.shape[1], *x.shape[2:]), x.dtype)], 1)[None]
-    cl, cr = (stack_concat([_apply(c[side], pad) for c in comms]) for side in (0, 1))
-    wn = _apply(w, lambda x: np.swapaxes(x, 0, 1)[..., None, :, :])
-    rest = _apply(rests, lambda x: np.broadcast_to(x[:, None, None], wn[0].shape))
-    step, out = max(1, 2**18 // (wn[0][0].size * (2 * slots + 2))), []
-    for lo in range(0, len(comms), step):
-        l, r, ws, rs = (_take(x, slice(lo, lo + step)) for x in (cl, cr, wn, rest))
-        pl = stack_product(np.matmul, _take(images, (slice(lo, lo + step), None, None)), l, l[0].shape[-1])
+    for each D_n and sample a, as an (n, a) array, from the reduced [a, D_n],
+    w = a_alg (1 - p) with its norms ``shrinks`` (a, n), and rest = 1 - p for
+    p = pi(D_n).  With [a, D_n] empty and w and rest exact, in the range
+    _upper reads unscaled, the bound is 0 if w is a multiple of rest (one
+    elimination of the pairs (rest, w)), else ||w|| ||rest|| + ||-rest|| ||w||
+    (an SVD may round -rest apart from rest): the reduction's bits for
+    integer w and rest of content 1.  The other pairs of each diagonal are
+    reduced as one batch."""
+    dim, exact = len(rests[0][0]), w[2] is not None and rests[2] is not None
+    closed = np.array([~_nonzero(c[0]).any(axis=1) for c in comms])
+    closed &= exact and not max(_numerator_max(*w[:2]), _numerator_max(*rests[:2]), w[2], rests[2]) >> _SAFE_EXPONENT
+    out = np.zeros(closed.shape)
+    n, s = np.nonzero(closed)
+    if n.size:
+        pairs = stack_concat([_take(rests, (n, None)), _take(w, (s, n, None))], axis=1)
+        norms = singular_values(float_stack(*stack_concat([rests, _apply(rests, np.negative)])))[:, 0]
+        (rest, neg), x = norms.reshape(2, -1)[:, n], shrinks[s, n]
+        out[n, s] = np.where(eliminate(pairs, coordinates=False)[1][:, 1], 0.0, x * rest + neg * x)
+    for n in np.flatnonzero(~closed.all(axis=1)):
+        s = np.flatnonzero(~closed[n])
+        (l, r), ws, rs = (_take(x, s) for x in comms[n]), _take(w, (s, n, None)), _take(rests, np.full((len(s), 1), n))
+        pl = stack_product(np.matmul, _take(images, n), l, dim)
         left = stack_concat([_times(l, 2), _apply(pl, np.negative), ws, _apply(rs, np.negative)], axis=-3)
-        flat = (_apply(x, lambda y: y.reshape(-1, *y.shape[2:])) for x in (left, stack_concat([r, r, rs, ws], -3)))
-        out += _upper(*_reduce(*flat)).reshape(-1, len(wn[0][0])).tolist()
+        out[n, s] = _upper(*_reduce(left, stack_concat([r, r, rs, ws], axis=-3)))
     return out
 
 
@@ -534,13 +556,16 @@ def certify_mbad(
     are flagged, not fatal.  The report carries the multiplication images
     and the unitized diagonals with their images.
 
-    With D_n = D_{n-1} + I_n for the increments I_n, [a, D_n] is reduced as
-    the reduced [a, D_{n-1}] with the terms of [a, I_n]: for telescoping
-    diagonals a sample costs 2 m products, not m (m + 1).  That form has the
-    value of [a, D_n] but not its leg order, so a nonzero commutator's upper
-    bound may differ in its last digits from that of the reduced raw one.
-    The images pi(D_n) are prefix sums of the increments' images, and the
-    samples of one backend go through each reduction and product as a batch.
+    With D_n = D_{n-1} + I_n for the increments I_n, the [a, I_n] of all
+    increments are reduced at once; they are the [a, D_n] up to the first
+    nonzero one, and past it [a, D_n] is reduced as the reduced [a, D_{n-1}]
+    with the terms of [a, I_n]: for telescoping diagonals a sample costs 2 m
+    products, not m (m + 1).  That form has the value of [a, D_n] but not its
+    leg order, so a nonzero commutator's upper bound may differ in its last
+    digits from that of the reduced raw one; so may the closed-form unitized
+    bound of a commuting sample from the reduction's on rational legs.  The
+    images pi(D_n) are prefix sums of the increments' images, and the samples
+    of one backend go through each reduction and product as a batch.
     """
     deltas = list(deltas)
     if not deltas:
@@ -587,7 +612,7 @@ def certify_mbad(
         algs = [sample[i] - ident * c if h else sample[i] for i, c, h in zip(group, corners, has_id)]
         alg_legs = _legs(algs, dim)
         w = stack_product(np.matmul, _apply(alg_legs, lambda x: x[:, None]), rests, dim)
-        shrinks = singular_values(float_stack(*w).reshape(-1, dim, dim))[:, 0].reshape(len(group), -1).tolist()
+        shrinks = singular_values(float_stack(*w).reshape(-1, dim, dim))[:, 0].reshape(len(group), -1)
         alg_norms = singular_values(float_stack(*alg_legs))[:, 0].tolist()
         # for the unitized M = 2D - p.D + rest (x) rest, with p = pi(D),
         # rest = 1 - p and w = a_alg rest, the regrouped
@@ -595,7 +620,9 @@ def certify_mbad(
         # R - [a,M] = [a,p].D + rest (x) [a,p], where x.D = sum (x u_i) (x) v_i;
         # so R equals [a,M] whenever a p = p a, which is checked, and the
         # multiplier estimate is read off R, built on the reduced [a,D]
-        unit_uppers = _regrouped_uppers([b[3] for b in bounds], w, images, rests)
+        unit = _regrouped_uppers([b[3] for b in bounds], w, shrinks, images, rests)
+        refined = (2.0 + k_const) * np.array([b[1] for b in bounds]) + 2.0 * (1.0 + k_const) * shrinks.T
+        refined_ok = (unit <= refined + np.maximum(tol, 1e-9 * np.maximum(1.0, refined))).all(axis=0)
         for s, i in enumerate(group):
             a, corner, in_span = sample[i], corners[s], bool(spanned[0, len(basis) + s])
             scale = max(1.0, a.max_abs())
@@ -610,18 +637,14 @@ def certify_mbad(
             element_constant = max(uppers) / alg_norm if alg_norm > 1e-12 else 0.0
             c_const = max(c_const, element_constant) if in_span else c_const
             rewrite_ok = bool(ok[s].all() if exact else (dev[s] <= max(tol, 1e-9 * scale)).all())
-            refined_ok = True
-            for up_u, up_d, shrink in zip((u[s] for u in unit_uppers), uppers, shrinks[s]):
-                refined = (2.0 + k_const) * up_d + 2.0 * (1.0 + k_const) * shrink
-                refined_ok = up_u <= refined + max(tol, 1e-9 * max(1.0, refined)) and refined_ok
             records[i] = MbadElementRecord(
                 label=labels[i], in_span=in_span, identity_coeff=id_coeff, top_index=top,
                 final_identity_gap=final_image.max_abs_diff(a), identity_ok=identity_ok,
                 commutator_upper=max(uppers), commutator_lower=float(max(b[0][s] for b in bounds)),
                 commutator_ok=not in_span or all(b[2][s] for b in bounds), element_constant=element_constant,
-                unitized_upper=max(u[s] for u in unit_uppers),
+                unitized_upper=float(unit[:, s].max()),
                 # the global multiplier estimate is checked below, once C is known
-                unitized_ok=(refined_ok and rewrite_ok) or not in_span,
+                unitized_ok=bool(refined_ok[s] and rewrite_ok) or not in_span,
             )
             adjoined_norms[i] = alg_norm + abs(id_coeff)
 
@@ -634,16 +657,9 @@ def certify_mbad(
         for r, n in zip(records, adjoined_norms)
     ]
     verdict = all(r.identity_ok and r.commutator_ok and r.unitized_ok for r in records)
-    return MbadReport(
-        records=tuple(records),
-        multiplier_constant=c_const,
-        projection_sup=k_const,
-        unitized_constant=unitized_constant,
-        verdict=verdict,
-        images=tuple(pis),
-        unitized=unitized,
-        unitized_images=unitized_images,
-    )
+    return MbadReport(records=tuple(records), multiplier_constant=c_const, projection_sup=k_const,
+                      unitized_constant=unitized_constant, verdict=verdict, images=tuple(pis),
+                      unitized=unitized, unitized_images=unitized_images)
 
 
 def full_matrix_diagonal(n: int) -> FiniteDiagonal:

@@ -9,16 +9,18 @@ sets F, and the block sup norm is pinned between ||a||_1 / pi and
 3 ||a||_1; the lower bound rests on maximizing |sum_{j in F} a_j| over
 subsets, solved exactly by a half-plane sweep.
 
-Blocks are filled from their closed form by one constructor from
-integer numerators over one shared denominator (int64 when a bound
-allows) or one complex vector, through index arrays each
-:class:`SubsetFamily` builds once, and kept stacked, one (m, k + 2, k + 2)
-array per subset size k.  Norms read one stacked SVD per size, and exact
-multiplicativity is one batched product check
-(:func:`opalg.matrices.products_agree`) per size on integer-numerator
-trials; no block is wrapped as a :class:`Matrix`.  Trace weights are
-integer numerators over one denominator, and the brute-force subset
-search unpacks its masks' bits with ``np.unpackbits``.
+Blocks are filled from their closed form, from integer numerators over
+one shared denominator (int64 when a bound allows) or complex
+coefficients, through index arrays each :class:`SubsetFamily` builds
+once, and kept stacked, one (..., m, k + 2, k + 2) array per subset size
+k, with leading axes for several sequences.  Norms read one stacked SVD
+per size, and the sup and trace norms one pass over those spectra, for
+one element or for a chunk of the certification's sequences at once;
+exact multiplicativity is one batched product check
+(:func:`opalg.matrices.products_agree`) per size on a trial's stacked
+integer numerators.  No block is wrapped as a :class:`Matrix`.  Trace
+weights are integer numerators over one denominator, and the brute-force
+subset search unpacks its masks' bits with ``np.unpackbits``.
 """
 from __future__ import annotations
 
@@ -250,32 +252,28 @@ class EmbeddedElement:
     def is_exact(self) -> bool:
         return self.den is not None
 
-    def _in_family_order(self, per_stack):
-        """Results given stack by stack, in family order."""
-        out = [None] * len(self.family)
-        for (positions, _, _), results in zip(self.stacks, per_stack):
-            for pos, result in zip(positions, results):
-                out[pos] = result
-        return out
-
     @cached_property
-    def _stacked_spectra(self) -> list[np.ndarray]:
-        """Singular values of the blocks, one (m, k + 2) array per stack,
-        from one stacked SVD each; computed once per element."""
-        # an int64 stack rounds correctly too: _stacks keeps its numerators
-        # and denominator within 2**53, so they convert to float exactly
-        return [singular_values(float_stack(re, im, self.den)) for _, re, im in self.stacks]
+    def _spectra(self) -> list[tuple]:
+        """Per stack, its positions and blocks' singular values (m, k + 2) from
+        one stacked SVD; int64 numerators and den, within 2**53, convert exactly."""
+        return [(np.array(pos), singular_values(float_stack(re, im, self.den))) for pos, re, im in self.stacks]
 
-    @cached_property
-    def _spectra(self) -> list[np.ndarray]:
-        """Singular values of every block, in block order."""
-        return self._in_family_order(self._stacked_spectra)
 
-    @cached_property
-    def _schatten1(self) -> list[float]:
-        """Schatten-1 norm of every block, in block order, from one row sum
-        per stack (bit-identical to summing each block's values alone)."""
-        return self._in_family_order([s.sum(axis=1).tolist() for s in self._stacked_spectra])
+def _sup(spectra) -> np.ndarray:
+    """The largest first singular value per leading index, for spectra
+    (positions, (..., m, k + 2) array) of the blocks of a family."""
+    return np.max([s[..., 0].max(axis=-1, initial=0.0) for _, s in spectra], axis=0)
+
+
+def _trace(spectra, weights) -> np.ndarray:
+    """sum over F of w_F / (|F| + 2) times the Schatten-1 norm (a row sum) of
+    F's block per leading index, for float weights (..., family size) and
+    spectra as :func:`_sup` reads them, added in family order by one
+    sequential cumsum, as a loop over the blocks would."""
+    terms = np.zeros(np.broadcast_shapes(weights.shape, spectra[0][1].shape[:-2] + weights.shape[-1:]))
+    for pos, s in spectra:
+        terms[..., pos] += weights[..., pos] / s.shape[-1] * s.sum(axis=-1)
+    return np.cumsum(terms, axis=-1)[..., -1]
 
 
 def _check_support(read, n_max):
@@ -287,18 +285,17 @@ def _check_support(read, n_max):
             raise ValueError(f"support index {j} outside 1..{n_max}")
 
 
-def _fill(values, idx):
-    """The closed-form blocks for the subsets in ``idx`` (one row of
-    0-based coefficient indices per subset, all of one size k), as one
-    (m, k + 2, k + 2) array over the dtype of ``values``."""
-    a = values[idx]
-    s = np.cumsum(a, axis=1)[:, -1:]  # s_F, summed in index order
-    m, k = idx.shape
-    out = np.zeros((m, k + 2, k + 2), dtype=values.dtype)
-    out[:, _ALPHA, :2], out[:, _ALPHA, 2:] = -s, -a
-    out[:, _OMEGA, :2], out[:, _OMEGA, 2:] = s, a
+def _fill(a):
+    """The closed-form blocks of subsets of one size k from their
+    coefficients a_F, an array (..., k) in index order, as one array
+    (..., k + 2, k + 2) over the dtype of ``a``."""
+    k = a.shape[-1]
+    s = np.cumsum(a, axis=-1)[..., -1:]  # s_F, summed in index order
+    out = np.zeros((*a.shape[:-1], k + 2, k + 2), dtype=a.dtype)
+    out[..., _ALPHA, :2], out[..., _ALPHA, 2:] = -s, -a
+    out[..., _OMEGA, :2], out[..., _OMEGA, 2:] = s, a
     rows = np.arange(2, k + 2)
-    out[:, rows, _ALPHA] = out[:, rows, _OMEGA] = out[:, rows, rows] = a
+    out[..., rows, _ALPHA] = out[..., rows, _OMEGA] = out[..., rows, rows] = a
     out.flags.writeable = False
     return out
 
@@ -321,7 +318,7 @@ def _embedded(family, re, im=None, den=None) -> EmbeddedElement:
         re, im = (np.pad(np.array(x, dtype=object), (0, n - len(x))) for x in (re, im))
         dtype = kernel_dtype(_numerator_max(re, im) * n, den, limit=2**53)
         re, im = re.astype(dtype), im.astype(dtype)
-    stacks = tuple((pos, _fill(re, idx), None if im is None else _fill(im, idx)) for pos, idx in family._by_size)
+    stacks = tuple((pos, _fill(re[idx]), None if im is None else _fill(im[idx])) for pos, idx in family._by_size)
     return EmbeddedElement(family=family, stacks=stacks, den=den)
 
 
@@ -346,7 +343,7 @@ def phi_sup_norm(e: EmbeddedElement) -> float:
     """Largest operator norm over the enumerated blocks."""
     if not e.stacks:
         raise ValueError("embedded element has no blocks")
-    return max(float(s[0]) for s in e._spectra)
+    return float(_sup(e._spectra))
 
 
 def _support(a):
@@ -464,10 +461,7 @@ def l1_trace_norm(e: EmbeddedElement, w: TraceWeights) -> float:
     Schatten-1 norm of the block, with each weight rounded to float."""
     if len(w.numerators) != len(e.family):
         raise ValueError(f"{len(w.numerators)} trace weights for a subset family of {len(e.family)} blocks")
-    total = 0.0
-    for subset, weight, norm in zip(e.family.subsets, w.floats, e._schatten1):
-        total += weight / (len(subset) + 2) * norm
-    return total
+    return float(_trace(e._spectra, np.array(w.floats)))
 
 
 @dataclass(frozen=True)
@@ -505,14 +499,40 @@ def _rational_trial(rng, n):
     return (ar, ai, 16), (br, bi, 16), (ar * br - ai * bi, ar * bi + ai * br, 16**2)
 
 
-def _is_product(ea: EmbeddedElement, eb: EmbeddedElement, ep: EmbeddedElement) -> bool:
-    """Whether every block of ep equals the product of the blocks of ea and
-    eb, exactly: exact elements on one family, compared with one call of
-    :func:`opalg.matrices.products_agree` per block size."""
-    return all(
-        products_agree((ar, ai, ea.den), (br, bi, eb.den), (pr, pi, ep.den), 0.0)[0].all()
-        for (_, ar, ai), (_, br, bi), (_, pr, pi) in zip(ea.stacks, eb.stacks, ep.stacks)
-    )
+def _is_product(family: SubsetFamily, trial) -> bool:
+    """Whether every block of p over ``family`` is the product of those of a
+    and b, exactly, for a trial's (re, im, den) triples of a, b and p: their
+    six numerator vectors as one (6, n_max) array (int64 under the bound of
+    :func:`_embedded`), one :func:`_fill` and one products_agree per size."""
+    nums, dens = np.stack([x for re, im, _ in trial for x in (re, im)]), [den for *_, den in trial]
+    nums = nums.astype(kernel_dtype(_numerator_max(nums) * family.n_max, *dens, limit=2**53))
+    for _, idx in family._by_size:
+        blocks = _fill(nums[:, idx])
+        if not products_agree(*((blocks[k], blocks[k + 1], d) for k, d in zip((0, 2, 4), dens)), 0.0)[0].all():
+            return False
+    return True
+
+
+# the embed stage takes its items in chunks of at most this many base-family block entries
+_CHUNK_ENTRIES = 2**17
+
+
+def _item_spectra(base: SubsetFamily, values, extra) -> list[tuple]:
+    """Spectra as :func:`_sup` reads them of the blocks of items, the rows of
+    the complex array ``values``, over ``base`` and the item's subset in
+    ``extra`` (None when base has it), put after base: per size k, one
+    :func:`_fill` and one stacked SVD, zero where no subset is appended."""
+    stacks, count, out = {idx.shape[1]: (pos, idx) for pos, idx in base._by_size}, len(values), []
+    for k in stacks.keys() | {len(f) for f in extra if f}:
+        pos, idx = stacks.get(k, ((), np.zeros((0, k), dtype=int)))
+        rows = np.array([r for r, f in enumerate(extra) if f and len(f) == k], dtype=int)
+        own = np.array([extra[r] for r in rows], dtype=int).reshape(-1, k) - 1
+        sv = singular_values(_fill(np.concatenate([values[:, idx].reshape(-1, k), values[rows[:, None], own]])))
+        appended = np.zeros((count, 1, k + 2))
+        appended[rows, 0] = sv[count * len(pos):]
+        out += [(np.array(pos, dtype=int), sv[:count * len(pos)].reshape(count, len(pos), k + 2)),
+                (np.array([len(base)]), appended)]
+    return out
 
 
 def certify_embedding_bounds(
@@ -539,78 +559,42 @@ def certify_embedding_bounds(
         raise ValueError("trials must be at least 1")
     base = SubsetFamily.enumerate(n_max, f_cap=f_cap, s_max=s_max)
     rng = np.random.default_rng(seed)
-    inv_pi = 1.0 / math.pi
-    slack = 1e-12
+    inv_pi, slack = 1.0 / math.pi, 1e-12
 
-    named = {
-        "single-index": [1.0] + [0.0] * (n_max - 1),
-        "unit-circle": [cmath.exp(2j * math.pi * j / n_max) for j in range(n_max)],
-    }
-    random_trials = [
-        list(rng.uniform(-1.0, 1.0, n_max) + 1j * rng.uniform(-1.0, 1.0, n_max))
-        for _ in range(trials)
-    ]
-
-    lower_ok = upper_ok = trace_ok = trace_le_sup_ok = True
-    min_ratio, max_ratio = math.inf, -math.inf
-    max_trace_to_inf = 0.0
-    traces = {}  # (family size, scheme) -> TraceWeights
-    named_ratio = {}
-    rows = []
-    items = list(named.items()) + [(str(i), a) for i, a in enumerate(random_trials)]
-    for label, a in items:
-        l1 = sum(abs(complex(v)) for v in a)
-        linf = max(abs(complex(v)) for v in a)
-        f_star, sweep_val = best_subset_sum(a)
-        fam = base.augmented([f_star])
-        emb = phi(a, fam)
-        sup = phi_sup_norm(emb)
-        ratio = sup / l1
-        if sweep_val < l1 * inv_pi * (1.0 - slack) or sup < sweep_val * (1.0 - slack):
-            lower_ok = False
-        if sup > 3.0 * l1 * (1.0 + slack):
-            upper_ok = False
-        min_ratio, max_ratio = min(min_ratio, ratio), max(max_ratio, ratio)
-        trace_row = 0.0
-        for scheme in ("geometric", "uniform"):
-            key = (len(fam), scheme)
-            if key not in traces:
-                traces[key] = make_trace(fam, scheme)
-            tn = l1_trace_norm(emb, traces[key])
-            if scheme == csv_scheme:
-                trace_row = tn
-            max_trace_to_inf = max(max_trace_to_inf, tn / linf)
-            if tn > 3.0 * linf + tol:
-                trace_ok = False
-            if tn > sup + tol:
-                trace_le_sup_ok = False
-        if label in named:
-            named_ratio[label] = ratio
-        else:
-            rows.append((int(label), l1, sup, ratio, trace_row))
-
-    mult_exact = True
-    for _ in range(mult_trials):
-        if not _is_product(*(_embedded(base, *x) for x in _rational_trial(rng, n_max))):
-            mult_exact = False
-    passed = lower_ok and upper_ok and trace_ok and trace_le_sup_ok and mult_exact
+    named = [[1.0] + [0.0] * (n_max - 1), [cmath.exp(2j * math.pi * j / n_max) for j in range(n_max)]]
+    # the single-index and unit-circle sequences, then the random trials
+    items = named + [list(rng.uniform(-1.0, 1.0, n_max) + 1j * rng.uniform(-1.0, 1.0, n_max)) for _ in range(trials)]
+    sweeps = [best_subset_sum(a) for a in items]
+    known = set(base.subsets)
+    extra = [None if f in known else f for f, _ in sweeps]
+    # float trace weights per scheme over base, padded by a zero, and over
+    # base with one subset appended, each item reading those of its family
+    fams, schemes = (base, base.augmented([f for f in extra if f][:1])), ("geometric", "uniform")
+    weights = np.array([[np.pad(make_trace(fam, scheme).floats, (0, len(base) + 1 - len(fam))) for fam in fams]
+                        for scheme in schemes])
+    grown = np.array([f is not None for f in extra], dtype=int)
+    sup, trace = [], []
+    step = max(1, _CHUNK_ENTRIES // sum(idx.shape[0] * (idx.shape[1] + 2) ** 2 for _, idx in base._by_size))
+    for lo in range(0, len(items), step):
+        spectra = _item_spectra(base, np.array(items[lo:lo + step], dtype=complex), extra[lo:lo + step])
+        sup.append(_sup(spectra))
+        trace.append(_trace(spectra, weights[:, grown[lo:lo + step]]))
+    sup, trace = np.concatenate(sup), np.concatenate(trace, axis=1)
+    l1, linf = (np.array([f(abs(complex(v)) for v in a) for a in items]) for f in (sum, max))
+    sweep, ratio = np.array([v for _, v in sweeps]), sup / l1
+    lower_ok = bool(((sweep >= l1 * inv_pi * (1.0 - slack)) & (sup >= sweep * (1.0 - slack))).all())
+    upper_ok = bool((sup <= 3.0 * l1 * (1.0 + slack)).all())
+    trace_ok, trace_le_sup_ok = (bool((trace <= x + tol).all()) for x in (3.0 * linf, sup))
+    row_trace = dict(zip(schemes, trace)).get(csv_scheme, np.zeros(len(items)))
+    rows = tuple((i, *x) for i, x in enumerate(zip(*(y[2:].tolist() for y in (l1, sup, ratio, row_trace)))))
+    # every trial is drawn, also past a failing one
+    mult_exact = all([_is_product(base, _rational_trial(rng, n_max)) for _ in range(mult_trials)])
     return EmbeddingReport(
-        n_max=n_max,
-        f_cap=f_cap,
-        s_max=s_max,
-        trials=trials,
-        seed=seed,
-        min_sup_ratio=min_ratio,
-        max_sup_ratio=max_ratio,
-        single_index_ratio=named_ratio["single-index"],
-        roots_ratio=named_ratio["unit-circle"],
-        max_trace_to_inf=max_trace_to_inf,
-        lower_ok=lower_ok,
-        upper_ok=upper_ok,
-        trace_ok=trace_ok,
-        trace_le_sup_ok=trace_le_sup_ok,
-        mult_trials=mult_trials,
-        mult_exact=mult_exact,
-        passed=passed,
-        rows=tuple(rows),
+        n_max=n_max, f_cap=f_cap, s_max=s_max, trials=trials, seed=seed,
+        min_sup_ratio=float(ratio.min()), max_sup_ratio=float(ratio.max()),
+        single_index_ratio=float(ratio[0]), roots_ratio=float(ratio[1]),
+        max_trace_to_inf=float((trace / linf).max(initial=0.0)),
+        lower_ok=lower_ok, upper_ok=upper_ok, trace_ok=trace_ok, trace_le_sup_ok=trace_le_sup_ok,
+        mult_trials=mult_trials, mult_exact=mult_exact,
+        passed=lower_ok and upper_ok and trace_ok and trace_le_sup_ok and mult_exact, rows=rows,
     )

@@ -1,14 +1,30 @@
 """Reference implementations kept as test oracles: Gaussian elimination one
 ``Matrix`` at a time with its pivot rule, a matrix's content, and the
 tensor-element algebra term by term on (Matrix, Matrix) pairs, with the
-reduced form and norm bounds read off them.  They are slow and simple;
-the package computes the same things on stacked arrays."""
+reduced form and norm bounds read off them; and the diagonal stage's
+commutator bounds, one reduction per diagonal, and its regrouped unitized
+bounds, all by the reduction; and the embedding bounds item by item and
+block by block.  They are slow and simple; the package computes the same
+things on stacked arrays."""
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
-from opalg.matrices import Matrix, op_norm
+import numpy as np
+
+from opalg import diagonals, embedding
+from opalg.embedding import SubsetFamily, best_subset_sum, make_trace, phi
+from opalg.matrices import (
+    Matrix,
+    float_stack,
+    op_norm,
+    products_agree,
+    singular_values,
+    stack_concat,
+    stack_product,
+)
 
 
 def eliminate(mats, negligible=None, rows=None, coordinates=True):
@@ -175,3 +191,114 @@ def bounds(terms):
     if not reduced:
         return 0.0, 0.0
     return op_norm(PairTensor(reduced, reduced[0][0].rows).flatten()), upper(reduced)
+
+
+def commutator_bounds(samples, increments, tol):
+    """The bounds of [a, D_n] for each n and each a of the stack ``samples``,
+    one reduction per diagonal: the reduced [a, D_{n-1}] with the terms of
+    [a, I_n], for D_n the sum of the first n increments I_n."""
+    out, actors = [], diagonals._apply(samples, lambda x: x[:, None])
+    for inc in increments:
+        left, right = diagonals._commutator(actors, inc._left, inc._right)
+        if out:
+            left, right = (stack_concat([x, y], axis=-3) for x, y in zip(out[-1][3], (left, right)))
+        out.append(diagonals._bounds(left, right, tol))
+    return out
+
+
+def regrouped_uppers(comms, w, images, rests):
+    """tensor_norm_upper of R = 2[a,D] - p.[a,D] + w (x) rest - rest (x) w for
+    each D_n and sample a, as an (n, a) list, every one by the reduction,
+    from the reduced [a, D_n], w = a_alg (1 - p) and rest = 1 - p."""
+    _apply, _take, _times = diagonals._apply, diagonals._take, diagonals._times
+    slots = max(c[0][0].shape[1] for c in comms)
+    pad = lambda x: np.concatenate([x, np.zeros((x.shape[0], slots - x.shape[1], *x.shape[2:]), x.dtype)], 1)[None]
+    cl, cr = (stack_concat([_apply(c[side], pad) for c in comms]) for side in (0, 1))
+    wn = _apply(w, lambda x: np.swapaxes(x, 0, 1)[..., None, :, :])
+    rest = _apply(rests, lambda x: np.broadcast_to(x[:, None, None], wn[0].shape))
+    out = []
+    for n in range(len(comms)):
+        l, r, ws, rs = (_take(x, slice(n, n + 1)) for x in (cl, cr, wn, rest))
+        pl = stack_product(np.matmul, _take(images, (slice(n, n + 1), None, None)), l, l[0].shape[-1])
+        left = stack_concat([_times(l, 2), _apply(pl, np.negative), ws, _apply(rs, np.negative)], axis=-3)
+        flat = (_apply(x, lambda y: y.reshape(-1, *y.shape[2:])) for x in (left, stack_concat([r, r, rs, ws], -3)))
+        out.append(diagonals._upper(*diagonals._reduce(*flat)).tolist())
+    return out
+
+
+def is_product(ea, eb, ep):
+    """Whether every block of the embedded element ep is the product of the
+    blocks of ea and eb, exactly, one products_agree call per stack."""
+    return all(
+        products_agree((ar, ai, ea.den), (br, bi, eb.den), (pr, pi, ep.den), 0.0)[0].all()
+        for (_, ar, ai), (_, br, bi), (_, pr, pi) in zip(ea.stacks, eb.stacks, ep.stacks)
+    )
+
+
+def block_norms(e):
+    """Per block of an embedded element, in family order: its singular values."""
+    out = [None] * len(e.family)
+    for positions, re, im in e.stacks:
+        for pos, values in zip(positions, singular_values(float_stack(re, im, e.den))):
+            out[pos] = values
+    return out
+
+
+def embedding_bounds(n_max=10, f_cap=512, s_max=8, trials=100, seed=0, tol=1e-9, mult_trials=10,
+                     csv_scheme="geometric"):
+    """certify_embedding_bounds one item at a time: phi on the base family
+    augmented by the item's sweep-optimal subset, the sup norm as the
+    largest norm over its blocks and each trace norm summed block by block
+    in family order; each rational trial as three embedded elements."""
+    base = SubsetFamily.enumerate(n_max, f_cap=f_cap, s_max=s_max)
+    rng = np.random.default_rng(seed)
+    inv_pi, slack = 1.0 / math.pi, 1e-12
+    named = {
+        "single-index": [1.0] + [0.0] * (n_max - 1),
+        "unit-circle": [cmath.exp(2j * math.pi * j / n_max) for j in range(n_max)],
+    }
+    random_trials = [
+        list(rng.uniform(-1.0, 1.0, n_max) + 1j * rng.uniform(-1.0, 1.0, n_max)) for _ in range(trials)
+    ]
+    lower_ok = upper_ok = trace_ok = trace_le_sup_ok = True
+    min_ratio, max_ratio, max_trace_to_inf = math.inf, -math.inf, 0.0
+    named_ratio, rows = {}, []
+    for label, a in list(named.items()) + [(str(i), a) for i, a in enumerate(random_trials)]:
+        l1 = sum(abs(complex(v)) for v in a)
+        linf = max(abs(complex(v)) for v in a)
+        f_star, sweep_val = best_subset_sum(a)
+        fam = base.augmented([f_star])
+        norms = block_norms(phi(a, fam))
+        sup = max(float(s[0]) for s in norms)
+        ratio = sup / l1
+        if sweep_val < l1 * inv_pi * (1.0 - slack) or sup < sweep_val * (1.0 - slack):
+            lower_ok = False
+        if sup > 3.0 * l1 * (1.0 + slack):
+            upper_ok = False
+        min_ratio, max_ratio = min(min_ratio, ratio), max(max_ratio, ratio)
+        trace_row = 0.0
+        for scheme in ("geometric", "uniform"):
+            tn = 0.0
+            for subset, weight, s in zip(fam.subsets, make_trace(fam, scheme).floats, norms):
+                tn += weight / (len(subset) + 2) * float(s.sum())
+            if scheme == csv_scheme:
+                trace_row = tn
+            max_trace_to_inf = max(max_trace_to_inf, tn / linf)
+            trace_ok = trace_ok and tn <= 3.0 * linf + tol
+            trace_le_sup_ok = trace_le_sup_ok and tn <= sup + tol
+        if label in named:
+            named_ratio[label] = ratio
+        else:
+            rows.append((int(label), l1, sup, ratio, trace_row))
+    mult_exact = True
+    for _ in range(mult_trials):
+        if not is_product(*(embedding._embedded(base, *x) for x in embedding._rational_trial(rng, n_max))):
+            mult_exact = False
+    return embedding.EmbeddingReport(
+        n_max=n_max, f_cap=f_cap, s_max=s_max, trials=trials, seed=seed,
+        min_sup_ratio=min_ratio, max_sup_ratio=max_ratio,
+        single_index_ratio=named_ratio["single-index"], roots_ratio=named_ratio["unit-circle"],
+        max_trace_to_inf=max_trace_to_inf, lower_ok=lower_ok, upper_ok=upper_ok, trace_ok=trace_ok,
+        trace_le_sup_ok=trace_le_sup_ok, mult_trials=mult_trials, mult_exact=mult_exact,
+        passed=lower_ok and upper_ok and trace_ok and trace_le_sup_ok and mult_exact, rows=tuple(rows),
+    )

@@ -307,6 +307,8 @@ GOLDEN = Path(__file__).parent / "data"
         ("golden_generate_m8", ["generate", "--m-max", "8"]),
         ("golden_all_couplings", ["all", "--m-max", "6", "--coupling-scheme", "list:1/3,1/2,5/4", "--n-max", "4",
                                   "--f-cap", "8", "--s-max", "2", "--trials", "2", "--r-max", "4"]),
+        # the benchmark's own argv, on the default config
+        ("golden_all_default", ["all", "--trials", "1"]),
     ],
 )
 def test_report_payload_matches_golden(tmp_path, capsys, name, argv):

@@ -1,5 +1,6 @@
 """Tensor elements, diagonals, multiplier bounds, and expectation maps."""
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,19 @@ from opalg import (
     tensor_norm_upper,
     unitize_diagonal,
 )
-from opalg.diagonals import _batch, _bounds, _commutator_bounds, _increments, _legs, _nonzero, _reduce, _take
+from opalg import diagonals
+from opalg.diagonals import (
+    _batch,
+    _bounds,
+    _commutator_bounds,
+    _increments,
+    _legs,
+    _nonzero,
+    _reduce,
+    _regrouped_uppers,
+    _take,
+)
+from opalg.matrices import float_stack, singular_values
 
 import pairwise
 
@@ -648,9 +661,10 @@ def test_certify_mbad_mixed_scale_exact_element(chain6):
 @st.composite
 def diagonal_sequences(draw):
     """(chain, deltas, sample): a random exact rational chain, either its
-    telescoping diagonals or random exact tensor elements (which share no
-    prefix, or share one by extension), and samples that mostly do not
-    commute with them."""
+    telescoping diagonals, random exact tensor elements (which share no
+    prefix, or share one by extension), or the telescoping diagonals
+    extended by random terms, and samples that mostly do not commute with
+    them (for the last, that commute with the first diagonals)."""
     m_max = draw(st.integers(1, 4))
     rationals = st.fractions(min_value=0, max_value=20, max_denominator=6)
     couplings = tuple(sorted(draw(st.lists(rationals, min_size=m_max // 2, max_size=m_max // 2))))
@@ -662,17 +676,20 @@ def diagonal_sequences(draw):
         st.lists(st.integers(-2, 2), min_size=dim * dim, max_size=dim * dim),
         st.sampled_from([1, Fraction(1, 3), (1, 1), (0, Fraction(-1, 2))]),
     )
-    kind = draw(st.sampled_from(["telescoping", "unrelated", "extended"]))
-    if kind == "telescoping":
+    kind = draw(st.sampled_from(["telescoping", "unrelated", "extended", "stops"]))
+    deltas, terms = [], []
+    if kind in ("telescoping", "stops"):
         deltas = [build_delta(chain, n) for n in range(1, m_max + 1)]
-    else:
-        deltas, terms = [], []
-        for _ in range(draw(st.integers(1, 3))):
-            new = [(draw(legs), draw(legs)) for _ in range(draw(st.integers(1, 2)))]
-            # an extended sequence rebuilds the earlier terms as new matrices
-            terms = [(u + u - u, v) for u, v in terms] + new if kind == "extended" else new
-            deltas.append(TensorElem.of(terms, dim=dim))
-    sample = [draw(legs), chain.e(draw(st.integers(1, m_max)))]
+        terms = list(deltas[-1].terms)
+    for _ in range(draw(st.integers(1, 3)) if kind != "telescoping" else 0):
+        new = [(draw(legs), draw(legs)) for _ in range(draw(st.integers(1, 2)))]
+        # an extended sequence rebuilds the earlier terms as new matrices
+        terms = [(u + u - u, v) for u, v in terms] + new if kind != "unrelated" else new
+        deltas.append(TensorElem.of(terms, dim=dim))
+    # chain elements commute with the telescoping diagonals, so past them
+    # a sequence that goes on with random terms stops commuting midway
+    first = chain.e(draw(st.integers(1, m_max))) if kind == "stops" else draw(legs)
+    sample = [first, chain.e(draw(st.integers(1, m_max)))]
     return chain, deltas, sample
 
 
@@ -704,3 +721,92 @@ def test_increments_of_telescoping_diagonals_are_single_terms(chain6):
     # a sequence that shares no prefix adds all its terms and drops all the previous ones
     shuffled = [deltas[2], TensorElem.of(deltas[3].terms[::-1], dim=deltas[3].dim)]
     assert [len(i.terms) for i in _increments(shuffled)] == [3, 7]
+
+
+@given(diagonal_sequences(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_batched_commutator_bounds_match_one_reduction_per_diagonal(case, floats):
+    # the [a, I_n] of all increments go through one reduction until some
+    # [a, D_n] is nonzero; the bounds are those of one reduction per
+    # diagonal, bit for bit, on exact and on float samples
+    chain, deltas, sample = case
+    dim = chain.truncation_dim
+    samples = _legs([a.to_float() for a in sample] if floats else sample, dim)
+    increments = _increments(deltas)
+    got = _commutator_bounds(samples, increments, 0.0)
+    want = pairwise.commutator_bounds(samples, increments, 0.0)
+    for g, w in zip(got, want, strict=True):
+        for x, y in zip(g[:3], w[:3]):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for s in range(len(sample)):
+            reduced = (TensorElem._of_legs(_take(x[0], s), _take(x[1], s), dim) for x in (g[3], w[3]))
+            assert next(reduced).same_element(next(reduced))
+
+
+def integer_legs(dim, content_one=True):
+    """Nonzero integer dim x dim matrices, divided by their content when
+    ``content_one``."""
+    def build(flat):
+        m = np.array(flat, dtype=object).reshape(dim, dim)
+        g = math.gcd(*flat) if content_one else 1
+        return Matrix.exact((m // g).tolist())
+    ints = st.lists(st.integers(-3, 3), min_size=dim * dim, max_size=dim * dim).filter(any)
+    return st.builds(build, ints)
+
+
+@given(st.integers(1, 4), st.sampled_from(["integer", "rational", "zero", "multiple"]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_closed_form_regrouped_bound_matches_the_reduction(dim, kind, data):
+    # with [a, D] empty, R = w (x) rest - rest (x) w; its bound is read in
+    # closed form from ||w|| and ||rest||
+    rest, w = data.draw(integer_legs(dim, kind != "rational")), data.draw(integer_legs(dim, kind != "rational"))
+    if kind == "rational":
+        rest, w = (x * data.draw(st.sampled_from([Fraction(1, 3), Fraction(5, 4), (1, 1), (0, Fraction(-2, 7))]))
+                   for x in (rest, w))
+    elif kind == "zero":
+        w = Matrix.zeros(dim)
+    elif kind == "multiple":
+        w = rest * data.draw(st.sampled_from([1, -2, Fraction(3, 5), (1, -1)]))
+    expected = tensor_norm_upper(TensorElem.of([(w, rest), (-rest, w)], dim=dim))
+    empty, ws = _take(_legs([], dim), None), _take(_legs([w], dim), None)
+    shrinks = singular_values(float_stack(*ws).reshape(-1, dim, dim))[:, 0].reshape(1, 1)
+    images, rests = _legs([Matrix.identity(dim) - rest], dim), _legs([rest], dim)
+    got = _regrouped_uppers([(empty, empty)], ws, shrinks, images, rests)
+    assert got.shape == (1, 1)
+    if kind in ("zero", "multiple"):
+        assert got[0, 0] == expected == 0.0
+    elif kind == "integer":
+        assert got[0, 0] == expected
+    else:
+        assert got[0, 0] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_closed_form_reads_the_norm_of_minus_rest():
+    # the stacked SVD rounds this rest and its negation apart in the last
+    # bit; the reduction reads both, and so does the closed form
+    rest = Matrix.exact([[0, 2, 0, 0], [1, 2, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
+    w = Matrix.exact([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])
+    empty, ws = _take(_legs([], 4), None), _take(_legs([w], 4), None)
+    images, rests = _legs([Matrix.identity(4) - rest], 4), _legs([rest], 4)
+    got = _regrouped_uppers([(empty, empty)], ws, np.ones((1, 1)), images, rests)
+    assert got[0, 0] == tensor_norm_upper(TensorElem.of([(w, rest), (-rest, w)], dim=4))
+
+
+@pytest.mark.parametrize("m_max, couplings", [(10, None), (12, (Fraction(1, 3), Fraction(1, 2), Fraction(5, 4),
+                                                                 Fraction(7, 3), Fraction(5, 2), 3))])
+def test_certify_mbad_closed_form_matches_the_reduction(monkeypatch, m_max, couplings):
+    # every record against certify_mbad with every unitized bound reduced:
+    # bit for bit on the integer default chain, within 1e-12 on rational legs
+    chain = build_chain(ChainSpec.default(m_max, couplings=couplings) if couplings else ChainSpec.default(m_max))
+    deltas = [build_delta(chain, n) for n in range(1, m_max + 1)]
+    one = Matrix.identity(chain.truncation_dim)
+    sample = list(chain.idempotents) + [chain.e(3) + one * 2, chain.e(2) + unit01(chain.truncation_dim), one]
+    got = certify_mbad(deltas, chain, sample).records
+    monkeypatch.setattr(diagonals, "_regrouped_uppers", lambda comms, w, shrinks, images, rests: np.array(
+        pairwise.regrouped_uppers(comms, w, images, rests)))
+    want = certify_mbad(deltas, chain, sample).records
+    if couplings is None:
+        assert got == want
+    for g, w in zip(got, want, strict=True):
+        assert replace(g, unitized_upper=0.0) == replace(w, unitized_upper=0.0)
+        assert g.unitized_upper == pytest.approx(w.unitized_upper, rel=1e-12, abs=0.0)

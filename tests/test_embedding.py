@@ -544,11 +544,11 @@ def test_phi_accepts_trailing_zeros_beyond_range():
 def blocks_of(e):
     """One Matrix per subset of an embedded element, in family order (exact
     ones in lowest terms): the per-block view of its stacks."""
-    if not e.is_exact:
-        wrapped = [[Matrix.from_float(b) for b in re] for _, re, _ in e.stacks]
-    else:
-        wrapped = [[Matrix.from_numerators(r, i, e.den) for r, i in zip(re, im)] for _, re, im in e.stacks]
-    return tuple(e._in_family_order(wrapped))
+    out = [None] * len(e.family)
+    for positions, re, im in e.stacks:
+        for pos, r, i in zip(positions, re, re if im is None else im, strict=True):
+            out[pos] = Matrix.from_float(r) if not e.is_exact else Matrix.from_numerators(r, i, e.den)
+    return tuple(out)
 
 
 def block_of(e, subset):
@@ -631,8 +631,9 @@ def test_stacked_spectra_match_per_block_norms():
         emb = phi(a, fam)
         blocks = blocks_of(emb)
         assert phi_sup_norm(emb) == max(op_norm(b) for b in blocks)
-        for spectrum, block in zip(emb._spectra, blocks, strict=True):
-            assert np.array_equal(spectrum, singular_values(block))
+        for positions, spectra in emb._spectra:
+            for pos, spectrum in zip(positions, spectra, strict=True):
+                assert np.array_equal(spectrum, singular_values(blocks[pos]))
         for scheme in ("geometric", "uniform"):
             w = make_trace(fam, scheme)
             expected = 0.0
@@ -676,6 +677,14 @@ def pair_mul(x, y):
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
+def numerators(coeffs):
+    """Exact coefficients as a trial's (re, im, den): integer numerator
+    arrays over their least common denominator."""
+    pairs = [read_scalar(v)[1] for v in coeffs]
+    den = math.lcm(*(x.denominator for pair in pairs for x in pair))
+    return (*(np.array([int(pair[k] * den) for pair in pairs], dtype=object) for k in (0, 1)), den)
+
+
 def blockwise_product(ea, eb, ep):
     """The per-block oracle for embedding._is_product."""
     return all((ba @ bb).equals(bp) for ba, bb, bp in zip(blocks_of(ea), blocks_of(eb), blocks_of(ep), strict=True))
@@ -712,8 +721,8 @@ def test_batched_multiplicativity_matches_blockwise_products(family, data, kind,
     seen = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matrices, "kernel_dtype", lambda *args: seen.append(kernel_dtype(*args)) or seen[-1])
-        verdict = embedding._is_product(ea, eb, ep)
-    assert verdict == blockwise_product(ea, eb, ep) == (kind == "true")
+        verdict = embedding._is_product(family, [numerators(x) for x in (a, b, p)])
+    assert verdict == pairwise.is_product(ea, eb, ep) == blockwise_product(ea, eb, ep) == (kind == "true")
     # dyadic products stay far inside int64; a fine perturbation may not
     if kind == "true":
         assert (object in seen) if wide else all(d is np.int64 for d in seen)
@@ -748,8 +757,8 @@ def test_integer_trials_match_fraction_trials(seed, n_max, f_cap, s_max):
         want = [phi(x, base) for x in (a, b, p)]
         for g, w in zip(got, want):
             assert blocks_of(g) == blocks_of(w)
-        verdict = embedding._is_product(*got)
-        assert verdict == embedding._is_product(*want) == (trial != 1)
+        verdict = embedding._is_product(base, triples)
+        assert verdict == pairwise.is_product(*want) == (trial != 1)
         assert verdict == blockwise_product(*want)
 
 
@@ -789,4 +798,48 @@ def test_int64_stacks_convert_like_each_block(case):
         for pos, arr in zip(positions, floats, strict=True):
             assert arr.tobytes() == blocks[pos].to_float().numpy().tobytes()
     # the int64 stacks also give the exact product check its answer
-    assert embedding._is_product(emb, phi([1] * family.n_max, family), emb)
+    assert embedding._is_product(family, [numerators(coeffs), numerators([1] * family.n_max), numerators(coeffs)])
+
+
+@pytest.mark.parametrize("f_cap", [512, 12])
+@pytest.mark.parametrize("trials", [1, 3, 100])
+@pytest.mark.parametrize("seed", range(4))
+def test_embedding_report_matches_item_by_item_oracle(seed, trials, f_cap):
+    # every float of the report, against phi and per-block norms on each
+    # item's augmented family; a cap of 12 leaves most sweep-optimal subsets
+    # outside the base family, the default cap keeps some inside
+    got = certify_embedding_bounds(trials=trials, seed=seed, f_cap=f_cap)
+    assert got == pairwise.embedding_bounds(trials=trials, seed=seed, f_cap=f_cap)
+
+
+def test_embedding_sweep_optimal_subsets_fall_inside_and_outside_the_base_family():
+    # the oracle cases above cover both kinds of item
+    rng = np.random.default_rng(0)
+    subsets = [best_subset_sum(list(rng.uniform(-1, 1, 10) + 1j * rng.uniform(-1, 1, 10)))[0] for _ in range(20)]
+    for f_cap, inside in ((512, {True, False}), (12, {False})):
+        base = set(SubsetFamily.enumerate(10, f_cap=f_cap, s_max=8).subsets)
+        assert {f in base for f in subsets} == inside
+
+
+@pytest.mark.parametrize("chunk", [1, 2**40])
+def test_embedding_report_is_the_same_in_any_chunking(monkeypatch, chunk):
+    # one item per chunk, and every item in one chunk
+    want = pairwise.embedding_bounds(trials=7, seed=2, f_cap=100)
+    monkeypatch.setattr(embedding, "_CHUNK_ENTRIES", chunk)
+    assert certify_embedding_bounds(trials=7, seed=2, f_cap=100) == want
+
+
+def test_one_product_numerator_off_fails_multiplicativity(monkeypatch):
+    trial, calls = embedding._rational_trial, []
+
+    def third_off(rng, n):
+        a, b, (re, im, den) = trial(rng, n)
+        calls.append(den)
+        return a, b, (re, im + (np.arange(n) == n - 1) * (len(calls) == 3), den)
+
+    want = certify_embedding_bounds(trials=2, seed=1)
+    monkeypatch.setattr(embedding, "_rational_trial", third_off)
+    got = certify_embedding_bounds(trials=2, seed=1)
+    assert len(calls) == 10 and want.mult_exact and not got.mult_exact and not got.passed
+    calls.clear()
+    assert got == pairwise.embedding_bounds(trials=2, seed=1)
