@@ -59,7 +59,6 @@ from .generation import (
     orthogonal_generators,
     orthogonality_table,
     same_span,
-    single_generator,
 )
 from .matrices import (
     DEFAULT_TOL,
@@ -67,21 +66,19 @@ from .matrices import (
     DimensionError,
     Matrix,
     agree,
-    is_idempotent,
     op_norm,
     singular_values,
-    vanishes,
 )
 
 __all__ = [
     "__version__",
-    "Matrix", "DEFAULT_TOL", "agree", "vanishes",
-    "op_norm", "singular_values", "is_idempotent",
+    "Matrix", "DEFAULT_TOL", "agree",
+    "op_norm", "singular_values",
     "DimensionError", "CertificationError", "TruncationError",
     "ChainSpec", "Chain", "build_chain", "verify_semilattice", "norm_profile",
     "SemilatticeReport", "NormEntry",
     "WeightSeq", "GenerationCertificate", "orthogonal_generators", "orthogonality_table",
-    "single_generator", "certify_generation", "same_span",
+    "certify_generation", "same_span",
     "TensorElem", "build_delta", "pi_map", "bimodule_commutator",
     "tensor_norm_bounds", "tensor_norm_upper", "unitize_diagonal",
     "FiniteDiagonal", "MbadReport", "certify_mbad",

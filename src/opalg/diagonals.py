@@ -6,14 +6,17 @@ companions, certifies the multiplier-bounded approximate-diagonal
 conditions, and realizes the expectation x -> sum u_i x v_i induced by a
 finite exact diagonal.
 
-An element holds its legs as two stacks, so each of its operations is
-one array operation.  Every zero test, value comparison and norm bound
-goes through one reduced form over linearly independent left legs, found
-for a batch of elements by one stacked elimination; the Kronecker
-flattening is formed only for the lower bound of a nonzero element.  The
-commutators of a batch of samples with every increment of a diagonal
-sequence share one such elimination, and the unitized bound of an exact
-sample that commutes with a diagonal has a closed form.
+An element holds its legs as two stacks, and each operation on it is one
+array kernel over those stacks: the multiplication map, the flattening,
+the bimodule commutator, the unitization and the expectation.  There is
+no second algebra of sums and scalings; elements are built from their
+pairs.  Every zero test and norm bound goes through one reduced form over
+linearly independent left legs, found for a batch of elements by one
+stacked elimination; the Kronecker flattening is formed only for the
+lower bound of a nonzero element.  The commutators of a batch of samples
+with every increment of a diagonal sequence share one such elimination,
+and the unitized bound of an exact sample that commutes with a diagonal
+has a closed form.
 """
 from __future__ import annotations
 
@@ -35,7 +38,6 @@ from .matrices import (
     kernel_dtype,
     op_norm,
     products_agree,
-    read_scalar,
     singular_values,
     stack,
     stack_concat,
@@ -150,12 +152,9 @@ class TensorElem:
 
     @classmethod
     def of(cls, pairs: Sequence[tuple[Matrix, Matrix]], dim: int | None = None) -> "TensorElem":
+        """The element of ``pairs``, by default of the first leg's dimension."""
         pairs = tuple(pairs)
-        if dim is None:
-            if not pairs:
-                raise DimensionError("cannot infer dimension of an empty tensor element")
-            dim = pairs[0][0].rows
-        return cls(terms=pairs, dim=dim)
+        return cls(pairs, dim if dim is not None else pairs[0][0].rows if pairs else 0)
 
     @classmethod
     def zero(cls, dim: int) -> "TensorElem":
@@ -172,39 +171,8 @@ class TensorElem:
     def backend(self) -> str:
         return "float" if self._left[2] is None or self._right[2] is None else "exact"
 
-    def left(self, a: Matrix) -> "TensorElem":
-        """Left module action: a . (u (x) v) = (a u) (x) v."""
-        left = stack_product(np.matmul, self._actor(a), self._left, self.dim)
-        return TensorElem._of_legs(left, self._right, self.dim)
-
-    def right(self, a: Matrix) -> "TensorElem":
-        """Right module action: (u (x) v) . a = u (x) (v a)."""
-        right = stack_product(np.matmul, self._right, self._actor(a), self.dim)
-        return TensorElem._of_legs(self._left, right, self.dim)
-
     def _actor(self, a: Matrix) -> tuple:
         return _take(_legs([a], self.dim), 0)
-
-    def scale(self, scalar) -> "TensorElem":
-        factor = _take(stack([Matrix.diag([scalar], read_scalar(scalar)[0])]), 0)
-        return TensorElem._of_legs(stack_product(np.multiply, self._left, factor), self._right, self.dim)
-
-    def __add__(self, other: "TensorElem") -> "TensorElem":
-        if self.dim != other.dim:
-            raise DimensionError("tensor dimensions differ")
-        sides = ([self._left, other._left], [self._right, other._right])
-        return TensorElem._of_legs(*(stack_concat(x) for x in sides), self.dim)
-
-    def __neg__(self) -> "TensorElem":
-        return TensorElem._of_legs(_apply(self._left, np.negative), self._right, self.dim)
-
-    def __sub__(self, other: "TensorElem") -> "TensorElem":
-        return self + (-other)
-
-    def same_element(self, other: "TensorElem") -> bool:
-        """Value equality: the difference reduces to the empty form
-        (exactly on exact backends, up to roundoff on float ones)."""
-        return self.dim == other.dim and not _nonzero(_reduce(*_batch(self - other))[0]).any()
 
     def pi(self) -> Matrix:
         """Linearized multiplication: sum of u @ v."""
@@ -288,15 +256,23 @@ _SAFE_EXPONENT = 256
 
 
 def _scaled_floats(legs) -> tuple[np.ndarray, np.ndarray]:
-    """(F, k), F_i = 2**-k_i m_i for the legs m_i, k_i = m_i.exponent() for
-    a leg far from 1 (so F_i neither overflows nor underflows), else 0."""
-    shifts = np.zeros(len(legs[0]), dtype=int)
-    if legs[2] is None or not max(_numerator_max(*legs[:2]), legs[2]) >> _SAFE_EXPONENT:
+    """(F, k), F_i = 2**-k_i m_i for the legs m_i, each entry rounded once.
+    k_i is 0 unless the leg is far from 1, where it is the leg's exponent in
+    lowest terms, bitlen(max|num_i| / g_i) - bitlen(den / g_i) for the gcd
+    g_i of den and the numerators of m_i, so F_i neither overflows nor
+    underflows; 2**k_i goes into the denominator, 2**-k_i into the numerators."""
+    re, im, den = legs
+    shifts = np.zeros(len(re), dtype=int)
+    if den is None or not max(_numerator_max(re, im), den) >> _SAFE_EXPONENT:
         return float_stack(*legs), shifts
-    mats = [_matrix(_take(legs, i)) for i in range(len(shifts))]
-    shifts[:] = [k if abs(k) > _SAFE_EXPONENT else 0 for k in (m.exponent() for m in mats)]
-    scaled = [m * (Fraction(1, 2**k) if k > 0 else 2**-k) for m, k in zip(mats, shifts.tolist())]
-    return np.stack([m.numpy() for m in scaled]), shifts
+    flat = np.concatenate([x.reshape(len(x), -1).astype(object) for x in (re, im) if x is not None], axis=1)
+    g = np.gcd(np.gcd.reduce(flat, axis=1), den)
+    exponents = [int(t).bit_length() - (den // int(d)).bit_length() if t else 0
+                 for t, d in zip(np.abs(flat).max(axis=1) // g, g)]
+    shifts[:] = [k if abs(k) > _SAFE_EXPONENT else 0 for k in exponents]
+    power = np.array([2 ** abs(k) for k in shifts.tolist()], dtype=object)
+    num, dens = (np.where(side, power, 1)[:, None, None] for side in (shifts < 0, shifts > 0))
+    return float_stack(re * num, None if im is None else im * num, den * dens), shifts
 
 
 def _upper(left, right) -> np.ndarray:
@@ -361,17 +337,15 @@ def unitize_diagonal(delta: TensorElem, u: Matrix, one: Matrix) -> tuple[TensorE
 class FiniteDiagonal:
     """A tensor element acting as an exact diagonal for a finite algebra:
     its multiplication image is a unit for the span of ``algebra_basis``
-    and it commutes with every basis element."""
+    and it commutes with every basis element, checked on construction
+    (within ``DEFAULT_TOL`` on float legs); ValueError otherwise."""
 
     diag: TensorElem
     algebra_basis: tuple[Matrix, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "algebra_basis", tuple(self.algebra_basis))
-        self.validate()
-
-    def validate(self, tol: float = DEFAULT_TOL):
-        unit, basis, d = self.diag.pi(), self.algebra_basis, self.diag
+        unit, basis, d, tol = self.diag.pi(), self.algebra_basis, self.diag, DEFAULT_TOL
         commutes = np.ones(len(basis), dtype=bool)
         for group in filter(None, [[k for k, a in enumerate(basis) if a.is_exact == e] for e in (True, False)]):
             actors = _apply(_legs([basis[k] for k in group], d.dim), lambda x: x[:, None])
@@ -384,14 +358,10 @@ class FiniteDiagonal:
 
 
 def expectation_from_diagonal(d: FiniteDiagonal, x: Matrix) -> Matrix:
-    """E(x) = sum u_i @ x @ v_i over the diagonal's terms."""
-    dim = d.diag.dim
-    if x.shape != (dim, dim):
-        raise DimensionError(f"argument must be {dim}x{dim}, got {x.shape}")
-    acc = Matrix.zeros(dim, backend="exact")
-    for u, v in d.diag.terms:
-        acc = acc + u @ x @ v
-    return acc
+    """E(x) = sum u_i @ x @ v_i over the diagonal's terms, as one product
+    [u_1 x ... u_c x] [v_1; ...; v_c]; DimensionError unless x is dim x dim."""
+    t = d.diag
+    return _matrix(_pi(stack_product(np.matmul, t._left, t._actor(x), t.dim), t._right))
 
 
 @dataclass(frozen=True)
@@ -463,7 +433,6 @@ class MbadReport:
     unitized_constant: float
     verdict: bool
     images: tuple[Matrix, ...]
-    unitized: tuple[TensorElem, ...]
     unitized_images: tuple[Matrix, ...]
 
 
@@ -542,7 +511,6 @@ def certify_mbad(
     chain: Chain,
     sample: Sequence[Matrix],
     tol: float = DEFAULT_TOL,
-    labels: Sequence[str] | None = None,
 ) -> MbadReport:
     """Certify the approximate-diagonal conditions on a sample.
 
@@ -554,7 +522,8 @@ def certify_mbad(
     norm.  Elements outside span(chain + identity), read off one
     elimination of e_1..e_m, 1 and the sample (exact for exact elements),
     are flagged, not fatal.  The report carries the multiplication images
-    and the unitized diagonals with their images.
+    of the diagonals and of the unitized diagonals; each unitized diagonal
+    is kept only until its image is read.
 
     With D_n = D_{n-1} + I_n for the increments I_n, the [a, I_n] of all
     increments are reduced at once; they are the [a, D_n] up to the first
@@ -571,9 +540,6 @@ def certify_mbad(
     if not deltas:
         raise ValueError("no diagonals supplied")
     sample = list(sample)
-    labels = list(labels) if labels is not None else [f"a{i}" for i in range(len(sample))]
-    if len(labels) != len(sample):
-        raise ValueError("labels and sample lengths differ")
     dim = chain.truncation_dim
     ident = Matrix.identity(dim, backend=chain.backend)
     increments = _increments(deltas)
@@ -585,7 +551,7 @@ def certify_mbad(
     pis = [_matrix(_take(sums, end - 1)) if end else Matrix.zeros(dim) for end in ends]
     images, rests = _legs(pis, dim), _legs([ident - p for p in pis], dim)
     k_const = float(singular_values(float_stack(*images))[:, 0].max())
-    unitized, unitized_images = zip(*(unitize_diagonal(d, p, ident) for d, p in zip(deltas, pis)))
+    unitized_images = tuple(unitize_diagonal(d, p, ident)[1] for d, p in zip(deltas, pis))
     basis = list(chain.idempotents) + [ident]
     records, adjoined_norms, c_const = [None] * len(sample), [0.0] * len(sample), 0.0
     # batches of samples of one backend, so exact samples stay exact, with at
@@ -638,7 +604,7 @@ def certify_mbad(
             c_const = max(c_const, element_constant) if in_span else c_const
             rewrite_ok = bool(ok[s].all() if exact else (dev[s] <= max(tol, 1e-9 * scale)).all())
             records[i] = MbadElementRecord(
-                label=labels[i], in_span=in_span, identity_coeff=id_coeff, top_index=top,
+                label=f"a{i}", in_span=in_span, identity_coeff=id_coeff, top_index=top,
                 final_identity_gap=final_image.max_abs_diff(a), identity_ok=identity_ok,
                 commutator_upper=max(uppers), commutator_lower=float(max(b[0][s] for b in bounds)),
                 commutator_ok=not in_span or all(b[2][s] for b in bounds), element_constant=element_constant,
@@ -659,18 +625,14 @@ def certify_mbad(
     verdict = all(r.identity_ok and r.commutator_ok and r.unitized_ok for r in records)
     return MbadReport(records=tuple(records), multiplier_constant=c_const, projection_sup=k_const,
                       unitized_constant=unitized_constant, verdict=verdict, images=tuple(pis),
-                      unitized=unitized, unitized_images=unitized_images)
+                      unitized_images=unitized_images)
 
 
 def full_matrix_diagonal(n: int) -> FiniteDiagonal:
     """The separating diagonal sum_j e_{j1} (x) e_{1j} of the full n x n
     matrix algebra; the induced expectation maps x to x_11 * identity."""
-    units = {}
-    for i in range(n):
-        for j in range(n):
-            grid = [[0] * n for _ in range(n)]
-            grid[i][j] = 1
-            units[(i, j)] = Matrix.exact(grid)
+    eye = np.eye(n, dtype=np.int64)
+    units = {(i, j): Matrix.from_numerators(np.outer(eye[i], eye[j]), None, 1) for i in range(n) for j in range(n)}
     terms = [(units[(j, 0)], units[(0, j)]) for j in range(n)]
     basis = tuple(units[(i, j)] for i in range(n) for j in range(n))
     return FiniteDiagonal(diag=TensorElem.of(terms, dim=n), algebra_basis=basis)

@@ -43,10 +43,10 @@ from .matrices import (
     _numerator_max,
     float_stack,
     kernel_dtype,
-    op_norm,
     products_agree,
     read_scalar,
     singular_values,
+    stack_product,
 )
 
 __all__ = [
@@ -127,8 +127,11 @@ def certify_E_family(
     span(e_alpha, e_omega, e_n) when the factor columns are supported
     there; and the omega diagonal entry of any combination
     sum c_n E_n = Y diag(c) X* equals the coefficient sum (exactly, via
-    seeded trials), which the operator norm dominates.  Factor columns
-    are taken nonzero: a zero column fails idempotency and the norm."""
+    seeded trials), which the operator norm dominates.  The trials'
+    coefficients are read as integers over one power of 2, so the
+    witnesses of a chunk of trials are one batched integer product, and
+    their norms one stacked SVD.  Factor columns are taken nonzero: a
+    zero column fails idempotency and the norm."""
     n, dim = fam.n_max, fam.ambient_dim
     big = max(1, int(np.abs(fam.x).max()), int(np.abs(fam.y).max()))
     dtype = kernel_dtype((dim * big * big) ** 2)  # bounds every entry of X* Y and every norm product
@@ -137,32 +140,38 @@ def certify_E_family(
     max_norm_error = float(np.abs(np.sqrt(squares.astype(float)) - 3.0).max())
     gram = x.T @ y
     allowed = np.vstack([np.ones((2, n), dtype=bool), np.eye(n, dtype=bool)])  # rows alpha, omega, 1..n_max
-    x_star, y_mat = Matrix.from_numerators(x.T, None, 1), Matrix.from_numerators(y, None, 1)
-    rng = np.random.default_rng(seed)
-    witness_exact = True
-    witness_dominated = True
-    for _ in range(trials):
-        re = rng.uniform(-1.0, 1.0, n)
-        im = rng.uniform(-1.0, 1.0, n)
-        coeffs = [(Fraction(float(p)), Fraction(float(q))) for p, q in zip(re, im)]
-        acc = y_mat @ Matrix.diag(coeffs) @ x_star
-        total = (sum(c[0] for c in coeffs), sum(c[1] for c in coeffs))
-        if acc.entry(_OMEGA, _OMEGA) != total:
-            witness_exact = False
-        magnitude = abs(complex(float(total[0]), float(total[1])))
-        if magnitude > op_norm(acc) + tol:
-            witness_dominated = False
+    # the witnesses Y diag(c) X* of a chunk of trials at once, on integer numerators over 2**s
+    c, scale = _dyadic(np.random.default_rng(seed).uniform(-1.0, 1.0, (trials, 2, n)))
+    sums = c.astype(kernel_dtype(n * scale)).sum(axis=2)
+    exact, norms, step = np.ones(trials, dtype=bool), np.zeros(trials), max(1, _CHUNK_ENTRIES // (dim * dim))
+    for at in (slice(lo, lo + step) for lo in range(0, trials, step)):
+        coeffs = (c[at, 0, None], c[at, 1, None], scale)
+        w = stack_product(np.matmul, stack_product(np.multiply, (fam.y, None, 1), coeffs), (fam.x.T, None, 1), n)
+        exact[at] = (w[0][:, _OMEGA, _OMEGA] == sums[at, 0]) & (w[1][:, _OMEGA, _OMEGA] == sums[at, 1])
+        norms[at] = singular_values(float_stack(*w))[:, 0]
     checks = dict(
         norms_ok=bool((squares == 9).all()),
         idempotent=bool((gram.diagonal() == 1).all()),
         pairwise_zero=not gram[~np.eye(n, dtype=bool)].any(),
         range_contained=not (((x != 0) | (y != 0)) & ~allowed).any(),
-        witness_exact=witness_exact,
-        witness_dominated=witness_dominated,
+        witness_exact=bool(exact.all()),
+        witness_dominated=not (np.abs(float_stack(sums[:, 0], sums[:, 1], scale)) > norms + tol).any(),
     )
     return EFamilyReport(
         n_max=n, max_norm_error=max_norm_error, witness_trials=trials, passed=all(checks.values()), **checks
     )
+
+
+def _dyadic(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(N, 2**s) with values = N / 2**s exactly for the least s >= 0, for
+    floats of modulus at most 1: N on int64 when s < 63, else Python ints."""
+    mant, exp = np.frexp(values)
+    ints = (mant * 2.0**53).astype(np.int64)  # values = ints 2**(exp - 53)
+    zeros = np.frexp((ints & -ints).astype(float))[1] - 1  # trailing zero bits of ints
+    s = int(np.where(ints != 0, 53 - exp - zeros, 0).max(initial=0))
+    if s < 63:
+        return np.ldexp(values, s).astype(np.int64), 2**s
+    return np.vectorize(lambda v: int(Fraction(v) * 2**s), otypes=[object])(values), 2**s
 
 
 @dataclass(frozen=True)
@@ -513,7 +522,8 @@ def _is_product(family: SubsetFamily, trial) -> bool:
     return True
 
 
-# the embed stage takes its items in chunks of at most this many base-family block entries
+# the embed stage takes its items in chunks of at most this many base-family block
+# entries, and certify_E_family its witnesses in chunks of at most this many entries
 _CHUNK_ENTRIES = 2**17
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "GenerationCertificate",
     "orthogonal_generators",
     "orthogonality_table",
-    "single_generator",
     "rescaled_generators",
     "certify_generation",
     "same_span",
@@ -109,27 +108,6 @@ def orthogonality_table(gens: Sequence[Matrix]) -> np.ndarray:
     if not gens:
         return np.ones((0, 0), dtype=bool)
     return product_table(stack(gens), np.diag(np.arange(1, len(gens) + 1)) - 1, DEFAULT_TOL)[0]
-
-
-def _resolve_generators(source: GeneratorSource) -> tuple[tuple[Matrix, ...], tuple]:
-    """The generators and their stack, once their orthogonality table holds."""
-    gens = orthogonal_generators(source) if isinstance(source, Chain) else tuple(source)
-    if not gens:
-        raise ValueError("no generators supplied")
-    if not orthogonality_table(gens).all():
-        raise CertificationError("generators are not pairwise-orthogonal idempotents")
-    return gens, stack(gens)
-
-
-def single_generator(source: GeneratorSource, weights: WeightSeq) -> Matrix:
-    """b = sum_j l_j g_j; exact when the inputs are exact."""
-    gens, _ = _resolve_generators(source)
-    if len(weights) != len(gens):
-        raise ValueError(f"got {len(weights)} weights for {len(gens)} generators")
-    acc = gens[0] * weights[0]
-    for g, lam in zip(gens[1:], weights.lambdas[1:]):
-        acc = acc + g * lam
-    return acc
 
 
 def rescaled_generators(gens: Sequence[Matrix], weights: WeightSeq) -> tuple[Matrix, ...]:
@@ -242,8 +220,12 @@ def certify_generation(
     """
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
-    gens, family = _resolve_generators(source)
-    count = len(gens)
+    gens = orthogonal_generators(source) if isinstance(source, Chain) else tuple(source)
+    if not gens:
+        raise ValueError("no generators supplied")
+    if not orthogonality_table(gens).all():
+        raise CertificationError("generators are not pairwise-orthogonal idempotents")
+    count, family = len(gens), stack(gens)
     if len(weights) != count:
         raise ValueError(f"got {len(weights)} weights for {count} generators")
     mats, im, den = family

@@ -25,10 +25,10 @@ float.  Scalar multiplication reads its scalar through it, and so do
 ``chains`` (couplings) and ``embedding`` (coefficients), so a scalar has
 the same backend wherever it enters.
 
-The comparison policy lives here too: :func:`agree` and :func:`vanishes`
-compare exact operands with zero tolerance whatever slack they are
-given, and float or mixed operands within a plain float tolerance
-(``DEFAULT_TOL``; 0.0 means no slack).  Under the same policy, one
+The comparison policy lives here too: :func:`agree` compares exact
+operands with zero tolerance whatever slack it is given, and float or
+mixed operands within a plain float tolerance (``DEFAULT_TOL``; 0.0 means
+no slack).  Under the same policy, one
 batched kernel, :func:`products_agree` (or :func:`product_table` over
 every pair of a family), checks each product identity A_k B_k = T_k: the
 chain's min rule and idempotency, generator orthogonality and blockwise
@@ -53,11 +53,9 @@ __all__ = [
     "stack_concat",
     "float_stack",
     "agree",
-    "vanishes",
     "products_agree",
     "product_table",
     "eliminate",
-    "is_idempotent",
     "op_norm",
     "singular_values",
 ]
@@ -358,15 +356,6 @@ class Matrix:
     def max_abs_diff(self, other):
         return (self - other).max_abs()
 
-    def exponent(self):
-        """Exact: k = (bit length of the largest numerator) - (bit length of
-        the denominator), so the largest entry modulus of 2**-k self lies
-        between 1/2 and 3; 0 for the zero matrix.  Float: 0."""
-        if not self.is_exact:
-            return 0
-        big = _numerator_max(self._re, self._im)
-        return big.bit_length() - self._den.bit_length() if big else 0
-
     def _stack(self):
         """(stack, bound): the matrix as one unstacked ``(re, im, den)`` and,
         when exact, a bound on its numerators' moduli, kept from the
@@ -531,11 +520,6 @@ def agree(a: Matrix, b: Matrix, tol: float) -> bool:
     return a.max_abs_diff(b) <= tol
 
 
-def vanishes(m: Matrix, tol: float) -> bool:
-    """Whether m is zero: exactly when m is exact, and within ``tol`` per
-    entry otherwise."""
-    return m.is_zero() if m.is_exact else m.max_abs() <= tol
-
 
 def products_agree(a, b, t, tol: float):
     """Whether A_k B_k equals T_k, in the sense of :func:`agree`, and the
@@ -688,9 +672,7 @@ def singular_values(m: Matrix | np.ndarray) -> np.ndarray:
     matrices gets one stacked SVD, with row i holding the values of the
     i-th matrix; each row equals what the matrix alone gives."""
     if isinstance(m, Matrix):
-        if m.rows == 0 or m.cols == 0:
-            raise DimensionError("matrix is empty")
-        return np.linalg.svd(m.to_float()._arr, compute_uv=False)
+        return singular_values(m.to_float()._arr[None])[0]
     if m.ndim != 3 or 0 in m.shape[1:]:
         raise DimensionError(f"expected a stack of nonempty matrices, got shape {m.shape}")
     return np.linalg.svd(m, compute_uv=False)
@@ -699,9 +681,3 @@ def singular_values(m: Matrix | np.ndarray) -> np.ndarray:
 def op_norm(m: Matrix) -> float:
     """Operator norm (largest singular value)."""
     return float(singular_values(m)[0])
-
-
-def is_idempotent(m: Matrix, tol: float = DEFAULT_TOL) -> bool:
-    """Whether m @ m equals m, in the sense of :func:`agree`."""
-    family = stack([m])
-    return bool(products_agree(family, family, family, tol)[0][0])

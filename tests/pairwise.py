@@ -3,9 +3,10 @@
 tensor-element algebra term by term on (Matrix, Matrix) pairs, with the
 reduced form and norm bounds read off them; and the diagonal stage's
 commutator bounds, one reduction per diagonal, and its regrouped unitized
-bounds, all by the reduction; and the embedding bounds item by item and
-block by block.  They are slow and simple; the package computes the same
-things on stacked arrays."""
+bounds, all by the reduction; the rank-one family's witnesses trial by
+trial; and the embedding bounds item by item and block by block.  They
+are slow and simple; the package computes the same things on stacked
+arrays."""
 from __future__ import annotations
 
 import cmath
@@ -118,6 +119,9 @@ class PairTensor:
     def __neg__(self):
         return self.scale(-1)
 
+    def __sub__(self, other):
+        return self + (-other)
+
     def pi(self):
         acc = Matrix.zeros(self.dim)
         for u, v in self.terms:
@@ -168,9 +172,19 @@ def reduce(terms):
     return [(b, v) for b, v in pairs if not negligible(b, v)]
 
 
+def exponent(m):
+    """k = (bit length of the largest numerator) - (bit length of the
+    denominator) of an exact m in lowest terms, so the largest entry
+    modulus of 2**-k m lies between 1/2 and 3; 0 for a zero or float m."""
+    if not m.is_exact:
+        return 0
+    big = max(abs(int(x)) for x in (*m._re.flat, *(() if m._im is None else m._im.flat)))
+    return big.bit_length() - m._den.bit_length() if big else 0
+
+
 def leg_norm(m):
     """(x, k) with ||m|| = x 2**k, reading a leg far from 1 as 2**-k m."""
-    k = m.exponent()
+    k = exponent(m)
     if abs(k) <= 256:
         return op_norm(m), 0
     return op_norm(m * (Fraction(1, 2**k) if k > 0 else 2**-k)), k
@@ -224,6 +238,41 @@ def regrouped_uppers(comms, w, images, rests):
         flat = (_apply(x, lambda y: y.reshape(-1, *y.shape[2:])) for x in (left, stack_concat([r, r, rs, ws], -3)))
         out.append(diagonals._upper(*diagonals._reduce(*flat)).tolist())
     return out
+
+
+def e_family(fam, trials=100, seed=0, tol=1e-9):
+    """certify_E_family one trial at a time: the structure checks on the
+    factors, and each witness Y diag(c) X* as two exact Matrix products on
+    the coefficients read as Fractions, its norm by its own SVD."""
+    n, dim = fam.n_max, fam.ambient_dim
+    x, y = fam.x.astype(object), fam.y.astype(object)
+    squares = (x * x).sum(axis=0) * (y * y).sum(axis=0)
+    gram = x.T @ y
+    allowed = np.vstack([np.ones((2, n), dtype=bool), np.eye(n, dtype=bool)])
+    x_star, y_mat = Matrix.from_numerators(x.T, None, 1), Matrix.from_numerators(y, None, 1)
+    rng = np.random.default_rng(seed)
+    witness_exact = witness_dominated = True
+    for _ in range(trials):
+        re = rng.uniform(-1.0, 1.0, n)
+        im = rng.uniform(-1.0, 1.0, n)
+        coeffs = [(Fraction(float(p)), Fraction(float(q))) for p, q in zip(re, im)]
+        acc = y_mat @ Matrix.diag(coeffs) @ x_star
+        total = (sum(c[0] for c in coeffs), sum(c[1] for c in coeffs))
+        if acc.entry(1, 1) != total:
+            witness_exact = False
+        if abs(complex(float(total[0]), float(total[1]))) > op_norm(acc) + tol:
+            witness_dominated = False
+    checks = dict(
+        norms_ok=bool((squares == 9).all()),
+        idempotent=bool((gram.diagonal() == 1).all()),
+        pairwise_zero=not gram[~np.eye(n, dtype=bool)].any(),
+        range_contained=not (((x != 0) | (y != 0)) & ~allowed).any(),
+        witness_exact=witness_exact,
+        witness_dominated=witness_dominated,
+    )
+    max_norm_error = float(np.abs(np.sqrt(squares.astype(float)) - 3.0).max())
+    return embedding.EFamilyReport(n_max=n, max_norm_error=max_norm_error, witness_trials=trials,
+                                   passed=all(checks.values()), **checks)
 
 
 def is_product(ea, eb, ep):

@@ -44,12 +44,24 @@ from opalg.diagonals import (
 from opalg.matrices import float_stack, singular_values
 
 import pairwise
+from pairwise import PairTensor
 
 
 def reduced_form(t):
     """The reduced form of t, as a tensor element."""
     left, right = _reduce(*_batch(t))
     return TensorElem._of_legs(_take(left, 0), _take(right, 0), t.dim)
+
+
+def stacked(p):
+    """A PairTensor, built term by term, as a TensorElem."""
+    return TensorElem.of(p.terms, p.dim)
+
+
+def same_element(a, b):
+    """Value equality of tensor elements: a - b reduces to the empty form
+    (exactly on exact legs, up to roundoff on float ones)."""
+    return not reduced_form(stacked(PairTensor(a.terms, a.dim) - PairTensor(b.terms, b.dim))).terms
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +140,8 @@ def test_flatten_additive_and_kron():
     one = Matrix.identity(2)
     assert TensorElem.of([(one, one)]).flatten().equals(Matrix.identity(4))
     d = TensorElem.of([(u, v), (one, one)])
-    assert (d - d).flatten().is_zero()
+    assert d.flatten().equals(u.kron(v) + one.kron(one))
+    assert TensorElem.of([(u, v), (-u, v)]).flatten().is_zero()
 
 
 def test_flatten_intertwines_module_actions():
@@ -138,8 +151,8 @@ def test_flatten_intertwines_module_actions():
         a, u, v = mats
         t = TensorElem.of([(u, v)])
         one = Matrix.identity(3).to_float()
-        left = t.left(a).flatten()
-        right = t.right(a).flatten()
+        left = TensorElem.of([(a @ u, v)]).flatten()
+        right = TensorElem.of([(u, v @ a)]).flatten()
         assert left.max_abs_diff(a.kron(one) @ t.flatten()) <= 1e-12
         assert right.max_abs_diff(t.flatten() @ one.kron(a)) <= 1e-12
 
@@ -156,8 +169,8 @@ def test_norm_bounds_single_term_tight():
 def test_norm_bounds_zero_tensor():
     z = TensorElem.zero(3)
     assert tensor_norm_bounds(z) == (0.0, 0.0)
-    d = TensorElem.of([(Matrix.identity(2), Matrix.identity(2))])
-    assert tensor_norm_bounds(d - d) == (0.0, 0.0)
+    one = Matrix.identity(2)
+    assert tensor_norm_bounds(TensorElem.of([(one, one), (-one, one)])) == (0.0, 0.0)
 
 
 def test_norm_bounds_bracket_orthogonal_projections():
@@ -218,8 +231,8 @@ def tensor_elements(draw):
         if draw(st.booleans()):
             return pool[0] * draw(small_rationals) + pool[1] * draw(small_rationals)
         return leg()
-    t = TensorElem.of([(left(), leg()) for _ in range(n_terms)], dim=dim)
-    return t - t if draw(st.booleans()) else t
+    t = PairTensor([(left(), leg()) for _ in range(n_terms)], dim)
+    return stacked(t - t if draw(st.booleans()) else t)
 
 
 @given(tensor_elements())
@@ -243,7 +256,7 @@ def test_reduced_form_matches_kron_oracle(t):
 @given(tensor_elements(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_stacked_algebra_matches_pairwise_oracle(t, data):
-    # pi, flatten, both module actions and the commutator on the stacked legs
+    # pi, flatten, the commutator and the unitization on the stacked legs
     # against the same operations made term by term on Matrix pairs
     pairs = pairwise.PairTensor(t.terms, t.dim)
     entry = st.one_of(st.just(0), small_rationals, st.tuples(small_rationals, small_rationals))
@@ -251,11 +264,12 @@ def test_stacked_algebra_matches_pairwise_oracle(t, data):
     a = Matrix.exact(data.draw(st.lists(row, min_size=t.dim, max_size=t.dim)))
     if t.backend == "float" and data.draw(st.booleans()):
         a = a.to_float()
+    one = Matrix.identity(t.dim)
+    unitized = pairs.scale(2) - pairs.left(a) + PairTensor([(one - a, one - a)], t.dim)
     cases = [
         (t.pi(), pairs.pi()), (t.flatten(), pairs.flatten()),
-        (t.left(a).flatten(), pairs.left(a).flatten()), (t.right(a).flatten(), pairs.right(a).flatten()),
         (bimodule_commutator(a, t).flatten(), pairwise.commutator(a, pairs).flatten()),
-        (t.scale((1, Fraction(-1, 3))).flatten(), pairs.scale((1, Fraction(-1, 3))).flatten()),
+        (unitize_diagonal(t, a, one)[0].flatten(), unitized.flatten()),
     ]
     for got, want in cases:
         if t.backend == "exact" and a.is_exact:
@@ -283,8 +297,8 @@ def scaled_exact_elements(draw):
     pool = (leg(), leg())
     terms = [(pool[0] * draw(small_rationals) + pool[1] if draw(st.booleans()) else leg(), leg())
              for _ in range(draw(st.integers(0, 4)))]
-    t = TensorElem.of(terms, dim=dim)
-    return t - t if draw(st.booleans()) else t
+    t = PairTensor(terms, dim)
+    return stacked(t - t if draw(st.booleans()) else t)
 
 
 @given(scaled_exact_elements())
@@ -325,11 +339,11 @@ def test_unitized_rewrite_gap_identity(data):
     rest = one - p
     w = a_alg @ rest
     m = TensorElem.of([(u * 2, v) for u, v in terms] + [(-(p @ u), v) for u, v in terms] + [(rest, rest)], dim=dim)
-    d_comm = bimodule_commutator(a, delta)
-    regrouped = d_comm.scale(2) + (-d_comm.left(p)) + TensorElem.of([(w, rest), (-rest, w)], dim=dim)
-    gap = regrouped - bimodule_commutator(a, m)
+    d_comm = PairTensor(bimodule_commutator(a, delta).terms, dim)
+    regrouped = d_comm.scale(2) - d_comm.left(p) + PairTensor([(w, rest), (-rest, w)], dim)
+    gap = regrouped - PairTensor(bimodule_commutator(a, m).terms, dim)
     ap = a @ p - p @ a
-    assert reduced_form(gap - (delta.left(ap) + TensorElem.of([(rest, ap)], dim=dim))).terms == ()
+    assert reduced_form(stacked(gap - (PairTensor(terms, dim).left(ap) + PairTensor([(rest, ap)], dim)))).terms == ()
 
 
 def unitized_from_raw_commutator(deltas, chain, a, a_alg, rec, report, tol=DEFAULT_TOL):
@@ -345,7 +359,8 @@ def unitized_from_raw_commutator(deltas, chain, a, a_alg, rec, report, tol=DEFAU
         comm = bimodule_commutator(a, d)
         rest = one - p
         w = a_alg - a_alg @ p
-        up = tensor_norm_upper(comm.scale(2) + (-comm.left(p)) + TensorElem.of([(w, rest), (-rest, w)], dim=dim))
+        pairs = PairTensor(comm.terms, dim)
+        up = tensor_norm_upper(stacked(pairs.scale(2) - pairs.left(p) + PairTensor([(w, rest), (-rest, w)], dim)))
         uppers.append(up)
         refined = (2.0 + k) * tensor_norm_upper(comm) + 2.0 * (1.0 + k) * (0.0 if w.is_zero() else op_norm(w))
         refined_ok = refined_ok and up <= refined + max(tol, 1e-9 * max(1.0, refined))
@@ -401,7 +416,7 @@ def test_unitize_smallest_chain():
     assert pi_map(m).equals(one) and image.equals(one)
     e1 = chain.e(1)
     expected = TensorElem.of([(e1, e1), (one - e1, one - e1)])
-    assert (m - expected).flatten().is_zero()
+    assert m.flatten().equals(expected.flatten())
 
 
 def test_unitize_all_defaults(chain6):
@@ -416,7 +431,7 @@ def test_unitize_collapses_on_identity_diagonal():
     one = Matrix.identity(3)
     delta = TensorElem.of([(one, one)])
     m, _ = unitize_diagonal(delta, one, one)
-    assert (m - delta).flatten().is_zero()
+    assert m.flatten().equals(delta.flatten())
 
 
 def test_unitize_rejects_wrong_unit(chain6):
@@ -555,9 +570,9 @@ def test_expectation_dimension_mismatch():
 
 def test_mbad_report_serializes(chain6):
     deltas = [build_delta(chain6, n) for n in range(1, 4)]
-    report = certify_mbad(deltas, chain6, [chain6.e(1), chain6.e(2)], labels=["one", "two"])
+    report = certify_mbad(deltas, chain6, [chain6.e(1), chain6.e(2)])
     assert report.multiplier_constant == 0.0 and report.verdict is True
-    assert [r.label for r in report.records] == ["one", "two"]
+    assert [r.label for r in report.records] == ["a0", "a1"]
     for r in report.records:
         assert r.identity_ok and r.commutator_ok and r.unitized_ok
 
@@ -599,9 +614,11 @@ def test_certify_mbad_reads_coordinates_over_the_chain(chain6):
     rec, zero = report.records
     assert rec.in_span and rec.top_index == 5 and rec.identity_coeff == complex(1 / 3, 2)
     assert zero.in_span and zero.top_index == 0 and zero.identity_coeff == 0
-    # the report carries the images and unitized diagonals it used
+    # the report carries the images of the diagonals and of the unitized
+    # diagonals, which are those of unitize_diagonal
     assert all(p.equals(chain6.e(n)) for n, p in enumerate(report.images, start=1))
-    assert all(pi_map(m).equals(ident) for m in report.unitized)
+    unitized = [unitize_diagonal(d, p, ident) for d, p in zip(deltas, report.images, strict=True)]
+    assert all(pi_map(m).equals(ident) and image.equals(ident) for m, image in unitized)
     assert all(image.equals(ident) for image in report.unitized_images)
 
 
@@ -610,9 +627,9 @@ def test_tensor_value_equality_is_representation_free():
     one = Matrix.identity(2)
     a = TensorElem.of([(p1, p1), (p2, p1)])
     b = TensorElem.of([(one, p1)])
-    assert a.same_element(b)
+    assert same_element(a, b)
     assert a != b
-    assert not a.same_element(TensorElem.of([(one, p2)]))
+    assert not same_element(a, TensorElem.of([(one, p2)]))
 
 
 def test_certify_mbad_float_chain_within_tolerance():
@@ -699,15 +716,15 @@ def test_incremental_commutators_match_commutators_from_scratch(case):
     chain, deltas, sample = case
     dim = chain.truncation_dim
     increments = _increments(deltas)
-    for d, total in zip(deltas, (sum(increments[: n + 1], TensorElem.zero(dim)) for n in range(len(deltas)))):
-        assert total.same_element(d)
+    for n, d in enumerate(deltas):
+        assert same_element(TensorElem.of([pair for inc in increments[: n + 1] for pair in inc.terms], dim), d)
     # all samples at once, as certify_mbad batches them
     bounds = _commutator_bounds(_legs(sample, dim), increments, 0.0)
     for s, a in enumerate(sample):
         for d, (lower, upper, zero, (left, right)) in zip(deltas, bounds, strict=True):
             scratch = reduced_form(bimodule_commutator(a, d))
             reduced = TensorElem._of_legs(_take(left, s), _take(right, s), dim)
-            assert reduced.same_element(scratch)
+            assert same_element(reduced, scratch)
             assert zero[s] == (not scratch.terms) == (not _nonzero(reduced._left).any())
             # the flattenings are one exact matrix, so the lower bounds agree
             assert lower[s] == (0.0 if zero[s] else op_norm(scratch.flatten()))
@@ -740,7 +757,7 @@ def test_batched_commutator_bounds_match_one_reduction_per_diagonal(case, floats
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
         for s in range(len(sample)):
             reduced = (TensorElem._of_legs(_take(x[0], s), _take(x[1], s), dim) for x in (g[3], w[3]))
-            assert next(reduced).same_element(next(reduced))
+            assert same_element(next(reduced), next(reduced))
 
 
 def integer_legs(dim, content_one=True):

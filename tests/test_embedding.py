@@ -170,7 +170,34 @@ def test_certify_E_family_witness_is_two_products(monkeypatch):
 
     monkeypatch.setattr(matrices, "_complex_product", counted)
     assert certify_E_family(RankOneFamily.build(20), trials=7).passed
-    assert calls == [np.dot] * 14
+    # Y c for the coefficients c of every trial at once, then (Y c) X*
+    assert calls == [np.multiply, np.matmul]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("trials", [1, 100])
+def test_certify_E_family_matches_trial_by_trial_oracle(seed, trials):
+    fam = RankOneFamily.build(10)
+    assert certify_E_family(fam, trials=trials, seed=seed) == pairwise.e_family(fam, trials=trials, seed=seed)
+
+
+@pytest.mark.parametrize("chunk", [1, 3 * 9**2, 2**30])
+def test_certify_E_family_is_the_same_in_any_chunking(monkeypatch, chunk):
+    # one trial per chunk, three per chunk with a short last one, and all at once
+    fam = RankOneFamily.build(7)
+    monkeypatch.setattr(embedding, "_CHUNK_ENTRIES", chunk)
+    assert certify_E_family(fam, trials=8, seed=5) == pairwise.e_family(fam, trials=8, seed=5)
+
+
+def test_dyadic_numerators_are_exact_and_least():
+    values = np.array([0.0, -1.0, 1.0, 0.5, -0.75, 2.0**-60, 3 * 2.0**-40, np.nextafter(1.0, 0.0)])
+    nums, scale = embedding._dyadic(values)
+    assert scale == 2**60 and nums.dtype == np.int64
+    assert [Fraction(int(k), scale) for k in nums] == [Fraction(v) for v in values]
+    assert embedding._dyadic(np.array([0.5, -0.25]))[1] == 4 and embedding._dyadic(np.zeros(3))[1] == 1
+    # past int64 the numerators are Python integers
+    nums, scale = embedding._dyadic(np.array([2.0**-70, -0.5]))
+    assert scale == 2**70 and nums.dtype == object and list(nums) == [1, -(2**69)]
 
 
 def test_subset_family_canonical_order():

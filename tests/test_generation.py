@@ -12,17 +12,16 @@ from opalg import (
     Matrix,
     WeightSeq,
     build_chain,
+    agree,
     certify_generation,
-    is_idempotent,
     op_norm,
     orthogonal_generators,
     orthogonality_table,
     same_span,
-    single_generator,
 )
 from opalg import generation, matrices
 from opalg.generation import _bound_holds, rescaled_generators
-from opalg.matrices import DEFAULT_TOL, vanishes
+from opalg.matrices import DEFAULT_TOL
 import pairwise
 
 
@@ -47,6 +46,11 @@ def test_orthogonal_generators_telescope():
     assert acc.equals(chain.e(6))
 
 
+def single_generator(gens, weights):
+    """b = sum_j l_j g_j, which is l_1 times the first rescaled generator."""
+    return rescaled_generators(gens, weights)[0] * weights[0]
+
+
 def test_single_term_generator():
     e1 = Matrix.diag([1, 0])
     b = single_generator([e1], WeightSeq((Fraction(1, 2),)))
@@ -63,7 +67,7 @@ def test_generator_norm_triangle_bound():
     chain = build_chain(ChainSpec.default(6))
     gens = orthogonal_generators(chain)
     w = WeightSeq.norm_adaptive(gens)
-    b = single_generator(chain, w)
+    b = single_generator(gens, w)
     assert op_norm(b) <= sum(float(l) * op_norm(g) for l, g in zip(w.lambdas, gens)) + 1e-9
 
 
@@ -204,7 +208,7 @@ def test_weight_validation():
 
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError, match="weights"):
-        single_generator(two_projections(), WeightSeq((Fraction(1, 2),)))
+        rescaled_generators(two_projections(), WeightSeq((Fraction(1, 2),)))
     with pytest.raises(ValueError, match="weights"):
         certify_generation(two_projections(), WeightSeq((Fraction(1, 2),)), r_max=5)
 
@@ -310,7 +314,7 @@ def test_closed_form_matches_product_loop_on_complex_families():
 def pairwise_table(gens):
     n = len(gens)
     return np.array([
-        [is_idempotent(gens[i]) if i == j else vanishes(gens[i] @ gens[j], DEFAULT_TOL) for j in range(n)]
+        [agree(gens[i] @ gens[j], gens[i] if i == j else Matrix.zeros(gens[i].rows), DEFAULT_TOL) for j in range(n)]
         for i in range(n)
     ])
 
