@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .chains import ChainSpec, build_chain, norm_profile, verify_semilattice
 from .diagonals import (
-    build_delta,
+    TensorElem,
     certify_expectation,
     certify_mbad,
     expectation_from_diagonal,
@@ -305,13 +305,13 @@ def _stage_generate(cfg: ExperimentConfig, get_chain) -> tuple[StageResult, dict
 def _stage_diagonal(cfg: ExperimentConfig, get_chain) -> tuple[StageResult, dict]:
     stage = StageResult("diagonal")
     chain = get_chain()
-    deltas = [build_delta(chain, n) for n in range(1, chain.m_max + 1)]
-    report = certify_mbad(deltas, chain, list(chain.idempotents), cfg.tol)
+    increments = [TensorElem.of([(g, g)], chain.truncation_dim) for g in orthogonal_generators(chain)]
+    report = certify_mbad(increments, chain, list(chain.idempotents), cfg.tol)
     stage.add(
         "diagonal-multiplication-image",
         "the multiplication map sends the n-th diagonal to the n-th idempotent",
         "exact for all n",
-        f"{len(deltas)} diagonals",
+        f"{len(increments)} diagonals",
         all(image.equals(chain.e(n)) for n, image in enumerate(report.images, start=1)),
     )
     ident = Matrix.identity(chain.truncation_dim, backend=chain.backend)
@@ -319,7 +319,7 @@ def _stage_diagonal(cfg: ExperimentConfig, get_chain) -> tuple[StageResult, dict
         "unitized-diagonal-image",
         "unitized diagonals map to the identity",
         "exact for all n",
-        f"{len(deltas)} unitized diagonals",
+        f"{len(increments)} unitized diagonals",
         all(image.equals(ident) for image in report.unitized_images),
     )
     stage.add(

@@ -4,7 +4,9 @@ A tensor element is a finite formal sum of matrix pairs u (x) v.  The
 module builds the telescoping diagonals of a chain, their unitized
 companions, certifies the multiplier-bounded approximate-diagonal
 conditions, and realizes the expectation x -> sum u_i x v_i induced by a
-finite exact diagonal.
+finite exact diagonal.  A diagonal sequence is given by its increments
+I_n = D_n - D_{n-1}; for the telescoping diagonals each is one term
+g_n (x) g_n, and every D_n is a view of the first terms of one leg stack.
 
 An element holds its legs as two stacks, and each operation on it is one
 array kernel over those stacks: the multiplication map, the flattening,
@@ -27,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .chains import Chain
+from .generation import orthogonal_generators
 from .matrices import (
     DEFAULT_TOL,
     DimensionError,
@@ -156,10 +159,6 @@ class TensorElem:
         pairs = tuple(pairs)
         return cls(pairs, dim if dim is not None else pairs[0][0].rows if pairs else 0)
 
-    @classmethod
-    def zero(cls, dim: int) -> "TensorElem":
-        return cls(terms=(), dim=dim)
-
     @property
     def terms(self) -> tuple[tuple[Matrix, Matrix], ...]:
         if self._terms is None:
@@ -195,16 +194,11 @@ def bimodule_commutator(a: Matrix, t: TensorElem) -> TensorElem:
 
 
 def build_delta(chain: Chain, n: int) -> TensorElem:
-    """Telescoping diagonal over the chain:
-    e_1 (x) e_1 + sum_{j=2..n} (e_j - e_{j-1}) (x) (e_j - e_{j-1})."""
+    """Telescoping diagonal over the chain: sum_{j<=n} g_j (x) g_j for the
+    generators g_1 = e_1, g_j = e_j - e_{j-1} (:func:`orthogonal_generators`)."""
     if not 1 <= n <= chain.m_max:
         raise ValueError(f"diagonal index {n} out of range 1..{chain.m_max}")
-    e = chain.idempotents
-    terms = [(e[0], e[0])]
-    for j in range(2, n + 1):
-        diff = e[j - 1] - e[j - 2]
-        terms.append((diff, diff))
-    return TensorElem.of(terms, dim=chain.truncation_dim)
+    return TensorElem.of([(g, g) for g in orthogonal_generators(chain)[:n]], dim=chain.truncation_dim)
 
 
 def _batch(t: TensorElem) -> tuple[tuple, tuple]:
@@ -345,13 +339,15 @@ class FiniteDiagonal:
 
     def __post_init__(self):
         object.__setattr__(self, "algebra_basis", tuple(self.algebra_basis))
-        unit, basis, d, tol = self.diag.pi(), self.algebra_basis, self.diag, DEFAULT_TOL
-        commutes = np.ones(len(basis), dtype=bool)
+        basis, d, tol = self.algebra_basis, self.diag, DEFAULT_TOL
+        unit = _pi(d._left, d._right)
+        identity, commutes = np.ones((2, len(basis)), dtype=bool)
         for group in filter(None, [[k for k, a in enumerate(basis) if a.is_exact == e] for e in (True, False)]):
-            actors = _apply(_legs([basis[k] for k in group], d.dim), lambda x: x[:, None])
-            commutes[group] = _bounds(*_commutator(actors, d._left, d._right), tol)[2]
-        for k, a in enumerate(basis):
-            if not (agree(unit @ a, a, tol) and agree(a @ unit, a, tol)):
+            b = _legs([basis[k] for k in group], d.dim)
+            identity[group] = products_agree(unit, b, b, tol)[0] & products_agree(b, unit, b, tol)[0]
+            commutes[group] = _bounds(*_commutator(_apply(b, lambda x: x[:, None]), d._left, d._right), tol)[2]
+        for k in range(len(basis)):
+            if not identity[k]:
                 raise ValueError(f"pi(diag) does not act as identity on basis element {k}")
             if not commutes[k]:
                 raise ValueError(f"diag does not commute with basis element {k}")
@@ -436,24 +432,6 @@ class MbadReport:
     unitized_images: tuple[Matrix, ...]
 
 
-def _increments(deltas: Sequence[TensorElem]) -> list[TensorElem]:
-    """Per diagonal, what it adds to the one before (the first to zero):
-    its terms after the longest prefix it shares with the previous one,
-    minus the previous one's terms after that prefix.  Legs are compared
-    by :meth:`Matrix.equals`, so a telescoping sequence built term by term
-    gives one term per increment, and any sequence gives increments that
-    sum to each diagonal."""
-    out, prev = [], TensorElem.zero(deltas[0].dim)
-    for d in deltas:
-        k = 0
-        while k < min(len(prev.terms), len(d.terms)) and all(map(Matrix.equals, prev.terms[k], d.terms[k])):
-            k += 1
-        (dl, dr), (pl, pr) = ((_take(x._left, slice(k, None)), _take(x._right, slice(k, None))) for x in (d, prev))
-        out.append(TensorElem._of_legs(stack_concat([dl, _apply(pl, np.negative)]), stack_concat([dr, pr]), d.dim))
-        prev = d
-    return out
-
-
 def _commutator_bounds(samples, increments: Sequence[TensorElem], tol: float) -> list[tuple]:
     """:func:`_bounds` of [a, D_n], D_n the sum of the first n increments, for
     each n and each a of the stack ``samples``.  The [a, I_n] of all
@@ -507,42 +485,43 @@ def _regrouped_uppers(comms, w, shrinks, images, rests) -> np.ndarray:
 
 
 def certify_mbad(
-    deltas: Sequence[TensorElem],
+    increments: Sequence[TensorElem],
     chain: Chain,
     sample: Sequence[Matrix],
     tol: float = DEFAULT_TOL,
 ) -> MbadReport:
     """Certify the approximate-diagonal conditions on a sample.
 
-    ``deltas`` is read as the increasing diagonal sequence of the chain.
-    Per element: the multiplication images eventually act as the identity
-    (exactly, once the index passes the element's top chain index),
-    commutators with every diagonal vanish, and the unitized diagonals obey
-    the multiplier estimate (2 + K) C + 2 (1 + K)^2 over the adjoined-unit
-    norm.  Elements outside span(chain + identity), read off one
-    elimination of e_1..e_m, 1 and the sample (exact for exact elements),
-    are flagged, not fatal.  The report carries the multiplication images
-    of the diagonals and of the unitized diagonals; each unitized diagonal
-    is kept only until its image is read.
+    ``increments`` are I_1..I_m of the chain's diagonal sequence, read as
+    D_n = I_1 + ... + I_n; the telescoping diagonals have I_n = g_n (x) g_n
+    for the generators g_n.  Per element: the multiplication images
+    eventually act as the identity (exactly, once the index passes the
+    element's top chain index), commutators with every diagonal vanish, and
+    the unitized diagonals obey the multiplier estimate
+    (2 + K) C + 2 (1 + K)^2 over the adjoined-unit norm.  Elements outside
+    span(chain + identity), read off one elimination of e_1..e_m, 1 and the
+    sample (exact for exact elements), are flagged, not fatal.  The report
+    carries the multiplication images of the diagonals and of the unitized
+    diagonals; each unitized diagonal is kept only until its image is read.
 
-    With D_n = D_{n-1} + I_n for the increments I_n, the [a, I_n] of all
-    increments are reduced at once; they are the [a, D_n] up to the first
-    nonzero one, and past it [a, D_n] is reduced as the reduced [a, D_{n-1}]
-    with the terms of [a, I_n]: for telescoping diagonals a sample costs 2 m
-    products, not m (m + 1).  That form has the value of [a, D_n] but not its
-    leg order, so a nonzero commutator's upper bound may differ in its last
-    digits from that of the reduced raw one; so may the closed-form unitized
-    bound of a commuting sample from the reduction's on rational legs.  The
-    images pi(D_n) are prefix sums of the increments' images, and the samples
-    of one backend go through each reduction and product as a batch.
+    The increments' legs are joined into one stack, and each D_n is a view
+    of its first terms, not a copy.  The images pi(D_n) are prefix sums of
+    the products of those terms.  The [a, I_n] of all increments are reduced
+    at once; they are the [a, D_n] up to the first nonzero one, and past it
+    [a, D_n] is reduced as the reduced [a, D_{n-1}] with the terms of
+    [a, I_n]: for telescoping diagonals a sample costs 2 m products, not
+    m (m + 1).  That form has the value of [a, D_n] but not its leg order,
+    so a nonzero commutator's upper bound may differ in its last digits from
+    that of the reduced raw one; so may the closed-form unitized bound of a
+    commuting sample from the reduction's on rational legs.  The samples of
+    one backend go through each reduction and product as a batch.
     """
-    deltas = list(deltas)
-    if not deltas:
+    increments = list(increments)
+    if not increments:
         raise ValueError("no diagonals supplied")
     sample = list(sample)
     dim = chain.truncation_dim
     ident = Matrix.identity(dim, backend=chain.backend)
-    increments = _increments(deltas)
     # pi(D_n) as prefix sums of the products u_i v_i over the increments' terms,
     # from one product whose numerator bound covers every prefix sum
     left, right = (stack_concat([getattr(inc, side) for inc in increments]) for side in ("_left", "_right"))
@@ -551,12 +530,13 @@ def certify_mbad(
     pis = [_matrix(_take(sums, end - 1)) if end else Matrix.zeros(dim) for end in ends]
     images, rests = _legs(pis, dim), _legs([ident - p for p in pis], dim)
     k_const = float(singular_values(float_stack(*images))[:, 0].max())
+    deltas = (TensorElem._of_legs(_take(left, slice(end)), _take(right, slice(end)), dim) for end in ends)
     unitized_images = tuple(unitize_diagonal(d, p, ident)[1] for d, p in zip(deltas, pis))
     basis = list(chain.idempotents) + [ident]
     records, adjoined_norms, c_const = [None] * len(sample), [0.0] * len(sample), 0.0
     # batches of samples of one backend, so exact samples stay exact, with at
     # most 2**18 entries in one (sample, diagonal) array
-    size = max(1, 2**18 // (len(deltas) * dim * dim))
+    size = max(1, 2**18 // (len(increments) * dim * dim))
     by_backend = [[i for i, a in enumerate(sample) if a.is_exact == e] for e in (True, False)]
     for group in (ids[lo:lo + size] for ids in by_backend for lo in range(0, len(ids), size)):
         samples = _legs([sample[i] for i in group], dim)
@@ -596,7 +576,7 @@ def certify_mbad(
             top = int(np.flatnonzero(live)[-1]) + 1 if live.any() else 0
             id_coeff = complex(float(corner[0]), float(corner[1])) if isinstance(corner, tuple) else corner
             final_image = a @ pis[-1]
-            identity_ok = (not in_span or has_id[s] or top > len(deltas)
+            identity_ok = (not in_span or has_id[s] or top > len(increments)
                            or agree(final_image, a, max(tol, 1e-12 * scale)))
             uppers = [float(b[1][s]) for b in bounds]
             alg_norm = alg_norms[s] if not algs[s].is_zero() else 0.0

@@ -3,9 +3,10 @@
 tensor-element algebra term by term on (Matrix, Matrix) pairs, with the
 reduced form and norm bounds read off them; and the diagonal stage's
 commutator bounds, one reduction per diagonal, and its regrouped unitized
-bounds, all by the reduction; the rank-one family's witnesses trial by
-trial; and the embedding bounds item by item and block by block.  They
-are slow and simple; the package computes the same things on stacked
+bounds, all by the reduction; the increments of a diagonal sequence, found
+by comparing its diagonals term by term; the rank-one family's witnesses
+trial by trial; and the embedding bounds item by item and block by block.
+They are slow and simple; the package computes the same things on stacked
 arrays."""
 from __future__ import annotations
 
@@ -205,6 +206,26 @@ def bounds(terms):
     if not reduced:
         return 0.0, 0.0
     return op_norm(PairTensor(reduced, reduced[0][0].rows).flatten()), upper(reduced)
+
+
+def increments(deltas):
+    """Per diagonal, what it adds to the one before (the first to zero): its
+    terms after the longest prefix it shares with the previous one, minus
+    the previous one's terms after that prefix, legs compared by
+    :meth:`Matrix.equals`.  A telescoping sequence built term by term gives
+    one term per increment, and any sequence gives increments that sum to
+    each diagonal."""
+    _apply, _take = diagonals._apply, diagonals._take
+    out, prev = [], diagonals.TensorElem((), deltas[0].dim)
+    for d in deltas:
+        k = 0
+        while k < min(len(prev.terms), len(d.terms)) and all(map(Matrix.equals, prev.terms[k], d.terms[k])):
+            k += 1
+        (dl, dr), (pl, pr) = ((_take(x._left, slice(k, None)), _take(x._right, slice(k, None))) for x in (d, prev))
+        out.append(diagonals.TensorElem._of_legs(stack_concat([dl, _apply(pl, np.negative)]), stack_concat([dr, pr]),
+                                                 d.dim))
+        prev = d
+    return out
 
 
 def commutator_bounds(samples, increments, tol):

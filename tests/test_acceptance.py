@@ -34,6 +34,8 @@ from opalg import (
 )
 from opalg.cli import ExperimentConfig, main, payload_json, run_experiment
 
+import pairwise
+
 INV_PI = 1.0 / math.pi
 
 
@@ -107,7 +109,7 @@ def test_criterion_4_diagonal_identities():
     for delta in deltas:
         m, image = unitize_diagonal(delta, pi_map(delta), ident)
         assert pi_map(m).equals(ident) and image.equals(ident)
-    report = certify_mbad(deltas, chain, list(chain.idempotents))
+    report = certify_mbad(pairwise.increments(deltas), chain, list(chain.idempotents))
     assert report.verdict
     assert report.multiplier_constant == 0.0
 

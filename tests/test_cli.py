@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opalg import diagonals, embedding, generation
+from opalg import cli, diagonals, embedding, generation
 from opalg.chains import Chain, build_chain
 from opalg.generation import WeightSeq
 from opalg.cli import (
@@ -216,6 +216,34 @@ def test_all_builds_the_chain_once(monkeypatch):
     assert [s.passed for s in report.stages if s.name == "embed"] == [True]
 
 
+def test_diagonal_stage_views_one_leg_stack(monkeypatch):
+    # the stage passes the increments g_n (x) g_n; every D_n that is
+    # unitized is a view of the first n terms of one leg stack, with the
+    # value of the telescoping diagonal
+    seen, unitize = [], diagonals.unitize_diagonal
+
+    def recorded(delta, u, one):
+        seen.append(delta)
+        return unitize(delta, u, one)
+
+    monkeypatch.setattr(diagonals, "unitize_diagonal", recorded)
+    cfg = small_cfg(subcommand="diagonal", m_max=6)
+    assert run_experiment(cfg).overall
+    chain = cli._chain(cfg)
+    assert len(seen) == 6
+    for n, delta in enumerate(seen, start=1):
+        assert np.shares_memory(delta._left[0], seen[-1]._left[0])
+        assert delta.flatten().equals(diagonals.build_delta(chain, n).flatten())
+
+
+def test_couplings_past_float_range_run_end_to_end(tmp_path, capsys):
+    # couplings of 2**300 give tensor legs past 2**256, which are read as
+    # floats scaled by a power of 2, and unitized bounds off the reduction
+    argv = ["all", "--m-max", "6", "--coupling-scheme", f"constant:{2**300}", "--trials", "1", "--tol", "0"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert "overall: pass" in capsys.readouterr().out
+
+
 def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     argv = ["chain", "--m-max", "4", "--out", str(tmp_path)]
     assert main(argv) == 0
@@ -255,8 +283,6 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):
-    from opalg import cli
-
     assert cli._build_parser() is cli._build_parser()
     # a flag given on one call does not leak into the next
     assert build_config(["chain", "--m-max", "4", "--seed", "9"]).seed == 9

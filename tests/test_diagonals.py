@@ -23,6 +23,7 @@ from opalg import (
     expectation_norm_demo,
     full_matrix_diagonal,
     op_norm,
+    orthogonal_generators,
     pi_map,
     skew_idempotent_diagonal,
     tensor_norm_bounds,
@@ -34,7 +35,6 @@ from opalg.diagonals import (
     _batch,
     _bounds,
     _commutator_bounds,
-    _increments,
     _legs,
     _nonzero,
     _reduce,
@@ -167,7 +167,7 @@ def test_norm_bounds_single_term_tight():
 
 
 def test_norm_bounds_zero_tensor():
-    z = TensorElem.zero(3)
+    z = TensorElem((), 3)
     assert tensor_norm_bounds(z) == (0.0, 0.0)
     one = Matrix.identity(2)
     assert tensor_norm_bounds(TensorElem.of([(one, one), (-one, one)])) == (0.0, 0.0)
@@ -384,7 +384,7 @@ def test_certify_mbad_unitized_matches_raw_commutator_reference(chain6):
     parts = [(e, 0) for e in chain6.idempotents]
     parts += [(chain6.e(1) + unit01(dim), 0), (chain6.e(2) + unit01(dim) * Fraction(1, 3), 0), (chain6.e(3), 2)]
     sample = [a_alg + one * c for a_alg, c in parts] + [chain6.e(5).to_float() * 0.3 + one * 0.5]
-    report = certify_mbad(deltas, chain6, sample)
+    report = certify_mbad(pairwise.increments(deltas), chain6, sample)
     assert [r.in_span for r in report.records] == [True] * 6 + [False, False, True, True]
     # a float element's identity part is the one certify_mbad reads off its coordinates
     algs = [a_alg for a_alg, _ in parts] + [sample[-1] - one * report.records[-1].identity_coeff]
@@ -403,7 +403,7 @@ def test_certify_mbad_unitized_needs_commuting_images():
     odd = TensorElem.of([(unit01(dim), one), (chain.e(1), chain.e(1))], dim=dim)
     deltas = [build_delta(chain, 1), odd, build_delta(chain, 3)]
     sample = [chain.e(1), chain.e(2), chain.e(4), one * Fraction(3, 2) + chain.e(3)]
-    report = certify_mbad(deltas, chain, sample)
+    report = certify_mbad(pairwise.increments(deltas), chain, sample)
     assert [r.unitized_ok for r in report.records] == [False, False, True, True]
     assert not report.verdict
 
@@ -445,7 +445,7 @@ def test_unitize_rejects_wrong_unit(chain6):
 def test_certify_mbad_default_sample(chain6):
     deltas = [build_delta(chain6, n) for n in range(1, 7)]
     sample = [chain6.e(n) for n in range(1, 6)]
-    report = certify_mbad(deltas, chain6, sample)
+    report = certify_mbad(pairwise.increments(deltas), chain6, sample)
     assert report.verdict
     assert report.multiplier_constant == 0.0
     assert report.projection_sup == pytest.approx(math.sqrt(10), abs=1e-9)
@@ -458,7 +458,7 @@ def test_certify_mbad_default_sample(chain6):
 
 def test_certify_mbad_zero_sample(chain6):
     deltas = [build_delta(chain6, n) for n in range(1, 4)]
-    report = certify_mbad(deltas, chain6, [Matrix.zeros(chain6.truncation_dim)])
+    report = certify_mbad(pairwise.increments(deltas), chain6, [Matrix.zeros(chain6.truncation_dim)])
     assert report.verdict
     assert report.records[0].commutator_upper == 0.0
     assert report.records[0].element_constant == 0.0
@@ -468,7 +468,7 @@ def test_certify_mbad_flags_outside_elements(chain6):
     dim = chain6.truncation_dim
     shift = Matrix.exact([[1 if j == i + 1 else 0 for j in range(dim)] for i in range(dim)])
     deltas = [build_delta(chain6, n) for n in range(1, 4)]
-    report = certify_mbad(deltas, chain6, [shift, chain6.e(1)])
+    report = certify_mbad(pairwise.increments(deltas), chain6, [shift, chain6.e(1)])
     by_label = {r.label: r for r in report.records}
     assert not by_label["a0"].in_span
     assert by_label["a1"].in_span
@@ -479,7 +479,7 @@ def test_certify_mbad_handles_identity_component(chain6):
     deltas = [build_delta(chain6, n) for n in range(1, 7)]
     ident = Matrix.identity(chain6.truncation_dim)
     elem = ident * Fraction(2) + chain6.e(3) * Fraction(1, 2)
-    report = certify_mbad(deltas, chain6, [elem])
+    report = certify_mbad(pairwise.increments(deltas), chain6, [elem])
     rec = report.records[0]
     assert rec.in_span
     assert abs(rec.identity_coeff - 2.0) <= 1e-9
@@ -487,14 +487,14 @@ def test_certify_mbad_handles_identity_component(chain6):
     assert rec.unitized_ok
     # an identity coefficient below float range is still one: the test is exact
     for corner in (Fraction(1, 2**1100), (0, Fraction(-1, 2**1100))):
-        rec = certify_mbad(deltas[:2], chain6, [ident * corner]).records[0]
+        rec = certify_mbad(pairwise.increments(deltas[:2]), chain6, [ident * corner]).records[0]
         assert rec.identity_coeff == 0 and rec.identity_ok
 
 
 def test_certify_mbad_unitized_bound_tracks_tail(chain6):
     # an element above the diagonal index leaves a nonzero unitized commutator
     deltas = [build_delta(chain6, n) for n in range(1, 3)]
-    report = certify_mbad(deltas, chain6, [chain6.e(5)])
+    report = certify_mbad(pairwise.increments(deltas), chain6, [chain6.e(5)])
     rec = report.records[0]
     assert rec.commutator_upper == 0.0
     assert rec.unitized_upper > 0.0
@@ -505,7 +505,7 @@ def test_certify_mbad_truncated_sequence(chain6):
     # elements above the last diagonal leave w (x) (1-u) - (1-u) (x) w;
     # its upper bound must stay within the multiplier estimate
     deltas = [build_delta(chain6, n) for n in range(1, 4)]
-    report = certify_mbad(deltas, chain6, list(chain6.idempotents))
+    report = certify_mbad(pairwise.increments(deltas), chain6, list(chain6.idempotents))
     assert report.verdict
     assert all(rec.unitized_ok for rec in report.records)
 
@@ -558,8 +558,22 @@ def test_finite_diagonal_validates_invariants():
     one = Matrix.identity(2)
     e = Matrix.exact([[1, 1], [0, 0]])
     bad = TensorElem.of([(e, e)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="identity on basis element 0"):
         FiniteDiagonal(diag=bad, algebra_basis=(one, e))
+    # the first failing basis element is named, the identity checked first
+    p, e01 = Matrix.diag([1, 0]), Matrix.exact([[0, 1], [0, 0]])
+    with pytest.raises(ValueError, match="identity on basis element 1"):
+        FiniteDiagonal(diag=TensorElem.of([(p, p)]), algebra_basis=(p, one, e01))
+    with pytest.raises(ValueError, match="identity on basis element 0"):
+        FiniteDiagonal(diag=TensorElem.of([(p, p)]), algebra_basis=(e01, p))
+    with pytest.raises(ValueError, match="commute with basis element 1"):
+        FiniteDiagonal(diag=TensorElem.of([(one, one)]), algebra_basis=(one, e01, e01.to_float()))
+    # pi(q (x) q) = q**2 misses the identity by 2**-1099, which rounds to 0.0:
+    # an exact basis element fails exactly, a float one passes within the tolerance
+    q = Matrix.diag([1, 1 - Fraction(1, 2**1100)])
+    FiniteDiagonal(diag=TensorElem.of([(q, q)]), algebra_basis=(one.to_float(),))
+    with pytest.raises(ValueError, match="identity on basis element 1"):
+        FiniteDiagonal(diag=TensorElem.of([(q, q)]), algebra_basis=(one.to_float(), one))
 
 
 def test_expectation_dimension_mismatch():
@@ -570,7 +584,7 @@ def test_expectation_dimension_mismatch():
 
 def test_mbad_report_serializes(chain6):
     deltas = [build_delta(chain6, n) for n in range(1, 4)]
-    report = certify_mbad(deltas, chain6, [chain6.e(1), chain6.e(2)])
+    report = certify_mbad(pairwise.increments(deltas), chain6, [chain6.e(1), chain6.e(2)])
     assert report.multiplier_constant == 0.0 and report.verdict is True
     assert [r.label for r in report.records] == ["a0", "a1"]
     for r in report.records:
@@ -588,7 +602,7 @@ def test_certify_mbad_exact_commutator_below_float_range(chain6):
     # do not vanish
     a = chain6.e(1) + unit01(chain6.truncation_dim) * Fraction(1, 2**1100)
     deltas = [build_delta(chain6, n) for n in range(1, 7)]
-    report = certify_mbad(deltas, chain6, [a])
+    report = certify_mbad(pairwise.increments(deltas), chain6, [a])
     rec = report.records[0]
     assert not rec.in_span and rec.commutator_upper == 0.0
     assert report.verdict
@@ -600,7 +614,7 @@ def test_certify_mbad_top_index_is_exact(chain6):
     # the e_3 coordinate 2**-40 is below any float threshold, but it is
     # there: the top index is 3, past the last diagonal
     deltas = [build_delta(chain6, n) for n in range(1, 3)]
-    report = certify_mbad(deltas, chain6, [chain6.e(2) + chain6.e(3) * Fraction(1, 2**40)])
+    report = certify_mbad(pairwise.increments(deltas), chain6, [chain6.e(2) + chain6.e(3) * Fraction(1, 2**40)])
     rec = report.records[0]
     assert rec.in_span and rec.top_index == 3
     assert rec.identity_ok and report.verdict
@@ -610,7 +624,7 @@ def test_certify_mbad_reads_coordinates_over_the_chain(chain6):
     ident = Matrix.identity(chain6.truncation_dim)
     deltas = [build_delta(chain6, n) for n in range(1, 4)]
     elem = chain6.e(2) * Fraction(-3, 7) + chain6.e(5) + ident * (Fraction(1, 3), 2)
-    report = certify_mbad(deltas, chain6, [elem, chain6.e(4) - chain6.e(4)])
+    report = certify_mbad(pairwise.increments(deltas), chain6, [elem, chain6.e(4) - chain6.e(4)])
     rec, zero = report.records
     assert rec.in_span and rec.top_index == 5 and rec.identity_coeff == complex(1 / 3, 2)
     assert zero.in_span and zero.top_index == 0 and zero.identity_coeff == 0
@@ -636,7 +650,7 @@ def test_certify_mbad_float_chain_within_tolerance():
     chain = build_chain(ChainSpec(m_max=4, dims=(1, 2, 3, 4, 5), couplings=(1.5, 2.5)))
     assert chain.backend == "float"
     deltas = [build_delta(chain, n) for n in range(1, 5)]
-    report = certify_mbad(deltas, chain, [chain.e(2), chain.e(3)])
+    report = certify_mbad(pairwise.increments(deltas), chain, [chain.e(2), chain.e(3)])
     assert report.verdict
     assert report.multiplier_constant <= 1e-9
     for rec in report.records:
@@ -666,7 +680,7 @@ def test_certify_mbad_mixed_scale_exact_element(chain6):
     # a float conversion of them
     dim = chain6.truncation_dim
     x = Matrix.identity(dim) * (0, Fraction(1, 2**1100)) + chain6.e(5)
-    report = certify_mbad([build_delta(chain6, n) for n in (1, 2)], chain6, [x])
+    report = certify_mbad(pairwise.increments([build_delta(chain6, n) for n in (1, 2)]), chain6, [x])
     rec = report.records[0]
     assert rec.in_span and rec.commutator_upper == 0.0
     assert math.isfinite(rec.unitized_upper) and rec.unitized_ok
@@ -715,7 +729,7 @@ def diagonal_sequences(draw):
 def test_incremental_commutators_match_commutators_from_scratch(case):
     chain, deltas, sample = case
     dim = chain.truncation_dim
-    increments = _increments(deltas)
+    increments = pairwise.increments(deltas)
     for n, d in enumerate(deltas):
         assert same_element(TensorElem.of([pair for inc in increments[: n + 1] for pair in inc.terms], dim), d)
     # all samples at once, as certify_mbad batches them
@@ -733,11 +747,11 @@ def test_incremental_commutators_match_commutators_from_scratch(case):
 
 def test_increments_of_telescoping_diagonals_are_single_terms(chain6):
     deltas = [build_delta(chain6, n) for n in range(1, 7)]
-    increments = _increments(deltas)
+    increments = pairwise.increments(deltas)
     assert [len(i.terms) for i in increments] == [1] * 6
     # a sequence that shares no prefix adds all its terms and drops all the previous ones
     shuffled = [deltas[2], TensorElem.of(deltas[3].terms[::-1], dim=deltas[3].dim)]
-    assert [len(i.terms) for i in _increments(shuffled)] == [3, 7]
+    assert [len(i.terms) for i in pairwise.increments(shuffled)] == [3, 7]
 
 
 @given(diagonal_sequences(), st.booleans())
@@ -749,7 +763,7 @@ def test_batched_commutator_bounds_match_one_reduction_per_diagonal(case, floats
     chain, deltas, sample = case
     dim = chain.truncation_dim
     samples = _legs([a.to_float() for a in sample] if floats else sample, dim)
-    increments = _increments(deltas)
+    increments = pairwise.increments(deltas)
     got = _commutator_bounds(samples, increments, 0.0)
     want = pairwise.commutator_bounds(samples, increments, 0.0)
     for g, w in zip(got, want, strict=True):
@@ -809,8 +823,26 @@ def test_closed_form_reads_the_norm_of_minus_rest():
     assert got[0, 0] == tensor_norm_upper(TensorElem.of([(w, rest), (-rest, w)], dim=4))
 
 
-@pytest.mark.parametrize("m_max, couplings", [(10, None), (12, (Fraction(1, 3), Fraction(1, 2), Fraction(5, 4),
-                                                                 Fraction(7, 3), Fraction(5, 2), 3))])
+MBAD_CHAINS = [(10, None), (12, (Fraction(1, 3), Fraction(1, 2), Fraction(5, 4), Fraction(7, 3), Fraction(5, 2), 3))]
+
+
+@pytest.mark.parametrize("m_max, couplings", MBAD_CHAINS)
+def test_certify_mbad_on_generator_increments_matches_the_diagonals(m_max, couplings):
+    # the increments g_n (x) g_n give the report of the diagonals D_n whose
+    # increments are found by comparing them term by term
+    chain = build_chain(ChainSpec.default(m_max, couplings=couplings) if couplings else ChainSpec.default(m_max))
+    one = Matrix.identity(chain.truncation_dim)
+    sample = list(chain.idempotents) + [chain.e(3) + one * 2, chain.e(2) + unit01(chain.truncation_dim), one]
+    got = certify_mbad([TensorElem.of([(g, g)], chain.truncation_dim) for g in orthogonal_generators(chain)],
+                       chain, sample)
+    want = certify_mbad(pairwise.increments([build_delta(chain, n) for n in range(1, m_max + 1)]), chain, sample)
+    # the records and constants bit for bit, the images as exact matrices
+    assert replace(got, images=(), unitized_images=()) == replace(want, images=(), unitized_images=())
+    for mine, theirs in ((got.images, want.images), (got.unitized_images, want.unitized_images)):
+        assert len(mine) == len(theirs) == m_max and all(map(Matrix.equals, mine, theirs))
+
+
+@pytest.mark.parametrize("m_max, couplings", MBAD_CHAINS)
 def test_certify_mbad_closed_form_matches_the_reduction(monkeypatch, m_max, couplings):
     # every record against certify_mbad with every unitized bound reduced:
     # bit for bit on the integer default chain, within 1e-12 on rational legs
@@ -818,10 +850,10 @@ def test_certify_mbad_closed_form_matches_the_reduction(monkeypatch, m_max, coup
     deltas = [build_delta(chain, n) for n in range(1, m_max + 1)]
     one = Matrix.identity(chain.truncation_dim)
     sample = list(chain.idempotents) + [chain.e(3) + one * 2, chain.e(2) + unit01(chain.truncation_dim), one]
-    got = certify_mbad(deltas, chain, sample).records
+    got = certify_mbad(pairwise.increments(deltas), chain, sample).records
     monkeypatch.setattr(diagonals, "_regrouped_uppers", lambda comms, w, shrinks, images, rests: np.array(
         pairwise.regrouped_uppers(comms, w, images, rests)))
-    want = certify_mbad(deltas, chain, sample).records
+    want = certify_mbad(pairwise.increments(deltas), chain, sample).records
     if couplings is None:
         assert got == want
     for g, w in zip(got, want, strict=True):
