@@ -34,11 +34,10 @@ from .matrices import (
     DEFAULT_TOL,
     DimensionError,
     Matrix,
-    _numerator_max,
+    Stack,
     agree,
     eliminate,
     float_stack,
-    kernel_dtype,
     op_norm,
     products_agree,
     singular_values,
@@ -68,68 +67,48 @@ __all__ = [
     "ExpectationDemo",
 ]
 
-# leg stacks: (re, im, den) as matrices.stack gives them, terms on axis -3, batch axes first
+# leg stacks: matrices.Stack, terms on axis -3, batch axes first
 
 
-def _legs(mats, dim: int) -> tuple:
-    """dim x dim matrices as one leg stack, exact numerators on int64 if they fit."""
+def _legs(mats, dim: int) -> Stack:
+    """dim x dim matrices as one leg stack (:func:`opalg.matrices.stack`)."""
     if any(m.shape != (dim, dim) for m in mats):
         raise DimensionError(f"legs and actors must be {dim}x{dim}, got {sorted({m.shape for m in mats})}")
-    if not mats:
-        return np.zeros((0, dim, dim), dtype=np.int64), None, 1
-    re, im, den = stack(mats)
-    if den is not None and kernel_dtype(_numerator_max(re, im)) is np.int64:
-        re, im = (None if x is None else x.astype(np.int64) for x in (re, im))
-    return re, im, den
+    return stack(mats) if mats else Stack(np.zeros((0, dim, dim), dtype=np.int64), None, 1, 0)
 
 
-def _apply(legs, f) -> tuple:
-    """The stack with ``f`` applied to its numerator (or float) arrays."""
-    re, im, den = legs
-    return f(re), None if im is None else f(im), den
-
-
-def _take(legs, idx) -> tuple:
-    return _apply(legs, lambda x: x[idx])
-
-
-def _matrix(legs) -> Matrix:
-    re, im, den = legs
-    return Matrix.from_float(re) if den is None else Matrix.from_numerators(re, im, den)
-
-
-def _nonzero(legs) -> np.ndarray:
+def _nonzero(legs: Stack) -> np.ndarray:
     """Per leg, whether it has a nonzero entry."""
-    return np.any([x != 0 for x in legs[:2] if x is not None], axis=(0, -2, -1))
+    return np.any([x != 0 for x in (legs.re, legs.im) if x is not None], axis=(0, -2, -1))
 
 
-def _times(legs, k: int) -> tuple:
-    return stack_product(np.multiply, legs, (np.array(k, dtype=object), None, 1))
+def _times(legs: Stack, k: int) -> Stack:
+    return stack_product(np.multiply, legs, Stack(np.array(k, dtype=object), None, 1, abs(k)))
 
 
-def _commutator(a, left, right) -> tuple[tuple, tuple]:
+def _commutator(a: Stack, left: Stack, right: Stack) -> tuple[Stack, Stack]:
     """The legs of a . t - t . a for t = (left, right) and an actor stack a:
     the terms (a u, v), then the terms (u, -(v a))."""
-    n = left[0].shape[-1]
+    n = left.re.shape[-1]
     au, va = stack_product(np.matmul, a, left, n), stack_product(np.matmul, right, a, n)
-    u, v = (_apply(x, lambda y: np.broadcast_to(y, au[0].shape)) for x in (left, right))
-    return stack_concat([au, u], axis=-3), stack_concat([v, _apply(va, np.negative)], axis=-3)
+    u, v = (x.apply(lambda y: np.broadcast_to(y, au.re.shape)) for x in (left, right))
+    return stack_concat([au, u], axis=-3), stack_concat([v, va.apply(np.negative)], axis=-3)
 
 
-def _pi(left, right) -> tuple:
+def _pi(left: Stack, right: Stack) -> Stack:
     """sum_i u_i v_i per element, as one product [u_1 ... u_c] [v_1; ...; v_c]."""
-    *lead, c, n, _ = left[0].shape
-    wide = _apply(left, lambda x: np.swapaxes(x, -3, -2).reshape(*lead, n, c * n))
-    return stack_product(np.matmul, wide, _apply(right, lambda x: x.reshape(*lead, c * n, n)), c * n)
+    *lead, c, n, _ = left.re.shape
+    wide = left.apply(lambda x: np.swapaxes(x, -3, -2).reshape(*lead, n, c * n))
+    return stack_product(np.matmul, wide, right.apply(lambda x: x.reshape(*lead, c * n, n)), c * n)
 
 
-def _flatten(left, right) -> tuple:
+def _flatten(left: Stack, right: Stack) -> Stack:
     """sum_i kron(u_i, v_i) per element, one product of the legs' vec arrays
     whose entry ((a, c), (b, d)) is sum_i u_i[a, c] v_i[b, d]."""
-    *lead, c, n, _ = left[0].shape
-    vecs = stack_product(np.matmul, _apply(left, lambda x: np.swapaxes(x.reshape(*lead, c, n * n), -1, -2)),
-                         _apply(right, lambda x: x.reshape(*lead, c, n * n)), c)
-    return _apply(vecs, lambda x: x.reshape(*lead, n, n, n, n).swapaxes(-3, -2).reshape(*lead, n * n, n * n))
+    *lead, c, n, _ = left.re.shape
+    vecs = stack_product(np.matmul, left.apply(lambda x: np.swapaxes(x.reshape(*lead, c, n * n), -1, -2)),
+                         right.apply(lambda x: x.reshape(*lead, c, n * n)), c)
+    return vecs.apply(lambda x: x.reshape(*lead, n, n, n, n).swapaxes(-3, -2).reshape(*lead, n * n, n * n))
 
 
 class TensorElem:
@@ -162,24 +141,24 @@ class TensorElem:
     @property
     def terms(self) -> tuple[tuple[Matrix, Matrix], ...]:
         if self._terms is None:
-            self._terms = tuple((_matrix(_take(self._left, i)), _matrix(_take(self._right, i)))
-                                for i in range(len(self._left[0])))
+            self._terms = tuple((Matrix.from_stack(self._left.take(i)), Matrix.from_stack(self._right.take(i)))
+                                for i in range(len(self._left.re)))
         return self._terms
 
     @property
     def backend(self) -> str:
-        return "float" if self._left[2] is None or self._right[2] is None else "exact"
+        return "float" if self._left.den is None or self._right.den is None else "exact"
 
-    def _actor(self, a: Matrix) -> tuple:
-        return _take(_legs([a], self.dim), 0)
+    def _actor(self, a: Matrix) -> Stack:
+        return _legs([a], self.dim).take(0)
 
     def pi(self) -> Matrix:
         """Linearized multiplication: sum of u @ v."""
-        return _matrix(_pi(self._left, self._right))
+        return Matrix.from_stack(_pi(self._left, self._right))
 
     def flatten(self) -> Matrix:
         """Faithful matrix picture: sum of Kronecker products of the legs."""
-        return _matrix(_flatten(self._left, self._right))
+        return Matrix.from_stack(_flatten(self._left, self._right))
 
 
 def pi_map(t: TensorElem) -> Matrix:
@@ -201,11 +180,11 @@ def build_delta(chain: Chain, n: int) -> TensorElem:
     return TensorElem.of([(g, g) for g in orthogonal_generators(chain)[:n]], dim=chain.truncation_dim)
 
 
-def _batch(t: TensorElem) -> tuple[tuple, tuple]:
-    return _take(t._left, None), _take(t._right, None)
+def _batch(t: TensorElem) -> tuple[Stack, Stack]:
+    return t._left.take(None), t._right.take(None)
 
 
-def _reduce(left, right) -> tuple[tuple, tuple]:
+def _reduce(left: Stack, right: Stack) -> tuple[Stack, Stack]:
     """Reduced forms of a batch of elements sum u_i (x) v_i, given and
     returned as (batch, terms, n, n) leg stacks, kept terms in order.
     An element is the matrix sum vec(u_i) vec(v_i)^T (Van Loan-Pitsianis),
@@ -216,32 +195,32 @@ def _reduce(left, right) -> tuple[tuple, tuple]:
     whose V_b vanished are dropped, so an element is zero exactly when no
     term is left; a float term p (x) q counts as zero when max|p| max|q| is
     below 1e-12 max_i(max|u_i| max|v_i|, 1)."""
-    batch, count, dim = left[0].shape[:3]
+    batch, count, dim = left.re.shape[:3]
     if not count:
         return left, right
-    exact = left[2] is not None and right[2] is not None
+    exact = left.den is not None and right.den is not None
     if exact:
         # u / g and v g for the content g / den of u, g the gcd of its numerators
-        flat = np.concatenate([x.reshape(batch, count, -1) for x in left[:2] if x is not None], axis=2)
+        flat = np.concatenate([x.reshape(batch, count, -1) for x in (left.re, left.im) if x is not None], axis=2)
         g = np.gcd.reduce(flat, axis=2, initial=0)
         g = np.where(_nonzero(right), g, 0)[..., None, None]
-        right = stack_product(np.multiply, right, (g, None, left[2]))
-        left = _apply(left, lambda x: np.where(g != 0, x // np.maximum(g, 1), 0) if (g > 1).any() else x * (g != 0))
-        left, limit = (*left[:2], 1), 0.0
+        right = stack_product(np.multiply, right, Stack.read(g, None, left.den))
+        left = left.apply(lambda x: np.where(g != 0, x // np.maximum(g, 1), 0) if (g > 1).any() else x * (g != 0))
+        left, limit = replace(left, den=1), 0.0
     else:
-        left, right = ((float_stack(*x), None, None) for x in (left, right))
-        sizes = [np.abs(x[0]).max(axis=(2, 3)) for x in (left, right)]
+        left, right = (Stack(float_stack(x)) for x in (left, right))
+        sizes = [np.abs(x.re).max(axis=(2, 3)) for x in (left, right)]
         tiny = 1e-12 * np.maximum(1.0, (sizes[0] * sizes[1]).max(axis=1))[:, None]
         with np.errstate(divide="ignore"):
             limit = tiny / sizes[1]
     kept, _, coords = eliminate(left, zero_below=limit)
-    flat = _apply(right, lambda x: x.reshape(batch, count, dim * dim))
-    folded = _apply(stack_product(np.matmul, _apply(coords, lambda x: x.transpose(0, 2, 1)), flat, count),
-                    lambda x: x.reshape(batch, count, dim, dim))
-    size = _nonzero(folded) if exact else sizes[0] * np.abs(folded[0]).max(axis=(2, 3)) > tiny
+    flat = right.apply(lambda x: x.reshape(batch, count, dim * dim))
+    folded = stack_product(np.matmul, coords.apply(lambda x: x.transpose(0, 2, 1)), flat, count).apply(
+        lambda x: x.reshape(batch, count, dim, dim))
+    size = _nonzero(folded) if exact else sizes[0] * np.abs(folded.re).max(axis=(2, 3)) > tiny
     keep = kept & size
     slots, mask = np.flatnonzero(keep.any(axis=0)), keep[:, keep.any(axis=0), None, None]
-    return tuple(_apply(x, lambda y: np.where(mask, y[:, slots], 0)) for x in (left, folded))
+    return tuple(x.apply(lambda y: np.where(mask, y[:, slots], 0)) for x in (left, folded))
 
 
 # exact legs whose entries lie within 2**(+-_SAFE_EXPONENT) of 1 convert to
@@ -249,16 +228,17 @@ def _reduce(left, right) -> tuple[tuple, tuple]:
 _SAFE_EXPONENT = 256
 
 
-def _scaled_floats(legs) -> tuple[np.ndarray, np.ndarray]:
+def _scaled_floats(legs: Stack) -> tuple[np.ndarray, np.ndarray]:
     """(F, k), F_i = 2**-k_i m_i for the legs m_i, each entry rounded once.
     k_i is 0 unless the leg is far from 1, where it is the leg's exponent in
     lowest terms, bitlen(max|num_i| / g_i) - bitlen(den / g_i) for the gcd
     g_i of den and the numerators of m_i, so F_i neither overflows nor
     underflows; 2**k_i goes into the denominator, 2**-k_i into the numerators."""
-    re, im, den = legs
+    re, im, den = legs.re, legs.im, legs.den
     shifts = np.zeros(len(re), dtype=int)
-    if den is None or not max(_numerator_max(re, im), den) >> _SAFE_EXPONENT:
-        return float_stack(*legs), shifts
+    # a loose bound only sends legs near 1 here, where every shift is 0
+    if den is None or not max(legs.bound, den) >> _SAFE_EXPONENT:
+        return float_stack(legs), shifts
     flat = np.concatenate([x.reshape(len(x), -1).astype(object) for x in (re, im) if x is not None], axis=1)
     g = np.gcd(np.gcd.reduce(flat, axis=1), den)
     exponents = [int(t).bit_length() - (den // int(d)).bit_length() if t else 0
@@ -266,7 +246,8 @@ def _scaled_floats(legs) -> tuple[np.ndarray, np.ndarray]:
     shifts[:] = [k if abs(k) > _SAFE_EXPONENT else 0 for k in exponents]
     power = np.array([2 ** abs(k) for k in shifts.tolist()], dtype=object)
     num, dens = (np.where(side, power, 1)[:, None, None] for side in (shifts < 0, shifts > 0))
-    return float_stack(re * num, None if im is None else im * num, den * dens), shifts
+    scaled = Stack(re * num, None if im is None else im * num, den * dens, legs.bound * int(power.max()))
+    return float_stack(scaled), shifts
 
 
 def _upper(left, right) -> np.ndarray:
@@ -277,7 +258,7 @@ def _upper(left, right) -> np.ndarray:
     live = _nonzero(b)
     totals = np.zeros(len(live))
     if live.any():
-        (fb, kb), (fv, kv) = (_scaled_floats(_take(x, live)) for x in (b, v))
+        (fb, kb), (fv, kv) = (_scaled_floats(x.take(live)) for x in (b, v))
         norms = singular_values(np.concatenate([fb, fv]))[:, 0]
         x, y, k = np.zeros(live.shape), np.zeros(live.shape), np.zeros(live.shape, dtype=int)
         x[live], y[live], k[live] = norms[:len(fb)], norms[len(fb):], kb + kv
@@ -302,8 +283,8 @@ def _bounds(left, right, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray
     lower, upper = np.zeros(len(nonzero)), np.zeros(len(nonzero))
     if nonzero.any():
         upper = _upper(*reduced)
-        lower[nonzero] = singular_values(float_stack(*_flatten(*(_take(x, nonzero) for x in reduced))))[:, 0]
-    return lower, upper, ~nonzero | ((reduced[0][2] is None) & (upper <= tol)), reduced
+        lower[nonzero] = singular_values(float_stack(_flatten(*(x.take(nonzero) for x in reduced))))[:, 0]
+    return lower, upper, ~nonzero | ((reduced[0].den is None) & (upper <= tol)), reduced
 
 
 def tensor_norm_bounds(t: TensorElem) -> tuple[float, float]:
@@ -322,7 +303,7 @@ def unitize_diagonal(delta: TensorElem, u: Matrix, one: Matrix) -> tuple[TensorE
     identity, exactly: pi(M) - 1 = (2 - u)(pi(delta) - u).  The image is
     returned for the caller to check, not checked here."""
     uu, rest = stack_product(np.matmul, delta._actor(u), delta._left, delta.dim), _legs([one - u], delta.dim)
-    left = stack_concat([_times(delta._left, 2), _apply(uu, np.negative), rest])
+    left = stack_concat([_times(delta._left, 2), uu.apply(np.negative), rest])
     unitized = TensorElem._of_legs(left, stack_concat([delta._right, delta._right, rest]), delta.dim)
     return unitized, unitized.pi()
 
@@ -345,7 +326,7 @@ class FiniteDiagonal:
         for group in filter(None, [[k for k, a in enumerate(basis) if a.is_exact == e] for e in (True, False)]):
             b = _legs([basis[k] for k in group], d.dim)
             identity[group] = products_agree(unit, b, b, tol)[0] & products_agree(b, unit, b, tol)[0]
-            commutes[group] = _bounds(*_commutator(_apply(b, lambda x: x[:, None]), d._left, d._right), tol)[2]
+            commutes[group] = _bounds(*_commutator(b.take((slice(None), None)), d._left, d._right), tol)[2]
         for k in range(len(basis)):
             if not identity[k]:
                 raise ValueError(f"pi(diag) does not act as identity on basis element {k}")
@@ -357,7 +338,7 @@ def expectation_from_diagonal(d: FiniteDiagonal, x: Matrix) -> Matrix:
     """E(x) = sum u_i @ x @ v_i over the diagonal's terms, as one product
     [u_1 x ... u_c x] [v_1; ...; v_c]; DimensionError unless x is dim x dim."""
     t = d.diag
-    return _matrix(_pi(stack_product(np.matmul, t._left, t._actor(x), t.dim), t._right))
+    return Matrix.from_stack(_pi(stack_product(np.matmul, t._left, t._actor(x), t.dim), t._right))
 
 
 @dataclass(frozen=True)
@@ -432,25 +413,25 @@ class MbadReport:
     unitized_images: tuple[Matrix, ...]
 
 
-def _commutator_bounds(samples, increments: Sequence[TensorElem], tol: float) -> list[tuple]:
+def _commutator_bounds(samples: Stack, increments: Sequence[TensorElem], tol: float) -> list[tuple]:
     """:func:`_bounds` of [a, D_n], D_n the sum of the first n increments, for
     each n and each a of the stack ``samples``.  The [a, I_n] of all
     increments, padded with zero terms, share one reduction: they are the
     [a, D_n] up to the first nonzero one.  Past it, the reduced [a, D_{n-1}]
     are reduced with the terms of [a, I_n], 2 products per term of I_n."""
-    count, width = len(samples[0]), max(len(inc._left[0]) for inc in increments)
+    count, width = len(samples.re), max(len(inc._left.re) for inc in increments)
     pad = lambda x: np.concatenate([x, np.zeros((width - len(x), *x.shape[1:]), x.dtype)])[None, None]
-    legs = [stack_concat([_apply(getattr(inc, side), pad) for inc in increments]) for side in ("_left", "_right")]
-    comms = _commutator(_apply(samples, lambda x: x[None, :, None]), *legs)
-    lower, upper, zero, reduced = _bounds(*(_apply(x, lambda y: y.reshape(-1, *y.shape[2:])) for x in comms), tol)
+    legs = [stack_concat([getattr(inc, side).apply(pad) for inc in increments]) for side in ("_left", "_right")]
+    comms = _commutator(samples.take((None, slice(None), None)), *legs)
+    lower, upper, zero, reduced = _bounds(*(x.apply(lambda y: y.reshape(-1, *y.shape[2:])) for x in comms), tol)
     out = []
     for n, used in enumerate(_nonzero(reduced[0]).reshape(len(increments), count, -1)):
         at = slice(n * count, (n + 1) * count)
-        out.append((lower[at], upper[at], zero[at], tuple(_take(x, (at, used.any(axis=0))) for x in reduced)))
+        out.append((lower[at], upper[at], zero[at], tuple(x.take((at, used.any(axis=0))) for x in reduced)))
         if used.any():
             break
     for inc in increments[len(out):]:
-        left, right = _commutator(_apply(samples, lambda x: x[:, None]), inc._left, inc._right)
+        left, right = _commutator(samples.take((slice(None), None)), inc._left, inc._right)
         out.append(_bounds(*(stack_concat([x, y], axis=-3) for x, y in zip(out[-1][3], (left, right))), tol))
     return out
 
@@ -465,21 +446,24 @@ def _regrouped_uppers(comms, w, shrinks, images, rests) -> np.ndarray:
     (an SVD may round -rest apart from rest): the reduction's bits for
     integer w and rest of content 1.  The other pairs of each diagonal are
     reduced as one batch."""
-    dim, exact = len(rests[0][0]), w[2] is not None and rests[2] is not None
+    dim, exact = len(rests.re[0]), w.den is not None and rests.den is not None
     closed = np.array([~_nonzero(c[0]).any(axis=1) for c in comms])
-    closed &= exact and not max(_numerator_max(*w[:2]), _numerator_max(*rests[:2]), w[2], rests[2]) >> _SAFE_EXPONENT
+    # the range is read off the numerators, so a loose bound cannot move a pair
+    # between the closed form and the reduction, whose last digits may differ
+    closed &= exact and not max(Stack.read(w.re, w.im).bound, Stack.read(rests.re, rests.im).bound, w.den,
+                                rests.den) >> _SAFE_EXPONENT
     out = np.zeros(closed.shape)
     n, s = np.nonzero(closed)
     if n.size:
-        pairs = stack_concat([_take(rests, (n, None)), _take(w, (s, n, None))], axis=1)
-        norms = singular_values(float_stack(*stack_concat([rests, _apply(rests, np.negative)])))[:, 0]
+        pairs = stack_concat([rests.take((n, None)), w.take((s, n, None))], axis=1)
+        norms = singular_values(float_stack(stack_concat([rests, rests.apply(np.negative)])))[:, 0]
         (rest, neg), x = norms.reshape(2, -1)[:, n], shrinks[s, n]
         out[n, s] = np.where(eliminate(pairs, coordinates=False)[1][:, 1], 0.0, x * rest + neg * x)
     for n in np.flatnonzero(~closed.all(axis=1)):
         s = np.flatnonzero(~closed[n])
-        (l, r), ws, rs = (_take(x, s) for x in comms[n]), _take(w, (s, n, None)), _take(rests, np.full((len(s), 1), n))
-        pl = stack_product(np.matmul, _take(images, n), l, dim)
-        left = stack_concat([_times(l, 2), _apply(pl, np.negative), ws, _apply(rs, np.negative)], axis=-3)
+        (l, r), ws, rs = (x.take(s) for x in comms[n]), w.take((s, n, None)), rests.take(np.full((len(s), 1), n))
+        pl = stack_product(np.matmul, images.take(n), l, dim)
+        left = stack_concat([_times(l, 2), pl.apply(np.negative), ws, rs.apply(np.negative)], axis=-3)
         out[n, s] = _upper(*_reduce(left, stack_concat([r, r, rs, ws], axis=-3)))
     return out
 
@@ -523,14 +507,16 @@ def certify_mbad(
     dim = chain.truncation_dim
     ident = Matrix.identity(dim, backend=chain.backend)
     # pi(D_n) as prefix sums of the products u_i v_i over the increments' terms,
-    # from one product whose numerator bound covers every prefix sum
+    # from one product whose dtype holds every prefix sum; the sums are read
+    # for their bound, which a product of idempotents keeps far below that one
     left, right = (stack_concat([getattr(inc, side) for inc in increments]) for side in ("_left", "_right"))
-    sums = _apply(stack_product(np.matmul, left, right, dim * max(1, len(left[0]))), lambda x: np.cumsum(x, axis=0))
-    ends = np.cumsum([len(inc._left[0]) for inc in increments]).tolist()
-    pis = [_matrix(_take(sums, end - 1)) if end else Matrix.zeros(dim) for end in ends]
+    sums = stack_product(np.matmul, left, right, dim * max(1, len(left.re))).apply(lambda x: np.cumsum(x, axis=0))
+    sums = sums if sums.den is None else Stack.read(sums.re, sums.im, sums.den)
+    ends = np.cumsum([len(inc._left.re) for inc in increments]).tolist()
+    pis = [Matrix.from_stack(sums.take(end - 1)) if end else Matrix.zeros(dim) for end in ends]
     images, rests = _legs(pis, dim), _legs([ident - p for p in pis], dim)
-    k_const = float(singular_values(float_stack(*images))[:, 0].max())
-    deltas = (TensorElem._of_legs(_take(left, slice(end)), _take(right, slice(end)), dim) for end in ends)
+    k_const = float(singular_values(float_stack(images))[:, 0].max())
+    deltas = (TensorElem._of_legs(left.take(slice(end)), right.take(slice(end)), dim) for end in ends)
     unitized_images = tuple(unitize_diagonal(d, p, ident)[1] for d, p in zip(deltas, pis))
     basis = list(chain.idempotents) + [ident]
     records, adjoined_norms, c_const = [None] * len(sample), [0.0] * len(sample), 0.0
@@ -542,24 +528,25 @@ def certify_mbad(
         samples = _legs([sample[i] for i in group], dim)
         bounds = _commutator_bounds(samples, increments, tol)
         # a p = p a for every (a, p), and w = a_alg (1 - p) with its norm
-        at = _apply(samples, lambda x: x[:, None])
+        at = samples.take((slice(None), None))
         ok, dev = products_agree(at, images, stack_product(np.matmul, images, at, dim), 0.0)
-        exact = at[2] is not None and images[2] is not None
+        exact = at.den is not None and images.den is not None
         # coordinates over e_1..e_m, 1 off one elimination: in the span when
         # spanned, the last one is the identity's; a float remainder of m is
         # zero below max(tol, 1e-12) max(1, max|m|)
         mats = basis + [sample[i] for i in group]
         limit = max(tol, 1e-12) * np.array([max(1.0, m.max_abs()) for m in mats])
-        _, spanned, (cr, ci, cden) = eliminate(_take(_legs(mats, dim), None), rows=len(basis), zero_below=limit)
-        cr, ci = (x[0, len(basis):, :len(basis)] for x in (cr, 0 * cr if ci is None else ci))
+        _, spanned, coords = eliminate(_legs(mats, dim).take(None), rows=len(basis), zero_below=limit)
+        cden, im = coords.den, 0 * coords.re if coords.im is None else coords.im
+        cr, ci = (x[0, len(basis):, :len(basis)] for x in (coords.re, im))
         corners = [complex(x) if cden is None else (Fraction(int(x), cden), Fraction(int(y), cden))
                    for x, y in zip(cr[:, -1], ci[:, -1])]
         has_id = [any(c) if isinstance(c, tuple) else c != 0 for c in corners]
         algs = [sample[i] - ident * c if h else sample[i] for i, c, h in zip(group, corners, has_id)]
         alg_legs = _legs(algs, dim)
-        w = stack_product(np.matmul, _apply(alg_legs, lambda x: x[:, None]), rests, dim)
-        shrinks = singular_values(float_stack(*w).reshape(-1, dim, dim))[:, 0].reshape(len(group), -1)
-        alg_norms = singular_values(float_stack(*alg_legs))[:, 0].tolist()
+        w = stack_product(np.matmul, alg_legs.take((slice(None), None)), rests, dim)
+        shrinks = singular_values(float_stack(w).reshape(-1, dim, dim))[:, 0].reshape(len(group), -1)
+        alg_norms = singular_values(float_stack(alg_legs))[:, 0].tolist()
         # for the unitized M = 2D - p.D + rest (x) rest, with p = pi(D),
         # rest = 1 - p and w = a_alg rest, the regrouped
         # R = 2[a,D] - p.[a,D] + w (x) rest - rest (x) w obeys
@@ -612,7 +599,7 @@ def full_matrix_diagonal(n: int) -> FiniteDiagonal:
     """The separating diagonal sum_j e_{j1} (x) e_{1j} of the full n x n
     matrix algebra; the induced expectation maps x to x_11 * identity."""
     eye = np.eye(n, dtype=np.int64)
-    units = {(i, j): Matrix.from_numerators(np.outer(eye[i], eye[j]), None, 1) for i in range(n) for j in range(n)}
+    units = {(i, j): Matrix.from_stack(Stack(np.outer(eye[i], eye[j]), None, 1, 1)) for i in range(n) for j in range(n)}
     terms = [(units[(j, 0)], units[(0, j)]) for j in range(n)]
     basis = tuple(units[(i, j)] for i in range(n) for j in range(n))
     return FiniteDiagonal(diag=TensorElem.of(terms, dim=n), algebra_basis=basis)

@@ -38,9 +38,8 @@ import numpy as np
 from .matrices import (
     DEFAULT_TOL,
     CertificationError,
-    Matrix,
+    Stack,
     _as_complex,
-    _numerator_max,
     float_stack,
     kernel_dtype,
     products_agree,
@@ -93,12 +92,6 @@ class RankOneFamily:
     def ambient_dim(self) -> int:
         return self.n_max + 2
 
-    def E(self, n: int) -> Matrix:
-        """The dense E_n, as an exact matrix."""
-        if not 1 <= n <= self.n_max:
-            raise IndexError(f"index {n} out of range 1..{self.n_max}")
-        return Matrix.from_numerators(np.outer(self.y[:, n - 1], self.x[:, n - 1]), None, 1)
-
 
 @dataclass(frozen=True)
 class EFamilyReport:
@@ -143,19 +136,21 @@ def certify_E_family(
     # the witnesses Y diag(c) X* of a chunk of trials at once, on integer numerators over 2**s
     c, scale = _dyadic(np.random.default_rng(seed).uniform(-1.0, 1.0, (trials, 2, n)))
     sums = c.astype(kernel_dtype(n * scale)).sum(axis=2)
+    totals = Stack(sums[:, 0], sums[:, 1], scale, n * scale)
     exact, norms, step = np.ones(trials, dtype=bool), np.zeros(trials), max(1, _CHUNK_ENTRIES // (dim * dim))
     for at in (slice(lo, lo + step) for lo in range(0, trials, step)):
-        coeffs = (c[at, 0, None], c[at, 1, None], scale)
-        w = stack_product(np.matmul, stack_product(np.multiply, (fam.y, None, 1), coeffs), (fam.x.T, None, 1), n)
-        exact[at] = (w[0][:, _OMEGA, _OMEGA] == sums[at, 0]) & (w[1][:, _OMEGA, _OMEGA] == sums[at, 1])
-        norms[at] = singular_values(float_stack(*w))[:, 0]
+        coeffs = Stack(c[at, 0, None], c[at, 1, None], scale, scale)  # |c| <= 1
+        yc = stack_product(np.multiply, Stack(fam.y, None, 1, big), coeffs)
+        w = stack_product(np.matmul, yc, Stack(fam.x.T, None, 1, big), n)
+        exact[at] = (w.re[:, _OMEGA, _OMEGA] == sums[at, 0]) & (w.im[:, _OMEGA, _OMEGA] == sums[at, 1])
+        norms[at] = singular_values(float_stack(w))[:, 0]
     checks = dict(
         norms_ok=bool((squares == 9).all()),
         idempotent=bool((gram.diagonal() == 1).all()),
         pairwise_zero=not gram[~np.eye(n, dtype=bool)].any(),
         range_contained=not (((x != 0) | (y != 0)) & ~allowed).any(),
         witness_exact=bool(exact.all()),
-        witness_dominated=not (np.abs(float_stack(sums[:, 0], sums[:, 1], scale)) > norms + tol).any(),
+        witness_dominated=not (np.abs(float_stack(totals)) > norms + tol).any(),
     )
     return EFamilyReport(
         n_max=n, max_norm_error=max_norm_error, witness_trials=trials, passed=all(checks.values()), **checks
@@ -247,25 +242,23 @@ class EmbeddedElement:
     (m, k + 2, k + 2) stack: the block for F is sum_{j in F} a_j E_j
     restricted to the coordinates (alpha, omega, F).
 
-    ``stacks`` holds one (positions, re, im) triple per size, where
-    positions are the indices of the stacked subsets in the family.  Exact
-    stacks hold integer numerators ``re`` and ``im`` over the shared
-    denominator ``den``; a float stack holds one complex array in ``re``,
-    with ``im`` and ``den`` None."""
+    ``stacks`` holds one (positions, stack) pair per size, where positions
+    are the indices of the stacked subsets in the family and the
+    :class:`opalg.matrices.Stack` holds their blocks: integer numerators
+    over the element's shared denominator, or complex arrays."""
 
     family: SubsetFamily
     stacks: tuple = field(repr=False)
-    den: int | None = field(repr=False)
 
     @property
     def is_exact(self) -> bool:
-        return self.den is not None
+        return self.stacks[0][1].den is not None
 
     @cached_property
     def _spectra(self) -> list[tuple]:
         """Per stack, its positions and blocks' singular values (m, k + 2) from
         one stacked SVD; int64 numerators and den, within 2**53, convert exactly."""
-        return [(np.array(pos), singular_values(float_stack(re, im, self.den))) for pos, re, im in self.stacks]
+        return [(np.array(pos), singular_values(float_stack(s))) for pos, s in self.stacks]
 
 
 def _sup(spectra) -> np.ndarray:
@@ -322,13 +315,13 @@ def _embedded(family, re, im=None, den=None) -> EmbeddedElement:
     Python integers otherwise."""
     n = family.n_max
     if den is None:
-        re = np.pad(np.array(re, dtype=complex), (0, n - len(re)))
+        coeffs = Stack(np.pad(np.array(re, dtype=complex), (0, n - len(re))))
     else:
-        re, im = (np.pad(np.array(x, dtype=object), (0, n - len(x))) for x in (re, im))
-        dtype = kernel_dtype(_numerator_max(re, im) * n, den, limit=2**53)
-        re, im = re.astype(dtype), im.astype(dtype)
-    stacks = tuple((pos, _fill(re[idx]), None if im is None else _fill(im[idx])) for pos, idx in family._by_size)
-    return EmbeddedElement(family=family, stacks=stacks, den=den)
+        coeffs = Stack.read(*(np.pad(np.array(x, dtype=object), (0, n - len(x))) for x in (re, im)), den)
+        dtype = kernel_dtype(coeffs.bound * n, den, limit=2**53)
+        coeffs = Stack(coeffs.re.astype(dtype), coeffs.im.astype(dtype), den, coeffs.bound * n)
+    stacks = tuple((pos, coeffs.apply(lambda x: _fill(x[idx]))) for pos, idx in family._by_size)
+    return EmbeddedElement(family=family, stacks=stacks)
 
 
 def phi(a: Sequence, subsets: SubsetFamily) -> EmbeddedElement:
@@ -514,10 +507,12 @@ def _is_product(family: SubsetFamily, trial) -> bool:
     six numerator vectors as one (6, n_max) array (int64 under the bound of
     :func:`_embedded`), one :func:`_fill` and one products_agree per size."""
     nums, dens = np.stack([x for re, im, _ in trial for x in (re, im)]), [den for *_, den in trial]
-    nums = nums.astype(kernel_dtype(_numerator_max(nums) * family.n_max, *dens, limit=2**53))
+    bound = Stack.read(nums).bound * family.n_max  # every s_F sums at most n_max numerators
+    nums = nums.astype(kernel_dtype(bound, *dens, limit=2**53))
     for _, idx in family._by_size:
         blocks = _fill(nums[:, idx])
-        if not products_agree(*((blocks[k], blocks[k + 1], d) for k, d in zip((0, 2, 4), dens)), 0.0)[0].all():
+        stacks = (Stack(blocks[k], blocks[k + 1], d, bound) for k, d in zip((0, 2, 4), dens))
+        if not products_agree(*stacks, 0.0)[0].all():
             return False
     return True
 

@@ -22,6 +22,7 @@ from .matrices import (
     DEFAULT_TOL,
     CertificationError,
     Matrix,
+    Stack,
     eliminate,
     float_stack,
     op_norm,
@@ -138,7 +139,7 @@ def _residual_stack(family, weights: WeightSeq, m: int, r_max: int) -> np.ndarra
     the table with the tail numerators, on the entries where some tail
     generator is nonzero; each entry is then divided by Q^r L, which
     rounds it as :meth:`Matrix.to_float` rounds the same rational."""
-    mats, im, den = family
+    mats, im, den = family.re, family.im, family.den
     if m + 1 == len(mats):
         return None
     tail = slice(m + 1, None)
@@ -157,8 +158,9 @@ def _residual_stack(family, weights: WeightSeq, m: int, r_max: int) -> np.ndarra
         table[r], dens[r] = row, scale
         row, scale = row * p, scale * q
     nums = [-(table @ part[:, cols]) for part in parts]
+    bound = len(p) * int(np.abs(p).max()) ** r_max * family.bound  # table rows are p**1 .. p**r_max
     out = np.zeros((r_max, mats[0].size), dtype=complex)
-    out[:, cols] = float_stack(nums[0], nums[1] if len(nums) == 2 else None, dens)
+    out[:, cols] = float_stack(Stack(nums[0], nums[1] if len(nums) == 2 else None, dens, bound))
     return out.reshape(r_max, *mats.shape[1:])
 
 
@@ -228,8 +230,7 @@ def certify_generation(
     count, family = len(gens), stack(gens)
     if len(weights) != count:
         raise ValueError(f"got {len(weights)} weights for {count} generators")
-    mats, im, den = family
-    norms = singular_values(mats if den is None else float_stack(mats, im, den))[:, 0].tolist()
+    norms = singular_values(float_stack(family))[:, 0].tolist()
     records: list[GenerationRecord] = []
     per_index: dict[int, bool] = {}
     tail_len = math.ceil(r_max / 2)
@@ -266,8 +267,7 @@ def same_span(first: Sequence[Matrix], second: Sequence[Matrix], tol: float = 1e
     first, second = list(first), list(second)
 
     def kept(mats):
-        re, im, den = stack(mats)
-        return eliminate((re[None], None if im is None else im[None], den), zero_below=tol, coordinates=False)[0][0]
+        return eliminate(stack(mats).take(None), zero_below=tol, coordinates=False)[0][0]
 
     both = kept(first + second) if first + second else np.zeros(0, dtype=bool)
     return bool(both[:len(first)].sum() == (kept(second).sum() if second else 0) == both.sum())

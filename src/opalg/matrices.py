@@ -1,23 +1,31 @@
 """Dense complex matrices with an exact rational backend and a float backend.
 
-Exact matrices are fraction-free (as in Bareiss, Math. Comp. 1968):
-integer numerator arrays for the real and imaginary parts over one
-shared positive denominator, kept in lowest terms, so equal matrices
-have equal representations and algebraic identities can be certified
-with zero tolerance.  Products multiply numerators and denominators and
-normalize once.  Numerators are stored as Python integers; every exact
-product (:func:`stack_product`, under Matrix ``@``, ``kron`` and scalar
-``*`` too) runs on int64 when :func:`kernel_dtype` finds that an exact
-bound rules out overflow, on float64 BLAS when a matrix product's sums
-stay below 2**53, and on Python integers otherwise, with the same
-integers either way.  Float matrices are complex128 arrays and carry all
-metric quantities (operator norm, Schatten-1 norm).  Every operation
-returns a new value; matrices are immutable and safe to share across
-threads.
+Exact data is fraction-free (as in Bareiss, Math. Comp. 1968): integer
+numerator arrays for the real and imaginary parts over one shared
+positive denominator.  It travels as one type, :class:`Stack`, which
+also carries a bound on the moduli of its numerators.  A bound may be
+loose but never low: every exact kernel picks its dtype from its
+operands' bounds, int64 when the bound of every value it forms fits
+(:func:`kernel_dtype`), float64 BLAS for a matrix product whose sums stay
+below 2**53, and Python integers otherwise, and returns the bound it
+computed for that choice with its result.  A loose bound only widens a
+dtype, so the integers are the same; a low one would silently overflow
+int64, or run float64 past 2**53.  Numerators are read for a bound
+(:meth:`Stack.read`) only where arrays come without one, such as parsed
+input, drawn trial numerators, a gcd and the coordinates and steps of
+:func:`eliminate`, or where a choice other than a dtype rests on the
+largest numerator.
 
-Families of matrices travel as stacks ``(re, im, den)`` (:func:`stack`),
-combined by :func:`stack_product` and :func:`stack_concat` and eliminated,
-many families at once, by :func:`eliminate`.
+Families of matrices are stacks with leading axes (:func:`stack`),
+combined by :func:`stack_product` and :func:`stack_concat`, read as
+floats by :func:`float_stack` and eliminated, many families at once, by
+:func:`eliminate`.  A :class:`Matrix` is a view of a stack of one
+matrix, in lowest terms when exact, so equal matrices have equal
+representations and algebraic identities can be certified with zero
+tolerance; its ``@``, ``kron``, ``+``, ``-`` and scalar ``*`` are those
+kernels.  Float matrices are complex128 arrays and carry all metric
+quantities (operator norm, Schatten-1 norm).  Every operation returns a
+new value; matrices are immutable and safe to share across threads.
 
 The scalar policy lives here, in :func:`read_scalar`: ints, Fractions
 and (re, im) pairs of them are exact; floats and complex numbers are
@@ -36,6 +44,7 @@ multiplicativity."""
 from __future__ import annotations
 
 import numbers
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -45,6 +54,7 @@ __all__ = [
     "CertificationError",
     "DimensionError",
     "Matrix",
+    "Stack",
     "DEFAULT_TOL",
     "read_scalar",
     "kernel_dtype",
@@ -127,6 +137,7 @@ def kernel_dtype(*bounds, limit=2**63 - 1):
 
 
 def _freeze(arr):
+    arr = arr.view()
     arr.flags.writeable = False
     return arr
 
@@ -140,44 +151,63 @@ def _rational(num, den):
 
 
 def _numerator_max(*parts):
-    """The largest modulus of the numerator arrays ``parts`` (None when zero)."""
+    """The largest modulus of the numerator arrays ``parts`` (None standing for zero)."""
     return max([max(int(p.max()), -int(p.min())) for p in parts if p is not None and p.size] + [0])
 
 
-def _complex_product(op, a, b, inner, dtype=None):
+@dataclass(frozen=True, slots=True, eq=False)
+class Stack:
+    """Exact or float arrays of matrices, matrix axes last, leading axes
+    indexing them.  Exact: integer numerator arrays ``re`` and ``im`` (None
+    when zero) over the positive denominator ``den``, no numerator of
+    modulus above ``bound``; :func:`float_stack` also reads an integer
+    array ``den`` that broadcasts against ``re``.  Float: the complex array
+    ``re``, with ``im``, ``den`` and ``bound`` None.  Arrays are shared, not
+    copied, and no kernel writes into an operand."""
+
+    re: np.ndarray
+    im: np.ndarray | None = None
+    den: int | None = None
+    bound: int | None = None
+
+    @classmethod
+    def read(cls, re, im=None, den=1) -> "Stack":
+        """The exact stack of numerator arrays that come without a bound,
+        bounded by their largest modulus."""
+        return cls(re, im, den, _numerator_max(re, im))
+
+    def apply(self, f, bound=None) -> "Stack":
+        """The stack with ``f`` applied to its numerator (or float) arrays.
+        ``bound`` is the new bound, by default the old one, which holds when
+        ``f`` selects, reshapes, broadcasts, negates or divides; int64
+        numerators move to Python integers first when it needs them."""
+        re, im = self.re, self.im
+        if bound is not None and kernel_dtype(bound) is object:
+            re, im = (None if x is None else x.astype(object, copy=False) for x in (re, im))
+        return Stack(f(re), None if im is None else f(im), self.den, self.bound if bound is None else bound)
+
+    def take(self, idx) -> "Stack":
+        """The matrices at ``idx`` of the leading axes (None adds one)."""
+        return self.apply(lambda x: x[idx])
+
+
+def _complex_product(op, a, b, dtype):
     """The numerators re = Ar Br - Ai Bi and im = Ar Bi + Ai Br of the
-    ``op`` product of a = (Ar, Ai, max|A|) and b = (Br, Bi, max|B|), None
-    standing for zero, and big = 2 inner max|A| max|B| (maxima at least 1),
-    which bounds those sums of 2 inner products and the operands.  Arrays
-    run on ``dtype``, by default :func:`kernel_dtype` of big."""
-    big = 2 * inner * max(a[2], 1) * max(b[2], 1)
-    dtype = kernel_dtype(big) if dtype is None else dtype
-    are, aim, bre, bim = (x.astype(dtype, copy=False) if isinstance(x, np.ndarray) else x for x in (*a[:2], *b[:2]))
-    re = op(are, bre)
-    if aim is not None and bim is not None:
-        re = re - op(aim, bim)
-    im = _sum_parts(
-        None if bim is None else op(are, bim), 1,
-        None if aim is None else op(aim, bre), 1,
-    )
-    return re, im, big
-
-
-def _sum_parts(x, sx, y, sy):
-    """x * sx + y * sy for numerator arrays, where None stands for zero."""
-    if x is None:
-        return None if y is None else y * sy
-    return x * sx if y is None else x * sx + y * sy
+    ``op`` product of the exact stacks a and b, None standing for zero,
+    with the operands run on ``dtype``."""
+    are, aim, bre, bim = (None if x is None else x.astype(dtype, copy=False) for x in (a.re, a.im, b.re, b.im))
+    re = op(are, bre) if aim is None or bim is None else op(are, bre) - op(aim, bim)
+    ims = [op(x, y) for x, y in ((are, bim), (aim, bre)) if x is not None and y is not None]
+    return re, ims[0] + ims[1] if len(ims) == 2 else ims[0] if ims else None
 
 
 class Matrix:
-    """Immutable dense complex matrix with ``exact`` or ``float`` backend.
+    """Immutable dense complex matrix with ``exact`` or ``float`` backend:
+    a view of a :class:`Stack` of one matrix.  An exact matrix is
+    (re + i im) / den, in lowest terms with ``im`` None when zero, so
+    equal matrices have equal representations."""
 
-    An exact matrix is (re + i im) / den: integer numerator arrays ``re``
-    and ``im`` (``im`` is None when zero) over one positive denominator,
-    in lowest terms, so equal matrices have equal representations."""
-
-    __slots__ = ("_backend", "_re", "_im", "_den", "_arr", "_big")
+    __slots__ = ("_s",)
 
     def __init__(self):
         raise TypeError("use Matrix.exact / Matrix.from_float / Matrix.zeros")
@@ -185,37 +215,21 @@ class Matrix:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def _wrap_exact(cls, re, im, den, big=None):
-        """Exact matrix (re + i im) / den, brought to lowest terms, where no
-        numerator exceeds ``big`` in modulus (None: not known).  For int64
-        numerators, from an int64 kernel, the largest modulus is read off
-        instead.  Numerators are stored as Python integers."""
-        if re.dtype == np.int64:
-            big = _numerator_max(re, im)
-        re = re.astype(object, copy=False)
-        im = None if im is None else im.astype(object, copy=False)
-        g = gcd(den, *re.flat, *(() if im is None else im.flat))
-        if g != 1:
-            re, den = re // g, den // g
-            im = None if im is None else im // g
-            big = None if big is None else big // g
-        if im is not None and not any(im.flat):
-            im = None
+    def from_stack(cls, s: Stack) -> "Matrix":
+        """The matrix of a stack of one matrix (2-d arrays), exact ones
+        brought to lowest terms."""
+        if s.den is None:
+            s = Stack(_freeze(np.asarray(s.re, dtype=complex)))
+        else:
+            re, im = s.re, None if s.im is None or not np.count_nonzero(s.im) else s.im
+            g = 1 if s.den == 1 else gcd(s.den, *(int(np.gcd.reduce(x, axis=None)) for x in (re, im) if x is not None))
+            if g != 1:
+                # g is den when every numerator is 0, and den may not fit int64
+                zero = im is None and not np.count_nonzero(re)
+                re, im = (np.zeros_like(re), None) if zero else (re // g, None if im is None else im // g)
+            s = Stack(_freeze(re), None if im is None else _freeze(im), s.den // g, s.bound // g)
         self = object.__new__(cls)
-        self._backend = "exact"
-        self._re = _freeze(re)
-        self._im = None if im is None else _freeze(im)
-        self._den = den
-        self._arr = None
-        self._big = big
-        return self
-
-    @classmethod
-    def _wrap_float(cls, arr):
-        self = object.__new__(cls)
-        self._backend = "float"
-        self._re = self._im = self._den = self._big = None
-        self._arr = _freeze(np.asarray(arr, dtype=complex))
+        self._s = s
         return self
 
     @classmethod
@@ -235,7 +249,7 @@ class Matrix:
             arr = np.empty(len(pairs), dtype=object)
             arr[:] = [pair[k].numerator * (den // pair[k].denominator) for pair in pairs]
             parts.append(arr.reshape(nr, nc))
-        return cls._wrap_exact(parts[0], parts[1], den)
+        return cls.from_stack(Stack.read(parts[0], parts[1], den))
 
     @classmethod
     def from_numerators(cls, re, im, den):
@@ -246,7 +260,8 @@ class Matrix:
             raise ValueError(f"denominator must be positive, got {den}")
         if np.ndim(re) != 2 or (im is not None and np.shape(im) != np.shape(re)):
             raise DimensionError("numerators must be 2-d arrays of one shape")
-        return cls._wrap_exact(np.array(re, dtype=object), None if im is None else np.array(im, dtype=object), den)
+        re, im = (None if x is None else np.array(x, dtype=object) for x in (re, im))
+        return cls.from_stack(Stack.read(re, im, den))
 
     @classmethod
     def from_float(cls, data):
@@ -254,14 +269,14 @@ class Matrix:
         arr = np.array(data, dtype=complex)
         if arr.ndim != 2:
             raise DimensionError(f"expected a 2-d array, got shape {arr.shape}")
-        return cls._wrap_float(arr)
+        return cls.from_stack(Stack(arr))
 
     @classmethod
     def zeros(cls, rows, cols=None, backend="exact"):
-        cols = rows if cols is None else cols
+        shape = (rows, rows if cols is None else cols)
         if backend == "exact":
-            return cls._wrap_exact(np.zeros((rows, cols), dtype=object), None, 1)
-        return cls._wrap_float(np.zeros((rows, cols), dtype=complex))
+            return cls.from_stack(Stack(np.zeros(shape, dtype=np.int64), None, 1, 0))
+        return cls.from_stack(Stack(np.zeros(shape, dtype=complex)))
 
     @classmethod
     def identity(cls, n, backend="exact"):
@@ -275,21 +290,19 @@ class Matrix:
         each value is read by :func:`read_scalar`."""
         values = list(values)
         if backend == "exact":
-            row = cls.exact([values])
-            im = None if row._im is None else np.diag(row._im[0])
-            return cls._wrap_exact(np.diag(row._re[0]), im, row._den)
+            return cls.from_stack(cls.exact([values])._s.apply(lambda x: np.diag(x[0])))
         row = np.array([_as_complex(*read_scalar(v)) for v in values], dtype=complex)
-        return cls._wrap_float(np.diag(row))
+        return cls.from_stack(Stack(np.diag(row)))
 
     # -- shape ---------------------------------------------------------
 
     @property
     def backend(self):
-        return self._backend
+        return "exact" if self.is_exact else "float"
 
     @property
     def is_exact(self):
-        return self._backend == "exact"
+        return self._s.den is not None
 
     @property
     def rows(self):
@@ -301,212 +314,174 @@ class Matrix:
 
     @property
     def shape(self):
-        return (self._re if self.is_exact else self._arr).shape
+        return self._s.re.shape
 
     # -- conversion ----------------------------------------------------
 
     def to_float(self):
-        if not self.is_exact:
-            return self
-        return Matrix._wrap_float(float_stack(self._re, self._im, self._den))
+        return Matrix.from_stack(Stack(float_stack(self._s))) if self.is_exact else self
 
     def numpy(self):
         """Complex ndarray copy of the matrix."""
-        return self.to_float()._arr.copy()
+        return self.to_float()._s.re.copy()
 
     def entry(self, i, j):
         """Single entry: (re, im), each an int or a reduced Fraction, on the
         exact backend; complex on the float backend."""
-        if self.is_exact:
-            im = 0 if self._im is None else _rational(self._im[i, j], self._den)
-            return (_rational(self._re[i, j], self._den), im)
-        return complex(self._arr[i, j])
+        s = self._s
+        if not self.is_exact:
+            return complex(s.re[i, j])
+        return _rational(int(s.re[i, j]), s.den), 0 if s.im is None else _rational(int(s.im[i, j]), s.den)
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self):
-        if self.is_exact:
-            return self._im is None and not any(self._re.flat)
-        return self._arr.size == 0 or bool((self._arr == 0).all())
+        return self._s.im is None and not np.count_nonzero(self._s.re)
 
     def equals(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.shape != other.shape:
             return False
+        a, b = self._s, other._s
         if self.is_exact and other.is_exact:
-            a, b = self._im, other._im
             return (
-                self._den == other._den
-                and np.array_equal(self._re, other._re)
-                and (a is None) == (b is None)
-                and (a is None or np.array_equal(a, b))
+                a.den == b.den
+                and np.array_equal(a.re, b.re)
+                and (a.im is None) == (b.im is None)
+                and (a.im is None or np.array_equal(a.im, b.im))
             )
-        return bool(np.array_equal(self.to_float()._arr, other.to_float()._arr))
+        return bool(np.array_equal(float_stack(a), float_stack(b)))
 
     __eq__ = equals
     __hash__ = None
 
     def max_abs(self):
-        """Largest entry modulus, as a float."""
-        if self.rows == 0 or self.cols == 0:
-            return 0.0
-        return float(np.abs(self.to_float()._arr).max())
+        """Largest entry modulus, as a float (0.0 when empty)."""
+        return float(np.abs(float_stack(self._s)).max(initial=0.0))
 
     def max_abs_diff(self, other):
         return (self - other).max_abs()
 
-    def _stack(self):
-        """(stack, bound): the matrix as one unstacked ``(re, im, den)`` and,
-        when exact, a bound on its numerators' moduli, kept from the
-        operation that made it or else found once as the largest one."""
-        if not self.is_exact:
-            return (self._arr, None, None), None
-        if self._big is None:
-            self._big = _numerator_max(self._re, self._im)
-        return (self._re, self._im, self._den), self._big
-
-    def _product(self, op, other, inner):
-        """``op`` of self and ``other`` (a Matrix, or a (stack, bound) pair as
-        :meth:`_stack` gives) by :func:`stack_product`."""
-        (a, bound_a), (b, bound_b) = self._stack(), other._stack() if isinstance(other, Matrix) else other
-        re, im, den = stack_product(op, a, b, inner, (bound_a, bound_b))
-        return Matrix._wrap_float(re) if den is None else Matrix._wrap_exact(re, im, den)
-
     # -- arithmetic ------------------------------------------------------
 
-    def _sum(self, other, sign):
-        """self + sign * other for sign 1 or -1, normalized once."""
+    def __add__(self, other):
         if not isinstance(other, Matrix):
             raise TypeError(f"expected Matrix, got {type(other).__name__}")
         if self.shape != other.shape:
             raise DimensionError(f"shape mismatch {self.shape} vs {other.shape}")
-        if not (self.is_exact and other.is_exact):
-            a, b = self.to_float()._arr, other.to_float()._arr
-            return Matrix._wrap_float(a + b if sign == 1 else a - b)
-        den = lcm(self._den, other._den)
-        sa, sb = den // self._den, sign * (den // other._den)
-        re = self._re * sa + other._re * sb
-        big = None if None in (self._big, other._big) else self._big * abs(sa) + other._big * abs(sb)
-        return Matrix._wrap_exact(re, _sum_parts(self._im, sa, other._im, sb), den, big)
-
-    def __add__(self, other):
-        return self._sum(other, 1)
+        both = stack_concat([self._s.take(None), other._s.take(None)])
+        bound = None if both.den is None else sum(x.bound * (both.den // x.den) for x in (self._s, other._s))
+        return Matrix.from_stack(both.apply(lambda x: x[0] + x[1], bound))
 
     def __sub__(self, other):
-        return self._sum(other, -1)
+        return self + -other
 
     def __neg__(self):
-        if not self.is_exact:
-            return Matrix._wrap_float(-self._arr)
-        return Matrix._wrap_exact(-self._re, None if self._im is None else -self._im, self._den, self._big)
+        return Matrix.from_stack(self._s.apply(np.negative))
 
     def __mul__(self, scalar):
         kind, val = read_scalar(scalar)
         if kind == "float":
-            return self._product(np.multiply, ((np.array(val), None, None), None), 1)
+            return Matrix.from_stack(stack_product(np.multiply, self._s, Stack(np.array(val))))
         den = lcm(val[0].denominator, val[1].denominator)
         p, q = (x.numerator * (den // x.denominator) for x in val)
-        return self._product(np.multiply, ((np.array(p, dtype=object), np.array(q, dtype=object) if q else None, den),
-                                           max(abs(p), abs(q))), 1)
+        z = Stack(np.array(p, dtype=object), np.array(q, dtype=object) if q else None, den, max(abs(p), abs(q)))
+        return Matrix.from_stack(stack_product(np.multiply, self._s, z))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        """Division by a nonzero scalar."""
-        kind, val = read_scalar(scalar)
-        if kind == "float" or not self.is_exact:
-            return self * (1 / _as_complex(kind, val))
-        p, q = val
-        den = Fraction(p * p + q * q)
-        return self * (p / den, -q / den)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
-        return self._product(np.dot, other, self.cols)
+        return Matrix.from_stack(stack_product(np.dot, self._s, other._s, self.cols))
 
     def kron(self, other):
         """Kronecker product; exactness is preserved on exact inputs."""
-        return self._product(np.kron, other, 1)
+        return Matrix.from_stack(stack_product(np.kron, self._s, other._s))
 
     def submatrix(self, row_idx, col_idx=None):
         """Restriction to the given (ordered) row and column indices."""
         col_idx = row_idx if col_idx is None else col_idx
-        sel = np.ix_(list(row_idx), list(col_idx))
-        if self.is_exact:
-            return Matrix._wrap_exact(self._re[sel], None if self._im is None else self._im[sel], self._den, self._big)
-        return Matrix._wrap_float(self._arr[sel])
+        return Matrix.from_stack(self._s.take(np.ix_(list(row_idx), list(col_idx))))
 
     def __repr__(self):
-        return f"<Matrix {self.rows}x{self.cols} {self._backend}>"
+        return f"<Matrix {self.rows}x{self.cols} {self.backend}>"
 
 
-def float_stack(re, im, den):
-    """The complex array (re + i im) / den of integer numerator arrays ``re``
-    and ``im`` (None when zero), where ``den`` is a positive integer or an
-    integer array that broadcasts against ``re``.  Each entry is rounded
-    once: int / int rounds correctly however large the numerator, so an
-    entry equals what :meth:`Matrix.to_float` gives for the same rational,
-    in whatever terms it is written."""
-    if den is None:
-        return re
-    if re.dtype != object and max(_numerator_max(re, im), int(np.max(den))) > 2**53:
+def float_stack(s: Stack) -> np.ndarray:
+    """The complex array of a stack: (re + i im) / den when exact.  Each
+    entry is rounded once: int / int rounds correctly however large the
+    numerator, so an entry equals what :meth:`Matrix.to_float` gives for
+    the same rational, in whatever terms it is written."""
+    if s.den is None:
+        return s.re
+    re, im = s.re, s.im
+    if max(s.bound, int(np.max(s.den))) > 2**53:
         # numpy rounds int64 to float64 before dividing; Python integers do not
-        re, im = re.astype(object), None if im is None else im.astype(object)
+        re, im = (None if x is None else x.astype(object, copy=False) for x in (re, im))
     arr = np.zeros(re.shape, dtype=complex)
-    arr.real = re / den
+    arr.real = re / s.den
     if im is not None:
-        arr.imag = im / den
+        arr.imag = im / s.den
     return arr
 
 
-def stack(mats):
-    """Square matrices of one shape as one (count, n, n) stack ``(re, im,
-    den)``.  When every matrix is exact: object arrays of integer
-    numerators over the least common denominator ``den``, with ``im`` None
-    when every matrix is real.  Otherwise ``re`` is the complex array of
-    the matrices' float values and ``im`` and ``den`` are None."""
-    mats = list(mats)
-    shapes = {m.shape for m in mats}
+def stack(mats) -> Stack:
+    """Square matrices of one shape as one (count, n, n) stack.  When every
+    matrix is exact: integer numerators over the least common denominator,
+    on int64 when their bound fits, with ``im`` None when every matrix is
+    real.  Otherwise the complex array of the matrices' float values."""
+    parts = [m._s for m in mats]
+    shapes = {s.re.shape for s in parts}
     if len(shapes) != 1 or any(rows != cols or not rows for rows, cols in shapes):
         raise DimensionError(f"expected nonempty square matrices of one shape, got shapes {sorted(shapes)}")
-    if not all(m.is_exact for m in mats):
-        return np.stack([m.to_float()._arr for m in mats]), None, None
-    den = lcm(*(m._den for m in mats))
-    re = np.stack([m._re * (den // m._den) for m in mats])
-    if all(m._im is None for m in mats):
-        return re, None, den
-    zero = np.zeros(re.shape[1:], dtype=object)
-    return re, np.stack([(zero if m._im is None else m._im) * (den // m._den) for m in mats]), den
+    if any(s.den is None for s in parts):
+        return Stack(np.stack([float_stack(s) for s in parts]))
+    den = lcm(*(s.den for s in parts))
+    bound = max(s.bound * (den // s.den) for s in parts)
+    dtype = kernel_dtype(bound)
+    # a zero matrix is not scaled, so no scale past int64 meets an int64 array
+    scales = [den // s.den if s.bound else 1 for s in parts]
+    re = np.stack([s.re.astype(dtype) * k for s, k in zip(parts, scales)])
+    if all(s.im is None for s in parts):
+        return Stack(re, None, den, bound)
+    zero = np.zeros(re.shape[1:], dtype=dtype)
+    im = np.stack([zero if s.im is None else s.im.astype(dtype) * k for s, k in zip(parts, scales)])
+    return Stack(re, im, den, bound)
 
 
-def stack_product(op, a, b, inner=1, bounds=(None, None)):
-    """``op`` (np.dot, np.matmul, np.multiply, np.kron, ...) of two stacks
-    ``(re, im, den)``: over den_a den_b when both are exact, else of the
-    float values.  Exact numerators run on the dtype :func:`kernel_dtype`
-    picks for sums of ``inner`` products of operands whose numerators are
-    bounded by ``bounds`` (each found when None); matrix products whose
-    sums stay below 2**53 run exactly on float64, where they have BLAS."""
-    if a[2] is None or b[2] is None:
-        return op(float_stack(*a), float_stack(*b)), None, None
-    ops = [(x[0], x[1], _numerator_max(x[0], x[1]) if k is None else k) for x, k in zip((a, b), bounds)]
-    fast = op in (np.matmul, np.dot) and 2 * inner * max(ops[0][2], 1) * max(ops[1][2], 1) < 2**53
-    re, im, _ = _complex_product(op, *ops, inner, np.float64 if fast else None)
-    return *(x.astype(np.int64) if fast and x is not None else x for x in (re, im)), a[2] * b[2]
+def stack_product(op, a: Stack, b: Stack, inner=1) -> Stack:
+    """``op`` (np.dot, np.matmul, np.multiply, np.kron, ...) of two stacks:
+    over den_a den_b when both are exact, else of the float values.  Exact
+    numerators run on the dtype :func:`kernel_dtype` picks for the bound
+    2 inner max|A| max|B| on sums of ``inner`` products (inner max|A| max|B|
+    when one operand is real), which the result carries; matrix products
+    whose bound stays below 2**53 run exactly on float64, where they have
+    BLAS."""
+    if a.den is None or b.den is None:
+        return Stack(op(float_stack(a), float_stack(b)))
+    big = (1 if a.im is None or b.im is None else 2) * inner * max(a.bound, 1) * max(b.bound, 1)
+    fast = op in (np.matmul, np.dot) and big < 2**53
+    re, im = _complex_product(op, a, b, np.float64 if fast else kernel_dtype(big))
+    if fast:
+        re, im = (None if x is None else x.astype(np.int64) for x in (re, im))
+    return Stack(re, im, a.den * b.den, big)
 
 
-def stack_concat(stacks, axis=0):
-    """Stacks ``(re, im, den)`` joined along ``axis``: over the least common
-    denominator when every nonempty one is exact, else as floats."""
-    stacks = [x for x in stacks if x[0].shape[axis]] or list(stacks)[:1]
-    if any(x[2] is None for x in stacks):
-        return np.concatenate([float_stack(*x) for x in stacks], axis=axis), None, None
-    den = lcm(*(x[2] for x in stacks))
-    parts = [x if x[2] == den else stack_product(np.multiply, x, (np.array(den // x[2], dtype=object), None, 1))
+def stack_concat(stacks, axis=0) -> Stack:
+    """Stacks joined along ``axis``: over the least common denominator when
+    every nonempty one is exact, else as floats."""
+    stacks = [x for x in stacks if x.re.shape[axis]] or list(stacks)[:1]
+    if any(x.den is None for x in stacks):
+        return Stack(np.concatenate([float_stack(x) for x in stacks], axis=axis))
+    den = lcm(*(x.den for x in stacks))
+    # a zero stack is not scaled, so no scale past int64 meets an int64 array
+    parts = [x if x.den == den or not x.bound else x.apply(lambda y, k=den // x.den: y * k, x.bound * (den // x.den))
              for x in stacks]
-    ims = None if all(x[1] is None for x in parts) else [np.zeros_like(x[0]) if x[1] is None else x[1] for x in parts]
-    return np.concatenate([x[0] for x in parts], axis=axis), ims and np.concatenate(ims, axis=axis), den
+    ims = None if all(x.im is None for x in parts) else [np.zeros_like(x.re) if x.im is None else x.im for x in parts]
+    re = np.concatenate([x.re for x in parts], axis=axis)
+    return Stack(re, ims and np.concatenate(ims, axis=axis), den, max(x.bound for x in parts))
 
 
 DEFAULT_TOL = 1e-9
@@ -520,37 +495,32 @@ def agree(a: Matrix, b: Matrix, tol: float) -> bool:
     return a.max_abs_diff(b) <= tol
 
 
-
-def products_agree(a, b, t, tol: float):
+def products_agree(a: Stack, b: Stack, t: Stack, tol: float):
     """Whether A_k B_k equals T_k, in the sense of :func:`agree`, and the
     deviation as :meth:`Matrix.max_abs_diff` reads it, as two arrays over
-    the leading axes k (which broadcast), for stacks ``(re, im, den)`` as
-    :func:`stack` gives them (exact numerators on int64 or Python integers;
-    with one float stack, all are read as float).  Exact stacks form
-    A_k B_k by :func:`stack_product` and compare (A_k B_k) (d_t / g) with
-    T_k (d_a d_b / g), g = gcd(d_t, d_a d_b), on the dtype
-    :func:`kernel_dtype` picks for both sides."""
-    (ar, ai, da), (br, bi, db), (tr, ti, dt) = a, b, t
-    if None in (da, db, dt):
-        fa, fb, ft = (float_stack(*x) for x in (a, b, t))
+    the leading axes k (which broadcast); with one float stack, all are
+    read as float.  Exact stacks form A_k B_k by :func:`stack_product` and
+    compare (A_k B_k) (d_t / g) with T_k (d_a d_b / g), g = gcd(d_t, d_a d_b),
+    on the dtype :func:`kernel_dtype` picks from the bounds of both sides."""
+    if None in (a.den, b.den, t.den):
+        fa, fb, ft = (float_stack(x) for x in (a, b, t))
         dev = np.abs(np.matmul(fa, fb) - ft).max(axis=(-2, -1))
         return dev <= tol, dev
-    g = gcd(dt, da * db)
-    sp, st = dt // g, da * db // g
-    bounds = (_numerator_max(ar, ai), _numerator_max(br, bi))
-    re, im, _ = stack_product(np.matmul, a, b, ar.shape[-1], bounds)
-    big = 2 * ar.shape[-1] * max(bounds[0], 1) * max(bounds[1], 1)
-    dtype = kernel_dtype(big * sp, max(_numerator_max(tr, ti), 1) * st)
+    g = gcd(t.den, a.den * b.den)
+    sp, st = t.den // g, a.den * b.den // g
+    ab = stack_product(np.matmul, a, b, a.re.shape[-1])
+    dtype = kernel_dtype(ab.bound * sp, max(t.bound, 1) * st)
     # (A B) sp and T st; a failing index reads its deviation off their difference
     sides = [
         [0 if x is None else x.astype(dtype, copy=False) * s for x, s in ((p, sp), (q, st))]
-        for p, q in ((re, tr), (im, ti)) if p is not None or q is not None
+        for p, q in ((ab.re, t.re), (ab.im, t.im)) if p is not None or q is not None
     ]
     ok = np.logical_and.reduce([np.equal(lhs, rhs).all(axis=(-2, -1)) for lhs, rhs in sides])
     dev = np.zeros(ok.shape)
     if not ok.all():
         diff = [np.subtract(lhs, rhs, dtype=object)[~ok] for lhs, rhs in sides] + [None]
-        dev[~ok] = np.abs(float_stack(diff[0], diff[1], dt * st)).max(axis=(-2, -1))
+        bound = ab.bound * sp + t.bound * st
+        dev[~ok] = np.abs(float_stack(Stack(diff[0], diff[1], t.den * st, bound))).max(axis=(-2, -1))
     return ok, dev
 
 
@@ -558,54 +528,54 @@ def products_agree(a, b, t, tol: float):
 _BLOCK_ENTRIES = 2**20
 
 
-def product_table(family, targets, tol: float):
+def product_table(family: Stack, targets, tol: float):
     """:func:`products_agree` for F_i F_j = F_t, t = targets[i, j] (-1 for
     zero), over every pair of a family stack, as two (count, count) arrays;
     row blocks of at most ``_BLOCK_ENTRIES`` entries broadcast against it."""
-    re, im, den = family
-    count, targets = len(re), np.asarray(targets)
-    # exact numerators on int64 once when they fit; target -1 picks a zero matrix
-    dtype = re.dtype if den is None else kernel_dtype(_numerator_max(re, im))
-    parts = [None if x is None else np.concatenate([x, np.zeros_like(x[:1])]).astype(dtype) for x in (re, im)]
+    count, targets = len(family.re), np.asarray(targets)
+    # target -1 picks a zero matrix
+    parts = [None if x is None else np.concatenate([x, np.zeros_like(x[:1])]) for x in (family.re, family.im)]
     ok, dev = np.empty((count, count), dtype=bool), np.empty((count, count))
-    step = max(1, _BLOCK_ENTRIES // (count * re[0].size))
+    step = max(1, _BLOCK_ENTRIES // (count * family.re[0].size))
     for lo in range(0, count, step):
         rows = slice(lo, min(lo + step, count))
         picks = ((rows, None), (None, slice(count)), targets[rows])
-        a, b, t = ((*(None if x is None else x[idx] for x in parts), den) for idx in picks)
+        a, b, t = (Stack(*(None if x is None else x[idx] for x in parts), family.den, family.bound) for idx in picks)
         ok[rows], dev[rows] = products_agree(a, b, t, tol)
     return ok, dev
 
 
-def _pivots(head, exact):
+def _pivots(head, big):
     """Per row of ``head``, flattened nonzero matrices (numerator parts when
     exact, one complex array when float), the column of its elimination
     pivot: the first nonzero entry of least modulus when exact, compared
-    as re^2 + im^2 in integers, and of largest modulus when float."""
-    if not exact:
+    as re^2 + im^2 in integers, and of largest modulus when float.  ``big``
+    bounds the exact numerators, and is None when float."""
+    if big is None:
         return np.argmax(np.abs(head[0]), axis=1)
-    wide = _numerator_max(*head) >= 2**30  # squares past int64 go on Python integers
+    wide = big >= 2**30  # squares past int64 go on Python integers
     mags = sum(x * x for x in (y.astype(object) if wide else y for y in head))
     return np.argmin(np.where(mags != 0, mags, mags.max() + 1), axis=1)
 
 
-def eliminate(family, rows=None, zero_below=0.0, coordinates=True):
-    """Gaussian elimination of a batch of families of matrices, a stack
-    ``(re, im, den)`` of shape (batch, count, ...), every family in its own
-    order and each matrix read as one row.  A row is reduced against one
-    pivot per kept row before it and kept when its remainder is nonzero and
-    it is among the first ``rows``; a float remainder is also zero when no
-    entry exceeds ``zero_below`` (broadcast against (batch, count)).  The
-    pivot is the first nonzero entry of least modulus when exact, of largest
-    when float.  Exact rows are fraction-free (Bareiss: p R - c P over the
+def eliminate(family: Stack, rows=None, zero_below=0.0, coordinates=True):
+    """Gaussian elimination of a batch of families of matrices, a stack of
+    shape (batch, count, ...), every family in its own order and each
+    matrix read as one row.  A row is reduced against one pivot per kept
+    row before it and kept when its remainder is nonzero and it is among
+    the first ``rows``; a float remainder is also zero when no entry
+    exceeds ``zero_below`` (broadcast against (batch, count)).  The pivot is
+    the first nonzero entry of least modulus when exact, of largest when
+    float.  Exact rows are fraction-free (Bareiss: p R - c P over the
     previous pivot, an exact division), on int64 while :func:`kernel_dtype`
-    allows it, with the coordinates as augmented identity columns.  Returns
-    (batch, count) masks ``kept`` and ``spanned`` (in the span of the kept
-    rows before it) and ``coords`` (None if not ``coordinates``), a stack
-    whose entry (b, k, l) is matrix k's coordinate over kept matrix l."""
-    re, im, den = family
-    (batch, count), exact, aug = re.shape[:2], den is not None, re.shape[1] if coordinates else 0
-    dtype = kernel_dtype(_numerator_max(re, im)) if exact else complex
+    allows it, with the coordinates as augmented identity columns; each
+    step reads its rows' bound once.  Returns (batch, count) masks ``kept``
+    and ``spanned`` (in the span of the kept rows before it) and ``coords``
+    (None if not ``coordinates``), a stack whose entry (b, k, l) is matrix
+    k's coordinate over kept matrix l."""
+    re, im, exact = family.re, family.im, family.den is not None
+    (batch, count), aug = re.shape[:2], re.shape[1] if coordinates else 0
+    dtype = kernel_dtype(family.bound) if exact else complex
     unit = np.broadcast_to(np.eye(count, aug, dtype=dtype), (batch, count, aug))
     parts = [np.concatenate([x.reshape(batch, count, -1).astype(dtype), unit if x is re else 0 * unit], axis=2)
              for x in (re, im) if x is not None]
@@ -625,7 +595,7 @@ def eliminate(family, rows=None, zero_below=0.0, coordinates=True):
             continue
         if not exact:
             top, low = parts[0][fam, k], parts[0][fam, k + 1:]
-            j = _pivots([top[:, :width]], exact)
+            j = _pivots([top[:, :width]], None)
             parts[0][fam, k + 1:] = low - low[pick, :, j][..., None] * (top * (1 / top[pick, j])[:, None])[:, None]
             continue
         # Bareiss: p R - c P is divisible by the family's previous pivot q
@@ -634,7 +604,7 @@ def eliminate(family, rows=None, zero_below=0.0, coordinates=True):
         if dtype != object and kernel_dtype(2 * big**2 if len(parts) == 1 else 8 * big**3) is object:
             parts, prev, dtype = [x.astype(object) for x in parts], [x.astype(object) for x in prev], object
             top, low, q = ([x.astype(object) for x in y] for y in (top, low, q))
-        j = _pivots([x[:, :width] for x in top], exact)
+        j = _pivots([x[:, :width] for x in top], big)
         p, c = [x[pick, j][:, None, None] for x in top], [x[pick, :, j][..., None] for x in low]
         top, q = [x[:, None] for x in top], [x[:, None, None] for x in q]
         if len(parts) == 1:
@@ -664,7 +634,8 @@ def eliminate(family, rows=None, zero_below=0.0, coordinates=True):
     scale = den // norm if exact else 1 / norm
     coords = [np.where(spanned[:, :, None] & kept[:, None, :], x * scale, 0) for x in nums]
     coords[0][fam, pivots, pivots] = den
-    return kept, spanned, (coords[0], coords[1] if len(coords) == 2 else None, den if exact else None)
+    return kept, spanned, (Stack.read(coords[0], coords[1] if len(coords) == 2 else None, den) if exact
+                           else Stack(coords[0]))
 
 
 def singular_values(m: Matrix | np.ndarray) -> np.ndarray:
@@ -672,7 +643,7 @@ def singular_values(m: Matrix | np.ndarray) -> np.ndarray:
     matrices gets one stacked SVD, with row i holding the values of the
     i-th matrix; each row equals what the matrix alone gives."""
     if isinstance(m, Matrix):
-        return singular_values(m.to_float()._arr[None])[0]
+        return singular_values(float_stack(m._s)[None])[0]
     if m.ndim != 3 or 0 in m.shape[1:]:
         raise DimensionError(f"expected a stack of nonempty matrices, got shape {m.shape}")
     return np.linalg.svd(m, compute_uv=False)

@@ -1,5 +1,7 @@
 """Reference implementations kept as test oracles: Gaussian elimination one
-``Matrix`` at a time with its pivot rule, a matrix's content, and the
+``Matrix`` at a time with its pivot rule, a matrix's content, an exact
+stack's entries and largest numerator, the dense idempotents of the
+rank-one family, and the
 tensor-element algebra term by term on (Matrix, Matrix) pairs, with the
 reduced form and norm bounds read off them; and the diagonal stage's
 commutator bounds, one reduction per diagonal, and its regrouped unitized
@@ -63,10 +65,19 @@ def eliminate(mats, negligible=None, rows=None, coordinates=True):
             p = r.entry(*ij)
             if coordinates:
                 unit = Matrix.exact([[int(j == len(kept)) for j in range(n)]])
-                x = (unit - x) / p
-            pivots.append((ij, r / p, x))
+                x = (unit - x) * reciprocal(p)
+            pivots.append((ij, r * reciprocal(p), x))
             kept.append(k)
     return kept, coords if coordinates else None
+
+
+def reciprocal(z):
+    """1 / z for an exact (re, im) pair, as a pair of Fractions, or for a
+    complex number."""
+    if isinstance(z, complex):
+        return 1 / z
+    norm = Fraction(z[0] * z[0] + z[1] * z[1])
+    return z[0] / norm, -z[1] / norm
 
 
 def pivot(m):
@@ -95,7 +106,8 @@ def content(m):
     float m."""
     if not m.is_exact:
         return 1
-    return Fraction(math.gcd(*m._re.flat, *(() if m._im is None else m._im.flat)), m._den)
+    s = m._s
+    return Fraction(math.gcd(*s.re.flat, *(() if s.im is None else s.im.flat)), s.den)
 
 
 class PairTensor:
@@ -160,7 +172,7 @@ def reduce(terms):
     for i, (u, v) in enumerate(terms):
         g = content(u)
         if g not in (0, 1):
-            terms[i] = (u / g, v * g)
+            terms[i] = (u * (1 / g), v * g)
     kept, coords = eliminate([u for u, _ in terms], lambda k, r: negligible(r, terms[k][1]))
     pairs = [list(terms[k]) for k in kept]
     for (_, v), x in zip(terms, coords):
@@ -173,14 +185,29 @@ def reduce(terms):
     return [(b, v) for b, v in pairs if not negligible(b, v)]
 
 
+def numerator_max(s):
+    """The largest modulus of an exact stack's numerators, in Python integers."""
+    return max((abs(int(x)) for x in (*s.re.flat, *(() if s.im is None else s.im.flat))), default=0)
+
+
+def entries(s):
+    """An exact stack's entries as a nested list of (re, im) Fraction pairs."""
+    im = np.zeros_like(s.re) if s.im is None else s.im
+    out = np.empty(s.re.size, dtype=object)
+    for k, (x, y) in enumerate(zip(s.re.flat, im.flat)):
+        out[k] = Fraction(int(x), s.den), Fraction(int(y), s.den)
+    return out.reshape(s.re.shape).tolist()
+
+
 def exponent(m):
     """k = (bit length of the largest numerator) - (bit length of the
     denominator) of an exact m in lowest terms, so the largest entry
     modulus of 2**-k m lies between 1/2 and 3; 0 for a zero or float m."""
     if not m.is_exact:
         return 0
-    big = max(abs(int(x)) for x in (*m._re.flat, *(() if m._im is None else m._im.flat)))
-    return big.bit_length() - m._den.bit_length() if big else 0
+    s = m._s
+    big = max(abs(int(x)) for x in (*s.re.flat, *(() if s.im is None else s.im.flat)))
+    return big.bit_length() - s.den.bit_length() if big else 0
 
 
 def leg_norm(m):
@@ -215,14 +242,13 @@ def increments(deltas):
     :meth:`Matrix.equals`.  A telescoping sequence built term by term gives
     one term per increment, and any sequence gives increments that sum to
     each diagonal."""
-    _apply, _take = diagonals._apply, diagonals._take
     out, prev = [], diagonals.TensorElem((), deltas[0].dim)
     for d in deltas:
         k = 0
         while k < min(len(prev.terms), len(d.terms)) and all(map(Matrix.equals, prev.terms[k], d.terms[k])):
             k += 1
-        (dl, dr), (pl, pr) = ((_take(x._left, slice(k, None)), _take(x._right, slice(k, None))) for x in (d, prev))
-        out.append(diagonals.TensorElem._of_legs(stack_concat([dl, _apply(pl, np.negative)]), stack_concat([dr, pr]),
+        (dl, dr), (pl, pr) = ((x._left.take(slice(k, None)), x._right.take(slice(k, None))) for x in (d, prev))
+        out.append(diagonals.TensorElem._of_legs(stack_concat([dl, pl.apply(np.negative)]), stack_concat([dr, pr]),
                                                  d.dim))
         prev = d
     return out
@@ -232,7 +258,7 @@ def commutator_bounds(samples, increments, tol):
     """The bounds of [a, D_n] for each n and each a of the stack ``samples``,
     one reduction per diagonal: the reduced [a, D_{n-1}] with the terms of
     [a, I_n], for D_n the sum of the first n increments I_n."""
-    out, actors = [], diagonals._apply(samples, lambda x: x[:, None])
+    out, actors = [], samples.take((slice(None), None))
     for inc in increments:
         left, right = diagonals._commutator(actors, inc._left, inc._right)
         if out:
@@ -245,20 +271,27 @@ def regrouped_uppers(comms, w, images, rests):
     """tensor_norm_upper of R = 2[a,D] - p.[a,D] + w (x) rest - rest (x) w for
     each D_n and sample a, as an (n, a) list, every one by the reduction,
     from the reduced [a, D_n], w = a_alg (1 - p) and rest = 1 - p."""
-    _apply, _take, _times = diagonals._apply, diagonals._take, diagonals._times
-    slots = max(c[0][0].shape[1] for c in comms)
+    slots = max(c[0].re.shape[1] for c in comms)
     pad = lambda x: np.concatenate([x, np.zeros((x.shape[0], slots - x.shape[1], *x.shape[2:]), x.dtype)], 1)[None]
-    cl, cr = (stack_concat([_apply(c[side], pad) for c in comms]) for side in (0, 1))
-    wn = _apply(w, lambda x: np.swapaxes(x, 0, 1)[..., None, :, :])
-    rest = _apply(rests, lambda x: np.broadcast_to(x[:, None, None], wn[0].shape))
+    cl, cr = (stack_concat([c[side].apply(pad) for c in comms]) for side in (0, 1))
+    wn = w.apply(lambda x: np.swapaxes(x, 0, 1)[..., None, :, :])
+    rest = rests.apply(lambda x: np.broadcast_to(x[:, None, None], wn.re.shape))
     out = []
     for n in range(len(comms)):
-        l, r, ws, rs = (_take(x, slice(n, n + 1)) for x in (cl, cr, wn, rest))
-        pl = stack_product(np.matmul, _take(images, (slice(n, n + 1), None, None)), l, l[0].shape[-1])
-        left = stack_concat([_times(l, 2), _apply(pl, np.negative), ws, _apply(rs, np.negative)], axis=-3)
-        flat = (_apply(x, lambda y: y.reshape(-1, *y.shape[2:])) for x in (left, stack_concat([r, r, rs, ws], -3)))
+        l, r, ws, rs = (x.take(slice(n, n + 1)) for x in (cl, cr, wn, rest))
+        pl = stack_product(np.matmul, images.take((slice(n, n + 1), None, None)), l, l.re.shape[-1])
+        left = stack_concat([diagonals._times(l, 2), pl.apply(np.negative), ws, rs.apply(np.negative)], axis=-3)
+        flat = (x.apply(lambda y: y.reshape(-1, *y.shape[2:])) for x in (left, stack_concat([r, r, rs, ws], -3)))
         out.append(diagonals._upper(*diagonals._reduce(*flat)).tolist())
     return out
+
+
+def E(fam, n):
+    """The dense idempotent E_n = y_n x_n* of a rank-one family, as an exact
+    matrix."""
+    if not 1 <= n <= fam.n_max:
+        raise IndexError(f"index {n} out of range 1..{fam.n_max}")
+    return Matrix.from_numerators(np.outer(fam.y[:, n - 1], fam.x[:, n - 1]), None, 1)
 
 
 def e_family(fam, trials=100, seed=0, tol=1e-9):
@@ -300,16 +333,15 @@ def is_product(ea, eb, ep):
     """Whether every block of the embedded element ep is the product of the
     blocks of ea and eb, exactly, one products_agree call per stack."""
     return all(
-        products_agree((ar, ai, ea.den), (br, bi, eb.den), (pr, pi, ep.den), 0.0)[0].all()
-        for (_, ar, ai), (_, br, bi), (_, pr, pi) in zip(ea.stacks, eb.stacks, ep.stacks)
+        products_agree(a, b, p, 0.0)[0].all() for (_, a), (_, b), (_, p) in zip(ea.stacks, eb.stacks, ep.stacks)
     )
 
 
 def block_norms(e):
     """Per block of an embedded element, in family order: its singular values."""
     out = [None] * len(e.family)
-    for positions, re, im in e.stacks:
-        for pos, values in zip(positions, singular_values(float_stack(re, im, e.den))):
+    for positions, s in e.stacks:
+        for pos, values in zip(positions, singular_values(float_stack(s))):
             out[pos] = values
     return out
 

@@ -128,11 +128,11 @@ def test_criterion_5_expectation_demo():
 def test_criterion_6_rank_one_family():
     fam = RankOneFamily.build(12)
     for j in range(1, 13):
-        ej = fam.E(j)
+        ej = pairwise.E(fam, j)
         assert (ej @ ej).equals(ej)
         for k in range(1, 13):
             if j != k:
-                assert (ej @ fam.E(k)).is_zero()
+                assert (ej @ pairwise.E(fam, k)).is_zero()
     report = certify_E_family(fam, trials=100, seed=2026, tol=1e-9)
     assert report.max_norm_error <= 1e-9
     assert report.witness_trials == 100

@@ -39,7 +39,6 @@ from opalg.diagonals import (
     _nonzero,
     _reduce,
     _regrouped_uppers,
-    _take,
 )
 from opalg.matrices import float_stack, singular_values
 
@@ -50,7 +49,7 @@ from pairwise import PairTensor
 def reduced_form(t):
     """The reduced form of t, as a tensor element."""
     left, right = _reduce(*_batch(t))
-    return TensorElem._of_legs(_take(left, 0), _take(right, 0), t.dim)
+    return TensorElem._of_legs(left.take(0), right.take(0), t.dim)
 
 
 def stacked(p):
@@ -737,7 +736,7 @@ def test_incremental_commutators_match_commutators_from_scratch(case):
     for s, a in enumerate(sample):
         for d, (lower, upper, zero, (left, right)) in zip(deltas, bounds, strict=True):
             scratch = reduced_form(bimodule_commutator(a, d))
-            reduced = TensorElem._of_legs(_take(left, s), _take(right, s), dim)
+            reduced = TensorElem._of_legs(left.take(s), right.take(s), dim)
             assert same_element(reduced, scratch)
             assert zero[s] == (not scratch.terms) == (not _nonzero(reduced._left).any())
             # the flattenings are one exact matrix, so the lower bounds agree
@@ -770,7 +769,7 @@ def test_batched_commutator_bounds_match_one_reduction_per_diagonal(case, floats
         for x, y in zip(g[:3], w[:3]):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
         for s in range(len(sample)):
-            reduced = (TensorElem._of_legs(_take(x[0], s), _take(x[1], s), dim) for x in (g[3], w[3]))
+            reduced = (TensorElem._of_legs(x[0].take(s), x[1].take(s), dim) for x in (g[3], w[3]))
             assert same_element(next(reduced), next(reduced))
 
 
@@ -799,8 +798,8 @@ def test_closed_form_regrouped_bound_matches_the_reduction(dim, kind, data):
     elif kind == "multiple":
         w = rest * data.draw(st.sampled_from([1, -2, Fraction(3, 5), (1, -1)]))
     expected = tensor_norm_upper(TensorElem.of([(w, rest), (-rest, w)], dim=dim))
-    empty, ws = _take(_legs([], dim), None), _take(_legs([w], dim), None)
-    shrinks = singular_values(float_stack(*ws).reshape(-1, dim, dim))[:, 0].reshape(1, 1)
+    empty, ws = _legs([], dim).take(None), _legs([w], dim).take(None)
+    shrinks = singular_values(float_stack(ws).reshape(-1, dim, dim))[:, 0].reshape(1, 1)
     images, rests = _legs([Matrix.identity(dim) - rest], dim), _legs([rest], dim)
     got = _regrouped_uppers([(empty, empty)], ws, shrinks, images, rests)
     assert got.shape == (1, 1)
@@ -817,7 +816,7 @@ def test_closed_form_reads_the_norm_of_minus_rest():
     # bit; the reduction reads both, and so does the closed form
     rest = Matrix.exact([[0, 2, 0, 0], [1, 2, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
     w = Matrix.exact([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])
-    empty, ws = _take(_legs([], 4), None), _take(_legs([w], 4), None)
+    empty, ws = _legs([], 4).take(None), _legs([w], 4).take(None)
     images, rests = _legs([Matrix.identity(4) - rest], 4), _legs([rest], 4)
     got = _regrouped_uppers([(empty, empty)], ws, np.ones((1, 1)), images, rests)
     assert got[0, 0] == tensor_norm_upper(TensorElem.of([(w, rest), (-rest, w)], dim=4))

@@ -1,5 +1,7 @@
 """Matrix backends, norms and idempotency checks."""
 import math
+import pathlib
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +18,8 @@ from opalg import (
 )
 from opalg import matrices
 import pairwise
-from opalg.matrices import eliminate, kernel_dtype, products_agree, stack
+from opalg.cli import main
+from opalg.matrices import Stack, eliminate, kernel_dtype, products_agree, stack, stack_concat, stack_product
 
 
 def test_op_norm_identity_is_one():
@@ -147,20 +150,21 @@ def test_dyadic_exact_to_float_is_lossless():
 
 
 def test_exact_division_keeps_integers_integer():
+    # division is scalar * by the reciprocal
     a = Matrix.exact([[2, -4], [0, 6]])
-    half = a / 2
+    half = a * Fraction(1, 2)
     assert half.equals(Matrix.exact([[1, -2], [0, 3]]))
     assert type(half.entry(1, 1)[0]) is int
-    assert (a / 4).entry(0, 0) == (Fraction(1, 2), 0)
-    assert (a / (0, 2)).equals(Matrix.exact([[(0, -1), (0, 2)], [0, (0, -3)]]))
-    assert (a.to_float() / 2).max_abs_diff(half.to_float()) == 0.0
+    assert (a * Fraction(1, 4)).entry(0, 0) == (Fraction(1, 2), 0)
+    assert (a * pairwise.reciprocal((0, 2))).equals(Matrix.exact([[(0, -1), (0, 2)], [0, (0, -3)]]))
+    assert (a.to_float() * 0.5).max_abs_diff(half.to_float()) == 0.0
 
 
 def test_content_divides_to_integers():
     a = Matrix.exact([[2, (0, -4)], [Fraction(6, 5), 0]])
     g = pairwise.content(a)
     assert g == Fraction(2, 5)
-    primitive = a / g
+    primitive = a * (1 / g)
     assert primitive.equals(Matrix.exact([[5, (0, -10)], [3, 0]]))
     assert all(type(x) is int for pair in (primitive.entry(0, 1), primitive.entry(1, 0)) for x in pair)
     assert pairwise.content(Matrix.zeros(2)) == 0
@@ -363,7 +367,7 @@ def fraction_products_agree(a, b, t):
     """The Fraction oracle for products_agree on exact stacks: per index,
     whether A_k B_k = T_k, and the largest modulus of an entry of their
     difference, each part rounded once."""
-    (ar, ai, da), (br, bi, db), (tr, ti, dt) = a, b, t
+    (ar, ai, da), (br, bi, db), (tr, ti, dt) = ((x.re, x.im, x.den) for x in (a, b, t))
     ok, dev = [], []
     for k in range(len(ar)):
         ra, ia, rb, ib = (x[k].tolist() for x in (ar, ai, br, bi))
@@ -411,7 +415,7 @@ def test_products_agree_near_the_float64_bound(data, step):
     for k in range(count):
         if data.draw(st.booleans()):
             tr[k, data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))] += data.draw(st.sampled_from([-3, 1]))
-    a, b, t = (ar, ai, da), (br, bi, db), (tr, ti, da * db * scale)
+    a, b, t = Stack.read(ar, ai, da), Stack.read(br, bi, db), Stack.read(tr, ti, da * db * scale)
     top = 2 * n * amax * bmax - amax
     assert max(abs(int(x)) for x in re.flat) == top and (top > 2**53 or step < 2)
     ok, dev = matrices.products_agree(a, b, t, 0.0)
@@ -430,9 +434,9 @@ def test_exact_sums_and_scalars_match_oracle(data):
     check_matches(ma * z, ref_scale(a, z))
     check_matches(ma * z[0], ref_scale(a, (z[0], Fraction(0))))
     if z != (0, 0):
-        check_matches(ma / z, ref_div(a, z))
+        check_matches(ma * pairwise.reciprocal(z), ref_div(a, z))
     if z[0] != 0:
-        check_matches(ma / z[0], ref_div(a, (z[0], Fraction(0))))
+        check_matches(ma * (1 / z[0]), ref_div(a, (z[0], Fraction(0))))
     # lowest terms make equality structural: a + b - b is a again
     assert (ma + mb - mb).equals(ma)
     assert ma.equals(mb) == (a == b)
@@ -462,12 +466,12 @@ def test_exact_readouts_match_oracle(a):
     expected = divmod(min(nonzero, key=mags.__getitem__), len(a[0])) if nonzero else None
     assert (None if pairwise.pivot(m) is None else tuple(int(x) for x in pairwise.pivot(m))) == expected
     if nonzero:
-        head = [x.reshape(1, -1) for x in (m._re, m._im) if x is not None]
-        assert divmod(int(matrices._pivots(head, True)[0]), len(a[0])) == expected
+        head = [x.reshape(1, -1) for x in (m._s.re, m._s.im) if x is not None]
+        assert divmod(int(matrices._pivots(head, m._s.bound)[0]), len(a[0])) == expected
     # float: the first entry of largest modulus, in both
     floats = m.to_float().numpy().reshape(1, -1)
     if np.abs(floats).any():
-        assert divmod(int(matrices._pivots([floats], False)[0]), len(a[0])) == pairwise.pivot(m.to_float())
+        assert divmod(int(matrices._pivots([floats], None)[0]), len(a[0])) == pairwise.pivot(m.to_float())
     top = max(max(abs(Fraction(re)), abs(Fraction(im))) for row in a for re, im in row)
     k = pairwise.exponent(m)
     assert k == 0 if top == 0 else Fraction(2) ** (k - 1) < top < Fraction(2) ** (k + 1)
@@ -563,21 +567,22 @@ def ref_families(draw):
 
 
 def family_batch(mats):
-    """Same-shape matrices as a batch of one family stack (re, im, den):
-    exact numerators over the least common denominator when every matrix
-    is exact, else one complex array."""
+    """Same-shape matrices as a batch of one family stack: exact numerators
+    over the least common denominator, as Python integers, when every
+    matrix is exact, else one complex array."""
     if not all(m.is_exact for m in mats):
-        return np.stack([m.numpy() for m in mats])[None], None, None
-    den = math.lcm(*(m._den for m in mats))
-    re = np.stack([m._re * (den // m._den) for m in mats])
-    im = np.stack([(np.zeros_like(m._re) if m._im is None else m._im) * (den // m._den) for m in mats])
-    return re[None], im[None], den
+        return Stack(np.stack([m.numpy() for m in mats])[None])
+    parts = [m._s for m in mats]
+    den = math.lcm(*(x.den for x in parts))
+    re = np.stack([x.re.astype(object) * (den // x.den) for x in parts])
+    im = np.stack([(np.zeros_like(x.re) if x.im is None else x.im).astype(object) * (den // x.den) for x in parts])
+    return Stack.read(re[None], im[None], den)
 
 
 def coordinate(coords, k, j):
     """Entry (k, j) of the first family's coordinates: an exact (re, im)
     pair, or a complex number."""
-    re, im, den = coords
+    re, im, den = coords.re, coords.im, coords.den
     if den is None:
         return complex(re[0, k, j])
     return Fraction(int(re[0, k, j]), den), Fraction(0 if im is None else int(im[0, k, j]), den)
@@ -677,7 +682,7 @@ def chosen_dtypes(compute):
 
 
 def same_representation(x, y):
-    return x.equals(y) and x._den == y._den and all(
+    return x.equals(y) and x._s.den == y._s.den and all(
         type(part) in (int, Fraction) for i in range(x.rows) for j in range(x.cols) for part in x.entry(i, j)
     )
 
@@ -746,3 +751,88 @@ def test_product_dtype_at_the_int64_edge(op):
         b = Matrix.exact([[(2**30 * scale, -2**30 * scale)]] * 3)
         result, dtypes = chosen_dtypes(lambda: a @ b)
         assert dtypes == [dtype] and result.entry(0, 0) == (6 * 2**60 * scale, 0)
+
+
+# -- numerator bounds: loose but never low ---------------------------------------
+
+@st.composite
+def exact_stacks(draw, shape):
+    """An exact stack of ``shape``: numerators up to 2**70 in modulus, real or
+    complex, on int64 when they fit and the draw asks for it, over a rational
+    denominator, with a bound at or above their largest modulus."""
+    size, big = math.prod(shape), 2 ** draw(st.integers(0, 70))
+
+    def part():
+        return np.array(draw(st.lists(st.integers(-big, big), min_size=size, max_size=size)), dtype=object).reshape(shape)
+
+    s = Stack.read(part(), None if draw(st.booleans()) else part(), draw(st.sampled_from([1, 3, 2**61 - 1, 2**70 + 1])))
+    if s.bound < 2**63 and draw(st.booleans()):
+        s = s.apply(lambda x: x.astype(np.int64))
+    return Stack(s.re, s.im, s.den, s.bound + draw(st.sampled_from([0, 1, 2**40, 2**64])))
+
+
+def check_stack(s, want):
+    """The stack's bound holds, and its entries are the oracle's."""
+    assert s.den is not None and pairwise.numerator_max(s) <= s.bound
+    assert pairwise.entries(s) == want
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernel_bounds_hold_and_values_match_oracle(data):
+    count, n, k, p = (data.draw(st.integers(1, 3)) for _ in range(4))
+    a, b, c = (data.draw(exact_stacks(shape)) for shape in ((count, n, k), (count, k, p), (count, n, k)))
+    ea, eb, ec = (pairwise.entries(x) for x in (a, b, c))
+    check_stack(stack_product(np.matmul, a, b, k), [ref_matmul(x, y) for x, y in zip(ea, eb)])
+    check_stack(stack_product(np.multiply, a, c),
+                [[[_cmul(x, y) for x, y in zip(r, q)] for r, q in zip(u, v)] for u, v in zip(ea, ec)])
+    check_stack(stack_product(np.kron, a.take(0), b.take(0)), ref_kron(ea[0], eb[0]))
+    check_stack(stack_concat([a, c]), ea + ec)
+    check_stack(stack_concat([a, c], axis=-1), [[r + q for r, q in zip(u, v)] for u, v in zip(ea, ec)])
+    # Matrix arithmetic on views of the stacks, in lowest terms
+    ma, mb, mc = (Matrix.from_stack(x.take(0)) for x in (a, b, c))
+    z = data.draw(complex_q)
+    rows, cols = (data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=3)) for d in (n, k))
+    for m, want in [
+        (ma + mc, ref_add(ea[0], ec[0])),
+        (ma - mc, ref_add(ea[0], ec[0], -1)),
+        (ma @ mb, ref_matmul(ea[0], eb[0])),
+        (ma.kron(mb), ref_kron(ea[0], eb[0])),
+        (ma * z, ref_scale(ea[0], z)),
+        (ma.submatrix(rows, cols), [[ea[0][i][j] for j in cols] for i in rows]),
+    ]:
+        check_stack(m._s, want)
+        assert m.equals(Matrix.exact(want))
+    # the coordinates of a family's elimination, against the reference elimination
+    family = data.draw(exact_stacks((1, count, n, n)))
+    kept, _, coords = eliminate(family)
+    assert pairwise.numerator_max(coords) <= coords.bound
+    ref_kept, ref_coords = pairwise.eliminate([Matrix.from_stack(family.take((0, i))) for i in range(count)])
+    assert np.flatnonzero(kept[0]).tolist() == ref_kept
+    for i, x in enumerate(ref_coords):
+        want = [(int(i == j), 0) if x is None else x.entry(0, b) for b, j in enumerate(ref_kept)]
+        assert [coordinate(coords, i, j) for j in ref_kept] == want
+
+
+def test_numerators_are_read_only_where_no_bound_comes_with_them(monkeypatch, tmp_path):
+    # bounds travel with the stacks: no exact kernel and no Matrix arithmetic
+    # reads numerators for one; parsed input, drawn trials and elimination do
+    callers, read = [], matrices._numerator_max
+
+    def traced(*parts):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            if frame.f_code.co_filename == matrices.__file__:
+                names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        callers.append(names)
+        return read(*parts)
+
+    monkeypatch.setattr(matrices, "_numerator_max", traced)
+    argv = ["all", "--m-max", "4", "--n-max", "4", "--f-cap", "8", "--s-max", "2", "--trials", "2", "--r-max", "4"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    kernels = {"stack_product", "stack_concat", "float_stack", "products_agree", "product_table", "_pivots"}
+    arithmetic = {"__add__", "__sub__", "__neg__", "__mul__", "__matmul__", "kron", "submatrix"}
+    assert callers and not set().union(*callers) & (kernels | arithmetic)
+    sources = pathlib.Path(matrices.__file__).parent.glob("*.py")
+    assert [f.name for f in sources if "_numerator_max" in f.read_text()] == ["matrices.py"]
