@@ -257,7 +257,7 @@ class EmbeddedElement:
     @cached_property
     def _spectra(self) -> list[tuple]:
         """Per stack, its positions and blocks' singular values (m, k + 2) from
-        one stacked SVD; int64 numerators and den, within 2**53, convert exactly."""
+        one stacked SVD; :func:`float_stack` rounds each entry once."""
         return [(np.array(pos), singular_values(float_stack(s))) for pos, s in self.stacks]
 
 
@@ -309,17 +309,14 @@ def _embedded(family, re, im=None, den=None) -> EmbeddedElement:
     each, missing ones zero.  Every block comes from its closed form: with
     s_F the sum of a_j over F, row alpha is (-s_F, -s_F, -a_F), row omega
     is (s_F, s_F, a_F), and the row of j in F holds a_j in the columns
-    alpha, omega and j.  Exact stacks are int64 when no numerator times
-    n_max (which bounds every s_F) and not the denominator exceeds 2**53,
-    so every entry and the denominator convert to float exactly, and
-    Python integers otherwise."""
+    alpha, omega and j.  Exact stacks are int64 when every numerator times
+    n_max (which bounds every s_F) fits it, and Python integers otherwise."""
     n = family.n_max
     if den is None:
         coeffs = Stack(np.pad(np.array(re, dtype=complex), (0, n - len(re))))
     else:
         coeffs = Stack.read(*(np.pad(np.array(x, dtype=object), (0, n - len(x))) for x in (re, im)), den)
-        dtype = kernel_dtype(coeffs.bound * n, den, limit=2**53)
-        coeffs = Stack(coeffs.re.astype(dtype), coeffs.im.astype(dtype), den, coeffs.bound * n)
+        coeffs = coeffs.apply(lambda x, dtype=kernel_dtype(coeffs.bound * n): x.astype(dtype), coeffs.bound * n)
     stacks = tuple((pos, coeffs.apply(lambda x: _fill(x[idx]))) for pos, idx in family._by_size)
     return EmbeddedElement(family=family, stacks=stacks)
 
@@ -508,7 +505,7 @@ def _is_product(family: SubsetFamily, trial) -> bool:
     :func:`_embedded`), one :func:`_fill` and one products_agree per size."""
     nums, dens = np.stack([x for re, im, _ in trial for x in (re, im)]), [den for *_, den in trial]
     bound = Stack.read(nums).bound * family.n_max  # every s_F sums at most n_max numerators
-    nums = nums.astype(kernel_dtype(bound, *dens, limit=2**53))
+    nums = nums.astype(kernel_dtype(bound))
     for _, idx in family._by_size:
         blocks = _fill(nums[:, idx])
         stacks = (Stack(blocks[k], blocks[k + 1], d, bound) for k, d in zip((0, 2, 4), dens))

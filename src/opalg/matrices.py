@@ -17,15 +17,17 @@ input, drawn trial numerators, a gcd and the coordinates and steps of
 largest numerator.
 
 Families of matrices are stacks with leading axes (:func:`stack`),
-combined by :func:`stack_product` and :func:`stack_concat`, read as
-floats by :func:`float_stack` and eliminated, many families at once, by
-:func:`eliminate`.  A :class:`Matrix` is a view of a stack of one
-matrix, in lowest terms when exact, so equal matrices have equal
-representations and algebraic identities can be certified with zero
-tolerance; its ``@``, ``kron``, ``+``, ``-`` and scalar ``*`` are those
-kernels.  Float matrices are complex128 arrays and carry all metric
-quantities (operator norm, Schatten-1 norm).  Every operation returns a
-new value; matrices are immutable and safe to share across threads.
+combined by :func:`stack_product`, :func:`stack_concat` and
+:func:`stack_difference`, which put exact stacks over their least common
+denominator by one rule, read as floats by :func:`float_stack` and
+eliminated, many families at once, by :func:`eliminate`.  A
+:class:`Matrix` is a view of a stack of one matrix, in lowest terms when
+exact, so equal matrices have equal representations and algebraic
+identities can be certified with zero tolerance; its ``@``, ``kron``,
+``+``, ``-`` and scalar ``*`` are those kernels.  Float matrices are
+complex128 arrays and carry all metric quantities (operator norm,
+Schatten-1 norm).  Every operation returns a new value; matrices are
+immutable and safe to share across threads.
 
 The scalar policy lives here, in :func:`read_scalar`: ints, Fractions
 and (re, im) pairs of them are exact; floats and complex numbers are
@@ -36,15 +38,14 @@ the same backend wherever it enters.
 The comparison policy lives here too: :func:`agree` compares exact
 operands with zero tolerance whatever slack it is given, and float or
 mixed operands within a plain float tolerance (``DEFAULT_TOL``; 0.0 means
-no slack).  Under the same policy, one
-batched kernel, :func:`products_agree` (or :func:`product_table` over
-every pair of a family), checks each product identity A_k B_k = T_k: the
-chain's min rule and idempotency, generator orthogonality and blockwise
-multiplicativity."""
+no slack).  Under the same policy one batched kernel, :func:`products_agree`
+(or :func:`product_table` over every pair of a family), checks every
+identity the package certifies as A_k B_k = T_k: compare numerators over
+the common denominator, and subtract only where they differ."""
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -61,6 +62,7 @@ __all__ = [
     "stack",
     "stack_product",
     "stack_concat",
+    "stack_difference",
     "float_stack",
     "agree",
     "products_agree",
@@ -127,13 +129,12 @@ def _as_complex(kind, val):
     return val if kind == "float" else complex(float(val[0]), float(val[1]))
 
 
-def kernel_dtype(*bounds, limit=2**63 - 1):
+def kernel_dtype(*bounds):
     """The dtype of an exact integer kernel: np.int64 when every integer in
-    ``bounds`` is at most ``limit`` (by default the largest int64), object
-    otherwise.  Callers pass bounds on the modulus of every value their
-    kernel forms, so on int64 it forms the same integers as on Python
-    integers."""
-    return np.int64 if max(bounds) <= limit else object
+    ``bounds`` fits int64, object otherwise.  Callers pass bounds on the
+    modulus of every value their kernel forms, so on int64 it forms the
+    same integers as on Python integers."""
+    return np.int64 if max(bounds) <= 2**63 - 1 else object
 
 
 def _freeze(arr):
@@ -252,18 +253,6 @@ class Matrix:
         return cls.from_stack(Stack.read(parts[0], parts[1], den))
 
     @classmethod
-    def from_numerators(cls, re, im, den):
-        """Exact matrix (re + i im) / den from 2-d integer arrays ``re`` and
-        ``im`` (``im`` None when zero), copied, and a positive integer
-        ``den``, brought to lowest terms."""
-        if den < 1:
-            raise ValueError(f"denominator must be positive, got {den}")
-        if np.ndim(re) != 2 or (im is not None and np.shape(im) != np.shape(re)):
-            raise DimensionError("numerators must be 2-d arrays of one shape")
-        re, im = (None if x is None else np.array(x, dtype=object) for x in (re, im))
-        return cls.from_stack(Stack.read(re, im, den))
-
-    @classmethod
     def from_float(cls, data):
         """Float matrix from an array-like of real/complex numbers."""
         arr = np.array(data, dtype=complex)
@@ -366,16 +355,14 @@ class Matrix:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
+        return self - -other
+
+    def __sub__(self, other):
         if not isinstance(other, Matrix):
             raise TypeError(f"expected Matrix, got {type(other).__name__}")
         if self.shape != other.shape:
             raise DimensionError(f"shape mismatch {self.shape} vs {other.shape}")
-        both = stack_concat([self._s.take(None), other._s.take(None)])
-        bound = None if both.den is None else sum(x.bound * (both.den // x.den) for x in (self._s, other._s))
-        return Matrix.from_stack(both.apply(lambda x: x[0] + x[1], bound))
-
-    def __sub__(self, other):
-        return self + -other
+        return Matrix.from_stack(stack_difference(self._s, other._s))
 
     def __neg__(self):
         return Matrix.from_stack(self._s.apply(np.negative))
@@ -428,27 +415,16 @@ def float_stack(s: Stack) -> np.ndarray:
 
 
 def stack(mats) -> Stack:
-    """Square matrices of one shape as one (count, n, n) stack.  When every
-    matrix is exact: integer numerators over the least common denominator,
-    on int64 when their bound fits, with ``im`` None when every matrix is
-    real.  Otherwise the complex array of the matrices' float values."""
+    """Square matrices of one shape as one (count, n, n) stack
+    (:func:`stack_concat`), on int64 when exact and its bound fits, with
+    ``im`` None when every matrix is real; one float matrix makes it the
+    complex array of the matrices' float values."""
     parts = [m._s for m in mats]
     shapes = {s.re.shape for s in parts}
     if len(shapes) != 1 or any(rows != cols or not rows for rows, cols in shapes):
         raise DimensionError(f"expected nonempty square matrices of one shape, got shapes {sorted(shapes)}")
-    if any(s.den is None for s in parts):
-        return Stack(np.stack([float_stack(s) for s in parts]))
-    den = lcm(*(s.den for s in parts))
-    bound = max(s.bound * (den // s.den) for s in parts)
-    dtype = kernel_dtype(bound)
-    # a zero matrix is not scaled, so no scale past int64 meets an int64 array
-    scales = [den // s.den if s.bound else 1 for s in parts]
-    re = np.stack([s.re.astype(dtype) * k for s, k in zip(parts, scales)])
-    if all(s.im is None for s in parts):
-        return Stack(re, None, den, bound)
-    zero = np.zeros(re.shape[1:], dtype=dtype)
-    im = np.stack([zero if s.im is None else s.im.astype(dtype) * k for s, k in zip(parts, scales)])
-    return Stack(re, im, den, bound)
+    s = stack_concat([x.take(None) for x in parts])
+    return s if s.den is None else s.apply(lambda x, dtype=kernel_dtype(s.bound): x.astype(dtype, copy=False))
 
 
 def stack_product(op, a: Stack, b: Stack, inner=1) -> Stack:
@@ -469,19 +445,39 @@ def stack_product(op, a: Stack, b: Stack, inner=1) -> Stack:
     return Stack(re, im, a.den * b.den, big)
 
 
+def _common(stacks) -> list[Stack]:
+    """Exact stacks over their least common denominator, each with its
+    numerators and bound scaled by lcm / den (:meth:`Stack.apply`).  A zero
+    stack is not scaled, so no scale past int64 meets an int64 array."""
+    den = lcm(*(x.den for x in stacks))
+    scaled = lambda x, k: replace(x.apply(lambda y: y * k, x.bound * k) if x.bound else x, den=den)
+    return [x if x.den == den else scaled(x, den // x.den) for x in stacks]
+
+
 def stack_concat(stacks, axis=0) -> Stack:
     """Stacks joined along ``axis``: over the least common denominator when
     every nonempty one is exact, else as floats."""
     stacks = [x for x in stacks if x.re.shape[axis]] or list(stacks)[:1]
     if any(x.den is None for x in stacks):
         return Stack(np.concatenate([float_stack(x) for x in stacks], axis=axis))
-    den = lcm(*(x.den for x in stacks))
-    # a zero stack is not scaled, so no scale past int64 meets an int64 array
-    parts = [x if x.den == den or not x.bound else x.apply(lambda y, k=den // x.den: y * k, x.bound * (den // x.den))
-             for x in stacks]
+    parts = _common(stacks)
     ims = None if all(x.im is None for x in parts) else [np.zeros_like(x.re) if x.im is None else x.im for x in parts]
     re = np.concatenate([x.re for x in parts], axis=axis)
-    return Stack(re, ims and np.concatenate(ims, axis=axis), den, max(x.bound for x in parts))
+    return Stack(re, ims and np.concatenate(ims, axis=axis), parts[0].den, max(x.bound for x in parts))
+
+
+def stack_difference(a: Stack, b: Stack) -> Stack:
+    """A - B for two stacks whose leading axes broadcast: over their least
+    common denominator, with the bound max|A| + max|B| of the scaled
+    numerators, on the dtype :func:`kernel_dtype` picks for it, when both
+    are exact; else of the float values.  ``Matrix`` ``-`` and ``+`` are
+    this kernel."""
+    if a.den is None or b.den is None:
+        return Stack(float_stack(a) - float_stack(b))
+    a, b = _common([a, b])
+    dtype = kernel_dtype(a.bound + b.bound)
+    (ar, ai), (br, bi) = ((None if x is None else x.astype(dtype, copy=False) for x in (s.re, s.im)) for s in (a, b))
+    return Stack(ar - br, ai if bi is None else -bi if ai is None else ai - bi, a.den, a.bound + b.bound)
 
 
 DEFAULT_TOL = 1e-9
@@ -499,28 +495,21 @@ def products_agree(a: Stack, b: Stack, t: Stack, tol: float):
     """Whether A_k B_k equals T_k, in the sense of :func:`agree`, and the
     deviation as :meth:`Matrix.max_abs_diff` reads it, as two arrays over
     the leading axes k (which broadcast); with one float stack, all are
-    read as float.  Exact stacks form A_k B_k by :func:`stack_product` and
-    compare (A_k B_k) (d_t / g) with T_k (d_a d_b / g), g = gcd(d_t, d_a d_b),
-    on the dtype :func:`kernel_dtype` picks from the bounds of both sides."""
+    read as float.  Exact stacks form A_k B_k by :func:`stack_product`, put
+    it and T_k over their least common denominator and compare numerators;
+    only a failing index forms A_k B_k - T_k (:func:`stack_difference`)."""
     if None in (a.den, b.den, t.den):
         fa, fb, ft = (float_stack(x) for x in (a, b, t))
         dev = np.abs(np.matmul(fa, fb) - ft).max(axis=(-2, -1))
         return dev <= tol, dev
-    g = gcd(t.den, a.den * b.den)
-    sp, st = t.den // g, a.den * b.den // g
-    ab = stack_product(np.matmul, a, b, a.re.shape[-1])
-    dtype = kernel_dtype(ab.bound * sp, max(t.bound, 1) * st)
-    # (A B) sp and T st; a failing index reads its deviation off their difference
-    sides = [
-        [0 if x is None else x.astype(dtype, copy=False) * s for x, s in ((p, sp), (q, st))]
-        for p, q in ((ab.re, t.re), (ab.im, t.im)) if p is not None or q is not None
-    ]
-    ok = np.logical_and.reduce([np.equal(lhs, rhs).all(axis=(-2, -1)) for lhs, rhs in sides])
+    ab, t = _common([stack_product(np.matmul, a, b, a.re.shape[-1]), t])
+    ok = np.equal(ab.re, t.re).all(axis=(-2, -1))
+    if ab.im is not None or t.im is not None:
+        ok = ok & np.equal(*(0 if x is None else x for x in (ab.im, t.im))).all(axis=(-2, -1))
     dev = np.zeros(ok.shape)
     if not ok.all():
-        diff = [np.subtract(lhs, rhs, dtype=object)[~ok] for lhs, rhs in sides] + [None]
-        bound = ab.bound * sp + t.bound * st
-        dev[~ok] = np.abs(float_stack(Stack(diff[0], diff[1], t.den * st, bound))).max(axis=(-2, -1))
+        failing = [x.apply(lambda y: np.broadcast_to(y, ok.shape + y.shape[-2:])[~ok]) for x in (ab, t)]
+        dev[~ok] = np.abs(float_stack(stack_difference(*failing))).max(axis=(-2, -1))
     return ok, dev
 
 

@@ -22,6 +22,7 @@ from opalg import diagonals, embedding
 from opalg.embedding import SubsetFamily, best_subset_sum, make_trace, phi
 from opalg.matrices import (
     Matrix,
+    Stack,
     float_stack,
     op_norm,
     products_agree,
@@ -291,7 +292,7 @@ def E(fam, n):
     matrix."""
     if not 1 <= n <= fam.n_max:
         raise IndexError(f"index {n} out of range 1..{fam.n_max}")
-    return Matrix.from_numerators(np.outer(fam.y[:, n - 1], fam.x[:, n - 1]), None, 1)
+    return Matrix.from_stack(Stack.read(np.outer(fam.y[:, n - 1], fam.x[:, n - 1])))
 
 
 def e_family(fam, trials=100, seed=0, tol=1e-9):
@@ -303,7 +304,7 @@ def e_family(fam, trials=100, seed=0, tol=1e-9):
     squares = (x * x).sum(axis=0) * (y * y).sum(axis=0)
     gram = x.T @ y
     allowed = np.vstack([np.ones((2, n), dtype=bool), np.eye(n, dtype=bool)])
-    x_star, y_mat = Matrix.from_numerators(x.T, None, 1), Matrix.from_numerators(y, None, 1)
+    x_star, y_mat = Matrix.from_stack(Stack.read(x.T)), Matrix.from_stack(Stack.read(y))
     rng = np.random.default_rng(seed)
     witness_exact = witness_dominated = True
     for _ in range(trials):

@@ -573,6 +573,16 @@ def test_finite_diagonal_validates_invariants():
     FiniteDiagonal(diag=TensorElem.of([(q, q)]), algebra_basis=(one.to_float(),))
     with pytest.raises(ValueError, match="identity on basis element 1"):
         FiniteDiagonal(diag=TensorElem.of([(q, q)]), algebra_basis=(one.to_float(), one))
+    # float legs: p (x) p + (1-p) (x) (1-p) + eps e01 (x) e01 has image 1, and
+    # kron(p, 1) F - F kron(1, p) = eps kron(e01, e01), within DEFAULT_TOL or not
+    legs = [(p, p), (one - p, one - p)]
+    for eps, commutes in [(1e-12, True), (1e-6, False)]:
+        diag = TensorElem.of([(u.to_float(), v.to_float()) for u, v in legs] + [(e01 * eps, e01.to_float())])
+        if commutes:
+            FiniteDiagonal(diag=diag, algebra_basis=(one, p))
+        else:
+            with pytest.raises(ValueError, match="commute with basis element 1"):
+                FiniteDiagonal(diag=diag, algebra_basis=(one, p))
 
 
 def test_expectation_dimension_mismatch():

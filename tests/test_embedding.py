@@ -26,7 +26,7 @@ from opalg import (
 )
 from opalg import embedding, matrices
 import pairwise
-from opalg.matrices import kernel_dtype, read_scalar
+from opalg.matrices import Stack, kernel_dtype, read_scalar
 
 INV_PI = 1.0 / math.pi
 
@@ -574,7 +574,7 @@ def blocks_of(e):
     out = [None] * len(e.family)
     for positions, s in e.stacks:
         for pos, r, i in zip(positions, s.re, s.re if s.im is None else s.im, strict=True):
-            out[pos] = Matrix.from_float(r) if not e.is_exact else Matrix.from_numerators(r, i, s.den)
+            out[pos] = Matrix.from_float(r) if not e.is_exact else Matrix.from_stack(Stack.read(r, i, s.den))
     return tuple(out)
 
 
@@ -681,14 +681,13 @@ def test_norms_do_not_wrap_blocks(monkeypatch):
 
 
 def test_product_dtype_bound():
-    # int64 only when every bound is at most the largest int64, or the limit given
+    # int64 only when every bound is at most the largest int64
     assert kernel_dtype(2**63 - 1) is np.int64
     assert kernel_dtype(2**63) is object
     assert kernel_dtype(0, 2**63) is object
-    assert kernel_dtype(2**53, 1, limit=2**53) is np.int64
-    assert kernel_dtype(2**53 + 1, 1, limit=2**53) is object
-    # products_agree's bounds 2 k max|a| max|b| (dt / g) and max|t| (da db / g),
-    # with g = gcd(dt, da db), at their edges
+    assert kernel_dtype(2**53 + 1, 1) is np.int64
+    # the bounds of A_k B_k and T_k over their least common denominator L,
+    # 2 k max|a| max|b| (L / da db) and max|t| (L / dt), at their edges
     for bounds, dtype in [
         ((2 * 3 * (2**30) ** 2 * 1, 2**30), np.int64),
         ((2 * 4 * (2**30) ** 2 * 1, 2**30), object),
@@ -817,7 +816,7 @@ def test_int64_stacks_convert_like_each_block(case):
     nums = [x * den for pair in coeffs for x in pair]
     assert all(x.denominator == 1 for x in nums)
     big = max(abs(int(x)) for x in nums)
-    int64 = big * family.n_max <= 2**53 and den <= 2**53
+    int64 = big * family.n_max <= 2**63 - 1
     blocks = blocks_of(emb)
     for positions, s in emb.stacks:
         assert s.re.dtype == s.im.dtype == (np.int64 if int64 else object)

@@ -367,21 +367,9 @@ def fraction_products_agree(a, b, t):
     """The Fraction oracle for products_agree on exact stacks: per index,
     whether A_k B_k = T_k, and the largest modulus of an entry of their
     difference, each part rounded once."""
-    (ar, ai, da), (br, bi, db), (tr, ti, dt) = ((x.re, x.im, x.den) for x in (a, b, t))
     ok, dev = [], []
-    for k in range(len(ar)):
-        ra, ia, rb, ib = (x[k].tolist() for x in (ar, ai, br, bi))
-        n = len(ra)
-        diff = [
-            (
-                Fraction(sum(ra[i][m] * rb[m][j] - ia[i][m] * ib[m][j] for m in range(n)), da * db)
-                - Fraction(int(tr[k, i, j]), dt),
-                Fraction(sum(ra[i][m] * ib[m][j] + ia[i][m] * rb[m][j] for m in range(n)), da * db)
-                - Fraction(int(ti[k, i, j]), dt),
-            )
-            for i in range(n)
-            for j in range(n)
-        ]
+    for x, y, z in zip(*(pairwise.entries(s) for s in (a, b, t))):
+        diff = [(p[0] - q[0], p[1] - q[1]) for r, w in zip(ref_matmul(x, y), z) for p, q in zip(r, w)]
         ok.append(not any(re or im for re, im in diff))
         dev.append(float(np.abs(np.array([complex(float(re), float(im)) for re, im in diff])).max()))
     return ok, dev
@@ -477,16 +465,16 @@ def test_exact_readouts_match_oracle(a):
     assert k == 0 if top == 0 else Fraction(2) ** (k - 1) < top < Fraction(2) ** (k + 1)
 
 
-def test_from_numerators_reduces_to_lowest_terms():
+def test_from_stack_reduces_to_lowest_terms():
     re = np.array([[2, 4], [6, 0]], dtype=object)
     im = np.array([[0, 2], [0, 0]], dtype=object)
-    m = Matrix.from_numerators(re, im, 4)
+    m = Matrix.from_stack(Stack.read(re, im, 4))
     assert m.equals(Matrix.exact([[Fraction(1, 2), (1, Fraction(1, 2))], [Fraction(3, 2), 0]]))
-    assert Matrix.from_numerators(re, np.zeros((2, 2), dtype=object), 2).equals(Matrix.exact([[1, 2], [3, 0]]))
-    with pytest.raises(ValueError, match="positive"):
-        Matrix.from_numerators(re, None, 0)
-    with pytest.raises(DimensionError):
-        Matrix.from_numerators(re, im[0], 4)
+    assert (m._s.den, m._s.re.tolist(), m._s.im.tolist()) == (2, [[1, 2], [3, 0]], [[0, 1], [0, 0]])
+    assert Matrix.from_stack(Stack.read(re, np.zeros((2, 2), dtype=object), 2)).equals(Matrix.exact([[1, 2], [3, 0]]))
+    # a zero matrix over any denominator is 0 / 1
+    zero = Matrix.from_stack(Stack(np.zeros((2, 2), dtype=np.int64), None, 2**70 + 1, 0))
+    assert (zero._s.den, zero.is_zero()) == (1, True)
 
 
 diag_value = st.one_of(
@@ -708,11 +696,11 @@ def edge_operands(draw):
         im = None if draw(st.booleans()) else arr[::-1, ::-1] * draw(st.sampled_from([1, -1]))
         return arr, im
 
-    a = Matrix.from_numerators(*numerators(n, k, big_a), draw(den))
+    a = Matrix.from_stack(Stack.read(*numerators(n, k, big_a), draw(den)))
     if op == "scalar":
         z = (Fraction(big_b, draw(den)), Fraction(draw(st.integers(-big_b, big_b)), draw(den)))
         return op, lambda: a * z
-    b = Matrix.from_numerators(*numerators(k if op == "dot" else p, p, big_b), draw(den))
+    b = Matrix.from_stack(Stack.read(*numerators(k if op == "dot" else p, p, big_b), draw(den)))
     return op, (lambda: a @ b) if op == "dot" else (lambda: a.kron(b))
 
 
@@ -803,6 +791,20 @@ def test_kernel_bounds_hold_and_values_match_oracle(data):
     ]:
         check_stack(m._s, want)
         assert m.equals(Matrix.exact(want))
+    # stacks of Matrix views over mixed denominators, with a zero matrix given
+    # over a denominator past int64, and products_agree on them
+    zero = Matrix.from_stack(Stack(np.zeros((n, n), dtype=np.int64), None, 2**70 + 1, 0))
+    views = [Matrix.from_stack(data.draw(exact_stacks((n, n)))) for _ in range(3)] + [zero]
+    fa, fb = ([views[i] for i in data.draw(st.permutations(range(4)))] for _ in range(2))
+    # per index, the product (moved by 1/3 or not) or another view
+    moved = Matrix.diag([Fraction(1, 3)] + [0] * (n - 1))
+    ft = [data.draw(st.sampled_from([x @ y, x @ y + moved, views[0]])) for x, y in zip(fa, fb)]
+    stacks = [stack(f) for f in (fa, fb, ft)]
+    for s, f in zip(stacks, (fa, fb, ft)):
+        check_stack(s, [pairwise.entries(m._s) for m in f])
+        assert s.re.dtype == (np.int64 if s.bound < 2**63 else object)
+    ok, dev = products_agree(*stacks, 0.0)
+    assert (ok.tolist(), dev.tolist()) == fraction_products_agree(*stacks)
     # the coordinates of a family's elimination, against the reference elimination
     family = data.draw(exact_stacks((1, count, n, n)))
     kept, _, coords = eliminate(family)
