@@ -65,14 +65,13 @@ from .matrices import (
     CertificationError,
     DimensionError,
     Matrix,
-    agree,
     op_norm,
     singular_values,
 )
 
 __all__ = [
     "__version__",
-    "Matrix", "DEFAULT_TOL", "agree",
+    "Matrix", "DEFAULT_TOL",
     "op_norm", "singular_values",
     "DimensionError", "CertificationError", "TruncationError",
     "ChainSpec", "Chain", "build_chain", "verify_semilattice", "norm_profile",

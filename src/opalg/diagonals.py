@@ -24,7 +24,6 @@ sample that commutes with a diagonal has a closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -241,25 +240,34 @@ def _reduce(left: Stack, right: Stack) -> tuple[Stack, Stack]:
 _SAFE_EXPONENT = 256
 
 
-def _scaled_floats(legs: Stack) -> tuple[np.ndarray, np.ndarray]:
-    """(F, k), F_i = 2**-k_i m_i for the legs m_i, each entry rounded once.
-    k_i is 0 unless the leg is far from 1, where it is the leg's exponent in
-    lowest terms, bitlen(max|num_i| / g_i) - bitlen(den / g_i) for the gcd
-    g_i of den and the numerators of m_i, so F_i neither overflows nor
-    underflows; 2**k_i goes into the denominator, 2**-k_i into the numerators."""
+def _shifts(legs: Stack) -> np.ndarray:
+    """k_i per leg m_i: 0 unless the leg is far from 1, where it is the leg's
+    exponent in lowest terms, bitlen(max|num_i| / g_i) - bitlen(den / g_i)
+    for the gcd g_i of den and the numerators of m_i."""
     re, im, den = legs.re, legs.im, legs.den
     shifts = np.zeros(len(re), dtype=int)
     # a loose bound only sends legs near 1 here, where every shift is 0
     if den is None or not max(legs.bound, den) >> _SAFE_EXPONENT:
-        return float_stack(legs), shifts
+        return shifts
     flat = np.concatenate([x.reshape(len(x), -1).astype(object) for x in (re, im) if x is not None], axis=1)
     g = np.gcd(np.gcd.reduce(flat, axis=1), den)
     exponents = [int(t).bit_length() - (den // int(d)).bit_length() if t else 0
                  for t, d in zip(np.abs(flat).max(axis=1) // g, g)]
     shifts[:] = [k if abs(k) > _SAFE_EXPONENT else 0 for k in exponents]
+    return shifts
+
+
+def _scaled_floats(legs: Stack) -> tuple[np.ndarray, np.ndarray]:
+    """(F, k), F_i = 2**-k_i m_i for the legs m_i and their :func:`_shifts`
+    k_i, each entry rounded once, so F_i neither overflows nor underflows;
+    2**k_i goes into the denominator, 2**-k_i into the numerators."""
+    shifts = _shifts(legs)
+    if not shifts.any():
+        return float_stack(legs), shifts
     power = np.array([2 ** abs(k) for k in shifts.tolist()], dtype=object)
     num, dens = (np.where(side, power, 1)[:, None, None] for side in (shifts < 0, shifts > 0))
-    scaled = Stack(re * num, None if im is None else im * num, den * dens, legs.bound * int(power.max()))
+    scaled = Stack(legs.re * num, None if legs.im is None else legs.im * num, legs.den * dens,
+                   legs.bound * int(power.max()))
     return float_stack(scaled), shifts
 
 
@@ -449,18 +457,18 @@ def _regrouped_uppers(comms, w, shrinks, images, rests) -> np.ndarray:
     """tensor_norm_upper of R = 2[a,D] - p.[a,D] + w (x) rest - rest (x) w
     for each D_n and sample a, as an (n, a) array, from the reduced [a, D_n],
     w = a_alg (1 - p) with its norms ``shrinks`` (a, n), and rest = 1 - p for
-    p = pi(D_n).  With [a, D_n] empty and w and rest exact, in the range
-    _upper reads unscaled, the bound is 0 if w is a multiple of rest (one
-    elimination of the pairs (rest, w)), else ||w|| ||rest|| + ||-rest|| ||w||
-    (an SVD may round -rest apart from rest): the reduction's bits for
-    integer w and rest of content 1.  The other pairs of each diagonal are
-    reduced as one batch."""
-    dim, exact = len(rests.re[0]), w.den is not None and rests.den is not None
+    p = pi(D_n).  A pair whose [a, D_n] is empty, with w and rest exact and
+    neither shifted (:func:`_shifts`, each leg's exponent in lowest terms,
+    so a pair's own legs decide it, not the batch it is in), has a closed
+    form: 0 if w is a multiple of rest (one elimination of the pairs
+    (rest, w)), else ||w|| ||rest|| + ||-rest|| ||w|| (an SVD may round
+    -rest apart from rest), the reduction's bits for integer w and rest of
+    content 1.  The other pairs of each diagonal are reduced as one batch."""
+    dim, count = len(rests.re[0]), len(w.re)
+    unshifted = lambda x: _shifts(x.apply(lambda y: y.reshape(-1, dim, dim))) == 0
     closed = np.array([~_nonzero(c[0]).any(axis=1) for c in comms])
-    # the range is read off the numerators, so a loose bound cannot move a pair
-    # between the closed form and the reduction, whose last digits may differ
-    closed &= exact and not max(Stack.read(w.re, w.im).bound, Stack.read(rests.re, rests.im).bound, w.den,
-                                rests.den) >> _SAFE_EXPONENT
+    closed &= w.den is not None and rests.den is not None and (
+        unshifted(rests)[:, None] & unshifted(w).reshape(count, -1).T)
     out = np.zeros(closed.shape)
     n, s = np.nonzero(closed)
     if n.size:
@@ -475,6 +483,10 @@ def _regrouped_uppers(comms, w, shrinks, images, rests) -> np.ndarray:
         left = stack_concat([_times(l, 2), pl.apply(np.negative), ws, rs.apply(np.negative)], axis=-3)
         out[n, s] = _upper(*_reduce(left, stack_concat([r, r, rs, ws], axis=-3)))
     return out
+
+
+# the largest number of entries of one (sample, diagonal) array of certify_mbad
+_GROUP_ENTRIES = 2**18
 
 
 def certify_mbad(
@@ -492,22 +504,26 @@ def certify_mbad(
     element's top chain index), commutators with every diagonal vanish, and
     the unitized diagonals obey the multiplier estimate
     (2 + K) C + 2 (1 + K)^2 over the adjoined-unit norm.  Elements outside
-    span(chain + identity), read off one elimination of e_1..e_m, 1 and the
-    sample (exact for exact elements), are flagged, not fatal.  The report
-    carries the multiplication images of the diagonals and of the unitized
-    diagonals; each unitized diagonal is kept only until its image is read.
+    span(chain + identity) are flagged, not fatal.  The report carries the
+    multiplication images of the diagonals and of the unitized diagonals;
+    each unitized diagonal is kept only until its image is read.
 
     The increments' legs are joined into one stack, and each D_n is a view
     of its first terms, not a copy.  The images pi(D_n) are prefix sums of
-    the products of those terms.  The [a, I_n] of all increments are reduced
-    at once; they are the [a, D_n] up to the first nonzero one, and past it
-    [a, D_n] is reduced as the reduced [a, D_{n-1}] with the terms of
-    [a, I_n]: for telescoping diagonals a sample costs 2 m products, not
-    m (m + 1).  That form has the value of [a, D_n] but not its leg order,
-    so a nonzero commutator's upper bound may differ in its last digits from
-    that of the reduced raw one; so may the closed-form unitized bound of a
-    commuting sample from the reduction's on rational legs.  The samples of
-    one backend go through each reduction and product as a batch.
+    the products of those terms.  The samples of one backend are one stack,
+    and one elimination of e_1..e_m, 1 and all of them (exact for exact
+    samples), in which no sample is a pivot, gives their coordinates: the
+    span test, the top index and the identity part c of a = a_alg + c 1.
+    The (sample, diagonal) work runs in groups of at most ``_GROUP_ENTRIES``
+    entries, and no record depends on its sample's group or stack.  The
+    [a, I_n] of all increments are reduced at once; they are the [a, D_n]
+    up to the first nonzero one, and past it [a, D_n] is reduced as the
+    reduced [a, D_{n-1}] with the terms of [a, I_n]: for telescoping
+    diagonals a sample costs 2 m products, not m (m + 1).  That form has
+    the value of [a, D_n] but not its leg order, so a nonzero commutator's
+    upper bound may differ in its last digits from that of the reduced raw
+    one; so may the closed-form unitized bound of a commuting sample from
+    the reduction's on rational legs.
     """
     increments = list(increments)
     if not increments:
@@ -528,80 +544,69 @@ def certify_mbad(
     k_const = float(singular_values(float_stack(images))[:, 0].max())
     deltas = (TensorElem._of_legs(left.take(slice(end)), right.take(slice(end)), dim) for end in ends)
     unitized_images = tuple(unitize_diagonal(d, p, ident)[1] for d, p in zip(deltas, pis))
-    basis = list(chain.idempotents) + [ident]
-    records, adjoined_norms, c_const = [None] * len(sample), [0.0] * len(sample), 0.0
-    # batches of samples of one backend, so exact samples stay exact, with at
-    # most 2**18 entries in one (sample, diagonal) array
-    size = max(1, 2**18 // (len(increments) * dim * dim))
-    by_backend = [[i for i, a in enumerate(sample) if a.is_exact == e] for e in (True, False)]
-    for group in (ids[lo:lo + size] for ids in by_backend for lo in range(0, len(ids), size)):
-        samples = _legs([sample[i] for i in group], dim)
-        bounds = _commutator_bounds(samples, increments, tol)
-        # a p = p a for every (a, p), and w = a_alg (1 - p) with its norm
-        at = samples.take((slice(None), None))
-        ok, dev = products_agree(at, images, stack_product(np.matmul, images, at, dim), 0.0)
-        # a pi(D_m) = a, the identity part of the last image
-        final_ok, final_gap = products_agree(samples, images.take(-1), samples, 0.0)
-        exact = at.den is not None and images.den is not None
-        # coordinates over e_1..e_m, 1 off one elimination: in the span when
-        # spanned, the last one is the identity's; a float remainder of m is
-        # zero below max(tol, 1e-12) max(1, max|m|)
-        mats = basis + [sample[i] for i in group]
-        limit = max(tol, 1e-12) * np.array([max(1.0, m.max_abs()) for m in mats])
-        _, spanned, coords = eliminate(_legs(mats, dim).take(None), rows=len(basis), zero_below=limit)
-        cden, im = coords.den, 0 * coords.re if coords.im is None else coords.im
-        cr, ci = (x[0, len(basis):, :len(basis)] for x in (coords.re, im))
-        corners = [complex(x) if cden is None else (Fraction(int(x), cden), Fraction(int(y), cden))
-                   for x, y in zip(cr[:, -1], ci[:, -1])]
-        has_id = [any(c) if isinstance(c, tuple) else c != 0 for c in corners]
-        algs = [sample[i] - ident * c if h else sample[i] for i, c, h in zip(group, corners, has_id)]
-        alg_legs = _legs(algs, dim)
-        w = stack_product(np.matmul, alg_legs.take((slice(None), None)), rests, dim)
-        shrinks = singular_values(float_stack(w).reshape(-1, dim, dim))[:, 0].reshape(len(group), -1)
-        alg_norms = singular_values(float_stack(alg_legs))[:, 0].tolist()
-        # for the unitized M = 2D - p.D + rest (x) rest, with p = pi(D),
-        # rest = 1 - p and w = a_alg rest, the regrouped
-        # R = 2[a,D] - p.[a,D] + w (x) rest - rest (x) w obeys
-        # R - [a,M] = [a,p].D + rest (x) [a,p], where x.D = sum (x u_i) (x) v_i;
-        # so R equals [a,M] whenever a p = p a, which is checked, and the
-        # multiplier estimate is read off R, built on the reduced [a,D]
-        unit = _regrouped_uppers([b[3] for b in bounds], w, shrinks, images, rests)
-        refined = (2.0 + k_const) * np.array([b[1] for b in bounds]) + 2.0 * (1.0 + k_const) * shrinks.T
-        refined_ok = (unit <= refined + np.maximum(tol, 1e-9 * np.maximum(1.0, refined))).all(axis=0)
-        for s, i in enumerate(group):
-            a, corner, in_span = sample[i], corners[s], bool(spanned[0, len(basis) + s])
-            scale = max(1.0, a.max_abs())
-            live = (cr[s, :-1] != 0) | (ci[s, :-1] != 0) if cden else np.abs(cr[s, :-1]) > 1e-9 * scale
-            top = int(np.flatnonzero(live)[-1]) + 1 if live.any() else 0
-            id_coeff = complex(float(corner[0]), float(corner[1])) if isinstance(corner, tuple) else corner
-            identity_ok = (not in_span or has_id[s] or top > len(increments)
-                           or bool(final_ok[s] if exact else final_gap[s] <= max(tol, 1e-12 * scale)))
-            uppers = [float(b[1][s]) for b in bounds]
-            alg_norm = alg_norms[s] if not algs[s].is_zero() else 0.0
-            element_constant = max(uppers) / alg_norm if alg_norm > 1e-12 else 0.0
-            c_const = max(c_const, element_constant) if in_span else c_const
-            rewrite_ok = bool(ok[s].all() if exact else (dev[s] <= max(tol, 1e-9 * scale)).all())
-            records[i] = MbadElementRecord(
-                label=f"a{i}", in_span=in_span, identity_coeff=id_coeff, top_index=top,
-                final_identity_gap=float(final_gap[s]), identity_ok=identity_ok,
-                commutator_upper=max(uppers), commutator_lower=float(max(b[0][s] for b in bounds)),
-                commutator_ok=not in_span or all(b[2][s] for b in bounds), element_constant=element_constant,
-                unitized_upper=float(unit[:, s].max()),
-                # the global multiplier estimate is checked below, once C is known
-                unitized_ok=bool(refined_ok[s] and rewrite_ok) or not in_span,
-            )
-            adjoined_norms[i] = alg_norm + abs(id_coeff)
+    basis = _legs(list(chain.idempotents) + [ident], dim)
+    rows, one = len(basis.re), basis.take(slice(-1, None))
+    # the record fields per sample, filled in by backend and group
+    n = len(sample)
+    in_span, identity_ok, commutator_ok, unitized_ok = np.zeros((4, n), dtype=bool)
+    gaps, uppers, lowers, unitized, alg_norms = np.zeros((5, n))
+    coeffs, tops = np.zeros(n, dtype=complex), np.zeros(n, dtype=int)
+    size = max(1, _GROUP_ENTRIES // (len(increments) * dim * dim))
+    for ids in filter(None, ([i for i, a in enumerate(sample) if a.is_exact == e] for e in (True, False))):
+        # coordinates over e_1..e_m, 1: in the span when spanned, the last one
+        # is the identity's; a float remainder of x is zero below
+        # max(tol, 1e-12) max(1, max|x|)
+        samples = _legs([sample[i] for i in ids], dim)
+        family = stack_concat([basis, samples])
+        scales = np.maximum(1.0, np.abs(float_stack(family)).max(axis=(1, 2)))
+        _, spanned, coords = eliminate(family.take(None), rows=rows, zero_below=max(tol, 1e-12) * scales)
+        scales, in_span[ids] = scales[rows:], spanned[0, rows:]
+        coords = coords.take((0, slice(rows, None), slice(rows)))
+        nonzero = np.any([x != 0 for x in (coords.re, coords.im) if x is not None], axis=0)
+        live = nonzero[:, :-1] if coords.den is not None else np.abs(coords.re[:, :-1]) > 1e-9 * scales[:, None]
+        tops[ids] = np.where(live.any(axis=1), live.shape[1] - np.argmax(live[:, ::-1], axis=1), 0)
+        corner = coords.take((slice(None), slice(-1, None), None))
+        algs = stack_difference(samples, stack_product(np.multiply, corner, one))
+        coeffs[ids], alg_norms[ids] = float_stack(corner)[:, 0, 0], singular_values(float_stack(algs))[:, 0]
+        for lo in range(0, len(ids), size):
+            at, group, scale = slice(lo, lo + size), ids[lo:lo + size], scales[lo:lo + size]
+            legs = samples.take(at)
+            bounds = _commutator_bounds(legs, increments, tol)
+            lower, upper, zero = (np.array([b[k] for b in bounds]) for k in range(3))
+            # a p = p a for every (a, p), and a pi(D_m) = a, the identity part of
+            # the last image; float products within max(tol, c max(1, max|a|))
+            acts = legs.take((slice(None), None))
+            ok, _ = products_agree(acts, images, stack_product(np.matmul, images, acts, dim),
+                                   np.maximum(tol, 1e-9 * scale)[:, None])
+            final_ok, gaps[group] = products_agree(legs, images.take(-1), legs, np.maximum(tol, 1e-12 * scale))
+            # w = a_alg (1 - p) with its norm
+            w = stack_product(np.matmul, algs.take((at, None)), rests, dim)
+            shrinks = singular_values(float_stack(w).reshape(-1, dim, dim))[:, 0].reshape(len(group), -1)
+            # for the unitized M = 2D - p.D + rest (x) rest, with p = pi(D),
+            # rest = 1 - p and w = a_alg rest, the regrouped
+            # R = 2[a,D] - p.[a,D] + w (x) rest - rest (x) w obeys
+            # R - [a,M] = [a,p].D + rest (x) [a,p], where x.D = sum (x u_i) (x) v_i;
+            # so R equals [a,M] whenever a p = p a, which is checked, and the
+            # multiplier estimate is read off R, built on the reduced [a,D]
+            unit = _regrouped_uppers([b[3] for b in bounds], w, shrinks, images, rests)
+            refined = (2.0 + k_const) * upper + 2.0 * (1.0 + k_const) * shrinks.T
+            refined_ok = (unit <= refined + np.maximum(tol, 1e-9 * np.maximum(1.0, refined))).all(axis=0)
+            identity_ok[group] = ~in_span[group] | nonzero[at, -1] | (tops[group] > len(increments)) | final_ok
+            uppers[group], lowers[group], unitized[group] = upper.max(axis=0), lower.max(axis=0), unit.max(axis=0)
+            commutator_ok[group], unitized_ok[group] = ~in_span[group] | zero.all(axis=0), refined_ok & ok.all(axis=1)
 
+    constants = np.where(alg_norms > 1e-12, uppers / np.maximum(alg_norms, 1e-12), 0.0)
+    c_const = float(constants.max(initial=0.0, where=in_span))
     unitized_constant = (2.0 + k_const) * c_const + 2.0 * (1.0 + k_const) ** 2
-    records = [
-        replace(r, unitized_ok=r.unitized_ok and (
-            not r.in_span
-            or r.unitized_upper <= unitized_constant * n + max(tol, 1e-9 * (1.0 + n))
-        ))
-        for r, n in zip(records, adjoined_norms)
-    ]
-    verdict = all(r.identity_ok and r.commutator_ok and r.unitized_ok for r in records)
-    return MbadReport(records=tuple(records), multiplier_constant=c_const, projection_sup=k_const,
+    # the global multiplier estimate over the adjoined-unit norm, once C is known
+    adjoined = alg_norms + np.abs(coeffs)
+    unitized_ok &= unitized <= unitized_constant * adjoined + np.maximum(tol, 1e-9 * (1.0 + adjoined))
+    unitized_ok |= ~in_span
+    # MbadElementRecord's fields after the label, in order
+    fields = (in_span, coeffs, tops, gaps, identity_ok, uppers, lowers, commutator_ok, constants, unitized, unitized_ok)
+    records = tuple(MbadElementRecord(f"a{i}", *row) for i, row in enumerate(zip(*(x.tolist() for x in fields))))
+    verdict = bool((identity_ok & commutator_ok & unitized_ok).all())
+    return MbadReport(records=records, multiplier_constant=c_const, projection_sup=k_const,
                       unitized_constant=unitized_constant, verdict=verdict, images=tuple(pis),
                       unitized_images=unitized_images)
 

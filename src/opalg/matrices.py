@@ -35,13 +35,13 @@ float.  Scalar multiplication reads its scalar through it, and so do
 ``chains`` (couplings) and ``embedding`` (coefficients), so a scalar has
 the same backend wherever it enters.
 
-The comparison policy lives here too: :func:`agree` compares exact
-operands with zero tolerance whatever slack it is given, and float or
-mixed operands within a plain float tolerance (``DEFAULT_TOL``; 0.0 means
-no slack).  Under the same policy one batched kernel, :func:`products_agree`
-(or :func:`product_table` over every pair of a family), checks every
-identity the package certifies as A_k B_k = T_k: compare numerators over
-the common denominator, and subtract only where they differ."""
+The comparison policy lives here too, in one batched kernel,
+:func:`products_agree` (or :func:`product_table` over every pair of a
+family), which checks every identity the package certifies as
+A_k B_k = T_k: exact operands with zero tolerance whatever slack it is
+given, by comparing numerators over the common denominator and
+subtracting only where they differ, and float or mixed operands within
+a plain float tolerance (``DEFAULT_TOL``; 0.0 means no slack)."""
 from __future__ import annotations
 
 import numbers
@@ -64,7 +64,6 @@ __all__ = [
     "stack_concat",
     "stack_difference",
     "float_stack",
-    "agree",
     "products_agree",
     "product_table",
     "eliminate",
@@ -423,8 +422,8 @@ def stack(mats) -> Stack:
     shapes = {s.re.shape for s in parts}
     if len(shapes) != 1 or any(rows != cols or not rows for rows, cols in shapes):
         raise DimensionError(f"expected nonempty square matrices of one shape, got shapes {sorted(shapes)}")
-    s = stack_concat([x.take(None) for x in parts])
-    return s if s.den is None else s.apply(lambda x, dtype=kernel_dtype(s.bound): x.astype(dtype, copy=False))
+    cast = lambda s: s.apply(lambda x: x.astype(kernel_dtype(s.bound), copy=False)[None])
+    return stack_concat([s.take(None) if s.den is None else cast(s) for s in parts])
 
 
 def stack_product(op, a: Stack, b: Stack, inner=1) -> Stack:
@@ -483,21 +482,15 @@ def stack_difference(a: Stack, b: Stack) -> Stack:
 DEFAULT_TOL = 1e-9
 
 
-def agree(a: Matrix, b: Matrix, tol: float) -> bool:
-    """Whether a and b are equal: exactly when both are exact, whatever
-    ``tol`` is, and within ``tol`` per entry otherwise."""
-    if a.is_exact and b.is_exact:
-        return a.equals(b)
-    return a.max_abs_diff(b) <= tol
-
-
-def products_agree(a: Stack, b: Stack, t: Stack, tol: float):
-    """Whether A_k B_k equals T_k, in the sense of :func:`agree`, and the
-    deviation as :meth:`Matrix.max_abs_diff` reads it, as two arrays over
-    the leading axes k (which broadcast); with one float stack, all are
-    read as float.  Exact stacks form A_k B_k by :func:`stack_product`, put
-    it and T_k over their least common denominator and compare numerators;
-    only a failing index forms A_k B_k - T_k (:func:`stack_difference`)."""
+def products_agree(a: Stack, b: Stack, t: Stack, tol: float | np.ndarray):
+    """Whether A_k B_k equals T_k, and the deviation as
+    :meth:`Matrix.max_abs_diff` reads it, as two arrays over the leading
+    axes k (which broadcast, as does an array ``tol``).  With one float
+    stack, all are read as float and agree within ``tol`` per entry.
+    Exact stacks agree exactly, whatever ``tol`` is: they form A_k B_k by
+    :func:`stack_product`, put it and T_k over their least common
+    denominator and compare numerators; only a failing index forms
+    A_k B_k - T_k (:func:`stack_difference`)."""
     if None in (a.den, b.den, t.den):
         fa, fb, ft = (float_stack(x) for x in (a, b, t))
         dev = np.abs(np.matmul(fa, fb) - ft).max(axis=(-2, -1))

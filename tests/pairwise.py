@@ -1,4 +1,5 @@
-"""Reference implementations kept as test oracles: Gaussian elimination one
+"""Reference implementations kept as test oracles: the comparison policy
+one pair of matrices at a time, Gaussian elimination one
 ``Matrix`` at a time with its pivot rule, a matrix's content, an exact
 stack's entries and largest numerator, the dense idempotents of the
 rank-one family, and the
@@ -70,6 +71,15 @@ def eliminate(mats, negligible=None, rows=None, coordinates=True):
             pivots.append((ij, r * reciprocal(p), x))
             kept.append(k)
     return kept, coords if coordinates else None
+
+
+def agree(a, b, tol):
+    """The comparison policy that products_agree batches: whether a and b
+    are equal, exactly when both are exact, whatever ``tol`` is, and within
+    ``tol`` per entry otherwise."""
+    if a.is_exact and b.is_exact:
+        return a.equals(b)
+    return a.max_abs_diff(b) <= tol
 
 
 def reciprocal(z):

@@ -11,7 +11,6 @@ from opalg import (
     ChainSpec,
     Matrix,
     TruncationError,
-    agree,
     build_chain,
     norm_profile,
     op_norm,
@@ -20,6 +19,7 @@ from opalg import (
 from opalg import chains, matrices
 from opalg.chains import Chain
 from opalg.cli import ExperimentConfig, run_experiment
+from pairwise import agree
 
 
 def test_single_idempotent_is_padded_projection():

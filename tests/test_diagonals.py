@@ -13,7 +13,6 @@ from opalg import (
     FiniteDiagonal,
     Matrix,
     TensorElem,
-    agree,
     bimodule_commutator,
     build_chain,
     build_delta,
@@ -43,7 +42,7 @@ from opalg.diagonals import (
 from opalg.matrices import float_stack, singular_values
 
 import pairwise
-from pairwise import PairTensor
+from pairwise import PairTensor, agree
 
 
 def reduced_form(t):
@@ -868,3 +867,34 @@ def test_certify_mbad_closed_form_matches_the_reduction(monkeypatch, m_max, coup
     for g, w in zip(got, want, strict=True):
         assert replace(g, unitized_upper=0.0) == replace(w, unitized_upper=0.0)
         assert g.unitized_upper == pytest.approx(w.unitized_upper, rel=1e-12, abs=0.0)
+
+
+def grouping_corpus():
+    """(chain, sample) pairs: MBAD_CHAINS, and a k/3 chain whose samples put a
+    leg past 2**256, an identity part of 2**-1100, a complex identity part
+    and a float element beside its idempotents."""
+    for m_max, couplings in MBAD_CHAINS:
+        chain = build_chain(ChainSpec.default(m_max, couplings=couplings) if couplings else ChainSpec.default(m_max))
+        one = Matrix.identity(chain.truncation_dim)
+        yield chain, list(chain.idempotents) + [chain.e(3) + one * 2, chain.e(2) + unit01(chain.truncation_dim), one]
+    chain = build_chain(ChainSpec.default(10, couplings=tuple(Fraction(k, 3) for k in range(1, 6))))
+    dim = chain.truncation_dim
+    one = Matrix.identity(dim)
+    yield chain, list(chain.idempotents) + [
+        chain.e(3) + unit01(dim) * 2**300, chain.e(4) + one * Fraction(1, 2**1100),
+        chain.e(5) + one * (Fraction(1, 3), 2), chain.e(6).to_float() * 0.3 + one.to_float() * 0.5]
+
+
+@pytest.mark.parametrize("chain, sample", list(grouping_corpus()))
+def test_certify_mbad_is_the_same_in_any_grouping(monkeypatch, chain, sample):
+    # the report is the same for groups of one sample and one group of all,
+    # and each record is that of its sample passed alone: which samples
+    # share a group or a backend stack moves no digit
+    increments = [TensorElem.of([(g, g)], chain.truncation_dim) for g in orthogonal_generators(chain)]
+    reports = []
+    for entries in (1, 2**40):
+        monkeypatch.setattr(diagonals, "_GROUP_ENTRIES", entries)
+        reports.append(certify_mbad(increments, chain, sample))
+    assert reports[0] == reports[1]
+    for i, (rec, a) in enumerate(zip(reports[0].records, sample, strict=True)):
+        assert rec == replace(certify_mbad(increments, chain, [a]).records[0], label=f"a{i}")

@@ -12,7 +12,6 @@ from opalg import (
     Matrix,
     WeightSeq,
     build_chain,
-    agree,
     certify_generation,
     op_norm,
     orthogonal_generators,
@@ -23,6 +22,7 @@ from opalg import generation, matrices
 from opalg.generation import _bound_holds, rescaled_generators
 from opalg.matrices import DEFAULT_TOL
 import pairwise
+from pairwise import agree
 
 
 def two_projections():

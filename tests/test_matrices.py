@@ -12,12 +12,12 @@ from opalg import (
     DEFAULT_TOL,
     DimensionError,
     Matrix,
-    agree,
     op_norm,
     singular_values,
 )
 from opalg import matrices
 import pairwise
+from pairwise import agree
 from opalg.cli import main
 from opalg.matrices import Stack, eliminate, kernel_dtype, products_agree, stack, stack_concat, stack_product
 
