@@ -453,17 +453,19 @@ def _commutator_bounds(samples: Stack, increments: Sequence[TensorElem], tol: fl
     return out
 
 
-def _regrouped_uppers(comms, w, shrinks, images, rests) -> np.ndarray:
+def _regrouped_uppers(comms, w, shrinks, images, rests, rest_norms) -> np.ndarray:
     """tensor_norm_upper of R = 2[a,D] - p.[a,D] + w (x) rest - rest (x) w
     for each D_n and sample a, as an (n, a) array, from the reduced [a, D_n],
     w = a_alg (1 - p) with its norms ``shrinks`` (a, n), and rest = 1 - p for
-    p = pi(D_n).  A pair whose [a, D_n] is empty, with w and rest exact and
-    neither shifted (:func:`_shifts`, each leg's exponent in lowest terms,
-    so a pair's own legs decide it, not the batch it is in), has a closed
-    form: 0 if w is a multiple of rest (one elimination of the pairs
-    (rest, w)), else ||w|| ||rest|| + ||-rest|| ||w|| (an SVD may round
-    -rest apart from rest), the reduction's bits for integer w and rest of
-    content 1.  The other pairs of each diagonal are reduced as one batch."""
+    p = pi(D_n) with its norms and those of -rest as a (2, n) array
+    ``rest_norms`` (an SVD may round -rest apart from rest).  A pair whose
+    [a, D_n] is empty, with w and rest exact and neither shifted
+    (:func:`_shifts`, each leg's exponent in lowest terms, so a pair's own
+    legs decide it, not the batch it is in), has a closed form: 0 if w is a
+    multiple of rest (one elimination of the pairs (rest, w)), else
+    ||w|| ||rest|| + ||-rest|| ||w||, the reduction's bits for integer w and
+    rest of content 1.  The other pairs of each diagonal are reduced as one
+    batch."""
     dim, count = len(rests.re[0]), len(w.re)
     unshifted = lambda x: _shifts(x.apply(lambda y: y.reshape(-1, dim, dim))) == 0
     closed = np.array([~_nonzero(c[0]).any(axis=1) for c in comms])
@@ -473,8 +475,7 @@ def _regrouped_uppers(comms, w, shrinks, images, rests) -> np.ndarray:
     n, s = np.nonzero(closed)
     if n.size:
         pairs = stack_concat([rests.take((n, None)), w.take((s, n, None))], axis=1)
-        norms = singular_values(float_stack(stack_concat([rests, rests.apply(np.negative)])))[:, 0]
-        (rest, neg), x = norms.reshape(2, -1)[:, n], shrinks[s, n]
+        (rest, neg), x = rest_norms[:, n], shrinks[s, n]
         out[n, s] = np.where(eliminate(pairs, coordinates=False)[1][:, 1], 0.0, x * rest + neg * x)
     for n in np.flatnonzero(~closed.all(axis=1)):
         s = np.flatnonzero(~closed[n])
@@ -541,6 +542,7 @@ def certify_mbad(
     pis = [Matrix.from_stack(sums.take(end - 1)) if end else Matrix.zeros(dim) for end in ends]
     images = _legs(pis, dim)
     rests = stack_difference(_legs([ident], dim), images)
+    rest_norms = singular_values(float_stack(stack_concat([rests, rests.apply(np.negative)])))[:, 0].reshape(2, -1)
     k_const = float(singular_values(float_stack(images))[:, 0].max())
     deltas = (TensorElem._of_legs(left.take(slice(end)), right.take(slice(end)), dim) for end in ends)
     unitized_images = tuple(unitize_diagonal(d, p, ident)[1] for d, p in zip(deltas, pis))
@@ -588,7 +590,7 @@ def certify_mbad(
             # R - [a,M] = [a,p].D + rest (x) [a,p], where x.D = sum (x u_i) (x) v_i;
             # so R equals [a,M] whenever a p = p a, which is checked, and the
             # multiplier estimate is read off R, built on the reduced [a,D]
-            unit = _regrouped_uppers([b[3] for b in bounds], w, shrinks, images, rests)
+            unit = _regrouped_uppers([b[3] for b in bounds], w, shrinks, images, rests, rest_norms)
             refined = (2.0 + k_const) * upper + 2.0 * (1.0 + k_const) * shrinks.T
             refined_ok = (unit <= refined + np.maximum(tol, 1e-9 * np.maximum(1.0, refined))).all(axis=0)
             identity_ok[group] = ~in_span[group] | nonzero[at, -1] | (tops[group] > len(increments)) | final_ok

@@ -134,11 +134,13 @@ def _residual_stack(family, weights: WeightSeq, m: int, r_max: int) -> np.ndarra
     For pairwise-orthogonal idempotents, B_m^r = g_m + sum_{j>m} rho_j^r g_j
     with rho_j = l_j / l_m, so g_m - B_m^r = -sum_{j>m} rho_j^r g_j exactly.
     Exact families (numerators G_j over L, from :func:`opalg.matrices.stack`)
-    write rho_j = P_j / Q, take the rows P_j^r of an integer table by
-    multiplication, and form every residual numerator with one product of
-    the table with the tail numerators, on the entries where some tail
-    generator is nonzero; each entry is then divided by Q^r L, which
-    rounds it as :meth:`Matrix.to_float` rounds the same rational."""
+    write rho_j = P_j / Q and take the rows P_j^r and Q^r by one running
+    product.  An entry's residual numerator is -sum_j P_j^r G_j over the
+    tail generators nonzero there, few per entry (at most two for
+    telescoping differences), so it is formed from those (generator, entry)
+    pairs only, one slot at a time: slot k holds the k-th nonzero generator
+    of every entry.  Each entry is then divided by Q^r L, which rounds it
+    as :meth:`Matrix.to_float` rounds the same rational."""
     mats, im, den = family.re, family.im, family.den
     if m + 1 == len(mats):
         return None
@@ -148,17 +150,19 @@ def _residual_stack(family, weights: WeightSeq, m: int, r_max: int) -> np.ndarra
         powers = np.array([float(x) for x in rho]) ** np.arange(1, r_max + 1)[:, None]
         return -np.tensordot(powers, mats[tail], axes=1)
     q = math.lcm(*(x.denominator for x in rho))
-    p = np.array([x.numerator * (q // x.denominator) for x in rho], dtype=object)
-    parts = [mats[tail].reshape(len(p), -1)] + ([] if im is None else [im[tail].reshape(len(p), -1)])
-    cols = np.flatnonzero(np.any([part != 0 for part in parts], axis=(0, 1)))
-    table = np.empty((r_max, len(p)), dtype=object)
-    dens = np.empty((r_max, 1), dtype=object)
-    row, scale = p, q * den
-    for r in range(r_max):
-        table[r], dens[r] = row, scale
-        row, scale = row * p, scale * q
-    nums = [-(table @ part[:, cols]) for part in parts]
-    bound = len(p) * int(np.abs(p).max()) ** r_max * family.bound  # table rows are p**1 .. p**r_max
+    base = np.array([x.numerator * (q // x.denominator) for x in rho] + [q], dtype=object)
+    powers = np.multiply.accumulate(np.broadcast_to(base, (r_max, len(base))), axis=0)
+    table, dens = powers[:, :-1], powers[:, -1:] * den
+    parts = [x[tail].reshape(len(rho), -1) for x in (mats, im) if x is not None]
+    entry, gen = np.nonzero(np.any([part != 0 for part in parts], axis=0).T)
+    cols, pos = np.unique(entry, return_inverse=True)
+    slot = np.arange(len(entry)) - np.searchsorted(entry, entry)
+    nums = [np.zeros((r_max, len(cols)), dtype=object) for _ in parts]
+    for k in range(slot.max(initial=-1) + 1):
+        at = slot == k
+        for num, part in zip(nums, parts):
+            num[:, pos[at]] -= table[:, gen[at]] * part[gen[at], entry[at]].astype(object)
+    bound = len(rho) * int(base[:-1].max()) ** r_max * family.bound  # table rows are P**1 .. P**r_max
     out = np.zeros((r_max, mats[0].size), dtype=complex)
     out[:, cols] = float_stack(Stack(nums[0], nums[1] if len(nums) == 2 else None, dens, bound))
     return out.reshape(r_max, *mats.shape[1:])
@@ -234,16 +238,16 @@ def certify_generation(
     records: list[GenerationRecord] = []
     per_index: dict[int, bool] = {}
     tail_len = math.ceil(r_max / 2)
+    lams = [float(x) for x in weights.lambdas]
     for m in range(1, count + 1):
-        lam_m = weights[m - 1]
         # the last generator has an empty tail, so its bound is 0.0
-        ratio = float(weights[m] / lam_m) if m < count else 0.0
-        tail_sum = sum(float(weights[j]) * norms[j] for j in range(m, count))
+        ratio = float(weights[m] / weights[m - 1]) if m < count else 0.0
+        tail_sum = sum(lams[j] * norms[j] for j in range(m, count))
         residual_stack = _residual_stack(family, weights, m - 1, r_max)
         residuals = [0.0] * r_max if residual_stack is None else singular_values(residual_stack)[:, 0].tolist()
         ok_bounds = True
         for r, residual in enumerate(residuals, start=1):
-            bound = (ratio ** (r - 1)) * tail_sum / float(lam_m)
+            bound = (ratio ** (r - 1)) * tail_sum / lams[m - 1]
             passed = _bound_holds(residual, bound, gens[m - 1].rows, r, tol)
             ok_bounds = ok_bounds and passed
             records.append(GenerationRecord(index=m, power=r, residual=residual, bound=bound, passed=passed))

@@ -323,9 +323,6 @@ class Matrix:
 
     # -- predicates ----------------------------------------------------
 
-    def is_zero(self):
-        return self._s.im is None and not np.count_nonzero(self._s.re)
-
     def equals(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented

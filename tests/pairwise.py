@@ -1,5 +1,5 @@
-"""Reference implementations kept as test oracles: the comparison policy
-one pair of matrices at a time, Gaussian elimination one
+"""Reference implementations kept as test oracles: the zero test and the
+comparison policy one pair of matrices at a time, Gaussian elimination one
 ``Matrix`` at a time with its pivot rule, a matrix's content, an exact
 stack's entries and largest numerator, the dense idempotents of the
 rank-one family, and the
@@ -7,8 +7,10 @@ tensor-element algebra term by term on (Matrix, Matrix) pairs, with the
 reduced form and norm bounds read off them; and the diagonal stage's
 commutator bounds, one reduction per diagonal, and its regrouped unitized
 bounds, all by the reduction; the increments of a diagonal sequence, found
-by comparing its diagonals term by term; the rank-one family's witnesses
-trial by trial; and the embedding bounds item by item and block by block.
+by comparing its diagonals term by term; the generation residuals by one
+dense product of the power table with the tail generators; the rank-one
+family's witnesses trial by trial; and the embedding bounds item by item
+and block by block.
 They are slow and simple; the package computes the same things on stacked
 arrays."""
 from __future__ import annotations
@@ -58,7 +60,7 @@ def eliminate(mats, negligible=None, rows=None, coordinates=True):
                 r = r - e * c
                 if coordinates:
                     x = x + e_coords * c
-        if r.is_zero() or not r.is_exact and negligible is not None and negligible(k, r):
+        if is_zero(r) or not r.is_exact and negligible is not None and negligible(k, r):
             coords.append(x)
             continue
         coords.append(None)
@@ -71,6 +73,11 @@ def eliminate(mats, negligible=None, rows=None, coordinates=True):
             pivots.append((ij, r * reciprocal(p), x))
             kept.append(k)
     return kept, coords if coordinates else None
+
+
+def is_zero(m):
+    """Whether every entry of the matrix m is zero."""
+    return m._s.im is None and not np.count_nonzero(m._s.re)
 
 
 def agree(a, b, tol):
@@ -172,13 +179,13 @@ def reduce(terms):
     terms = list(terms)
     exact = all(u.is_exact and v.is_exact for u, v in terms)
     if exact:
-        terms = [(u, v) for u, v in terms if not v.is_zero()]
+        terms = [(u, v) for u, v in terms if not is_zero(v)]
     else:
         terms = [(u.to_float(), v.to_float()) for u, v in terms]
         tiny = 1e-12 * max([1.0] + [u.max_abs() * v.max_abs() for u, v in terms])
 
     def negligible(p, q):
-        return (p.is_zero() or q.is_zero()) if exact else p.max_abs() * q.max_abs() <= tiny
+        return (is_zero(p) or is_zero(q)) if exact else p.max_abs() * q.max_abs() <= tiny
 
     for i, (u, v) in enumerate(terms):
         g = content(u)
@@ -295,6 +302,31 @@ def regrouped_uppers(comms, w, images, rests):
         flat = (x.apply(lambda y: y.reshape(-1, *y.shape[2:])) for x in (left, stack_concat([r, r, rs, ws], -3)))
         out.append(diagonals._upper(*diagonals._reduce(*flat)).tolist())
     return out
+
+
+def residual_stack(family, weights, m, r_max):
+    """generation._residual_stack of an exact family by the dense product:
+    the whole (r_max, tail) table of powers P_j^r times the tail numerators
+    on every entry where some tail generator is nonzero, each entry then
+    divided by Q^r L."""
+    mats, im, den = family.re, family.im, family.den
+    if m + 1 == len(mats):
+        return None
+    rho = [lam / weights[m] for lam in weights.lambdas[m + 1:]]
+    q = math.lcm(*(x.denominator for x in rho))
+    p = np.array([x.numerator * (q // x.denominator) for x in rho], dtype=object)
+    parts = [x[m + 1:].reshape(len(p), -1) for x in (mats, im) if x is not None]
+    cols = np.flatnonzero(np.any([part != 0 for part in parts], axis=(0, 1)))
+    table = np.empty((r_max, len(p)), dtype=object)
+    dens = np.empty((r_max, 1), dtype=object)
+    row, scale = p, q * den
+    for r in range(r_max):
+        table[r], dens[r] = row, scale
+        row, scale = row * p, scale * q
+    nums = [-(table @ part[:, cols]) for part in parts]
+    out = np.zeros((r_max, mats[0].size), dtype=complex)
+    out[:, cols] = float_stack(Stack.read(nums[0], nums[1] if len(nums) == 2 else None, dens))
+    return out.reshape(r_max, *mats.shape[1:])
 
 
 def E(fam, n):

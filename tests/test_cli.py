@@ -1,6 +1,10 @@
 """Config handling, staged runs, report emission, and reproducibility."""
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +246,34 @@ def test_couplings_past_float_range_run_end_to_end(tmp_path, capsys):
     argv = ["all", "--m-max", "6", "--coupling-scheme", f"constant:{2**300}", "--trials", "1", "--tol", "0"]
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert "overall: pass" in capsys.readouterr().out
+
+
+SEED_LABELS = [(0, "diagonal"), (3, "family"), (7, "sweep"), (2**62, "embed")]
+
+
+def run_python(code):
+    """The stdout of ``code`` run by a fresh interpreter that imports this opalg."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_stage_seeds_are_sha256_digests():
+    digest = lambda seed, label: hashlib.sha256(f"{seed}:{label}".encode()).digest()
+    want = [int.from_bytes(digest(seed, label)[:8], "big") % 2**63 for seed, label in SEED_LABELS]
+    assert [cli._stage_seed(seed, label) for seed, label in SEED_LABELS] == want
+    # without the interpreter's built-in SHA-256 the seeds come from hashlib
+    out = run_python("import sys\nsys.modules['_sha256'] = sys.modules['_sha2'] = None\nfrom opalg import cli\n"
+                     f"print([cli._stage_seed(s, l) for s, l in {SEED_LABELS!r}])\nprint('hashlib' in sys.modules)")
+    assert out.splitlines() == [str(want), "True"]
+
+
+def test_generate_never_loads_openssl(tmp_path):
+    # stage seeds hash with the built-in SHA-256, so hashlib's libcrypto stays unloaded
+    out = run_python("import sys\nfrom opalg.cli import main\n"
+                     f"assert main(['generate', '--m-max', '4', '--r-max', '4', '--out', {str(tmp_path)!r}]) == 0\n"
+                     "print('_hashlib' in sys.modules)")
+    assert out.split()[-1] == "False"
 
 
 def test_main_exit_codes(tmp_path, capsys, monkeypatch):

@@ -39,7 +39,7 @@ from opalg.diagonals import (
     _reduce,
     _regrouped_uppers,
 )
-from opalg.matrices import float_stack, singular_values
+from opalg.matrices import float_stack, singular_values, stack_concat
 
 import pairwise
 from pairwise import PairTensor, agree
@@ -115,19 +115,19 @@ def test_commutator_vanishes_on_the_algebra(chain6):
         for n in range(1, 7):
             comm = bimodule_commutator(chain6.e(m), build_delta(chain6, n))
             assert len(comm.terms) == 2 * n
-            assert comm.flatten().is_zero()
+            assert pairwise.is_zero(comm.flatten())
 
 
 def test_commutator_detects_outside_elements(chain6):
     dim = chain6.truncation_dim
     shift = Matrix.exact([[1 if j == i + 1 else 0 for j in range(dim)] for i in range(dim)])
     comm = bimodule_commutator(shift, build_delta(chain6, 2))
-    assert not comm.flatten().is_zero()
+    assert not pairwise.is_zero(comm.flatten())
 
 
 def test_zero_actor_gives_zero_commutator(chain6):
     comm = bimodule_commutator(Matrix.zeros(chain6.truncation_dim), build_delta(chain6, 3))
-    assert comm.flatten().is_zero()
+    assert pairwise.is_zero(comm.flatten())
 
 
 def test_flatten_additive_and_kron():
@@ -139,7 +139,7 @@ def test_flatten_additive_and_kron():
     assert TensorElem.of([(one, one)]).flatten().equals(Matrix.identity(4))
     d = TensorElem.of([(u, v), (one, one)])
     assert d.flatten().equals(u.kron(v) + one.kron(one))
-    assert TensorElem.of([(u, v), (-u, v)]).flatten().is_zero()
+    assert pairwise.is_zero(TensorElem.of([(u, v), (-u, v)]).flatten())
 
 
 def test_flatten_intertwines_module_actions():
@@ -241,7 +241,7 @@ def test_reduced_form_matches_kron_oracle(t):
     oracle = t.flatten()
     if t.backend == "exact":
         assert picture.equals(oracle)
-        assert (not reduced) == oracle.is_zero()
+        assert (not reduced) == pairwise.is_zero(oracle)
     else:
         # float sums are zero up to roundoff: t - t flattens to ~1e-16
         roundoff = 1e-12 * max([1.0] + [u.max_abs() * v.max_abs() for u, v in t.terms])
@@ -360,10 +360,10 @@ def unitized_from_raw_commutator(deltas, chain, a, a_alg, rec, report, tol=DEFAU
         pairs = PairTensor(comm.terms, dim)
         up = tensor_norm_upper(stacked(pairs.scale(2) - pairs.left(p) + PairTensor([(w, rest), (-rest, w)], dim)))
         uppers.append(up)
-        refined = (2.0 + k) * tensor_norm_upper(comm) + 2.0 * (1.0 + k) * (0.0 if w.is_zero() else op_norm(w))
+        refined = (2.0 + k) * tensor_norm_upper(comm) + 2.0 * (1.0 + k) * (0.0 if pairwise.is_zero(w) else op_norm(w))
         refined_ok = refined_ok and up <= refined + max(tol, 1e-9 * max(1.0, refined))
     rewrite_ok = all(agree(a @ p, p @ a, max(tol, 1e-9 * scale)) for p in report.images)
-    n = (0.0 if a_alg.is_zero() else op_norm(a_alg)) + abs(rec.identity_coeff)
+    n = (0.0 if pairwise.is_zero(a_alg) else op_norm(a_alg)) + abs(rec.identity_coeff)
     ok = not rec.in_span or (
         refined_ok and rewrite_ok and max(uppers) <= report.unitized_constant * n + max(tol, 1e-9 * (1.0 + n))
     )
@@ -679,7 +679,7 @@ def test_diagonal_identities_on_random_rational_chains(m_max, data):
         delta = build_delta(chain, n)
         assert pi_map(delta).equals(chain.e(n))
         for m in range(1, m_max + 1):
-            assert bimodule_commutator(chain.e(m), delta).flatten().is_zero()
+            assert pairwise.is_zero(bimodule_commutator(chain.e(m), delta).flatten())
 
 
 def test_certify_mbad_mixed_scale_exact_element(chain6):
@@ -793,6 +793,11 @@ def integer_legs(dim, content_one=True):
     return st.builds(build, ints)
 
 
+def rest_norms(rests):
+    """The norms of the rests and their negations as certify_mbad passes them."""
+    return singular_values(float_stack(stack_concat([rests, rests.apply(np.negative)])))[:, 0].reshape(2, -1)
+
+
 @given(st.integers(1, 4), st.sampled_from(["integer", "rational", "zero", "multiple"]), st.data())
 @settings(max_examples=200, deadline=None)
 def test_closed_form_regrouped_bound_matches_the_reduction(dim, kind, data):
@@ -810,7 +815,7 @@ def test_closed_form_regrouped_bound_matches_the_reduction(dim, kind, data):
     empty, ws = _legs([], dim).take(None), _legs([w], dim).take(None)
     shrinks = singular_values(float_stack(ws).reshape(-1, dim, dim))[:, 0].reshape(1, 1)
     images, rests = _legs([Matrix.identity(dim) - rest], dim), _legs([rest], dim)
-    got = _regrouped_uppers([(empty, empty)], ws, shrinks, images, rests)
+    got = _regrouped_uppers([(empty, empty)], ws, shrinks, images, rests, rest_norms(rests))
     assert got.shape == (1, 1)
     if kind in ("zero", "multiple"):
         assert got[0, 0] == expected == 0.0
@@ -827,7 +832,7 @@ def test_closed_form_reads_the_norm_of_minus_rest():
     w = Matrix.exact([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])
     empty, ws = _legs([], 4).take(None), _legs([w], 4).take(None)
     images, rests = _legs([Matrix.identity(4) - rest], 4), _legs([rest], 4)
-    got = _regrouped_uppers([(empty, empty)], ws, np.ones((1, 1)), images, rests)
+    got = _regrouped_uppers([(empty, empty)], ws, np.ones((1, 1)), images, rests, rest_norms(rests))
     assert got[0, 0] == tensor_norm_upper(TensorElem.of([(w, rest), (-rest, w)], dim=4))
 
 
@@ -859,7 +864,7 @@ def test_certify_mbad_closed_form_matches_the_reduction(monkeypatch, m_max, coup
     one = Matrix.identity(chain.truncation_dim)
     sample = list(chain.idempotents) + [chain.e(3) + one * 2, chain.e(2) + unit01(chain.truncation_dim), one]
     got = certify_mbad(pairwise.increments(deltas), chain, sample).records
-    monkeypatch.setattr(diagonals, "_regrouped_uppers", lambda comms, w, shrinks, images, rests: np.array(
+    monkeypatch.setattr(diagonals, "_regrouped_uppers", lambda comms, w, shrinks, images, rests, norms: np.array(
         pairwise.regrouped_uppers(comms, w, images, rests)))
     want = certify_mbad(pairwise.increments(deltas), chain, sample).records
     if couplings is None:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from opalg import (
     CertificationError,
@@ -39,7 +39,7 @@ def test_orthogonal_generators_telescope():
             if i == j:
                 assert prod.equals(gens[i])
             else:
-                assert prod.is_zero()
+                assert pairwise.is_zero(prod)
     acc = gens[0]
     for g in gens[1:]:
         acc = acc + g
@@ -309,6 +309,37 @@ def test_closed_form_matches_product_loop_on_complex_families():
     cert = certify_generation(floats, weights, r_max=6)
     for rec, (_, _, loop) in zip(cert.records, product_loop_residuals(floats, weights, 6)):
         assert rec.residual == pytest.approx(loop, rel=1e-12, abs=1e-15)
+
+
+def chain_generators(m_max, values):
+    chain = build_chain(ChainSpec.default(m_max, couplings=sorted(values, key=abs)[: m_max // 2]))
+    return list(orthogonal_generators(chain))
+
+
+@given(
+    st.one_of(st.builds(chain_generators, st.integers(1, 8), couplings),
+              st.sampled_from([1, 2**40]).map(conjugated_family)),
+    st.one_of(st.none(), st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20), max_denominator=20)),
+    st.integers(2, 9),
+)
+@example(conjugated_family(), None, 2)
+@example(chain_generators(8, [Fraction(1, 3), Fraction(-5, 2), 7, Fraction(9, 4)]), Fraction(1, 3), 2)
+@settings(max_examples=60, deadline=None)
+def test_sparse_residuals_equal_the_dense_product(gens, ratio, r_max):
+    # residual numerators formed from the nonzero (generator, entry) pairs
+    # only are the dense product's, so every residual has the same bits, on
+    # real and complex families and both weight schemes
+    if ratio is None:
+        weights = WeightSeq.norm_adaptive(gens)
+    else:
+        weights = WeightSeq(tuple(ratio**j for j in range(1, len(gens) + 1)))
+    family = matrices.stack(gens)
+    for m in range(len(gens)):
+        got = generation._residual_stack(family, weights, m, r_max)
+        want = pairwise.residual_stack(family, weights, m, r_max)
+        assert (got is None) == (want is None) == (m + 1 == len(gens))
+        if got is not None:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def pairwise_table(gens):
