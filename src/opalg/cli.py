@@ -20,16 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-# SHA-256 from the interpreter's own module, as random.py takes SHA-512:
-# hashlib would load OpenSSL's libcrypto for one digest per stage
-try:
-    from _sha2 import sha256  # Python 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256  # Python 3.10-3.11
-    except ImportError:
-        from hashlib import sha256
-
 from . import __version__
 from .chains import ChainSpec, build_chain, norm_profile, verify_semilattice
 from .diagonals import (
@@ -152,7 +142,11 @@ def _weights_for(gens, descriptor: str) -> WeightSeq:
 
 
 def _stage_seed(seed: int, label: str) -> int:
-    digest = sha256(f"{seed}:{label}".encode()).digest()
+    # imported here: hashlib loads OpenSSL's libcrypto, which the generate
+    # stage, drawing no seeds, never needs
+    import hashlib
+
+    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big") % (2**63)
 
 

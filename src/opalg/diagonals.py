@@ -453,12 +453,17 @@ def _commutator_bounds(samples: Stack, increments: Sequence[TensorElem], tol: fl
     return out
 
 
+def _rest_norms(rests) -> np.ndarray:
+    """The norms of each rest and of its negation, as a (2, n) array."""
+    return singular_values(float_stack(stack_concat([rests, rests.apply(np.negative)])))[:, 0].reshape(2, -1)
+
+
 def _regrouped_uppers(comms, w, shrinks, images, rests, rest_norms) -> np.ndarray:
     """tensor_norm_upper of R = 2[a,D] - p.[a,D] + w (x) rest - rest (x) w
     for each D_n and sample a, as an (n, a) array, from the reduced [a, D_n],
     w = a_alg (1 - p) with its norms ``shrinks`` (a, n), and rest = 1 - p for
-    p = pi(D_n) with its norms and those of -rest as a (2, n) array
-    ``rest_norms`` (an SVD may round -rest apart from rest).  A pair whose
+    p = pi(D_n) with its norms ``rest_norms`` from :func:`_rest_norms` (an
+    SVD may round -rest apart from rest).  A pair whose
     [a, D_n] is empty, with w and rest exact and neither shifted
     (:func:`_shifts`, each leg's exponent in lowest terms, so a pair's own
     legs decide it, not the batch it is in), has a closed form: 0 if w is a
@@ -542,7 +547,7 @@ def certify_mbad(
     pis = [Matrix.from_stack(sums.take(end - 1)) if end else Matrix.zeros(dim) for end in ends]
     images = _legs(pis, dim)
     rests = stack_difference(_legs([ident], dim), images)
-    rest_norms = singular_values(float_stack(stack_concat([rests, rests.apply(np.negative)])))[:, 0].reshape(2, -1)
+    rest_norms = _rest_norms(rests)
     k_const = float(singular_values(float_stack(images))[:, 0].max())
     deltas = (TensorElem._of_legs(left.take(slice(end)), right.take(slice(end)), dim) for end in ends)
     unitized_images = tuple(unitize_diagonal(d, p, ident)[1] for d, p in zip(deltas, pis))

@@ -38,6 +38,7 @@ from opalg.diagonals import (
     _nonzero,
     _reduce,
     _regrouped_uppers,
+    _rest_norms,
 )
 from opalg.matrices import float_stack, singular_values, stack_concat
 
@@ -793,11 +794,6 @@ def integer_legs(dim, content_one=True):
     return st.builds(build, ints)
 
 
-def rest_norms(rests):
-    """The norms of the rests and their negations as certify_mbad passes them."""
-    return singular_values(float_stack(stack_concat([rests, rests.apply(np.negative)])))[:, 0].reshape(2, -1)
-
-
 @given(st.integers(1, 4), st.sampled_from(["integer", "rational", "zero", "multiple"]), st.data())
 @settings(max_examples=200, deadline=None)
 def test_closed_form_regrouped_bound_matches_the_reduction(dim, kind, data):
@@ -815,7 +811,7 @@ def test_closed_form_regrouped_bound_matches_the_reduction(dim, kind, data):
     empty, ws = _legs([], dim).take(None), _legs([w], dim).take(None)
     shrinks = singular_values(float_stack(ws).reshape(-1, dim, dim))[:, 0].reshape(1, 1)
     images, rests = _legs([Matrix.identity(dim) - rest], dim), _legs([rest], dim)
-    got = _regrouped_uppers([(empty, empty)], ws, shrinks, images, rests, rest_norms(rests))
+    got = _regrouped_uppers([(empty, empty)], ws, shrinks, images, rests, _rest_norms(rests))
     assert got.shape == (1, 1)
     if kind in ("zero", "multiple"):
         assert got[0, 0] == expected == 0.0
@@ -832,7 +828,7 @@ def test_closed_form_reads_the_norm_of_minus_rest():
     w = Matrix.exact([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])
     empty, ws = _legs([], 4).take(None), _legs([w], 4).take(None)
     images, rests = _legs([Matrix.identity(4) - rest], 4), _legs([rest], 4)
-    got = _regrouped_uppers([(empty, empty)], ws, np.ones((1, 1)), images, rests, rest_norms(rests))
+    got = _regrouped_uppers([(empty, empty)], ws, np.ones((1, 1)), images, rests, _rest_norms(rests))
     assert got[0, 0] == tensor_norm_upper(TensorElem.of([(w, rest), (-rest, w)], dim=4))
 
 
