@@ -518,19 +518,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in SUBCOMMANDS:
         p = sub.add_parser(name, help=f"run the {name} suite" if name != "all" else "run every suite")
-        p.add_argument("--m-max", type=int, dest="m_max")
-        p.add_argument("--n-max", type=int, dest="n_max")
-        p.add_argument("--f-cap", type=int, dest="f_cap")
-        p.add_argument("--s-max", type=int, dest="s_max")
-        p.add_argument("--r-max", type=int, dest="r_max")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--coupling-scheme", dest="coupling_scheme")
-        p.add_argument("--weight-scheme", dest="weight_scheme")
-        p.add_argument("--trace-scheme", dest="trace_scheme", choices=("geometric", "uniform"))
-        p.add_argument("--seed", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--out", dest="out_dir")
-        p.add_argument("--format", choices=("json", "csv", "both"))
+        # one flag per config field after subcommand, parsed as the type of its
+        # default; validate checks every value, from a flag or a config file
+        for f in fields(ExperimentConfig)[1:]:
+            flag = "--out" if f.name == "out_dir" else "--" + f.name.replace("_", "-")
+            p.add_argument(flag, dest=f.name, type=type(f.default))
         p.add_argument("--config", dest="config_file")
     return parser
 

@@ -8,18 +8,19 @@ finite exact diagonal.  A diagonal sequence is given by its increments
 I_n = D_n - D_{n-1}; for the telescoping diagonals each is one term
 g_n (x) g_n, and every D_n is a view of the first terms of one leg stack.
 
-An element holds its legs as two stacks, and each operation on it is one
-array kernel over those stacks: the multiplication map, the flattening,
-the bimodule commutator, the unitization and the expectation.  There is
-no second algebra of sums and scalings; elements are built from their
-pairs.  Every norm bound, and the zero test of a commutator with a
-diagonal sequence, goes through one reduced form over linearly
-independent left legs, found for a batch of elements by one stacked
-elimination; the identities of a finite diagonal and its expectation
-are product identities (:func:`opalg.matrices.products_agree`).  The
-commutators of a batch of samples with every increment of a diagonal
-sequence share one such elimination, and the unitized bound of an exact
-sample that commutes with a diagonal has a closed form.
+An element is its two leg stacks, and each operation on it is one array
+kernel over those stacks: the multiplication map, the flattening, the
+bimodule commutator, the unitization and the expectation.  There is no
+second algebra of sums and scalings and no view as Matrix pairs;
+:meth:`TensorElem.of` builds an element from its pairs.  Every norm
+bound, and the zero test of a commutator with a diagonal sequence, goes
+through one reduced form over linearly independent left legs, found for
+a batch of elements by one stacked elimination; the identities of a
+finite diagonal and its expectation are product identities
+(:func:`opalg.matrices.products_agree`).  The commutators of a batch of
+samples with every increment of a diagonal sequence share one such
+elimination, and the unitized bound of an exact sample that commutes
+with a diagonal has a closed form.
 """
 from __future__ import annotations
 
@@ -124,38 +125,25 @@ def _flatten(left: Stack, right: Stack) -> Stack:
 
 
 class TensorElem:
-    """Finite formal sum of pairs (u, v), all square of one dimension, held as
-    a left and a right leg stack (:func:`opalg.matrices.stack`: integers over
-    one denominator if the side is exact, else complex); ``terms`` views it
-    as Matrix pairs.  A batch pads shorter elements with zero terms."""
+    """Finite formal sum of pairs (u, v), all square of one dimension ``dim``,
+    held only as a left and a right leg stack (:func:`opalg.matrices.stack`:
+    integers over one denominator if the side is exact, else complex), terms
+    on axis -3; :meth:`of` builds one from Matrix pairs.  A batch pads
+    shorter elements with zero terms."""
 
-    __slots__ = ("dim", "_left", "_right", "_terms")
+    __slots__ = ("dim", "_left", "_right")
 
-    def __init__(self, terms: Sequence[tuple[Matrix, Matrix]], dim: int):
-        terms = tuple((u, v) for u, v in terms)
-        if dim < 1:
-            raise DimensionError("tensor dimension must be positive")
-        self.dim, self._terms = dim, terms
-        self._left, self._right = (_legs(side, dim) for side in (list(zip(*terms)) or [(), ()]))
-
-    @classmethod
-    def _of_legs(cls, left, right, dim: int) -> "TensorElem":
-        self = object.__new__(cls)
-        self.dim, self._left, self._right, self._terms = dim, left, right, None
-        return self
+    def __init__(self, left: Stack, right: Stack, dim: int):
+        self.dim, self._left, self._right = dim, left, right
 
     @classmethod
     def of(cls, pairs: Sequence[tuple[Matrix, Matrix]], dim: int | None = None) -> "TensorElem":
         """The element of ``pairs``, by default of the first leg's dimension."""
         pairs = tuple(pairs)
-        return cls(pairs, dim if dim is not None else pairs[0][0].rows if pairs else 0)
-
-    @property
-    def terms(self) -> tuple[tuple[Matrix, Matrix], ...]:
-        if self._terms is None:
-            self._terms = tuple((Matrix.from_stack(self._left.take(i)), Matrix.from_stack(self._right.take(i)))
-                                for i in range(len(self._left.re)))
-        return self._terms
+        dim = dim if dim is not None else pairs[0][0].rows if pairs else 0
+        if dim < 1:
+            raise DimensionError("tensor dimension must be positive")
+        return cls(*(_legs(side, dim) for side in (list(zip(*pairs)) or [(), ()])), dim)
 
     @property
     def backend(self) -> str:
@@ -164,10 +152,6 @@ class TensorElem:
     def _actor(self, a: Matrix) -> Stack:
         return _legs([a], self.dim).take(0)
 
-    def pi(self) -> Matrix:
-        """Linearized multiplication: sum of u @ v."""
-        return Matrix.from_stack(_pi(self._left, self._right))
-
     def flatten(self) -> Matrix:
         """Faithful matrix picture: sum of Kronecker products of the legs."""
         return Matrix.from_stack(_flatten(self._left, self._right))
@@ -175,13 +159,13 @@ class TensorElem:
 
 def pi_map(t: TensorElem) -> Matrix:
     """sum u_i @ v_i for the element sum u_i (x) v_i."""
-    return t.pi()
+    return Matrix.from_stack(_pi(t._left, t._right))
 
 
 def bimodule_commutator(a: Matrix, t: TensorElem) -> TensorElem:
     """a . t - t . a, as a tensor element with twice the terms of t: the
     terms (a u, v), then the terms (u, -(v a))."""
-    return TensorElem._of_legs(*_commutator(t._actor(a), t._left, t._right), t.dim)
+    return TensorElem(*_commutator(t._actor(a), t._left, t._right), t.dim)
 
 
 def build_delta(chain: Chain, n: int) -> TensorElem:
@@ -190,10 +174,6 @@ def build_delta(chain: Chain, n: int) -> TensorElem:
     if not 1 <= n <= chain.m_max:
         raise ValueError(f"diagonal index {n} out of range 1..{chain.m_max}")
     return TensorElem.of([(g, g) for g in orthogonal_generators(chain)[:n]], dim=chain.truncation_dim)
-
-
-def _batch(t: TensorElem) -> tuple[Stack, Stack]:
-    return t._left.take(None), t._right.take(None)
 
 
 def _reduce(left: Stack, right: Stack) -> tuple[Stack, Stack]:
@@ -292,7 +272,7 @@ def _upper(left, right) -> np.ndarray:
 def tensor_norm_upper(t: TensorElem) -> float:
     """Projective-norm upper bound: sum ||B|| ||V|| over the reduced form,
     reduced once more on the right legs."""
-    return float(_upper(*_reduce(*_batch(t)))[0])
+    return float(_upper(*_reduce(t._left.take(None), t._right.take(None)))[0])
 
 
 def _bounds(left, right, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
@@ -315,7 +295,7 @@ def tensor_norm_bounds(t: TensorElem) -> tuple[float, float]:
     (contractive for the projective norm), the upper one that of
     ``tensor_norm_upper``; a zero element gets (0, 0) without flattening.
     """
-    return tuple(float(x[0]) for x in _bounds(*_batch(t), 0.0)[:2])
+    return tuple(float(x[0]) for x in _bounds(t._left.take(None), t._right.take(None), 0.0)[:2])
 
 
 def unitize_diagonal(delta: TensorElem, u: Matrix, one: Matrix) -> tuple[TensorElem, Matrix]:
@@ -325,8 +305,8 @@ def unitize_diagonal(delta: TensorElem, u: Matrix, one: Matrix) -> tuple[TensorE
     returned for the caller to check, not checked here."""
     uu, rest = stack_product(np.matmul, delta._actor(u), delta._left, delta.dim), _legs([one - u], delta.dim)
     left = stack_concat([_times(delta._left, 2), uu.apply(np.negative), rest])
-    unitized = TensorElem._of_legs(left, stack_concat([delta._right, delta._right, rest]), delta.dim)
-    return unitized, unitized.pi()
+    right = stack_concat([delta._right, delta._right, rest])
+    return TensorElem(left, right, delta.dim), Matrix.from_stack(_pi(left, right))
 
 
 @dataclass(frozen=True)
@@ -549,7 +529,7 @@ def certify_mbad(
     rests = stack_difference(_legs([ident], dim), images)
     rest_norms = _rest_norms(rests)
     k_const = float(singular_values(float_stack(images))[:, 0].max())
-    deltas = (TensorElem._of_legs(left.take(slice(end)), right.take(slice(end)), dim) for end in ends)
+    deltas = (TensorElem(left.take(slice(end)), right.take(slice(end)), dim) for end in ends)
     unitized_images = tuple(unitize_diagonal(d, p, ident)[1] for d, p in zip(deltas, pis))
     basis = _legs(list(chain.idempotents) + [ident], dim)
     rows, one = len(basis.re), basis.take(slice(-1, None))

@@ -302,20 +302,17 @@ def _fill(a):
     return out
 
 
-def _embedded(family, re, im=None, den=None) -> EmbeddedElement:
-    """The element with coefficients (re + i im) / den, for integer
-    numerators ``re`` and ``im`` over the positive ``den``, or with the
-    complex coefficients ``re`` when ``den`` is None; at most n_max of
-    each, missing ones zero.  Every block comes from its closed form: with
+def _embedded(family, coeffs: Stack) -> EmbeddedElement:
+    """The element with the coefficients of the 1-d stack ``coeffs``, integer
+    numerators over its denominator or complex values, at most n_max of
+    them, missing ones zero.  Every block comes from its closed form: with
     s_F the sum of a_j over F, row alpha is (-s_F, -s_F, -a_F), row omega
     is (s_F, s_F, a_F), and the row of j in F holds a_j in the columns
     alpha, omega and j.  Exact stacks are int64 when every numerator times
     n_max (which bounds every s_F) fits it, and Python integers otherwise."""
     n = family.n_max
-    if den is None:
-        coeffs = Stack(np.pad(np.array(re, dtype=complex), (0, n - len(re))))
-    else:
-        coeffs = Stack.read(*(np.pad(np.array(x, dtype=object), (0, n - len(x))) for x in (re, im)), den)
+    coeffs = coeffs.apply(lambda x: np.pad(x, (0, n - len(x))))
+    if coeffs.den is not None:
         coeffs = coeffs.apply(lambda x, dtype=kernel_dtype(coeffs.bound * n): x.astype(dtype), coeffs.bound * n)
     stacks = tuple((pos, coeffs.apply(lambda x: _fill(x[idx]))) for pos, idx in family._by_size)
     return EmbeddedElement(family=family, stacks=stacks)
@@ -325,17 +322,15 @@ def phi(a: Sequence, subsets: SubsetFamily) -> EmbeddedElement:
     """Embed the sequence a as its per-subset blocks.  Each coefficient is
     read by :func:`opalg.matrices.read_scalar`: when every one is exact
     (ints, Fractions, (re, im) pairs) the blocks are exact, with integer
-    numerators over the least common denominator; one float or complex
-    coefficient makes them all float."""
+    numerators over the least common denominator (:meth:`Stack.of`); one
+    float or complex coefficient makes them all float."""
     read = [read_scalar(v) for v in a]
     _check_support(read, subsets.n_max)
     exact = all(kind == "exact" for kind, _ in read)
     read = read[: subsets.n_max]
     if not exact:
-        return _embedded(subsets, [_as_complex(*r) for r in read])
-    den = math.lcm(*(x.denominator for _, pair in read for x in pair))
-    re, im = ([pair[k].numerator * (den // pair[k].denominator) for _, pair in read] for k in (0, 1))
-    return _embedded(subsets, re, im, den)
+        return _embedded(subsets, Stack(np.array([_as_complex(*r) for r in read], dtype=complex)))
+    return _embedded(subsets, Stack.of([pair for _, pair in read]))
 
 
 def phi_sup_norm(e: EmbeddedElement) -> float:
@@ -514,6 +509,9 @@ def _is_product(family: SubsetFamily, trial) -> bool:
     return True
 
 
+# the number of rational trials of blockwise multiplicativity
+_MULT_TRIALS = 10
+
 # the embed stage takes its items in chunks of at most this many base-family block
 # entries, and certify_E_family its witnesses in chunks of at most this many entries
 _CHUNK_ENTRIES = 2**17
@@ -544,7 +542,6 @@ def certify_embedding_bounds(
     trials: int = 100,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-    mult_trials: int = 10,
     csv_scheme: str = "geometric",
 ) -> EmbeddingReport:
     """Randomized two-sided certification of the embedding norms.
@@ -555,7 +552,7 @@ def certify_embedding_bounds(
     below 3 ||a||_inf for both weight schemes and below the sup norm.
     Deterministic side trials witness the tight upper ratio (a single
     unit coefficient) and a near-1/pi lower ratio (roots of unity), and
-    rational trials check blockwise multiplicativity exactly.
+    ten rational trials check blockwise multiplicativity exactly.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -590,13 +587,13 @@ def certify_embedding_bounds(
     row_trace = dict(zip(schemes, trace)).get(csv_scheme, np.zeros(len(items)))
     rows = tuple((i, *x) for i, x in enumerate(zip(*(y[2:].tolist() for y in (l1, sup, ratio, row_trace)))))
     # every trial is drawn, also past a failing one
-    mult_exact = all([_is_product(base, _rational_trial(rng, n_max)) for _ in range(mult_trials)])
+    mult_exact = all([_is_product(base, _rational_trial(rng, n_max)) for _ in range(_MULT_TRIALS)])
     return EmbeddingReport(
         n_max=n_max, f_cap=f_cap, s_max=s_max, trials=trials, seed=seed,
         min_sup_ratio=float(ratio.min()), max_sup_ratio=float(ratio.max()),
         single_index_ratio=float(ratio[0]), roots_ratio=float(ratio[1]),
         max_trace_to_inf=float((trace / linf).max(initial=0.0)),
         lower_ok=lower_ok, upper_ok=upper_ok, trace_ok=trace_ok, trace_le_sup_ok=trace_le_sup_ok,
-        mult_trials=mult_trials, mult_exact=mult_exact,
+        mult_trials=_MULT_TRIALS, mult_exact=mult_exact,
         passed=lower_ok and upper_ok and trace_ok and trace_le_sup_ok and mult_exact, rows=rows,
     )

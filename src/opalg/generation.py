@@ -73,15 +73,15 @@ class WeightSeq:
         return self.lambdas[i]
 
     @classmethod
-    def norm_adaptive(cls, mats: Sequence[Matrix], base: Fraction = Fraction(1, 4)) -> "WeightSeq":
-        """l_j = base^j / (1 + N_j) with N_j a rational bound on the
+    def norm_adaptive(cls, mats: Sequence[Matrix]) -> "WeightSeq":
+        """l_j = 4^-j / (1 + N_j) with N_j a rational bound on the
         largest norm among the first j idempotents.  Keeps
-        sum l_j * norm(g_j) below sum base^j even when norms grow."""
+        sum l_j * norm(g_j) below sum 4^-j even when norms grow."""
         lams = []
         peak = Fraction(0)
         for j, g in enumerate(mats, start=1):
             peak = max(peak, _rational_norm_bound(op_norm(g)))
-            lams.append(base**j / (1 + peak))
+            lams.append(Fraction(1, 4**j) / (1 + peak))
         return cls(tuple(lams))
 
     def scaled(self, factor) -> "WeightSeq":
@@ -262,16 +262,16 @@ def certify_generation(
     )
 
 
-def same_span(first: Sequence[Matrix], second: Sequence[Matrix], tol: float = 1e-8) -> bool:
+def same_span(first: Sequence[Matrix], second: Sequence[Matrix]) -> bool:
     """Whether two families of matrices have equal linear span: both together
     have the rank of each, from :func:`opalg.matrices.eliminate` (exact on exact
     families; one with a float member runs wholly in floats, a remainder being
-    zero when no entry exceeds ``tol``), which keeps as many of ``first`` as
+    zero when no entry exceeds 1e-8), which keeps as many of ``first`` as
     its rank when it eliminates ``first + second`` in order."""
     first, second = list(first), list(second)
 
     def kept(mats):
-        return eliminate(stack(mats).take(None), zero_below=tol, coordinates=False)[0][0]
+        return eliminate(stack(mats).take(None), zero_below=1e-8, coordinates=False)[0][0]
 
     both = kept(first + second) if first + second else np.zeros(0, dtype=bool)
     return bool(both[:len(first)].sum() == (kept(second).sum() if second else 0) == both.sum())

@@ -10,11 +10,12 @@ operands' bounds, int64 when the bound of every value it forms fits
 below 2**53, and Python integers otherwise, and returns the bound it
 computed for that choice with its result.  A loose bound only widens a
 dtype, so the integers are the same; a low one would silently overflow
-int64, or run float64 past 2**53.  Numerators are read for a bound
-(:meth:`Stack.read`) only where arrays come without one, such as parsed
-input, drawn trial numerators, a gcd and the coordinates and steps of
-:func:`eliminate`, or where a choice other than a dtype rests on the
-largest numerator.
+int64, or run float64 past 2**53.  Rationals become numerators by one
+rule, :meth:`Stack.of`, which bounds them from the integers it forms.
+Numerators are read for a bound (:meth:`Stack.read`) only where arrays
+come without one, such as drawn trial numerators, a gcd and the
+coordinates and steps of :func:`eliminate`, or where a choice other than
+a dtype rests on the largest numerator.
 
 Families of matrices are stacks with leading axes (:func:`stack`),
 combined by :func:`stack_product`, :func:`stack_concat` and
@@ -176,6 +177,17 @@ class Stack:
         bounded by their largest modulus."""
         return cls(re, im, den, _numerator_max(re, im))
 
+    @classmethod
+    def of(cls, pairs) -> "Stack":
+        """The exact 1-d stack of a sequence of (re, im) pairs of ints and
+        Fractions: their numerators over the least common denominator, as
+        Python integers in object arrays, ``im`` None when every imaginary
+        part is 0, bounded by the largest modulus of those integers."""
+        den = lcm(*(x.denominator for pair in pairs for x in pair))
+        re, im = ([pair[k].numerator * (den // pair[k].denominator) for pair in pairs] for k in (0, 1))
+        bound = max(map(abs, re + im), default=0)
+        return cls(np.array(re, dtype=object), np.array(im, dtype=object) if any(im) else None, den, bound)
+
     def apply(self, f, bound=None) -> "Stack":
         """The stack with ``f`` applied to its numerator (or float) arrays.
         ``bound`` is the new bound, by default the old one, which holds when
@@ -242,14 +254,8 @@ class Matrix:
         nc = len(rows[0]) if nr else 0
         if any(len(r) != nc for r in rows):
             raise DimensionError("ragged rows")
-        pairs = [_entry_pair(v) for row in rows for v in row]
-        den = lcm(*(x.denominator for pair in pairs for x in pair))
-        parts = []
-        for k in (0, 1):
-            arr = np.empty(len(pairs), dtype=object)
-            arr[:] = [pair[k].numerator * (den // pair[k].denominator) for pair in pairs]
-            parts.append(arr.reshape(nr, nc))
-        return cls.from_stack(Stack.read(parts[0], parts[1], den))
+        entries = Stack.of([_entry_pair(v) for row in rows for v in row])
+        return cls.from_stack(entries.apply(lambda x: x.reshape(nr, nc)))
 
     @classmethod
     def from_float(cls, data):
@@ -365,11 +371,7 @@ class Matrix:
 
     def __mul__(self, scalar):
         kind, val = read_scalar(scalar)
-        if kind == "float":
-            return Matrix.from_stack(stack_product(np.multiply, self._s, Stack(np.array(val))))
-        den = lcm(val[0].denominator, val[1].denominator)
-        p, q = (x.numerator * (den // x.denominator) for x in val)
-        z = Stack(np.array(p, dtype=object), np.array(q, dtype=object) if q else None, den, max(abs(p), abs(q)))
+        z = Stack(np.array(val)) if kind == "float" else Stack.of([val])
         return Matrix.from_stack(stack_product(np.multiply, self._s, z))
 
     __rmul__ = __mul__
@@ -617,12 +619,10 @@ def eliminate(family: Stack, rows=None, zero_below=0.0, coordinates=True):
                            else Stack(coords[0]))
 
 
-def singular_values(m: Matrix | np.ndarray) -> np.ndarray:
-    """Singular values in decreasing order.  A (count, rows, cols) array of
-    matrices gets one stacked SVD, with row i holding the values of the
-    i-th matrix; each row equals what the matrix alone gives."""
-    if isinstance(m, Matrix):
-        return singular_values(float_stack(m._s)[None])[0]
+def singular_values(m: np.ndarray) -> np.ndarray:
+    """Singular values in decreasing order of a (count, rows, cols) array of
+    matrices, from one stacked SVD: row i holds the values of the i-th
+    matrix, each equal to what the matrix alone gives."""
     if m.ndim != 3 or 0 in m.shape[1:]:
         raise DimensionError(f"expected a stack of nonempty matrices, got shape {m.shape}")
     return np.linalg.svd(m, compute_uv=False)
@@ -630,4 +630,4 @@ def singular_values(m: Matrix | np.ndarray) -> np.ndarray:
 
 def op_norm(m: Matrix) -> float:
     """Operator norm (largest singular value)."""
-    return float(singular_values(m)[0])
+    return float(singular_values(float_stack(m._s)[None])[0, 0])

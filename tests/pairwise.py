@@ -9,8 +9,8 @@ commutator bounds, one reduction per diagonal, and its regrouped unitized
 bounds, all by the reduction; the increments of a diagonal sequence, found
 by comparing its diagonals term by term; the generation residuals by one
 dense product of the power table with the tail generators; the rank-one
-family's witnesses trial by trial; and the embedding bounds item by item
-and block by block.
+family's witnesses trial by trial; the embedding bounds item by item
+and block by block; and a tensor element's terms as (Matrix, Matrix) pairs.
 They are slow and simple; the package computes the same things on stacked
 arrays."""
 from __future__ import annotations
@@ -166,6 +166,12 @@ class PairTensor:
         return acc
 
 
+def terms(t):
+    """The (Matrix, Matrix) pairs of a tensor element, in order."""
+    return tuple((Matrix.from_stack(t._left.take(i)), Matrix.from_stack(t._right.take(i)))
+                 for i in range(len(t._left.re)))
+
+
 def commutator(a, t):
     """a . t - t . a, term by term: (a u, v) for every term, then (u, -(v a))."""
     return t.left(a) + PairTensor([(u, -(v @ a)) for u, v in t.terms], t.dim)
@@ -260,14 +266,13 @@ def increments(deltas):
     :meth:`Matrix.equals`.  A telescoping sequence built term by term gives
     one term per increment, and any sequence gives increments that sum to
     each diagonal."""
-    out, prev = [], diagonals.TensorElem((), deltas[0].dim)
+    out, prev = [], diagonals.TensorElem.of((), deltas[0].dim)
     for d in deltas:
-        k = 0
-        while k < min(len(prev.terms), len(d.terms)) and all(map(Matrix.equals, prev.terms[k], d.terms[k])):
+        k, pairs, prev_pairs = 0, terms(d), terms(prev)
+        while k < min(len(prev_pairs), len(pairs)) and all(map(Matrix.equals, prev_pairs[k], pairs[k])):
             k += 1
         (dl, dr), (pl, pr) = ((x._left.take(slice(k, None)), x._right.take(slice(k, None))) for x in (d, prev))
-        out.append(diagonals.TensorElem._of_legs(stack_concat([dl, pl.apply(np.negative)]), stack_concat([dr, pr]),
-                                                 d.dim))
+        out.append(diagonals.TensorElem(stack_concat([dl, pl.apply(np.negative)]), stack_concat([dr, pr]), d.dim))
         prev = d
     return out
 
@@ -437,7 +442,7 @@ def embedding_bounds(n_max=10, f_cap=512, s_max=8, trials=100, seed=0, tol=1e-9,
             rows.append((int(label), l1, sup, ratio, trace_row))
     mult_exact = True
     for _ in range(mult_trials):
-        if not is_product(*(embedding._embedded(base, *x) for x in embedding._rational_trial(rng, n_max))):
+        if not is_product(*(embedding._embedded(base, Stack.read(*x)) for x in embedding._rational_trial(rng, n_max))):
             mult_exact = False
     return embedding.EmbeddingReport(
         n_max=n_max, f_cap=f_cap, s_max=s_max, trials=trials, seed=seed,

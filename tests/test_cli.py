@@ -1,10 +1,12 @@
 """Config handling, staged runs, report emission, and reproducibility."""
+import argparse
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -319,6 +321,30 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     with pytest.raises(SystemExit) as exc:
         build_config(["chain", "--m-max", "x"])
     assert exc.value.code == 2 and "invalid int value: 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, field", [("--format", "format"), ("--trace-scheme", "trace_scheme")])
+def test_bad_choice_flags_are_config_errors(tmp_path, capsys, flag, field):
+    # validate checks every flag's value, so a bad choice exits 2 with the
+    # field's message, as a bad config-file value does
+    assert main(["chain", flag, "bogus", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"opalg: {field} must be") and "'bogus'" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_parser_flags_are_the_config_fields():
+    # one flag per config field but subcommand, plus --config
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(cli.SUBCOMMANDS)
+    want = {f.name for f in fields(ExperimentConfig)} - {"subcommand"} | {"config_file"}
+    for sub in subparsers.choices.values():
+        assert {a.dest for a in sub._actions} - {"help"} == want
+        # each flag parses to the type of its field's default
+        types = {a.dest: a.type for a in sub._actions if a.dest in want - {"config_file"}}
+        assert types == {f.name: type(f.default) for f in fields(ExperimentConfig) if f.name != "subcommand"}
+    assert build_config(["embed", "--out", "x", "--tol", "0", "--seed", "3"]).out_dir == "x"
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):

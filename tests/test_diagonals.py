@@ -31,7 +31,6 @@ from opalg import (
 )
 from opalg import diagonals
 from opalg.diagonals import (
-    _batch,
     _bounds,
     _commutator_bounds,
     _legs,
@@ -46,10 +45,15 @@ import pairwise
 from pairwise import PairTensor, agree
 
 
+def batch(t):
+    """The legs of t as a batch of one element."""
+    return t._left.take(None), t._right.take(None)
+
+
 def reduced_form(t):
     """The reduced form of t, as a tensor element."""
-    left, right = _reduce(*_batch(t))
-    return TensorElem._of_legs(left.take(0), right.take(0), t.dim)
+    left, right = _reduce(*batch(t))
+    return TensorElem(left.take(0), right.take(0), t.dim)
 
 
 def stacked(p):
@@ -60,7 +64,8 @@ def stacked(p):
 def same_element(a, b):
     """Value equality of tensor elements: a - b reduces to the empty form
     (exactly on exact legs, up to roundoff on float ones)."""
-    return not reduced_form(stacked(PairTensor(a.terms, a.dim) - PairTensor(b.terms, b.dim))).terms
+    diff = PairTensor(pairwise.terms(a), a.dim) - PairTensor(pairwise.terms(b), b.dim)
+    return not pairwise.terms(reduced_form(stacked(diff)))
 
 
 @pytest.fixture(scope="module")
@@ -69,19 +74,19 @@ def chain6():
 
 
 def test_delta_term_counts(chain6):
-    assert len(build_delta(chain6, 1).terms) == 1
-    assert len(build_delta(chain6, 2).terms) == 2
+    assert len(pairwise.terms(build_delta(chain6, 1))) == 1
+    assert len(pairwise.terms(build_delta(chain6, 2))) == 2
     d3 = build_delta(chain6, 3)
-    assert len(d3.terms) == 3
+    assert len(pairwise.terms(d3)) == 3
     assert d3.flatten().shape == (chain6.truncation_dim**2,) * 2
 
 
 def test_delta_structure(chain6):
     d2 = build_delta(chain6, 2)
     e1, e2 = chain6.e(1), chain6.e(2)
-    assert d2.terms[0][0].equals(e1) and d2.terms[0][1].equals(e1)
+    assert pairwise.terms(d2)[0][0].equals(e1) and pairwise.terms(d2)[0][1].equals(e1)
     diff = e2 - e1
-    assert d2.terms[1][0].equals(diff) and d2.terms[1][1].equals(diff)
+    assert pairwise.terms(d2)[1][0].equals(diff) and pairwise.terms(d2)[1][1].equals(diff)
 
 
 def test_delta_index_range(chain6):
@@ -115,7 +120,7 @@ def test_commutator_vanishes_on_the_algebra(chain6):
     for m in range(1, 7):
         for n in range(1, 7):
             comm = bimodule_commutator(chain6.e(m), build_delta(chain6, n))
-            assert len(comm.terms) == 2 * n
+            assert len(pairwise.terms(comm)) == 2 * n
             assert pairwise.is_zero(comm.flatten())
 
 
@@ -166,7 +171,7 @@ def test_norm_bounds_single_term_tight():
 
 
 def test_norm_bounds_zero_tensor():
-    z = TensorElem((), 3)
+    z = TensorElem.of((), 3)
     assert tensor_norm_bounds(z) == (0.0, 0.0)
     one = Matrix.identity(2)
     assert tensor_norm_bounds(TensorElem.of([(one, one), (-one, one)])) == (0.0, 0.0)
@@ -237,15 +242,15 @@ def tensor_elements(draw):
 @given(tensor_elements())
 @settings(max_examples=150, deadline=None)
 def test_reduced_form_matches_kron_oracle(t):
-    reduced = reduced_form(t).terms
-    picture = TensorElem(terms=reduced, dim=t.dim).flatten()
+    reduced = pairwise.terms(reduced_form(t))
+    picture = TensorElem.of(reduced, dim=t.dim).flatten()
     oracle = t.flatten()
     if t.backend == "exact":
         assert picture.equals(oracle)
         assert (not reduced) == pairwise.is_zero(oracle)
     else:
         # float sums are zero up to roundoff: t - t flattens to ~1e-16
-        roundoff = 1e-12 * max([1.0] + [u.max_abs() * v.max_abs() for u, v in t.terms])
+        roundoff = 1e-12 * max([1.0] + [u.max_abs() * v.max_abs() for u, v in pairwise.terms(t)])
         assert picture.max_abs_diff(oracle) <= roundoff
         assert (not reduced) == (oracle.max_abs() <= roundoff)
     lower, upper = tensor_norm_bounds(t)
@@ -257,7 +262,7 @@ def test_reduced_form_matches_kron_oracle(t):
 def test_stacked_algebra_matches_pairwise_oracle(t, data):
     # pi, flatten, the commutator and the unitization on the stacked legs
     # against the same operations made term by term on Matrix pairs
-    pairs = pairwise.PairTensor(t.terms, t.dim)
+    pairs = pairwise.PairTensor(pairwise.terms(t), t.dim)
     entry = st.one_of(st.just(0), small_rationals, st.tuples(small_rationals, small_rationals))
     row = st.lists(entry, min_size=t.dim, max_size=t.dim)
     a = Matrix.exact(data.draw(st.lists(row, min_size=t.dim, max_size=t.dim)))
@@ -266,7 +271,7 @@ def test_stacked_algebra_matches_pairwise_oracle(t, data):
     one = Matrix.identity(t.dim)
     unitized = pairs.scale(2) - pairs.left(a) + PairTensor([(one - a, one - a)], t.dim)
     cases = [
-        (t.pi(), pairs.pi()), (t.flatten(), pairs.flatten()),
+        (pi_map(t), pairs.pi()), (t.flatten(), pairs.flatten()),
         (bimodule_commutator(a, t).flatten(), pairwise.commutator(a, pairs).flatten()),
         (unitize_diagonal(t, a, one)[0].flatten(), unitized.flatten()),
     ]
@@ -276,8 +281,8 @@ def test_stacked_algebra_matches_pairwise_oracle(t, data):
         else:
             assert got.max_abs_diff(want) <= 1e-12 * max(1.0, want.max_abs())
     # term by term, the commutator is (a u, v) then (u, -(v a))
-    comm = bimodule_commutator(a, t).terms
-    assert len(comm) == 2 * len(t.terms)
+    comm = pairwise.terms(bimodule_commutator(a, t))
+    assert len(comm) == 2 * len(pairwise.terms(t))
     if t.backend == "exact" and a.is_exact:
         assert all(x.equals(y) for p, q in zip(comm, pairwise.commutator(a, pairs).terms) for x, y in zip(p, q))
 
@@ -306,13 +311,13 @@ def test_norm_bounds_match_pairwise_oracle_bit_for_bit(t):
     # the stacked reduction keeps the legs the pairwise one keeps, so every
     # norm bound on exact input is the same float, even past float range
     try:
-        upper = pairwise.upper(pairwise.reduce(t.terms))
+        upper = pairwise.upper(pairwise.reduce(pairwise.terms(t)))
     except OverflowError:
         # a norm product past float range stops the reference; the bound is inf
         assert tensor_norm_upper(t) == math.inf
         return
     assert tensor_norm_upper(t) == upper
-    assert tensor_norm_bounds(t) == pairwise.bounds(t.terms)
+    assert tensor_norm_bounds(t) == pairwise.bounds(pairwise.terms(t))
 
 
 @st.composite
@@ -332,17 +337,18 @@ def test_unitized_rewrite_gap_identity(data):
     legs = exact_matrices(dim)
     terms = [(data.draw(legs), data.draw(legs)) for _ in range(data.draw(st.integers(1, 3)))]
     delta = TensorElem.of(terms, dim=dim)
-    p = delta.pi() if data.draw(st.booleans()) else data.draw(legs)
+    p = pi_map(delta) if data.draw(st.booleans()) else data.draw(legs)
     a_alg = data.draw(legs)
     a = a_alg + one * data.draw(st.tuples(small_rationals, small_rationals))
     rest = one - p
     w = a_alg @ rest
     m = TensorElem.of([(u * 2, v) for u, v in terms] + [(-(p @ u), v) for u, v in terms] + [(rest, rest)], dim=dim)
-    d_comm = PairTensor(bimodule_commutator(a, delta).terms, dim)
+    d_comm = PairTensor(pairwise.terms(bimodule_commutator(a, delta)), dim)
     regrouped = d_comm.scale(2) - d_comm.left(p) + PairTensor([(w, rest), (-rest, w)], dim)
-    gap = regrouped - PairTensor(bimodule_commutator(a, m).terms, dim)
+    gap = regrouped - PairTensor(pairwise.terms(bimodule_commutator(a, m)), dim)
     ap = a @ p - p @ a
-    assert reduced_form(stacked(gap - (PairTensor(terms, dim).left(ap) + PairTensor([(rest, ap)], dim)))).terms == ()
+    expected = PairTensor(terms, dim).left(ap) + PairTensor([(rest, ap)], dim)
+    assert pairwise.terms(reduced_form(stacked(gap - expected))) == ()
 
 
 def unitized_from_raw_commutator(deltas, chain, a, a_alg, rec, report, tol=DEFAULT_TOL):
@@ -358,7 +364,7 @@ def unitized_from_raw_commutator(deltas, chain, a, a_alg, rec, report, tol=DEFAU
         comm = bimodule_commutator(a, d)
         rest = one - p
         w = a_alg - a_alg @ p
-        pairs = PairTensor(comm.terms, dim)
+        pairs = PairTensor(pairwise.terms(comm), dim)
         up = tensor_norm_upper(stacked(pairs.scale(2) - pairs.left(p) + PairTensor([(w, rest), (-rest, w)], dim)))
         uppers.append(up)
         refined = (2.0 + k) * tensor_norm_upper(comm) + 2.0 * (1.0 + k) * (0.0 if pairwise.is_zero(w) else op_norm(w))
@@ -438,7 +444,7 @@ def test_unitize_rejects_wrong_unit(chain6):
     d = build_delta(chain6, 2)
     # the image is returned for the caller's check, not re-checked inside
     m, image = unitize_diagonal(d, chain6.e(1), one)
-    assert image.equals(m.pi()) and not image.equals(one)
+    assert image.equals(pi_map(m)) and not image.equals(one)
 
 
 def test_certify_mbad_default_sample(chain6):
@@ -616,7 +622,7 @@ def test_certify_mbad_exact_commutator_below_float_range(chain6):
     assert not rec.in_span and rec.commutator_upper == 0.0
     assert report.verdict
     dim = chain6.truncation_dim
-    assert not all(_bounds(*_batch(bimodule_commutator(a, d)), DEFAULT_TOL)[2][0] for d in deltas)
+    assert not all(_bounds(*batch(bimodule_commutator(a, d)), DEFAULT_TOL)[2][0] for d in deltas)
 
 
 def test_certify_mbad_top_index_is_exact(chain6):
@@ -720,7 +726,7 @@ def diagonal_sequences(draw):
     deltas, terms = [], []
     if kind in ("telescoping", "stops"):
         deltas = [build_delta(chain, n) for n in range(1, m_max + 1)]
-        terms = list(deltas[-1].terms)
+        terms = list(pairwise.terms(deltas[-1]))
     for _ in range(draw(st.integers(1, 3)) if kind != "telescoping" else 0):
         new = [(draw(legs), draw(legs)) for _ in range(draw(st.integers(1, 2)))]
         # an extended sequence rebuilds the earlier terms as new matrices
@@ -740,15 +746,16 @@ def test_incremental_commutators_match_commutators_from_scratch(case):
     dim = chain.truncation_dim
     increments = pairwise.increments(deltas)
     for n, d in enumerate(deltas):
-        assert same_element(TensorElem.of([pair for inc in increments[: n + 1] for pair in inc.terms], dim), d)
+        pairs = [pair for inc in increments[: n + 1] for pair in pairwise.terms(inc)]
+        assert same_element(TensorElem.of(pairs, dim), d)
     # all samples at once, as certify_mbad batches them
     bounds = _commutator_bounds(_legs(sample, dim), increments, 0.0)
     for s, a in enumerate(sample):
         for d, (lower, upper, zero, (left, right)) in zip(deltas, bounds, strict=True):
             scratch = reduced_form(bimodule_commutator(a, d))
-            reduced = TensorElem._of_legs(left.take(s), right.take(s), dim)
+            reduced = TensorElem(left.take(s), right.take(s), dim)
             assert same_element(reduced, scratch)
-            assert zero[s] == (not scratch.terms) == (not _nonzero(reduced._left).any())
+            assert zero[s] == (not pairwise.terms(scratch)) == (not _nonzero(reduced._left).any())
             # the flattenings are one exact matrix, so the lower bounds agree
             assert lower[s] == (0.0 if zero[s] else op_norm(scratch.flatten()))
             assert lower[s] <= upper[s] * (1 + 1e-12)
@@ -757,10 +764,10 @@ def test_incremental_commutators_match_commutators_from_scratch(case):
 def test_increments_of_telescoping_diagonals_are_single_terms(chain6):
     deltas = [build_delta(chain6, n) for n in range(1, 7)]
     increments = pairwise.increments(deltas)
-    assert [len(i.terms) for i in increments] == [1] * 6
+    assert [len(pairwise.terms(i)) for i in increments] == [1] * 6
     # a sequence that shares no prefix adds all its terms and drops all the previous ones
-    shuffled = [deltas[2], TensorElem.of(deltas[3].terms[::-1], dim=deltas[3].dim)]
-    assert [len(i.terms) for i in pairwise.increments(shuffled)] == [3, 7]
+    shuffled = [deltas[2], TensorElem.of(pairwise.terms(deltas[3])[::-1], dim=deltas[3].dim)]
+    assert [len(pairwise.terms(i)) for i in pairwise.increments(shuffled)] == [3, 7]
 
 
 @given(diagonal_sequences(), st.booleans())
@@ -779,7 +786,7 @@ def test_batched_commutator_bounds_match_one_reduction_per_diagonal(case, floats
         for x, y in zip(g[:3], w[:3]):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
         for s in range(len(sample)):
-            reduced = (TensorElem._of_legs(x[0].take(s), x[1].take(s), dim) for x in (g[3], w[3]))
+            reduced = (TensorElem(x[0].take(s), x[1].take(s), dim) for x in (g[3], w[3]))
             assert same_element(next(reduced), next(reduced))
 
 

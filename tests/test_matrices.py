@@ -38,7 +38,7 @@ def test_op_norm_diagonal_picks_largest_modulus():
 
 def trace_norm(m):
     """Unnormalized Schatten-1 norm (sum of singular values)."""
-    return float(singular_values(m).sum())
+    return float(singular_values(m.numpy()[None]).sum())
 
 
 def test_schatten1_identity_counts_dimension():
@@ -55,7 +55,7 @@ def test_norms_reject_empty():
     with pytest.raises(DimensionError):
         op_norm(Matrix.zeros(0, 3))
     with pytest.raises(DimensionError):
-        singular_values(Matrix.zeros(2, 0))
+        op_norm(Matrix.zeros(2, 0))
     with pytest.raises(DimensionError):
         singular_values(np.zeros((2, 3, 0), dtype=complex))
 
@@ -64,7 +64,7 @@ def test_singular_values_of_a_stack_match_each_matrix():
     mats = [Matrix.exact([[1, (2, 1)], [Fraction(1, 3), 0]]), Matrix.from_float([[0.5, -1j], [2, 1e-300]])]
     stacked = singular_values(np.stack([m.numpy() for m in mats]))
     for row, m in zip(stacked, mats, strict=True):
-        assert np.array_equal(row, singular_values(m))
+        assert np.array_equal(row, singular_values(m.numpy()[None])[0]) and row[0] == op_norm(m)
         assert np.array_equal(row, np.linalg.svd(m.numpy(), compute_uv=False))
 
 
@@ -777,6 +777,15 @@ def test_kernel_bounds_hold_and_values_match_oracle(data):
     check_stack(stack_product(np.kron, a.take(0), b.take(0)), ref_kron(ea[0], eb[0]))
     check_stack(stack_concat([a, c]), ea + ec)
     check_stack(stack_concat([a, c], axis=-1), [[r + q for r, q in zip(u, v)] for u, v in zip(ea, ec)])
+    # Stack.of, the one rule from rationals to numerators: entries over their
+    # lcm, bounded by the largest numerator it forms, im None exactly when real
+    part = st.one_of(st.integers(-2**70, 2**70),
+                     st.builds(Fraction, st.integers(-2**70, 2**70), st.sampled_from([1, 3, 4, 2**61 - 1, 2**70 + 1])))
+    pairs = data.draw(st.lists(st.tuples(part, st.one_of(st.just(0), part)), max_size=6))
+    s = Stack.of(pairs)
+    assert pairwise.entries(s) == pairs and s.bound == pairwise.numerator_max(s)
+    assert s.den == math.lcm(*(Fraction(x).denominator for pair in pairs for x in pair))
+    assert (s.im is None) == all(im == 0 for _, im in pairs)
     # Matrix arithmetic on views of the stacks, in lowest terms
     ma, mb, mc = (Matrix.from_stack(x.take(0)) for x in (a, b, c))
     z = data.draw(complex_q)
