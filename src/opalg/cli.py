@@ -9,6 +9,7 @@ and timestamps live in a separate metadata block.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -518,11 +519,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in SUBCOMMANDS:
         p = sub.add_parser(name, help=f"run the {name} suite" if name != "all" else "run every suite")
-        # one flag per config field after subcommand, parsed as the type of its
-        # default; validate checks every value, from a flag or a config file
+        # one flag per config field after subcommand, taken as a string;
+        # build_config converts it and validate checks it, as for a config file
         for f in fields(ExperimentConfig)[1:]:
             flag = "--out" if f.name == "out_dir" else "--" + f.name.replace("_", "-")
-            p.add_argument(flag, dest=f.name, type=type(f.default))
+            p.add_argument(flag, dest=f.name)
         p.add_argument("--config", dest="config_file")
     return parser
 
@@ -544,9 +545,12 @@ def build_config(argv) -> ExperimentConfig:
                 raise ConfigError(f"unknown config field {key!r}")
             setattr(cfg, key, value)
         cfg.subcommand = args.subcommand
-    for f in fields(ExperimentConfig):
-        value = getattr(args, f.name, None)
-        if value is not None and f.name != "subcommand":
+    for f in fields(ExperimentConfig)[1:]:
+        value = getattr(args, f.name)
+        if value is not None:
+            # a value that is not of its field's type stays a string for validate to reject
+            with contextlib.suppress(ValueError):
+                value = type(f.default)(value)
             setattr(cfg, f.name, value)
     cfg.validate()
     return cfg

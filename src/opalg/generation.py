@@ -126,34 +126,37 @@ def rescaled_generators(gens: Sequence[Matrix], weights: WeightSeq) -> tuple[Mat
     return tuple(reversed(out))
 
 
-def _residual_stack(family, weights: WeightSeq, m: int, r_max: int) -> np.ndarray | None:
+def _weight_powers(weights: WeightSeq, r_max: int) -> np.ndarray:
+    """L_j^r for r = 0..r_max as an (r_max + 1, count) object array, L_j the
+    weights' numerators over their lcm (:meth:`Stack.of`), by one running
+    product: every residual and bound of :func:`certify_generation` reads it."""
+    nums = Stack.of([(x, 0) for x in weights.lambdas]).re
+    return np.multiply.accumulate(np.vstack([np.ones_like(nums), np.broadcast_to(nums, (r_max, len(nums)))]))
+
+
+def _residual_stack(family, powers: np.ndarray, m: int) -> np.ndarray | None:
     """g_m - B_m^r for r = 1..r_max as one complex (r_max, d, d) array, for
     the rescaled residual generator B_m of the 0-based index m, or None
     when the tail is empty and every residual is zero.
 
-    For pairwise-orthogonal idempotents, B_m^r = g_m + sum_{j>m} rho_j^r g_j
-    with rho_j = l_j / l_m, so g_m - B_m^r = -sum_{j>m} rho_j^r g_j exactly.
-    Exact families (numerators G_j over L, from :func:`opalg.matrices.stack`)
-    write rho_j = P_j / Q and take the rows P_j^r and Q^r by one running
-    product.  An entry's residual numerator is -sum_j P_j^r G_j over the
-    tail generators nonzero there, few per entry (at most two for
-    telescoping differences), so it is formed from those (generator, entry)
-    pairs only, one slot at a time: slot k holds the k-th nonzero generator
-    of every entry.  Each entry is then divided by Q^r L, which rounds it
-    as :meth:`Matrix.to_float` rounds the same rational."""
+    For pairwise-orthogonal idempotents, g_m - B_m^r = -sum_{j>m} (L_j/L_m)^r g_j
+    exactly, with L_j^r read from ``powers`` (:func:`_weight_powers`).  Float
+    families round each (L_j/L_m)^r once.  For exact families (numerators
+    G_j over D, from :func:`opalg.matrices.stack`) an entry's residual
+    numerator is -sum_j L_j^r G_j over the tail generators nonzero there,
+    few per entry (at most two for telescoping differences), so it is formed
+    from those (generator, entry) pairs only, one slot at a time: slot k
+    holds the k-th nonzero generator of every entry.  Each entry is then
+    divided by L_m^r D, which rounds it as :meth:`Matrix.to_float` rounds
+    the same rational."""
     mats, im, den = family.re, family.im, family.den
     if m + 1 == len(mats):
         return None
-    tail = slice(m + 1, None)
-    rho = [lam / weights[m] for lam in weights.lambdas[tail]]
+    table, dens = powers[1:, m + 1:], powers[1:, m:m + 1]
     if den is None:
-        powers = np.array([float(x) for x in rho]) ** np.arange(1, r_max + 1)[:, None]
-        return -np.tensordot(powers, mats[tail], axes=1)
-    q = math.lcm(*(x.denominator for x in rho))
-    base = np.array([x.numerator * (q // x.denominator) for x in rho] + [q], dtype=object)
-    powers = np.multiply.accumulate(np.broadcast_to(base, (r_max, len(base))), axis=0)
-    table, dens = powers[:, :-1], powers[:, -1:] * den
-    parts = [x[tail].reshape(len(rho), -1) for x in (mats, im) if x is not None]
+        return -np.tensordot((table / dens).astype(float), mats[m + 1:], axes=1)
+    r_max, tail = table.shape
+    parts = [x[m + 1:].reshape(tail, -1) for x in (mats, im) if x is not None]
     entry, gen = np.nonzero(np.any([part != 0 for part in parts], axis=0).T)
     cols, pos = np.unique(entry, return_inverse=True)
     slot = np.arange(len(entry)) - np.searchsorted(entry, entry)
@@ -162,19 +165,19 @@ def _residual_stack(family, weights: WeightSeq, m: int, r_max: int) -> np.ndarra
         at = slot == k
         for num, part in zip(nums, parts):
             num[:, pos[at]] -= table[:, gen[at]] * part[gen[at], entry[at]].astype(object)
-    bound = len(rho) * int(base[:-1].max()) ** r_max * family.bound  # table rows are P**1 .. P**r_max
+    bound = tail * table[-1, 0] * family.bound  # L_{m+1} is the largest tail numerator
     out = np.zeros((r_max, mats[0].size), dtype=complex)
-    out[:, cols] = float_stack(Stack(nums[0], nums[1] if len(nums) == 2 else None, dens, bound))
+    out[:, cols] = float_stack(Stack(nums[0], nums[1] if len(nums) == 2 else None, dens * den, bound))
     return out.reshape(r_max, *mats.shape[1:])
 
 
-def _bound_holds(residual: float, bound: float, dim: int, power: int, tol: float) -> bool:
+def _bound_holds(residual: float, bound: float, dim: int, tol: float) -> bool:
     """residual <= bound + budget + tol.  The budget covers rounding: by
     Weyl's bound and a backward-stable SVD, a norm of a float dim x dim
-    matrix is off by at most 2 dim eps of itself; the bound sums such norms
-    and raises a rounded ratio to power - 1; each of these 4 dim + power
-    roundings may also lose the smallest subnormal."""
-    budget = (4 * dim + power) * (sys.float_info.epsilon * (residual + bound) + math.ulp(0.0))
+    matrix is off by at most 2 dim eps of itself (the residual, and the
+    norms in the bound); the residual's entries and the bound are each
+    rounded once; each of these 4 dim + 2 may lose the smallest subnormal."""
+    budget = (4 * dim + 2) * (sys.float_info.epsilon * (residual + bound) + math.ulp(0.0))
     return residual <= bound + budget + tol
 
 
@@ -211,8 +214,8 @@ def certify_generation(
     For each m, powers of the rescaled residual generator must satisfy
     norm(g_m - ((1/l_m) b_m)^r) <= (1/l_m) (l_{m+1}/l_m)^(r-1)
     sum_{j>m} l_j norm(g_j) for r = 1..r_max; the last generator must be
-    recovered exactly (empty tail sum).  The per-index verdict also
-    requires a monotone residual tail, to catch stagnation.
+    recovered exactly (empty tail sum).  An index passes when all its
+    records do; the bound falls geometrically, so it rules out stagnation.
 
     The generators must pass :func:`orthogonality_table`, checked once;
     otherwise CertificationError is raised.  Given that, the residuals are
@@ -221,7 +224,9 @@ def certify_generation(
     the powers give, rounded entry by entry as :meth:`Matrix.to_float`
     rounds it, so the residuals are those of the exact powers, bit for
     bit.  Each generator's r_max residual norms come from one stacked SVD,
-    and the generators' norms from one more.  The certificate keeps the
+    and the generators' norms from one more.  Each bound is one rational in
+    the weights' numerators L_j (:func:`_weight_powers`) and the norms'
+    exact binary values, rounded once.  The certificate keeps the
     generators it certified.
     """
     if r_max < 2:
@@ -235,25 +240,23 @@ def certify_generation(
     if len(weights) != count:
         raise ValueError(f"got {len(weights)} weights for {count} generators")
     norms = singular_values(float_stack(family))[:, 0].tolist()
+    powers = _weight_powers(weights, r_max)
+    # tails[k] = sum_{j>=k} L_j norm(g_j), exactly, from the norms' binary values
+    tails = np.cumsum([Fraction(x) * lam for x, lam in zip(norms, powers[1])][::-1])[::-1]
     records: list[GenerationRecord] = []
     per_index: dict[int, bool] = {}
-    tail_len = math.ceil(r_max / 2)
-    lams = [float(x) for x in weights.lambdas]
-    for m in range(1, count + 1):
-        # the last generator has an empty tail, so its bound is 0.0
-        ratio = float(weights[m] / weights[m - 1]) if m < count else 0.0
-        tail_sum = sum(lams[j] * norms[j] for j in range(m, count))
-        residual_stack = _residual_stack(family, weights, m - 1, r_max)
-        residuals = [0.0] * r_max if residual_stack is None else singular_values(residual_stack)[:, 0].tolist()
-        ok_bounds = True
-        for r, residual in enumerate(residuals, start=1):
-            bound = (ratio ** (r - 1)) * tail_sum / lams[m - 1]
-            passed = _bound_holds(residual, bound, gens[m - 1].rows, r, tol)
-            ok_bounds = ok_bounds and passed
-            records.append(GenerationRecord(index=m, power=r, residual=residual, bound=bound, passed=passed))
-        tail = residuals[-tail_len:]
-        monotone = all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
-        per_index[m] = ok_bounds and monotone
+    for m in range(count):
+        residual_stack = _residual_stack(family, powers, m)
+        if residual_stack is None:
+            residuals = bounds = [0.0] * r_max
+        else:
+            residuals = singular_values(residual_stack)[:, 0].tolist()
+            tail = tails[m + 1]
+            bounds = (powers[:-1, m + 1] * tail.numerator / (powers[1:, m] * tail.denominator)).tolist()
+        for r, (residual, bound) in enumerate(zip(residuals, bounds), start=1):
+            passed = _bound_holds(residual, bound, gens[m].rows, tol)
+            records.append(GenerationRecord(index=m + 1, power=r, residual=residual, bound=bound, passed=passed))
+        per_index[m + 1] = all(rec.passed for rec in records[-r_max:])
     return GenerationCertificate(
         generators=gens,
         records=tuple(records),

@@ -7,10 +7,12 @@ import os
 import subprocess
 import sys
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from opalg import cli, diagonals, embedding, generation
 from opalg.chains import Chain, build_chain
@@ -61,6 +63,45 @@ def test_generate_stage_passes_and_emits_series():
     rows = report.series["generation_residuals"]
     assert rows[0] == ["m", "r", "residual", "bound", "passed"]
     assert len(rows) == 1 + 6 * 10
+
+
+weight_schemes = st.one_of(
+    st.just("norm-adaptive"),
+    st.builds(lambda f, k: f"geometric:{f / 10**k}",
+              st.fractions(Fraction(1, 100), Fraction(99, 100), max_denominator=1000), st.integers(0, 298)),
+)
+# rational couplings from 2**-62 to 2**500 in size, either sign, sorted by size
+coupling_schemes = st.one_of(
+    st.just("linear"),
+    st.lists(st.builds(lambda e, f, sign: sign * Fraction(2) ** e * f, st.integers(-62, 499),
+                       st.fractions(1, 2, max_denominator=9), st.sampled_from([1, -1])), min_size=6, max_size=6)
+    .map(lambda values: "list:" + ",".join(map(str, sorted(values, key=abs)))),
+)
+
+
+@given(st.integers(1, 12), st.integers(2, 40), weight_schemes, coupling_schemes)
+@example(10, 40, "geometric:1e-100", "linear")  # the weights leave the float range
+@example(10, 40, "geometric:1e-20", "linear")
+@example(12, 40, "geometric:1e-10", "linear")
+@example(2, 19, "geometric:1e-18", f"constant:{2**66}")  # a subnormal bound
+@example(3, 3, "geometric:498989/605088", "constant:4")  # residuals not monotone in r
+@settings(max_examples=40, deadline=None)
+def test_every_valid_generate_config_certifies_at_zero_tolerance(m_max, r_max, weight_scheme, coupling_scheme):
+    # valid input never crashes, and at tol 0 every check passes when the
+    # mathematics holds; the bound is the only verdict, so the certificate
+    # passes exactly when every (m, r) record does
+    cfg = ExperimentConfig(subcommand="generate", m_max=m_max, r_max=r_max, weight_scheme=weight_scheme,
+                           coupling_scheme=coupling_scheme, tol=0)
+    try:
+        cfg.validate()
+    except ConfigError:
+        return
+    report = run_experiment(cfg)
+    checks = {c.name: c for c in report.stages[0].checks}
+    assert all(c.passed for c in checks.values()), [c for c in checks.values() if not c.passed]
+    rows = report.series["generation_residuals"][1:]
+    assert len(rows) == m_max * r_max
+    assert checks["generation-geometric-bound"].passed == all(row[4] for row in rows)
 
 
 def test_embed_stage_ratio_window():
@@ -317,19 +358,25 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     # a flag given on one call does not leak into the next
     assert build_config(["chain", "--m-max", "4", "--seed", "9"]).seed == 9
     assert build_config(["chain", "--m-max", "4"]).seed == ExperimentConfig().seed
-    # argparse errors still exit 2 with the usage message
-    with pytest.raises(SystemExit) as exc:
+    # a flag value that does not parse is the field's config error, as from a config file
+    with pytest.raises(ConfigError, match="m_max must be a positive integer, got 'x'"):
         build_config(["chain", "--m-max", "x"])
-    assert exc.value.code == 2 and "invalid int value: 'x'" in capsys.readouterr().err
+    assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("flag, field", [("--format", "format"), ("--trace-scheme", "trace_scheme")])
-def test_bad_choice_flags_are_config_errors(tmp_path, capsys, flag, field):
-    # validate checks every flag's value, so a bad choice exits 2 with the
-    # field's message, as a bad config-file value does
-    assert main(["chain", flag, "bogus", "--out", str(tmp_path)]) == 2
+@pytest.mark.parametrize(
+    "flag, field, value",
+    [("--format", "format", "bogus"), ("--trace-scheme", "trace_scheme", "bogus"),
+     ("--m-max", "m_max", "x"), ("--tol", "tol", "abc")],
+    ids=["--format-format", "--trace-scheme-trace_scheme", "--m-max-m_max", "--tol-tol"],
+)
+def test_bad_choice_flags_are_config_errors(tmp_path, capsys, flag, field, value):
+    # validate checks every flag's value, so a bad choice or a value that does
+    # not parse as its field's type exits 2 with the field's message, as a bad
+    # config-file value does
+    assert main(["chain", flag, value, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"opalg: {field} must be") and "'bogus'" in err
+    assert err.startswith(f"opalg: {field} must be") and repr(value) in err
     assert not (tmp_path / "report.json").exists()
 
 
@@ -338,12 +385,14 @@ def test_parser_flags_are_the_config_fields():
     parser = cli._build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert set(subparsers.choices) == set(cli.SUBCOMMANDS)
-    want = {f.name for f in fields(ExperimentConfig)} - {"subcommand"} | {"config_file"}
-    for sub in subparsers.choices.values():
-        assert {a.dest for a in sub._actions} - {"help"} == want
-        # each flag parses to the type of its field's default
-        types = {a.dest: a.type for a in sub._actions if a.dest in want - {"config_file"}}
-        assert types == {f.name: type(f.default) for f in fields(ExperimentConfig) if f.name != "subcommand"}
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)[1:]}
+    for name, sub in subparsers.choices.items():
+        assert {a.dest for a in sub._actions} - {"help"} == set(defaults) | {"config_file"}
+        # each flag's value, given as a string, arrives with the type of its field's default
+        argv = [name] + [x for a in sub._actions if a.dest in defaults for x in (a.option_strings[0], str(defaults[a.dest]))]
+        cfg = build_config(argv)
+        assert cfg == ExperimentConfig(subcommand=name)
+        assert all(type(getattr(cfg, k)) is type(v) for k, v in defaults.items())
     assert build_config(["embed", "--out", "x", "--tol", "0", "--seed", "3"]).out_dir == "x"
 
 

@@ -19,7 +19,7 @@ from opalg import (
     same_span,
 )
 from opalg import generation, matrices
-from opalg.generation import _bound_holds, rescaled_generators
+from opalg.generation import _bound_holds, _weight_powers, rescaled_generators
 from opalg.matrices import DEFAULT_TOL
 import pairwise
 from pairwise import agree
@@ -178,21 +178,25 @@ def test_two_elimination_span_matches_three_rank_oracle(backend):
 
 
 def test_bound_comparison_allows_only_the_rounding_budget():
-    # dim 11 and power 2 give a budget of 46 eps (residual + bound)
+    # dim 11 gives a budget of 46 eps (residual + bound)
     eps, bound = sys.float_info.epsilon, 0.25
-    assert _bound_holds(bound * (1 + 20 * eps), bound, 11, 2, 0.0)
-    assert not _bound_holds(bound * (1 + 200 * eps), bound, 11, 2, 0.0)
-    assert _bound_holds(bound * (1 + 200 * eps), bound, 11, 2, 200 * eps)
-    assert not _bound_holds(2 * bound, bound, 11, 2, 0.0)
+    assert _bound_holds(bound * (1 + 20 * eps), bound, 11, 0.0)
+    assert not _bound_holds(bound * (1 + 200 * eps), bound, 11, 0.0)
+    assert _bound_holds(bound * (1 + 200 * eps), bound, 11, 200 * eps)
+    assert not _bound_holds(2 * bound, bound, 11, 0.0)
     # subnormal values: each rounding may lose the smallest subnormal
-    assert _bound_holds(3e-323, 1e-323, 3, 500, 0.0)
-    assert not _bound_holds(1e-300, 1e-323, 3, 500, 0.0)
+    assert _bound_holds(3e-323, 1e-323, 3, 0.0)
+    assert not _bound_holds(1e-300, 1e-323, 3, 0.0)
+    # dim 3 gives 4 dim + 2 = 14 such roundings
+    assert _bound_holds(14 * 5e-324, 0.0, 3, 0.0)
+    assert not _bound_holds(15 * 5e-324, 0.0, 3, 0.0)
 
 
 def test_default_certificate_passes_without_tolerance():
     # the second-to-last generator meets its bound with equality at every
-    # power, so only the rounding budget separates the two float readings
-    chain = build_chain(ChainSpec.default(10))
+    # power, so only the rounding budget separates the two float readings;
+    # at m_max 12 it is used (at the default m_max 10 the readings agree)
+    chain = build_chain(ChainSpec.default(12))
     w = WeightSeq.norm_adaptive(orthogonal_generators(chain))
     cert = certify_generation(chain, w, r_max=40, tol=0.0)
     assert cert.passed
@@ -335,7 +339,7 @@ def test_sparse_residuals_equal_the_dense_product(gens, ratio, r_max):
         weights = WeightSeq(tuple(ratio**j for j in range(1, len(gens) + 1)))
     family = matrices.stack(gens)
     for m in range(len(gens)):
-        got = generation._residual_stack(family, weights, m, r_max)
+        got = generation._residual_stack(family, _weight_powers(weights, r_max), m)
         want = pairwise.residual_stack(family, weights, m, r_max)
         assert (got is None) == (want is None) == (m + 1 == len(gens))
         if got is not None:
