@@ -31,6 +31,7 @@ from .diagonals import (
     expectation_norm_demo,
     full_matrix_diagonal,
 )
+from .draws import Pcg64, sha256
 from .embedding import (
     RankOneFamily,
     best_subset_sum,
@@ -143,11 +144,7 @@ def _weights_for(gens, descriptor: str) -> WeightSeq:
 
 
 def _stage_seed(seed: int, label: str) -> int:
-    # imported here: hashlib loads OpenSSL's libcrypto, which the generate
-    # stage, drawing no seeds, never needs
-    import hashlib
-
-    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
+    digest = sha256(f"{seed}:{label}".encode())
     return int.from_bytes(digest[:8], "big") % (2**63)
 
 
@@ -347,7 +344,7 @@ def _stage_diagonal(cfg: ExperimentConfig, get_chain) -> tuple[StageResult, dict
         demo_ok and demo_norm_err <= 1e-8,
         bound=1e-8,
     )
-    rng = np.random.default_rng(_stage_seed(cfg.seed, "diagonal"))
+    rng = Pcg64(_stage_seed(cfg.seed, "diagonal"))
     d2 = full_matrix_diagonal(2)
     x = Matrix.from_float(rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2)))
     ex = expectation_from_diagonal(d2, x)
@@ -377,7 +374,7 @@ def _stage_embed(cfg: ExperimentConfig, get_chain) -> tuple[StageResult, dict]:
         f"max norm error {fam_report.max_norm_error}",
         fam_report.passed,
     )
-    rng = np.random.default_rng(_stage_seed(cfg.seed, "sweep"))
+    rng = Pcg64(_stage_seed(cfg.seed, "sweep"))
     sweep_ok = True
     worst_gap = 0.0
     inv_pi = 1.0 / math.pi

@@ -35,6 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .draws import Pcg64
 from .matrices import (
     DEFAULT_TOL,
     CertificationError,
@@ -134,7 +135,7 @@ def certify_E_family(
     gram = x.T @ y
     allowed = np.vstack([np.ones((2, n), dtype=bool), np.eye(n, dtype=bool)])  # rows alpha, omega, 1..n_max
     # the witnesses Y diag(c) X* of a chunk of trials at once, on integer numerators over 2**s
-    c, scale = _dyadic(np.random.default_rng(seed).uniform(-1.0, 1.0, (trials, 2, n)))
+    c, scale = _dyadic(Pcg64(seed).uniform(-1.0, 1.0, (trials, 2, n)))
     sums = c.astype(kernel_dtype(n * scale)).sum(axis=2)
     totals = Stack(sums[:, 0], sums[:, 1], scale, n * scale)
     exact, norms, step = np.ones(trials, dtype=bool), np.zeros(trials), max(1, _CHUNK_ENTRIES // (dim * dim))
@@ -557,7 +558,7 @@ def certify_embedding_bounds(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     base = SubsetFamily.enumerate(n_max, f_cap=f_cap, s_max=s_max)
-    rng = np.random.default_rng(seed)
+    rng = Pcg64(seed)
     inv_pi, slack = 1.0 / math.pi, 1e-12
 
     named = [[1.0] + [0.0] * (n_max - 1), [cmath.exp(2j * math.pi * j / n_max) for j in range(n_max)]]

@@ -307,12 +307,41 @@ def test_stage_seeds_are_sha256_digests():
     assert [cli._stage_seed(seed, label) for seed, label in SEED_LABELS] == want
 
 
-def test_generate_never_loads_openssl(tmp_path):
-    # generate draws no stage seeds, so hashlib's libcrypto stays unloaded
+@pytest.mark.parametrize("argv", [
+    ["chain", "--m-max", "4"],
+    ["generate", "--m-max", "4", "--r-max", "4"],
+    ["diagonal", "--m-max", "4"],
+    ["embed", "--n-max", "4", "--f-cap", "16", "--trials", "2"],
+    ["all", "--trials", "1"],
+], ids=lambda argv: argv[0])
+def test_no_subcommand_loads_numpy_random_or_openssl(tmp_path, argv):
+    # opalg.draws hashes the stage seeds and makes the draws, so neither
+    # numpy.random nor the libcrypto that its import loads is needed
     out = run_python("import sys\nfrom opalg.cli import main\n"
-                     f"assert main(['generate', '--m-max', '4', '--r-max', '4', '--out', {str(tmp_path)!r}]) == 0\n"
-                     "print('_hashlib' in sys.modules)")
-    assert out.split()[-1] == "False"
+                     f"assert main({argv + ['--out', str(tmp_path)]!r}) == 0\n"
+                     "print([m for m in ('numpy.random', 'secrets', '_hashlib') if m in sys.modules])")
+    assert out.splitlines()[-1] == "[]"
+
+
+seed_fields = st.one_of(
+    st.fixed_dictionaries({"subcommand": st.just("embed"), "n_max": st.integers(1, 8), "f_cap": st.integers(1, 64),
+                           "trials": st.integers(1, 3), "trace_scheme": st.sampled_from(["geometric", "uniform"])}),
+    st.fixed_dictionaries({"subcommand": st.just("diagonal"), "m_max": st.integers(1, 12)}),
+)
+
+
+@given(st.integers(0, 2**64 - 1), seed_fields)
+@settings(max_examples=20, deadline=None)
+def test_every_seed_draws_the_default_rng_streams(seed, fields):
+    # the goldens all run seed 0: the embed and diagonal stages' payloads for
+    # any seed are those of numpy's default_rng, and every check passes at tol 0
+    cfg = ExperimentConfig(seed=seed, tol=0, **fields)
+    report = run_experiment(cfg)
+    assert report.overall, [c for s in report.stages for c in s.checks if not c.passed]
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (cli, embedding):
+            patch.setattr(module, "Pcg64", np.random.default_rng)
+        assert payload_json(report) == payload_json(run_experiment(cfg))
 
 
 def test_main_exit_codes(tmp_path, capsys, monkeypatch):
