@@ -10,15 +10,18 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .matrices import (
     DEFAULT_TOL,
     CertificationError,
     Matrix,
+    bound_holds,
+    float_stack,
     op_norm,
     product_table,
     products_agree,
+    singular_values,
     stack,
 )
 
@@ -69,12 +72,13 @@ class ChainSpec:
 
     ``dims[k-1]`` is the dimension of the k-th subspace; couplings are
     stored as rectangular blocks (scalars are promoted to scalar times a
-    rectangular identity).
+    rectangular identity); ``coupling_norms`` holds their operator norms.
     """
 
     m_max: int
     dims: tuple[int, ...]
     couplings: tuple[Matrix, ...]
+    coupling_norms: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m_max < 1:
@@ -95,11 +99,12 @@ class ChainSpec:
         )
         if len(couplings) != n_couplings:
             raise ValueError(f"need exactly {n_couplings} couplings for m_max={self.m_max}, got {len(couplings)}")
-        norms = [op_norm(b) if b.rows and b.cols else 0.0 for b in couplings]
+        norms = tuple(map(op_norm, couplings))
         if any(b < a - 1e-12 for a, b in zip(norms, norms[1:])):
             raise ValueError("coupling norms must be nondecreasing")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "couplings", couplings)
+        object.__setattr__(self, "coupling_norms", norms)
 
     @classmethod
     def default(cls, m_max: int, couplings=None, dims=None) -> "ChainSpec":
@@ -210,22 +215,22 @@ class NormEntry:
 
 
 def norm_profile(chain: Chain, tol: float = DEFAULT_TOL) -> tuple[NormEntry, ...]:
-    """Operator norm of each idempotent.
+    """Operator norm of each idempotent, all from one stacked SVD.
 
     Odd entries must have norm 1 (within tol); even entries are bounded
-    below by the coupling norm and, in block form, equal
+    below by the coupling norm (:attr:`ChainSpec.coupling_norms`) up to
+    :func:`opalg.matrices.bound_holds` and, in block form, equal
     sqrt(1 + |b|^2), reported as ``predicted``.
     """
     out = []
-    for n, m in enumerate(chain.idempotents, start=1):
-        norm = op_norm(m)
+    norms = singular_values(float_stack(stack(chain.idempotents)))[:, 0].tolist()
+    for n, norm in enumerate(norms, start=1):
         if n % 2 == 1:
             lower, predicted = 1.0, 1.0
             ok = abs(norm - 1.0) <= tol
         else:
-            bnorm = op_norm(chain.spec.couplings[n // 2 - 1])
+            bnorm = chain.spec.coupling_norms[n // 2 - 1]
             lower, predicted = bnorm, math.sqrt(1.0 + bnorm * bnorm)
-            ok = norm >= bnorm - tol
+            ok = bound_holds(bnorm, norm, chain.truncation_dim, tol)
         out.append(NormEntry(index=n, norm=norm, lower=lower, predicted=predicted, ok=ok))
     return tuple(out)
-

@@ -10,7 +10,6 @@ differences, which are pairwise orthogonal and span the same algebra.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -23,9 +22,9 @@ from .matrices import (
     CertificationError,
     Matrix,
     Stack,
+    bound_holds,
     eliminate,
     float_stack,
-    op_norm,
     product_table,
     singular_values,
     stack,
@@ -37,7 +36,6 @@ __all__ = [
     "GenerationCertificate",
     "orthogonal_generators",
     "orthogonality_table",
-    "rescaled_generators",
     "certify_generation",
     "same_span",
 ]
@@ -74,15 +72,18 @@ class WeightSeq:
 
     @classmethod
     def norm_adaptive(cls, mats: Sequence[Matrix]) -> "WeightSeq":
-        """l_j = 4^-j / (1 + N_j) with N_j a rational bound on the
-        largest norm among the first j idempotents.  Keeps
+        """l_j = 4^-j / (1 + N_j) with N_j a rational bound on the largest
+        norm among the first j idempotents, all from one stacked SVD.  Keeps
         sum l_j * norm(g_j) below sum 4^-j even when norms grow."""
-        lams = []
-        peak = Fraction(0)
-        for j, g in enumerate(mats, start=1):
-            peak = max(peak, _rational_norm_bound(op_norm(g)))
-            lams.append(Fraction(1, 4**j) / (1 + peak))
-        return cls(tuple(lams))
+        norms = singular_values(float_stack(stack(mats)))[:, 0]
+        peaks = np.maximum.accumulate(np.array([_rational_norm_bound(x) for x in norms], dtype=object))
+        return cls(tuple(Fraction(1, 4**j) / (1 + peak) for j, peak in enumerate(peaks, start=1)))
+
+    @property
+    def numerators(self) -> np.ndarray:
+        """The numerators L_j of the weights over their lcm (:meth:`Stack.of`),
+        the only way :func:`certify_generation` reads the weights."""
+        return Stack.of([(x, 0) for x in self.lambdas]).re
 
     def scaled(self, factor) -> "WeightSeq":
         factor = Fraction(factor)
@@ -111,26 +112,11 @@ def orthogonality_table(gens: Sequence[Matrix]) -> np.ndarray:
     return product_table(stack(gens), np.diag(np.arange(1, len(gens) + 1)) - 1, DEFAULT_TOL)[0]
 
 
-def rescaled_generators(gens: Sequence[Matrix], weights: WeightSeq) -> tuple[Matrix, ...]:
-    """The rescaled residual generators (1/l_m) b_m, m = 1, 2, ..., with
-    b_m = sum_{j>=m} l_j g_j built from the suffix sums
-    b_m = b_{m+1} + l_m g_m; exact when the inputs are exact.  The
-    residuals of :func:`certify_generation` are those of their powers, so
-    equal generators give equal residual series."""
-    if len(weights) != len(gens):
-        raise ValueError(f"got {len(weights)} weights for {len(gens)} generators")
-    out, suffix = [], None
-    for g, lam in zip(reversed(gens), reversed(weights.lambdas)):
-        suffix = g * lam if suffix is None else suffix + g * lam
-        out.append(suffix * (1 / lam))
-    return tuple(reversed(out))
-
-
 def _weight_powers(weights: WeightSeq, r_max: int) -> np.ndarray:
     """L_j^r for r = 0..r_max as an (r_max + 1, count) object array, L_j the
-    weights' numerators over their lcm (:meth:`Stack.of`), by one running
-    product: every residual and bound of :func:`certify_generation` reads it."""
-    nums = Stack.of([(x, 0) for x in weights.lambdas]).re
+    :attr:`WeightSeq.numerators`, by one running product: every residual and
+    bound of :func:`certify_generation` reads it."""
+    nums = weights.numerators
     return np.multiply.accumulate(np.vstack([np.ones_like(nums), np.broadcast_to(nums, (r_max, len(nums)))]))
 
 
@@ -169,16 +155,6 @@ def _residual_stack(family, powers: np.ndarray, m: int) -> np.ndarray | None:
     out = np.zeros((r_max, mats[0].size), dtype=complex)
     out[:, cols] = float_stack(Stack(nums[0], nums[1] if len(nums) == 2 else None, dens * den, bound))
     return out.reshape(r_max, *mats.shape[1:])
-
-
-def _bound_holds(residual: float, bound: float, dim: int, tol: float) -> bool:
-    """residual <= bound + budget + tol.  The budget covers rounding: by
-    Weyl's bound and a backward-stable SVD, a norm of a float dim x dim
-    matrix is off by at most 2 dim eps of itself (the residual, and the
-    norms in the bound); the residual's entries and the bound are each
-    rounded once; each of these 4 dim + 2 may lose the smallest subnormal."""
-    budget = (4 * dim + 2) * (sys.float_info.epsilon * (residual + bound) + math.ulp(0.0))
-    return residual <= bound + budget + tol
 
 
 @dataclass(frozen=True)
@@ -254,7 +230,7 @@ def certify_generation(
             tail = tails[m + 1]
             bounds = (powers[:-1, m + 1] * tail.numerator / (powers[1:, m] * tail.denominator)).tolist()
         for r, (residual, bound) in enumerate(zip(residuals, bounds), start=1):
-            passed = _bound_holds(residual, bound, gens[m].rows, tol)
+            passed = bound_holds(residual, bound, gens[m].rows, tol)
             records.append(GenerationRecord(index=m + 1, power=r, residual=residual, bound=bound, passed=passed))
         per_index[m + 1] = all(rec.passed for rec in records[-r_max:])
     return GenerationCertificate(

@@ -46,9 +46,10 @@ a plain float tolerance (``DEFAULT_TOL``; 0.0 means no slack)."""
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, ulp
 
 import numpy as np
 
@@ -70,6 +71,7 @@ __all__ = [
     "eliminate",
     "op_norm",
     "singular_values",
+    "bound_holds",
 ]
 
 
@@ -631,3 +633,14 @@ def singular_values(m: np.ndarray) -> np.ndarray:
 def op_norm(m: Matrix) -> float:
     """Operator norm (largest singular value)."""
     return float(singular_values(float_stack(m._s)[None])[0, 0])
+
+
+def bound_holds(value: float, bound: float, dim: int, tol: float) -> bool:
+    """value <= bound + budget + tol, for a value and a bound read off norms
+    of float matrices of size at most dim x dim.  The budget covers rounding:
+    by Weyl's bound and a backward-stable SVD, such a norm is off by at most
+    2 dim eps of itself (the value, and the norms in the bound); the value's
+    entries and the bound are each rounded once; each of these 4 dim + 2 may
+    lose the smallest subnormal."""
+    budget = (4 * dim + 2) * (sys.float_info.epsilon * (value + bound) + ulp(0.0))
+    return value <= bound + budget + tol

@@ -2,17 +2,17 @@
 comparison policy one pair of matrices at a time, Gaussian elimination one
 ``Matrix`` at a time with its pivot rule, a matrix's content, an exact
 stack's entries and largest numerator, the dense idempotents of the
-rank-one family, and the
-tensor-element algebra term by term on (Matrix, Matrix) pairs, with the
-reduced form and norm bounds read off them; and the diagonal stage's
-commutator bounds, one reduction per diagonal, and its regrouped unitized
-bounds, all by the reduction; the increments of a diagonal sequence, found
-by comparing its diagonals term by term; the generation residuals by one
-dense product of the power table with the tail generators; the rank-one
-family's witnesses trial by trial; the embedding bounds item by item
-and block by block; and a tensor element's terms as (Matrix, Matrix) pairs.
-They are slow and simple; the package computes the same things on stacked
-arrays."""
+rank-one family, and the tensor-element algebra term by term on (Matrix,
+Matrix) pairs, with the reduced form and norm bounds read off them; and
+the diagonal stage's commutator bounds, one reduction per diagonal, and its
+regrouped unitized bounds, all by the reduction; the increments of a
+diagonal sequence, found by comparing its diagonals term by term; the
+generation residuals by one dense product of the power table with the tail
+generators; the rescaled residual generators by their suffix sums, and the
+norm-adaptive weights one norm at a time; the rank-one family's witnesses
+trial by trial; the embedding bounds item by item and block by block; and
+a tensor element's terms as (Matrix, Matrix) pairs.  They are slow and
+simple; the package computes the same things on stacked arrays."""
 from __future__ import annotations
 
 import cmath
@@ -307,6 +307,29 @@ def regrouped_uppers(comms, w, images, rests):
         flat = (x.apply(lambda y: y.reshape(-1, *y.shape[2:])) for x in (left, stack_concat([r, r, rs, ws], -3)))
         out.append(diagonals._upper(*diagonals._reduce(*flat)).tolist())
     return out
+
+
+def rescaled_generators(gens, weights):
+    """The rescaled residual generators (1/l_m) b_m, m = 1, 2, ..., with
+    b_m = sum_{j>=m} l_j g_j built from the suffix sums
+    b_m = b_{m+1} + l_m g_m; exact when the inputs are exact."""
+    if len(weights) != len(gens):
+        raise ValueError(f"got {len(weights)} weights for {len(gens)} generators")
+    out, suffix = [], None
+    for g, lam in zip(reversed(gens), reversed(weights.lambdas)):
+        suffix = g * lam if suffix is None else suffix + g * lam
+        out.append(suffix * (1 / lam))
+    return tuple(reversed(out))
+
+
+def norm_adaptive(mats):
+    """WeightSeq.norm_adaptive one matrix at a time: the running peak of
+    the rational bounds on each op_norm(g_j)."""
+    lams, peak = [], Fraction(0)
+    for j, g in enumerate(mats, start=1):
+        peak = max(peak, Fraction(math.ceil(op_norm(g) * 16) + 1, 16))
+        lams.append(Fraction(1, 4**j) / (1 + peak))
+    return tuple(lams)
 
 
 def residual_stack(family, weights, m, r_max):

@@ -73,6 +73,38 @@ def test_norm_profile_is_strictly_increasing_on_even_indices():
     assert all(b > a for a, b in zip(evens, evens[1:]))
 
 
+# chains whose norms the stacked reads must give bit for bit; the
+# norm-adaptive weights of test_generation read them too
+NORM_CHAINS = {
+    "exact": ChainSpec.default(10),
+    "float": ChainSpec.default(10, couplings=(1.5, 2.5, 3.5, 4.5, 5.5)),
+    "rational": ChainSpec.default(12, couplings=[Fraction(1, 3), Fraction(1, 2), Fraction(5, 4), Fraction(7, 3),
+                                                 Fraction(5, 2), 3]),
+    "2**300": ChainSpec.default(10, couplings=(2**300,) * 5),
+    "2**-62": ChainSpec.default(10, couplings=(Fraction(1, 2**62), Fraction(1, 2**62), Fraction(1, 3),
+                                               Fraction(1, 2), 1)),
+}
+
+
+@pytest.mark.parametrize("name", NORM_CHAINS)
+def test_norm_profile_equals_per_matrix_norms(name, monkeypatch):
+    # one stacked SVD gives each idempotent the norm it gives alone, bit for
+    # bit, and the lower bounds are the coupling norms the spec measured
+    chain = build_chain(NORM_CHAINS[name])
+    calls = []
+    svd = matrices.singular_values
+    counted = lambda m: calls.append(m.shape) or svd(m)
+    monkeypatch.setattr(matrices, "singular_values", counted)
+    monkeypatch.setattr(chains, "singular_values", counted)
+    profile = norm_profile(chain)
+    assert calls == [(chain.m_max, chain.truncation_dim, chain.truncation_dim)]
+    monkeypatch.undo()
+    assert [e.norm for e in profile] == [op_norm(e) for e in chain.idempotents]
+    couplings = chain.spec.couplings
+    assert [e.lower for e in profile if e.index % 2 == 0] == [op_norm(b) for b in couplings]
+    assert all(e.ok for e in profile)
+
+
 def test_truncation_error_names_requirement():
     with pytest.raises(TruncationError, match="H_7"):
         ChainSpec(m_max=6, dims=(1, 2, 3, 4, 5, 6), couplings=(1, 2, 3))

@@ -104,6 +104,25 @@ def test_every_valid_generate_config_certifies_at_zero_tolerance(m_max, r_max, w
     assert checks["generation-geometric-bound"].passed == all(row[4] for row in rows)
 
 
+@given(st.integers(1, 40), coupling_schemes)
+@example(40, "linear")
+@example(10, "list:1/4611686018427387904,1/4611686018427387904,1/3,1/2,1,2")
+@example(2, f"list:{Fraction(-7, 9) * 2**400}")  # e_2's norm reads one rounding below its coupling's
+@settings(max_examples=30, deadline=None)
+def test_every_valid_chain_config_certifies_at_zero_tolerance(m_max, coupling_scheme):
+    # valid input never crashes, and at tol 0 every chain check passes: the
+    # norm checks allow the rounding budget of the norms they compare
+    cfg = ExperimentConfig(subcommand="chain", m_max=m_max, coupling_scheme=coupling_scheme, tol=0)
+    try:
+        cfg.validate()
+    except ConfigError:
+        return
+    report = run_experiment(cfg)
+    checks = report.stages[0].checks
+    assert all(c.passed for c in checks), [c for c in checks if not c.passed]
+    assert len(report.series["norm_profile"]) == 1 + m_max
+
+
 def test_embed_stage_ratio_window():
     report = run_experiment(small_cfg(subcommand="embed", n_max=8, trials=25, seed=7))
     assert report.overall
@@ -191,8 +210,8 @@ def test_measured_checks_fail_on_bad_input(monkeypatch):
     assert checks["generation-geometric-bound"].passed
     monkeypatch.undo()
 
-    # weight-scale-invariance compares the rescaled generators of the weights
-    # and of the weights scaled by 3: one scaled weight off breaks only it
+    # weight-scale-invariance compares the numerators of the weights and of
+    # the weights scaled by 3: one scaled weight off breaks only it
     scaled = WeightSeq.scaled
 
     def last_one_off(weights, factor):

@@ -19,10 +19,11 @@ from opalg import (
     same_span,
 )
 from opalg import generation, matrices
-from opalg.generation import _bound_holds, _weight_powers, rescaled_generators
-from opalg.matrices import DEFAULT_TOL
+from opalg.generation import _weight_powers
+from opalg.matrices import DEFAULT_TOL, bound_holds
 import pairwise
-from pairwise import agree
+from pairwise import agree, rescaled_generators
+from test_chains import NORM_CHAINS
 
 
 def two_projections():
@@ -99,12 +100,29 @@ def test_default_chain_certificate_passes():
         assert series[-1] <= series[0] * 0.26 ** (len(series) - 10)
 
 
-def test_weight_scaling_leaves_residuals_unchanged():
-    chain = build_chain(ChainSpec.default(4))
-    w = WeightSeq.norm_adaptive(orthogonal_generators(chain))
+@given(
+    st.integers(1, 8),
+    st.one_of(st.none(), st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20), max_denominator=20)),
+    st.one_of(st.sampled_from([3, Fraction(7, 3)]),
+              st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000)),
+)
+@example(4, None, Fraction(7, 3))
+@example(6, Fraction(1, 3), 3)
+@settings(max_examples=30, deadline=None)
+def test_weight_scaling_leaves_residuals_unchanged(m_max, ratio, factor):
+    # every residual and bound reads the weights only through their
+    # numerators, which scaling leaves proportional: this is the fact that
+    # the weight-scale-invariance check stands for
+    chain = build_chain(ChainSpec.default(m_max))
+    if ratio is None:
+        w = WeightSeq.norm_adaptive(orthogonal_generators(chain))
+    else:
+        w = WeightSeq(tuple(ratio**j for j in range(1, m_max + 1)))
+    nums, scaled_nums = w.numerators, w.scaled(factor).numerators
+    assert all(nums * scaled_nums[0] == scaled_nums * nums[0])
     base = certify_generation(chain, w, r_max=12)
-    scaled = certify_generation(chain, w.scaled(Fraction(7, 3)), r_max=12)
-    assert [r.residual for r in base.records] == [r.residual for r in scaled.records]
+    scaled = certify_generation(chain, w.scaled(factor), r_max=12)
+    assert [(r.residual, r.bound) for r in base.records] == [(r.residual, r.bound) for r in scaled.records]
 
 
 def test_recovered_span_matches_chain_span():
@@ -180,16 +198,16 @@ def test_two_elimination_span_matches_three_rank_oracle(backend):
 def test_bound_comparison_allows_only_the_rounding_budget():
     # dim 11 gives a budget of 46 eps (residual + bound)
     eps, bound = sys.float_info.epsilon, 0.25
-    assert _bound_holds(bound * (1 + 20 * eps), bound, 11, 0.0)
-    assert not _bound_holds(bound * (1 + 200 * eps), bound, 11, 0.0)
-    assert _bound_holds(bound * (1 + 200 * eps), bound, 11, 200 * eps)
-    assert not _bound_holds(2 * bound, bound, 11, 0.0)
+    assert bound_holds(bound * (1 + 20 * eps), bound, 11, 0.0)
+    assert not bound_holds(bound * (1 + 200 * eps), bound, 11, 0.0)
+    assert bound_holds(bound * (1 + 200 * eps), bound, 11, 200 * eps)
+    assert not bound_holds(2 * bound, bound, 11, 0.0)
     # subnormal values: each rounding may lose the smallest subnormal
-    assert _bound_holds(3e-323, 1e-323, 3, 0.0)
-    assert not _bound_holds(1e-300, 1e-323, 3, 0.0)
+    assert bound_holds(3e-323, 1e-323, 3, 0.0)
+    assert not bound_holds(1e-300, 1e-323, 3, 0.0)
     # dim 3 gives 4 dim + 2 = 14 such roundings
-    assert _bound_holds(14 * 5e-324, 0.0, 3, 0.0)
-    assert not _bound_holds(15 * 5e-324, 0.0, 3, 0.0)
+    assert bound_holds(14 * 5e-324, 0.0, 3, 0.0)
+    assert not bound_holds(15 * 5e-324, 0.0, 3, 0.0)
 
 
 def test_default_certificate_passes_without_tolerance():
@@ -229,6 +247,22 @@ def test_norm_adaptive_weights_decrease_and_dominate_norms():
     assert all(b < a for a, b in zip(w.lambdas, w.lambdas[1:]))
     total = sum(float(l) * op_norm(g) for l, g in zip(w.lambdas, gens))
     assert total <= sum(0.25**j for j in range(1, 9))
+
+
+@pytest.mark.parametrize("name", NORM_CHAINS)
+def test_norm_adaptive_weights_equal_the_per_matrix_loop(name, monkeypatch):
+    # one stacked SVD gives each generator the norm it gives alone, so the
+    # weights are the per-matrix loop's, as exact Fractions
+    gens = orthogonal_generators(build_chain(NORM_CHAINS[name]))
+    calls = []
+    svd = matrices.singular_values
+    counted = lambda m: calls.append(m.shape) or svd(m)
+    monkeypatch.setattr(matrices, "singular_values", counted)
+    monkeypatch.setattr(generation, "singular_values", counted)
+    weights = WeightSeq.norm_adaptive(gens)
+    assert calls == [(len(gens), *gens[0].shape)]
+    monkeypatch.undo()
+    assert weights.lambdas == pairwise.norm_adaptive(gens)
 
 
 def test_certificate_csv_rows_shape():
