@@ -8,9 +8,10 @@ min(m, n)-th one, exactly.
 """
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .matrices import (
     DEFAULT_TOL,
@@ -18,7 +19,6 @@ from .matrices import (
     Matrix,
     bound_holds,
     float_stack,
-    op_norm,
     product_table,
     products_agree,
     singular_values,
@@ -99,7 +99,12 @@ class ChainSpec:
         )
         if len(couplings) != n_couplings:
             raise ValueError(f"need exactly {n_couplings} couplings for m_max={self.m_max}, got {len(couplings)}")
-        norms = tuple(map(op_norm, couplings))
+        # one SVD per block shape: a stacked SVD gives each block the values it has alone
+        shapes, norms = [b.shape for b in couplings], np.zeros(len(couplings))
+        for shape in set(shapes):
+            at = [k for k, x in enumerate(shapes) if x == shape]
+            norms[at] = singular_values(np.array([couplings[k].numpy() for k in at]))[:, 0]
+        norms = tuple(norms.tolist())
         if any(b < a - 1e-12 for a, b in zip(norms, norms[1:])):
             raise ValueError("coupling norms must be nondecreasing")
         object.__setattr__(self, "dims", dims)
@@ -222,15 +227,12 @@ def norm_profile(chain: Chain, tol: float = DEFAULT_TOL) -> tuple[NormEntry, ...
     :func:`opalg.matrices.bound_holds` and, in block form, equal
     sqrt(1 + |b|^2), reported as ``predicted``.
     """
-    out = []
-    norms = singular_values(float_stack(stack(chain.idempotents)))[:, 0].tolist()
-    for n, norm in enumerate(norms, start=1):
-        if n % 2 == 1:
-            lower, predicted = 1.0, 1.0
-            ok = abs(norm - 1.0) <= tol
-        else:
-            bnorm = chain.spec.coupling_norms[n // 2 - 1]
-            lower, predicted = bnorm, math.sqrt(1.0 + bnorm * bnorm)
-            ok = bound_holds(bnorm, norm, chain.truncation_dim, tol)
-        out.append(NormEntry(index=n, norm=norm, lower=lower, predicted=predicted, ok=ok))
-    return tuple(out)
+    norms = singular_values(float_stack(stack(chain.idempotents)))[:, 0]
+    even = np.arange(1, len(norms) + 1) % 2 == 0
+    lower = np.ones(len(norms))
+    lower[even] = chain.spec.coupling_norms
+    with np.errstate(over="ignore"):  # a coupling norm past 2**512 predicts inf
+        predicted = np.where(even, np.sqrt(1.0 + lower * lower), 1.0)
+    ok = np.where(even, bound_holds(lower, norms, chain.truncation_dim, tol), np.abs(norms - 1.0) <= tol)
+    rows = zip(norms.tolist(), lower.tolist(), predicted.tolist(), ok.tolist())
+    return tuple(NormEntry(n, *row) for n, row in enumerate(rows, start=1))

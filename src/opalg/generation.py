@@ -120,41 +120,36 @@ def _weight_powers(weights: WeightSeq, r_max: int) -> np.ndarray:
     return np.multiply.accumulate(np.vstack([np.ones_like(nums), np.broadcast_to(nums, (r_max, len(nums)))]))
 
 
-def _residual_stack(family, powers: np.ndarray, m: int) -> np.ndarray | None:
-    """g_m - B_m^r for r = 1..r_max as one complex (r_max, d, d) array, for
-    the rescaled residual generator B_m of the 0-based index m, or None
-    when the tail is empty and every residual is zero.
+def _tail_residuals(family, powers: np.ndarray):
+    """Yield (m, g_m - B_m^r for r = 1..r_max as one complex (r_max, d, d)
+    array) for the rescaled residual generator B_m of every 0-based index m
+    but the last, whose tail is empty, from the last but one down to the
+    first.
 
     For pairwise-orthogonal idempotents, g_m - B_m^r = -sum_{j>m} (L_j/L_m)^r g_j
     exactly, with L_j^r read from ``powers`` (:func:`_weight_powers`).  Float
     families round each (L_j/L_m)^r once.  For exact families (numerators
-    G_j over D, from :func:`opalg.matrices.stack`) an entry's residual
-    numerator is -sum_j L_j^r G_j over the tail generators nonzero there,
-    few per entry (at most two for telescoping differences), so it is formed
-    from those (generator, entry) pairs only, one slot at a time: slot k
-    holds the k-th nonzero generator of every entry.  Each entry is then
-    divided by L_m^r D, which rounds it as :meth:`Matrix.to_float` rounds
-    the same rational."""
-    mats, im, den = family.re, family.im, family.den
-    if m + 1 == len(mats):
-        return None
-    table, dens = powers[1:, m + 1:], powers[1:, m:m + 1]
-    if den is None:
-        return -np.tensordot((table / dens).astype(float), mats[m + 1:], axes=1)
-    r_max, tail = table.shape
-    parts = [x[m + 1:].reshape(tail, -1) for x in (mats, im) if x is not None]
-    entry, gen = np.nonzero(np.any([part != 0 for part in parts], axis=0).T)
-    cols, pos = np.unique(entry, return_inverse=True)
-    slot = np.arange(len(entry)) - np.searchsorted(entry, entry)
-    nums = [np.zeros((r_max, len(cols)), dtype=object) for _ in parts]
-    for k in range(slot.max(initial=-1) + 1):
-        at = slot == k
+    G_j over D, from :func:`opalg.matrices.stack`) the tail numerators
+    -sum_{j>m} L_j^r G_j are one running sum on the entries where some
+    generator is nonzero, which gains one term per index, each then divided
+    by L_m^r D, which rounds it as :meth:`Matrix.to_float` rounds the same
+    rational."""
+    mats, count, r_max = family.re, len(family.re), len(powers) - 1
+    if family.den is None:
+        for m in range(count - 2, -1, -1):
+            yield m, -np.tensordot((powers[1:, m + 1:] / powers[1:, m:m + 1]).astype(float), mats[m + 1:], axes=1)
+        return
+    parts = [x.reshape(count, -1) for x in (mats, family.im) if x is not None]
+    cols = np.flatnonzero(np.any([part != 0 for part in parts], axis=(0, 1)))
+    nums, bound = [np.zeros((r_max, len(cols)), dtype=object) for _ in parts], 0
+    for m in range(count - 2, -1, -1):
         for num, part in zip(nums, parts):
-            num[:, pos[at]] -= table[:, gen[at]] * part[gen[at], entry[at]].astype(object)
-    bound = tail * table[-1, 0] * family.bound  # L_{m+1} is the largest tail numerator
-    out = np.zeros((r_max, mats[0].size), dtype=complex)
-    out[:, cols] = float_stack(Stack(nums[0], nums[1] if len(nums) == 2 else None, dens * den, bound))
-    return out.reshape(r_max, *mats.shape[1:])
+            num -= powers[1:, m + 1, None] * part[m + 1, cols].astype(object)
+        bound += powers[-1, m + 1] * family.bound
+        tail = Stack(nums[0], nums[1] if len(nums) == 2 else None, powers[1:, m:m + 1] * family.den, bound)
+        out = np.zeros((r_max, mats[0].size), dtype=complex)
+        out[:, cols] = float_stack(tail)
+        yield m, out.reshape(r_max, *mats.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -199,10 +194,13 @@ def certify_generation(
     rho_j = l_j / l_m: on exact families this is the exact rational matrix
     the powers give, rounded entry by entry as :meth:`Matrix.to_float`
     rounds it, so the residuals are those of the exact powers, bit for
-    bit.  Each generator's r_max residual norms come from one stacked SVD,
-    and the generators' norms from one more.  Each bound is one rational in
-    the weights' numerators L_j (:func:`_weight_powers`) and the norms'
-    exact binary values, rounded once.  The certificate keeps the
+    bit; one running tail sum (:func:`_tail_residuals`) forms them from the
+    last index down.  Each generator's r_max residual norms come from one
+    stacked SVD, and the generators' norms from one more.  Each bound is
+    one rational in the weights' numerators L_j (:func:`_weight_powers`)
+    and the norms' exact binary values, rounded once.  Residuals and bounds
+    are (count, r_max) arrays, and one :func:`opalg.matrices.bound_holds`
+    call gives every record's verdict.  The certificate keeps the
     generators it certified.
     """
     if r_max < 2:
@@ -217,28 +215,20 @@ def certify_generation(
         raise ValueError(f"got {len(weights)} weights for {count} generators")
     norms = singular_values(float_stack(family))[:, 0].tolist()
     powers = _weight_powers(weights, r_max)
-    # tails[k] = sum_{j>=k} L_j norm(g_j), exactly, from the norms' binary values
-    tails = np.cumsum([Fraction(x) * lam for x, lam in zip(norms, powers[1])][::-1])[::-1]
-    records: list[GenerationRecord] = []
-    per_index: dict[int, bool] = {}
-    for m in range(count):
-        residual_stack = _residual_stack(family, powers, m)
-        if residual_stack is None:
-            residuals = bounds = [0.0] * r_max
-        else:
-            residuals = singular_values(residual_stack)[:, 0].tolist()
-            tail = tails[m + 1]
-            bounds = (powers[:-1, m + 1] * tail.numerator / (powers[1:, m] * tail.denominator)).tolist()
-        for r, (residual, bound) in enumerate(zip(residuals, bounds), start=1):
-            passed = bound_holds(residual, bound, gens[m].rows, tol)
-            records.append(GenerationRecord(index=m + 1, power=r, residual=residual, bound=bound, passed=passed))
-        per_index[m + 1] = all(rec.passed for rec in records[-r_max:])
-    return GenerationCertificate(
-        generators=gens,
-        records=tuple(records),
-        per_index=per_index,
-        passed=all(per_index.values()),
+    residuals, bounds = np.zeros((count, r_max)), np.zeros((count, r_max))
+    for m, residual_stack in _tail_residuals(family, powers):
+        residuals[m] = singular_values(residual_stack)[:, 0]
+    # tails[k] = sum_{j>=k} L_j norm(g_j) over one denominator, exact from the norms' binary values
+    tails = Stack.of([(x, 0) for x in np.cumsum([Fraction(x) * lam for x, lam in zip(norms, powers[1])][::-1])[::-1]])
+    bounds[:-1] = (powers[:-1, 1:] * tails.re[1:] / (powers[1:, :-1] * tails.den)).T
+    passed = bound_holds(residuals, bounds, gens[0].rows, tol)
+    records = tuple(
+        GenerationRecord(index=m, power=r, residual=residual, bound=bound, passed=ok)
+        for m, rows in enumerate(zip(residuals.tolist(), bounds.tolist(), passed.tolist()), start=1)
+        for r, (residual, bound, ok) in enumerate(zip(*rows), start=1)
     )
+    per_index = {m: bool(row.all()) for m, row in enumerate(passed, start=1)}
+    return GenerationCertificate(generators=gens, records=records, per_index=per_index, passed=all(per_index.values()))
 
 
 def same_span(first: Sequence[Matrix], second: Sequence[Matrix]) -> bool:

@@ -544,7 +544,8 @@ def _pivots(head, big):
 def eliminate(family: Stack, rows=None, zero_below=0.0, coordinates=True):
     """Gaussian elimination of a batch of families of matrices, a stack of
     shape (batch, count, ...), every family in its own order and each
-    matrix read as one row.  A row is reduced against one pivot per kept
+    matrix read as one row, of its live columns only: the entries nonzero
+    in some row of some family.  A row is reduced against one pivot per kept
     row before it and kept when its remainder is nonzero and it is among
     the first ``rows``; a float remainder is also zero when no entry
     exceeds ``zero_below`` (broadcast against (batch, count)).  The pivot is
@@ -556,12 +557,15 @@ def eliminate(family: Stack, rows=None, zero_below=0.0, coordinates=True):
     and ``spanned`` (in the span of the kept rows before it) and ``coords``
     (None if not ``coordinates``), a stack whose entry (b, k, l) is matrix
     k's coordinate over kept matrix l."""
-    re, im, exact = family.re, family.im, family.den is not None
+    re, exact = family.re, family.den is not None
     (batch, count), aug = re.shape[:2], re.shape[1] if coordinates else 0
     dtype = kernel_dtype(family.bound) if exact else complex
     unit = np.broadcast_to(np.eye(count, aug, dtype=dtype), (batch, count, aug))
-    parts = [np.concatenate([x.reshape(batch, count, -1).astype(dtype), unit if x is re else 0 * unit], axis=2)
-             for x in (re, im) if x is not None]
+    # a column zero in every row stays zero under row operations and holds no pivot
+    flat = [x.reshape(batch, count, -1) for x in (re, family.im) if x is not None]
+    live = np.flatnonzero(np.any([(x != 0).any(axis=(0, 1)) for x in flat], axis=0))
+    parts = [np.concatenate([x[:, :, live].astype(dtype, copy=False), unit if x is flat[0] else 0 * unit], axis=2)
+             for x in flat]
     width, limit = parts[0].shape[2] - aug, np.broadcast_to(zero_below, (batch, count))
     kept, spanned = np.zeros((batch, count), dtype=bool), np.zeros((batch, count), dtype=bool)
     prev = [np.ones(batch, dtype=dtype)] + [np.zeros(batch, dtype=dtype)] * (len(parts) - 1)
@@ -635,12 +639,14 @@ def op_norm(m: Matrix) -> float:
     return float(singular_values(float_stack(m._s)[None])[0, 0])
 
 
-def bound_holds(value: float, bound: float, dim: int, tol: float) -> bool:
+def bound_holds(value: float | np.ndarray, bound: float | np.ndarray, dim: int, tol: float) -> bool | np.ndarray:
     """value <= bound + budget + tol, for a value and a bound read off norms
-    of float matrices of size at most dim x dim.  The budget covers rounding:
+    of float matrices of size at most dim x dim, or elementwise for arrays
+    of them, with the same float operations.  The budget covers rounding:
     by Weyl's bound and a backward-stable SVD, such a norm is off by at most
     2 dim eps of itself (the value, and the norms in the bound); the value's
     entries and the bound are each rounded once; each of these 4 dim + 2 may
     lose the smallest subnormal."""
-    budget = (4 * dim + 2) * (sys.float_info.epsilon * (value + bound) + ulp(0.0))
-    return value <= bound + budget + tol
+    with np.errstate(over="ignore"):  # a budget past float range reads inf, as with Python floats
+        budget = (4 * dim + 2) * (sys.float_info.epsilon * (value + bound) + ulp(0.0))
+        return value <= bound + budget + tol

@@ -333,7 +333,8 @@ def norm_adaptive(mats):
 
 
 def residual_stack(family, weights, m, r_max):
-    """generation._residual_stack of an exact family by the dense product:
+    """A residual stack of generation._tail_residuals, for the index m of an
+    exact family, by the dense product (None when its tail is empty):
     the whole (r_max, tail) table of powers P_j^r times the tail numerators
     on every entry where some tail generator is nonzero, each entry then
     divided by Q^r L."""

@@ -105,6 +105,30 @@ def test_norm_profile_equals_per_matrix_norms(name, monkeypatch):
     assert all(e.ok for e in profile)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_norm_profile_past_float_range_reads_inf_without_a_warning():
+    # the verdicts are array operations; like the Python floats they replace,
+    # a prediction and a rounding budget past float range read inf silently
+    profile = norm_profile(build_chain(ChainSpec.default(2, couplings=(1e308,))))
+    assert [(e.lower, e.predicted, e.ok) for e in profile] == [(1.0, 1.0, True), (1e308, math.inf, True)]
+
+
+def test_coupling_norms_take_one_svd_per_block_shape(monkeypatch):
+    # gaps of widths 1 and 2: two block shapes, two stacked SVDs, and each
+    # coupling keeps the norm it has alone
+    calls = []
+    svd = matrices.singular_values
+    monkeypatch.setattr(chains, "singular_values", lambda m: calls.append(m.shape) or svd(m))
+    spec = ChainSpec(m_max=6, dims=(1, 2, 3, 5, 7, 8, 9), couplings=(1, [[1, 1], [0, 2]], Fraction(5, 2)))
+    assert sorted(calls) == [(1, 2, 2), (2, 1, 1)]
+    monkeypatch.undo()
+    assert spec.coupling_norms == tuple(op_norm(b) for b in spec.couplings)
+    calls.clear()
+    monkeypatch.setattr(chains, "singular_values", lambda m: calls.append(m.shape) or svd(m))
+    ChainSpec.default(40)
+    assert calls == [(20, 1, 1)]
+
+
 def test_truncation_error_names_requirement():
     with pytest.raises(TruncationError, match="H_7"):
         ChainSpec(m_max=6, dims=(1, 2, 3, 4, 5, 6), couplings=(1, 2, 3))

@@ -123,6 +123,36 @@ def test_every_valid_chain_config_certifies_at_zero_tolerance(m_max, coupling_sc
     assert len(report.series["norm_profile"]) == 1 + m_max
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(st.integers(1, 12), coupling_schemes)
+@example(2, f"constant:{2**342}")  # the global multiplier estimate leaves the float range
+@settings(max_examples=30, deadline=None)
+def test_every_valid_diagonal_config_certifies_at_zero_tolerance(m_max, coupling_scheme):
+    # valid input never crashes or overflows with a warning, and at tol 0
+    # every diagonal check passes
+    cfg = ExperimentConfig(subcommand="diagonal", m_max=m_max, coupling_scheme=coupling_scheme, tol=0)
+    try:
+        cfg.validate()
+    except ConfigError:
+        return
+    checks = run_experiment(cfg).stages[0].checks
+    assert all(c.passed for c in checks), [c for c in checks if not c.passed]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(st.integers(1, 8), st.integers(1, 64), st.integers(1, 3), st.sampled_from(["geometric", "uniform"]),
+       st.integers(0, 2**64 - 1))
+@settings(max_examples=30, deadline=None)
+def test_every_valid_embed_config_certifies_at_zero_tolerance(n_max, f_cap, trials, trace_scheme, seed):
+    # every embed config in these ranges is valid; none warns, and at tol 0
+    # every embed check passes
+    cfg = ExperimentConfig(subcommand="embed", n_max=n_max, f_cap=f_cap, trials=trials, trace_scheme=trace_scheme,
+                           seed=seed, tol=0)
+    cfg.validate()
+    checks = run_experiment(cfg).stages[0].checks
+    assert all(c.passed for c in checks), [c for c in checks if not c.passed]
+
+
 def test_embed_stage_ratio_window():
     report = run_experiment(small_cfg(subcommand="embed", n_max=8, trials=25, seed=7))
     assert report.overall
@@ -497,3 +527,12 @@ def test_report_payload_matches_golden(tmp_path, capsys, name, argv):
     del report["config"]["out_dir"]
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert text == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_generation_residuals_csv_matches_golden(tmp_path, capsys):
+    # the payload goldens pin only the worst excess of the generation bound;
+    # this file pins every residual and bound digit, byte for byte
+    argv = ["generate", "--m-max", "8", "--coupling-scheme", "list:1/3,1/2,5/7,9/8", "--weight-scheme", "geometric:1/3"]
+    assert main(argv + ["--format", "csv", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "generation_residuals.csv").read_bytes() == (GOLDEN / "generation_residuals.csv").read_bytes()

@@ -364,20 +364,21 @@ def chain_generators(m_max, values):
 @example(chain_generators(8, [Fraction(1, 3), Fraction(-5, 2), 7, Fraction(9, 4)]), Fraction(1, 3), 2)
 @settings(max_examples=60, deadline=None)
 def test_sparse_residuals_equal_the_dense_product(gens, ratio, r_max):
-    # residual numerators formed from the nonzero (generator, entry) pairs
-    # only are the dense product's, so every residual has the same bits, on
-    # real and complex families and both weight schemes
+    # residual numerators kept as one running tail sum on the family's
+    # support are the dense product's, so every residual has the same bits,
+    # on real and complex families and both weight schemes; the last index,
+    # whose tail is empty, is not yielded
     if ratio is None:
         weights = WeightSeq.norm_adaptive(gens)
     else:
         weights = WeightSeq(tuple(ratio**j for j in range(1, len(gens) + 1)))
     family = matrices.stack(gens)
-    for m in range(len(gens)):
-        got = generation._residual_stack(family, _weight_powers(weights, r_max), m)
+    got = list(generation._tail_residuals(family, _weight_powers(weights, r_max)))
+    assert [m for m, _ in got] == list(range(len(gens) - 2, -1, -1))
+    assert pairwise.residual_stack(family, weights, len(gens) - 1, r_max) is None
+    for m, residual in got:
         want = pairwise.residual_stack(family, weights, m, r_max)
-        assert (got is None) == (want is None) == (m + 1 == len(gens))
-        if got is not None:
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert residual.shape == want.shape and residual.tobytes() == want.tobytes()
 
 
 def pairwise_table(gens):

@@ -652,6 +652,26 @@ def test_stacked_eliminate_matches_pairwise_reference(family):
                 assert abs(got - (want if isinstance(want, complex) else complex(*want))) <= 1e-9
 
 
+@given(elimination_families(), st.lists(st.integers(0, 9), max_size=6), st.none() | st.integers(0, 5))
+@settings(max_examples=100, deadline=None)
+def test_zero_columns_change_no_elimination(family, spots, rows):
+    # a column zero in every row stays zero under row operations and holds no
+    # pivot, so zero columns padded in anywhere leave kept, spanned and the
+    # coordinates as they are
+    batch = family_batch(family)
+    flat = batch.apply(lambda x: x.reshape(1, len(family), -1))
+    padded = flat.apply(lambda x: np.insert(x, [min(s, x.shape[2]) for s in spots], 0, axis=2))
+    listed = lambda s: (s.den, s.re.tolist(), None if s.im is None else s.im.tolist())
+    for zero_below in (0.0, 1e-9):
+        got, want = (eliminate(x, rows=rows, zero_below=zero_below) for x in (padded, batch))
+        assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+        assert listed(got[2]) == listed(want[2])
+    # a column is live when either part is nonzero there: i F keeps what F keeps
+    if batch.den is not None:
+        turned = eliminate(Stack.read(-batch.im, batch.re, batch.den), rows=rows)
+        assert turned[0].tolist() == want[0].tolist() and turned[1].tolist() == want[1].tolist()
+
+
 # -- int64 kernels against the same products on Python integers --------------
 
 def on_python_ints(compute):
