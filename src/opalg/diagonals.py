@@ -150,7 +150,8 @@ class TensorElem:
         return "float" if self._left.den is None or self._right.den is None else "exact"
 
     def _actor(self, a: Matrix) -> Stack:
-        return _legs([a], self.dim).take(0)
+        """A dim x dim matrix's own one-matrix stack; :func:`_legs` raises for other shapes."""
+        return a._s if a.shape == (self.dim, self.dim) else _legs([a], self.dim)
 
     def flatten(self) -> Matrix:
         """Faithful matrix picture: sum of Kronecker products of the legs."""
@@ -410,26 +411,31 @@ class MbadReport:
     unitized_images: tuple[Matrix, ...]
 
 
-def _commutator_bounds(samples: Stack, increments: Sequence[TensorElem], tol: float) -> list[tuple]:
-    """:func:`_bounds` of [a, D_n], D_n the sum of the first n increments, for
-    each n and each a of the stack ``samples``.  The [a, I_n] of all
-    increments, padded with zero terms, share one reduction: they are the
-    [a, D_n] up to the first nonzero one.  Past it, the reduced [a, D_{n-1}]
-    are reduced with the terms of [a, I_n], 2 products per term of I_n."""
-    count, width = len(samples.re), max(len(inc._left.re) for inc in increments)
-    pad = lambda x: np.concatenate([x, np.zeros((width - len(x), *x.shape[1:]), x.dtype)])[None, None]
-    legs = [stack_concat([getattr(inc, side).apply(pad) for inc in increments]) for side in ("_left", "_right")]
-    comms = _commutator(samples.take((None, slice(None), None)), *legs)
+def _layout(increments: Sequence[TensorElem]) -> list[Stack]:
+    """The increments' left and right legs as (increment, term, n, n) stacks, zero-padded to one width >= 1."""
+    width = max(1, *(len(inc._left.re) for inc in increments))
+    pad = lambda x: np.concatenate([x, np.zeros((width - len(x), *x.shape[1:]), x.dtype)])[None]
+    return [stack_concat([getattr(inc, side).apply(pad) for inc in increments]) for side in ("_left", "_right")]
+
+
+def _commutator_bounds(samples: Stack, left: Stack, right: Stack, tol: float) -> list[tuple]:
+    """:func:`_bounds` of [a, D_n] for each n and each a of the stack ``samples``,
+    D_n the sum of the first n increments, given as their :func:`_layout`.
+    The [a, I_n] of all increments share one reduction: they are the [a, D_n]
+    up to the first nonzero one.  Past it, the reduced [a, D_{n-1}] are
+    reduced with the terms of [a, I_n], 2 products per term of I_n."""
+    count, m = len(samples.re), len(left.re)
+    comms = _commutator(samples.take((None, slice(None), None)), *(x.take((slice(None), None)) for x in (left, right)))
     lower, upper, zero, reduced = _bounds(*(x.apply(lambda y: y.reshape(-1, *y.shape[2:])) for x in comms), tol)
     out = []
-    for n, used in enumerate(_nonzero(reduced[0]).reshape(len(increments), count, -1)):
+    for n, used in enumerate(_nonzero(reduced[0]).reshape(m, count, -1)):
         at = slice(n * count, (n + 1) * count)
         out.append((lower[at], upper[at], zero[at], tuple(x.take((at, used.any(axis=0))) for x in reduced)))
         if used.any():
             break
-    for inc in increments[len(out):]:
-        left, right = _commutator(samples.take((slice(None), None)), inc._left, inc._right)
-        out.append(_bounds(*(stack_concat([x, y], axis=-3) for x, y in zip(out[-1][3], (left, right))), tol))
+    for n in range(len(out), m):
+        comm = _commutator(samples.take((slice(None), None)), left.take(n), right.take(n))
+        out.append(_bounds(*(stack_concat([x, y], axis=-3) for x, y in zip(out[-1][3], comm)), tol))
     return out
 
 
@@ -494,19 +500,17 @@ def certify_mbad(
     multiplication images of the diagonals and of the unitized diagonals;
     each unitized diagonal is kept only until its image is read.
 
-    The increments' legs are joined into one stack, and each D_n is a view
-    of its first terms, not a copy.  The images pi(D_n) are prefix sums of
-    the products of those terms.  The samples of one backend are one stack,
-    and one elimination of e_1..e_m, 1 and all of them (exact for exact
-    samples), in which no sample is a pivot, gives their coordinates: the
-    span test, the top index and the identity part c of a = a_alg + c 1.
-    The (sample, diagonal) work runs in groups of at most ``_GROUP_ENTRIES``
-    entries, and no record depends on its sample's group or stack.  The
-    [a, I_n] of all increments are reduced at once; they are the [a, D_n]
-    up to the first nonzero one, and past it [a, D_n] is reduced as the
-    reduced [a, D_{n-1}] with the terms of [a, I_n]: for telescoping
-    diagonals a sample costs 2 m products, not m (m + 1).  That form has
-    the value of [a, D_n] but not its leg order, so a nonzero commutator's
+    The increments are laid out once (:func:`_layout`) and read by every
+    consumer: each D_n is a view of its first n rows, the images pi(D_n)
+    are prefix sums of the products of its terms, and every group's
+    :func:`_commutator_bounds` takes it whole.  One elimination of
+    e_1..e_m, 1 and the samples of one backend, one stack in which no
+    sample is a pivot, gives each sample's span test, top index and
+    identity part c of a = a_alg + c 1.  The (sample, diagonal) work runs
+    in groups of at most ``_GROUP_ENTRIES`` entries, and no record depends
+    on its sample's group or stack.  Past the first nonzero commutator,
+    [a, D_n] is reduced from the reduced [a, D_{n-1}]: that form has the
+    value of [a, D_n] but not its leg order, so a nonzero commutator's
     upper bound may differ in its last digits from that of the reduced raw
     one; so may the closed-form unitized bound of a commuting sample from
     the reduction's on rational legs.
@@ -517,19 +521,18 @@ def certify_mbad(
     sample = list(sample)
     dim = chain.truncation_dim
     ident = Matrix.identity(dim, backend=chain.backend)
-    # pi(D_n) as prefix sums of the products u_i v_i over the increments' terms,
-    # from one product whose dtype holds every prefix sum; the sums are read
-    # for their bound, which a product of idempotents keeps far below that one
-    left, right = (stack_concat([getattr(inc, side) for inc in increments]) for side in ("_left", "_right"))
-    sums = stack_product(np.matmul, left, right, dim * max(1, len(left.re))).apply(lambda x: np.cumsum(x, axis=0))
-    sums = sums if sums.den is None else Stack.read(sums.re, sums.im, sums.den)
-    ends = np.cumsum([len(inc._left.re) for inc in increments]).tolist()
-    pis = [Matrix.from_stack(sums.take(end - 1)) if end else Matrix.zeros(dim) for end in ends]
-    images = _legs(pis, dim)
-    rests = stack_difference(_legs([ident], dim), images)
+    layout = _layout(increments)
+    width, (left, right) = layout[0].re.shape[1], (x.apply(lambda y: y.reshape(-1, dim, dim)) for x in layout)
+    # pi(D_n): prefix sums of the terms' products u_i v_i on a dtype that holds
+    # any of them, then bounded by their entries, which idempotents keep low
+    images = stack_product(np.matmul, left, right, dim * len(left.re)).apply(
+        lambda x: np.cumsum(x, axis=0)[width - 1::width])
+    images = images if images.den is None else Stack.read(images.re, images.im, images.den)
+    pis = [Matrix.from_stack(images.take(n)) for n in range(len(increments))]
+    rests = stack_difference(ident._s, images)
     rest_norms = _rest_norms(rests)
     k_const = float(singular_values(float_stack(images))[:, 0].max())
-    deltas = (TensorElem(left.take(slice(end)), right.take(slice(end)), dim) for end in ends)
+    deltas = (TensorElem(*(x.take(slice(n * width)) for x in (left, right)), dim) for n in range(1, len(pis) + 1))
     unitized_images = tuple(unitize_diagonal(d, p, ident)[1] for d, p in zip(deltas, pis))
     basis = _legs(list(chain.idempotents) + [ident], dim)
     rows, one = len(basis.re), basis.take(slice(-1, None))
@@ -558,7 +561,7 @@ def certify_mbad(
         for lo in range(0, len(ids), size):
             at, group, scale = slice(lo, lo + size), ids[lo:lo + size], scales[lo:lo + size]
             legs = samples.take(at)
-            bounds = _commutator_bounds(legs, increments, tol)
+            bounds = _commutator_bounds(legs, *layout, tol)
             lower, upper, zero = (np.array([b[k] for b in bounds]) for k in range(3))
             # a p = p a for every (a, p), and a pi(D_m) = a, the identity part of
             # the last image; float products within max(tol, c max(1, max|a|))

@@ -107,9 +107,12 @@ def orthogonality_table(gens: Sequence[Matrix]) -> np.ndarray:
     """The (count, count) product table (:func:`opalg.matrices.product_table`)
     saying whether g_i g_j equals g_i for i == j and vanishes for i != j:
     exactly when every generator is exact, else within ``DEFAULT_TOL``."""
-    if not gens:
-        return np.ones((0, 0), dtype=bool)
-    return product_table(stack(gens), np.diag(np.arange(1, len(gens) + 1)) - 1, DEFAULT_TOL)[0]
+    return _orthogonality(stack(gens)) if gens else np.ones((0, 0), dtype=bool)
+
+
+def _orthogonality(family: Stack) -> np.ndarray:
+    """:func:`orthogonality_table` of the generators' stack."""
+    return product_table(family, np.diag(np.arange(1, len(family.re) + 1)) - 1, DEFAULT_TOL)[0]
 
 
 def _weight_powers(weights: WeightSeq, r_max: int) -> np.ndarray:
@@ -208,9 +211,9 @@ def certify_generation(
     gens = orthogonal_generators(source) if isinstance(source, Chain) else tuple(source)
     if not gens:
         raise ValueError("no generators supplied")
-    if not orthogonality_table(gens).all():
-        raise CertificationError("generators are not pairwise-orthogonal idempotents")
     count, family = len(gens), stack(gens)
+    if not _orthogonality(family).all():
+        raise CertificationError("generators are not pairwise-orthogonal idempotents")
     if len(weights) != count:
         raise ValueError(f"got {len(weights)} weights for {count} generators")
     norms = singular_values(float_stack(family))[:, 0].tolist()

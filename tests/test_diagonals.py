@@ -1,5 +1,6 @@
 """Tensor elements, diagonals, multiplier bounds, and expectation maps."""
 import math
+import operator
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from opalg import (
     DEFAULT_TOL,
     ChainSpec,
+    DimensionError,
     FiniteDiagonal,
     Matrix,
     TensorElem,
@@ -33,6 +35,7 @@ from opalg import diagonals
 from opalg.diagonals import (
     _bounds,
     _commutator_bounds,
+    _layout,
     _legs,
     _nonzero,
     _reduce,
@@ -129,6 +132,18 @@ def test_commutator_detects_outside_elements(chain6):
     shift = Matrix.exact([[1 if j == i + 1 else 0 for j in range(dim)] for i in range(dim)])
     comm = bimodule_commutator(shift, build_delta(chain6, 2))
     assert not pairwise.is_zero(comm.flatten())
+
+
+def test_actor_is_the_matrix_own_stack():
+    # an actor is not stacked again, and a wrong shape is refused as a leg is
+    e = skew_idempotent_diagonal(3)
+    a = Matrix.exact([[1, 2], [3, 4]])
+    assert e.diag._actor(a) is a._s
+    for wrong in (Matrix.identity(3), Matrix.exact([[1, 2]])):
+        with pytest.raises(DimensionError, match="legs and actors must be 2x2"):
+            bimodule_commutator(wrong, e.diag)
+        with pytest.raises(DimensionError, match="legs and actors must be 2x2"):
+            expectation_from_diagonal(e, wrong)
 
 
 def test_zero_actor_gives_zero_commutator(chain6):
@@ -749,7 +764,7 @@ def test_incremental_commutators_match_commutators_from_scratch(case):
         pairs = [pair for inc in increments[: n + 1] for pair in pairwise.terms(inc)]
         assert same_element(TensorElem.of(pairs, dim), d)
     # all samples at once, as certify_mbad batches them
-    bounds = _commutator_bounds(_legs(sample, dim), increments, 0.0)
+    bounds = _commutator_bounds(_legs(sample, dim), *_layout(increments), 0.0)
     for s, a in enumerate(sample):
         for d, (lower, upper, zero, (left, right)) in zip(deltas, bounds, strict=True):
             scratch = reduced_form(bimodule_commutator(a, d))
@@ -780,14 +795,51 @@ def test_batched_commutator_bounds_match_one_reduction_per_diagonal(case, floats
     dim = chain.truncation_dim
     samples = _legs([a.to_float() for a in sample] if floats else sample, dim)
     increments = pairwise.increments(deltas)
-    got = _commutator_bounds(samples, increments, 0.0)
+    assert_commutator_bounds_match(samples, increments)
+
+
+def assert_commutator_bounds_match(samples, increments):
+    # bit for bit against one reduction per diagonal on the unpadded increments
+    got = _commutator_bounds(samples, *_layout(increments), 0.0)
     want = pairwise.commutator_bounds(samples, increments, 0.0)
     for g, w in zip(got, want, strict=True):
         for x, y in zip(g[:3], w[:3]):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-        for s in range(len(sample)):
-            reduced = (TensorElem(x[0].take(s), x[1].take(s), dim) for x in (g[3], w[3]))
+        for s in range(len(samples.re)):
+            reduced = (TensorElem(x[0].take(s), x[1].take(s), increments[0].dim) for x in (g[3], w[3]))
             assert same_element(next(reduced), next(reduced))
+
+
+@pytest.mark.parametrize("floats", [False, True])
+@pytest.mark.parametrize("counts", [(2, 1, 3, 1), (1, 0, 2, 0), (0, 2, 1), (0, 0)])
+def test_commutator_bounds_on_unequal_and_empty_increments(chain6, counts, floats):
+    # the layout pads every increment to the widest one, and an increment
+    # with no terms to one zero term; neither moves a bound
+    dim = chain6.truncation_dim
+    legs = [chain6.e(k) + unit01(dim) * k for k in range(1, 7)] + [Matrix.identity(dim) * Fraction(1, 3)]
+    increments, at = [], 0
+    for count in counts:
+        increments.append(TensorElem.of([(legs[(at + i) % 7], legs[(at + 2 * i + 3) % 7]) for i in range(count)], dim))
+        at += count
+    sample = [chain6.e(2), unit01(dim), chain6.e(4) + Matrix.identity(dim)]
+    samples = _legs([a.to_float() for a in sample] if floats else sample, dim)
+    layout = _layout(increments)
+    assert [x.re.shape for x in layout] == [(len(counts), max(1, *counts), dim, dim)] * 2
+    assert_commutator_bounds_match(samples, increments)
+
+
+def test_certify_mbad_reads_an_empty_prefix_as_zero(chain6):
+    # an increment with no terms adds a diagonal equal to the one before:
+    # a leading one has the zero image, whose unitized diagonal is 1 (x) 1
+    dim = chain6.truncation_dim
+    gens = [TensorElem.of([(g, g)], dim) for g in orthogonal_generators(chain6)]
+    empty = TensorElem.of((), dim)
+    got = certify_mbad([empty, gens[0], empty, *gens[1:]], chain6, list(chain6.idempotents))
+    want = certify_mbad(gens, chain6, list(chain6.idempotents))
+    assert got.images[0].equals(Matrix.zeros(dim))
+    assert all(map(Matrix.equals, got.images[1:2] + got.images[2:], want.images[:1] + want.images))
+    assert all(image.equals(Matrix.identity(dim)) for image in got.unitized_images)
+    assert got.verdict and want.verdict
 
 
 def integer_legs(dim, content_one=True):
@@ -899,10 +951,18 @@ def test_certify_mbad_is_the_same_in_any_grouping(monkeypatch, chain, sample):
     # and each record is that of its sample passed alone: which samples
     # share a group or a backend stack moves no digit
     increments = [TensorElem.of([(g, g)], chain.truncation_dim) for g in orthogonal_generators(chain)]
-    reports = []
+    reports, calls, bounds = [], [], diagonals._commutator_bounds
+    monkeypatch.setattr(diagonals, "_commutator_bounds", lambda a, *rest: calls.append(rest[:-1]) or bounds(a, *rest))
     for entries in (1, 2**40):
         monkeypatch.setattr(diagonals, "_GROUP_ENTRIES", entries)
+        calls.clear()
         reports.append(certify_mbad(increments, chain, sample))
+        # the increments are laid out once per call: every group gets the
+        # same two (increment, term, n, n) leg stacks
+        layout = calls[0]
+        assert len(calls) == (len(sample) if entries == 1 else len({a.is_exact for a in sample}))
+        assert [x.re.shape for x in layout] == [(chain.m_max, 1, chain.truncation_dim, chain.truncation_dim)] * 2
+        assert all(len(c) == 2 and all(map(operator.is_, c, layout)) for c in calls)
     assert reports[0] == reports[1]
     for i, (rec, a) in enumerate(zip(reports[0].records, sample, strict=True)):
         assert rec == replace(certify_mbad(increments, chain, [a]).records[0], label=f"a{i}")
