@@ -590,8 +590,8 @@ def certify_mbad(
     unitized_constant = (2.0 + k_const) * c_const + 2.0 * (1.0 + k_const) ** 2
     # the global multiplier estimate over the adjoined-unit norm, once C is known
     adjoined = alg_norms + np.abs(coeffs)
-    with np.errstate(over="ignore"):  # an estimate past float range reads inf
-        unitized_ok &= unitized <= unitized_constant * adjoined + np.maximum(tol, 1e-9 * (1.0 + adjoined))
+    with np.errstate(over="ignore"):  # an estimate past float range reads inf; its slack scales with it
+        unitized_ok &= unitized <= unitized_constant * adjoined * (1 + 1e-9) + np.maximum(tol, 1e-9 * (1.0 + adjoined))
     unitized_ok |= ~in_span
     # MbadElementRecord's fields after the label, in order
     fields = (in_span, coeffs, tops, gaps, identity_ok, uppers, lowers, commutator_ok, constants, unitized, unitized_ok)

@@ -126,6 +126,7 @@ def test_every_valid_chain_config_certifies_at_zero_tolerance(m_max, coupling_sc
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(st.integers(1, 12), coupling_schemes)
 @example(2, f"constant:{2**342}")  # the global multiplier estimate leaves the float range
+@example(11, f"list:1,1,1,1,{Fraction(7 * 2**257, 5)},{2**258}")  # the estimate rounds one ulp low
 @settings(max_examples=30, deadline=None)
 def test_every_valid_diagonal_config_certifies_at_zero_tolerance(m_max, coupling_scheme):
     # valid input never crashes or overflows with a warning, and at tol 0
