@@ -25,7 +25,6 @@ from .diagonals import (
     MbadReport,
     TensorElem,
     bimodule_commutator,
-    build_delta,
     certify_expectation,
     certify_mbad,
     expectation_from_diagonal,
@@ -78,7 +77,7 @@ __all__ = [
     "SemilatticeReport", "NormEntry",
     "WeightSeq", "GenerationCertificate", "orthogonal_generators", "orthogonality_table",
     "certify_generation", "same_span",
-    "TensorElem", "build_delta", "pi_map", "bimodule_commutator",
+    "TensorElem", "pi_map", "bimodule_commutator",
     "tensor_norm_bounds", "tensor_norm_upper", "unitize_diagonal",
     "FiniteDiagonal", "MbadReport", "certify_mbad",
     "expectation_from_diagonal", "certify_expectation",

@@ -4,7 +4,8 @@ A chain is built from an ascending ladder of subspace dimensions and a
 coupling block per even index.  Odd entries are orthogonal projections,
 even entries add an off-diagonal coupling, and every pair multiplies by
 the min rule: the product of the m-th and n-th idempotents is the
-min(m, n)-th one, exactly.
+min(m, n)-th one, exactly.  A :class:`Chain` is stacked once, when it is
+made (``family`` and ``generators``), and every stage reads those stacks.
 """
 from __future__ import annotations
 
@@ -17,12 +18,14 @@ from .matrices import (
     DEFAULT_TOL,
     CertificationError,
     Matrix,
+    Stack,
     bound_holds,
     float_stack,
     product_table,
     products_agree,
     singular_values,
     stack,
+    stack_difference,
 )
 
 __all__ = [
@@ -104,9 +107,10 @@ class ChainSpec:
         for shape in set(shapes):
             at = [k for k, x in enumerate(shapes) if x == shape]
             norms[at] = singular_values(np.array([couplings[k].numpy() for k in at]))[:, 0]
-        norms = tuple(norms.tolist())
-        if any(b < a - 1e-12 for a, b in zip(norms, norms[1:])):
+        # equal norms of different block shapes may round apart, by their rounding budget at most
+        if not bound_holds(norms[:-1], norms[1:], max((max(x) for x in shapes), default=1), 0.0).all():
             raise ValueError("coupling norms must be nondecreasing")
+        norms = tuple(norms.tolist())
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "couplings", couplings)
         object.__setattr__(self, "coupling_norms", norms)
@@ -132,11 +136,21 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class Chain:
-    """A realized chain: the spec plus the idempotent matrices e_1..e_m."""
+    """A realized chain: the spec plus the idempotent matrices e_1..e_m, and
+    their one layout: ``family``, e_1..e_m as one (m, d, d) stack, and
+    ``generators``, g_1 = e_1 and g_j = e_j - e_{j-1}, as one difference of
+    ``family`` and ``family`` shifted down by one."""
 
     spec: ChainSpec
     idempotents: tuple[Matrix, ...]
     truncation_dim: int
+    family: Stack = field(init=False, repr=False, compare=False)
+    generators: Stack = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "family", stack(self.idempotents))
+        below = self.family.apply(lambda x: np.concatenate([np.zeros_like(x[:1]), x[:-1]]))
+        object.__setattr__(self, "generators", stack_difference(self.family, below))
 
     @property
     def m_max(self) -> int:
@@ -172,11 +186,11 @@ def _build_idempotent(spec: ChainSpec, n: int) -> Matrix:
 def build_chain(spec: ChainSpec) -> Chain:
     """Realize the chain on its truncation and check idempotency."""
     mats = tuple(_build_idempotent(spec, n) for n in range(1, spec.m_max + 1))
-    family = stack(mats)
-    ok = products_agree(family, family, family, DEFAULT_TOL)[0].tolist()
+    chain = Chain(spec=spec, idempotents=mats, truncation_dim=spec.truncation_dim)
+    ok = products_agree(chain.family, chain.family, chain.family, DEFAULT_TOL)[0].tolist()
     if not all(ok):
         raise CertificationError(f"constructed e_{ok.index(False) + 1} failed its idempotency check")
-    return Chain(spec=spec, idempotents=mats, truncation_dim=spec.truncation_dim)
+    return chain
 
 
 @dataclass(frozen=True)
@@ -197,17 +211,11 @@ def verify_semilattice(chain: Chain, tol: float = DEFAULT_TOL) -> SemilatticeRep
     fall back to the tolerance and are flagged as approximate.
     """
     m = chain.m_max
-    ok, dev = product_table(stack(chain.idempotents), [[min(i, j) for j in range(m)] for i in range(m)], tol)
+    ok, dev = product_table(chain.family, [[min(i, j) for j in range(m)] for i in range(m)], tol)
     exact = chain.backend == "exact"
     passed = bool(ok.all())
-    return SemilatticeReport(
-        pairs_checked=m * m,
-        all_exact=exact and passed,
-        mode="exact" if exact else "approx",
-        max_abs_deviation=float(dev.max()),
-        passed=passed,
-        idempotent=bool(ok.diagonal().all()),
-    )
+    return SemilatticeReport(pairs_checked=m * m, all_exact=exact and passed, mode="exact" if exact else "approx",
+                             max_abs_deviation=float(dev.max()), passed=passed, idempotent=bool(ok.diagonal().all()))
 
 
 @dataclass(frozen=True)
@@ -227,7 +235,7 @@ def norm_profile(chain: Chain, tol: float = DEFAULT_TOL) -> tuple[NormEntry, ...
     :func:`opalg.matrices.bound_holds` and, in block form, equal
     sqrt(1 + |b|^2), reported as ``predicted``.
     """
-    norms = singular_values(float_stack(stack(chain.idempotents)))[:, 0]
+    norms = singular_values(float_stack(chain.family))[:, 0]
     even = np.arange(1, len(norms) + 1) % 2 == 0
     lower = np.ones(len(norms))
     lower[even] = chain.spec.coupling_norms

@@ -41,7 +41,7 @@ from .embedding import (
     unit_circle_sweep_ratios,
 )
 from .generation import WeightSeq, certify_generation, orthogonal_generators, same_span
-from .matrices import DEFAULT_TOL, Matrix, bound_holds, stack
+from .matrices import DEFAULT_TOL, Matrix, bound_holds
 
 __all__ = ["ExperimentConfig", "CheckRecord", "StageResult", "RunReport",
            "run_experiment", "emit_report", "payload_json", "main", "console_main"]
@@ -286,7 +286,7 @@ def _stage_generate(cfg: ExperimentConfig, get_chain) -> tuple[StageResult, dict
         "recovered generators span the chain algebra",
         "equal spans",
         "exact rank test",
-        same_span(gens, chain.idempotents),
+        same_span(gens, chain.family),
     )
     # every residual and bound reads the weights only through their
     # numerators, so proportional numerators give identical series
@@ -306,9 +306,9 @@ def _stage_generate(cfg: ExperimentConfig, get_chain) -> tuple[StageResult, dict
 def _stage_diagonal(cfg: ExperimentConfig, get_chain) -> tuple[StageResult, dict]:
     stage = StageResult("diagonal")
     chain = get_chain()
-    dim, gens = chain.truncation_dim, stack(orthogonal_generators(chain))
+    dim, gens = chain.truncation_dim, chain.generators
     increments = [TensorElem(g, g, dim) for g in (gens.take(np.s_[k:k + 1]) for k in range(len(gens.re)))]
-    report = certify_mbad(increments, chain, list(chain.idempotents), cfg.tol)
+    report = certify_mbad(increments, chain, chain.family, cfg.tol)
     stage.add(
         "diagonal-multiplication-image",
         "the multiplication map sends the n-th diagonal to the n-th idempotent",

@@ -30,7 +30,6 @@ from typing import Sequence
 import numpy as np
 
 from .chains import Chain
-from .generation import orthogonal_generators
 from .matrices import (
     DEFAULT_TOL,
     DimensionError,
@@ -49,7 +48,6 @@ from .matrices import (
 
 __all__ = [
     "TensorElem",
-    "build_delta",
     "pi_map",
     "bimodule_commutator",
     "tensor_norm_bounds",
@@ -72,10 +70,12 @@ __all__ = [
 
 
 def _legs(mats, dim: int) -> Stack:
-    """dim x dim matrices as one leg stack (:func:`opalg.matrices.stack`)."""
-    if any(m.shape != (dim, dim) for m in mats):
-        raise DimensionError(f"legs and actors must be {dim}x{dim}, got {sorted({m.shape for m in mats})}")
-    return stack(mats) if mats else Stack(np.zeros((0, dim, dim), dtype=np.int64), None, 1, 0)
+    """dim x dim matrices, or their stack, as one leg stack (:func:`opalg.matrices.stack`)."""
+    shapes = {mats.re.shape[1:]} if isinstance(mats, Stack) else {m.shape for m in mats}
+    if shapes - {(dim, dim)}:
+        raise DimensionError(f"legs and actors must be {dim}x{dim}, got {sorted(shapes)}")
+    empty = Stack(np.zeros((0, dim, dim), dtype=np.int64), None, 1, 0)
+    return mats if isinstance(mats, Stack) else stack(mats) if mats else empty
 
 
 def _nonzero(legs: Stack) -> np.ndarray:
@@ -167,14 +167,6 @@ def bimodule_commutator(a: Matrix, t: TensorElem) -> TensorElem:
     """a . t - t . a, as a tensor element with twice the terms of t: the
     terms (a u, v), then the terms (u, -(v a))."""
     return TensorElem(*_commutator(t._actor(a), t._left, t._right), t.dim)
-
-
-def build_delta(chain: Chain, n: int) -> TensorElem:
-    """Telescoping diagonal over the chain: sum_{j<=n} g_j (x) g_j for the
-    generators g_1 = e_1, g_j = e_j - e_{j-1} (:func:`orthogonal_generators`)."""
-    if not 1 <= n <= chain.m_max:
-        raise ValueError(f"diagonal index {n} out of range 1..{chain.m_max}")
-    return TensorElem.of([(g, g) for g in orthogonal_generators(chain)[:n]], dim=chain.truncation_dim)
 
 
 def _reduce(left: Stack, right: Stack) -> tuple[Stack, Stack]:
@@ -304,7 +296,7 @@ def unitize_diagonal(delta: TensorElem, u: Matrix, one: Matrix) -> tuple[TensorE
     the image of delta under the multiplication map, pi(M) is the
     identity, exactly: pi(M) - 1 = (2 - u)(pi(delta) - u).  The image is
     returned for the caller to check, not checked here."""
-    uu, rest = stack_product(np.matmul, delta._actor(u), delta._left, delta.dim), _legs([one - u], delta.dim)
+    uu, rest = stack_product(np.matmul, delta._actor(u), delta._left, delta.dim), delta._actor(one - u).take(None)
     left = stack_concat([_times(delta._left, 2), uu.apply(np.negative), rest])
     right = stack_concat([delta._right, delta._right, rest])
     return TensorElem(left, right, delta.dim), Matrix.from_stack(_pi(left, right))
@@ -501,24 +493,25 @@ def certify_mbad(
     each unitized diagonal is kept only until its image is read.
 
     The increments are laid out once (:func:`_layout`) and read by every
-    consumer: each D_n is a view of its first n rows, the images pi(D_n)
-    are prefix sums of the products of its terms, and every group's
+    consumer: each D_n is a view of its first n rows, the images pi(D_n) are
+    prefix sums of the products of its terms, and every group's
     :func:`_commutator_bounds` takes it whole.  One elimination of
-    e_1..e_m, 1 and the samples of one backend, one stack in which no
-    sample is a pivot, gives each sample's span test, top index and
-    identity part c of a = a_alg + c 1.  The (sample, diagonal) work runs
-    in groups of at most ``_GROUP_ENTRIES`` entries, and no record depends
-    on its sample's group or stack.  Past the first nonzero commutator,
-    [a, D_n] is reduced from the reduced [a, D_{n-1}]: that form has the
-    value of [a, D_n] but not its leg order, so a nonzero commutator's
-    upper bound may differ in its last digits from that of the reduced raw
-    one; so may the closed-form unitized bound of a commuting sample from
-    the reduction's on rational legs.
+    :attr:`Chain.family`, 1 and the samples of one backend (or the ``sample``
+    stack), in which no sample is a pivot, gives each sample's span test, top
+    index and identity part c of a = a_alg + c 1.  The (sample, diagonal)
+    work runs in groups of at most ``_GROUP_ENTRIES`` entries, and no record
+    depends on its sample's group or stack.  Past the first nonzero
+    commutator, [a, D_n] is reduced from the reduced [a, D_{n-1}]: that form
+    has the value of [a, D_n] but not its leg order, so a nonzero
+    commutator's upper bound may differ in its last digits from that of the
+    reduced raw one; so may the closed-form unitized bound of a commuting
+    sample from the reduction's on rational legs.
     """
     increments = list(increments)
     if not increments:
         raise ValueError("no diagonals supplied")
-    sample = list(sample)
+    stacked = isinstance(sample, Stack)
+    sample = sample if stacked else list(sample)
     dim = chain.truncation_dim
     ident = Matrix.identity(dim, backend=chain.backend)
     layout = _layout(increments)
@@ -534,19 +527,20 @@ def certify_mbad(
     k_const = float(singular_values(float_stack(images))[:, 0].max())
     deltas = (TensorElem(*(x.take(slice(n * width)) for x in (left, right)), dim) for n in range(1, len(pis) + 1))
     unitized_images = tuple(unitize_diagonal(d, p, ident)[1] for d, p in zip(deltas, pis))
-    basis = _legs(list(chain.idempotents) + [ident], dim)
-    rows, one = len(basis.re), basis.take(slice(-1, None))
+    one = _legs([ident], dim)
+    basis, rows = stack_concat([chain.family, one]), len(chain.idempotents) + 1
     # the record fields per sample, filled in by backend and group
-    n = len(sample)
+    n = len(sample.re if stacked else sample)
     in_span, identity_ok, commutator_ok, unitized_ok = np.zeros((4, n), dtype=bool)
     gaps, uppers, lowers, unitized, alg_norms = np.zeros((5, n))
     coeffs, tops = np.zeros(n, dtype=complex), np.zeros(n, dtype=int)
     size = max(1, _GROUP_ENTRIES // (len(increments) * dim * dim))
-    for ids in filter(None, ([i for i, a in enumerate(sample) if a.is_exact == e] for e in (True, False))):
+    backends = ([i for i, a in enumerate(sample) if a.is_exact == e] for e in (True, False))
+    for ids in filter(None, [list(range(n))] if stacked else backends):
         # coordinates over e_1..e_m, 1: in the span when spanned, the last one
         # is the identity's; a float remainder of x is zero below
         # max(tol, 1e-12) max(1, max|x|)
-        samples = _legs([sample[i] for i in ids], dim)
+        samples = _legs(sample if stacked else [sample[i] for i in ids], dim)
         family = stack_concat([basis, samples])
         scales = np.maximum(1.0, np.abs(float_stack(family)).max(axis=(1, 2)))
         _, spanned, coords = eliminate(family.take(None), rows=rows, zero_below=max(tol, 1e-12) * scales)

@@ -5,14 +5,15 @@ decreasing positive rational weights, the weighted sum b = sum_j l_j g_j
 generates every g_m back: powers of the rescaled residual generator
 b_m = b - sum_{j<m} l_j g_j converge to g_m at a geometric rate with
 ratio l_{m+1} / l_m.  A semilattice chain enters through its telescoping
-differences, which are pairwise orthogonal and span the same algebra.
+differences, which are pairwise orthogonal and span the same algebra; the
+chain stacks them once (:attr:`Chain.generators`).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .matrices import (
     product_table,
     singular_values,
     stack,
+    stack_concat,
 )
 
 __all__ = [
@@ -39,8 +41,6 @@ __all__ = [
     "certify_generation",
     "same_span",
 ]
-
-GeneratorSource = Union[Chain, Sequence[Matrix]]
 
 
 def _rational_norm_bound(x: float) -> Fraction:
@@ -93,26 +93,24 @@ class WeightSeq:
 
 
 def orthogonal_generators(chain: Chain) -> tuple[Matrix, ...]:
-    """Telescoping differences of the chain: g_1 = e_1, g_j = e_j - e_{j-1}.
+    """Telescoping differences of the chain: g_1 = e_1, g_j = e_j - e_{j-1},
+    as matrix views of the chain's stack :attr:`Chain.generators`.
 
     These are pairwise-orthogonal idempotents spanning the same algebra;
     :func:`orthogonality_table` measures that, and every consumer in this
     module checks it before use.
     """
-    mats = chain.idempotents
-    return tuple([mats[0]] + [mats[j] - mats[j - 1] for j in range(1, len(mats))])
+    return tuple(Matrix.from_stack(chain.generators.take(j)) for j in range(len(chain.generators.re)))
 
 
-def orthogonality_table(gens: Sequence[Matrix]) -> np.ndarray:
+def orthogonality_table(gens: Stack | Sequence[Matrix]) -> np.ndarray:
     """The (count, count) product table (:func:`opalg.matrices.product_table`)
     saying whether g_i g_j equals g_i for i == j and vanishes for i != j:
-    exactly when every generator is exact, else within ``DEFAULT_TOL``."""
-    return _orthogonality(stack(gens)) if gens else np.ones((0, 0), dtype=bool)
-
-
-def _orthogonality(family: Stack) -> np.ndarray:
-    """:func:`orthogonality_table` of the generators' stack."""
-    return product_table(family, np.diag(np.arange(1, len(family.re) + 1)) - 1, DEFAULT_TOL)[0]
+    exactly when every generator is exact, else within ``DEFAULT_TOL``;
+    ``gens`` may be their stack."""
+    if not isinstance(gens, Stack):
+        return orthogonality_table(stack(gens)) if len(gens) else np.ones((0, 0), dtype=bool)
+    return product_table(gens, np.diag(np.arange(1, len(gens.re) + 1)) - 1, DEFAULT_TOL)[0]
 
 
 def _weight_powers(weights: WeightSeq, r_max: int) -> np.ndarray:
@@ -178,7 +176,7 @@ class GenerationCertificate:
 
 
 def certify_generation(
-    source: GeneratorSource,
+    source: Chain | Sequence[Matrix],
     weights: WeightSeq,
     r_max: int,
     tol: float = DEFAULT_TOL,
@@ -212,7 +210,7 @@ def certify_generation(
     if not gens:
         raise ValueError("no generators supplied")
     count, family = len(gens), stack(gens)
-    if not _orthogonality(family).all():
+    if not orthogonality_table(family).all():
         raise CertificationError("generators are not pairwise-orthogonal idempotents")
     if len(weights) != count:
         raise ValueError(f"got {len(weights)} weights for {count} generators")
@@ -234,16 +232,17 @@ def certify_generation(
     return GenerationCertificate(generators=gens, records=records, per_index=per_index, passed=all(per_index.values()))
 
 
-def same_span(first: Sequence[Matrix], second: Sequence[Matrix]) -> bool:
+def same_span(first: Stack | Sequence[Matrix], second: Stack | Sequence[Matrix]) -> bool:
     """Whether two families of matrices have equal linear span: both together
     have the rank of each, from :func:`opalg.matrices.eliminate` (exact on exact
     families; one with a float member runs wholly in floats, a remainder being
     zero when no entry exceeds 1e-8), which keeps as many of ``first`` as
-    its rank when it eliminates ``first + second`` in order."""
-    first, second = list(first), list(second)
-
-    def kept(mats):
-        return eliminate(stack(mats).take(None), zero_below=1e-8, coordinates=False)[0][0]
-
-    both = kept(first + second) if first + second else np.zeros(0, dtype=bool)
-    return bool(both[:len(first)].sum() == (kept(second).sum() if second else 0) == both.sum())
+    its rank when it eliminates ``first + second`` in order.  A family is a
+    sequence of matrices or their stack, such as :attr:`Chain.family`; an
+    empty one spans 0."""
+    first, second = (x if isinstance(x, Stack) else stack(x) if len(x) else None for x in (first, second))
+    parts = [x for x in (first, second) if x is not None]
+    kept = lambda family: eliminate(family.take(None), zero_below=1e-8, coordinates=False)[0][0]
+    both = kept(stack_concat(parts)) if parts else np.zeros(0, dtype=bool)
+    return bool(both[:0 if first is None else len(first.re)].sum() == (0 if second is None else kept(second).sum())
+                == both.sum())

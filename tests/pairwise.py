@@ -6,7 +6,9 @@ rank-one family, and the tensor-element algebra term by term on (Matrix,
 Matrix) pairs, with the reduced form and norm bounds read off them; and
 the diagonal stage's commutator bounds, one reduction per diagonal, and its
 regrouped unitized bounds, all by the reduction; the increments of a
-diagonal sequence, found by comparing its diagonals term by term; the
+diagonal sequence, found by comparing its diagonals term by term; a
+chain's idempotent stack, its telescoping generators one ``Matrix``
+subtraction each and its telescoping diagonals from their pairs; the
 generation residuals by one dense product of the power table with the tail
 generators; the rescaled residual generators by their suffix sums, and the
 norm-adaptive weights one norm at a time; the rank-one family's witnesses
@@ -30,6 +32,7 @@ from opalg.matrices import (
     op_norm,
     products_agree,
     singular_values,
+    stack,
     stack_concat,
     stack_product,
 )
@@ -307,6 +310,26 @@ def regrouped_uppers(comms, w, images, rests):
         flat = (x.apply(lambda y: y.reshape(-1, *y.shape[2:])) for x in (left, stack_concat([r, r, rs, ws], -3)))
         out.append(diagonals._upper(*diagonals._reduce(*flat)).tolist())
     return out
+
+
+def chain_family(chain):
+    """A chain's idempotents, stacked: what :attr:`Chain.family` holds."""
+    return stack(chain.idempotents)
+
+
+def chain_generators(chain):
+    """The telescoping differences g_1 = e_1, g_j = e_j - e_{j-1} of a chain,
+    one ``Matrix`` subtraction each: what :attr:`Chain.generators` holds."""
+    mats = chain.idempotents
+    return (mats[0],) + tuple(mats[j] - mats[j - 1] for j in range(1, len(mats)))
+
+
+def build_delta(chain, n):
+    """The telescoping diagonal sum_{j<=n} g_j (x) g_j of a chain, from its
+    generators by :func:`chain_generators` and their pairs."""
+    if not 1 <= n <= chain.m_max:
+        raise ValueError(f"diagonal index {n} out of range 1..{chain.m_max}")
+    return diagonals.TensorElem.of([(g, g) for g in chain_generators(chain)[:n]], dim=chain.truncation_dim)
 
 
 def rescaled_generators(gens, weights):

@@ -17,7 +17,6 @@ from opalg import (
     best_subset_sum,
     brute_force_best_subset,
     build_chain,
-    build_delta,
     bimodule_commutator,
     certify_E_family,
     certify_embedding_bounds,
@@ -99,7 +98,7 @@ def test_criterion_3_generation_rate():
 @criterion(4, "diagonal identities: images, commutators, unitized images exact; C = 0")
 def test_criterion_4_diagonal_identities():
     chain = build_chain(ChainSpec.default(10))
-    deltas = [build_delta(chain, n) for n in range(1, 11)]
+    deltas = [pairwise.build_delta(chain, n) for n in range(1, 11)]
     for n, delta in enumerate(deltas, start=1):
         assert pi_map(delta).equals(chain.e(n))
     for m in range(1, 11):

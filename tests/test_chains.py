@@ -19,6 +19,9 @@ from opalg import (
 from opalg import chains, matrices
 from opalg.chains import Chain
 from opalg.cli import ExperimentConfig, run_experiment
+from opalg.generation import orthogonal_generators
+
+import pairwise
 from pairwise import agree
 
 
@@ -142,6 +145,20 @@ def test_coupling_count_enforced():
 def test_coupling_norms_must_not_decrease():
     with pytest.raises(ValueError, match="nondecreasing"):
         ChainSpec(m_max=4, dims=tuple(range(1, 6)), couplings=(2, 1))
+
+
+def test_equal_coupling_norms_of_different_block_shapes_are_accepted():
+    # both couplings have norm 2**15 exactly, but the SVD of the 1 x 2 block
+    # reads one rounding low: the order check allows the rounding budget of
+    # the norms it compares, not an absolute slack
+    wide = Matrix.exact([[Fraction(8 * 2**15, 17), Fraction(15 * 2**15, 17)]])
+    spec = ChainSpec(m_max=4, dims=(1, 2, 3, 4, 6), couplings=(Matrix.exact([[2**15]]), wide))
+    assert spec.coupling_norms[1] < spec.coupling_norms[0] == 2**15
+    assert verify_semilattice(build_chain(spec)).all_exact
+    # a decrease well above that budget is still refused, at any scale
+    for big in (2**400, 2.0**400):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            ChainSpec(m_max=4, dims=tuple(range(1, 6)), couplings=(big, big * (1 - Fraction(1, 10**9))))
 
 
 def test_padding_leaves_retained_block_unchanged():
@@ -286,3 +303,69 @@ def test_min_rule_table_stays_on_int64(monkeypatch):
     monkeypatch.setattr(matrices, "kernel_dtype", lambda *bounds: seen.append(choose(*bounds)) or seen[-1])
     assert verify_semilattice(chain).passed
     assert seen and all(dtype is np.int64 for dtype in seen)
+
+
+# a partial permutation with entries 1, -1, i and -i: a block whose norm is 1
+UNIMODULAR = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+
+
+@st.composite
+def chain_specs(draw):
+    """Specs with gaps of widths 1 to 3 and nondecreasing couplings: rational,
+    float or near 2**400 scalars, or rational multiples of unimodular
+    partial permutations, complex blocks of every gap shape."""
+    m_max = draw(st.integers(1, 7))
+    count = m_max // 2
+    gaps = draw(st.lists(st.integers(1, 3), min_size=chains.required_ladder_length(m_max),
+                         max_size=chains.required_ladder_length(m_max)))
+    dims = tuple(np.cumsum(gaps).tolist())
+    kind = draw(st.sampled_from(["rational", "float", "2**400", "operator"]))
+    values = {
+        "rational": st.fractions(min_value=0, max_value=100, max_denominator=20),
+        "float": st.floats(min_value=0, max_value=1e6),
+        "2**400": st.integers(0, 2**60).map(lambda k: 2**400 + k),
+        "operator": st.fractions(min_value=0, max_value=100, max_denominator=20),
+    }[kind]
+    scales = sorted(draw(st.lists(values, min_size=count, max_size=count)))
+    if kind != "operator":
+        return ChainSpec(m_max=m_max, dims=dims, couplings=tuple(scales))
+    couplings = []
+    for k, scale in enumerate(scales, start=1):
+        rows, cols = dims[2 * k - 1] - dims[2 * k - 2], dims[2 * k] - dims[2 * k - 1]
+        image = draw(st.permutations(range(cols)))
+        units = draw(st.lists(st.sampled_from(UNIMODULAR), min_size=rows, max_size=rows))
+        block = [[(0, 0)] * cols for _ in range(rows)]
+        for i in range(min(rows, cols)):
+            block[i][image[i]] = (scale * units[i][0], scale * units[i][1])
+        couplings.append(Matrix.exact(block))
+    return ChainSpec(m_max=m_max, dims=dims, couplings=tuple(couplings))
+
+
+def assert_layout_matches_oracle(chain):
+    # each index of the two stacks equals the per-Matrix oracle, and their
+    # float readouts are bit-identical to the oracle's
+    gens = pairwise.chain_generators(chain)
+    assert len(chain.family.re) == len(chain.generators.re) == len(chain.idempotents)
+    for j, (e, g) in enumerate(zip(chain.idempotents, gens)):
+        assert Matrix.from_stack(chain.family.take(j)).equals(e)
+        assert Matrix.from_stack(chain.generators.take(j)).equals(g)
+    assert all(map(Matrix.equals, orthogonal_generators(chain), gens))
+    assert matrices.float_stack(chain.family).tobytes() == matrices.float_stack(pairwise.chain_family(chain)).tobytes()
+    assert matrices.float_stack(chain.generators).tobytes() == np.array([g.numpy() for g in gens]).tobytes()
+
+
+@given(chain_specs(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_chain_stacks_match_per_matrix_oracle(spec, data):
+    chain = build_chain(spec)
+    assert_layout_matches_oracle(chain)
+    assert verify_semilattice(chain).passed
+    # a chain built by hand with one element doubled is stacked from its own
+    # elements, so the min-rule table sees the change
+    k = data.draw(st.integers(0, spec.m_max - 1))
+    mats = list(chain.idempotents)
+    mats[k] = mats[k] * 2
+    changed = Chain(spec, tuple(mats), chain.truncation_dim)
+    assert_layout_matches_oracle(changed)
+    report = verify_semilattice(changed)
+    assert not report.passed and not report.idempotent

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from opalg import cli, diagonals, embedding, generation
+from opalg import cli, diagonals, embedding, generation, matrices
+from opalg.matrices import Matrix
 from opalg.chains import Chain, build_chain
 from opalg.generation import WeightSeq
 from opalg.cli import (
@@ -26,6 +27,8 @@ from opalg.cli import (
     payload_json,
     run_experiment,
 )
+
+import pairwise
 
 
 def small_cfg(**overrides):
@@ -313,6 +316,25 @@ def test_all_builds_the_chain_once(monkeypatch):
     assert [s.passed for s in report.stages if s.name == "embed"] == [True]
 
 
+def test_all_stacks_the_chain_idempotents_once(monkeypatch):
+    # the chain stacks e_1..e_m once, when it is made; every stage reads that
+    # stack, so no other stack call of a run of all holds them again
+    cfg = small_cfg(subcommand="all", m_max=6, trials=1, r_max=4)
+    idempotents, stack, calls = cli._chain(cfg).idempotents, matrices.stack, []
+    m = len(idempotents)
+
+    def counted(mats):
+        mats = list(mats)
+        calls.append(any(all(map(Matrix.equals, mats[i:i + m], idempotents)) for i in range(len(mats) - m + 1)))
+        return stack(mats)
+
+    for module in [module for name, module in sys.modules.items() if name.split(".")[0] == "opalg"]:
+        if getattr(module, "stack", None) is stack:
+            monkeypatch.setattr(module, "stack", counted)
+    assert run_experiment(cfg).overall
+    assert sum(calls) == 1
+
+
 def test_diagonal_stage_views_one_leg_stack(monkeypatch):
     # the stage passes the increments g_n (x) g_n; every D_n that is
     # unitized is a view of the first n terms of one leg stack, with the
@@ -330,7 +352,7 @@ def test_diagonal_stage_views_one_leg_stack(monkeypatch):
     assert len(seen) == 6
     for n, delta in enumerate(seen, start=1):
         assert np.shares_memory(delta._left.re, seen[-1]._left.re)
-        assert delta.flatten().equals(diagonals.build_delta(chain, n).flatten())
+        assert delta.flatten().equals(pairwise.build_delta(chain, n).flatten())
 
 
 def test_couplings_past_float_range_run_end_to_end(tmp_path, capsys):

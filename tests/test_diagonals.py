@@ -17,7 +17,6 @@ from opalg import (
     TensorElem,
     bimodule_commutator,
     build_chain,
-    build_delta,
     certify_expectation,
     certify_mbad,
     expectation_from_diagonal,
@@ -77,15 +76,15 @@ def chain6():
 
 
 def test_delta_term_counts(chain6):
-    assert len(pairwise.terms(build_delta(chain6, 1))) == 1
-    assert len(pairwise.terms(build_delta(chain6, 2))) == 2
-    d3 = build_delta(chain6, 3)
+    assert len(pairwise.terms(pairwise.build_delta(chain6, 1))) == 1
+    assert len(pairwise.terms(pairwise.build_delta(chain6, 2))) == 2
+    d3 = pairwise.build_delta(chain6, 3)
     assert len(pairwise.terms(d3)) == 3
     assert d3.flatten().shape == (chain6.truncation_dim**2,) * 2
 
 
 def test_delta_structure(chain6):
-    d2 = build_delta(chain6, 2)
+    d2 = pairwise.build_delta(chain6, 2)
     e1, e2 = chain6.e(1), chain6.e(2)
     assert pairwise.terms(d2)[0][0].equals(e1) and pairwise.terms(d2)[0][1].equals(e1)
     diff = e2 - e1
@@ -94,9 +93,9 @@ def test_delta_structure(chain6):
 
 def test_delta_index_range(chain6):
     with pytest.raises(ValueError):
-        build_delta(chain6, 0)
+        pairwise.build_delta(chain6, 0)
     with pytest.raises(ValueError):
-        build_delta(chain6, 7)
+        pairwise.build_delta(chain6, 7)
 
 
 def test_pi_of_single_term():
@@ -107,7 +106,7 @@ def test_pi_of_single_term():
 
 def test_pi_of_delta_is_chain_element(chain6):
     for n in range(1, 7):
-        assert pi_map(build_delta(chain6, n)).equals(chain6.e(n))
+        assert pi_map(pairwise.build_delta(chain6, n)).equals(chain6.e(n))
 
 
 def test_pi_of_delta2_hand_expansion():
@@ -116,13 +115,13 @@ def test_pi_of_delta2_hand_expansion():
     e1, e2 = chain.e(1), chain.e(2)
     by_hand = e1 @ e1 + (e2 - e1) @ (e2 - e1)
     assert by_hand.equals(e2)
-    assert pi_map(build_delta(chain, 2)).equals(by_hand)
+    assert pi_map(pairwise.build_delta(chain, 2)).equals(by_hand)
 
 
 def test_commutator_vanishes_on_the_algebra(chain6):
     for m in range(1, 7):
         for n in range(1, 7):
-            comm = bimodule_commutator(chain6.e(m), build_delta(chain6, n))
+            comm = bimodule_commutator(chain6.e(m), pairwise.build_delta(chain6, n))
             assert len(pairwise.terms(comm)) == 2 * n
             assert pairwise.is_zero(comm.flatten())
 
@@ -130,7 +129,7 @@ def test_commutator_vanishes_on_the_algebra(chain6):
 def test_commutator_detects_outside_elements(chain6):
     dim = chain6.truncation_dim
     shift = Matrix.exact([[1 if j == i + 1 else 0 for j in range(dim)] for i in range(dim)])
-    comm = bimodule_commutator(shift, build_delta(chain6, 2))
+    comm = bimodule_commutator(shift, pairwise.build_delta(chain6, 2))
     assert not pairwise.is_zero(comm.flatten())
 
 
@@ -147,7 +146,7 @@ def test_actor_is_the_matrix_own_stack():
 
 
 def test_zero_actor_gives_zero_commutator(chain6):
-    comm = bimodule_commutator(Matrix.zeros(chain6.truncation_dim), build_delta(chain6, 3))
+    comm = bimodule_commutator(Matrix.zeros(chain6.truncation_dim), pairwise.build_delta(chain6, 3))
     assert pairwise.is_zero(comm.flatten())
 
 
@@ -398,7 +397,7 @@ def test_certify_mbad_unitized_matches_raw_commutator_reference(chain6):
     # the same value, and must give the same bound and verdict
     dim = chain6.truncation_dim
     one = Matrix.identity(dim)
-    deltas = [build_delta(chain6, n) for n in range(1, 7)]
+    deltas = [pairwise.build_delta(chain6, n) for n in range(1, 7)]
     # exact commuting, exact non-commuting and float elements, each as its
     # part without the identity and its identity coefficient
     parts = [(e, 0) for e in chain6.idempotents]
@@ -421,7 +420,7 @@ def test_certify_mbad_unitized_needs_commuting_images():
     dim = chain.truncation_dim
     one = Matrix.identity(dim)
     odd = TensorElem.of([(unit01(dim), one), (chain.e(1), chain.e(1))], dim=dim)
-    deltas = [build_delta(chain, 1), odd, build_delta(chain, 3)]
+    deltas = [pairwise.build_delta(chain, 1), odd, pairwise.build_delta(chain, 3)]
     sample = [chain.e(1), chain.e(2), chain.e(4), one * Fraction(3, 2) + chain.e(3)]
     report = certify_mbad(pairwise.increments(deltas), chain, sample)
     assert [r.unitized_ok for r in report.records] == [False, False, True, True]
@@ -431,7 +430,7 @@ def test_certify_mbad_unitized_needs_commuting_images():
 def test_unitize_smallest_chain():
     chain = build_chain(ChainSpec.default(1))
     one = Matrix.identity(chain.truncation_dim)
-    delta = build_delta(chain, 1)
+    delta = pairwise.build_delta(chain, 1)
     m, image = unitize_diagonal(delta, pi_map(delta), one)
     assert pi_map(m).equals(one) and image.equals(one)
     e1 = chain.e(1)
@@ -442,7 +441,7 @@ def test_unitize_smallest_chain():
 def test_unitize_all_defaults(chain6):
     one = Matrix.identity(chain6.truncation_dim)
     for n in range(1, 7):
-        d = build_delta(chain6, n)
+        d = pairwise.build_delta(chain6, n)
         m, image = unitize_diagonal(d, pi_map(d), one)
         assert pi_map(m).equals(one) and image.equals(one)
 
@@ -456,14 +455,14 @@ def test_unitize_collapses_on_identity_diagonal():
 
 def test_unitize_rejects_wrong_unit(chain6):
     one = Matrix.identity(chain6.truncation_dim)
-    d = build_delta(chain6, 2)
+    d = pairwise.build_delta(chain6, 2)
     # the image is returned for the caller's check, not re-checked inside
     m, image = unitize_diagonal(d, chain6.e(1), one)
     assert image.equals(pi_map(m)) and not image.equals(one)
 
 
 def test_certify_mbad_default_sample(chain6):
-    deltas = [build_delta(chain6, n) for n in range(1, 7)]
+    deltas = [pairwise.build_delta(chain6, n) for n in range(1, 7)]
     sample = [chain6.e(n) for n in range(1, 6)]
     report = certify_mbad(pairwise.increments(deltas), chain6, sample)
     assert report.verdict
@@ -477,7 +476,7 @@ def test_certify_mbad_default_sample(chain6):
 
 
 def test_certify_mbad_zero_sample(chain6):
-    deltas = [build_delta(chain6, n) for n in range(1, 4)]
+    deltas = [pairwise.build_delta(chain6, n) for n in range(1, 4)]
     report = certify_mbad(pairwise.increments(deltas), chain6, [Matrix.zeros(chain6.truncation_dim)])
     assert report.verdict
     assert report.records[0].commutator_upper == 0.0
@@ -487,7 +486,7 @@ def test_certify_mbad_zero_sample(chain6):
 def test_certify_mbad_flags_outside_elements(chain6):
     dim = chain6.truncation_dim
     shift = Matrix.exact([[1 if j == i + 1 else 0 for j in range(dim)] for i in range(dim)])
-    deltas = [build_delta(chain6, n) for n in range(1, 4)]
+    deltas = [pairwise.build_delta(chain6, n) for n in range(1, 4)]
     report = certify_mbad(pairwise.increments(deltas), chain6, [shift, chain6.e(1)])
     by_label = {r.label: r for r in report.records}
     assert not by_label["a0"].in_span
@@ -496,7 +495,7 @@ def test_certify_mbad_flags_outside_elements(chain6):
 
 
 def test_certify_mbad_handles_identity_component(chain6):
-    deltas = [build_delta(chain6, n) for n in range(1, 7)]
+    deltas = [pairwise.build_delta(chain6, n) for n in range(1, 7)]
     ident = Matrix.identity(chain6.truncation_dim)
     elem = ident * Fraction(2) + chain6.e(3) * Fraction(1, 2)
     report = certify_mbad(pairwise.increments(deltas), chain6, [elem])
@@ -513,7 +512,7 @@ def test_certify_mbad_handles_identity_component(chain6):
 
 def test_certify_mbad_unitized_bound_tracks_tail(chain6):
     # an element above the diagonal index leaves a nonzero unitized commutator
-    deltas = [build_delta(chain6, n) for n in range(1, 3)]
+    deltas = [pairwise.build_delta(chain6, n) for n in range(1, 3)]
     report = certify_mbad(pairwise.increments(deltas), chain6, [chain6.e(5)])
     rec = report.records[0]
     assert rec.commutator_upper == 0.0
@@ -524,7 +523,7 @@ def test_certify_mbad_unitized_bound_tracks_tail(chain6):
 def test_certify_mbad_truncated_sequence(chain6):
     # elements above the last diagonal leave w (x) (1-u) - (1-u) (x) w;
     # its upper bound must stay within the multiplier estimate
-    deltas = [build_delta(chain6, n) for n in range(1, 4)]
+    deltas = [pairwise.build_delta(chain6, n) for n in range(1, 4)]
     report = certify_mbad(pairwise.increments(deltas), chain6, list(chain6.idempotents))
     assert report.verdict
     assert all(rec.unitized_ok for rec in report.records)
@@ -613,7 +612,7 @@ def test_expectation_dimension_mismatch():
 
 
 def test_mbad_report_serializes(chain6):
-    deltas = [build_delta(chain6, n) for n in range(1, 4)]
+    deltas = [pairwise.build_delta(chain6, n) for n in range(1, 4)]
     report = certify_mbad(pairwise.increments(deltas), chain6, [chain6.e(1), chain6.e(2)])
     assert report.multiplier_constant == 0.0 and report.verdict is True
     assert [r.label for r in report.records] == ["a0", "a1"]
@@ -631,7 +630,7 @@ def test_certify_mbad_exact_commutator_below_float_range(chain6):
     # algebra, which does not fail the verdict, and its exact commutators
     # do not vanish
     a = chain6.e(1) + unit01(chain6.truncation_dim) * Fraction(1, 2**1100)
-    deltas = [build_delta(chain6, n) for n in range(1, 7)]
+    deltas = [pairwise.build_delta(chain6, n) for n in range(1, 7)]
     report = certify_mbad(pairwise.increments(deltas), chain6, [a])
     rec = report.records[0]
     assert not rec.in_span and rec.commutator_upper == 0.0
@@ -643,7 +642,7 @@ def test_certify_mbad_exact_commutator_below_float_range(chain6):
 def test_certify_mbad_top_index_is_exact(chain6):
     # the e_3 coordinate 2**-40 is below any float threshold, but it is
     # there: the top index is 3, past the last diagonal
-    deltas = [build_delta(chain6, n) for n in range(1, 3)]
+    deltas = [pairwise.build_delta(chain6, n) for n in range(1, 3)]
     report = certify_mbad(pairwise.increments(deltas), chain6, [chain6.e(2) + chain6.e(3) * Fraction(1, 2**40)])
     rec = report.records[0]
     assert rec.in_span and rec.top_index == 3
@@ -652,7 +651,7 @@ def test_certify_mbad_top_index_is_exact(chain6):
 
 def test_certify_mbad_reads_coordinates_over_the_chain(chain6):
     ident = Matrix.identity(chain6.truncation_dim)
-    deltas = [build_delta(chain6, n) for n in range(1, 4)]
+    deltas = [pairwise.build_delta(chain6, n) for n in range(1, 4)]
     elem = chain6.e(2) * Fraction(-3, 7) + chain6.e(5) + ident * (Fraction(1, 3), 2)
     report = certify_mbad(pairwise.increments(deltas), chain6, [elem, chain6.e(4) - chain6.e(4)])
     rec, zero = report.records
@@ -679,7 +678,7 @@ def test_tensor_value_equality_is_representation_free():
 def test_certify_mbad_float_chain_within_tolerance():
     chain = build_chain(ChainSpec(m_max=4, dims=(1, 2, 3, 4, 5), couplings=(1.5, 2.5)))
     assert chain.backend == "float"
-    deltas = [build_delta(chain, n) for n in range(1, 5)]
+    deltas = [pairwise.build_delta(chain, n) for n in range(1, 5)]
     report = certify_mbad(pairwise.increments(deltas), chain, [chain.e(2), chain.e(3)])
     assert report.verdict
     assert report.multiplier_constant <= 1e-9
@@ -698,7 +697,7 @@ def test_diagonal_identities_on_random_rational_chains(m_max, data):
     couplings = tuple(sorted(data.draw(st.lists(rationals, min_size=count, max_size=count))))
     chain = build_chain(CS.default(m_max, couplings=couplings))
     for n in range(1, m_max + 1):
-        delta = build_delta(chain, n)
+        delta = pairwise.build_delta(chain, n)
         assert pi_map(delta).equals(chain.e(n))
         for m in range(1, m_max + 1):
             assert pairwise.is_zero(bimodule_commutator(chain.e(m), delta).flatten())
@@ -710,7 +709,7 @@ def test_certify_mbad_mixed_scale_exact_element(chain6):
     # a float conversion of them
     dim = chain6.truncation_dim
     x = Matrix.identity(dim) * (0, Fraction(1, 2**1100)) + chain6.e(5)
-    report = certify_mbad(pairwise.increments([build_delta(chain6, n) for n in (1, 2)]), chain6, [x])
+    report = certify_mbad(pairwise.increments([pairwise.build_delta(chain6, n) for n in (1, 2)]), chain6, [x])
     rec = report.records[0]
     assert rec.in_span and rec.commutator_upper == 0.0
     assert math.isfinite(rec.unitized_upper) and rec.unitized_ok
@@ -740,7 +739,7 @@ def diagonal_sequences(draw):
     kind = draw(st.sampled_from(["telescoping", "unrelated", "extended", "stops"]))
     deltas, terms = [], []
     if kind in ("telescoping", "stops"):
-        deltas = [build_delta(chain, n) for n in range(1, m_max + 1)]
+        deltas = [pairwise.build_delta(chain, n) for n in range(1, m_max + 1)]
         terms = list(pairwise.terms(deltas[-1]))
     for _ in range(draw(st.integers(1, 3)) if kind != "telescoping" else 0):
         new = [(draw(legs), draw(legs)) for _ in range(draw(st.integers(1, 2)))]
@@ -777,7 +776,7 @@ def test_incremental_commutators_match_commutators_from_scratch(case):
 
 
 def test_increments_of_telescoping_diagonals_are_single_terms(chain6):
-    deltas = [build_delta(chain6, n) for n in range(1, 7)]
+    deltas = [pairwise.build_delta(chain6, n) for n in range(1, 7)]
     increments = pairwise.increments(deltas)
     assert [len(pairwise.terms(i)) for i in increments] == [1] * 6
     # a sequence that shares no prefix adds all its terms and drops all the previous ones
@@ -903,7 +902,7 @@ def test_certify_mbad_on_generator_increments_matches_the_diagonals(m_max, coupl
     sample = list(chain.idempotents) + [chain.e(3) + one * 2, chain.e(2) + unit01(chain.truncation_dim), one]
     got = certify_mbad([TensorElem.of([(g, g)], chain.truncation_dim) for g in orthogonal_generators(chain)],
                        chain, sample)
-    want = certify_mbad(pairwise.increments([build_delta(chain, n) for n in range(1, m_max + 1)]), chain, sample)
+    want = certify_mbad(pairwise.increments([pairwise.build_delta(chain, n) for n in range(1, m_max + 1)]), chain, sample)
     # the records and constants bit for bit, the images as exact matrices
     assert replace(got, images=(), unitized_images=()) == replace(want, images=(), unitized_images=())
     for mine, theirs in ((got.images, want.images), (got.unitized_images, want.unitized_images)):
@@ -915,7 +914,7 @@ def test_certify_mbad_closed_form_matches_the_reduction(monkeypatch, m_max, coup
     # every record against certify_mbad with every unitized bound reduced:
     # bit for bit on the integer default chain, within 1e-12 on rational legs
     chain = build_chain(ChainSpec.default(m_max, couplings=couplings) if couplings else ChainSpec.default(m_max))
-    deltas = [build_delta(chain, n) for n in range(1, m_max + 1)]
+    deltas = [pairwise.build_delta(chain, n) for n in range(1, m_max + 1)]
     one = Matrix.identity(chain.truncation_dim)
     sample = list(chain.idempotents) + [chain.e(3) + one * 2, chain.e(2) + unit01(chain.truncation_dim), one]
     got = certify_mbad(pairwise.increments(deltas), chain, sample).records
@@ -966,3 +965,6 @@ def test_certify_mbad_is_the_same_in_any_grouping(monkeypatch, chain, sample):
     assert reports[0] == reports[1]
     for i, (rec, a) in enumerate(zip(reports[0].records, sample, strict=True)):
         assert rec == replace(certify_mbad(increments, chain, [a]).records[0], label=f"a{i}")
+    # the chain's idempotents given as their stack, as the diagonal stage
+    # gives Chain.family, have the records they have as matrices
+    assert certify_mbad(increments, chain, chain.family).records == reports[0].records[:chain.m_max]

@@ -128,8 +128,9 @@ def test_weight_scaling_leaves_residuals_unchanged(m_max, ratio, factor):
 def test_recovered_span_matches_chain_span():
     chain = build_chain(ChainSpec.default(6))
     gens = orthogonal_generators(chain)
-    assert same_span(gens, chain.idempotents)
-    assert not same_span(gens[:3], chain.idempotents)
+    for family in (chain.idempotents, chain.family):
+        assert same_span(gens, family) and same_span(family, gens)
+        assert not same_span(gens[:3], family)
 
 
 def test_same_span_is_exact_on_exact_families():
@@ -409,10 +410,12 @@ def table_families():
 @pytest.mark.parametrize("name, gens", list(table_families()))
 def test_orthogonality_table_matches_pairwise_verdicts(name, gens, monkeypatch):
     expected = pairwise_table(gens)
-    assert (orthogonality_table(gens) == expected).all()
-    # row blocks of one generator at a time give the same table
-    monkeypatch.setattr(matrices, "_BLOCK_ENTRIES", 1)
-    assert (orthogonality_table(gens) == expected).all()
+    # the generators or their stack, and row blocks of one generator at a time
+    for family in (gens, matrices.stack(gens)):
+        assert (orthogonality_table(family) == expected).all()
+        with monkeypatch.context() as patched:
+            patched.setattr(matrices, "_BLOCK_ENTRIES", 1)
+            assert (orthogonality_table(family) == expected).all()
 
 
 def test_orthogonality_table_names_the_broken_entries():
