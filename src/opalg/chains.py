@@ -4,8 +4,8 @@ A chain is built from an ascending ladder of subspace dimensions and a
 coupling block per even index.  Odd entries are orthogonal projections,
 even entries add an off-diagonal coupling, and every pair multiplies by
 the min rule: the product of the m-th and n-th idempotents is the
-min(m, n)-th one, exactly.  A :class:`Chain` is stacked once, when it is
-made (``family`` and ``generators``), and every stage reads those stacks.
+min(m, n)-th one, exactly.  A :class:`Chain` is filled into stacks from its
+spec (``family`` and ``generators``), and every stage reads them.
 """
 from __future__ import annotations
 
@@ -19,8 +19,10 @@ from .matrices import (
     CertificationError,
     Matrix,
     Stack,
+    _common,
     bound_holds,
     float_stack,
+    kernel_dtype,
     product_table,
     products_agree,
     singular_values,
@@ -46,8 +48,7 @@ class TruncationError(ValueError):
 
 def required_ladder_length(m_max: int) -> int:
     """Smallest odd index >= m_max + 1; the ladder must reach this far."""
-    n = m_max + 1
-    return n if n % 2 == 1 else n + 1
+    return m_max + 1 + m_max % 2
 
 
 def _as_coupling(raw, rows, cols, index):
@@ -58,14 +59,12 @@ def _as_coupling(raw, rows, cols, index):
         block = Matrix.exact(raw)
     elif isinstance(raw, numbers.Real):
         # scalar times the rectangular identity, on the backend Matrix * raw reads
-        block = Matrix.identity(max(rows, cols)).submatrix(range(rows), range(cols)) * raw
+        block = Matrix.from_stack(Stack(np.eye(rows, cols, dtype=np.int64), None, 1, 1)) * raw
     else:
         raise TypeError(f"coupling b_{2 * index} must be a scalar or a matrix, got {type(raw).__name__}")
     if block.shape != (rows, cols):
-        raise ValueError(
-            f"coupling b_{2 * index} must map the gap above H_{2 * index} into the gap "
-            f"below it: expected shape {(rows, cols)}, got {block.shape}"
-        )
+        raise ValueError(f"coupling b_{2 * index} must map the gap above H_{2 * index} into the gap below it: "
+                         f"expected shape {(rows, cols)}, got {block.shape}")
     return block
 
 
@@ -139,16 +138,17 @@ class Chain:
     """A realized chain: the spec plus the idempotent matrices e_1..e_m, and
     their one layout: ``family``, e_1..e_m as one (m, d, d) stack, and
     ``generators``, g_1 = e_1 and g_j = e_j - e_{j-1}, as one difference of
-    ``family`` and ``family`` shifted down by one."""
+    ``family`` and ``family`` shifted down by one.  :func:`build_chain`
+    passes the family it filled, which the idempotents view."""
 
     spec: ChainSpec
     idempotents: tuple[Matrix, ...]
     truncation_dim: int
-    family: Stack = field(init=False, repr=False, compare=False)
+    family: Stack | None = field(default=None, repr=False, compare=False)
     generators: Stack = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "family", stack(self.idempotents))
+        object.__setattr__(self, "family", stack(self.idempotents) if self.family is None else self.family)
         below = self.family.apply(lambda x: np.concatenate([np.zeros_like(x[:1]), x[:-1]]))
         object.__setattr__(self, "generators", stack_difference(self.family, below))
 
@@ -167,26 +167,31 @@ class Chain:
         return self.idempotents[n - 1]
 
 
-def _build_idempotent(spec: ChainSpec, n: int) -> Matrix:
-    """The projection onto H_n, plus for even n the coupling b_n in the rows
-    of the gap below H_n and the columns of the gap above it, selected from
-    [[b_n, 0], [0, 0]], whose zero row and column fill the rest."""
-    dim = spec.truncation_dim
-    rank = spec.dims[n - 1]
-    projection = Matrix.diag([1] * rank + [0] * (dim - rank), spec.backend)
-    if n % 2 == 1:
-        return projection
-    block, top = spec.couplings[n // 2 - 1], spec.dims[n - 2]
-    padded = Matrix.diag([1, 0], spec.backend).kron(block)
-    rows = [i - top if 0 <= i - top < block.rows else block.rows for i in range(dim)]
-    cols = [j - rank if 0 <= j - rank < block.cols else block.cols for j in range(dim)]
-    return projection + padded.submatrix(rows, cols)
+def _fill_family(spec: ChainSpec) -> Stack:
+    """e_1..e_m as one (m, d, d) stack filled from the spec: e_n is the
+    projection onto H_n, plus for even n the coupling b_n in the rows of the
+    gap below H_n and the columns of the gap above it; exact ones over the
+    couplings' least common denominator, on the dtype their bound allows."""
+    m, d, dims = spec.m_max, spec.truncation_dim, spec.dims
+    parts = [Stack(np.ones((1, 1), dtype=np.int64), None, 1, 1)] + [b._s for b in spec.couplings]
+    one, *blocks = [Stack(float_stack(x)) for x in parts] if spec.backend == "float" else _common(parts)
+    bound = None if one.den is None else max(x.bound for x in [one] + blocks)
+    re = np.zeros((m, d, d), dtype=complex if bound is None else kernel_dtype(bound))
+    im = None if all(b.im is None for b in blocks) else np.zeros_like(re)
+    re.reshape(m, -1)[:, ::d + 1] = (np.arange(d) < np.array(dims[:m])[:, None]) * one.re[0]  # the diagonals
+    for k, b in enumerate(blocks, start=1):
+        at = (2 * k - 1, slice(dims[2 * k - 2], dims[2 * k - 1]), slice(dims[2 * k - 1], dims[2 * k]))
+        re[at] = re[at] + b.re  # zero plus a float -0.0 reads +0.0, as a sum of matrices gives it
+        if b.im is not None:
+            im[at] = b.im
+    return Stack(re, im, one.den, bound)
 
 
 def build_chain(spec: ChainSpec) -> Chain:
     """Realize the chain on its truncation and check idempotency."""
-    mats = tuple(_build_idempotent(spec, n) for n in range(1, spec.m_max + 1))
-    chain = Chain(spec=spec, idempotents=mats, truncation_dim=spec.truncation_dim)
+    family = _fill_family(spec)
+    views = tuple(Matrix.from_stack(family.take(k)) for k in range(spec.m_max))
+    chain = Chain(spec, views, spec.truncation_dim, family)
     ok = products_agree(chain.family, chain.family, chain.family, DEFAULT_TOL)[0].tolist()
     if not all(ok):
         raise CertificationError(f"constructed e_{ok.index(False) + 1} failed its idempotency check")

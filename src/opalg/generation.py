@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -43,11 +44,6 @@ __all__ = [
 ]
 
 
-def _rational_norm_bound(x: float) -> Fraction:
-    """A small-denominator rational strictly above x."""
-    return Fraction(math.ceil(x * 16) + 1, 16)
-
-
 @dataclass(frozen=True)
 class WeightSeq:
     """Strictly decreasing, strictly positive rational weights."""
@@ -71,12 +67,13 @@ class WeightSeq:
         return self.lambdas[i]
 
     @classmethod
-    def norm_adaptive(cls, mats: Sequence[Matrix]) -> "WeightSeq":
-        """l_j = 4^-j / (1 + N_j) with N_j a rational bound on the largest
-        norm among the first j idempotents, all from one stacked SVD.  Keeps
-        sum l_j * norm(g_j) below sum 4^-j even when norms grow."""
-        norms = singular_values(float_stack(stack(mats)))[:, 0]
-        peaks = np.maximum.accumulate(np.array([_rational_norm_bound(x) for x in norms], dtype=object))
+    def norm_adaptive(cls, mats: Stack | Sequence[Matrix]) -> "WeightSeq":
+        """l_j = 4^-j / (1 + N_j) with N_j a rational in sixteenths strictly
+        above the largest norm among the first j idempotents, all from one
+        stacked SVD of ``mats`` or of their stack.  Keeps sum l_j * norm(g_j)
+        below sum 4^-j even when norms grow."""
+        norms = singular_values(float_stack(mats if isinstance(mats, Stack) else stack(mats)))[:, 0]
+        peaks = np.maximum.accumulate(np.array([Fraction(math.ceil(x * 16) + 1, 16) for x in norms], dtype=object))
         return cls(tuple(Fraction(1, 4**j) / (1 + peak) for j, peak in enumerate(peaks, start=1)))
 
     @property
@@ -131,10 +128,10 @@ def _tail_residuals(family, powers: np.ndarray):
     exactly, with L_j^r read from ``powers`` (:func:`_weight_powers`).  Float
     families round each (L_j/L_m)^r once.  For exact families (numerators
     G_j over D, from :func:`opalg.matrices.stack`) the tail numerators
-    -sum_{j>m} L_j^r G_j are one running sum on the entries where some
-    generator is nonzero, which gains one term per index, each then divided
-    by L_m^r D, which rounds it as :meth:`Matrix.to_float` rounds the same
-    rational."""
+    -sum_{j>m} L_j^r G_j are one running sum, which gains one term per index
+    on that generator's nonzero entries; only the entries the tail has
+    reached are divided by L_m^r D, each rounded as :meth:`Matrix.to_float`
+    rounds the same rational."""
     mats, count, r_max = family.re, len(family.re), len(powers) - 1
     if family.den is None:
         for m in range(count - 2, -1, -1):
@@ -142,14 +139,16 @@ def _tail_residuals(family, powers: np.ndarray):
         return
     parts = [x.reshape(count, -1) for x in (mats, family.im) if x is not None]
     cols = np.flatnonzero(np.any([part != 0 for part in parts], axis=(0, 1)))
-    nums, bound = [np.zeros((r_max, len(cols)), dtype=object) for _ in parts], 0
+    own = np.any([part[:, cols] != 0 for part in parts], axis=0)
+    nums, bound = [np.zeros((r_max, len(cols)), dtype=object) for _ in parts] + [None] * (2 - len(parts)), 0
     for m in range(count - 2, -1, -1):
+        at, live = np.flatnonzero(own[m + 1]), np.flatnonzero(own[m + 1:].any(axis=0))
         for num, part in zip(nums, parts):
-            num -= powers[1:, m + 1, None] * part[m + 1, cols].astype(object)
+            num[:, at] -= powers[1:, m + 1, None] * part[m + 1, cols[at]].astype(object)
         bound += powers[-1, m + 1] * family.bound
-        tail = Stack(nums[0], nums[1] if len(nums) == 2 else None, powers[1:, m:m + 1] * family.den, bound)
+        tail = Stack(*(None if x is None else x[:, live] for x in nums), powers[1:, m:m + 1] * family.den, bound)
         out = np.zeros((r_max, mats[0].size), dtype=complex)
-        out[:, cols] = float_stack(tail)
+        out[:, cols[live]] = float_stack(tail)
         yield m, out.reshape(r_max, *mats.shape[1:])
 
 
@@ -162,25 +161,37 @@ class GenerationRecord:
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenerationCertificate:
+    """The generators certified and their (count, r_max) residuals, bounds
+    and verdicts, entry (m - 1, r - 1) for index m and power r."""
+
     generators: tuple[Matrix, ...]
-    records: tuple[GenerationRecord, ...]
-    per_index: dict[int, bool]
-    passed: bool
+    residuals: np.ndarray
+    bounds: np.ndarray
+    verdicts: np.ndarray
+
+    @property
+    def per_index(self) -> dict[int, bool]:
+        return {m: bool(row.all()) for m, row in enumerate(self.verdicts, start=1)}
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.verdicts.all())
+
+    @cached_property
+    def records(self) -> tuple[GenerationRecord, ...]:
+        """The CSV rows (:meth:`csv_rows`) as records, made when first read."""
+        return tuple(GenerationRecord(*row[:4], bool(row[4])) for row in self.csv_rows()[1:])
 
     def csv_rows(self) -> list[list]:
-        rows = [["m", "r", "residual", "bound", "passed"]]
-        rows += [[r.index, r.power, r.residual, r.bound, int(r.passed)] for r in self.records]
-        return rows
+        m, r = np.indices(self.residuals.shape) + 1
+        rows = zip(*(x.ravel().tolist() for x in (m, r, self.residuals, self.bounds, self.verdicts.astype(int))))
+        return [["m", "r", "residual", "bound", "passed"]] + [list(row) for row in rows]
 
 
-def certify_generation(
-    source: Chain | Sequence[Matrix],
-    weights: WeightSeq,
-    r_max: int,
-    tol: float = DEFAULT_TOL,
-) -> GenerationCertificate:
+def certify_generation(source: Chain | Sequence[Matrix], weights: WeightSeq, r_max: int,
+                       tol: float = DEFAULT_TOL) -> GenerationCertificate:
     """Check the geometric recovery bound for every generator.
 
     For each m, powers of the rescaled residual generator must satisfy
@@ -192,17 +203,14 @@ def certify_generation(
     The generators must pass :func:`orthogonality_table`, checked once;
     otherwise CertificationError is raised.  Given that, the residuals are
     read off the spectral closed form g_m - B_m^r = -sum_{j>m} rho_j^r g_j,
-    rho_j = l_j / l_m: on exact families this is the exact rational matrix
-    the powers give, rounded entry by entry as :meth:`Matrix.to_float`
-    rounds it, so the residuals are those of the exact powers, bit for
-    bit; one running tail sum (:func:`_tail_residuals`) forms them from the
-    last index down.  Each generator's r_max residual norms come from one
-    stacked SVD, and the generators' norms from one more.  Each bound is
-    one rational in the weights' numerators L_j (:func:`_weight_powers`)
-    and the norms' exact binary values, rounded once.  Residuals and bounds
-    are (count, r_max) arrays, and one :func:`opalg.matrices.bound_holds`
-    call gives every record's verdict.  The certificate keeps the
-    generators it certified.
+    rho_j = l_j / l_m (:func:`_tail_residuals`), so on exact families they
+    are those of the exact powers, bit for bit.  Each generator's r_max
+    residual norms come from one stacked SVD, and the generators' norms
+    from one more.  Each bound is one rational in the weights' numerators
+    L_j (:func:`_weight_powers`) and the norms' exact binary values,
+    rounded once.  The certificate keeps the generators it certified and
+    the (count, r_max) residuals, bounds and verdicts, all verdicts from
+    one :func:`opalg.matrices.bound_holds` call.
     """
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
@@ -222,14 +230,7 @@ def certify_generation(
     # tails[k] = sum_{j>=k} L_j norm(g_j) over one denominator, exact from the norms' binary values
     tails = Stack.of([(x, 0) for x in np.cumsum([Fraction(x) * lam for x, lam in zip(norms, powers[1])][::-1])[::-1]])
     bounds[:-1] = (powers[:-1, 1:] * tails.re[1:] / (powers[1:, :-1] * tails.den)).T
-    passed = bound_holds(residuals, bounds, gens[0].rows, tol)
-    records = tuple(
-        GenerationRecord(index=m, power=r, residual=residual, bound=bound, passed=ok)
-        for m, rows in enumerate(zip(residuals.tolist(), bounds.tolist(), passed.tolist()), start=1)
-        for r, (residual, bound, ok) in enumerate(zip(*rows), start=1)
-    )
-    per_index = {m: bool(row.all()) for m, row in enumerate(passed, start=1)}
-    return GenerationCertificate(generators=gens, records=records, per_index=per_index, passed=all(per_index.values()))
+    return GenerationCertificate(gens, residuals, bounds, bound_holds(residuals, bounds, gens[0].rows, tol))
 
 
 def same_span(first: Stack | Sequence[Matrix], second: Stack | Sequence[Matrix]) -> bool:

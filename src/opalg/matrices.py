@@ -387,11 +387,6 @@ class Matrix:
         """Kronecker product; exactness is preserved on exact inputs."""
         return Matrix.from_stack(stack_product(np.kron, self._s, other._s))
 
-    def submatrix(self, row_idx, col_idx=None):
-        """Restriction to the given (ordered) row and column indices."""
-        col_idx = row_idx if col_idx is None else col_idx
-        return Matrix.from_stack(self._s.take(np.ix_(list(row_idx), list(col_idx))))
-
     def __repr__(self):
         return f"<Matrix {self.rows}x{self.cols} {self.backend}>"
 

@@ -7,8 +7,8 @@ Matrix) pairs, with the reduced form and norm bounds read off them; and
 the diagonal stage's commutator bounds, one reduction per diagonal, and its
 regrouped unitized bounds, all by the reduction; the increments of a
 diagonal sequence, found by comparing its diagonals term by term; a
-chain's idempotent stack, its telescoping generators one ``Matrix``
-subtraction each and its telescoping diagonals from their pairs; the
+chain's idempotents one ``Matrix`` expression each, its idempotent stack,
+its telescoping generators one ``Matrix`` subtraction each and its telescoping diagonals from their pairs; the
 generation residuals by one dense product of the power table with the tail
 generators; the rescaled residual generators by their suffix sums, and the
 norm-adaptive weights one norm at a time; the rank-one family's witnesses
@@ -310,6 +310,27 @@ def regrouped_uppers(comms, w, images, rests):
         flat = (x.apply(lambda y: y.reshape(-1, *y.shape[2:])) for x in (left, stack_concat([r, r, rs, ws], -3)))
         out.append(diagonals._upper(*diagonals._reduce(*flat)).tolist())
     return out
+
+
+def select(m, rows, cols):
+    """The restriction of a matrix to the given rows and columns, in order,
+    by slicing its stack."""
+    return Matrix.from_stack(m._s.take(np.ix_(rows, cols)))
+
+
+def build_idempotent(spec, n):
+    """The n-th idempotent of a chain spec one ``Matrix`` at a time: the
+    projection onto H_n plus, for even n, the coupling b_n moved by 0/1
+    selector matrices into the rows of the gap below H_n and the columns of
+    the gap above it; what ``build_chain`` fills into its family."""
+    dim, rank = spec.truncation_dim, spec.dims[n - 1]
+    projection = Matrix.diag([1] * rank + [0] * (dim - rank), spec.backend)
+    if n % 2 == 1:
+        return projection
+    block, top = spec.couplings[n // 2 - 1], spec.dims[n - 2]
+    rows = Matrix.exact([[int(i == top + k) for k in range(block.rows)] for i in range(dim)])
+    cols = Matrix.exact([[int(j == rank + k) for j in range(dim)] for k in range(block.cols)])
+    return projection + rows @ block @ cols
 
 
 def chain_family(chain):

@@ -166,7 +166,7 @@ def test_padding_leaves_retained_block_unchanged():
     wide = build_chain(ChainSpec.default(4, dims=tuple(range(1, 9))))
     keep = list(range(small.truncation_dim))
     for a, b in zip(small.idempotents, wide.idempotents):
-        assert b.submatrix(keep).equals(a)
+        assert pairwise.select(b, keep, keep).equals(a)
     small_norms = [e.norm for e in norm_profile(small)]
     wide_norms = [e.norm for e in norm_profile(wide)]
     assert small_norms == pytest.approx(wide_norms, abs=1e-12)
@@ -286,8 +286,14 @@ def test_chain_checks_make_no_exact_products(monkeypatch):
 
 
 def test_build_chain_names_a_non_idempotent_element(monkeypatch):
-    build = chains._build_idempotent
-    monkeypatch.setattr(chains, "_build_idempotent", lambda spec, n: build(spec, n) * (2 if n == 3 else 1))
+    fill = chains._fill_family
+
+    def third_doubled(spec):
+        family = fill(spec)
+        twice = np.where(np.arange(spec.m_max) == 2, 2, 1)[:, None, None]
+        return family.apply(lambda x: x * twice, family.bound and 2 * family.bound)
+
+    monkeypatch.setattr(chains, "_fill_family", third_doubled)
     with pytest.raises(CertificationError, match="e_3 failed"):
         build_chain(ChainSpec.default(6))
     with pytest.raises(CertificationError, match="e_3 failed"):
@@ -311,18 +317,24 @@ UNIMODULAR = [(1, 0), (-1, 0), (0, 1), (0, -1)]
 
 @st.composite
 def chain_specs(draw):
-    """Specs with gaps of widths 1 to 3 and nondecreasing couplings: rational,
-    float or near 2**400 scalars, or rational multiples of unimodular
-    partial permutations, complex blocks of every gap shape."""
+    """Specs with gaps of widths 1 to 3 and nondecreasing couplings: integer,
+    rational, float, near 2**300 or 2**400 scalars, multiples of 2**-62
+    mixed with small-denominator rationals (their common denominator passes
+    int64), or rational multiples of unimodular partial permutations,
+    complex blocks of every gap shape."""
     m_max = draw(st.integers(1, 7))
     count = m_max // 2
     gaps = draw(st.lists(st.integers(1, 3), min_size=chains.required_ladder_length(m_max),
                          max_size=chains.required_ladder_length(m_max)))
     dims = tuple(np.cumsum(gaps).tolist())
-    kind = draw(st.sampled_from(["rational", "float", "2**400", "operator"]))
+    kind = draw(st.sampled_from(["integer", "rational", "2**-62", "float", "2**300", "2**400", "operator"]))
+    rational = st.fractions(min_value=0, max_value=100, max_denominator=20)
     values = {
-        "rational": st.fractions(min_value=0, max_value=100, max_denominator=20),
+        "integer": st.integers(0, 100),
+        "rational": rational,
+        "2**-62": st.one_of(st.integers(1, 2**10).map(lambda k: Fraction(k, 2**62)), rational),
         "float": st.floats(min_value=0, max_value=1e6),
+        "2**300": st.integers(0, 2**60).map(lambda k: 2**300 + k),
         "2**400": st.integers(0, 2**60).map(lambda k: 2**400 + k),
         "operator": st.fractions(min_value=0, max_value=100, max_denominator=20),
     }[kind]
@@ -352,6 +364,22 @@ def assert_layout_matches_oracle(chain):
     assert all(map(Matrix.equals, orthogonal_generators(chain), gens))
     assert matrices.float_stack(chain.family).tobytes() == matrices.float_stack(pairwise.chain_family(chain)).tobytes()
     assert matrices.float_stack(chain.generators).tobytes() == np.array([g.numpy() for g in gens]).tobytes()
+
+
+@given(chain_specs())
+@settings(max_examples=60, deadline=None)
+def test_filled_chain_equals_the_per_matrix_construction(spec):
+    # the family filled from the spec holds the numerators and denominator
+    # that stacking the per-Matrix idempotents gives, and each idempotent
+    # view equals its per-Matrix construction
+    chain = build_chain(spec)
+    want = [pairwise.build_idempotent(spec, n) for n in range(1, spec.m_max + 1)]
+    family, stacked = chain.family, matrices.stack(want)
+    assert family.den == stacked.den
+    assert np.array_equal(family.re, stacked.re)
+    assert (family.im is None) == (stacked.im is None) and (family.im is None or np.array_equal(family.im, stacked.im))
+    assert matrices.float_stack(family).tobytes() == matrices.float_stack(stacked).tobytes()
+    assert len(chain.idempotents) == len(want) and all(map(Matrix.equals, chain.idempotents, want))
 
 
 @given(chain_specs(), st.data())

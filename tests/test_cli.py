@@ -317,8 +317,8 @@ def test_all_builds_the_chain_once(monkeypatch):
 
 
 def test_all_stacks_the_chain_idempotents_once(monkeypatch):
-    # the chain stacks e_1..e_m once, when it is made; every stage reads that
-    # stack, so no other stack call of a run of all holds them again
+    # the chain fills e_1..e_m into one stack from its spec, when it is made;
+    # every stage reads that stack, so no stack call of a run of all holds them
     cfg = small_cfg(subcommand="all", m_max=6, trials=1, r_max=4)
     idempotents, stack, calls = cli._chain(cfg).idempotents, matrices.stack, []
     m = len(idempotents)
@@ -332,7 +332,7 @@ def test_all_stacks_the_chain_idempotents_once(monkeypatch):
         if getattr(module, "stack", None) is stack:
             monkeypatch.setattr(module, "stack", counted)
     assert run_experiment(cfg).overall
-    assert sum(calls) == 1
+    assert calls and sum(calls) == 0
 
 
 def test_diagonal_stage_views_one_leg_stack(monkeypatch):

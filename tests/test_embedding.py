@@ -254,7 +254,7 @@ def test_phi_block_restricts_rank_one():
     block = block_of(emb, (1, 2))
     assert block.shape == (4, 4)
     big = pairwise.E(RankOneFamily.build(2), 1)
-    assert block.equals(big.submatrix([0, 1, 2, 3]))
+    assert block.equals(pairwise.select(big, [0, 1, 2, 3], [0, 1, 2, 3]))
     for k in range(4):
         assert block.entry(3, k) == (0, 0)
         assert block.entry(k, 3) == (0, 0)
@@ -597,7 +597,7 @@ def product_form_blocks(a, family):
     for subset in family.subsets:
         pos, cols = [0, 1] + [j + 1 for j in subset], [j - 1 for j in subset]
         d = Matrix.diag([vals[k] for k in cols], backend)
-        blocks.append(ys.submatrix(pos, cols) @ d @ xt.submatrix(cols, pos))
+        blocks.append(pairwise.select(ys, pos, cols) @ d @ pairwise.select(xt, cols, pos))
     return blocks
 
 
