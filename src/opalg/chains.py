@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .matrices import (
     product_table,
     products_agree,
     singular_values,
-    stack,
     stack_difference,
 )
 
@@ -133,28 +133,32 @@ class ChainSpec:
         return self.dims[required_ladder_length(self.m_max) - 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Chain:
-    """A realized chain: the spec plus the idempotent matrices e_1..e_m, and
-    their one layout: ``family``, e_1..e_m as one (m, d, d) stack, and
-    ``generators``, g_1 = e_1 and g_j = e_j - e_{j-1}, as one difference of
-    ``family`` and ``family`` shifted down by one.  :func:`build_chain`
-    passes the family it filled, which the idempotents view."""
+    """A realized chain: the spec and e_1..e_m as one (m, d, d) stack,
+    ``family``, with ``generators``, g_1 = e_1 and g_j = e_j - e_{j-1}, as
+    one difference of ``family`` and ``family`` shifted down by one; the
+    idempotents are ``Matrix`` views of ``family``, made when first read."""
 
     spec: ChainSpec
-    idempotents: tuple[Matrix, ...]
-    truncation_dim: int
-    family: Stack | None = field(default=None, repr=False, compare=False)
-    generators: Stack = field(init=False, repr=False, compare=False)
+    family: Stack = field(repr=False)
+    generators: Stack = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "family", stack(self.idempotents) if self.family is None else self.family)
         below = self.family.apply(lambda x: np.concatenate([np.zeros_like(x[:1]), x[:-1]]))
         object.__setattr__(self, "generators", stack_difference(self.family, below))
+
+    @cached_property
+    def idempotents(self) -> tuple[Matrix, ...]:
+        return tuple(Matrix.from_stack(self.family.take(k)) for k in range(self.m_max))
 
     @property
     def m_max(self) -> int:
         return self.spec.m_max
+
+    @property
+    def truncation_dim(self) -> int:
+        return self.spec.truncation_dim
 
     @property
     def backend(self) -> str:
@@ -189,9 +193,7 @@ def _fill_family(spec: ChainSpec) -> Stack:
 
 def build_chain(spec: ChainSpec) -> Chain:
     """Realize the chain on its truncation and check idempotency."""
-    family = _fill_family(spec)
-    views = tuple(Matrix.from_stack(family.take(k)) for k in range(spec.m_max))
-    chain = Chain(spec, views, spec.truncation_dim, family)
+    chain = Chain(spec, _fill_family(spec))
     ok = products_agree(chain.family, chain.family, chain.family, DEFAULT_TOL)[0].tolist()
     if not all(ok):
         raise CertificationError(f"constructed e_{ok.index(False) + 1} failed its idempotency check")

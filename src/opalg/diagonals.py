@@ -317,7 +317,7 @@ class FiniteDiagonal:
     def __post_init__(self):
         object.__setattr__(self, "algebra_basis", tuple(self.algebra_basis))
         basis, d, tol = self.algebra_basis, self.diag, DEFAULT_TOL
-        unit, flat, one = _pi(d._left, d._right), _flatten(d._left, d._right), _legs([Matrix.identity(d.dim)], d.dim)
+        unit, flat, one = _pi(d._left, d._right), _flatten(d._left, d._right), Matrix.identity(d.dim)._s.take(None)
         identity, commutes = np.ones((2, len(basis)), dtype=bool)
         for group in filter(None, [[k for k, a in enumerate(basis) if a.is_exact == e] for e in (True, False)]):
             b = _legs([basis[k] for k in group], d.dim)
@@ -527,8 +527,8 @@ def certify_mbad(
     k_const = float(singular_values(float_stack(images))[:, 0].max())
     deltas = (TensorElem(*(x.take(slice(n * width)) for x in (left, right)), dim) for n in range(1, len(pis) + 1))
     unitized_images = tuple(unitize_diagonal(d, p, ident)[1] for d, p in zip(deltas, pis))
-    one = _legs([ident], dim)
-    basis, rows = stack_concat([chain.family, one]), len(chain.idempotents) + 1
+    one = ident._s.take(None)
+    basis, rows = stack_concat([chain.family, one]), chain.m_max + 1
     # the record fields per sample, filled in by backend and group
     n = len(sample.re if stacked else sample)
     in_span, identity_ok, commutator_ok, unitized_ok = np.zeros((4, n), dtype=bool)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +34,6 @@ from .matrices import (
 
 __all__ = [
     "WeightSeq",
-    "GenerationRecord",
     "GenerationCertificate",
     "orthogonal_generators",
     "orthogonality_table",
@@ -67,12 +65,12 @@ class WeightSeq:
         return self.lambdas[i]
 
     @classmethod
-    def norm_adaptive(cls, mats: Stack | Sequence[Matrix]) -> "WeightSeq":
+    def norm_adaptive(cls, family: Stack) -> "WeightSeq":
         """l_j = 4^-j / (1 + N_j) with N_j a rational in sixteenths strictly
-        above the largest norm among the first j idempotents, all from one
-        stacked SVD of ``mats`` or of their stack.  Keeps sum l_j * norm(g_j)
+        above the largest norm among the first j idempotents of the stack
+        ``family``, all from one stacked SVD.  Keeps sum l_j * norm(g_j)
         below sum 4^-j even when norms grow."""
-        norms = singular_values(float_stack(mats if isinstance(mats, Stack) else stack(mats)))[:, 0]
+        norms = singular_values(float_stack(family))[:, 0]
         peaks = np.maximum.accumulate(np.array([Fraction(math.ceil(x * 16) + 1, 16) for x in norms], dtype=object))
         return cls(tuple(Fraction(1, 4**j) / (1 + peak) for j, peak in enumerate(peaks, start=1)))
 
@@ -100,13 +98,11 @@ def orthogonal_generators(chain: Chain) -> tuple[Matrix, ...]:
     return tuple(Matrix.from_stack(chain.generators.take(j)) for j in range(len(chain.generators.re)))
 
 
-def orthogonality_table(gens: Stack | Sequence[Matrix]) -> np.ndarray:
+def orthogonality_table(gens: Stack) -> np.ndarray:
     """The (count, count) product table (:func:`opalg.matrices.product_table`)
-    saying whether g_i g_j equals g_i for i == j and vanishes for i != j:
-    exactly when every generator is exact, else within ``DEFAULT_TOL``;
-    ``gens`` may be their stack."""
-    if not isinstance(gens, Stack):
-        return orthogonality_table(stack(gens)) if len(gens) else np.ones((0, 0), dtype=bool)
+    of the stack ``gens``, saying whether g_i g_j equals g_i for i == j and
+    vanishes for i != j: exactly when every generator is exact, else within
+    ``DEFAULT_TOL``."""
     return product_table(gens, np.diag(np.arange(1, len(gens.re) + 1)) - 1, DEFAULT_TOL)[0]
 
 
@@ -152,15 +148,6 @@ def _tail_residuals(family, powers: np.ndarray):
         yield m, out.reshape(r_max, *mats.shape[1:])
 
 
-@dataclass(frozen=True)
-class GenerationRecord:
-    index: int
-    power: int
-    residual: float
-    bound: float
-    passed: bool
-
-
 @dataclass(frozen=True, eq=False)
 class GenerationCertificate:
     """The generators certified and their (count, r_max) residuals, bounds
@@ -172,17 +159,8 @@ class GenerationCertificate:
     verdicts: np.ndarray
 
     @property
-    def per_index(self) -> dict[int, bool]:
-        return {m: bool(row.all()) for m, row in enumerate(self.verdicts, start=1)}
-
-    @property
     def passed(self) -> bool:
         return bool(self.verdicts.all())
-
-    @cached_property
-    def records(self) -> tuple[GenerationRecord, ...]:
-        """The CSV rows (:meth:`csv_rows`) as records, made when first read."""
-        return tuple(GenerationRecord(*row[:4], bool(row[4])) for row in self.csv_rows()[1:])
 
     def csv_rows(self) -> list[list]:
         m, r = np.indices(self.residuals.shape) + 1
@@ -233,17 +211,13 @@ def certify_generation(source: Chain | Sequence[Matrix], weights: WeightSeq, r_m
     return GenerationCertificate(gens, residuals, bounds, bound_holds(residuals, bounds, gens[0].rows, tol))
 
 
-def same_span(first: Stack | Sequence[Matrix], second: Stack | Sequence[Matrix]) -> bool:
-    """Whether two families of matrices have equal linear span: both together
-    have the rank of each, from :func:`opalg.matrices.eliminate` (exact on exact
-    families; one with a float member runs wholly in floats, a remainder being
-    zero when no entry exceeds 1e-8), which keeps as many of ``first`` as
-    its rank when it eliminates ``first + second`` in order.  A family is a
-    sequence of matrices or their stack, such as :attr:`Chain.family`; an
-    empty one spans 0."""
-    first, second = (x if isinstance(x, Stack) else stack(x) if len(x) else None for x in (first, second))
-    parts = [x for x in (first, second) if x is not None]
+def same_span(first: Stack, second: Stack) -> bool:
+    """Whether two stacks of matrices, such as :attr:`Chain.family`, have
+    equal linear span: both together have the rank of each, from
+    :func:`opalg.matrices.eliminate` (exact on exact stacks; one float stack
+    runs both wholly in floats, a remainder being zero when no entry exceeds
+    1e-8), which keeps as many of ``first`` as its rank when it eliminates
+    ``first + second`` in order."""
     kept = lambda family: eliminate(family.take(None), zero_below=1e-8, coordinates=False)[0][0]
-    both = kept(stack_concat(parts)) if parts else np.zeros(0, dtype=bool)
-    return bool(both[:0 if first is None else len(first.re)].sum() == (0 if second is None else kept(second).sum())
-                == both.sum())
+    both = kept(stack_concat([first, second]))
+    return bool(both[:len(first.re)].sum() == kept(second).sum() == both.sum())

@@ -250,14 +250,16 @@ class Matrix:
     def exact(cls, rows):
         """Exact matrix from nested rows.  Entries may be ints, Fractions,
         strings like "3/4", (re, im) pairs, or complex numbers (taken at
-        their exact binary value)."""
+        their exact binary value).  The numerators go on the dtype
+        :func:`kernel_dtype` picks for their bound, as :func:`stack` puts them."""
         rows = [list(r) for r in rows]
         nr = len(rows)
         nc = len(rows[0]) if nr else 0
         if any(len(r) != nc for r in rows):
             raise DimensionError("ragged rows")
         entries = Stack.of([_entry_pair(v) for row in rows for v in row])
-        return cls.from_stack(entries.apply(lambda x: x.reshape(nr, nc)))
+        dtype = kernel_dtype(entries.bound)
+        return cls.from_stack(entries.apply(lambda x: x.reshape(nr, nc).astype(dtype, copy=False)))
 
     @classmethod
     def from_float(cls, data):
@@ -529,8 +531,8 @@ def _pivots(head, big):
     pivot: the first nonzero entry of least modulus when exact, compared
     as re^2 + im^2 in integers, and of largest modulus when float.  ``big``
     bounds the exact numerators, and is None when float."""
-    if big is None:
-        return np.argmax(np.abs(head[0]), axis=1)
+    if big is None:  # hypot rounds each modulus once, as abs of a complex does; np.abs can round low
+        return np.argmax(np.hypot(head[0].real, head[0].imag), axis=1)
     wide = big >= 2**30  # squares past int64 go on Python integers
     mags = sum(x * x for x in (y.astype(object) if wide else y for y in head))
     return np.argmin(np.where(mags != 0, mags, mags.max() + 1), axis=1)

@@ -24,7 +24,6 @@ from opalg import (
     certify_mbad,
     expectation_norm_demo,
     norm_profile,
-    orthogonal_generators,
     pi_map,
     unit_circle_sweep_ratios,
     unitize_diagonal,
@@ -82,16 +81,14 @@ def test_criterion_2_unbounded_idempotents(chain20):
 @criterion(3, "generation rate: geometric bound for m <= 6, r <= 40; two-projection case is 2^-r")
 def test_criterion_3_generation_rate():
     chain = build_chain(ChainSpec.default(6))
-    weights = WeightSeq.norm_adaptive(orthogonal_generators(chain))
+    weights = WeightSeq.norm_adaptive(chain.generators)
     cert = certify_generation(chain, weights, r_max=40)
-    assert len(cert.records) == 240
-    assert all(rec.passed for rec in cert.records)
+    assert cert.verdicts.shape == (6, 40)
+    assert cert.verdicts.all()
     assert cert.passed
     pair = [Matrix.diag([1, 0]), Matrix.diag([0, 1])]
     analytic = certify_generation(pair, WeightSeq((Fraction(1, 2), Fraction(1, 4))), r_max=40)
-    for rec in analytic.records:
-        if rec.index == 1:
-            assert abs(rec.residual - 2.0 ** -rec.power) <= 1e-10
+    assert (np.abs(analytic.residuals[0] - 2.0 ** -np.arange(1, 41)) <= 1e-10).all()
     assert analytic.passed
 
 

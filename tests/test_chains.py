@@ -267,7 +267,7 @@ def test_min_rule_table_matches_pairwise_products(m_max, data, eps):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(matrices, "_BLOCK_ENTRIES", entries)
             ok, dev = matrices.product_table(matrices.stack(mats), np.minimum.outer(index, index), 0.0)
-            report = verify_semilattice(Chain(chain.spec, tuple(mats), chain.truncation_dim), 1.0)
+            report = verify_semilattice(Chain(chain.spec, matrices.stack(mats)), 1.0)
         assert np.array_equal(ok, expected_ok) and np.array_equal(dev, expected_dev)
         assert report.passed == ok.all() and report.idempotent == ok.diagonal().all()
         assert report.max_abs_deviation == dev.max()
@@ -388,12 +388,13 @@ def test_chain_stacks_match_per_matrix_oracle(spec, data):
     chain = build_chain(spec)
     assert_layout_matches_oracle(chain)
     assert verify_semilattice(chain).passed
-    # a chain built by hand with one element doubled is stacked from its own
-    # elements, so the min-rule table sees the change
+    # a chain made by hand from a family with one element doubled: its
+    # idempotents and generators are read from that family, so the min-rule
+    # table sees the change
     k = data.draw(st.integers(0, spec.m_max - 1))
     mats = list(chain.idempotents)
     mats[k] = mats[k] * 2
-    changed = Chain(spec, tuple(mats), chain.truncation_dim)
+    changed = Chain(spec, matrices.stack(mats))
     assert_layout_matches_oracle(changed)
     report = verify_semilattice(changed)
     assert not report.passed and not report.idempotent

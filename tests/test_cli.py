@@ -230,7 +230,7 @@ def test_measured_checks_fail_on_bad_input(monkeypatch):
     # fails the check itself while every other check of the stage still runs
     def doubled_first(spec):
         chain = build_chain(spec)
-        return Chain(spec, (chain.idempotents[0] * 2,) + chain.idempotents[1:], chain.truncation_dim)
+        return Chain(spec, matrices.stack((chain.idempotents[0] * 2,) + chain.idempotents[1:]))
 
     monkeypatch.setattr("opalg.cli.build_chain", doubled_first)
     checks = {c.name: c for c in run_experiment(small_cfg(subcommand="chain", m_max=4)).stages[0].checks}

@@ -1,4 +1,5 @@
 """Single-generator recovery at the geometric rate."""
+import json
 import sys
 from fractions import Fraction
 
@@ -67,7 +68,7 @@ def test_generator_is_linear_in_orthogonal_terms():
 def test_generator_norm_triangle_bound():
     chain = build_chain(ChainSpec.default(6))
     gens = orthogonal_generators(chain)
-    w = WeightSeq.norm_adaptive(gens)
+    w = WeightSeq.norm_adaptive(chain.generators)
     b = single_generator(gens, w)
     assert op_norm(b) <= sum(float(l) * op_norm(g) for l, g in zip(w.lambdas, gens)) + 1e-9
 
@@ -75,28 +76,24 @@ def test_generator_norm_triangle_bound():
 def test_two_projection_residuals_are_powers_of_two():
     # (2b)^r = p1 + 2^-r p2, so the residual norm is exactly 2^-r
     cert = certify_generation(two_projections(), WeightSeq((Fraction(1, 2), Fraction(1, 4))), r_max=30)
-    for rec in cert.records:
-        if rec.index == 1:
-            assert rec.residual == pytest.approx(2.0 ** -rec.power, abs=1e-10)
-            assert rec.passed
+    assert cert.residuals[0] == pytest.approx(2.0 ** -np.arange(1, 31), abs=1e-10)
     assert cert.passed
 
 
 def test_single_generator_recovers_itself_exactly():
     cert = certify_generation([Matrix.diag([1, 0])], WeightSeq((Fraction(1, 2),)), r_max=5)
-    assert all(rec.residual == 0.0 and rec.bound == 0.0 for rec in cert.records)
+    assert not cert.residuals.any() and not cert.bounds.any()
     assert cert.passed
 
 
 def test_default_chain_certificate_passes():
     chain = build_chain(ChainSpec.default(6))
-    w = WeightSeq.norm_adaptive(orthogonal_generators(chain))
+    w = WeightSeq.norm_adaptive(chain.generators)
     cert = certify_generation(chain, w, r_max=40)
     assert cert.passed
-    assert len(cert.records) == 6 * 40
+    assert cert.residuals.shape == cert.bounds.shape == cert.verdicts.shape == (6, 40)
     # residuals decay geometrically with ratio at most 1/4
-    for m in range(1, 6):
-        series = [r.residual for r in cert.records if r.index == m]
+    for series in cert.residuals[:-1]:
         assert series[-1] <= series[0] * 0.26 ** (len(series) - 10)
 
 
@@ -115,22 +112,22 @@ def test_weight_scaling_leaves_residuals_unchanged(m_max, ratio, factor):
     # the weight-scale-invariance check stands for
     chain = build_chain(ChainSpec.default(m_max))
     if ratio is None:
-        w = WeightSeq.norm_adaptive(orthogonal_generators(chain))
+        w = WeightSeq.norm_adaptive(chain.generators)
     else:
         w = WeightSeq(tuple(ratio**j for j in range(1, m_max + 1)))
     nums, scaled_nums = w.numerators, w.scaled(factor).numerators
     assert all(nums * scaled_nums[0] == scaled_nums * nums[0])
     base = certify_generation(chain, w, r_max=12)
     scaled = certify_generation(chain, w.scaled(factor), r_max=12)
-    assert [(r.residual, r.bound) for r in base.records] == [(r.residual, r.bound) for r in scaled.records]
+    assert np.array_equal(base.residuals, scaled.residuals) and np.array_equal(base.bounds, scaled.bounds)
 
 
 def test_recovered_span_matches_chain_span():
     chain = build_chain(ChainSpec.default(6))
-    gens = orthogonal_generators(chain)
-    for family in (chain.idempotents, chain.family):
+    gens = matrices.stack(orthogonal_generators(chain))
+    for family in (matrices.stack(chain.idempotents), chain.family):
         assert same_span(gens, family) and same_span(family, gens)
-        assert not same_span(gens[:3], family)
+        assert not same_span(gens.take(slice(3)), family)
 
 
 def test_same_span_is_exact_on_exact_families():
@@ -139,12 +136,12 @@ def test_same_span_is_exact_on_exact_families():
     dim = chain.truncation_dim
     unit = Matrix.exact([[int((i, j) == (0, 1)) for j in range(dim)] for i in range(dim)])
     moved = list(chain.idempotents[:-1]) + [chain.e(6) + unit * Fraction(1, 2**1100)]
-    assert not same_span(chain.idempotents, moved)
-    assert same_span(moved, moved[::-1])
+    assert not same_span(chain.family, matrices.stack(moved))
+    assert same_span(matrices.stack(moved), matrices.stack(moved[::-1]))
     # float families keep their tolerance
-    floats = [m.to_float() for m in chain.idempotents]
-    assert same_span(floats, [m.to_float() for m in orthogonal_generators(chain)])
-    assert same_span(floats, [m.to_float() for m in moved])
+    floats = matrices.stack([m.to_float() for m in chain.idempotents])
+    assert same_span(floats, matrices.stack([m.to_float() for m in orthogonal_generators(chain)]))
+    assert same_span(floats, matrices.stack([m.to_float() for m in moved]))
 
 
 def test_same_span_mixed_families_run_in_floats():
@@ -158,6 +155,7 @@ def test_same_span_mixed_families_run_in_floats():
     moved = list(chain.idempotents[:-1]) + [chain.e(6) + unit * Fraction(1, 2**1100)]
     floats = [m.to_float() for m in chain.idempotents[:-1]] + [chain.e(6).to_float() + unit.to_float() * 1e-6]
     as_floats = [m.to_float() for m in moved]
+    moved, floats, as_floats = (matrices.stack(x) for x in (moved, floats, as_floats))
     assert same_span(moved, floats) is same_span(as_floats, floats) is False
     assert same_span(floats, moved) is same_span(floats, as_floats) is False
     assert same_span(moved, as_floats)
@@ -191,7 +189,7 @@ def test_two_elimination_span_matches_three_rank_oracle(backend):
     verdicts = []
     for first in families:
         for second in families:
-            verdicts.append(same_span(first, second))
+            verdicts.append(same_span(matrices.stack(first), matrices.stack(second)))
             assert verdicts[-1] == three_rank_same_span(first, second)
     assert any(verdicts) and not all(verdicts)
 
@@ -216,10 +214,10 @@ def test_default_certificate_passes_without_tolerance():
     # power, so only the rounding budget separates the two float readings;
     # at m_max 12 it is used (at the default m_max 10 the readings agree)
     chain = build_chain(ChainSpec.default(12))
-    w = WeightSeq.norm_adaptive(orthogonal_generators(chain))
+    w = WeightSeq.norm_adaptive(chain.generators)
     cert = certify_generation(chain, w, r_max=40, tol=0.0)
     assert cert.passed
-    assert max(r.residual - r.bound for r in cert.records) > 0.0
+    assert (cert.residuals - cert.bounds).max() > 0.0
 
 
 def test_weight_validation():
@@ -244,7 +242,7 @@ def test_r_max_too_small_rejected():
 def test_norm_adaptive_weights_decrease_and_dominate_norms():
     chain = build_chain(ChainSpec.default(8))
     gens = orthogonal_generators(chain)
-    w = WeightSeq.norm_adaptive(gens)
+    w = WeightSeq.norm_adaptive(chain.generators)
     assert all(b < a for a, b in zip(w.lambdas, w.lambdas[1:]))
     total = sum(float(l) * op_norm(g) for l, g in zip(w.lambdas, gens))
     assert total <= sum(0.25**j for j in range(1, 9))
@@ -254,13 +252,14 @@ def test_norm_adaptive_weights_decrease_and_dominate_norms():
 def test_norm_adaptive_weights_equal_the_per_matrix_loop(name, monkeypatch):
     # one stacked SVD gives each generator the norm it gives alone, so the
     # weights are the per-matrix loop's, as exact Fractions
-    gens = orthogonal_generators(build_chain(NORM_CHAINS[name]))
+    chain = build_chain(NORM_CHAINS[name])
+    gens = orthogonal_generators(chain)
     calls = []
     svd = matrices.singular_values
     counted = lambda m: calls.append(m.shape) or svd(m)
     monkeypatch.setattr(matrices, "singular_values", counted)
     monkeypatch.setattr(generation, "singular_values", counted)
-    weights = WeightSeq.norm_adaptive(gens)
+    weights = WeightSeq.norm_adaptive(chain.generators)
     assert calls == [(len(gens), *gens[0].shape)]
     monkeypatch.undo()
     assert weights.lambdas == pairwise.norm_adaptive(gens)
@@ -276,8 +275,13 @@ def test_certificate_csv_rows_shape():
 def test_certificate_serializes_to_json():
     cert = certify_generation(two_projections(), WeightSeq((Fraction(1, 2), Fraction(1, 4))), r_max=4)
     assert cert.passed is True
-    assert cert.per_index == {1: True, 2: True}
-    assert len(cert.records) == 8
+    assert cert.verdicts.all(axis=1).tolist() == [True, True]
+    assert json.loads(json.dumps(cert.csv_rows())) == cert.csv_rows()
+
+
+def residual_rows(cert):
+    """The certificate's (m, r, residual) CSV columns, as tuples."""
+    return [tuple(row[:3]) for row in cert.csv_rows()[1:]]
 
 
 def product_loop_residuals(gens, weights, r_max):
@@ -329,11 +333,11 @@ def test_closed_form_residuals_match_product_loop(m_max, values, ratio, r_max):
     chain = build_chain(ChainSpec.default(m_max, couplings=values))
     gens = orthogonal_generators(chain)
     if ratio is None:
-        weights = WeightSeq.norm_adaptive(gens)
+        weights = WeightSeq.norm_adaptive(chain.generators)
     else:
         weights = WeightSeq(tuple(ratio**j for j in range(1, m_max + 1)))
     cert = certify_generation(chain, weights, r_max=r_max, tol=0.0)
-    assert [(r.index, r.power, r.residual) for r in cert.records] == product_loop_residuals(gens, weights, r_max)
+    assert residual_rows(cert) == product_loop_residuals(gens, weights, r_max)
 
 
 def test_closed_form_matches_product_loop_on_complex_families():
@@ -342,12 +346,12 @@ def test_closed_form_matches_product_loop_on_complex_families():
         gens = conjugated_family(scale)
         weights = WeightSeq((Fraction(1, 2), Fraction(1, 5), Fraction(1, 7)))
         cert = certify_generation(gens, weights, r_max=6, tol=1e-9)
-        assert [(r.index, r.power, r.residual) for r in cert.records] == product_loop_residuals(gens, weights, 6)
+        assert residual_rows(cert) == product_loop_residuals(gens, weights, 6)
     # float families take the same closed form in floats, up to rounding
     floats = [g.to_float() for g in conjugated_family()]
     cert = certify_generation(floats, weights, r_max=6)
-    for rec, (_, _, loop) in zip(cert.records, product_loop_residuals(floats, weights, 6)):
-        assert rec.residual == pytest.approx(loop, rel=1e-12, abs=1e-15)
+    loops = [loop for _, _, loop in product_loop_residuals(floats, weights, 6)]
+    assert cert.residuals.ravel().tolist() == pytest.approx(loops, rel=1e-12, abs=1e-15)
 
 
 def chain_generators(m_max, values):
@@ -369,11 +373,11 @@ def test_sparse_residuals_equal_the_dense_product(gens, ratio, r_max):
     # support are the dense product's, so every residual has the same bits,
     # on real and complex families and both weight schemes; the last index,
     # whose tail is empty, is not yielded
+    family = matrices.stack(gens)
     if ratio is None:
-        weights = WeightSeq.norm_adaptive(gens)
+        weights = WeightSeq.norm_adaptive(family)
     else:
         weights = WeightSeq(tuple(ratio**j for j in range(1, len(gens) + 1)))
-    family = matrices.stack(gens)
     got = list(generation._tail_residuals(family, _weight_powers(weights, r_max)))
     assert [m for m, _ in got] == list(range(len(gens) - 2, -1, -1))
     assert pairwise.residual_stack(family, weights, len(gens) - 1, r_max) is None
@@ -409,30 +413,28 @@ def table_families():
 
 @pytest.mark.parametrize("name, gens", list(table_families()))
 def test_orthogonality_table_matches_pairwise_verdicts(name, gens, monkeypatch):
-    expected = pairwise_table(gens)
-    # the generators or their stack, and row blocks of one generator at a time
-    for family in (gens, matrices.stack(gens)):
-        assert (orthogonality_table(family) == expected).all()
-        with monkeypatch.context() as patched:
-            patched.setattr(matrices, "_BLOCK_ENTRIES", 1)
-            assert (orthogonality_table(family) == expected).all()
+    expected, family = pairwise_table(gens), matrices.stack(gens)
+    assert (orthogonality_table(family) == expected).all()
+    # row blocks of one generator at a time
+    monkeypatch.setattr(matrices, "_BLOCK_ENTRIES", 1)
+    assert (orthogonality_table(family) == expected).all()
 
 
 def test_orthogonality_table_names_the_broken_entries():
     families = dict(table_families())
-    table = orthogonality_table(families["one non-idempotent"])
+    table = orthogonality_table(matrices.stack(families["one non-idempotent"]))
     assert not table[2, 2] and table.sum() == 36 - 1
-    table = orthogonality_table(families["one non-orthogonal pair"])
+    table = orthogonality_table(matrices.stack(families["one non-orthogonal pair"]))
     assert table.diagonal().all() and not table[0, 1]
-    assert orthogonality_table([]).shape == (0, 0)
+    weights = WeightSeq.norm_adaptive(matrices.stack(families["telescoping"]))
     with pytest.raises(CertificationError, match="orthogonal"):
-        certify_generation(families["one non-orthogonal pair"], WeightSeq.norm_adaptive(families["telescoping"]), 4)
+        certify_generation(families["one non-orthogonal pair"], weights, 4)
 
 
 def test_rescaled_generators_equal_their_defining_sums():
     chain = build_chain(ChainSpec.default(8, couplings=[Fraction(1, 3), 1, Fraction(5, 2), 4]))
     gens = orthogonal_generators(chain)
-    weights = WeightSeq.norm_adaptive(gens)
+    weights = WeightSeq.norm_adaptive(chain.generators)
     for m, rescaled in enumerate(rescaled_generators(gens, weights)):
         direct = gens[m]
         for j in range(m + 1, len(gens)):
@@ -445,7 +447,7 @@ def test_rescaled_generators_equal_their_defining_sums():
 def test_certificate_makes_no_exact_products_and_one_svd_per_generator(monkeypatch):
     chain = build_chain(ChainSpec.default(12))
     gens = orthogonal_generators(chain)
-    weights = WeightSeq.norm_adaptive(gens)
+    weights = WeightSeq.norm_adaptive(chain.generators)
     counts = {"matmul": 0, "svd": 0}
     matmul, svd = Matrix.__matmul__, matrices.singular_values
 
@@ -459,7 +461,7 @@ def test_certificate_makes_no_exact_products_and_one_svd_per_generator(monkeypat
 
     monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
     monkeypatch.setattr(generation, "singular_values", counted_svd)
-    assert orthogonality_table(gens).all()
+    assert orthogonality_table(chain.generators).all()
     cert = certify_generation(chain, weights, r_max=40, tol=0.0)
     assert cert.passed
     # one stacked SVD for the generators' norms, one per generator with a

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from opalg import (
     DEFAULT_TOL,
@@ -433,6 +433,9 @@ def test_exact_sums_and_scalars_match_oracle(data):
 
 
 @given(ref_matrices())
+# two float moduli one ulp apart, which np.abs reads as equal
+@example([[(Fraction(152621734757596538981962067972029887, 618970019642690137449562111), Fraction(0)),
+           (Fraction(152621734757596538981962067972029887, 618970019642690137449562111), Fraction(9, 2))]])
 @settings(max_examples=80, deadline=None)
 def test_exact_readouts_match_oracle(a):
     m = Matrix.exact(a)
@@ -830,6 +833,9 @@ def test_kernel_bounds_hold_and_values_match_oracle(data):
     for s, f in zip(stacks, (fa, fb, ft)):
         check_stack(s, [pairwise.entries(m._s) for m in f])
         assert s.re.dtype == (np.int64 if s.bound < 2**63 else object)
+    # exact constructors pick their numerators' dtype by the same rule
+    for m, dtype in [(moved, np.int64), (Matrix.identity(3), np.int64), (Matrix.exact([[2**70]]), object)]:
+        assert m._s.re.dtype == dtype == (np.int64 if m._s.bound < 2**63 else object)
     ok, dev = products_agree(*stacks, 0.0)
     assert (ok.tolist(), dev.tolist()) == fraction_products_agree(*stacks)
     # the coordinates of a family's elimination, against the reference elimination

@@ -1,4 +1,5 @@
-"""Every name a module exports resolves, so ``from ... import *`` works."""
+"""Every name a module exports resolves, so ``from ... import *`` works, and
+the README's library example runs."""
 import importlib
 import importlib.util
 import pathlib
@@ -44,3 +45,11 @@ def test_benchmark_tracer_installs_on_every_wrapped_name():
     finally:
         tracer.remove()
     assert tracer_module.snapshot() == before
+
+
+def test_readme_library_example_runs():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library example\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    assert "build_chain" in block
+    exec(compile(block, "README.md", "exec"), {})
