@@ -145,6 +145,9 @@ class Chain:
     generators: Stack = field(init=False, repr=False)
 
     def __post_init__(self):
+        shape = (self.m_max, self.truncation_dim, self.truncation_dim)
+        if self.family.re.shape != shape:
+            raise ValueError(f"a chain's family must have shape {shape}, got {self.family.re.shape}")
         below = self.family.apply(lambda x: np.concatenate([np.zeros_like(x[:1]), x[:-1]]))
         object.__setattr__(self, "generators", stack_difference(self.family, below))
 

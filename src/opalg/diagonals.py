@@ -5,8 +5,8 @@ module builds the telescoping diagonals of a chain, their unitized
 companions, certifies the multiplier-bounded approximate-diagonal
 conditions, and realizes the expectation x -> sum u_i x v_i induced by a
 finite exact diagonal.  A diagonal sequence is given by its increments
-I_n = D_n - D_{n-1}; for the telescoping diagonals each is one term
-g_n (x) g_n, and every D_n is a view of the first terms of one leg stack.
+I_n = D_n - D_{n-1} in one batched element; for the telescoping diagonals
+each is g_n (x) g_n, and every D_n is a view of the first terms of its legs.
 
 An element is its two leg stacks, and each operation on it is one array
 kernel over those stacks: the multiplication map, the flattening, the
@@ -291,12 +291,12 @@ def tensor_norm_bounds(t: TensorElem) -> tuple[float, float]:
     return tuple(float(x[0]) for x in _bounds(t._left.take(None), t._right.take(None), 0.0)[:2])
 
 
-def unitize_diagonal(delta: TensorElem, u: Matrix, one: Matrix) -> tuple[TensorElem, Matrix]:
-    """(M, pi(M)) for M = 2*delta - u.delta + (1-u) (x) (1-u).  When u is
-    the image of delta under the multiplication map, pi(M) is the
-    identity, exactly: pi(M) - 1 = (2 - u)(pi(delta) - u).  The image is
+def unitize_diagonal(delta: TensorElem, u: Matrix, rest: Matrix) -> tuple[TensorElem, Matrix]:
+    """(M, pi(M)) for M = 2*delta - u.delta + rest (x) rest.  When u is the
+    image of delta under the multiplication map and rest = 1 - u, pi(M) is
+    the identity, exactly: pi(M) - 1 = (2 - u)(pi(delta) - u).  The image is
     returned for the caller to check, not checked here."""
-    uu, rest = stack_product(np.matmul, delta._actor(u), delta._left, delta.dim), delta._actor(one - u).take(None)
+    uu, rest = stack_product(np.matmul, delta._actor(u), delta._left, delta.dim), delta._actor(rest).take(None)
     left = stack_concat([_times(delta._left, 2), uu.apply(np.negative), rest])
     right = stack_concat([delta._right, delta._right, rest])
     return TensorElem(left, right, delta.dim), Matrix.from_stack(_pi(left, right))
@@ -403,16 +403,9 @@ class MbadReport:
     unitized_images: tuple[Matrix, ...]
 
 
-def _layout(increments: Sequence[TensorElem]) -> list[Stack]:
-    """The increments' left and right legs as (increment, term, n, n) stacks, zero-padded to one width >= 1."""
-    width = max(1, *(len(inc._left.re) for inc in increments))
-    pad = lambda x: np.concatenate([x, np.zeros((width - len(x), *x.shape[1:]), x.dtype)])[None]
-    return [stack_concat([getattr(inc, side).apply(pad) for inc in increments]) for side in ("_left", "_right")]
-
-
 def _commutator_bounds(samples: Stack, left: Stack, right: Stack, tol: float) -> list[tuple]:
     """:func:`_bounds` of [a, D_n] for each n and each a of the stack ``samples``,
-    D_n the sum of the first n increments, given as their :func:`_layout`.
+    D_n the sum of the first n increments, as (increment, term, n, n) legs.
     The [a, I_n] of all increments share one reduction: they are the [a, D_n]
     up to the first nonzero one.  Past it, the reduced [a, D_{n-1}] are
     reduced with the terms of [a, I_n], 2 products per term of I_n."""
@@ -474,7 +467,7 @@ _GROUP_ENTRIES = 2**18
 
 
 def certify_mbad(
-    increments: Sequence[TensorElem],
+    increments: TensorElem,
     chain: Chain,
     sample: Sequence[Matrix],
     tol: float = DEFAULT_TOL,
@@ -482,51 +475,52 @@ def certify_mbad(
     """Certify the approximate-diagonal conditions on a sample.
 
     ``increments`` are I_1..I_m of the chain's diagonal sequence, read as
-    D_n = I_1 + ... + I_n; the telescoping diagonals have I_n = g_n (x) g_n
-    for the generators g_n.  Per element: the multiplication images
-    eventually act as the identity (exactly, once the index passes the
-    element's top chain index), commutators with every diagonal vanish, and
-    the unitized diagonals obey the multiplier estimate
+    D_n = I_1 + ... + I_n, as one element whose legs are (m, width, n, n)
+    stacks, shorter increments padded with zero terms; the telescoping
+    diagonals have I_n = g_n (x) g_n for the generators g_n.  Per element: the
+    multiplication images eventually act as the identity (exactly, once the
+    index passes the element's top chain index), commutators with every
+    diagonal vanish, and the unitized diagonals obey the multiplier estimate
     (2 + K) C + 2 (1 + K)^2 over the adjoined-unit norm.  Elements outside
     span(chain + identity) are flagged, not fatal.  The report carries the
-    multiplication images of the diagonals and of the unitized diagonals;
-    each unitized diagonal is kept only until its image is read.
+    multiplication images of the diagonals and of the unitized diagonals; each
+    unitized diagonal is kept only until its image is read.
 
-    The increments are laid out once (:func:`_layout`) and read by every
-    consumer: each D_n is a view of its first n rows, the images pi(D_n) are
-    prefix sums of the products of its terms, and every group's
-    :func:`_commutator_bounds` takes it whole.  One elimination of
-    :attr:`Chain.family`, 1 and the samples of one backend (or the ``sample``
-    stack), in which no sample is a pivot, gives each sample's span test, top
-    index and identity part c of a = a_alg + c 1.  The (sample, diagonal)
-    work runs in groups of at most ``_GROUP_ENTRIES`` entries, and no record
-    depends on its sample's group or stack.  Past the first nonzero
-    commutator, [a, D_n] is reduced from the reduced [a, D_{n-1}]: that form
-    has the value of [a, D_n] but not its leg order, so a nonzero
-    commutator's upper bound may differ in its last digits from that of the
-    reduced raw one; so may the closed-form unitized bound of a commuting
-    sample from the reduction's on rational legs.
+    Every consumer reads the increments' legs: each D_n is a view of their
+    first n rows, the images pi(D_n) are prefix sums of the products of its
+    terms, the unitized diagonals read the rests 1 - pi(D_n) that the bounds
+    read, and every group's :func:`_commutator_bounds` takes the legs whole.
+    One elimination of :attr:`Chain.family`, 1 and the samples of one backend
+    (or the ``sample`` stack), in which no sample is a pivot, gives each
+    sample's span test, top index and identity part c of a = a_alg + c 1.  The
+    (sample, diagonal) work runs in groups of at most ``_GROUP_ENTRIES``
+    entries, and no record depends on its sample's group or stack.  Past the
+    first nonzero commutator, [a, D_n] is reduced from the reduced
+    [a, D_{n-1}]: that form has the value of [a, D_n] but not its leg order,
+    so a nonzero commutator's upper bound may differ in its last digits from
+    that of the reduced raw one; so may the closed-form unitized bound of a
+    commuting sample from the reduction's on rational legs.
     """
-    increments = list(increments)
-    if not increments:
+    m, width = increments._left.re.shape[:2]
+    if not m * width:
         raise ValueError("no diagonals supplied")
     stacked = isinstance(sample, Stack)
     sample = sample if stacked else list(sample)
     dim = chain.truncation_dim
     ident = Matrix.identity(dim, backend=chain.backend)
-    layout = _layout(increments)
-    width, (left, right) = layout[0].re.shape[1], (x.apply(lambda y: y.reshape(-1, dim, dim)) for x in layout)
+    left, right = (x.apply(lambda y: y.reshape(-1, dim, dim)) for x in (increments._left, increments._right))
     # pi(D_n): prefix sums of the terms' products u_i v_i on a dtype that holds
     # any of them, then bounded by their entries, which idempotents keep low
     images = stack_product(np.matmul, left, right, dim * len(left.re)).apply(
         lambda x: np.cumsum(x, axis=0)[width - 1::width])
     images = images if images.den is None else Stack.read(images.re, images.im, images.den)
-    pis = [Matrix.from_stack(images.take(n)) for n in range(len(increments))]
+    pis = [Matrix.from_stack(images.take(n)) for n in range(m)]
     rests = stack_difference(ident._s, images)
     rest_norms = _rest_norms(rests)
     k_const = float(singular_values(float_stack(images))[:, 0].max())
-    deltas = (TensorElem(*(x.take(slice(n * width)) for x in (left, right)), dim) for n in range(1, len(pis) + 1))
-    unitized_images = tuple(unitize_diagonal(d, p, ident)[1] for d, p in zip(deltas, pis))
+    deltas = (TensorElem(*(x.take(slice(n * width)) for x in (left, right)), dim) for n in range(1, m + 1))
+    unitized_images = tuple(unitize_diagonal(d, p, Matrix.from_stack(rests.take(n)))[1]
+                            for n, (d, p) in enumerate(zip(deltas, pis)))
     one = ident._s.take(None)
     basis, rows = stack_concat([chain.family, one]), chain.m_max + 1
     # the record fields per sample, filled in by backend and group
@@ -534,7 +528,7 @@ def certify_mbad(
     in_span, identity_ok, commutator_ok, unitized_ok = np.zeros((4, n), dtype=bool)
     gaps, uppers, lowers, unitized, alg_norms = np.zeros((5, n))
     coeffs, tops = np.zeros(n, dtype=complex), np.zeros(n, dtype=int)
-    size = max(1, _GROUP_ENTRIES // (len(increments) * dim * dim))
+    size = max(1, _GROUP_ENTRIES // (m * dim * dim))
     backends = ([i for i, a in enumerate(sample) if a.is_exact == e] for e in (True, False))
     for ids in filter(None, [list(range(n))] if stacked else backends):
         # coordinates over e_1..e_m, 1: in the span when spanned, the last one
@@ -555,7 +549,7 @@ def certify_mbad(
         for lo in range(0, len(ids), size):
             at, group, scale = slice(lo, lo + size), ids[lo:lo + size], scales[lo:lo + size]
             legs = samples.take(at)
-            bounds = _commutator_bounds(legs, *layout, tol)
+            bounds = _commutator_bounds(legs, increments._left, increments._right, tol)
             lower, upper, zero = (np.array([b[k] for b in bounds]) for k in range(3))
             # a p = p a for every (a, p), and a pi(D_m) = a, the identity part of
             # the last image; float products within max(tol, c max(1, max|a|))
@@ -575,7 +569,7 @@ def certify_mbad(
             unit = _regrouped_uppers([b[3] for b in bounds], w, shrinks, images, rests, rest_norms)
             refined = (2.0 + k_const) * upper + 2.0 * (1.0 + k_const) * shrinks.T
             refined_ok = (unit <= refined + np.maximum(tol, 1e-9 * np.maximum(1.0, refined))).all(axis=0)
-            identity_ok[group] = ~in_span[group] | nonzero[at, -1] | (tops[group] > len(increments)) | final_ok
+            identity_ok[group] = ~in_span[group] | nonzero[at, -1] | (tops[group] > m) | final_ok
             uppers[group], lowers[group], unitized[group] = upper.max(axis=0), lower.max(axis=0), unit.max(axis=0)
             commutator_ok[group], unitized_ok[group] = ~in_span[group] | zero.all(axis=0), refined_ok & ok.all(axis=1)
 

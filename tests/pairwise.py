@@ -6,7 +6,8 @@ rank-one family, and the tensor-element algebra term by term on (Matrix,
 Matrix) pairs, with the reduced form and norm bounds read off them; and
 the diagonal stage's commutator bounds, one reduction per diagonal, and its
 regrouped unitized bounds, all by the reduction; the increments of a
-diagonal sequence, found by comparing its diagonals term by term; a
+diagonal sequence, found by comparing its diagonals term by term, and
+padded into one batched element; a
 chain's idempotents one ``Matrix`` expression each, its idempotent stack,
 its telescoping generators one ``Matrix`` subtraction each and its telescoping diagonals from their pairs; the
 generation residuals by one dense product of the power table with the tail
@@ -278,6 +279,17 @@ def increments(deltas):
         out.append(diagonals.TensorElem(stack_concat([dl, pl.apply(np.negative)]), stack_concat([dr, pr]), d.dim))
         prev = d
     return out
+
+
+def batched(increments):
+    """A list of increments as the one batched element that
+    :func:`opalg.diagonals.certify_mbad` takes: (increment, term, n, n) legs,
+    each increment padded with zero terms to the widest one, and at least one
+    term wide."""
+    width = max(1, *(len(inc._left.re) for inc in increments))
+    pad = lambda x: np.concatenate([x, np.zeros((width - len(x), *x.shape[1:]), x.dtype)])[None]
+    legs = (stack_concat([getattr(inc, side).apply(pad) for inc in increments]) for side in ("_left", "_right"))
+    return diagonals.TensorElem(*legs, increments[0].dim)
 
 
 def commutator_bounds(samples, increments, tol):

@@ -103,9 +103,10 @@ def test_criterion_4_diagonal_identities():
             assert pairwise.is_zero(bimodule_commutator(chain.e(m), delta).flatten())
     ident = Matrix.identity(chain.truncation_dim)
     for delta in deltas:
-        m, image = unitize_diagonal(delta, pi_map(delta), ident)
+        p = pi_map(delta)
+        m, image = unitize_diagonal(delta, p, ident - p)
         assert pi_map(m).equals(ident) and image.equals(ident)
-    report = certify_mbad(pairwise.increments(deltas), chain, list(chain.idempotents))
+    report = certify_mbad(pairwise.batched(pairwise.increments(deltas)), chain, list(chain.idempotents))
     assert report.verdict
     assert report.multiplier_constant == 0.0
 

@@ -382,6 +382,18 @@ def test_filled_chain_equals_the_per_matrix_construction(spec):
     assert len(chain.idempotents) == len(want) and all(map(Matrix.equals, chain.idempotents, want))
 
 
+def test_chain_rejects_a_family_with_too_few_matrices():
+    chain = build_chain(ChainSpec.default(6))
+    with pytest.raises(ValueError, match=r"shape \(6, 7, 7\), got \(3, 7, 7\)"):
+        Chain(chain.spec, chain.family.take(slice(3)))
+
+
+def test_chain_rejects_a_family_of_the_wrong_side():
+    chain, small = build_chain(ChainSpec.default(6)), build_chain(ChainSpec.default(6, dims=range(1, 14, 2)))
+    with pytest.raises(ValueError, match=r"shape \(6, 13, 13\), got \(6, 7, 7\)"):
+        Chain(small.spec, chain.family)
+
+
 @given(chain_specs(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_chain_stacks_match_per_matrix_oracle(spec, data):

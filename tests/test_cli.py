@@ -259,9 +259,9 @@ def test_measured_checks_fail_on_bad_input(monkeypatch):
     monkeypatch.undo()
 
     # unitized-diagonal-image checks the images that unitize_diagonal returns:
-    # unitizing with the identity in place of pi(D) breaks only it
+    # unitizing with u in place of the rest 1 - u breaks only it
     unitize = diagonals.unitize_diagonal
-    monkeypatch.setattr(diagonals, "unitize_diagonal", lambda delta, u, one: unitize(delta, one, one))
+    monkeypatch.setattr(diagonals, "unitize_diagonal", lambda delta, u, rest: unitize(delta, u, u))
     checks = {c.name: c for c in run_experiment(small_cfg(subcommand="diagonal", m_max=4)).stages[0].checks}
     assert [name for name, c in checks.items() if not c.passed] == ["unitized-diagonal-image"]
     monkeypatch.undo()
@@ -336,22 +336,22 @@ def test_all_stacks_the_chain_idempotents_once(monkeypatch):
 
 
 def test_diagonal_stage_views_one_leg_stack(monkeypatch):
-    # the stage passes the increments g_n (x) g_n; every D_n that is
-    # unitized is a view of the first n terms of one leg stack, with the
-    # value of the telescoping diagonal
-    seen, unitize = [], diagonals.unitize_diagonal
+    # the stage passes the increments g_n (x) g_n as one batched element;
+    # every D_n that is unitized is a view of the first n terms of the run's
+    # own Chain.generators, with the value of the telescoping diagonal
+    seen, chains, unitize = [], [], diagonals.unitize_diagonal
 
-    def recorded(delta, u, one):
+    def recorded(delta, u, rest):
         seen.append(delta)
-        return unitize(delta, u, one)
+        return unitize(delta, u, rest)
 
     monkeypatch.setattr(diagonals, "unitize_diagonal", recorded)
-    cfg = small_cfg(subcommand="diagonal", m_max=6)
-    assert run_experiment(cfg).overall
-    chain = cli._chain(cfg)
+    monkeypatch.setattr("opalg.cli.build_chain", lambda spec: chains.append(build_chain(spec)) or chains[-1])
+    assert run_experiment(small_cfg(subcommand="diagonal", m_max=6)).overall
+    (chain,) = chains
     assert len(seen) == 6
     for n, delta in enumerate(seen, start=1):
-        assert np.shares_memory(delta._left.re, seen[-1]._left.re)
+        assert all(np.shares_memory(x.re, chain.generators.re) for x in (delta._left, delta._right))
         assert delta.flatten().equals(pairwise.build_delta(chain, n).flatten())
 
 

@@ -34,14 +34,13 @@ from opalg import diagonals
 from opalg.diagonals import (
     _bounds,
     _commutator_bounds,
-    _layout,
     _legs,
     _nonzero,
     _reduce,
     _regrouped_uppers,
     _rest_norms,
 )
-from opalg.matrices import float_stack, singular_values, stack_concat
+from opalg.matrices import Stack, float_stack, singular_values, stack_concat
 
 import pairwise
 from pairwise import PairTensor, agree
@@ -56,6 +55,11 @@ def reduced_form(t):
     """The reduced form of t, as a tensor element."""
     left, right = _reduce(*batch(t))
     return TensorElem(left.take(0), right.take(0), t.dim)
+
+
+def sequence(deltas):
+    """A diagonal sequence as the batched increments certify_mbad takes."""
+    return pairwise.batched(pairwise.increments(deltas))
 
 
 def stacked(p):
@@ -287,7 +291,7 @@ def test_stacked_algebra_matches_pairwise_oracle(t, data):
     cases = [
         (pi_map(t), pairs.pi()), (t.flatten(), pairs.flatten()),
         (bimodule_commutator(a, t).flatten(), pairwise.commutator(a, pairs).flatten()),
-        (unitize_diagonal(t, a, one)[0].flatten(), unitized.flatten()),
+        (unitize_diagonal(t, a, one - a)[0].flatten(), unitized.flatten()),
     ]
     for got, want in cases:
         if t.backend == "exact" and a.is_exact:
@@ -403,7 +407,7 @@ def test_certify_mbad_unitized_matches_raw_commutator_reference(chain6):
     parts = [(e, 0) for e in chain6.idempotents]
     parts += [(chain6.e(1) + unit01(dim), 0), (chain6.e(2) + unit01(dim) * Fraction(1, 3), 0), (chain6.e(3), 2)]
     sample = [a_alg + one * c for a_alg, c in parts] + [chain6.e(5).to_float() * 0.3 + one * 0.5]
-    report = certify_mbad(pairwise.increments(deltas), chain6, sample)
+    report = certify_mbad(sequence(deltas), chain6, sample)
     assert [r.in_span for r in report.records] == [True] * 6 + [False, False, True, True]
     # a float element's identity part is the one certify_mbad reads off its coordinates
     algs = [a_alg for a_alg, _ in parts] + [sample[-1] - one * report.records[-1].identity_coeff]
@@ -422,7 +426,7 @@ def test_certify_mbad_unitized_needs_commuting_images():
     odd = TensorElem.of([(unit01(dim), one), (chain.e(1), chain.e(1))], dim=dim)
     deltas = [pairwise.build_delta(chain, 1), odd, pairwise.build_delta(chain, 3)]
     sample = [chain.e(1), chain.e(2), chain.e(4), one * Fraction(3, 2) + chain.e(3)]
-    report = certify_mbad(pairwise.increments(deltas), chain, sample)
+    report = certify_mbad(sequence(deltas), chain, sample)
     assert [r.unitized_ok for r in report.records] == [False, False, True, True]
     assert not report.verdict
 
@@ -431,7 +435,8 @@ def test_unitize_smallest_chain():
     chain = build_chain(ChainSpec.default(1))
     one = Matrix.identity(chain.truncation_dim)
     delta = pairwise.build_delta(chain, 1)
-    m, image = unitize_diagonal(delta, pi_map(delta), one)
+    p = pi_map(delta)
+    m, image = unitize_diagonal(delta, p, one - p)
     assert pi_map(m).equals(one) and image.equals(one)
     e1 = chain.e(1)
     expected = TensorElem.of([(e1, e1), (one - e1, one - e1)])
@@ -442,14 +447,28 @@ def test_unitize_all_defaults(chain6):
     one = Matrix.identity(chain6.truncation_dim)
     for n in range(1, 7):
         d = pairwise.build_delta(chain6, n)
-        m, image = unitize_diagonal(d, pi_map(d), one)
+        p = pi_map(d)
+        m, image = unitize_diagonal(d, p, one - p)
         assert pi_map(m).equals(one) and image.equals(one)
+
+
+def test_unitize_reads_the_rest_it_is_given(chain6):
+    # rest = 1 - p gives M = 2D - p.D + (1 - p) (x) (1 - p), the element the
+    # unitization formed from the identity; a wrong rest moves its image
+    one = Matrix.identity(chain6.truncation_dim)
+    for n in range(1, 7):
+        d = pairwise.build_delta(chain6, n)
+        p, pairs = pi_map(d), PairTensor(pairwise.terms(d), d.dim)
+        want = pairs.scale(2) - pairs.left(p) + PairTensor([(one - p, one - p)], d.dim)
+        assert unitize_diagonal(d, p, one - p)[0].flatten().equals(want.flatten())
+        m, image = unitize_diagonal(d, p, p)
+        assert image.equals(pi_map(m)) and image.equals(p * 2) and not image.equals(one)
 
 
 def test_unitize_collapses_on_identity_diagonal():
     one = Matrix.identity(3)
     delta = TensorElem.of([(one, one)])
-    m, _ = unitize_diagonal(delta, one, one)
+    m, _ = unitize_diagonal(delta, one, one - one)
     assert m.flatten().equals(delta.flatten())
 
 
@@ -457,14 +476,14 @@ def test_unitize_rejects_wrong_unit(chain6):
     one = Matrix.identity(chain6.truncation_dim)
     d = pairwise.build_delta(chain6, 2)
     # the image is returned for the caller's check, not re-checked inside
-    m, image = unitize_diagonal(d, chain6.e(1), one)
+    m, image = unitize_diagonal(d, chain6.e(1), one - chain6.e(1))
     assert image.equals(pi_map(m)) and not image.equals(one)
 
 
 def test_certify_mbad_default_sample(chain6):
     deltas = [pairwise.build_delta(chain6, n) for n in range(1, 7)]
     sample = [chain6.e(n) for n in range(1, 6)]
-    report = certify_mbad(pairwise.increments(deltas), chain6, sample)
+    report = certify_mbad(sequence(deltas), chain6, sample)
     assert report.verdict
     assert report.multiplier_constant == 0.0
     assert report.projection_sup == pytest.approx(math.sqrt(10), abs=1e-9)
@@ -477,7 +496,7 @@ def test_certify_mbad_default_sample(chain6):
 
 def test_certify_mbad_zero_sample(chain6):
     deltas = [pairwise.build_delta(chain6, n) for n in range(1, 4)]
-    report = certify_mbad(pairwise.increments(deltas), chain6, [Matrix.zeros(chain6.truncation_dim)])
+    report = certify_mbad(sequence(deltas), chain6, [Matrix.zeros(chain6.truncation_dim)])
     assert report.verdict
     assert report.records[0].commutator_upper == 0.0
     assert report.records[0].element_constant == 0.0
@@ -487,7 +506,7 @@ def test_certify_mbad_flags_outside_elements(chain6):
     dim = chain6.truncation_dim
     shift = Matrix.exact([[1 if j == i + 1 else 0 for j in range(dim)] for i in range(dim)])
     deltas = [pairwise.build_delta(chain6, n) for n in range(1, 4)]
-    report = certify_mbad(pairwise.increments(deltas), chain6, [shift, chain6.e(1)])
+    report = certify_mbad(sequence(deltas), chain6, [shift, chain6.e(1)])
     by_label = {r.label: r for r in report.records}
     assert not by_label["a0"].in_span
     assert by_label["a1"].in_span
@@ -498,7 +517,7 @@ def test_certify_mbad_handles_identity_component(chain6):
     deltas = [pairwise.build_delta(chain6, n) for n in range(1, 7)]
     ident = Matrix.identity(chain6.truncation_dim)
     elem = ident * Fraction(2) + chain6.e(3) * Fraction(1, 2)
-    report = certify_mbad(pairwise.increments(deltas), chain6, [elem])
+    report = certify_mbad(sequence(deltas), chain6, [elem])
     rec = report.records[0]
     assert rec.in_span
     assert abs(rec.identity_coeff - 2.0) <= 1e-9
@@ -506,14 +525,14 @@ def test_certify_mbad_handles_identity_component(chain6):
     assert rec.unitized_ok
     # an identity coefficient below float range is still one: the test is exact
     for corner in (Fraction(1, 2**1100), (0, Fraction(-1, 2**1100))):
-        rec = certify_mbad(pairwise.increments(deltas[:2]), chain6, [ident * corner]).records[0]
+        rec = certify_mbad(sequence(deltas[:2]), chain6, [ident * corner]).records[0]
         assert rec.identity_coeff == 0 and rec.identity_ok
 
 
 def test_certify_mbad_unitized_bound_tracks_tail(chain6):
     # an element above the diagonal index leaves a nonzero unitized commutator
     deltas = [pairwise.build_delta(chain6, n) for n in range(1, 3)]
-    report = certify_mbad(pairwise.increments(deltas), chain6, [chain6.e(5)])
+    report = certify_mbad(sequence(deltas), chain6, [chain6.e(5)])
     rec = report.records[0]
     assert rec.commutator_upper == 0.0
     assert rec.unitized_upper > 0.0
@@ -524,7 +543,7 @@ def test_certify_mbad_truncated_sequence(chain6):
     # elements above the last diagonal leave w (x) (1-u) - (1-u) (x) w;
     # its upper bound must stay within the multiplier estimate
     deltas = [pairwise.build_delta(chain6, n) for n in range(1, 4)]
-    report = certify_mbad(pairwise.increments(deltas), chain6, list(chain6.idempotents))
+    report = certify_mbad(sequence(deltas), chain6, list(chain6.idempotents))
     assert report.verdict
     assert all(rec.unitized_ok for rec in report.records)
 
@@ -613,7 +632,7 @@ def test_expectation_dimension_mismatch():
 
 def test_mbad_report_serializes(chain6):
     deltas = [pairwise.build_delta(chain6, n) for n in range(1, 4)]
-    report = certify_mbad(pairwise.increments(deltas), chain6, [chain6.e(1), chain6.e(2)])
+    report = certify_mbad(sequence(deltas), chain6, [chain6.e(1), chain6.e(2)])
     assert report.multiplier_constant == 0.0 and report.verdict is True
     assert [r.label for r in report.records] == ["a0", "a1"]
     for r in report.records:
@@ -631,7 +650,7 @@ def test_certify_mbad_exact_commutator_below_float_range(chain6):
     # do not vanish
     a = chain6.e(1) + unit01(chain6.truncation_dim) * Fraction(1, 2**1100)
     deltas = [pairwise.build_delta(chain6, n) for n in range(1, 7)]
-    report = certify_mbad(pairwise.increments(deltas), chain6, [a])
+    report = certify_mbad(sequence(deltas), chain6, [a])
     rec = report.records[0]
     assert not rec.in_span and rec.commutator_upper == 0.0
     assert report.verdict
@@ -643,7 +662,7 @@ def test_certify_mbad_top_index_is_exact(chain6):
     # the e_3 coordinate 2**-40 is below any float threshold, but it is
     # there: the top index is 3, past the last diagonal
     deltas = [pairwise.build_delta(chain6, n) for n in range(1, 3)]
-    report = certify_mbad(pairwise.increments(deltas), chain6, [chain6.e(2) + chain6.e(3) * Fraction(1, 2**40)])
+    report = certify_mbad(sequence(deltas), chain6, [chain6.e(2) + chain6.e(3) * Fraction(1, 2**40)])
     rec = report.records[0]
     assert rec.in_span and rec.top_index == 3
     assert rec.identity_ok and report.verdict
@@ -653,14 +672,14 @@ def test_certify_mbad_reads_coordinates_over_the_chain(chain6):
     ident = Matrix.identity(chain6.truncation_dim)
     deltas = [pairwise.build_delta(chain6, n) for n in range(1, 4)]
     elem = chain6.e(2) * Fraction(-3, 7) + chain6.e(5) + ident * (Fraction(1, 3), 2)
-    report = certify_mbad(pairwise.increments(deltas), chain6, [elem, chain6.e(4) - chain6.e(4)])
+    report = certify_mbad(sequence(deltas), chain6, [elem, chain6.e(4) - chain6.e(4)])
     rec, zero = report.records
     assert rec.in_span and rec.top_index == 5 and rec.identity_coeff == complex(1 / 3, 2)
     assert zero.in_span and zero.top_index == 0 and zero.identity_coeff == 0
     # the report carries the images of the diagonals and of the unitized
     # diagonals, which are those of unitize_diagonal
     assert all(p.equals(chain6.e(n)) for n, p in enumerate(report.images, start=1))
-    unitized = [unitize_diagonal(d, p, ident) for d, p in zip(deltas, report.images, strict=True)]
+    unitized = [unitize_diagonal(d, p, ident - p) for d, p in zip(deltas, report.images, strict=True)]
     assert all(pi_map(m).equals(ident) and image.equals(ident) for m, image in unitized)
     assert all(image.equals(ident) for image in report.unitized_images)
 
@@ -679,7 +698,7 @@ def test_certify_mbad_float_chain_within_tolerance():
     chain = build_chain(ChainSpec(m_max=4, dims=(1, 2, 3, 4, 5), couplings=(1.5, 2.5)))
     assert chain.backend == "float"
     deltas = [pairwise.build_delta(chain, n) for n in range(1, 5)]
-    report = certify_mbad(pairwise.increments(deltas), chain, [chain.e(2), chain.e(3)])
+    report = certify_mbad(sequence(deltas), chain, [chain.e(2), chain.e(3)])
     assert report.verdict
     assert report.multiplier_constant <= 1e-9
     for rec in report.records:
@@ -709,7 +728,7 @@ def test_certify_mbad_mixed_scale_exact_element(chain6):
     # a float conversion of them
     dim = chain6.truncation_dim
     x = Matrix.identity(dim) * (0, Fraction(1, 2**1100)) + chain6.e(5)
-    report = certify_mbad(pairwise.increments([pairwise.build_delta(chain6, n) for n in (1, 2)]), chain6, [x])
+    report = certify_mbad(sequence([pairwise.build_delta(chain6, n) for n in (1, 2)]), chain6, [x])
     rec = report.records[0]
     assert rec.in_span and rec.commutator_upper == 0.0
     assert math.isfinite(rec.unitized_upper) and rec.unitized_ok
@@ -763,7 +782,8 @@ def test_incremental_commutators_match_commutators_from_scratch(case):
         pairs = [pair for inc in increments[: n + 1] for pair in pairwise.terms(inc)]
         assert same_element(TensorElem.of(pairs, dim), d)
     # all samples at once, as certify_mbad batches them
-    bounds = _commutator_bounds(_legs(sample, dim), *_layout(increments), 0.0)
+    seq = pairwise.batched(increments)
+    bounds = _commutator_bounds(_legs(sample, dim), seq._left, seq._right, 0.0)
     for s, a in enumerate(sample):
         for d, (lower, upper, zero, (left, right)) in zip(deltas, bounds, strict=True):
             scratch = reduced_form(bimodule_commutator(a, d))
@@ -799,7 +819,8 @@ def test_batched_commutator_bounds_match_one_reduction_per_diagonal(case, floats
 
 def assert_commutator_bounds_match(samples, increments):
     # bit for bit against one reduction per diagonal on the unpadded increments
-    got = _commutator_bounds(samples, *_layout(increments), 0.0)
+    seq = pairwise.batched(increments)
+    got = _commutator_bounds(samples, seq._left, seq._right, 0.0)
     want = pairwise.commutator_bounds(samples, increments, 0.0)
     for g, w in zip(got, want, strict=True):
         for x, y in zip(g[:3], w[:3]):
@@ -812,8 +833,8 @@ def assert_commutator_bounds_match(samples, increments):
 @pytest.mark.parametrize("floats", [False, True])
 @pytest.mark.parametrize("counts", [(2, 1, 3, 1), (1, 0, 2, 0), (0, 2, 1), (0, 0)])
 def test_commutator_bounds_on_unequal_and_empty_increments(chain6, counts, floats):
-    # the layout pads every increment to the widest one, and an increment
-    # with no terms to one zero term; neither moves a bound
+    # the batched element pads every increment to the widest one, and an
+    # increment with no terms to one zero term; neither moves a bound
     dim = chain6.truncation_dim
     legs = [chain6.e(k) + unit01(dim) * k for k in range(1, 7)] + [Matrix.identity(dim) * Fraction(1, 3)]
     increments, at = [], 0
@@ -822,8 +843,8 @@ def test_commutator_bounds_on_unequal_and_empty_increments(chain6, counts, float
         at += count
     sample = [chain6.e(2), unit01(dim), chain6.e(4) + Matrix.identity(dim)]
     samples = _legs([a.to_float() for a in sample] if floats else sample, dim)
-    layout = _layout(increments)
-    assert [x.re.shape for x in layout] == [(len(counts), max(1, *counts), dim, dim)] * 2
+    seq = pairwise.batched(increments)
+    assert [x.re.shape for x in (seq._left, seq._right)] == [(len(counts), max(1, *counts), dim, dim)] * 2
     assert_commutator_bounds_match(samples, increments)
 
 
@@ -833,12 +854,17 @@ def test_certify_mbad_reads_an_empty_prefix_as_zero(chain6):
     dim = chain6.truncation_dim
     gens = [TensorElem.of([(g, g)], dim) for g in orthogonal_generators(chain6)]
     empty = TensorElem.of((), dim)
-    got = certify_mbad([empty, gens[0], empty, *gens[1:]], chain6, list(chain6.idempotents))
-    want = certify_mbad(gens, chain6, list(chain6.idempotents))
+    got = certify_mbad(pairwise.batched([empty, gens[0], empty, *gens[1:]]), chain6, list(chain6.idempotents))
+    want = certify_mbad(pairwise.batched(gens), chain6, list(chain6.idempotents))
     assert got.images[0].equals(Matrix.zeros(dim))
     assert all(map(Matrix.equals, got.images[1:2] + got.images[2:], want.images[:1] + want.images))
     assert all(image.equals(Matrix.identity(dim)) for image in got.unitized_images)
     assert got.verdict and want.verdict
+    # no increment, or increments with no terms, is no sequence
+    for shape in ((0, 1, dim, dim), (2, 0, dim, dim)):
+        legs = Stack(np.zeros(shape, dtype=np.int64), None, 1, 0)
+        with pytest.raises(ValueError, match="no diagonals supplied"):
+            certify_mbad(TensorElem(legs, legs, dim), chain6, list(chain6.idempotents))
 
 
 def integer_legs(dim, content_one=True):
@@ -895,14 +921,15 @@ MBAD_CHAINS = [(10, None), (12, (Fraction(1, 3), Fraction(1, 2), Fraction(5, 4),
 
 @pytest.mark.parametrize("m_max, couplings", MBAD_CHAINS)
 def test_certify_mbad_on_generator_increments_matches_the_diagonals(m_max, couplings):
-    # the increments g_n (x) g_n give the report of the diagonals D_n whose
+    # the increments g_n (x) g_n, views of Chain.generators as the diagonal
+    # stage passes them, give the report of the diagonals D_n whose
     # increments are found by comparing them term by term
     chain = build_chain(ChainSpec.default(m_max, couplings=couplings) if couplings else ChainSpec.default(m_max))
     one = Matrix.identity(chain.truncation_dim)
     sample = list(chain.idempotents) + [chain.e(3) + one * 2, chain.e(2) + unit01(chain.truncation_dim), one]
-    got = certify_mbad([TensorElem.of([(g, g)], chain.truncation_dim) for g in orthogonal_generators(chain)],
-                       chain, sample)
-    want = certify_mbad(pairwise.increments([pairwise.build_delta(chain, n) for n in range(1, m_max + 1)]), chain, sample)
+    gens = chain.generators.take(np.s_[:, None])
+    got = certify_mbad(TensorElem(gens, gens, chain.truncation_dim), chain, sample)
+    want = certify_mbad(sequence([pairwise.build_delta(chain, n) for n in range(1, m_max + 1)]), chain, sample)
     # the records and constants bit for bit, the images as exact matrices
     assert replace(got, images=(), unitized_images=()) == replace(want, images=(), unitized_images=())
     for mine, theirs in ((got.images, want.images), (got.unitized_images, want.unitized_images)):
@@ -917,10 +944,10 @@ def test_certify_mbad_closed_form_matches_the_reduction(monkeypatch, m_max, coup
     deltas = [pairwise.build_delta(chain, n) for n in range(1, m_max + 1)]
     one = Matrix.identity(chain.truncation_dim)
     sample = list(chain.idempotents) + [chain.e(3) + one * 2, chain.e(2) + unit01(chain.truncation_dim), one]
-    got = certify_mbad(pairwise.increments(deltas), chain, sample).records
+    got = certify_mbad(sequence(deltas), chain, sample).records
     monkeypatch.setattr(diagonals, "_regrouped_uppers", lambda comms, w, shrinks, images, rests, norms: np.array(
         pairwise.regrouped_uppers(comms, w, images, rests)))
-    want = certify_mbad(pairwise.increments(deltas), chain, sample).records
+    want = certify_mbad(sequence(deltas), chain, sample).records
     if couplings is None:
         assert got == want
     for g, w in zip(got, want, strict=True):
@@ -949,19 +976,20 @@ def test_certify_mbad_is_the_same_in_any_grouping(monkeypatch, chain, sample):
     # the report is the same for groups of one sample and one group of all,
     # and each record is that of its sample passed alone: which samples
     # share a group or a backend stack moves no digit
-    increments = [TensorElem.of([(g, g)], chain.truncation_dim) for g in orthogonal_generators(chain)]
+    gens = chain.generators.take(np.s_[:, None])
+    increments = TensorElem(gens, gens, chain.truncation_dim)
     reports, calls, bounds = [], [], diagonals._commutator_bounds
     monkeypatch.setattr(diagonals, "_commutator_bounds", lambda a, *rest: calls.append(rest[:-1]) or bounds(a, *rest))
     for entries in (1, 2**40):
         monkeypatch.setattr(diagonals, "_GROUP_ENTRIES", entries)
         calls.clear()
         reports.append(certify_mbad(increments, chain, sample))
-        # the increments are laid out once per call: every group gets the
-        # same two (increment, term, n, n) leg stacks
-        layout = calls[0]
+        # every group gets the increments' own two (increment, term, n, n)
+        # leg stacks, not a copy
+        legs = (increments._left, increments._right)
         assert len(calls) == (len(sample) if entries == 1 else len({a.is_exact for a in sample}))
-        assert [x.re.shape for x in layout] == [(chain.m_max, 1, chain.truncation_dim, chain.truncation_dim)] * 2
-        assert all(len(c) == 2 and all(map(operator.is_, c, layout)) for c in calls)
+        assert [x.re.shape for x in legs] == [(chain.m_max, 1, chain.truncation_dim, chain.truncation_dim)] * 2
+        assert all(len(c) == 2 and all(map(operator.is_, c, legs)) for c in calls)
     assert reports[0] == reports[1]
     for i, (rec, a) in enumerate(zip(reports[0].records, sample, strict=True)):
         assert rec == replace(certify_mbad(increments, chain, [a]).records[0], label=f"a{i}")
