@@ -415,8 +415,8 @@ def _stage_embed(cfg: ExperimentConfig, get_chain) -> tuple[StageResult, dict]:
     stage.add(
         "embedding-multiplicativity",
         "blockwise products agree with pointwise coefficient products",
-        "exact on rational trials",
-        f"{emb.mult_trials} rational trials",
+        "B_i B_j = delta_ij B_i exactly for every subset size",
+        f"{sum(k * k for k in emb.mult_sizes)} basis products, subset sizes {emb.mult_sizes[0]}-{emb.mult_sizes[-1]}",
         emb.mult_exact,
     )
     stage.add(

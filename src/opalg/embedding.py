@@ -3,24 +3,31 @@ embedding of summable sequences into a product of matrix blocks.
 
 For each n the vectors x_n = e_omega + e_alpha + e_n and
 y_n = e_omega - e_alpha + e_n give a rank-one idempotent E_n = y_n x_n*
-of norm 3, with E_j E_k = 0 for j != k.  A finitely supported sequence a
+of norm 3, with x_i* y_j = delta_ij.  A finitely supported sequence a
 embeds as the family of blocks sum_{j in F} a_j E_j over finite index
 sets F, and the block sup norm is pinned between ||a||_1 / pi and
 3 ||a||_1; the lower bound rests on maximizing |sum_{j in F} a_j| over
-subsets, solved exactly by a half-plane sweep.
+subsets, solved exactly by a half-plane sweep.  On the coordinates
+(alpha, omega, F), |F| = k, the block is Y diag(a_F) X^T for the k
+columns y_j and x_j, j in F.  Blocks are filled from that closed form,
+on integer numerators over one shared denominator or complex
+coefficients, one stacked (..., m, k + 2, k + 2) array per size k.
 
-Blocks are filled from their closed form, from integer numerators over
-one shared denominator (int64 when a bound allows) or complex
-coefficients, through index arrays each :class:`SubsetFamily` builds
-once, and kept stacked, one (..., m, k + 2, k + 2) array per subset size
-k, with leading axes for several sequences.  Norms read one stacked SVD
-per size, and the sup and trace norms one pass over those spectra, for
-one element or for a chunk of the certification's sequences at once;
-exact multiplicativity is one batched product check
-(:func:`opalg.matrices.products_agree`) per size on a trial's stacked
-integer numerators.  No block is wrapped as a :class:`Matrix`.  Trace
-weights are integer numerators over one denominator, and the brute-force
-subset search unpacks its masks' bits with ``np.unpackbits``.
+Multiplicativity: with B_i the blocks of the unit coefficient vectors
+(``_fill`` of the k x k identity), every block of size k is
+sum_i a_{F_i} B_i, so by bilinearity phi_F(a) phi_F(b) =
+sum_{i,j} a_{F_i} b_{F_j} B_i B_j, which is phi_F(ab) for every a and b
+once B_i B_j = delta_ij B_i: one exact products_agree call per size.
+
+Spectra: y_i* y_j = x_i* x_j = 2 + delta_ij, so Y^T Y = X^T X = I + 2J
+(J all ones, k x k), whose positive square root is S_k = I + c_k J with
+(1 + c_k k)**2 = 1 + 2k, as J has eigenvalues k and 0.  Then Y = Q S_k
+and X = R S_k with Q, R of orthonormal columns, and
+Y D X^T = Q (S_k D S_k) R^T has the singular values of S_k D S_k and two
+zeros: one stacked k x k SVD per size gives every block's spectrum, and
+the sup and trace norms are one pass over those spectra.  The
+brute-force subset search builds subset sums by doubling, members added
+in index order, so they round as the sweep's do.
 """
 from __future__ import annotations
 
@@ -30,7 +37,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Sequence
 
 import numpy as np
@@ -198,13 +205,9 @@ class SubsetFamily:
 
     @classmethod
     def enumerate(cls, n_max: int, f_cap: int = 512, s_max: int = 8) -> "SubsetFamily":
-        subsets = []
-        for size in range(1, min(s_max, n_max) + 1):
-            for combo in combinations(range(1, n_max + 1), size):
-                subsets.append(combo)
-                if len(subsets) >= f_cap:
-                    return cls(n_max=n_max, s_max=s_max, f_cap=f_cap, subsets=tuple(subsets))
-        return cls(n_max=n_max, s_max=s_max, f_cap=f_cap, subsets=tuple(subsets))
+        by_size = (combinations(range(1, n_max + 1), size) for size in range(1, min(s_max, n_max) + 1))
+        subsets = tuple(islice(chain.from_iterable(by_size), max(f_cap, 1)))  # f_cap < 1 keeps the first
+        return cls(n_max=n_max, s_max=s_max, f_cap=f_cap, subsets=subsets)
 
     def augmented(self, extras: Sequence[Sequence[int]]) -> "SubsetFamily":
         """Append any new subsets at the end, preserving order; only they
@@ -257,9 +260,11 @@ class EmbeddedElement:
 
     @cached_property
     def _spectra(self) -> list[tuple]:
-        """Per stack, its positions and blocks' singular values (m, k + 2) from
-        one stacked SVD; :func:`float_stack` rounds each entry once."""
-        return [(np.array(pos), singular_values(float_stack(s))) for pos, s in self.stacks]
+        """Per stack, its positions and blocks' singular values (m, k + 2) by
+        :func:`_block_spectra` of the coefficients a_F read off the block
+        diagonal; :func:`float_stack` rounds each once."""
+        diag = lambda s, d: float_stack(s.apply(lambda x: x[..., d, d]))
+        return [(np.array(pos), _block_spectra(diag(s, np.arange(2, s.re.shape[-1])))) for pos, s in self.stacks]
 
 
 def _sup(spectra) -> np.ndarray:
@@ -279,19 +284,12 @@ def _trace(spectra, weights) -> np.ndarray:
     return np.cumsum(terms, axis=-1)[..., -1]
 
 
-def _check_support(read, n_max):
-    """``read`` holds (kind, value) pairs from :func:`read_scalar`; exact
-    values are tested for zero exactly."""
-    for j, (kind, val) in enumerate(read, start=1):
-        nonzero = any(val) if kind == "exact" else val != 0
-        if nonzero and j > n_max:
-            raise ValueError(f"support index {j} outside 1..{n_max}")
-
-
 def _fill(a):
     """The closed-form blocks of subsets of one size k from their
     coefficients a_F, an array (..., k) in index order, as one array
-    (..., k + 2, k + 2) over the dtype of ``a``."""
+    (..., k + 2, k + 2) over the dtype of ``a``: with s_F the sum of a_j
+    over F, row alpha is (-s_F, -s_F, -a_F), row omega is (s_F, s_F, a_F),
+    and the row of j in F holds a_j in the columns alpha, omega and j."""
     k = a.shape[-1]
     s = np.cumsum(a, axis=-1)[..., -1:]  # s_F, summed in index order
     out = np.zeros((*a.shape[:-1], k + 2, k + 2), dtype=a.dtype)
@@ -303,14 +301,22 @@ def _fill(a):
     return out
 
 
+def _block_spectra(a) -> np.ndarray:
+    """The singular values (..., k + 2) of the blocks ``_fill(a)`` for complex
+    coefficients a (..., k): those of S_k diag(a) S_k from one stacked SVD,
+    then two zeros (see the module docstring)."""
+    k = a.shape[-1]
+    root = np.eye(k) + 2.0 / (math.sqrt(1.0 + 2.0 * k) + 1.0)  # S_k; c_k written without cancellation
+    sv = singular_values((root * a.reshape(-1, 1, k)) @ root)
+    return np.pad(sv, ((0, 0), (0, 2))).reshape(*a.shape[:-1], k + 2)
+
+
 def _embedded(family, coeffs: Stack) -> EmbeddedElement:
     """The element with the coefficients of the 1-d stack ``coeffs``, integer
     numerators over its denominator or complex values, at most n_max of
-    them, missing ones zero.  Every block comes from its closed form: with
-    s_F the sum of a_j over F, row alpha is (-s_F, -s_F, -a_F), row omega
-    is (s_F, s_F, a_F), and the row of j in F holds a_j in the columns
-    alpha, omega and j.  Exact stacks are int64 when every numerator times
-    n_max (which bounds every s_F) fits it, and Python integers otherwise."""
+    them, missing ones zero, filled by :func:`_fill`.  Exact stacks are
+    int64 when every numerator times n_max (which bounds every s_F) fits
+    it, and Python integers otherwise."""
     n = family.n_max
     coeffs = coeffs.apply(lambda x: np.pad(x, (0, n - len(x))))
     if coeffs.den is not None:
@@ -326,7 +332,9 @@ def phi(a: Sequence, subsets: SubsetFamily) -> EmbeddedElement:
     numerators over the least common denominator (:meth:`Stack.of`); one
     float or complex coefficient makes them all float."""
     read = [read_scalar(v) for v in a]
-    _check_support(read, subsets.n_max)
+    nonzero = [any(val) if kind == "exact" else val != 0 for kind, val in read]  # exact values tested exactly
+    if any(nonzero[subsets.n_max:]):
+        raise ValueError(f"support index {nonzero.index(True, subsets.n_max) + 1} outside 1..{subsets.n_max}")
     exact = all(kind == "exact" for kind, _ in read)
     read = read[: subsets.n_max]
     if not exact:
@@ -396,16 +404,22 @@ def brute_force_best_subset(a: Sequence) -> tuple[tuple[int, ...], float]:
     if n > 22:
         raise ValueError(f"support of size {n} is too large to enumerate")
     z = np.array([v for _, v in support])
+    low, sums = min(n, 12), np.zeros(1, dtype=complex)
+    for v in z[:low]:  # by doubling: bit i of a mask is member i
+        sums = np.concatenate([sums, sums + v])
     best, mask = -1.0, 0
-    # masks in blocks of 2**12; a strict > keeps the first maximum, as one
-    # argmax over all masks would
-    for lo in range(1, 1 << n, 2**12):
-        masks = np.arange(lo, min(lo + 2**12, 1 << n), dtype="<u4")  # n <= 22 bits, little-endian bytes
-        bits = np.unpackbits(masks.view(np.uint8).reshape(-1, 4), axis=1, count=n, bitorder="little")
-        values = np.abs(bits.astype(float) @ z)
+    # blocks of 2**low masks: the low sums with the block's higher members
+    # added in index order, so every sum rounds as the sweep's cumsum does; a
+    # strict > keeps the first maximum, as one argmax over all masks would,
+    # and the empty set's 0 never wins over the nonzero first member
+    for high in range(1 << (n - low)):
+        block = sums
+        for v in z[low:][(high >> np.arange(n - low)) & 1 == 1]:
+            block = block + v
+        values = np.hypot(block.real, block.imag)
         k = int(np.argmax(values))
         if values[k] > best:
-            best, mask = float(values[k]), int(masks[k])
+            best, mask = float(values[k]), high << low | k
     return tuple(support[i][0] for i in range(n) if (mask >> i) & 1), best
 
 
@@ -475,7 +489,7 @@ class EmbeddingReport:
     upper_ok: bool
     trace_ok: bool
     trace_le_sup_ok: bool
-    mult_trials: int
+    mult_sizes: tuple[int, ...]
     mult_exact: bool
     passed: bool
     rows: tuple[tuple, ...]
@@ -486,32 +500,17 @@ class EmbeddingReport:
         return out
 
 
-def _rational_trial(rng, n):
-    """Two seeded rational sequences a and b, as numerators over 16 drawn
-    from [-32, 32], and their pointwise product, over 16**2: three
-    (re, im, den) triples."""
-    ar, ai, br, bi = (rng.integers(-32, 33, n) for _ in range(4))
-    return (ar, ai, 16), (br, bi, 16), (ar * br - ai * bi, ar * bi + ai * br, 16**2)
-
-
-def _is_product(family: SubsetFamily, trial) -> bool:
-    """Whether every block of p over ``family`` is the product of those of a
-    and b, exactly, for a trial's (re, im, den) triples of a, b and p: their
-    six numerator vectors as one (6, n_max) array (int64 under the bound of
-    :func:`_embedded`), one :func:`_fill` and one products_agree per size."""
-    nums, dens = np.stack([x for re, im, _ in trial for x in (re, im)]), [den for *_, den in trial]
-    bound = Stack.read(nums).bound * family.n_max  # every s_F sums at most n_max numerators
-    nums = nums.astype(kernel_dtype(bound))
-    for _, idx in family._by_size:
-        blocks = _fill(nums[:, idx])
-        stacks = (Stack(blocks[k], blocks[k + 1], d, bound) for k, d in zip((0, 2, 4), dens))
-        if not products_agree(*stacks, 0.0)[0].all():
+def _basis_is_multiplicative(sizes) -> bool:
+    """Whether the basis blocks B = ``_fill(I_k)`` satisfy B_i B_j = delta_ij B_i
+    exactly for each subset size k in ``sizes``, which proves
+    phi_F(a) phi_F(b) = phi_F(ab) for all a and b (see the module docstring)."""
+    for k in sizes:
+        basis = Stack.read(_fill(np.eye(k, dtype=np.int64)))
+        target = basis.apply(lambda x: x[:, None] * np.eye(k, dtype=x.dtype)[..., None, None])
+        if not products_agree(basis.take(np.s_[:, None]), basis.take(None), target, 0.0)[0].all():
             return False
     return True
 
-
-# the number of rational trials of blockwise multiplicativity
-_MULT_TRIALS = 10
 
 # the embed stage takes its items in chunks of at most this many base-family block
 # entries, and certify_E_family its witnesses in chunks of at most this many entries
@@ -522,13 +521,13 @@ def _item_spectra(base: SubsetFamily, values, extra) -> list[tuple]:
     """Spectra as :func:`_sup` reads them of the blocks of items, the rows of
     the complex array ``values``, over ``base`` and the item's subset in
     ``extra`` (None when base has it), put after base: per size k, one
-    :func:`_fill` and one stacked SVD, zero where no subset is appended."""
+    :func:`_block_spectra`, zero where no subset is appended."""
     stacks, count, out = {idx.shape[1]: (pos, idx) for pos, idx in base._by_size}, len(values), []
     for k in stacks.keys() | {len(f) for f in extra if f}:
         pos, idx = stacks.get(k, ((), np.zeros((0, k), dtype=int)))
         rows = np.array([r for r, f in enumerate(extra) if f and len(f) == k], dtype=int)
         own = np.array([extra[r] for r in rows], dtype=int).reshape(-1, k) - 1
-        sv = singular_values(_fill(np.concatenate([values[:, idx].reshape(-1, k), values[rows[:, None], own]])))
+        sv = _block_spectra(np.concatenate([values[:, idx].reshape(-1, k), values[rows[:, None], own]]))
         appended = np.zeros((count, 1, k + 2))
         appended[rows, 0] = sv[count * len(pos):]
         out += [(np.array(pos, dtype=int), sv[:count * len(pos)].reshape(count, len(pos), k + 2)),
@@ -553,7 +552,8 @@ def certify_embedding_bounds(
     below 3 ||a||_inf for both weight schemes and below the sup norm.
     Deterministic side trials witness the tight upper ratio (a single
     unit coefficient) and a near-1/pi lower ratio (roots of unity), and
-    ten rational trials check blockwise multiplicativity exactly.
+    the basis products of each subset size in the base family check
+    blockwise multiplicativity exactly (:func:`_basis_is_multiplicative`).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -587,14 +587,14 @@ def certify_embedding_bounds(
     trace_ok, trace_le_sup_ok = (bool((trace <= x + tol).all()) for x in (3.0 * linf, sup))
     row_trace = dict(zip(schemes, trace)).get(csv_scheme, np.zeros(len(items)))
     rows = tuple((i, *x) for i, x in enumerate(zip(*(y[2:].tolist() for y in (l1, sup, ratio, row_trace)))))
-    # every trial is drawn, also past a failing one
-    mult_exact = all([_is_product(base, _rational_trial(rng, n_max)) for _ in range(_MULT_TRIALS)])
+    sizes = tuple(sorted(idx.shape[1] for _, idx in base._by_size))
+    mult_exact = _basis_is_multiplicative(sizes)
     return EmbeddingReport(
         n_max=n_max, f_cap=f_cap, s_max=s_max, trials=trials, seed=seed,
         min_sup_ratio=float(ratio.min()), max_sup_ratio=float(ratio.max()),
         single_index_ratio=float(ratio[0]), roots_ratio=float(ratio[1]),
         max_trace_to_inf=float((trace / linf).max(initial=0.0)),
         lower_ok=lower_ok, upper_ok=upper_ok, trace_ok=trace_ok, trace_le_sup_ok=trace_le_sup_ok,
-        mult_trials=_MULT_TRIALS, mult_exact=mult_exact,
+        mult_sizes=sizes, mult_exact=mult_exact,
         passed=lower_ok and upper_ok and trace_ok and trace_le_sup_ok and mult_exact, rows=rows,
     )

@@ -13,8 +13,9 @@ its telescoping generators one ``Matrix`` subtraction each and its telescoping d
 generation residuals by one dense product of the power table with the tail
 generators; the rescaled residual generators by their suffix sums, and the
 norm-adaptive weights one norm at a time; the rank-one family's witnesses
-trial by trial; the embedding bounds item by item and block by block; and
-a tensor element's terms as (Matrix, Matrix) pairs.  They are slow and
+trial by trial; the embedding bounds item by item and block by block, with
+blockwise multiplicativity on seeded rational trials in place of the basis
+products; and a tensor element's terms as (Matrix, Matrix) pairs.  They are slow and
 simple; the package computes the same things on stacked arrays."""
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from opalg.matrices import (
     Matrix,
     Stack,
     float_stack,
+    kernel_dtype,
     op_norm,
     products_agree,
     singular_values,
@@ -465,6 +467,30 @@ def is_product(ea, eb, ep):
     )
 
 
+def rational_trial(rng, n):
+    """Two seeded rational sequences a and b, as numerators over 16 drawn
+    from [-32, 32], and their pointwise product, over 16**2: three
+    (re, im, den) triples."""
+    ar, ai, br, bi = (rng.integers(-32, 33, n) for _ in range(4))
+    return (ar, ai, 16), (br, bi, 16), (ar * br - ai * bi, ar * bi + ai * br, 16**2)
+
+
+def trial_is_product(family, trial):
+    """Whether every block of p over ``family`` is the product of those of a
+    and b, exactly, for a trial's (re, im, den) triples of a, b and p: their
+    six numerator vectors as one (6, n_max) array (int64 under the bound of
+    ``embedding._embedded``), one ``_fill`` and one products_agree per size."""
+    nums, dens = np.stack([x for re, im, _ in trial for x in (re, im)]), [den for *_, den in trial]
+    bound = Stack.read(nums).bound * family.n_max  # every s_F sums at most n_max numerators
+    nums = nums.astype(kernel_dtype(bound))
+    for _, idx in family._by_size:
+        blocks = embedding._fill(nums[:, idx])
+        stacks = (Stack(blocks[k], blocks[k + 1], d, bound) for k, d in zip((0, 2, 4), dens))
+        if not products_agree(*stacks, 0.0)[0].all():
+            return False
+    return True
+
+
 def block_norms(e):
     """Per block of an embedded element, in family order: its singular values."""
     out = [None] * len(e.family)
@@ -479,7 +505,9 @@ def embedding_bounds(n_max=10, f_cap=512, s_max=8, trials=100, seed=0, tol=1e-9,
     """certify_embedding_bounds one item at a time: phi on the base family
     augmented by the item's sweep-optimal subset, the sup norm as the
     largest norm over its blocks and each trace norm summed block by block
-    in family order; each rational trial as three embedded elements."""
+    in family order; multiplicativity from ``mult_trials`` rational trials,
+    each as three embedded elements, where the package multiplies basis
+    blocks, so the two verdicts must agree."""
     base = SubsetFamily.enumerate(n_max, f_cap=f_cap, s_max=s_max)
     rng = np.random.default_rng(seed)
     inv_pi, slack = 1.0 / math.pi, 1e-12
@@ -522,13 +550,14 @@ def embedding_bounds(n_max=10, f_cap=512, s_max=8, trials=100, seed=0, tol=1e-9,
             rows.append((int(label), l1, sup, ratio, trace_row))
     mult_exact = True
     for _ in range(mult_trials):
-        if not is_product(*(embedding._embedded(base, Stack.read(*x)) for x in embedding._rational_trial(rng, n_max))):
+        if not is_product(*(embedding._embedded(base, Stack.read(*x)) for x in rational_trial(rng, n_max))):
             mult_exact = False
     return embedding.EmbeddingReport(
         n_max=n_max, f_cap=f_cap, s_max=s_max, trials=trials, seed=seed,
         min_sup_ratio=min_ratio, max_sup_ratio=max_ratio,
         single_index_ratio=named_ratio["single-index"], roots_ratio=named_ratio["unit-circle"],
         max_trace_to_inf=max_trace_to_inf, lower_ok=lower_ok, upper_ok=upper_ok, trace_ok=trace_ok,
-        trace_le_sup_ok=trace_le_sup_ok, mult_trials=mult_trials, mult_exact=mult_exact,
+        trace_le_sup_ok=trace_le_sup_ok, mult_sizes=tuple(sorted({len(f) for f in base.subsets})),
+        mult_exact=mult_exact,
         passed=lower_ok and upper_ok and trace_ok and trace_le_sup_ok and mult_exact, rows=tuple(rows),
     )

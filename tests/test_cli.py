@@ -266,21 +266,22 @@ def test_measured_checks_fail_on_bad_input(monkeypatch):
     assert [name for name, c in checks.items() if not c.passed] == ["unitized-diagonal-image"]
     monkeypatch.undo()
 
-    # embedding-multiplicativity multiplies the blocks of the rational trials:
-    # one product numerator off in one trial breaks only it
-    trial, calls = embedding._rational_trial, []
+    # embedding-multiplicativity multiplies the basis blocks _fill(I_k): one
+    # entry off in one basis block of size 3 breaks only it
+    fill = embedding._fill
 
-    def first_off(rng, n):
-        a, b, (re, im, den) = trial(rng, n)
-        calls.append(den)
-        if len(calls) == 1:
-            re = re + (np.arange(n) == 0)
-        return a, b, (re, im, den)
+    def one_off(a):
+        out = fill(a)
+        if a.shape != (3, 3):
+            return out
+        out = out.copy()
+        out[1, 0, 1] += 1
+        return out
 
-    monkeypatch.setattr(embedding, "_rational_trial", first_off)
+    monkeypatch.setattr(embedding, "_fill", one_off)
     checks = {c.name: c for c in run_experiment(build_config(["embed", "--trials", "1"])).stages[0].checks}
-    assert len(calls) == 10
     assert [name for name, c in checks.items() if not c.passed] == ["embedding-multiplicativity"]
+    assert checks["embedding-multiplicativity"].observed == "55 basis products, subset sizes 1-5"
 
 
 def test_non_orthogonal_generators_fail_generate(tmp_path, capsys, monkeypatch):

@@ -7,8 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from opalg.draws import Pcg64, sha256
 
-# high - low of 1 draws nothing, 65 is the embed stage's rational trials, and
-# 2**32 - 1 and 2**32 are the widest the 32-bit Lemire rejection covers
+# high - low of 1 draws nothing, 65 is the span of the embedding oracle's
+# rational trials (tests/pairwise.py), and 2**32 - 1 and 2**32 are the
+# widest the 32-bit Lemire rejection covers
 spans = st.sampled_from([1, 65, 2**32 - 1, 2**32])
 sizes = st.one_of(st.integers(0, 5), st.tuples(st.integers(0, 3), st.integers(0, 3)))
 calls = st.one_of(

@@ -1,6 +1,8 @@
 """Rank-one family, block embedding, subset sweep, and trace norms."""
 import cmath
+import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +28,7 @@ from opalg import (
 )
 from opalg import embedding, matrices
 import pairwise
-from opalg.matrices import Stack, kernel_dtype, read_scalar
+from opalg.matrices import Stack, bound_holds, kernel_dtype, read_scalar
 
 INV_PI = 1.0 / math.pi
 
@@ -423,18 +425,23 @@ def test_sweep_matches_loop_oracle_past_one_block():
 
 
 def one_block_brute_force(a):
-    """The brute force as one product over every nonempty subset mask."""
+    """The brute force over every nonempty subset mask at once: each member
+    sum one sequential cumsum in index order and its modulus np.hypot, as
+    the sweep forms them."""
     support = embedding._support(a)
     n, z = len(support), np.array([v for _, v in support])
     masks = np.arange(1, 1 << n, dtype=np.int64)
-    values = np.abs(((masks[:, None] >> np.arange(n)) & 1).astype(float) @ z)
+    inside = (masks[:, None] >> np.arange(n)) & 1 == 1
+    sums = np.cumsum(np.where(inside, z, 0), axis=1)[:, -1]
+    values = np.hypot(sums.real, sums.imag)
     k = int(np.argmax(values))
     return tuple(support[i][0] for i in range(n) if (int(masks[k]) >> i) & 1), float(values[k])
 
 
 def test_blocked_brute_force_matches_one_block():
     # past 2**12 masks the subsets are enumerated in blocks; the winner and
-    # its value are those of one product over all masks, ties included
+    # its value are those of one index-order sum per mask over all masks,
+    # ties included
     rng = np.random.default_rng(3)
     for n in range(1, 17):
         roots = [cmath.exp(2j * math.pi * j / n) for j in range(n)]
@@ -657,16 +664,26 @@ def test_stacked_spectra_match_per_block_norms():
     ):
         emb = phi(a, fam)
         blocks = blocks_of(emb)
-        assert phi_sup_norm(emb) == max(op_norm(b) for b in blocks)
+        # the spectra of S_k diag(a_F) S_k against full SVDs of the blocks,
+        # within the rounding budget of norms of (k + 2) x (k + 2) matrices
+        dim = fam.n_max + 2
+        assert agree(phi_sup_norm(emb), max(op_norm(b) for b in blocks), dim)
         for positions, spectra in emb._spectra:
             for pos, spectrum in zip(positions, spectra, strict=True):
-                assert np.array_equal(spectrum, singular_values(blocks[pos].numpy()[None])[0])
+                full = singular_values(blocks[pos].numpy()[None])[0]
+                assert spectrum[-2:].tolist() == [0.0, 0.0] and spectra_agree(spectrum, full, dim)
         for scheme in ("geometric", "uniform"):
             w = make_trace(fam, scheme)
             expected = 0.0
             for subset, weight, block in zip(fam.subsets, weights(w), blocks):
                 expected += float(weight) / (len(subset) + 2) * float(singular_values(block.numpy()[None]).sum())
-            assert l1_trace_norm(emb, w) == expected
+            assert agree(l1_trace_norm(emb, w), expected, dim)
+
+
+def agree(x, y, dim):
+    """Whether the floats x and y each stay within the other plus the
+    matrices.bound_holds budget for norms of dim x dim matrices."""
+    return bool(bound_holds(x, y, dim, 0.0) and bound_holds(y, x, dim, 0.0))
 
 
 def test_norms_do_not_wrap_blocks(monkeypatch):
@@ -711,7 +728,7 @@ def numerators(coeffs):
 
 
 def blockwise_product(ea, eb, ep):
-    """The per-block oracle for embedding._is_product."""
+    """The per-block oracle for pairwise.trial_is_product."""
     return all((ba @ bb).equals(bp) for ba, bb, bp in zip(blocks_of(ea), blocks_of(eb), blocks_of(ep), strict=True))
 
 
@@ -746,7 +763,7 @@ def test_batched_multiplicativity_matches_blockwise_products(family, data, kind,
     seen = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matrices, "kernel_dtype", lambda *args: seen.append(kernel_dtype(*args)) or seen[-1])
-        verdict = embedding._is_product(family, [numerators(x) for x in (a, b, p)])
+        verdict = pairwise.trial_is_product(family, [numerators(x) for x in (a, b, p)])
     assert verdict == pairwise.is_product(ea, eb, ep) == blockwise_product(ea, eb, ep) == (kind == "true")
     # dyadic products stay far inside int64; a fine perturbation may not
     if kind == "true":
@@ -770,7 +787,7 @@ def test_integer_trials_match_fraction_trials(seed, n_max, f_cap, s_max):
     base = SubsetFamily.enumerate(n_max, f_cap=f_cap, s_max=s_max)
     ints, fracs = np.random.default_rng(seed), np.random.default_rng(seed)
     for trial in range(3):
-        triples = embedding._rational_trial(ints, n_max)
+        triples = pairwise.rational_trial(ints, n_max)
         a, b = random_rational_pairs(fracs, n_max), random_rational_pairs(fracs, n_max)
         p = [pair_mul(x, y) for x, y in zip(a, b)]
         if trial == 1:
@@ -782,7 +799,7 @@ def test_integer_trials_match_fraction_trials(seed, n_max, f_cap, s_max):
         want = [phi(x, base) for x in (a, b, p)]
         for g, w in zip(got, want):
             assert blocks_of(g) == blocks_of(w)
-        verdict = embedding._is_product(base, triples)
+        verdict = pairwise.trial_is_product(base, triples)
         assert verdict == pairwise.is_product(*want) == (trial != 1)
         assert verdict == blockwise_product(*want)
 
@@ -824,7 +841,7 @@ def test_int64_stacks_convert_like_each_block(case):
         for pos, arr in zip(positions, floats, strict=True):
             assert arr.tobytes() == blocks[pos].to_float().numpy().tobytes()
     # the int64 stacks also give the exact product check its answer
-    assert embedding._is_product(family, [numerators(coeffs), numerators([1] * family.n_max), numerators(coeffs)])
+    assert pairwise.trial_is_product(family, [numerators(coeffs), numerators([1] * family.n_max), numerators(coeffs)])
 
 
 @pytest.mark.parametrize("f_cap", [512, 12])
@@ -835,7 +852,26 @@ def test_embedding_report_matches_item_by_item_oracle(seed, trials, f_cap):
     # item's augmented family; a cap of 12 leaves most sweep-optimal subsets
     # outside the base family, the default cap keeps some inside
     got = certify_embedding_bounds(trials=trials, seed=seed, f_cap=f_cap)
-    assert got == pairwise.embedding_bounds(trials=trials, seed=seed, f_cap=f_cap)
+    assert_reports_agree(got, pairwise.embedding_bounds(trials=trials, seed=seed, f_cap=f_cap))
+
+
+def assert_reports_agree(got, want):
+    """Every bool, int and tuple length of two embedding reports equal, and
+    every float within the :func:`agree` budget for blocks of side n_max + 2,
+    the largest an appended subset makes: the report reads k x k spectra,
+    the oracle full SVDs of the blocks."""
+    def check(x, y, where):
+        if isinstance(x, tuple):
+            assert len(x) == len(y), where
+            for i, (u, v) in enumerate(zip(x, y)):
+                check(u, v, f"{where}[{i}]")
+        elif isinstance(x, float):
+            assert isinstance(y, float) and agree(x, y, got.n_max + 2), (where, x, y)
+        else:
+            assert type(x) is type(y) and x == y, (where, x, y)
+
+    for f in dataclasses.fields(got):
+        check(getattr(got, f.name), getattr(want, f.name), f.name)
 
 
 def test_embedding_sweep_optimal_subsets_fall_inside_and_outside_the_base_family():
@@ -850,22 +886,90 @@ def test_embedding_sweep_optimal_subsets_fall_inside_and_outside_the_base_family
 @pytest.mark.parametrize("chunk", [1, 2**40])
 def test_embedding_report_is_the_same_in_any_chunking(monkeypatch, chunk):
     # one item per chunk, and every item in one chunk
-    want = pairwise.embedding_bounds(trials=7, seed=2, f_cap=100)
+    unchunked = certify_embedding_bounds(trials=7, seed=2, f_cap=100)
     monkeypatch.setattr(embedding, "_CHUNK_ENTRIES", chunk)
-    assert certify_embedding_bounds(trials=7, seed=2, f_cap=100) == want
+    got = certify_embedding_bounds(trials=7, seed=2, f_cap=100)
+    # a block's spectrum does not depend on its chunk, so the digits do not either
+    assert got == unchunked
+    assert_reports_agree(got, pairwise.embedding_bounds(trials=7, seed=2, f_cap=100))
 
 
-def test_one_product_numerator_off_fails_multiplicativity(monkeypatch):
-    trial, calls = embedding._rational_trial, []
+def off_in_one_basis_block(fill, size=3, member=1):
+    """``_fill`` with one entry of the basis block of ``member`` among
+    subsets of ``size`` moved by one: linear in the coefficients, so every
+    block of that size moves by its coefficient of ``member``."""
+    def filled(a):
+        out = fill(a)
+        if a.shape[-1] != size:
+            return out
+        out = out.copy()
+        out[..., embedding._ALPHA, embedding._OMEGA] += a[..., member]
+        return out
+    return filled
 
-    def third_off(rng, n):
-        a, b, (re, im, den) = trial(rng, n)
-        calls.append(den)
-        return a, b, (re, im + (np.arange(n) == n - 1) * (len(calls) == 3), den)
 
+def test_one_basis_entry_off_fails_multiplicativity(monkeypatch):
+    # the certificate reads B_i B_j = delta_ij B_i off _fill(I_k); the norms
+    # read coefficients, not blocks, so only the product check fails, and
+    # the rational trials of the oracle, which fill their blocks, agree
     want = certify_embedding_bounds(trials=2, seed=1)
-    monkeypatch.setattr(embedding, "_rational_trial", third_off)
+    monkeypatch.setattr(embedding, "_fill", off_in_one_basis_block(embedding._fill))
     got = certify_embedding_bounds(trials=2, seed=1)
-    assert len(calls) == 10 and want.mult_exact and not got.mult_exact and not got.passed
-    calls.clear()
-    assert got == pairwise.embedding_bounds(trials=2, seed=1)
+    assert want.mult_exact and not got.mult_exact and not got.passed
+    assert got == dataclasses.replace(want, mult_exact=False, passed=False)
+    assert not pairwise.embedding_bounds(trials=2, seed=1).mult_exact
+
+
+def test_basis_products_span_every_subset_size():
+    # the default family has subsets of sizes 1 to 5: 1 + 4 + 9 + 16 + 25 products
+    report = certify_embedding_bounds(trials=1)
+    assert report.mult_sizes == (1, 2, 3, 4, 5) and report.mult_exact
+    assert embedding._basis_is_multiplicative(range(1, 13))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embedding, "_fill", off_in_one_basis_block(embedding._fill, size=8, member=7))
+        assert embedding._basis_is_multiplicative(range(1, 8))
+        assert not embedding._basis_is_multiplicative(range(1, 9))
+
+
+@given(st.integers(1, 8), st.data(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_fill_is_linear_in_the_basis_blocks(k, data, wide):
+    # premise of the multiplicativity certificate: _fill(a) = sum_i a_i B_i
+    # with B = _fill(I_k), exactly, on int64 and on Python integers
+    bound = 2**200 if wide else 2**59
+    a = np.array(data.draw(st.lists(st.integers(-bound, bound), min_size=k, max_size=k)),
+                 dtype=object if wide else np.int64)
+    basis = embedding._fill(np.eye(k, dtype=np.int64)).astype(a.dtype)
+    got, want = embedding._fill(a), sum(x * b for x, b in zip(a, basis))
+    assert got.dtype == a.dtype and np.array_equal(got, want)
+
+
+# parts at the float range's edges, where the stacked SVDs rescale
+spectral_part = st.one_of(st.sampled_from([1e-320, -1e-320, 1e150, -1e150, 0.0]), st.floats(-1e3, 1e3))
+
+
+@given(st.lists(st.builds(complex, spectral_part, spectral_part), min_size=1, max_size=8))
+@settings(max_examples=150, deadline=None)
+@example(a=[1e-320, complex(1e150, 1e150), complex(0.0, -1e-320)])
+def test_reduced_spectra_match_full_svd(a):
+    # premise of the block spectra: the singular values of _fill(a) are those
+    # of S_k diag(a) S_k and two zeros, within the bound_holds budget for
+    # (k + 2) x (k + 2) norms, with no RuntimeWarning at 1e-320 or 1e150
+    a, k = np.array(a, dtype=complex), len(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = embedding._block_spectra(a[None])[0]
+        full = singular_values(embedding._fill(a[None]))[0]
+    assert got.shape == (k + 2,) and got[-2:].tolist() == [0.0, 0.0]
+    assert spectra_agree(got, full, k + 2)
+
+
+def spectra_agree(got, full, dim):
+    """Whether two spectra of one dim x dim matrix agree: the operator and
+    Schatten-1 norms within the :func:`agree` budget, and each singular
+    value within that of the operator norm (by Weyl's bound, an SVD's error
+    in every singular value is bounded by the norm's), by offsetting both
+    by the norm."""
+    norm = float(full[0])
+    offset = all(agree(float(x) + norm, float(y) + norm, dim) for x, y in zip(got, full, strict=True))
+    return offset and agree(float(got[0]), norm, dim) and agree(float(got.sum()), float(full.sum()), dim)
