@@ -58,7 +58,7 @@ def _as_coupling(raw, rows, cols, index):
     elif isinstance(raw, (list, tuple)) and raw and isinstance(raw[0], (list, tuple)):
         block = Matrix.exact(raw)
     elif isinstance(raw, numbers.Real):
-        # scalar times the rectangular identity, on the backend Matrix * raw reads
+        # scalar times the rectangular identity
         block = Matrix.from_stack(Stack(np.eye(rows, cols, dtype=np.int64), None, 1, 1)) * raw
     else:
         raise TypeError(f"coupling b_{2 * index} must be a scalar or a matrix, got {type(raw).__name__}")
@@ -105,7 +105,7 @@ class ChainSpec:
         shapes, norms = [b.shape for b in couplings], np.zeros(len(couplings))
         for shape in set(shapes):
             at = [k for k, x in enumerate(shapes) if x == shape]
-            norms[at] = singular_values(np.array([couplings[k].numpy() for k in at]))[:, 0]
+            norms[at] = singular_values(np.array([couplings[k].to_float() for k in at]))[:, 0]
         # equal norms of different block shapes may round apart, by their rounding budget at most
         if not bound_holds(norms[:-1], norms[1:], max((max(x) for x in shapes), default=1), 0.0).all():
             raise ValueError("coupling norms must be nondecreasing")
@@ -123,10 +123,6 @@ class ChainSpec:
         if couplings is None:
             couplings = tuple(range(1, m_max // 2 + 1))
         return cls(m_max=m_max, dims=tuple(dims), couplings=tuple(couplings))
-
-    @property
-    def backend(self) -> str:
-        return "exact" if all(b.is_exact for b in self.couplings) else "float"
 
     @property
     def truncation_dim(self) -> int:
@@ -163,10 +159,6 @@ class Chain:
     def truncation_dim(self) -> int:
         return self.spec.truncation_dim
 
-    @property
-    def backend(self) -> str:
-        return self.spec.backend
-
     def e(self, n: int) -> Matrix:
         """The n-th idempotent, 1-based."""
         if not 1 <= n <= self.m_max:
@@ -177,18 +169,17 @@ class Chain:
 def _fill_family(spec: ChainSpec) -> Stack:
     """e_1..e_m as one (m, d, d) stack filled from the spec: e_n is the
     projection onto H_n, plus for even n the coupling b_n in the rows of the
-    gap below H_n and the columns of the gap above it; exact ones over the
-    couplings' least common denominator, on the dtype their bound allows."""
+    gap below H_n and the columns of the gap above it; over the couplings'
+    least common denominator, on the dtype their bound allows."""
     m, d, dims = spec.m_max, spec.truncation_dim, spec.dims
-    parts = [Stack(np.ones((1, 1), dtype=np.int64), None, 1, 1)] + [b._s for b in spec.couplings]
-    one, *blocks = [Stack(float_stack(x)) for x in parts] if spec.backend == "float" else _common(parts)
-    bound = None if one.den is None else max(x.bound for x in [one] + blocks)
-    re = np.zeros((m, d, d), dtype=complex if bound is None else kernel_dtype(bound))
+    one, *blocks = _common([Stack(np.ones((1, 1), dtype=np.int64), None, 1, 1)] + [b._s for b in spec.couplings])
+    bound = max(x.bound for x in [one] + blocks)
+    re = np.zeros((m, d, d), dtype=kernel_dtype(bound))
     im = None if all(b.im is None for b in blocks) else np.zeros_like(re)
     re.reshape(m, -1)[:, ::d + 1] = (np.arange(d) < np.array(dims[:m])[:, None]) * one.re[0]  # the diagonals
     for k, b in enumerate(blocks, start=1):
         at = (2 * k - 1, slice(dims[2 * k - 2], dims[2 * k - 1]), slice(dims[2 * k - 1], dims[2 * k]))
-        re[at] = re[at] + b.re  # zero plus a float -0.0 reads +0.0, as a sum of matrices gives it
+        re[at] = b.re
         if b.im is not None:
             im[at] = b.im
     return Stack(re, im, one.den, bound)
@@ -197,7 +188,7 @@ def _fill_family(spec: ChainSpec) -> Stack:
 def build_chain(spec: ChainSpec) -> Chain:
     """Realize the chain on its truncation and check idempotency."""
     chain = Chain(spec, _fill_family(spec))
-    ok = products_agree(chain.family, chain.family, chain.family, DEFAULT_TOL)[0].tolist()
+    ok = products_agree(chain.family, chain.family, chain.family)[0].tolist()
     if not all(ok):
         raise CertificationError(f"constructed e_{ok.index(False) + 1} failed its idempotency check")
     return chain
@@ -206,26 +197,18 @@ def build_chain(spec: ChainSpec) -> Chain:
 @dataclass(frozen=True)
 class SemilatticeReport:
     pairs_checked: int
-    all_exact: bool
-    mode: str
     max_abs_deviation: float
     passed: bool
     idempotent: bool
 
 
-def verify_semilattice(chain: Chain, tol: float = DEFAULT_TOL) -> SemilatticeReport:
-    """Check e_m @ e_n == e_min(m, n) over every ordered pair, as one
-    product table; ``idempotent`` reads its diagonal.
-
-    Exact chains are checked entrywise with zero tolerance; float chains
-    fall back to the tolerance and are flagged as approximate.
-    """
+def verify_semilattice(chain: Chain) -> SemilatticeReport:
+    """Check e_m @ e_n == e_min(m, n) exactly over every ordered pair, as
+    one product table; ``idempotent`` reads its diagonal."""
     m = chain.m_max
-    ok, dev = product_table(chain.family, [[min(i, j) for j in range(m)] for i in range(m)], tol)
-    exact = chain.backend == "exact"
-    passed = bool(ok.all())
-    return SemilatticeReport(pairs_checked=m * m, all_exact=exact and passed, mode="exact" if exact else "approx",
-                             max_abs_deviation=float(dev.max()), passed=passed, idempotent=bool(ok.diagonal().all()))
+    ok, dev = product_table(chain.family, [[min(i, j) for j in range(m)] for i in range(m)])
+    return SemilatticeReport(pairs_checked=m * m, max_abs_deviation=float(dev.max()), passed=bool(ok.all()),
+                             idempotent=bool(ok.diagonal().all()))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ a batch of elements by one stacked elimination; the identities of a
 finite diagonal and its expectation are product identities
 (:func:`opalg.matrices.products_agree`).  The commutators of a batch of
 samples with every increment of a diagonal sequence share one such
-elimination, and the unitized bound of an exact sample that commutes
+elimination, and the unitized bound of a sample that commutes
 with a diagonal has a closed form.
 """
 from __future__ import annotations
@@ -127,9 +127,9 @@ def _flatten(left: Stack, right: Stack) -> Stack:
 class TensorElem:
     """Finite formal sum of pairs (u, v), all square of one dimension ``dim``,
     held only as a left and a right leg stack (:func:`opalg.matrices.stack`:
-    integers over one denominator if the side is exact, else complex), terms
-    on axis -3; :meth:`of` builds one from Matrix pairs.  A batch pads
-    shorter elements with zero terms."""
+    integers over one denominator per side), terms on axis -3; :meth:`of`
+    builds one from Matrix pairs.  A batch pads shorter elements with zero
+    terms."""
 
     __slots__ = ("dim", "_left", "_right")
 
@@ -144,10 +144,6 @@ class TensorElem:
         if dim < 1:
             raise DimensionError("tensor dimension must be positive")
         return cls(*(_legs(side, dim) for side in (list(zip(*pairs)) or [(), ()])), dim)
-
-    @property
-    def backend(self) -> str:
-        return "float" if self._left.den is None or self._right.den is None else "exact"
 
     def _actor(self, a: Matrix) -> Stack:
         """A dim x dim matrix's own one-matrix stack; :func:`_legs` raises for other shapes."""
@@ -178,32 +174,22 @@ def _reduce(left: Stack, right: Stack) -> tuple[Stack, Stack]:
     for the coordinates C, one product of C^T with the right legs, and no
     independent leg is split, which would inflate sum ||B|| ||V||.  Terms
     whose V_b vanished are dropped, so an element is zero exactly when no
-    term is left; a float term p (x) q counts as zero when max|p| max|q| is
-    below 1e-12 max_i(max|u_i| max|v_i|, 1)."""
+    term is left."""
     batch, count, dim = left.re.shape[:3]
     if not count:
         return left, right
-    exact = left.den is not None and right.den is not None
-    if exact:
-        # u / g and v g for the content g / den of u, g the gcd of its numerators
-        flat = np.concatenate([x.reshape(batch, count, -1) for x in (left.re, left.im) if x is not None], axis=2)
-        g = np.gcd.reduce(flat, axis=2, initial=0)
-        g = np.where(_nonzero(right), g, 0)[..., None, None]
-        right = stack_product(np.multiply, right, Stack.read(g, None, left.den))
-        left = left.apply(lambda x: np.where(g != 0, x // np.maximum(g, 1), 0) if (g > 1).any() else x * (g != 0))
-        left, limit = replace(left, den=1), 0.0
-    else:
-        left, right = (Stack(float_stack(x)) for x in (left, right))
-        sizes = [np.abs(x.re).max(axis=(2, 3)) for x in (left, right)]
-        tiny = 1e-12 * np.maximum(1.0, (sizes[0] * sizes[1]).max(axis=1))[:, None]
-        with np.errstate(divide="ignore"):
-            limit = tiny / sizes[1]
-    kept, _, coords = eliminate(left, zero_below=limit)
+    # u / g and v g for the content g / den of u, g the gcd of its numerators
+    flat = np.concatenate([x.reshape(batch, count, -1) for x in (left.re, left.im) if x is not None], axis=2)
+    g = np.gcd.reduce(flat, axis=2, initial=0)
+    g = np.where(_nonzero(right), g, 0)[..., None, None]
+    right = stack_product(np.multiply, right, Stack.read(g, None, left.den))
+    left = left.apply(lambda x: np.where(g != 0, x // np.maximum(g, 1), 0) if (g > 1).any() else x * (g != 0))
+    left = replace(left, den=1)
+    kept, _, coords = eliminate(left)
     flat = right.apply(lambda x: x.reshape(batch, count, dim * dim))
     folded = stack_product(np.matmul, coords.apply(lambda x: x.transpose(0, 2, 1)), flat, count).apply(
         lambda x: x.reshape(batch, count, dim, dim))
-    size = _nonzero(folded) if exact else sizes[0] * np.abs(folded.re).max(axis=(2, 3)) > tiny
-    keep = kept & size
+    keep = kept & _nonzero(folded)
     slots, mask = np.flatnonzero(keep.any(axis=0)), keep[:, keep.any(axis=0), None, None]
     return tuple(x.apply(lambda y: np.where(mask, y[:, slots], 0)) for x in (left, folded))
 
@@ -220,7 +206,7 @@ def _shifts(legs: Stack) -> np.ndarray:
     re, im, den = legs.re, legs.im, legs.den
     shifts = np.zeros(len(re), dtype=int)
     # a loose bound only sends legs near 1 here, where every shift is 0
-    if den is None or not max(legs.bound, den) >> _SAFE_EXPONENT:
+    if not max(legs.bound, den) >> _SAFE_EXPONENT:
         return shifts
     flat = np.concatenate([x.reshape(len(x), -1).astype(object) for x in (re, im) if x is not None], axis=1)
     g = np.gcd(np.gcd.reduce(flat, axis=1), den)
@@ -268,17 +254,17 @@ def tensor_norm_upper(t: TensorElem) -> float:
     return float(_upper(*_reduce(t._left.take(None), t._right.take(None)))[0])
 
 
-def _bounds(left, right, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+def _bounds(left, right) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
     """(lower, upper, zero, reduced) per element of a batch off its reduced
     form: the bracket of :func:`tensor_norm_bounds`, whether it is zero (its
-    form is empty if exact, its upper bound at most tol if float), the form."""
+    form is empty), the form."""
     reduced = _reduce(left, right)
     nonzero = _nonzero(reduced[0]).any(axis=1)
     lower, upper = np.zeros(len(nonzero)), np.zeros(len(nonzero))
     if nonzero.any():
         upper = _upper(*reduced)
         lower[nonzero] = singular_values(float_stack(_flatten(*(x.take(nonzero) for x in reduced))))[:, 0]
-    return lower, upper, ~nonzero | ((reduced[0].den is None) & (upper <= tol)), reduced
+    return lower, upper, ~nonzero, reduced
 
 
 def tensor_norm_bounds(t: TensorElem) -> tuple[float, float]:
@@ -288,7 +274,7 @@ def tensor_norm_bounds(t: TensorElem) -> tuple[float, float]:
     (contractive for the projective norm), the upper one that of
     ``tensor_norm_upper``; a zero element gets (0, 0) without flattening.
     """
-    return tuple(float(x[0]) for x in _bounds(t._left.take(None), t._right.take(None), 0.0)[:2])
+    return tuple(float(x[0]) for x in _bounds(t._left.take(None), t._right.take(None))[:2])
 
 
 def unitize_diagonal(delta: TensorElem, u: Matrix, rest: Matrix) -> tuple[TensorElem, Matrix]:
@@ -306,8 +292,8 @@ def unitize_diagonal(delta: TensorElem, u: Matrix, rest: Matrix) -> tuple[Tensor
 class FiniteDiagonal:
     """A tensor element acting as an exact diagonal for a finite algebra:
     its multiplication image is a unit for the span of ``algebra_basis``
-    and it commutes with every basis element, checked on construction
-    (within ``DEFAULT_TOL`` per entry on float legs); ValueError otherwise.
+    and it commutes with every basis element, checked exactly on
+    construction; ValueError otherwise.
     It commutes with a when kron(a, 1) F = F kron(1, a) for its faithful
     flattening F = sum_i kron(u_i, v_i)."""
 
@@ -316,14 +302,12 @@ class FiniteDiagonal:
 
     def __post_init__(self):
         object.__setattr__(self, "algebra_basis", tuple(self.algebra_basis))
-        basis, d, tol = self.algebra_basis, self.diag, DEFAULT_TOL
+        basis, d = self.algebra_basis, self.diag
         unit, flat, one = _pi(d._left, d._right), _flatten(d._left, d._right), Matrix.identity(d.dim)._s.take(None)
-        identity, commutes = np.ones((2, len(basis)), dtype=bool)
-        for group in filter(None, [[k for k, a in enumerate(basis) if a.is_exact == e] for e in (True, False)]):
-            b = _legs([basis[k] for k in group], d.dim)
-            identity[group] = products_agree(unit, b, b, tol)[0] & products_agree(b, unit, b, tol)[0]
-            right = stack_product(np.matmul, flat, stack_product(np.kron, one, b), d.dim**2)
-            commutes[group] = products_agree(stack_product(np.kron, b, one), flat, right, tol)[0]
+        b = _legs(list(basis), d.dim)
+        identity = products_agree(unit, b, b)[0] & products_agree(b, unit, b)[0]
+        right = stack_product(np.matmul, flat, stack_product(np.kron, one, b), d.dim**2)
+        commutes = products_agree(stack_product(np.kron, b, one), flat, right)[0]
         for k in range(len(basis)):
             if not identity[k]:
                 raise ValueError(f"pi(diag) does not act as identity on basis element {k}")
@@ -342,7 +326,6 @@ class ExpectationReport:
     commutes_with_algebra_dev: float
     fixes_commutant_dev: float
     bimodule_dev: float
-    exact: bool
     passed: bool
 
 
@@ -350,14 +333,13 @@ def certify_expectation(
     d: FiniteDiagonal,
     xs: Sequence[Matrix],
     commutant_sample: Sequence[Matrix],
-    tol: float = DEFAULT_TOL,
 ) -> ExpectationReport:
     """Check the three expectation properties on concrete samples:
     values land in the commutant, E(x) a = a E(x) for the basis elements a;
     commutant elements are fixed, E(u) = u; and u (E(x) v) = E(u x v) for
-    commutant u, v.  The samples xs, the commutant sample and the basis are
-    each one stack, so each check is one products_agree call over all its
-    pairs, and a float matrix in a stack makes it float."""
+    commutant u, v, all exactly.  The samples xs, the commutant sample and
+    the basis are each one stack, so each check is one products_agree call
+    over all its pairs."""
     t, dim = d.diag, d.diag.dim
     mul = lambda p, q: stack_product(np.matmul, p, q, dim)
     x, u, a = (_legs(list(m), dim) for m in (xs, commutant_sample, d.algebra_basis))
@@ -365,15 +347,14 @@ def certify_expectation(
     # the axes are (x, a) in the first check and (u, v, x) in the third
     ea, ab, us, vs = ex.take(np.s_[:, None]), a.take(None), u.take(np.s_[:, None, None]), u.take(np.s_[None, :, None])
     checks = [
-        products_agree(ea, ab, mul(ab, ea), tol),
-        products_agree(*_pi_factors(_left_times(t, u), t._right), u, tol),
+        products_agree(ea, ab, mul(ab, ea)),
+        products_agree(*_pi_factors(_left_times(t, u), t._right), u),
         products_agree(us, mul(ex.take(np.s_[None, None]), vs),
-                       _pi(_left_times(t, mul(mul(us, x.take(np.s_[None, None])), vs)), t._right), tol),
+                       _pi(_left_times(t, mul(mul(us, x.take(np.s_[None, None])), vs)), t._right)),
     ]
-    passed = all(ok.all() for ok, _ in checks)
     # the deviations in field order: commutes, fixes, bimodule
-    return ExpectationReport(*(float(dev.max(initial=0.0)) for _, dev in checks), passed=passed,
-                             exact=passed and None not in (t._left.den, t._right.den, x.den, u.den))
+    return ExpectationReport(*(float(dev.max(initial=0.0)) for _, dev in checks),
+                             passed=all(ok.all() for ok, _ in checks))
 
 
 @dataclass(frozen=True)
@@ -403,7 +384,7 @@ class MbadReport:
     unitized_images: tuple[Matrix, ...]
 
 
-def _commutator_bounds(samples: Stack, left: Stack, right: Stack, tol: float) -> list[tuple]:
+def _commutator_bounds(samples: Stack, left: Stack, right: Stack) -> list[tuple]:
     """:func:`_bounds` of [a, D_n] for each n and each a of the stack ``samples``,
     D_n the sum of the first n increments, as (increment, term, n, n) legs.
     The [a, I_n] of all increments share one reduction: they are the [a, D_n]
@@ -411,7 +392,7 @@ def _commutator_bounds(samples: Stack, left: Stack, right: Stack, tol: float) ->
     reduced with the terms of [a, I_n], 2 products per term of I_n."""
     count, m = len(samples.re), len(left.re)
     comms = _commutator(samples.take((None, slice(None), None)), *(x.take((slice(None), None)) for x in (left, right)))
-    lower, upper, zero, reduced = _bounds(*(x.apply(lambda y: y.reshape(-1, *y.shape[2:])) for x in comms), tol)
+    lower, upper, zero, reduced = _bounds(*(x.apply(lambda y: y.reshape(-1, *y.shape[2:])) for x in comms))
     out = []
     for n, used in enumerate(_nonzero(reduced[0]).reshape(m, count, -1)):
         at = slice(n * count, (n + 1) * count)
@@ -420,7 +401,7 @@ def _commutator_bounds(samples: Stack, left: Stack, right: Stack, tol: float) ->
             break
     for n in range(len(out), m):
         comm = _commutator(samples.take((slice(None), None)), left.take(n), right.take(n))
-        out.append(_bounds(*(stack_concat([x, y], axis=-3) for x, y in zip(out[-1][3], comm)), tol))
+        out.append(_bounds(*(stack_concat([x, y], axis=-3) for x, y in zip(out[-1][3], comm))))
     return out
 
 
@@ -435,7 +416,7 @@ def _regrouped_uppers(comms, w, shrinks, images, rests, rest_norms) -> np.ndarra
     w = a_alg (1 - p) with its norms ``shrinks`` (a, n), and rest = 1 - p for
     p = pi(D_n) with its norms ``rest_norms`` from :func:`_rest_norms` (an
     SVD may round -rest apart from rest).  A pair whose
-    [a, D_n] is empty, with w and rest exact and neither shifted
+    [a, D_n] is empty, with neither w nor rest shifted
     (:func:`_shifts`, each leg's exponent in lowest terms, so a pair's own
     legs decide it, not the batch it is in), has a closed form: 0 if w is a
     multiple of rest (one elimination of the pairs (rest, w)), else
@@ -445,8 +426,7 @@ def _regrouped_uppers(comms, w, shrinks, images, rests, rest_norms) -> np.ndarra
     dim, count = len(rests.re[0]), len(w.re)
     unshifted = lambda x: _shifts(x.apply(lambda y: y.reshape(-1, dim, dim))) == 0
     closed = np.array([~_nonzero(c[0]).any(axis=1) for c in comms])
-    closed &= w.den is not None and rests.den is not None and (
-        unshifted(rests)[:, None] & unshifted(w).reshape(count, -1).T)
+    closed &= unshifted(rests)[:, None] & unshifted(w).reshape(count, -1).T
     out = np.zeros(closed.shape)
     n, s = np.nonzero(closed)
     if n.size:
@@ -469,7 +449,7 @@ _GROUP_ENTRIES = 2**18
 def certify_mbad(
     increments: TensorElem,
     chain: Chain,
-    sample: Sequence[Matrix],
+    sample: Sequence[Matrix] | Stack,
     tol: float = DEFAULT_TOL,
 ) -> MbadReport:
     """Certify the approximate-diagonal conditions on a sample.
@@ -490,11 +470,11 @@ def certify_mbad(
     first n rows, the images pi(D_n) are prefix sums of the products of its
     terms, the unitized diagonals read the rests 1 - pi(D_n) that the bounds
     read, and every group's :func:`_commutator_bounds` takes the legs whole.
-    One elimination of :attr:`Chain.family`, 1 and the samples of one backend
-    (or the ``sample`` stack), in which no sample is a pivot, gives each
+    One elimination of :attr:`Chain.family`, 1 and the samples (a sequence
+    of matrices or one stack), in which no sample is a pivot, gives each
     sample's span test, top index and identity part c of a = a_alg + c 1.  The
     (sample, diagonal) work runs in groups of at most ``_GROUP_ENTRIES``
-    entries, and no record depends on its sample's group or stack.  Past the
+    entries, and no record depends on its sample's group.  Past the
     first nonzero commutator, [a, D_n] is reduced from the reduced
     [a, D_{n-1}]: that form has the value of [a, D_n] but not its leg order,
     so a nonzero commutator's upper bound may differ in its last digits from
@@ -504,16 +484,14 @@ def certify_mbad(
     m, width = increments._left.re.shape[:2]
     if not m * width:
         raise ValueError("no diagonals supplied")
-    stacked = isinstance(sample, Stack)
-    sample = sample if stacked else list(sample)
     dim = chain.truncation_dim
-    ident = Matrix.identity(dim, backend=chain.backend)
+    ident = Matrix.identity(dim)
     left, right = (x.apply(lambda y: y.reshape(-1, dim, dim)) for x in (increments._left, increments._right))
     # pi(D_n): prefix sums of the terms' products u_i v_i on a dtype that holds
     # any of them, then bounded by their entries, which idempotents keep low
     images = stack_product(np.matmul, left, right, dim * len(left.re)).apply(
         lambda x: np.cumsum(x, axis=0)[width - 1::width])
-    images = images if images.den is None else Stack.read(images.re, images.im, images.den)
+    images = Stack.read(images.re, images.im, images.den)
     pis = [Matrix.from_stack(images.take(n)) for n in range(m)]
     rests = stack_difference(ident._s, images)
     rest_norms = _rest_norms(rests)
@@ -522,56 +500,45 @@ def certify_mbad(
     unitized_images = tuple(unitize_diagonal(d, p, Matrix.from_stack(rests.take(n)))[1]
                             for n, (d, p) in enumerate(zip(deltas, pis)))
     one = ident._s.take(None)
-    basis, rows = stack_concat([chain.family, one]), chain.m_max + 1
-    # the record fields per sample, filled in by backend and group
-    n = len(sample.re if stacked else sample)
-    in_span, identity_ok, commutator_ok, unitized_ok = np.zeros((4, n), dtype=bool)
-    gaps, uppers, lowers, unitized, alg_norms = np.zeros((5, n))
-    coeffs, tops = np.zeros(n, dtype=complex), np.zeros(n, dtype=int)
+    # coordinates over e_1..e_m, 1: in the span when spanned, the last one is the identity's
+    samples = _legs(sample if isinstance(sample, Stack) else list(sample), dim)
+    n, rows = len(samples.re), chain.m_max + 1
+    _, spanned, coords = eliminate(stack_concat([chain.family, one, samples]).take(None), rows=rows)
+    in_span, coords = spanned[0, rows:], coords.take((0, slice(rows, None), slice(rows)))
+    nonzero = np.any([x != 0 for x in (coords.re, coords.im) if x is not None], axis=0)
+    live = nonzero[:, :-1]
+    tops = np.where(live.any(axis=1), live.shape[1] - np.argmax(live[:, ::-1], axis=1), 0)
+    corner = coords.take((slice(None), slice(-1, None), None))
+    algs = stack_difference(samples, stack_product(np.multiply, corner, one))
+    coeffs, alg_norms = float_stack(corner)[:, 0, 0], singular_values(float_stack(algs))[:, 0]
+    # the record fields per sample, filled in by group
+    identity_ok, commutator_ok, unitized_ok = np.zeros((3, n), dtype=bool)
+    gaps, uppers, lowers, unitized = np.zeros((4, n))
     size = max(1, _GROUP_ENTRIES // (m * dim * dim))
-    backends = ([i for i, a in enumerate(sample) if a.is_exact == e] for e in (True, False))
-    for ids in filter(None, [list(range(n))] if stacked else backends):
-        # coordinates over e_1..e_m, 1: in the span when spanned, the last one
-        # is the identity's; a float remainder of x is zero below
-        # max(tol, 1e-12) max(1, max|x|)
-        samples = _legs(sample if stacked else [sample[i] for i in ids], dim)
-        family = stack_concat([basis, samples])
-        scales = np.maximum(1.0, np.abs(float_stack(family)).max(axis=(1, 2)))
-        _, spanned, coords = eliminate(family.take(None), rows=rows, zero_below=max(tol, 1e-12) * scales)
-        scales, in_span[ids] = scales[rows:], spanned[0, rows:]
-        coords = coords.take((0, slice(rows, None), slice(rows)))
-        nonzero = np.any([x != 0 for x in (coords.re, coords.im) if x is not None], axis=0)
-        live = nonzero[:, :-1] if coords.den is not None else np.abs(coords.re[:, :-1]) > 1e-9 * scales[:, None]
-        tops[ids] = np.where(live.any(axis=1), live.shape[1] - np.argmax(live[:, ::-1], axis=1), 0)
-        corner = coords.take((slice(None), slice(-1, None), None))
-        algs = stack_difference(samples, stack_product(np.multiply, corner, one))
-        coeffs[ids], alg_norms[ids] = float_stack(corner)[:, 0, 0], singular_values(float_stack(algs))[:, 0]
-        for lo in range(0, len(ids), size):
-            at, group, scale = slice(lo, lo + size), ids[lo:lo + size], scales[lo:lo + size]
-            legs = samples.take(at)
-            bounds = _commutator_bounds(legs, increments._left, increments._right, tol)
-            lower, upper, zero = (np.array([b[k] for b in bounds]) for k in range(3))
-            # a p = p a for every (a, p), and a pi(D_m) = a, the identity part of
-            # the last image; float products within max(tol, c max(1, max|a|))
-            acts = legs.take((slice(None), None))
-            ok, _ = products_agree(acts, images, stack_product(np.matmul, images, acts, dim),
-                                   np.maximum(tol, 1e-9 * scale)[:, None])
-            final_ok, gaps[group] = products_agree(legs, images.take(-1), legs, np.maximum(tol, 1e-12 * scale))
-            # w = a_alg (1 - p) with its norm
-            w = stack_product(np.matmul, algs.take((at, None)), rests, dim)
-            shrinks = singular_values(float_stack(w).reshape(-1, dim, dim))[:, 0].reshape(len(group), -1)
-            # for the unitized M = 2D - p.D + rest (x) rest, with p = pi(D),
-            # rest = 1 - p and w = a_alg rest, the regrouped
-            # R = 2[a,D] - p.[a,D] + w (x) rest - rest (x) w obeys
-            # R - [a,M] = [a,p].D + rest (x) [a,p], where x.D = sum (x u_i) (x) v_i;
-            # so R equals [a,M] whenever a p = p a, which is checked, and the
-            # multiplier estimate is read off R, built on the reduced [a,D]
-            unit = _regrouped_uppers([b[3] for b in bounds], w, shrinks, images, rests, rest_norms)
-            refined = (2.0 + k_const) * upper + 2.0 * (1.0 + k_const) * shrinks.T
-            refined_ok = (unit <= refined + np.maximum(tol, 1e-9 * np.maximum(1.0, refined))).all(axis=0)
-            identity_ok[group] = ~in_span[group] | nonzero[at, -1] | (tops[group] > m) | final_ok
-            uppers[group], lowers[group], unitized[group] = upper.max(axis=0), lower.max(axis=0), unit.max(axis=0)
-            commutator_ok[group], unitized_ok[group] = ~in_span[group] | zero.all(axis=0), refined_ok & ok.all(axis=1)
+    for group in (slice(lo, lo + size) for lo in range(0, n, size)):
+        legs = samples.take(group)
+        bounds = _commutator_bounds(legs, increments._left, increments._right)
+        lower, upper, zero = (np.array([b[k] for b in bounds]) for k in range(3))
+        # a p = p a for every (a, p), and a pi(D_m) = a, the identity part of
+        # the last image
+        acts = legs.take((slice(None), None))
+        ok, _ = products_agree(acts, images, stack_product(np.matmul, images, acts, dim))
+        final_ok, gaps[group] = products_agree(legs, images.take(-1), legs)
+        # w = a_alg (1 - p) with its norm
+        w = stack_product(np.matmul, algs.take((group, None)), rests, dim)
+        shrinks = singular_values(float_stack(w).reshape(-1, dim, dim))[:, 0].reshape(len(legs.re), -1)
+        # for the unitized M = 2D - p.D + rest (x) rest, with p = pi(D),
+        # rest = 1 - p and w = a_alg rest, the regrouped
+        # R = 2[a,D] - p.[a,D] + w (x) rest - rest (x) w obeys
+        # R - [a,M] = [a,p].D + rest (x) [a,p], where x.D = sum (x u_i) (x) v_i;
+        # so R equals [a,M] whenever a p = p a, which is checked, and the
+        # multiplier estimate is read off R, built on the reduced [a,D]
+        unit = _regrouped_uppers([b[3] for b in bounds], w, shrinks, images, rests, rest_norms)
+        refined = (2.0 + k_const) * upper + 2.0 * (1.0 + k_const) * shrinks.T
+        refined_ok = (unit <= refined + np.maximum(tol, 1e-9 * np.maximum(1.0, refined))).all(axis=0)
+        identity_ok[group] = ~in_span[group] | nonzero[group, -1] | (tops[group] > m) | final_ok
+        uppers[group], lowers[group], unitized[group] = upper.max(axis=0), lower.max(axis=0), unit.max(axis=0)
+        commutator_ok[group], unitized_ok[group] = ~in_span[group] | zero.all(axis=0), refined_ok & ok.all(axis=1)
 
     constants = np.where(alg_norms > 1e-12, uppers / np.maximum(alg_norms, 1e-12), 0.0)
     c_const = float(constants.max(initial=0.0, where=in_span))

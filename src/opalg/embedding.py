@@ -10,8 +10,8 @@ sets F, and the block sup norm is pinned between ||a||_1 / pi and
 subsets, solved exactly by a half-plane sweep.  On the coordinates
 (alpha, omega, F), |F| = k, the block is Y diag(a_F) X^T for the k
 columns y_j and x_j, j in F.  Blocks are filled from that closed form,
-on integer numerators over one shared denominator or complex
-coefficients, one stacked (..., m, k + 2, k + 2) array per size k.
+on integer numerators over one shared denominator, one stacked
+(..., m, k + 2, k + 2) array per size k.
 
 Multiplicativity: with B_i the blocks of the unit coefficient vectors
 (``_fill`` of the k x k identity), every block of size k is
@@ -47,7 +47,6 @@ from .matrices import (
     DEFAULT_TOL,
     CertificationError,
     Stack,
-    _as_complex,
     float_stack,
     kernel_dtype,
     products_agree,
@@ -249,14 +248,10 @@ class EmbeddedElement:
     ``stacks`` holds one (positions, stack) pair per size, where positions
     are the indices of the stacked subsets in the family and the
     :class:`opalg.matrices.Stack` holds their blocks: integer numerators
-    over the element's shared denominator, or complex arrays."""
+    over the element's shared denominator."""
 
     family: SubsetFamily
     stacks: tuple = field(repr=False)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.stacks[0][1].den is not None
 
     @cached_property
     def _spectra(self) -> list[tuple]:
@@ -313,33 +308,29 @@ def _block_spectra(a) -> np.ndarray:
 
 def _embedded(family, coeffs: Stack) -> EmbeddedElement:
     """The element with the coefficients of the 1-d stack ``coeffs``, integer
-    numerators over its denominator or complex values, at most n_max of
-    them, missing ones zero, filled by :func:`_fill`.  Exact stacks are
-    int64 when every numerator times n_max (which bounds every s_F) fits
-    it, and Python integers otherwise."""
+    numerators over its denominator, at most n_max of them, missing ones
+    zero, filled by :func:`_fill`: on int64 when every numerator times n_max
+    (which bounds every s_F) fits it, and Python integers otherwise.  The
+    missing ones are zeros of the numerators' dtype: np.pad would put an
+    int64 zero among Python integers, and a sum with one past int64
+    overflows."""
     n = family.n_max
-    coeffs = coeffs.apply(lambda x: np.pad(x, (0, n - len(x))))
-    if coeffs.den is not None:
-        coeffs = coeffs.apply(lambda x, dtype=kernel_dtype(coeffs.bound * n): x.astype(dtype), coeffs.bound * n)
+    dtype = kernel_dtype(coeffs.bound * n)
+    coeffs = coeffs.apply(lambda x: np.concatenate([x, np.zeros(n - len(x), x.dtype)]).astype(dtype), coeffs.bound * n)
     stacks = tuple((pos, coeffs.apply(lambda x: _fill(x[idx]))) for pos, idx in family._by_size)
     return EmbeddedElement(family=family, stacks=stacks)
 
 
 def phi(a: Sequence, subsets: SubsetFamily) -> EmbeddedElement:
     """Embed the sequence a as its per-subset blocks.  Each coefficient is
-    read by :func:`opalg.matrices.read_scalar`: when every one is exact
-    (ints, Fractions, (re, im) pairs) the blocks are exact, with integer
-    numerators over the least common denominator (:meth:`Stack.of`); one
-    float or complex coefficient makes them all float."""
+    read by :func:`opalg.matrices.read_scalar`, floats and complex numbers
+    at their exact binary value, so the blocks are integer numerators over
+    the coefficients' least common denominator (:meth:`Stack.of`)."""
     read = [read_scalar(v) for v in a]
-    nonzero = [any(val) if kind == "exact" else val != 0 for kind, val in read]  # exact values tested exactly
+    nonzero = [any(pair) for pair in read]
     if any(nonzero[subsets.n_max:]):
         raise ValueError(f"support index {nonzero.index(True, subsets.n_max) + 1} outside 1..{subsets.n_max}")
-    exact = all(kind == "exact" for kind, _ in read)
-    read = read[: subsets.n_max]
-    if not exact:
-        return _embedded(subsets, Stack(np.array([_as_complex(*r) for r in read], dtype=complex)))
-    return _embedded(subsets, Stack.of([pair for _, pair in read]))
+    return _embedded(subsets, Stack.of(read[: subsets.n_max]))
 
 
 def phi_sup_norm(e: EmbeddedElement) -> float:
@@ -351,7 +342,7 @@ def phi_sup_norm(e: EmbeddedElement) -> float:
 
 def _support(a):
     """The nonzero coefficients of a as (index, complex) pairs."""
-    return [(j, z) for j, z in enumerate((_as_complex(*read_scalar(v)) for v in a), start=1) if z != 0]
+    return [(j, z) for j, z in enumerate(map(complex, a), start=1) if z != 0]
 
 
 def best_subset_sum(a: Sequence, cross_check: bool | None = None) -> tuple[tuple[int, ...], float]:
@@ -507,7 +498,7 @@ def _basis_is_multiplicative(sizes) -> bool:
     for k in sizes:
         basis = Stack.read(_fill(np.eye(k, dtype=np.int64)))
         target = basis.apply(lambda x: x[:, None] * np.eye(k, dtype=x.dtype)[..., None, None])
-        if not products_agree(basis.take(np.s_[:, None]), basis.take(None), target, 0.0)[0].all():
+        if not products_agree(basis.take(np.s_[:, None]), basis.take(None), target)[0].all():
             return False
     return True
 

@@ -100,10 +100,9 @@ def orthogonal_generators(chain: Chain) -> tuple[Matrix, ...]:
 
 def orthogonality_table(gens: Stack) -> np.ndarray:
     """The (count, count) product table (:func:`opalg.matrices.product_table`)
-    of the stack ``gens``, saying whether g_i g_j equals g_i for i == j and
-    vanishes for i != j: exactly when every generator is exact, else within
-    ``DEFAULT_TOL``."""
-    return product_table(gens, np.diag(np.arange(1, len(gens.re) + 1)) - 1, DEFAULT_TOL)[0]
+    of the stack ``gens``, saying whether g_i g_j equals g_i exactly for
+    i == j and vanishes for i != j."""
+    return product_table(gens, np.diag(np.arange(1, len(gens.re) + 1)) - 1)[0]
 
 
 def _weight_powers(weights: WeightSeq, r_max: int) -> np.ndarray:
@@ -121,18 +120,13 @@ def _tail_residuals(family, powers: np.ndarray):
     first.
 
     For pairwise-orthogonal idempotents, g_m - B_m^r = -sum_{j>m} (L_j/L_m)^r g_j
-    exactly, with L_j^r read from ``powers`` (:func:`_weight_powers`).  Float
-    families round each (L_j/L_m)^r once.  For exact families (numerators
-    G_j over D, from :func:`opalg.matrices.stack`) the tail numerators
-    -sum_{j>m} L_j^r G_j are one running sum, which gains one term per index
-    on that generator's nonzero entries; only the entries the tail has
-    reached are divided by L_m^r D, each rounded as :meth:`Matrix.to_float`
-    rounds the same rational."""
+    exactly, with L_j^r read from ``powers`` (:func:`_weight_powers`).  For
+    generators G_j over D (from :func:`opalg.matrices.stack`) the tail
+    numerators -sum_{j>m} L_j^r G_j are one running sum, which gains one term
+    per index on that generator's nonzero entries; only the entries the tail
+    has reached are divided by L_m^r D, each rounded as
+    :meth:`Matrix.to_float` rounds the same rational."""
     mats, count, r_max = family.re, len(family.re), len(powers) - 1
-    if family.den is None:
-        for m in range(count - 2, -1, -1):
-            yield m, -np.tensordot((powers[1:, m + 1:] / powers[1:, m:m + 1]).astype(float), mats[m + 1:], axes=1)
-        return
     parts = [x.reshape(count, -1) for x in (mats, family.im) if x is not None]
     cols = np.flatnonzero(np.any([part != 0 for part in parts], axis=(0, 1)))
     own = np.any([part[:, cols] != 0 for part in parts], axis=0)
@@ -181,12 +175,12 @@ def certify_generation(source: Chain | Sequence[Matrix], weights: WeightSeq, r_m
     The generators must pass :func:`orthogonality_table`, checked once;
     otherwise CertificationError is raised.  Given that, the residuals are
     read off the spectral closed form g_m - B_m^r = -sum_{j>m} rho_j^r g_j,
-    rho_j = l_j / l_m (:func:`_tail_residuals`), so on exact families they
-    are those of the exact powers, bit for bit.  Each generator's r_max
-    residual norms come from one stacked SVD, and the generators' norms
-    from one more.  Each bound is one rational in the weights' numerators
-    L_j (:func:`_weight_powers`) and the norms' exact binary values,
-    rounded once.  The certificate keeps the generators it certified and
+    rho_j = l_j / l_m (:func:`_tail_residuals`), so they are those of the
+    exact powers, bit for bit.  Each generator's r_max residual norms come
+    from one stacked SVD, and the generators' norms from one more.  Each
+    bound is one rational in the weights' numerators L_j
+    (:func:`_weight_powers`) and the norms' exact binary values, rounded
+    once.  The certificate keeps the generators it certified and
     the (count, r_max) residuals, bounds and verdicts, all verdicts from
     one :func:`opalg.matrices.bound_holds` call.
     """
@@ -213,11 +207,9 @@ def certify_generation(source: Chain | Sequence[Matrix], weights: WeightSeq, r_m
 
 def same_span(first: Stack, second: Stack) -> bool:
     """Whether two stacks of matrices, such as :attr:`Chain.family`, have
-    equal linear span: both together have the rank of each, from
-    :func:`opalg.matrices.eliminate` (exact on exact stacks; one float stack
-    runs both wholly in floats, a remainder being zero when no entry exceeds
-    1e-8), which keeps as many of ``first`` as its rank when it eliminates
-    ``first + second`` in order."""
-    kept = lambda family: eliminate(family.take(None), zero_below=1e-8, coordinates=False)[0][0]
+    equal linear span: both together have the rank of each, from the exact
+    :func:`opalg.matrices.eliminate`, which keeps as many of ``first`` as its
+    rank when it eliminates ``first + second`` in order."""
+    kept = lambda family: eliminate(family.take(None), coordinates=False)[0][0]
     both = kept(stack_concat([first, second]))
     return bool(both[:len(first.re)].sum() == kept(second).sum() == both.sum())

@@ -1,5 +1,5 @@
-"""Reference implementations kept as test oracles: the zero test and the
-comparison policy one pair of matrices at a time, Gaussian elimination one
+"""Reference implementations kept as test oracles: the zero test one
+matrix at a time, Gaussian elimination one
 ``Matrix`` at a time with its pivot rule, a matrix's content, an exact
 stack's entries and largest numerator, the dense idempotents of the
 rank-one family, and the tensor-element algebra term by term on (Matrix,
@@ -41,15 +41,13 @@ from opalg.matrices import (
 )
 
 
-def eliminate(mats, negligible=None, rows=None, coordinates=True):
+def eliminate(mats, rows=None, coordinates=True):
     """Gaussian elimination on same-shape matrices, in order.
 
     Each matrix is reduced against one pivot row per kept matrix before
     it, and is kept when its remainder r is nonzero and it is among the
-    first ``rows`` (default: all).  A float r also counts as zero when
-    ``negligible(k, r)`` holds for the k-th matrix.  The pivot is the
-    nonzero entry of least modulus when r is exact and of largest modulus
-    when it is float, the first in row order among equal ones.  Returns
+    first ``rows`` (default: all).  The pivot is the nonzero entry of least
+    modulus, the first in row order among equal ones.  Returns
     ``(kept, coords)``: the kept indices, and per matrix None when it is
     outside the span of the kept matrices before it, else its coordinates
     over them, a 1 x len(mats) matrix whose entry (0, b) multiplies
@@ -59,14 +57,14 @@ def eliminate(mats, negligible=None, rows=None, coordinates=True):
     n = len(mats)
     kept, coords, pivots = [], [], []  # pivots: (pivot index, E, coordinates of E over the kept matrices)
     for k, m in enumerate(mats):
-        r, x = m, Matrix.zeros(1, n, backend=m.backend) if coordinates else None
+        r, x = m, Matrix.zeros(1, n) if coordinates else None
         for ij, e, e_coords in pivots:
             c = r.entry(*ij)
-            if any(c) if r.is_exact else c != 0:
+            if any(c):
                 r = r - e * c
                 if coordinates:
                     x = x + e_coords * c
-        if is_zero(r) or not r.is_exact and negligible is not None and negligible(k, r):
+        if is_zero(r):
             coords.append(x)
             continue
         coords.append(None)
@@ -86,50 +84,30 @@ def is_zero(m):
     return m._s.im is None and not np.count_nonzero(m._s.re)
 
 
-def agree(a, b, tol):
-    """The comparison policy that products_agree batches: whether a and b
-    are equal, exactly when both are exact, whatever ``tol`` is, and within
-    ``tol`` per entry otherwise."""
-    if a.is_exact and b.is_exact:
-        return a.equals(b)
-    return a.max_abs_diff(b) <= tol
-
-
 def reciprocal(z):
-    """1 / z for an exact (re, im) pair, as a pair of Fractions, or for a
-    complex number."""
-    if isinstance(z, complex):
-        return 1 / z
+    """1 / z for an (re, im) pair, as a pair of Fractions."""
     norm = Fraction(z[0] * z[0] + z[1] * z[1])
     return z[0] / norm, -z[1] / norm
 
 
 def pivot(m):
-    """Index (i, j) of the nonzero entry of least modulus (exact m) or of
-    largest modulus (float m), the first in row order among equal ones;
-    None for a zero matrix."""
+    """Index (i, j) of the nonzero entry of least modulus, the first in row
+    order among equal ones; None for a zero matrix."""
     mags = {}
     for i in range(m.rows):
         for j in range(m.cols):
-            if m.is_exact:
-                re, im = m.entry(i, j)
-                mag = re * re + im * im
-            else:
-                mag = abs(m.entry(i, j))
-            if mag:
-                mags[(i, j)] = mag
+            re, im = m.entry(i, j)
+            if re * re + im * im:
+                mags[(i, j)] = re * re + im * im
     if not mags:
         return None
-    best = (min if m.is_exact else max)(mags.values())
+    best = min(mags.values())
     return next(ij for ij, mag in mags.items() if mag == best)
 
 
 def content(m):
-    """The gcd g of all real and imaginary parts of an exact m, a Fraction,
-    so m / g has coprime integer entries (0 for the zero matrix); 1 for a
-    float m."""
-    if not m.is_exact:
-        return 1
+    """The gcd g of all real and imaginary parts of m, a Fraction, so m / g
+    has coprime integer entries (0 for the zero matrix)."""
     s = m._s
     return Fraction(math.gcd(*s.re.flat, *(() if s.im is None else s.im.flat)), s.den)
 
@@ -185,34 +163,24 @@ def commutator(a, t):
 
 def reduce(terms):
     """The reduced form over linearly independent left legs, as pairs: zero
-    right legs dropped (exact), each left leg divided by its content, the
-    right legs of dependent terms folded onto the kept ones by their
-    coordinates, and negligible kept pairs dropped."""
-    terms = list(terms)
-    exact = all(u.is_exact and v.is_exact for u, v in terms)
-    if exact:
-        terms = [(u, v) for u, v in terms if not is_zero(v)]
-    else:
-        terms = [(u.to_float(), v.to_float()) for u, v in terms]
-        tiny = 1e-12 * max([1.0] + [u.max_abs() * v.max_abs() for u, v in terms])
-
-    def negligible(p, q):
-        return (is_zero(p) or is_zero(q)) if exact else p.max_abs() * q.max_abs() <= tiny
-
+    right legs dropped, each left leg divided by its content, the right legs
+    of dependent terms folded onto the kept ones by their coordinates, and
+    kept pairs with a zero leg dropped."""
+    terms = [(u, v) for u, v in terms if not is_zero(v)]
     for i, (u, v) in enumerate(terms):
         g = content(u)
         if g not in (0, 1):
             terms[i] = (u * (1 / g), v * g)
-    kept, coords = eliminate([u for u, _ in terms], lambda k, r: negligible(r, terms[k][1]))
+    kept, coords = eliminate([u for u, _ in terms])
     pairs = [list(terms[k]) for k in kept]
     for (_, v), x in zip(terms, coords):
         if x is None:
             continue
         for b, pair in enumerate(pairs):
             k = x.entry(0, b)
-            if any(k) if exact else k != 0:
+            if any(k):
                 pair[1] = pair[1] + v * k
-    return [(b, v) for b, v in pairs if not negligible(b, v)]
+    return [(b, v) for b, v in pairs if not (is_zero(b) or is_zero(v))]
 
 
 def numerator_max(s):
@@ -231,10 +199,8 @@ def entries(s):
 
 def exponent(m):
     """k = (bit length of the largest numerator) - (bit length of the
-    denominator) of an exact m in lowest terms, so the largest entry
-    modulus of 2**-k m lies between 1/2 and 3; 0 for a zero or float m."""
-    if not m.is_exact:
-        return 0
+    denominator) of m in lowest terms, so the largest entry modulus of
+    2**-k m lies between 1/2 and 3; 0 for a zero m."""
     s = m._s
     big = max(abs(int(x)) for x in (*s.re.flat, *(() if s.im is None else s.im.flat)))
     return big.bit_length() - s.den.bit_length() if big else 0
@@ -294,7 +260,7 @@ def batched(increments):
     return diagonals.TensorElem(*legs, increments[0].dim)
 
 
-def commutator_bounds(samples, increments, tol):
+def commutator_bounds(samples, increments):
     """The bounds of [a, D_n] for each n and each a of the stack ``samples``,
     one reduction per diagonal: the reduced [a, D_{n-1}] with the terms of
     [a, I_n], for D_n the sum of the first n increments I_n."""
@@ -303,7 +269,7 @@ def commutator_bounds(samples, increments, tol):
         left, right = diagonals._commutator(actors, inc._left, inc._right)
         if out:
             left, right = (stack_concat([x, y], axis=-3) for x, y in zip(out[-1][3], (left, right)))
-        out.append(diagonals._bounds(left, right, tol))
+        out.append(diagonals._bounds(left, right))
     return out
 
 
@@ -338,7 +304,7 @@ def build_idempotent(spec, n):
     selector matrices into the rows of the gap below H_n and the columns of
     the gap above it; what ``build_chain`` fills into its family."""
     dim, rank = spec.truncation_dim, spec.dims[n - 1]
-    projection = Matrix.diag([1] * rank + [0] * (dim - rank), spec.backend)
+    projection = Matrix.diag([1] * rank + [0] * (dim - rank))
     if n % 2 == 1:
         return projection
     block, top = spec.couplings[n // 2 - 1], spec.dims[n - 2]
@@ -370,7 +336,7 @@ def build_delta(chain, n):
 def rescaled_generators(gens, weights):
     """The rescaled residual generators (1/l_m) b_m, m = 1, 2, ..., with
     b_m = sum_{j>=m} l_j g_j built from the suffix sums
-    b_m = b_{m+1} + l_m g_m; exact when the inputs are exact."""
+    b_m = b_{m+1} + l_m g_m, exactly."""
     if len(weights) != len(gens):
         raise ValueError(f"got {len(weights)} weights for {len(gens)} generators")
     out, suffix = [], None
@@ -463,7 +429,7 @@ def is_product(ea, eb, ep):
     """Whether every block of the embedded element ep is the product of the
     blocks of ea and eb, exactly, one products_agree call per stack."""
     return all(
-        products_agree(a, b, p, 0.0)[0].all() for (_, a), (_, b), (_, p) in zip(ea.stacks, eb.stacks, ep.stacks)
+        products_agree(a, b, p)[0].all() for (_, a), (_, b), (_, p) in zip(ea.stacks, eb.stacks, ep.stacks)
     )
 
 
@@ -486,7 +452,7 @@ def trial_is_product(family, trial):
     for _, idx in family._by_size:
         blocks = embedding._fill(nums[:, idx])
         stacks = (Stack(blocks[k], blocks[k + 1], d, bound) for k, d in zip((0, 2, 4), dens))
-        if not products_agree(*stacks, 0.0)[0].all():
+        if not products_agree(*stacks)[0].all():
             return False
     return True
 

@@ -266,6 +266,16 @@ def test_measured_checks_fail_on_bad_input(monkeypatch):
     assert [name for name, c in checks.items() if not c.passed] == ["unitized-diagonal-image"]
     monkeypatch.undo()
 
+    # expectation-commutant-projection compares E(x) with x_11 1 exactly: an
+    # image off by 2**-1100 in one entry, a deviation that reads 0.0, breaks it
+    expect = cli.expectation_from_diagonal
+    off = Matrix.exact([[0, Fraction(1, 2**1100)], [0, 0]])
+    monkeypatch.setattr(cli, "expectation_from_diagonal", lambda d, x: expect(d, x) + off)
+    checks = {c.name: c for c in run_experiment(small_cfg(subcommand="diagonal", m_max=4)).stages[0].checks}
+    assert [name for name, c in checks.items() if not c.passed] == ["expectation-commutant-projection"]
+    assert checks["expectation-commutant-projection"].observed == "deviation 0.0"
+    monkeypatch.undo()
+
     # embedding-multiplicativity multiplies the basis blocks _fill(I_k): one
     # entry off in one basis block of size 3 breaks only it
     fill = embedding._fill

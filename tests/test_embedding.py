@@ -48,7 +48,7 @@ def test_omega_diagonal_entry_is_one():
 def test_E_is_idempotent_and_rank_one():
     e = pairwise.E(RankOneFamily.build(6), 4)
     assert (e @ e).equals(e)
-    assert float(singular_values(e.numpy()[None]).sum()) == pytest.approx(3.0, abs=1e-9)
+    assert float(singular_values(e.to_float()[None]).sum()) == pytest.approx(3.0, abs=1e-9)
 
 
 def test_E_norm_is_three():
@@ -307,19 +307,19 @@ def test_omega_entry_of_blocks_is_subset_sum():
 
 
 def test_phi_reads_coefficients_like_matrix_scalars():
-    # a pair is exact even with float parts (taken at their binary value);
-    # one float coefficient makes every block float
+    # a pair with float parts, a float and a complex number are all taken at
+    # their binary value, so every block is exact
     fam = SubsetFamily.enumerate(3, f_cap=7, s_max=3)
-    exact = phi([(0.5, 0.25)], fam)
-    assert all(block.is_exact for block in blocks_of(exact))
-    for subset, block in zip(fam.subsets, blocks_of(exact)):
-        expected = (Fraction(1, 2), Fraction(1, 4)) if 1 in subset else (0, 0)
-        assert block.entry(1, 1) == expected
-    mixed = phi([(1, 2), 0.5], fam)
-    assert not any(block.is_exact for block in blocks_of(mixed))
+    for a in ([(0.5, 0.25)], [0.5 + 0.25j], [(Fraction(1, 2), 0.25)]):
+        for subset, block in zip(fam.subsets, blocks_of(phi(a, fam))):
+            assert block.entry(1, 1) == ((Fraction(1, 2), Fraction(1, 4)) if 1 in subset else (0, 0))
+    mixed = phi([0.5, 0.25j, (1, 2)], fam)
     for subset, block in zip(fam.subsets, blocks_of(mixed)):
-        expected = sum(((1 + 2j), 0.5, 0)[j - 1] for j in subset)
-        assert block.entry(1, 1) == expected
+        parts = ((Fraction(1, 2), 0), (0, Fraction(1, 4)), (1, 2))
+        assert block.entry(1, 1) == tuple(sum(parts[j - 1][k] for j in subset) for k in (0, 1))
+    # 0.1 is not 1/10, and the blocks say so
+    tenth = blocks_of(phi([0.1], fam))[0]
+    assert tenth.entry(1, 1) == (Fraction(0.1), 0) != (Fraction(1, 10), 0)
 
 
 def test_best_subset_sum_all_positive():
@@ -571,17 +571,24 @@ def test_phi_accepts_trailing_zeros_beyond_range():
     fam = SubsetFamily.enumerate(2, f_cap=4, s_max=2)
     emb_float = phi([0.5, 0.25, 0.0, 0.0], fam)
     emb_exact = phi([Fraction(1, 2), Fraction(1, 4), 0, 0], fam)
-    for a, b in zip(blocks_of(emb_float), blocks_of(emb_exact)):
-        assert a.max_abs_diff(b) <= 1e-15
+    assert all(map(Matrix.equals, blocks_of(emb_float), blocks_of(emb_exact)))
+
+
+def test_phi_pads_numerators_past_int64():
+    # two coefficients of three, one with a numerator past int64: the missing
+    # one is a Python zero, which sums with it without overflow
+    fam = SubsetFamily.enumerate(3, f_cap=7, s_max=3)
+    blocks = blocks_of(phi([Fraction(1, 2**126), 1], fam))
+    assert blocks[-1].entry(1, 1) == (1 + Fraction(1, 2**126), 0)
 
 
 def blocks_of(e):
-    """One Matrix per subset of an embedded element, in family order (exact
-    ones in lowest terms): the per-block view of its stacks."""
+    """One Matrix per subset of an embedded element, in family order and in
+    lowest terms: the per-block view of its stacks."""
     out = [None] * len(e.family)
     for positions, s in e.stacks:
         for pos, r, i in zip(positions, s.re, [None] * len(s.re) if s.im is None else s.im, strict=True):
-            out[pos] = Matrix.from_float(r) if not e.is_exact else Matrix.from_stack(Stack.read(r, i, s.den))
+            out[pos] = Matrix.from_stack(Stack.read(r, i, s.den))
     return tuple(out)
 
 
@@ -594,16 +601,14 @@ def product_form_blocks(a, family):
     vectors x_n = e_alpha + e_omega + e_n and y_n = -e_alpha + e_omega + e_n,
     and _F keeps the rows (alpha, omega, F) and the columns F."""
     n_max = family.n_max
-    read = [read_scalar(v) for v in a]
-    backend = "exact" if all(kind == "exact" for kind, _ in read) else "float"
     # X is real, so X^* is its transpose
     xt = Matrix.exact([[1, 1] + [int(i == j) for j in range(n_max)] for i in range(n_max)])
     ys = Matrix.exact([[-1] * n_max, [1] * n_max] + [[int(i == j) for j in range(n_max)] for i in range(n_max)])
-    vals = [val for _, val in read][:n_max] + [0] * (n_max - len(read))
+    vals = [read_scalar(v) for v in a][:n_max] + [0] * (n_max - len(a))
     blocks = []
     for subset in family.subsets:
         pos, cols = [0, 1] + [j + 1 for j in subset], [j - 1 for j in subset]
-        d = Matrix.diag([vals[k] for k in cols], backend)
+        d = Matrix.diag([vals[k] for k in cols])
         blocks.append(pairwise.select(ys, pos, cols) @ d @ pairwise.select(xt, cols, pos))
     return blocks
 
@@ -629,19 +634,19 @@ def test_exact_blocks_match_product_form(family, data):
     a = data.draw(st.lists(exact_coeff, max_size=family.n_max))
     emb = phi(a, family)
     for block, ref in zip(blocks_of(emb), product_form_blocks(a, family), strict=True):
-        assert block.is_exact and block.equals(ref)
+        assert block.equals(ref)
 
 
 @given(families(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_float_blocks_match_product_form(family, data):
-    # at least one float or complex coefficient, mixed with exact ones
+    # at least one float or complex coefficient, mixed with exact ones: each
+    # is read at its binary value, and the blocks equal the product form
     a = data.draw(st.lists(st.one_of(exact_coeff, float_coeff), max_size=family.n_max - 1))
     a.insert(data.draw(st.integers(0, len(a))), data.draw(float_coeff))
     emb = phi(a, family)
     for block, ref in zip(blocks_of(emb), product_form_blocks(a, family), strict=True):
-        assert not block.is_exact
-        assert block.max_abs_diff(ref) <= 1e-15 * ref.max_abs()
+        assert block.equals(ref)
 
 
 def test_stacked_spectra_match_per_block_norms():
@@ -670,13 +675,13 @@ def test_stacked_spectra_match_per_block_norms():
         assert agree(phi_sup_norm(emb), max(op_norm(b) for b in blocks), dim)
         for positions, spectra in emb._spectra:
             for pos, spectrum in zip(positions, spectra, strict=True):
-                full = singular_values(blocks[pos].numpy()[None])[0]
+                full = singular_values(blocks[pos].to_float()[None])[0]
                 assert spectrum[-2:].tolist() == [0.0, 0.0] and spectra_agree(spectrum, full, dim)
         for scheme in ("geometric", "uniform"):
             w = make_trace(fam, scheme)
             expected = 0.0
             for subset, weight, block in zip(fam.subsets, weights(w), blocks):
-                expected += float(weight) / (len(subset) + 2) * float(singular_values(block.numpy()[None]).sum())
+                expected += float(weight) / (len(subset) + 2) * float(singular_values(block.to_float()[None]).sum())
             assert agree(l1_trace_norm(emb, w), expected, dim)
 
 
@@ -722,7 +727,7 @@ def pair_mul(x, y):
 def numerators(coeffs):
     """Exact coefficients as a trial's (re, im, den): integer numerator
     arrays over their least common denominator."""
-    pairs = [read_scalar(v)[1] for v in coeffs]
+    pairs = [read_scalar(v) for v in coeffs]
     den = math.lcm(*(x.denominator for pair in pairs for x in pair))
     return (*(np.array([int(pair[k] * den) for pair in pairs], dtype=object) for k in (0, 1)), den)
 
@@ -839,7 +844,7 @@ def test_int64_stacks_convert_like_each_block(case):
         assert s.re.dtype == s.im.dtype == (np.int64 if int64 else object)
         floats = matrices.float_stack(s)
         for pos, arr in zip(positions, floats, strict=True):
-            assert arr.tobytes() == blocks[pos].to_float().numpy().tobytes()
+            assert arr.tobytes() == blocks[pos].to_float().tobytes()
     # the int64 stacks also give the exact product check its answer
     assert pairwise.trial_is_product(family, [numerators(coeffs), numerators([1] * family.n_max), numerators(coeffs)])
 

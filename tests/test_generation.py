@@ -21,9 +21,9 @@ from opalg import (
 )
 from opalg import generation, matrices
 from opalg.generation import _weight_powers
-from opalg.matrices import DEFAULT_TOL, bound_holds
+from opalg.matrices import bound_holds
 import pairwise
-from pairwise import agree, rescaled_generators
+from pairwise import rescaled_generators
 from test_chains import NORM_CHAINS
 
 
@@ -138,34 +138,13 @@ def test_same_span_is_exact_on_exact_families():
     moved = list(chain.idempotents[:-1]) + [chain.e(6) + unit * Fraction(1, 2**1100)]
     assert not same_span(chain.family, matrices.stack(moved))
     assert same_span(matrices.stack(moved), matrices.stack(moved[::-1]))
-    # float families keep their tolerance
-    floats = matrices.stack([m.to_float() for m in chain.idempotents])
-    assert same_span(floats, matrices.stack([m.to_float() for m in orthogonal_generators(chain)]))
-    assert same_span(floats, matrices.stack([m.to_float() for m in moved]))
 
 
-def test_same_span_mixed_families_run_in_floats():
-    # an exact family whose last member carries 2**-1100 E_01 against float
-    # images moved by 1e-6 E_01: the pair is eliminated wholly in floats, as
-    # the float images of both, instead of dividing an exact remainder by
-    # its 2**-1100 pivot and overflowing when that row meets a float one
-    chain = build_chain(ChainSpec.default(6))
-    dim = chain.truncation_dim
-    unit = Matrix.exact([[int((i, j) == (0, 1)) for j in range(dim)] for i in range(dim)])
-    moved = list(chain.idempotents[:-1]) + [chain.e(6) + unit * Fraction(1, 2**1100)]
-    floats = [m.to_float() for m in chain.idempotents[:-1]] + [chain.e(6).to_float() + unit.to_float() * 1e-6]
-    as_floats = [m.to_float() for m in moved]
-    moved, floats, as_floats = (matrices.stack(x) for x in (moved, floats, as_floats))
-    assert same_span(moved, floats) is same_span(as_floats, floats) is False
-    assert same_span(floats, moved) is same_span(floats, as_floats) is False
-    assert same_span(moved, as_floats)
-
-
-def three_rank_same_span(first, second, tol=1e-8):
+def three_rank_same_span(first, second):
     """The span oracle: the ranks of each family and of both together agree,
     from three separate eliminations."""
     def rank(mats):
-        return len(pairwise.eliminate(list(mats), lambda k, r: r.max_abs() <= tol, coordinates=False)[0])
+        return len(pairwise.eliminate(list(mats), coordinates=False)[0])
 
     return rank(first) == rank(second) == rank(list(first) + list(second))
 
@@ -177,16 +156,17 @@ def span_families():
     unit = Matrix.exact([[int((i, j) == (0, 1)) for j in range(dim)] for i in range(dim)])
     moved = list(chain.idempotents[:-1]) + [chain.e(6) + unit * Fraction(1, 2**1100)]
     exact = [list(chain.idempotents), gens, gens[:3], moved, moved[::-1], gens[3:] + [unit]]
-    floats = [[m.to_float() for m in family] for family in exact]
-    # a float family whose last element leaves the span by more than the tolerance
-    floats.append(floats[0][:-1] + [floats[0][-1] + unit.to_float() * 1e-6])
-    return exact, floats
+    # the families' float images, read back at their binary value (the
+    # 2**-1100 of moved rounds away), and one whose last element is moved
+    # by the binary value of 1e-6
+    floats = [[Matrix.exact(m.to_float().tolist()) for m in family] for family in exact]
+    floats.append(floats[0][:-1] + [floats[0][-1] + unit * 1e-6])
+    return {"exact": exact, "float": floats}
 
 
-@pytest.mark.parametrize("backend", ["exact", "float"])
-def test_two_elimination_span_matches_three_rank_oracle(backend):
-    families = dict(zip(["exact", "float"], span_families()))[backend]
-    verdicts = []
+@pytest.mark.parametrize("entries", ["exact", "float"])
+def test_two_elimination_span_matches_three_rank_oracle(entries):
+    families, verdicts = span_families()[entries], []
     for first in families:
         for second in families:
             verdicts.append(same_span(matrices.stack(first), matrices.stack(second)))
@@ -347,11 +327,6 @@ def test_closed_form_matches_product_loop_on_complex_families():
         weights = WeightSeq((Fraction(1, 2), Fraction(1, 5), Fraction(1, 7)))
         cert = certify_generation(gens, weights, r_max=6, tol=1e-9)
         assert residual_rows(cert) == product_loop_residuals(gens, weights, 6)
-    # float families take the same closed form in floats, up to rounding
-    floats = [g.to_float() for g in conjugated_family()]
-    cert = certify_generation(floats, weights, r_max=6)
-    loops = [loop for _, _, loop in product_loop_residuals(floats, weights, 6)]
-    assert cert.residuals.ravel().tolist() == pytest.approx(loops, rel=1e-12, abs=1e-15)
 
 
 def chain_generators(m_max, values):
@@ -389,7 +364,7 @@ def test_sparse_residuals_equal_the_dense_product(gens, ratio, r_max):
 def pairwise_table(gens):
     n = len(gens)
     return np.array([
-        [agree(gens[i] @ gens[j], gens[i] if i == j else Matrix.zeros(gens[i].rows), DEFAULT_TOL) for j in range(n)]
+        [(gens[i] @ gens[j]).equals(gens[i] if i == j else Matrix.zeros(gens[i].rows)) for j in range(n)]
         for i in range(n)
     ])
 
@@ -407,8 +382,9 @@ def table_families():
     yield "complex", conjugated_family()
     yield "complex, object kernel", conjugated_family(2**40)
     yield "complex, one non-idempotent", conjugated_family()[:2] + [conjugated_family()[2] * (1, 1)]
-    yield "float", [g.to_float() for g in gens]
-    yield "float, one off", [g.to_float() for g in gens[:-1]] + [gens[-1].to_float() * 1.001]
+    # float entries and scalars are read at their binary value
+    yield "float", [Matrix.exact(g.to_float().tolist()) for g in gens]
+    yield "float, one off", gens[:-1] + [gens[-1] * 1.001]
 
 
 @pytest.mark.parametrize("name, gens", list(table_families()))
